@@ -1,10 +1,8 @@
-// Shared plumbing for the reproduction benches: builds the system netlist,
-// runs the physical flow (pack/place/route), extracts switching activity via
-// the paper's VCD round trip, and prints consistent headers.
+// Shared plumbing for the reproduction benches: runs the physical flow
+// (pack/place/route) and prints consistent headers.
 #pragma once
 
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -15,9 +13,6 @@
 #include "refpga/par/placer.hpp"
 #include "refpga/par/router.hpp"
 #include "refpga/sim/activity.hpp"
-#include "refpga/sim/engine.hpp"
-#include "refpga/sim/simulator.hpp"
-#include "refpga/sim/vcd.hpp"
 
 namespace refpga::benchkit {
 
@@ -57,20 +52,5 @@ struct Implementation {
         routed.route_all(par::RouteMode::Performance);
     }
 };
-
-/// Stimulates the system netlist for `cycles` and recovers per-net activity
-/// through the full VCD round trip (post-PAR simulation -> VCD -> parse),
-/// mirroring the paper's XPower flow. Thin wrapper over app::system_activity
-/// so benches, campaigns and examples share one stimulus definition; the
-/// engine choice does not change the result (sim/engine.hpp parity contract).
-inline sim::ActivityMap system_activity_via_vcd(
-    const netlist::Netlist& nl, double clock_hz, int cycles = 256,
-    sim::EngineKind engine = sim::EngineKind::Cycle) {
-    app::ActivityOptions opts;
-    opts.engine = engine;
-    opts.cycles = cycles;
-    opts.via_vcd = true;
-    return app::system_activity(nl, clock_hz, opts);
-}
 
 }  // namespace refpga::benchkit

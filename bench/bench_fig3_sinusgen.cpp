@@ -4,9 +4,9 @@
 // excitation; the external DAC is replaced by the on-chip delta-sigma core
 // plus an external low-pass; "real hardware tests and Fourier analysis"
 // confirmed the audio-class core still produces a clean 500 kHz sine at
-// 16 MSPS; total cost "ca. 50 slices". We run the generator netlist in the
-// cycle simulator, reconstruct its bitstream through the analog model, and
-// Fourier-analyze the result; resource cost comes from the packer.
+// 16 MSPS; total cost "ca. 50 slices". We simulate the generator netlist,
+// reconstruct its bitstream through the analog model, and Fourier-analyze
+// the result; resource cost comes from the packer.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -17,6 +17,7 @@
 #include "refpga/analog/dsp.hpp"
 #include "refpga/app/hw_modules.hpp"
 #include "refpga/common/table.hpp"
+#include "refpga/sim/event_sim.hpp"
 
 namespace {
 
@@ -48,7 +49,7 @@ void print_fig3() {
               << " FFs); paper reports ca. 50 slices\n";
 
     // Fourier analysis of the reconstructed bitstream at 16 MSPS.
-    sim::Simulator simulator(gen.nl);
+    sim::EventSimulator simulator(gen.nl);
     simulator.set_input("tick", 1);
     analog::RcFilter2 recon(1.5e6, 16e6);
     std::vector<double> signal;
@@ -79,7 +80,7 @@ void print_fig3() {
               << "\n";
 
     // 8-bit code path (the first prototype's external DAC) for comparison.
-    sim::Simulator sim2(gen.nl);
+    sim::EventSimulator sim2(gen.nl);
     sim2.set_input("tick", 1);
     std::vector<double> code_signal;
     while (code_signal.size() < 8192) {
@@ -95,7 +96,7 @@ void print_fig3() {
 
 void BM_SinusGenSimulate4096(benchmark::State& state) {
     GeneratorFixture gen;
-    sim::Simulator simulator(gen.nl);
+    sim::EventSimulator simulator(gen.nl);
     simulator.set_input("tick", 1);
     for (auto _ : state) {
         simulator.run(4096);

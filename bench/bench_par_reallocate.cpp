@@ -1,27 +1,32 @@
-// §4.3 reallocation engine: incremental vs reference, on the Table-2 scenario.
+// §4.3 reallocation engine: the library's incremental engine vs the
+// reference oracle, on the Table-2 scenario.
 //
 // The incremental engine (precomputed adjacency, scratch-route delta costing,
-// cached net power, lazy timing, parallel candidate evaluation) must produce a
-// byte-identical ReallocateReport to the retained reference engine — at every
-// thread count — while being at least ~5x faster. This bench measures both,
-// checks the equality and the total-power invariant, and emits a
-// machine-readable BENCH_par_reallocate.json next to the binary. Exit status
-// is non-zero on any invariant violation, so CI can run it as a check.
+// cached net power, lazy timing) must produce a byte-identical
+// ReallocateReport to the naive reference implementation of the test-support
+// library while being several times faster. This bench measures both, checks
+// the equality and the total-power invariant, and emits a machine-readable
+// BENCH_par_reallocate.json next to the binary. Exit status is non-zero on
+// any invariant violation, so CI can run it as a check.
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "refpga/common/table.hpp"
 #include "refpga/par/reallocate.hpp"
+#include "refpga/par/reallocate_reference.hpp"
 
 namespace {
 
 using namespace refpga;
 
 constexpr double kClockHz = 50e6;
+
+using Optimizer = par::ReallocateReport (*)(par::Placement&, par::RoutedDesign&,
+                                           const sim::ActivityMap&,
+                                           const par::ReallocateOptions&);
 
 struct RunResult {
     par::ReallocateReport report;
@@ -31,13 +36,13 @@ struct RunResult {
 
 /// Builds a fresh implementation (the flow is deterministic, so every run
 /// starts from the same placement and routes) and times only the optimizer.
-RunResult run_engine(const netlist::Netlist& nl, fabric::PartName part,
-                     const sim::ActivityMap& activity,
-                     par::ReallocateOptions options) {
+RunResult run_engine(Optimizer optimize, const netlist::Netlist& nl,
+                     fabric::PartName part, const sim::ActivityMap& activity,
+                     const par::ReallocateOptions& options) {
     benchkit::Implementation impl(nl, part, 0.05);
     const auto t0 = std::chrono::steady_clock::now();
     RunResult r;
-    r.report = par::optimize_net_power(impl.placement, impl.routed, activity, options);
+    r.report = optimize(impl.placement, impl.routed, activity, options);
     const auto t1 = std::chrono::steady_clock::now();
     r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     r.overflow = impl.routed.overflow_count();
@@ -55,7 +60,7 @@ double nets_per_s(const RunResult& r) {
 int main(int argc, char** argv) {
     const bool smoke = benchkit::smoke_mode(argc, argv);
     benchkit::print_header("PAR reallocate",
-                           std::string("incremental vs reference engine") +
+                           std::string("incremental engine vs reference oracle") +
                                (smoke ? " [smoke]" : ""));
 
     // Table-2 scenario: the full system on the XC3S1000 (smoke: the hardware
@@ -67,44 +72,29 @@ int main(int argc, char** argv) {
     const fabric::PartName part =
         smoke ? fabric::PartName::XC3S400 : fabric::PartName::XC3S1000;
     const sim::ActivityMap activity =
-        benchkit::system_activity_via_vcd(sys.nl, kClockHz, smoke ? 64 : 256);
+        app::system_activity(sys.nl, kClockHz, {.cycles = smoke ? 64 : 256});
 
     par::ReallocateOptions options;
     options.net_count = 8;
+    const RunResult ref =
+        run_engine(&par::optimize_net_power_reference, sys.nl, part, activity, options);
+    const RunResult inc =
+        run_engine(&par::optimize_net_power, sys.nl, part, activity, options);
 
-    options.engine = par::ReallocEngine::Reference;
-    const RunResult ref = run_engine(sys.nl, part, activity, options);
-
-    options.engine = par::ReallocEngine::Incremental;
-    const std::vector<int> thread_counts = smoke ? std::vector<int>{1, 4}
-                                                 : std::vector<int>{1, 4, 16};
-    std::vector<RunResult> inc;
-    for (const int threads : thread_counts) {
-        options.threads = threads;
-        inc.push_back(run_engine(sys.nl, part, activity, options));
-    }
-
-    bool identical = true;
-    for (const RunResult& r : inc)
-        if (!(r.report == ref.report)) identical = false;
+    const bool identical = inc.report == ref.report;
     const bool power_ok = ref.report.total_after_uw <= ref.report.total_before_uw;
+    const double speedup = inc.wall_ms > 0.0 ? ref.wall_ms / inc.wall_ms : 0.0;
 
     Table table({"engine", "wall (ms)", "nets/s", "speedup"});
-    table.add_row({"reference", Table::num(ref.wall_ms, 1),
+    table.add_row({"reference (oracle)", Table::num(ref.wall_ms, 1),
                    Table::num(nets_per_s(ref), 1), "1.0x"});
-    double best_ms = ref.wall_ms;
-    for (std::size_t i = 0; i < inc.size(); ++i) {
-        table.add_row({"incremental t=" + std::to_string(thread_counts[i]),
-                       Table::num(inc[i].wall_ms, 1),
-                       Table::num(nets_per_s(inc[i]), 1),
-                       Table::num(ref.wall_ms / inc[i].wall_ms, 1) + "x"});
-        best_ms = std::min(best_ms, inc[i].wall_ms);
-    }
+    table.add_row({"incremental", Table::num(inc.wall_ms, 1),
+                   Table::num(nets_per_s(inc), 1), Table::num(speedup, 1) + "x"});
     std::cout << table.render();
     std::cout << "total dynamic power: " << Table::num(ref.report.total_before_uw * 1e-3)
               << " mW -> " << Table::num(ref.report.total_after_uw * 1e-3) << " mW\n";
-    std::cout << "reports byte-identical across engines and thread counts: "
-              << (identical ? "yes" : "NO") << "\n";
+    std::cout << "reports byte-identical to the oracle: " << (identical ? "yes" : "NO")
+              << "\n";
 
     std::ofstream json("BENCH_par_reallocate.json");
     json << "{\n"
@@ -115,14 +105,9 @@ int main(int argc, char** argv) {
          << "  \"nets_optimized\": " << ref.report.nets.size() << ",\n"
          << "  \"reference\": {\"wall_ms\": " << ref.wall_ms
          << ", \"nets_per_s\": " << nets_per_s(ref) << "},\n"
-         << "  \"incremental\": [";
-    for (std::size_t i = 0; i < inc.size(); ++i)
-        json << (i > 0 ? ", " : "") << "{\"threads\": " << thread_counts[i]
-             << ", \"wall_ms\": " << inc[i].wall_ms
-             << ", \"nets_per_s\": " << nets_per_s(inc[i]) << "}";
-    json << "],\n"
-         << "  \"speedup_best\": " << (best_ms > 0.0 ? ref.wall_ms / best_ms : 0.0)
-         << ",\n"
+         << "  \"incremental\": {\"wall_ms\": " << inc.wall_ms
+         << ", \"nets_per_s\": " << nets_per_s(inc) << "},\n"
+         << "  \"speedup\": " << speedup << ",\n"
          << "  \"total_before_uw\": " << ref.report.total_before_uw << ",\n"
          << "  \"total_after_uw\": " << ref.report.total_after_uw << ",\n"
          << "  \"critical_before_ps\": " << ref.report.critical_before_ps << ",\n"
@@ -132,7 +117,7 @@ int main(int argc, char** argv) {
          << "}\n";
 
     if (!identical || !power_ok) {
-        std::cerr << "FAIL: " << (!identical ? "reports differ across engines/threads"
+        std::cerr << "FAIL: " << (!identical ? "the report differs from the oracle's"
                                              : "total power increased")
                   << "\n";
         return 1;

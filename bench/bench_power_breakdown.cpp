@@ -35,7 +35,7 @@ VariantPower measure_variant(const std::string& name,
                              double reconfig_mj_per_cycle) {
     const app::SystemNetlist sys = app::build_system_netlist(nl_options);
     const sim::ActivityMap activity =
-        benchkit::system_activity_via_vcd(sys.nl, clock_hz, 192);
+        app::system_activity(sys.nl, clock_hz, {.cycles = 192});
     benchkit::Implementation impl(sys.nl, part, 0.04);
     const power::PowerReport report =
         power::estimate_power(impl.routed, activity, clock_hz);
@@ -107,7 +107,7 @@ void BM_PowerEstimate(benchmark::State& state) {
     const app::SystemNetlist sys = app::build_system_netlist(
         {app::AppParams{}, soc::SoftIpBudgets{}, /*include_soft_ip=*/false});
     const sim::ActivityMap activity =
-        benchkit::system_activity_via_vcd(sys.nl, 50e6, 64);
+        app::system_activity(sys.nl, 50e6, {.cycles = 64});
     benchkit::Implementation impl(sys.nl, fabric::PartName::XC3S400, 0.02);
     for (auto _ : state) {
         auto report = power::estimate_power(impl.routed, activity, 50e6);

@@ -1,4 +1,5 @@
-// Activity-extraction engines head to head: cycle sweep vs event-driven.
+// Activity-extraction engines head to head: the reference cycle sweep (a
+// test-support oracle) vs the library's event-driven engine.
 //
 // The workload is gated_channel_netlist — many identical CE-gated datapath
 // channels behind a one-hot selector, so ~1/channels of the fabric toggles
@@ -82,31 +83,30 @@ double drive(sim::SimEngine& sim, int cycles, std::uint64_t seed,
     return now_ms() - t0;
 }
 
-/// Byte-compares full-netlist VCD dumps from both engines over a short run
-/// (short because the dump itself, not simulation, dominates the cost).
+/// Full-netlist VCD dump of a short run (short because the dump itself, not
+/// simulation, dominates the cost).
+std::string vcd_dump(sim::SimEngine& engine, int cycles, std::uint64_t stim_mask) {
+    std::vector<netlist::NetId> nets;
+    nets.reserve(engine.netlist().net_count());
+    for (std::uint32_t i = 0; i < engine.netlist().net_count(); ++i)
+        nets.push_back(netlist::NetId{i});
+    std::ostringstream os;
+    sim::VcdWriter writer(os, engine, nets);
+    writer.sample(1);
+    Rng rng(7);
+    for (int t = 1; t <= cycles; ++t) {
+        if (t % 13 == 0) engine.set_input("stim", rng.next_u64() & stim_mask);
+        engine.tick();
+        writer.sample(1 + std::int64_t{t} * 1000);
+    }
+    return os.str();
+}
+
 bool vcd_bytes_identical(const netlist::Netlist& nl, int cycles,
                          std::uint64_t stim_mask) {
-    std::vector<netlist::NetId> nets;
-    nets.reserve(nl.net_count());
-    for (std::uint32_t i = 0; i < nl.net_count(); ++i)
-        nets.push_back(netlist::NetId{i});
-
-    std::string dumps[2];
-    for (int which = 0; which < 2; ++which) {
-        const auto engine = sim::make_engine(
-            which == 0 ? sim::EngineKind::Cycle : sim::EngineKind::Event, nl);
-        std::ostringstream os;
-        sim::VcdWriter writer(os, *engine, nets);
-        writer.sample(1);
-        Rng rng(7);
-        for (int t = 1; t <= cycles; ++t) {
-            if (t % 13 == 0) engine->set_input("stim", rng.next_u64() & stim_mask);
-            engine->tick();
-            writer.sample(1 + std::int64_t{t} * 1000);
-        }
-        dumps[which] = os.str();
-    }
-    return dumps[0] == dumps[1];
+    sim::Simulator cycle(nl);
+    sim::EventSimulator event(nl);
+    return vcd_dump(cycle, cycles, stim_mask) == vcd_dump(event, cycles, stim_mask);
 }
 
 Result run_config(const Config& config, int vcd_cycles) {

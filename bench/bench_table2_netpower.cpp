@@ -5,17 +5,21 @@
 // slices and re-route on shorter wires -> per-net power drops 40-60 %
 // (headline: 1176 uW -> 516 uW, -56 %), verified after every step that total
 // dynamic power decreased. Figure 6 shows one net's routing before/after.
+// The VCD leg is kept visible: the simulation's dump is parsed back and must
+// give exactly the activity of the toggle counters, or the bench exits 1.
 //
 // Ablation: activity-weighted placement (beta > 0) vs the conventional
 // wirelength-driven flow (beta = 0).
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "refpga/common/table.hpp"
 #include "refpga/par/reallocate.hpp"
 #include "refpga/par/timing.hpp"
+#include "refpga/sim/vcd.hpp"
 
 namespace {
 
@@ -23,7 +27,9 @@ using namespace refpga;
 
 constexpr double kClockHz = 50e6;
 
-void print_table2(bool smoke) {
+/// Prints Table 2 and Figure 6; false when the parsed VCD disagrees with the
+/// toggle counters.
+bool print_table2(bool smoke) {
     benchkit::print_header(
         "Table 2", "per-net power before/after logic reallocation (uW)");
 
@@ -34,8 +40,19 @@ void print_table2(bool smoke) {
         smoke ? app::build_system_netlist(
                     {app::AppParams{}, soc::SoftIpBudgets{}, /*include_soft_ip=*/false})
               : app::build_system_netlist({});
-    const sim::ActivityMap activity =
-        benchkit::system_activity_via_vcd(sys.nl, kClockHz, smoke ? 64 : 256);
+    std::stringstream vcd;
+    const sim::ActivityMap activity = app::system_activity(
+        sys.nl, kClockHz, {.cycles = smoke ? 64 : 256, .vcd = &vcd});
+    const auto vcd_bytes = static_cast<long long>(vcd.tellp());
+    const sim::ActivityMap parsed = sim::activity_from_vcd(sys.nl, sim::parse_vcd(vcd));
+    std::uint32_t equal = 0;
+    for (std::uint32_t i = 0; i < sys.nl.net_count(); ++i)
+        if (parsed.rate_hz(netlist::NetId{i}) == activity.rate_hz(netlist::NetId{i}))
+            ++equal;
+    const bool vcd_ok = equal == sys.nl.net_count();
+    std::cout << "VCD round trip: " << vcd_bytes
+              << " bytes; parsed activity equals the toggle counters on " << equal
+              << "/" << sys.nl.net_count() << " nets\n";
 
     benchkit::Implementation impl(
         sys.nl, smoke ? fabric::PartName::XC3S400 : fabric::PartName::XC3S1000, 0.05);
@@ -71,6 +88,7 @@ void print_table2(bool smoke) {
         std::cout << "--- after reallocation ---\n"
                   << report.nets.front().route_after;
     }
+    return vcd_ok;
 }
 
 void print_placement_ablation() {
@@ -79,8 +97,7 @@ void print_placement_ablation() {
 
     const app::SystemNetlist sys = app::build_system_netlist(
         {app::AppParams{}, soc::SoftIpBudgets{}, /*include_soft_ip=*/false});
-    const sim::ActivityMap activity =
-        benchkit::system_activity_via_vcd(sys.nl, kClockHz);
+    const sim::ActivityMap activity = app::system_activity(sys.nl, kClockHz);
 
     Table table({"placer", "total net C (pF)", "hot-20 net power (uW)"});
     for (const double beta : {0.0, 0.5, 1.5}) {
@@ -101,7 +118,7 @@ void BM_Reallocate8Nets(benchmark::State& state) {
     const app::SystemNetlist sys = app::build_system_netlist(
         {app::AppParams{}, soc::SoftIpBudgets{}, /*include_soft_ip=*/false});
     const sim::ActivityMap activity =
-        benchkit::system_activity_via_vcd(sys.nl, kClockHz, 64);
+        app::system_activity(sys.nl, kClockHz, {.cycles = 64});
     for (auto _ : state) {
         benchkit::Implementation impl(sys.nl, fabric::PartName::XC3S400, 0.02);
         par::ReallocateOptions options;
@@ -117,7 +134,10 @@ BENCHMARK(BM_Reallocate8Nets)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 int main(int argc, char** argv) {
     const bool smoke = benchkit::smoke_mode(argc, argv);
-    print_table2(smoke);
+    if (!print_table2(smoke)) {
+        std::cerr << "FAIL: the parsed VCD disagrees with the toggle counters\n";
+        return 1;
+    }
     if (smoke) return 0;  // scaled-down end-to-end pass for CI
     print_placement_ablation();
     benchmark::Initialize(&argc, argv);

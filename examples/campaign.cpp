@@ -7,9 +7,6 @@
 //   ./build/examples/campaign --json               # machine-readable report
 //   ./build/examples/campaign --with-software      # add the MicroBlaze baseline
 //   ./build/examples/campaign --metrics-json FILE  # obs metrics/trace to FILE
-//   ./build/examples/campaign --sim-engine event   # add simulated-activity
-//                                                  # logic power (either
-//                                                  # engine; same numbers)
 //
 // The report is byte-identical for any --threads value: scenarios carry
 // their own deterministic seeds, so scheduling cannot change the results.
@@ -22,7 +19,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -61,7 +57,6 @@ int main(int argc, char** argv) {
     bool json = false;
     bool with_software = false;
     std::string metrics_path;
-    std::optional<sim::EngineKind> sim_engine;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -77,18 +72,9 @@ int main(int argc, char** argv) {
             seed = static_cast<std::uint64_t>(parse_int(argv[++i], "--seed"));
         } else if (arg == "--metrics-json" && i + 1 < argc) {
             metrics_path = argv[++i];
-        } else if (arg == "--sim-engine" && i + 1 < argc) {
-            const auto kind = sim::parse_engine_kind(argv[++i]);
-            if (!kind) {
-                std::cerr << "invalid value for --sim-engine (cycle|event): "
-                          << argv[i] << "\n";
-                return 2;
-            }
-            sim_engine = *kind;
         } else {
             std::cerr << "usage: campaign [--threads N] [--cycles N] [--seed S] "
-                         "[--json] [--with-software] [--metrics-json FILE] "
-                         "[--sim-engine cycle|event]\n";
+                         "[--json] [--with-software] [--metrics-json FILE]\n";
             return 2;
         }
     }
@@ -119,7 +105,6 @@ int main(int argc, char** argv) {
     obs::Recorder recorder;
     fleet::CampaignOptions options(threads);
     options.stop = &g_stop;
-    options.activity_engine = sim_engine;
     if (!metrics_path.empty()) options.recorder = &recorder;
 
     const fleet::CampaignResult result =

@@ -3,10 +3,7 @@
 // re-route on low-capacitance wires, and show the before/after.
 //
 //   ./build/examples/power_optimization
-//   ./build/examples/power_optimization --engine event   # event-driven
-//       activity extraction (bit-identical output; see sim/engine.hpp)
 #include <iostream>
-#include <string>
 
 #include "refpga/common/table.hpp"
 #include "refpga/netlist/builder.hpp"
@@ -15,26 +12,14 @@
 #include "refpga/par/reallocate.hpp"
 #include "refpga/par/router.hpp"
 #include "refpga/sim/activity.hpp"
-#include "refpga/sim/engine.hpp"
+#include "refpga/sim/event_sim.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** /*argv*/) {
     using namespace refpga;
 
-    sim::EngineKind engine = sim::EngineKind::Cycle;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--engine" && i + 1 < argc) {
-            const auto kind = sim::parse_engine_kind(argv[++i]);
-            if (!kind) {
-                std::cerr << "invalid value for --engine (cycle|event): "
-                          << argv[i] << "\n";
-                return 2;
-            }
-            engine = *kind;
-        } else {
-            std::cerr << "usage: power_optimization [--engine cycle|event]\n";
-            return 2;
-        }
+    if (argc > 1) {
+        std::cerr << "usage: power_optimization\n";
+        return 2;
     }
 
     // A little DSP datapath: two counters driving a MULT18 and an
@@ -63,9 +48,9 @@ int main(int argc, char** argv) {
     routed.route_all(par::RouteMode::Performance);
 
     // Activity from simulation (the VCD route is shown in bench_table2).
-    const auto simulator = sim::make_engine(engine, nl);
-    simulator->run(2048);
-    const sim::ActivityMap activity = sim::activity_from_simulation(*simulator, 50e6);
+    sim::EventSimulator simulator(nl);
+    simulator.run(2048);
+    const sim::ActivityMap activity = sim::activity_from_simulation(simulator, 50e6);
 
     par::ReallocateOptions options;
     options.net_count = 6;

@@ -3,10 +3,7 @@
 // a hundred lines.
 //
 //   cmake --build build && ./build/examples/quickstart
-//   ./build/examples/quickstart --engine event   # event-driven simulation
-//       (identical output — the engines are parity-gated, sim/engine.hpp)
 #include <iostream>
-#include <string>
 
 #include "refpga/netlist/builder.hpp"
 #include "refpga/netlist/drc.hpp"
@@ -16,26 +13,14 @@
 #include "refpga/par/timing.hpp"
 #include "refpga/power/estimator.hpp"
 #include "refpga/sim/activity.hpp"
-#include "refpga/sim/engine.hpp"
+#include "refpga/sim/event_sim.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** /*argv*/) {
     using namespace refpga;
 
-    sim::EngineKind engine = sim::EngineKind::Cycle;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--engine" && i + 1 < argc) {
-            const auto kind = sim::parse_engine_kind(argv[++i]);
-            if (!kind) {
-                std::cerr << "invalid value for --engine (cycle|event): "
-                          << argv[i] << "\n";
-                return 2;
-            }
-            engine = *kind;
-        } else {
-            std::cerr << "usage: quickstart [--engine cycle|event]\n";
-            return 2;
-        }
+    if (argc > 1) {
+        std::cerr << "usage: quickstart\n";
+        return 2;
     }
 
     // 1. Describe hardware with the word-level builder: an 8-bit counter
@@ -51,9 +36,9 @@ int main(int argc, char** argv) {
               << " nets\n";
 
     // 2. Simulate a few cycles and check the arithmetic.
-    const auto simulator = sim::make_engine(engine, nl);
-    simulator->run(12);
-    std::cout << "after 12 cycles: count^2 = " << simulator->get_port("squared")
+    sim::EventSimulator simulator(nl);
+    simulator.run(12);
+    std::cout << "after 12 cycles: count^2 = " << simulator.get_port("squared")
               << " (expect 11^2 + pipeline = 121)\n";
 
     // 3. Pack, place (simulated annealing) and route on an XC3S200.
@@ -73,9 +58,9 @@ int main(int argc, char** argv) {
     std::cout << "routed: " << routed.total_capacitance_pf() << " pF total, Fmax "
               << timing.fmax_mhz() << " MHz\n";
 
-    // 4. Activity-based power estimate at 50 MHz (either engine: the power
-    //    overload consumes the common SimEngine interface).
-    const power::PowerReport report = power::estimate_power(routed, *simulator, 50e6);
+    // 4. Activity-based power estimate at 50 MHz from the simulation's
+    //    toggle counters.
+    const power::PowerReport report = power::estimate_power(routed, simulator, 50e6);
     std::cout << report.render();
     return 0;
 }

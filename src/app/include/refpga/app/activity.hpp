@@ -2,34 +2,37 @@
 //
 // One library home for the stimulus that every consumer of §4.3 activity
 // uses (benches, campaigns, examples): drive the system's known ports with
-// the deterministic reference pattern, run either simulation engine, and
-// return per-net toggle rates — optionally through the full VCD round trip
-// (post-PAR simulation -> dump -> parse), mirroring the paper's XPower flow.
-// The dual-engine parity contract (sim/engine.hpp) makes the result
-// engine-independent; the engine option only selects how fast it is
-// computed.
+// the deterministic reference pattern on the event-driven engine and return
+// per-net toggle rates read from its toggle counters. The paper's XPower
+// flow (post-PAR simulation -> VCD -> parse) is available as an export: a
+// caller-supplied stream receives the dump as it is written, and parsing it
+// back yields exactly the returned activity. The dump is never a second way
+// of computing it.
 #pragma once
+
+#include <ostream>
 
 #include "refpga/netlist/netlist.hpp"
 #include "refpga/sim/activity.hpp"
-#include "refpga/sim/engine.hpp"
 
 namespace refpga::app {
 
 struct ActivityOptions {
-    sim::EngineKind engine = sim::EngineKind::Cycle;
     int cycles = 256;
-    /// true: emit + parse a VCD (constant-memory streaming path) and derive
-    /// rates from the dump, like XPower; false: read the engine's toggle
-    /// counters directly (identical toggle counts; rates differ only by the
-    /// dump's duration being measured from the first sample).
-    bool via_vcd = true;
+    /// When set, every net's value changes are written to this stream as a
+    /// VCD (1 ps timescale, first sample at t = 0 when the counting window
+    /// opens, one sample per clock period). Non-owning.
+    std::ostream* vcd = nullptr;
 };
 
 /// Stimulates `nl` for `opts.cycles` clock cycles with the deterministic
-/// system pattern (tick_16mhz/adc_valid held, adc_meas/adc_ref driven from
-/// Rng(2024); ports absent from the netlist are skipped, so this also works
-/// for plain cores) and returns per-net activity at `clock_hz`.
+/// system pattern and returns per-net activity at `clock_hz`.
+///
+/// tick_16mhz and adc_valid are held at 1 and adc_meas/adc_ref are driven
+/// from Rng(2024) each cycle; ports absent from the netlist are skipped, so
+/// this also works for plain cores. The counting window opens after the held
+/// inputs are driven, so their edges are not activity: a net's rate is its
+/// toggles in the window divided by (cycles / clock_hz).
 [[nodiscard]] sim::ActivityMap system_activity(const netlist::Netlist& nl,
                                                double clock_hz,
                                                const ActivityOptions& opts = {});

@@ -6,11 +6,9 @@
 
 #include "refpga/analog/sample_block.hpp"
 #include "refpga/analog/tank.hpp"
-#include "refpga/app/activity.hpp"
 #include "refpga/common/contracts.hpp"
-#include "refpga/fleet/thread_pool.hpp"
+#include "refpga/common/thread_pool.hpp"
 #include "refpga/netlist/stats.hpp"
-#include "refpga/par/router.hpp"
 #include "refpga/power/estimator.hpp"
 
 namespace refpga::fleet {
@@ -61,8 +59,7 @@ VariantFit fit_from_stats(const std::vector<netlist::PartitionStats>& stats,
 
 }  // namespace
 
-VariantFit variant_fit(app::SystemVariant variant,
-                       std::optional<sim::EngineKind> activity_engine) {
+VariantFit variant_fit(app::SystemVariant variant) {
     app::SystemNetlistOptions options;
     if (variant == app::SystemVariant::Software) {
         // Processing runs on the soft core: only the static area is resident.
@@ -72,21 +69,7 @@ VariantFit variant_fit(app::SystemVariant variant,
     }
     const app::SystemNetlist sys = app::build_system_netlist(options);
     const auto stats = netlist::partition_stats(sys.nl);
-    VariantFit fit =
-        fit_from_stats(stats, variant != app::SystemVariant::ReconfiguredHw);
-    if (activity_engine) {
-        // Simulated per-cycle toggle total of the resident logic, computed
-        // once per variant and shared read-only by every scenario. At a
-        // 1 Hz reference clock the summed activity rate IS toggles/cycle.
-        app::ActivityOptions aopts;
-        aopts.engine = *activity_engine;
-        aopts.cycles = 64;
-        aopts.via_vcd = false;
-        const sim::ActivityMap activity = app::system_activity(sys.nl, 1.0, aopts);
-        for (std::uint32_t i = 0; i < activity.size(); ++i)
-            fit.toggles_per_cycle += activity.rate_hz(netlist::NetId{i});
-    }
-    return fit;
+    return fit_from_stats(stats, variant != app::SystemVariant::ReconfiguredHw);
 }
 
 namespace {
@@ -213,19 +196,6 @@ ScenarioOutcome run_one(const Scenario& s, const std::array<VariantFit, 3>& fits
                            options.params.system_clock_hz * 1e3 +
                        o.reconfig_energy_mj /
                            (s.cycles * options.params.cycle_period_s);
-        if (campaign.activity_engine) {
-            // Simulated-activity logic term (CampaignOptions::activity_engine):
-            // the variant's toggles/cycle at the scenario clock through an
-            // average unrouted net load (campaigns run no PAR, so per-net
-            // routed capacitance is not available here).
-            constexpr double kAvgNetLoadPf = 1.2;
-            o.dynamic_mw += par::switch_power_uw(
-                                kAvgNetLoadPf,
-                                fit.toggles_per_cycle *
-                                    options.params.system_clock_hz,
-                                pw.vdd) *
-                            1e-3;
-        }
         o.ok = true;
     } catch (const std::exception& e) {
         o.ok = false;
@@ -256,8 +226,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios) const
     for (const Scenario& s : scenarios) needed[static_cast<std::size_t>(s.variant)] = true;
     for (std::size_t v = 0; v < needed.size(); ++v)
         if (needed[v])
-            fits[v] = variant_fit(static_cast<app::SystemVariant>(v),
-                                  options_.activity_engine);
+            fits[v] = variant_fit(static_cast<app::SystemVariant>(v));
 
     CampaignResult result;
     result.outcomes.resize(scenarios.size());

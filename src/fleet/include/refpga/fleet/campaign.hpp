@@ -20,7 +20,6 @@
 
 #include "refpga/fleet/scenario.hpp"
 #include "refpga/obs/obs.hpp"
-#include "refpga/sim/engine.hpp"
 
 namespace refpga::fleet {
 
@@ -104,13 +103,6 @@ struct CampaignOptions {
     /// in-flight scenarios finish normally, so the runner drains rather
     /// than aborts. Non-owning; must outlive run(). nullptr = never stop.
     const std::atomic<bool>* stop = nullptr;
-    /// When set, each variant's structural netlist is simulated once (with
-    /// the selected engine — results are engine-independent per the
-    /// dual-engine parity contract, sim/engine.hpp) and a first-order
-    /// switched-capacitance logic term is added to every outcome's
-    /// dynamic_mw. Off by default: reports then stay byte-identical to
-    /// campaigns run before this option existed.
-    std::optional<sim::EngineKind> activity_engine;
 
     CampaignOptions() = default;
     CampaignOptions(int threads_) : threads(threads_) {}  // NOLINT: {N} spells a thread count
@@ -123,17 +115,11 @@ struct VariantFit {
     std::size_t with_headroom = 0;  ///< +7% PAR margin, as in bench_device_fit
     std::size_t resident_ffs = 0;   ///< clock loads for the dynamic-power model
     std::optional<fabric::PartName> fitted;
-    /// Total net toggles per clock cycle of the variant's resident logic
-    /// (simulated activity); 0 unless CampaignOptions::activity_engine is
-    /// set. Scales with the scenario clock into a logic-power term.
-    double toggles_per_cycle = 0.0;
 };
 
 /// Resident slice/FF demand of a system variant (from the structural system
 /// netlist; Software keeps only the static area resident).
-[[nodiscard]] VariantFit variant_fit(
-    app::SystemVariant variant,
-    std::optional<sim::EngineKind> activity_engine = std::nullopt);
+[[nodiscard]] VariantFit variant_fit(app::SystemVariant variant);
 
 class CampaignRunner {
 public:

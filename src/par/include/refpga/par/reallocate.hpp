@@ -10,23 +10,18 @@
 // The paper performed this by hand in FPGA Editor and argued it "must be
 // integrated in FPGA tools"; this is that integration.
 //
-// Two engines implement one set of semantics:
-//   * Incremental (default): precomputed slice<->net adjacency (ReallocIndex
-//     over netlist::CellNetIndex), scratch-route delta costing (no
-//     occupy/undo churn on the live grid), cached per-net power with an O(1)
-//     maintained total (NetPowerCache), lazy timing behind a sound
-//     delay-increase bound with periodic full resync, and deterministic
-//     parallel candidate evaluation over a ThreadPool.
-//   * Reference: the retained naive path — per-call set builders, per-
-//     candidate baseline recomputation, a full timing analysis after every
-//     committed move — with byte-identical reports. It exists so tests and
-//     benches can pin the incremental engine's output and speedup.
+// The engine is incremental: precomputed slice<->net adjacency (ReallocIndex
+// over netlist::CellNetIndex), scratch-route delta costing (no occupy/undo
+// churn on the live grid), cached per-net power with an O(1) maintained
+// total (NetPowerCache), and lazy timing behind a sound delay-increase bound
+// with periodic full resync. Candidate gains are computed per (dy, dx, idx)
+// window position and reduced in window order (max gain, lowest coordinate
+// wins ties).
 //
-// Determinism contract: for a fixed input, the ReallocateReport is
-// byte-identical across engines and across any thread count. Candidate
-// gains are computed independently per (dy, dx, idx) window position, then
-// reduced sequentially in window order (max gain, lowest coordinate wins
-// ties), so the schedule can never reorder the arithmetic.
+// Its reports are pinned bitwise to a naive reference implementation of the
+// same semantics (per-call set builders, every candidate applied, measured
+// and undone on the live grid, full timing analysis after every committed
+// move), which lives in the test-support library.
 #pragma once
 
 #include <span>
@@ -39,16 +34,7 @@
 #include "refpga/par/timing.hpp"
 #include "refpga/sim/activity.hpp"
 
-namespace refpga {
-class ThreadPool;
-}
-
 namespace refpga::par {
-
-enum class ReallocEngine {
-    Incremental,  ///< indexed, delta-costed, lazily timed, parallel (default)
-    Reference,    ///< retained naive path; identical reports, naive cost
-};
 
 struct ReallocateOptions {
     std::size_t net_count = 10;     ///< how many hot nets to optimize
@@ -61,23 +47,14 @@ struct ReallocateOptions {
     /// likewise picked moderate-fanout nets such as multiplier inputs).
     std::size_t max_fanout = 16;
     CellDelays delays;
-    ReallocEngine engine = ReallocEngine::Incremental;
-    /// Candidate-evaluation worker count (Incremental engine only). 1 keeps
-    /// everything on the calling thread; results are identical either way.
-    int threads = 1;
-    /// Reuse an existing pool across calls (overrides `threads`). The engine
-    /// uses wait_idle() as a barrier, so prefer a pool without unrelated
-    /// concurrent work.
-    ThreadPool* pool = nullptr;
     /// Full timing re-analysis at least every N committed moves, to keep the
-    /// accumulated delay bound tight (Incremental engine only).
+    /// accumulated delay bound tight.
     int timing_resync_period = 8;
     /// Observability sink (refpga::obs). When set, optimize_net_power bumps
     /// realloc.{passes,nets_considered,candidates_evaluated,moves_committed,
     /// moves_rejected,timing_resyncs}_total and observes the pass wall time.
-    /// Counters are recorded from the calling thread only, so candidate
-    /// evaluation workers stay untouched; reports remain byte-identical
-    /// whether or not a recorder is attached. Non-owning.
+    /// Reports remain byte-identical whether or not a recorder is attached.
+    /// Non-owning.
     obs::Recorder* recorder = nullptr;
 };
 
@@ -143,7 +120,7 @@ private:
 /// instead of O(nets) per query; only re-routed nets are ever touched.
 /// exact_total_uw() re-sums the cached entries in net order — the same
 /// operation order a from-scratch total uses — so reports stay byte-
-/// identical to the Reference engine's.
+/// identical to the reference implementation's.
 class NetPowerCache {
 public:
     NetPowerCache(const RoutedDesign& routed, const sim::ActivityMap& activity,

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <set>
-
-#include "refpga/common/thread_pool.hpp"
 
 namespace refpga::par {
 
@@ -113,48 +109,6 @@ double NetPowerCache::exact_total_uw() const {
 
 namespace {
 
-double total_power_uw(const RoutedDesign& routed, const sim::ActivityMap& activity,
-                      double vdd) {
-    double total = 0.0;
-    for (std::uint32_t i = 0; i < routed.placement().nl().net_count(); ++i)
-        total += net_power_uw(routed, NetId{i}, activity, vdd);
-    return total;
-}
-
-/// Slices participating in a net (driver and sinks that live in slices).
-/// Retained set-based builder: the Reference engine's per-call path, and the
-/// behavioral spec ReallocIndex::slices_of must match.
-std::vector<SliceId> net_slices_naive(const Placement& placement, NetId net) {
-    const auto& nl = placement.nl();
-    const auto& n = nl.net(net);
-    std::set<SliceId> slices;
-    auto add = [&](CellId cell) {
-        const SliceId s = placement.design().slice_of(cell);
-        if (s.valid()) slices.insert(s);
-    };
-    if (n.driven()) add(n.driver.cell);
-    for (const auto& sink : n.sinks) add(sink.cell);
-    return {slices.begin(), slices.end()};
-}
-
-/// All nets incident to a slice's cells (these must be re-routed on a move).
-/// Retained set-based builder mirrored by ReallocIndex::nets_of.
-std::vector<NetId> incident_nets_naive(const Placement& placement, SliceId slice) {
-    const auto& nl = placement.nl();
-    const auto& packed = placement.design().slices()[slice.value()];
-    std::set<NetId> nets;
-    auto add_cell = [&](CellId cell) {
-        const auto& c = nl.cell(cell);
-        for (const NetId in : c.inputs)
-            if (in.valid() && !placement.dedicated_net(in)) nets.insert(in);
-        for (const NetId out : c.outputs)
-            if (out.valid() && !placement.dedicated_net(out)) nets.insert(out);
-    };
-    for (const CellId cell : packed.luts) add_cell(cell);
-    for (const CellId cell : packed.ffs) add_cell(cell);
-    return {nets.begin(), nets.end()};
-}
-
 SliceCoord net_centroid(const Placement& placement, NetId net) {
     const auto& n = placement.nl().net(net);
     long sx = 0;
@@ -175,9 +129,8 @@ SliceCoord net_centroid(const Placement& placement, NetId net) {
 /// Hot nets ranked by *reducible* power: the share switched on routing wires
 /// (pin capacitance is fixed by connectivity). Very-high-fanout nets are
 /// excluded -- nothing the placer can do about hundreds of loads. Power is
-/// keyed once per net before sorting (the old comparator recomputed it on
-/// every comparison); equal-power nets tie-break on the lower id so the
-/// order is deterministic.
+/// keyed once per net before sorting; equal-power nets tie-break on the
+/// lower id so the order is deterministic.
 std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
                                  const sim::ActivityMap& activity,
                                  const ReallocateOptions& options) {
@@ -210,7 +163,7 @@ std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
 }
 
 /// Free sites in the (2*radius+1)^2 window around the centroid, in window
-/// scan order. Both engines enumerate (and therefore tie-break) identically.
+/// scan order (the order candidates are reduced in).
 std::vector<SliceCoord> enumerate_targets(const Placement& placement,
                                           const Region& region,
                                           const SliceCoord& centroid,
@@ -235,9 +188,7 @@ std::vector<SliceCoord> enumerate_targets(const Placement& placement,
 
 // ---------------------------------------------------------------------- engine
 
-/// One optimization run. Both engines share this skeleton; the Incremental
-/// flag switches bookkeeping strategy (indexes, caches, lazy timing,
-/// parallel candidate evaluation) without changing any decision.
+/// One optimization run.
 class Engine {
 public:
     Engine(Placement& placement, RoutedDesign& routed,
@@ -246,7 +197,8 @@ public:
           routed_(routed),
           activity_(activity),
           options_(options),
-          inc_(options.engine == ReallocEngine::Incremental),
+          index_(placement, netlist::CellNetIndex(placement.nl())),
+          cache_(routed, activity, options.vdd),
           rec_(options.recorder) {
         if (rec_ != nullptr) {
             obs::MetricRegistry& m = rec_->metrics();
@@ -265,17 +217,11 @@ public:
     ReallocateReport run();
 
 private:
-    void setup_pool();
     void optimize_net(NetId net, NetPowerChange& change);
     void optimize_slice(SliceId slice, const SliceCoord& centroid,
                         std::span<const NetId> affected, NetPowerChange& change);
     [[nodiscard]] double trial_cost(std::span<const NetId> affected, SliceId slice,
-                                    const SliceCoord& pos,
-                                    RouteScratch& scratch) const;
-    void evaluate_candidates(std::span<const NetId> affected, SliceId slice,
-                             std::span<const SliceCoord> targets,
-                             std::span<const std::size_t> groups, double cost_before,
-                             std::vector<double>& gains);
+                                    const SliceCoord& pos);
     void rip_all(std::span<const NetId> affected);
     void route_all_lp(std::span<const NetId> affected);
     [[nodiscard]] std::vector<std::vector<double>> capture_delays(
@@ -290,22 +236,16 @@ private:
     RoutedDesign& routed_;
     const sim::ActivityMap& activity_;
     const ReallocateOptions& options_;
-    const bool inc_;
 
-    std::optional<netlist::CellNetIndex> cell_index_;
-    std::optional<ReallocIndex> index_;
-    std::optional<NetPowerCache> cache_;
+    ReallocIndex index_;
+    NetPowerCache cache_;
+    RouteScratch scratch_;
 
     double limit_ = 0.0;
     double crit_bound_ = 0.0;           ///< sound upper bound on current critical path
     std::vector<bool> critical_;        ///< cell mask from the last full analysis
     int commits_since_resync_ = 0;
 
-    ThreadPool* pool_ = nullptr;
-    std::optional<ThreadPool> local_pool_;
-    std::vector<RouteScratch> scratches_;  ///< one per evaluation worker
-
-    // Observability (counters bumped from the calling thread only).
     obs::Recorder* rec_;
     obs::MetricId obs_passes_, obs_nets_, obs_candidates_, obs_commits_,
         obs_rejects_, obs_resyncs_, obs_pass_wall_;
@@ -315,43 +255,19 @@ private:
     }
 };
 
-void Engine::setup_pool() {
-    int workers = 1;
-    if (inc_) {
-        if (options_.pool != nullptr) {
-            pool_ = options_.pool;
-            workers = pool_->thread_count();
-        } else if (options_.threads > 1) {
-            local_pool_.emplace(options_.threads);
-            pool_ = &*local_pool_;
-            workers = options_.threads;
-        }
-    }
-    scratches_.resize(static_cast<std::size_t>(std::max(workers, 1)));
-}
-
 ReallocateReport Engine::run() {
     const auto& nl = placement_.nl();
-    if (inc_) {
-        cell_index_.emplace(nl);
-        index_.emplace(placement_, *cell_index_);
-        cache_.emplace(routed_, activity_, options_.vdd);
-    }
-    setup_pool();
     obs_add(obs_passes_);
     obs::ScopedTimer pass_timer(rec_ != nullptr ? &rec_->metrics() : nullptr,
                                 obs_pass_wall_);
 
     ReallocateReport report;
-    report.total_before_uw = inc_ ? cache_->exact_total_uw()
-                                  : total_power_uw(routed_, activity_, options_.vdd);
+    report.total_before_uw = cache_.exact_total_uw();
     const TimingReport t0 = analyze_timing(routed_, options_.delays);
     report.critical_before_ps = t0.critical_path_ps;
     limit_ = report.critical_before_ps * options_.timing_slack;
-    if (inc_) {
-        crit_bound_ = t0.critical_path_ps;
-        critical_ = critical_cell_mask(t0, nl.cell_count());
-    }
+    crit_bound_ = t0.critical_path_ps;
+    critical_ = critical_cell_mask(t0, nl.cell_count());
 
     for (const NetId net : rank_hot_nets(routed_, activity_, options_)) {
         obs_add(obs_nets_);
@@ -366,8 +282,7 @@ ReallocateReport Engine::run() {
         report.nets.push_back(std::move(change));
     }
 
-    report.total_after_uw = inc_ ? cache_->exact_total_uw()
-                                 : total_power_uw(routed_, activity_, options_.vdd);
+    report.total_after_uw = cache_.exact_total_uw();
     report.critical_after_ps = analyze_timing(routed_, options_.delays).critical_path_ps;
     return report;
 }
@@ -375,25 +290,15 @@ ReallocateReport Engine::run() {
 void Engine::optimize_net(NetId net, NetPowerChange& change) {
     // Step 1: re-route the net itself on low-capacitance wires.
     const NetId self[] = {net};
-    std::vector<std::vector<double>> old_delays;
-    if (inc_) old_delays = capture_delays(self);
+    const std::vector<std::vector<double>> old_delays = capture_delays(self);
     routed_.reroute_net(net, RouteMode::LowPower);
-    if (inc_) {
-        cache_->refresh(net);
-        crit_bound_ += bound_delta(self, old_delays);
-    }
+    cache_.refresh(net);
+    crit_bound_ += bound_delta(self, old_delays);
 
     // Step 2: try to pull each participating slice toward the centroid.
     const SliceCoord centroid = net_centroid(placement_, net);
-    if (inc_) {
-        for (const SliceId slice : index_->slices_of(net))
-            optimize_slice(slice, centroid, index_->nets_of(slice), change);
-    } else {
-        for (const SliceId slice : net_slices_naive(placement_, net)) {
-            const std::vector<NetId> affected = incident_nets_naive(placement_, slice);
-            optimize_slice(slice, centroid, affected, change);
-        }
-    }
+    for (const SliceId slice : index_.slices_of(net))
+        optimize_slice(slice, centroid, index_.nets_of(slice), change);
 }
 
 void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
@@ -408,72 +313,34 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         enumerate_targets(placement_, region, centroid, original, options_.radius);
     if (targets.empty()) return;
 
-    std::vector<std::vector<double>> old_delays;
-    if (inc_) old_delays = capture_delays(affected);
+    const std::vector<std::vector<double>> old_delays = capture_delays(affected);
 
     // Candidates are delta-costed against the base occupancy with every
     // affected net ripped up -- exactly the state a live re-route starts
     // from, so trial routes equal committed routes byte for byte.
     rip_all(affected);
+    const double cost_before = trial_cost(affected, slice, original);
 
-    // Deterministic reduction: window order, strict improvement required,
-    // first (lowest-coordinate) candidate wins ties — identical across
-    // engines and for any thread count.
+    // Reduction in window order, strict improvement required: the first
+    // (lowest-coordinate) candidate wins ties. Slice sites within one CLB are
+    // adjacent in window order and share the tile coordinate, and routing
+    // never reads the intra-CLB index, so their gains are bitwise equal and
+    // only a tile's first site is ever selectable: evaluate that one alone.
     double best_gain = 0.0;
     std::size_t best = targets.size();
-    if (inc_) {
-        const double cost_before = trial_cost(affected, slice, original, scratches_[0]);
-        // Slice sites within one CLB share the tile coordinate and routing
-        // never reads the intra-CLB index, so their gains are bitwise equal.
-        // Evaluate one representative per tile: under the strict-improvement
-        // reduction only a group's first member is ever selectable, so the
-        // choice matches a full per-site evaluation exactly.
-        std::vector<std::size_t> groups;
-        groups.reserve(targets.size());
-        for (std::size_t i = 0; i < targets.size(); ++i)
-            if (groups.empty() || targets[i].x != targets[groups.back()].x ||
-                targets[i].y != targets[groups.back()].y)
-                groups.push_back(i);
-        std::vector<double> gains(groups.size(), 0.0);
-        obs_add(obs_candidates_, static_cast<double>(groups.size()));
-        evaluate_candidates(affected, slice, targets, groups, cost_before, gains);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            if (gains[g] > best_gain) {
-                best_gain = gains[g];
-                best = groups[g];
-            }
-        }
-    } else {
-        // Retained pre-PR mechanics: every candidate swaps the slice in,
-        // re-routes all affected nets on the live grid, measures, then swaps
-        // back and re-routes again to undo — the occupy/undo churn (and the
-        // per-candidate baseline recompute) that the incremental engine's
-        // scratch evaluator eliminates. Decisions are identical: live routes
-        // from the same base occupancy equal scratch trial routes byte for
-        // byte, and costs are summed in the same ascending net order.
-        obs_add(obs_candidates_, static_cast<double>(targets.size()));
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            placement_.swap_sites(original, targets[i]);
-            for (const NetId a : affected)
-                routed_.reroute_net(a, RouteMode::LowPower);
-            double cost_after = 0.0;
-            for (const NetId a : affected)
-                cost_after += net_power_uw(routed_, a, activity_, options_.vdd);
-            rip_all(affected);
-            placement_.swap_sites(targets[i], original);
-            for (const NetId a : affected)
-                routed_.reroute_net(a, RouteMode::LowPower);
-            double cost_before = 0.0;
-            for (const NetId a : affected)
-                cost_before += net_power_uw(routed_, a, activity_, options_.vdd);
-            rip_all(affected);
-            const double gain = cost_before - cost_after;
-            if (gain > best_gain) {
-                best_gain = gain;
-                best = i;
-            }
+    double candidates = 0.0;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+        if (i > 0 && targets[i].x == targets[i - 1].x &&
+            targets[i].y == targets[i - 1].y)
+            continue;
+        ++candidates;
+        const double gain = cost_before - trial_cost(affected, slice, targets[i]);
+        if (gain > best_gain) {
+            best_gain = gain;
+            best = i;
         }
     }
+    obs_add(obs_candidates_, candidates);
 
     const bool move = best < targets.size();
     if (move) placement_.swap_sites(original, targets[best]);
@@ -482,33 +349,24 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     if (!move) {
         // The restored routes need not equal the pre-step ones (they were
         // re-composed from the ripped-up base); keep the bound sound.
-        if (inc_) crit_bound_ += bound_delta(affected, old_delays);
+        crit_bound_ += bound_delta(affected, old_delays);
         return;
     }
 
-    // Timing gate: undo the move if the clock target breaks. The Reference
-    // engine re-analyzes after every committed move; the incremental engine
-    // only when the moved slice touches the last-known critical path or the
-    // accumulated delay bound no longer proves the limit holds.
-    bool reject;
-    if (!inc_) {
-        reject = analyze_timing(routed_, options_.delays).critical_path_ps > limit_;
+    // Timing gate: undo the move if the clock target breaks. The full
+    // analysis runs only when the accumulated delay bound no longer proves
+    // the limit holds; the decision matches what a measurement would give.
+    bool reject = false;
+    const double delta = bound_delta(affected, old_delays);
+    if (crit_bound_ + delta <= limit_) {
+        crit_bound_ += delta;
+        // Moving a critical-path slice likely reshaped the path: pull the
+        // periodic resync closer so the bound re-tightens soon.
+        if (slice_touches_critical(slice)) ++commits_since_resync_;
     } else {
-        const double delta = bound_delta(affected, old_delays);
-        if (crit_bound_ + delta <= limit_) {
-            // The bound proves the move cannot break the clock target, so the
-            // full analysis is skipped outright; the decision matches what a
-            // measurement would have produced.
-            crit_bound_ += delta;
-            reject = false;
-            // Moving a critical-path slice likely reshaped the path: pull the
-            // periodic resync closer so the bound re-tightens soon.
-            if (slice_touches_critical(slice)) ++commits_since_resync_;
-        } else {
-            const TimingReport tr = analyze_timing(routed_, options_.delays);
-            reject = tr.critical_path_ps > limit_;
-            if (!reject) resync(tr);
-        }
+        const TimingReport tr = analyze_timing(routed_, options_.delays);
+        reject = tr.critical_path_ps > limit_;
+        if (!reject) resync(tr);
     }
 
     if (reject) {
@@ -518,56 +376,25 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         route_all_lp(affected);
         // Re-measure: the restored routes need not match what the bound last
         // described. Rejections are rare, so this resync is off the hot path.
-        if (inc_) resync(analyze_timing(routed_, options_.delays));
+        resync(analyze_timing(routed_, options_.delays));
     } else {
         obs_add(obs_commits_);
         change.moved_logic = true;
-        if (inc_ && ++commits_since_resync_ >= options_.timing_resync_period)
+        if (++commits_since_resync_ >= options_.timing_resync_period)
             resync(analyze_timing(routed_, options_.delays));
     }
 }
 
 double Engine::trial_cost(std::span<const NetId> affected, SliceId slice,
-                          const SliceCoord& pos, RouteScratch& scratch) const {
-    scratch.clear();
+                          const SliceCoord& pos) {
+    scratch_.clear();
     double cost = 0.0;
     for (const NetId a : affected)
         cost += switch_power_uw(
             routed_.trial_route_capacitance_pf(a, slice, pos, RouteMode::LowPower,
-                                               scratch),
+                                               scratch_),
             activity_.rate_hz(a), options_.vdd);
     return cost;
-}
-
-void Engine::evaluate_candidates(std::span<const NetId> affected, SliceId slice,
-                                 std::span<const SliceCoord> targets,
-                                 std::span<const std::size_t> groups,
-                                 double cost_before, std::vector<double>& gains) {
-    const std::size_t count = groups.size();
-    const std::size_t workers =
-        pool_ != nullptr ? static_cast<std::size_t>(pool_->thread_count()) : 1;
-    if (workers <= 1 || count < 2) {
-        for (std::size_t g = 0; g < count; ++g)
-            gains[g] = cost_before -
-                       trial_cost(affected, slice, targets[groups[g]], scratches_[0]);
-        return;
-    }
-    // Contiguous chunks, one per worker; every candidate's gain is computed
-    // from the same frozen base state into its own slot, so the schedule
-    // cannot reorder any arithmetic.
-    const std::size_t chunks = std::min(workers, count);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        pool_->submit([this, affected, slice, targets, groups, cost_before, &gains,
-                       c, chunks, count] {
-            const std::size_t begin = c * count / chunks;
-            const std::size_t end = (c + 1) * count / chunks;
-            RouteScratch& scratch = scratches_[c];
-            for (std::size_t g = begin; g < end; ++g)
-                gains[g] = cost_before -
-                           trial_cost(affected, slice, targets[groups[g]], scratch);
-        });
-    }
-    pool_->wait_idle();
 }
 
 void Engine::rip_all(std::span<const NetId> affected) {
@@ -577,7 +404,7 @@ void Engine::rip_all(std::span<const NetId> affected) {
 void Engine::route_all_lp(std::span<const NetId> affected) {
     for (const NetId a : affected) {
         routed_.reroute_net(a, RouteMode::LowPower);
-        if (inc_) cache_->refresh(a);
+        cache_.refresh(a);
     }
 }
 

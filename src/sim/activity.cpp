@@ -12,7 +12,9 @@ std::vector<netlist::NetId> ActivityMap::busiest(std::size_t count) const {
     for (std::uint32_t i = 0; i < rate_hz_.size(); ++i)
         order.push_back(netlist::NetId{i});
     std::sort(order.begin(), order.end(), [&](netlist::NetId a, netlist::NetId b) {
-        return rate_hz_[a.value()] > rate_hz_[b.value()];
+        if (rate_hz_[a.value()] != rate_hz_[b.value()])
+            return rate_hz_[a.value()] > rate_hz_[b.value()];
+        return a < b;
     });
     if (order.size() > count) order.resize(count);
     return order;

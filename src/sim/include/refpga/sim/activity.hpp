@@ -1,8 +1,8 @@
 // Per-net switching activity, the input to dynamic power estimation.
 //
-// Activity can come straight from a Simulator run, or via the paper's
-// file-based route (VCD -> parse). Both converge to toggles-per-second
-// per net, which is what the power model consumes.
+// Activity comes from a simulation's toggle counters; a dump exported in
+// the paper's file-based format (VCD) parses back to the same
+// toggles-per-second per net, which is what the power model consumes.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +26,15 @@ public:
     }
     [[nodiscard]] std::size_t size() const { return rate_hz_.size(); }
 
-    /// Nets sorted by descending toggle rate (the paper optimizes the
-    /// highest-communication nets first).
+    /// Nets sorted by descending toggle rate, equal rates by ascending net
+    /// id (the paper optimizes the highest-communication nets first).
     [[nodiscard]] std::vector<netlist::NetId> busiest(std::size_t count) const;
 
 private:
     std::vector<double> rate_hz_;
 };
 
-/// Builds activity from a finished simulation (either engine — the parity
+/// Builds activity from a finished simulation (any engine — the parity
 /// contract makes the result engine-independent): toggles observed over
 /// `cycles` cycles of a clock at `clock_hz`. Per the toggle specification in
 /// engine.hpp, constant-driven and undriven nets always get rate 0.

@@ -1,14 +1,17 @@
-// Common interface over the two simulation engines.
+// Common interface over the simulation engines.
 //
-// refpga::sim ships a dual-engine pair, the same discipline par uses for
-// reallocation: `Simulator` is the levelized full-sweep cycle engine (the
-// reference semantics), `EventSimulator` is the levelized event-driven engine
-// that only evaluates cells downstream of nets that actually changed. Both
-// implement this interface and are contractually bit-identical: same per-net
-// toggle counts, same final net/BRAM state, byte-identical VCD output for the
-// same stimulus. `tests/test_sim_diff.cpp` enforces the contract across
-// randomized netlists; anything observable where the engines may differ (only
-// the ORDER of `changed_nets()`) is called out explicitly below.
+// The library simulates with `EventSimulator`, the levelized event-driven
+// engine that only evaluates cells downstream of nets that actually changed.
+// The levelized full-sweep cycle engine (`Simulator`) is kept as the
+// reference semantics in the test-support library (`refpga::oracles`), which
+// only tests and parity benches link. Both implement this interface, through
+// which `VcdWriter`, `activity_from_simulation`, `power::estimate_power` and
+// the differential tests drive either engine, and they are contractually
+// bit-identical: same per-net toggle counts, same final net/BRAM state,
+// byte-identical VCD output for the same stimulus. `tests/test_sim_diff.cpp`
+// enforces the contract across randomized netlists; anything observable where
+// the engines may differ (only the ORDER of `changed_nets()`) is called out
+// explicitly below.
 //
 // Toggle-count specification (both engines):
 //  - Construction establishes the reset steady state (constants propagated,
@@ -20,32 +23,17 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "refpga/netlist/netlist.hpp"
 
 namespace refpga::sim {
 
-enum class EngineKind : std::uint8_t {
-    Cycle,  ///< full topological sweep per settle (reference engine)
-    Event,  ///< per-level pending queues, dirty cells only (fast engine)
-};
-
-[[nodiscard]] const char* engine_kind_name(EngineKind kind);
-
-/// Parses "cycle"/"event" (as accepted by the CLI `--sim-engine` flags);
-/// nullopt for anything else.
-[[nodiscard]] std::optional<EngineKind> parse_engine_kind(std::string_view name);
-
 class SimEngine {
 public:
     virtual ~SimEngine() = default;
 
-    [[nodiscard]] virtual EngineKind kind() const = 0;
     [[nodiscard]] virtual const netlist::Netlist& netlist() const = 0;
 
     // --- stimulus / observation ----------------------------------------------
@@ -66,7 +54,9 @@ public:
     virtual void tick(netlist::NetId clock = netlist::NetId{}) = 0;
 
     /// Convenience: n ticks of the default clock.
-    void run(int cycles);
+    void run(int cycles) {
+        for (int i = 0; i < cycles; ++i) tick();
+    }
 
     [[nodiscard]] virtual std::int64_t cycle_count() const = 0;
 
@@ -86,9 +76,5 @@ public:
     virtual void set_bram_word(netlist::CellId bram, std::size_t addr,
                                std::uint32_t value) = 0;
 };
-
-/// Constructs the requested engine over `nl` (which must pass DRC).
-[[nodiscard]] std::unique_ptr<SimEngine> make_engine(EngineKind kind,
-                                                     const netlist::Netlist& nl);
 
 }  // namespace refpga::sim

@@ -1,13 +1,14 @@
-// Levelized event-driven simulator (the fast engine).
+// Levelized event-driven simulator (the library's simulation engine).
 //
-// Where the cycle engine re-evaluates every combinational cell on every
-// settle, this engine keeps per-level pending queues and only evaluates
+// Where the reference cycle engine re-evaluates every combinational cell on
+// every settle, this engine keeps per-level pending queues and only evaluates
 // cells downstream of nets whose value actually changed. On realistic
 // designs — where a small fraction of the fabric toggles per cycle (the
 // clock-gated measurement datapath of the paper is the motivating case) —
-// this is an order of magnitude cheaper while remaining bit-identical to
-// `Simulator` (see engine.hpp for the contract, tests/test_sim_diff.cpp for
-// the differential harness that enforces it).
+// this is an order of magnitude cheaper while remaining bit-identical to the
+// reference `Simulator` of the test-support library (see engine.hpp for the
+// contract, tests/test_sim_diff.cpp for the differential harness that
+// enforces it).
 //
 // How parity is maintained:
 //  - Net state is a packed bit vector; a cell is (re)scheduled only when one
@@ -37,11 +38,10 @@ namespace refpga::sim {
 
 class EventSimulator : public SimEngine {
 public:
-    /// Same preconditions and initial state as Simulator: DRC-clean netlist,
-    /// reset-settled nets, FFs 0, BRAMs at init, toggle counters zeroed.
+    /// The netlist must pass DRC (no combinational loops). Initial state:
+    /// reset-settled nets, FFs 0, BRAMs at init, toggle counters zeroed (the
+    /// power-up settle is not counted — see engine.hpp).
     explicit EventSimulator(const netlist::Netlist& nl);
-
-    [[nodiscard]] EngineKind kind() const override { return EngineKind::Event; }
 
     [[nodiscard]] const netlist::Netlist& netlist() const override { return nl_; }
 

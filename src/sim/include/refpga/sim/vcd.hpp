@@ -1,9 +1,10 @@
 // Value Change Dump (IEEE 1364 §18) writing and parsing.
 //
 // The paper's §4.3 flow is: post-PAR simulation -> VCD file -> XPower, which
-// derives per-net switching rates. We reproduce the same round trip: the
-// simulator writes a real VCD, the parser recovers per-signal toggle counts
-// that feed the power estimator.
+// derives per-net switching rates. Here the VCD is an export artifact: the
+// simulator writes a real dump, and parsing it back recovers per-signal
+// toggle counts equal to the simulation's own toggle counters, which are
+// what feed the power estimator.
 //
 // Both directions stream in constant memory: the writer holds only the last
 // emitted value per watched signal and appends to the ostream as samples
@@ -34,7 +35,7 @@ struct VcdVectorVar {
 class VcdWriter {
 public:
     /// Watches `nets` of the engine's netlist as scalar variables, plus
-    /// optional multi-bit `vectors`. Works identically over either engine
+    /// optional multi-bit `vectors`. Works identically over any engine
     /// (output depends only on net values at sample times, so the dual-engine
     /// parity contract makes the bytes engine-independent). Header is
     /// emitted immediately; timescale is 1 ps.

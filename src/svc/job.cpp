@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "refpga/svc/json.hpp"
 
@@ -65,10 +66,12 @@ std::vector<double> double_list(const JsonValue& v, const char* key) {
 
 int int_value(const JsonValue& v, const char* key) {
     const double d = v.as_number();
-    const int i = static_cast<int>(d);
-    if (static_cast<double>(i) != d)
-        throw JobError(std::string(key) + ": expected integer");
-    return i;
+    if (std::floor(d) != d) throw JobError(std::string(key) + ": expected integer");
+    // Checked before the cast: converting an out-of-range double to int is
+    // undefined behaviour.
+    if (d < std::numeric_limits<int>::min() || d > std::numeric_limits<int>::max())
+        throw JobError(std::string(key) + ": integer out of range");
+    return static_cast<int>(d);
 }
 
 std::uint64_t u64_value(const JsonValue& v, const char* key) {
@@ -91,6 +94,12 @@ std::uint64_t u64_value(const JsonValue& v, const char* key) {
     const double d = v.as_number();
     if (d < 0 || std::floor(d) != d)
         throw JobError(std::string(key) + ": expected unsigned integer");
+    // JSON numbers arrive as doubles, which hold every integer only below
+    // 2^53: a larger one may already be rounded to a different seed.
+    if (d >= 9007199254740992.0)
+        throw JobError(std::string(key) +
+                       ": numeric seeds must be below 2^53; give the seed as a "
+                       "decimal string, e.g. \"18446744073709551615\"");
     return static_cast<std::uint64_t>(d);
 }
 

@@ -5,10 +5,10 @@
 #include <thread>
 
 #include "refpga/common/contracts.hpp"
+#include "refpga/common/thread_pool.hpp"
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/report.hpp"
 #include "refpga/fleet/scenario.hpp"
-#include "refpga/fleet/thread_pool.hpp"
 
 namespace refpga::fleet {
 namespace {

@@ -1,9 +1,9 @@
-// Equivalence and unit tests for the §4.3 reallocation engines.
+// Equivalence and unit tests for the §4.3 reallocation engine.
 //
-// The determinism contract (reallocate.hpp) says the ReallocateReport is
-// byte-identical between the Incremental and Reference engines and across
-// any thread count. These tests pin that contract with the defaulted
-// operator== — every double must match bitwise, not just approximately.
+// The library's incremental engine must produce a ReallocateReport
+// byte-identical to the reference oracle of the test-support library. These
+// tests pin that contract with the defaulted operator== — every double must
+// match bitwise, not just approximately.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +12,12 @@
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/rng.hpp"
-#include "refpga/common/thread_pool.hpp"
 #include "refpga/netlist/adjacency.hpp"
 #include "refpga/netlist/builder.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
 #include "refpga/par/reallocate.hpp"
+#include "refpga/par/reallocate_reference.hpp"
 #include "refpga/par/router.hpp"
 #include "refpga/sim/activity.hpp"
 #include "refpga/sim/simulator.hpp"
@@ -92,6 +92,11 @@ ReallocateReport run_engine(const ReallocateOptions& options) {
     return optimize_net_power(s.placement, s.routed, s.activity, options);
 }
 
+ReallocateReport run_reference(const ReallocateOptions& options) {
+    Scenario s;
+    return optimize_net_power_reference(s.placement, s.routed, s.activity, options);
+}
+
 ReallocateOptions base_options() {
     ReallocateOptions options;
     options.net_count = 5;
@@ -101,11 +106,8 @@ ReallocateOptions base_options() {
 // ------------------------------------------------- engine equivalence
 
 TEST(ReallocateEngine, IncrementalMatchesReferenceBitwise) {
-    ReallocateOptions options = base_options();
-    options.engine = ReallocEngine::Reference;
-    const ReallocateReport reference = run_engine(options);
-
-    options.engine = ReallocEngine::Incremental;
+    const ReallocateOptions options = base_options();
+    const ReallocateReport reference = run_reference(options);
     const ReallocateReport incremental = run_engine(options);
 
     ASSERT_EQ(reference.nets.size(), 5u);
@@ -117,40 +119,12 @@ TEST(ReallocateEngine, IncrementalMatchesReferenceBitwise) {
     EXPECT_LT(reference.total_after_uw, reference.total_before_uw);
 }
 
-TEST(ReallocateEngine, ReportInvariantUnderThreadCount) {
-    ReallocateOptions options = base_options();
-    options.threads = 1;
-    const ReallocateReport t1 = run_engine(options);
-    options.threads = 4;
-    const ReallocateReport t4 = run_engine(options);
-    options.threads = 16;
-    const ReallocateReport t16 = run_engine(options);
-    EXPECT_TRUE(t4 == t1);
-    EXPECT_TRUE(t16 == t1);
-}
-
-TEST(ReallocateEngine, ExternalPoolMatchesOwnedPool) {
-    ReallocateOptions options = base_options();
-    options.threads = 1;
-    const ReallocateReport owned = run_engine(options);
-
-    ThreadPool pool(3);
-    options.pool = &pool;
-    const ReallocateReport shared = run_engine(options);
-    EXPECT_TRUE(shared == owned);
-    // The pool survives the engine and stays usable for a second call.
-    const ReallocateReport again = run_engine(options);
-    EXPECT_TRUE(again == owned);
-}
-
 TEST(ReallocateEngine, TightSlackStillEquivalent) {
     // slack 1.0 forces the timing gate to reject aggressively, exercising
-    // the reject/rollback path in both engines.
+    // the reject/rollback path in both implementations.
     ReallocateOptions options = base_options();
     options.timing_slack = 1.0;
-    options.engine = ReallocEngine::Reference;
-    const ReallocateReport reference = run_engine(options);
-    options.engine = ReallocEngine::Incremental;
+    const ReallocateReport reference = run_reference(options);
     const ReallocateReport incremental = run_engine(options);
     EXPECT_TRUE(incremental == reference);
     EXPECT_LE(reference.critical_after_ps, reference.critical_before_ps + 1e-9);

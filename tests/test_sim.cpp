@@ -247,6 +247,17 @@ TEST(Activity, BusiestOrdersByRate) {
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0], NetId{1});
     EXPECT_EQ(top[1], NetId{2});
+
+    // Forced ties: equal rates rank by ascending net id, so a cut through a
+    // tied group keeps the same nets on every standard library.
+    ActivityMap tied(64);
+    for (std::uint32_t i = 0; i < 64; ++i)
+        tied.set_rate(NetId{i}, i % 3 == 0 ? 5.0 : (i == 40 ? 9.0 : 1.0));
+    const auto ranked = tied.busiest(12);
+    ASSERT_EQ(ranked.size(), 12u);
+    EXPECT_EQ(ranked[0], NetId{40});
+    for (std::uint32_t k = 1; k < 12; ++k)
+        EXPECT_EQ(ranked[k], NetId{3 * (k - 1)}) << "rank " << k;
 }
 
 TEST(Vcd, WriteParseRoundTrip) {

@@ -161,6 +161,7 @@ TEST(Job, RejectsUnknownAndMalformedFields) {
     EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":0}"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"upset_rates\":[-1]}"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":2.5}"), JobError);
+    EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":1e12}"), JobError);
 }
 
 TEST(Job, SeedStringsRejectOverflowButAcceptMaxU64) {
@@ -175,6 +176,24 @@ TEST(Job, SeedStringsRejectOverflowButAcceptMaxU64) {
     const JobSpec spec =
         JobSpec::from_json("{\"campaign_seed\":\"18446744073709551615\"}");
     EXPECT_EQ(spec.campaign_seed, UINT64_MAX);
+}
+
+TEST(Job, NumericSeedsFrom2To53AreRejected) {
+    // A JSON number is a double: from 2^53 on it may name a different seed
+    // than the one written (9007199254740993 parses as 2^53), and far beyond
+    // 2^64 a cast would be undefined. Such seeds must travel as strings.
+    for (const char* seed :
+         {"1e30", "18446744073709551616", "9007199254740993"}) {
+        try {
+            (void)JobSpec::from_json(std::string("{\"campaign_seed\":") + seed + "}");
+            ADD_FAILURE() << seed << " accepted";
+        } catch (const JobError& e) {
+            EXPECT_NE(std::string(e.what()).find("decimal string"), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(JobSpec::from_json("{\"campaign_seed\":9007199254740991}").campaign_seed,
+              9007199254740991ULL);
 }
 
 TEST(Job, FingerprintSeparatesDifferentJobs) {
