@@ -5,9 +5,12 @@
 // communication rates can be placed closer ... to decrease the distance for
 // the signal routing"). activity_beta = 0 reproduces a conventional
 // wirelength-driven flow; activity_beta > 0 biases high-toggle nets shorter.
+//
+// A move swaps a slice with the content of a random site in its region. Its
+// cost change is evaluated incrementally: every net keeps its bounding box,
+// the pin count on each edge and its weighted HPWL, so a move touches only
+// the nets of the two swapped slices and usually updates each in O(1).
 #pragma once
-
-#include <optional>
 
 #include "refpga/par/placement.hpp"
 #include "refpga/sim/activity.hpp"
@@ -20,9 +23,6 @@ struct PlacerOptions {
     double effort = 1.0;
     /// Weight of activity in net cost: w = 1 + beta * rate/max_rate.
     double activity_beta = 0.0;
-    double initial_temperature = 4.0;
-    double cooling = 0.92;
-    double final_temperature = 0.05;
 };
 
 struct PlacerResult {
@@ -30,6 +30,8 @@ struct PlacerResult {
     long final_cost = 0;
     long moves_tried = 0;
     long moves_accepted = 0;
+
+    friend bool operator==(const PlacerResult&, const PlacerResult&) = default;
 };
 
 /// Anneals `placement` in place. `activity` may be null (pure wirelength).

@@ -2,7 +2,9 @@
 //
 // Arrival times propagate through the combinational cone from sequential
 // outputs / input pads to sequential inputs / output pads using routed net
-// delays plus cell delays. Fmax follows from the critical path. The power
+// delays plus cell delays, in one forward pass over the combinational cells
+// in topological order (netlist::SimGraph's levelization; a combinational
+// loop throws). Fmax follows from the critical path. The power
 // reallocator uses this to reject moves that would break the clock target
 // ("Naturally the requirements on performance must be considered", §4.3).
 #pragma once
@@ -16,7 +18,10 @@ namespace refpga::par {
 
 struct TimingReport {
     double critical_path_ps = 0.0;
-    /// Cells on the critical path, launch to capture.
+    /// Cells on the critical path, launch to capture: a launch cell (FF,
+    /// BRAM, input pad or constant), combinational cells, then the endpoint
+    /// (FF, BRAM or output pad). Between equal-delay paths the choice is
+    /// unspecified.
     std::vector<netlist::CellId> critical_cells;
 
     [[nodiscard]] double fmax_mhz() const {

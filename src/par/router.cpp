@@ -249,10 +249,13 @@ void RoutedDesign::route_all(RouteMode mode) {
     // Route short nets first so they keep the cheap wires; long nets can
     // better amortize hex/long segments.
     std::vector<std::uint32_t> order(routes_.size());
-    for (std::uint32_t i = 0; i < routes_.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-        return placement_->net_hpwl(NetId{a}) < placement_->net_hpwl(NetId{b});
-    });
+    std::vector<int> hpwl(routes_.size());
+    for (std::uint32_t i = 0; i < routes_.size(); ++i) {
+        order[i] = i;
+        hpwl[i] = placement_->net_hpwl(NetId{i});
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) { return hpwl[a] < hpwl[b]; });
     for (const std::uint32_t i : order) route_net(NetId{i}, mode);
 }
 
