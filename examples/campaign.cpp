@@ -1,134 +1,415 @@
 // Measurement-campaign driver: sweeps the design space (variant x part x
-// config port x noise) as independent scenarios, runs them concurrently and
-// prints the aggregated report.
+// config port x noise x upset rate) as independent scenarios and prints the
+// aggregated report. The sweep runs on threads in this process, or, with
+// --workers N, across N worker processes with streaming aggregation, work
+// stealing, liveness supervision and checkpoint/resume.
 //
-//   ./build/examples/campaign                      # 24-scenario default sweep
-//   ./build/examples/campaign --threads 4          # same results, faster
-//   ./build/examples/campaign --json               # machine-readable report
-//   ./build/examples/campaign --with-software      # add the MicroBlaze baseline
-//   ./build/examples/campaign --metrics-json FILE  # obs metrics/trace to FILE
+//   ./build/examples/campaign                        # built-in 24-scenario sweep
+//   ./build/examples/campaign --threads 4            # same report, faster
+//   ./build/examples/campaign --json                 # machine-readable report
+//   ./build/examples/campaign --spec examples/jobs/faults.json
+//   ./build/examples/campaign --spec job.json --workers 4
+//   ./build/examples/campaign --spec job.json --workers 2 --checkpoint run.ckpt
+//   ./build/examples/campaign --spec job.json --workers 2 --checkpoint run.ckpt --resume
+//   ./build/examples/campaign --workers 2 --http-port 9464   # /metrics
+//   ./build/examples/campaign --metrics-json FILE    # obs metrics/trace to FILE
 //
-// The report is byte-identical for any --threads value: scenarios carry
-// their own deterministic seeds, so scheduling cannot change the results.
-// --metrics-json additionally arms the refpga::obs recorder: the obs JSON is
-// written to FILE ("-" = stdout) and embedded in the --json report under
-// "observability" (wall-clock facts, so only present when asked for).
+// A job file is the JSON form of svc::JobSpec (README "Sharded campaign
+// service"); without --spec the built-in sweep runs: both hardware variants
+// on three parts, two JCAP flavours and two noise levels, 6 cycles, seed
+// 2008. --cycles and --seed override either. examples/jobs/ holds
+// with_software.json (adds the MicroBlaze baseline), faults.json (upset
+// rates against the configuration ports) and faults_harsh.json (plus load,
+// flash and glitch faults).
+//
+// The report is byte-identical for any --threads and --workers value:
+// scenarios carry their own deterministic seeds and the report renders in
+// sweep order, so neither scheduling, batch interleaving, a crashed and
+// reassigned worker nor a checkpoint resume can change a byte of it.
+// Status lines go to stderr; the report goes to stdout or --out FILE.
+// --metrics-json arms the refpga::obs recorder: its JSON is written to FILE
+// ("-" = stdout) and embedded in the --json report under "observability"
+// (wall-clock facts, so only present when asked for).
+//
+// Service mode (--workers N >= 1) takes the service flags listed in the
+// usage text; they exit 2 with --workers 0. Liveness is on by default here
+// (the library defaults are off): workers are pinged once a second, a silent
+// worker is reaped and restarted with exponential backoff, and
+// --progress-timeout-ms / --straggler-factor add progress deadlines and
+// speculative re-execution. --min-workers fails fast when the fleet cannot
+// be kept at strength; --partial-ok instead finishes with whatever committed
+// and marks the report partial (with its exact missing index ranges). The
+// --chaos-* family arms the deterministic fault-injection harness used by
+// the chaos drills: every fault is drawn from seeded per-category streams,
+// so a failing drill replays exactly.
+//
+// SIGINT/SIGTERM: in-process, unstarted scenarios are reported as
+// "cancelled before start"; in service mode dispatch stops, in-flight
+// batches drain into the checkpoint and the rest stays uncommitted for
+// --resume. Either way the exit code is then 1.
+//
+// Exit codes: 0 ok; 1 failed scenarios or an incomplete run (a partial run
+// under --partial-ok counts only its failures); 2 bad flag or job spec.
+//
+// The hidden --campaign-worker mode is how the coordinator re-executes this
+// binary as a worker (wire protocol on fds 3/4); it is not for interactive
+// use.
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/report.hpp"
 #include "refpga/obs/obs.hpp"
+#include "refpga/svc/coordinator.hpp"
+#include "refpga/svc/http.hpp"
+#include "refpga/svc/job.hpp"
+#include "refpga/svc/worker.hpp"
 
 namespace {
 
-// SIGINT/SIGTERM flip this flag; the campaign stops dispatching, records
-// unstarted scenarios as "cancelled before start" failures, and the final
-// report (plus the non-zero exit) shows exactly what was skipped.
+using namespace refpga;
+
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_stop_signal(int) { g_stop.store(true); }
 
-int parse_int(const char* text, const char* flag) {
+[[noreturn]] void usage_exit() {
+    std::cerr
+        << "usage: campaign [--spec FILE] [--cycles N] [--seed S] [--threads N]\n"
+           "                [--workers N] [--json] [--out FILE] [--metrics-json FILE]\n"
+           "  --workers 0 (default) runs in this process on --threads threads\n"
+           "  (default: all cores); --workers N runs N worker processes with\n"
+           "  --threads threads each (default 1) and takes the service flags:\n"
+           "  sharding:      [--batch N] [--shard N] [--steal-min N]\n"
+           "                 [--checkpoint FILE [--resume]] [--fsync-every N]\n"
+           "                 [--spool FILE] [--http-port P]\n"
+           "  fleet policy:  [--no-restart] [--max-restarts N]\n"
+           "                 [--restart-backoff-ms N] [--min-workers N]\n"
+           "                 [--partial-ok]\n"
+           "  liveness:      [--heartbeat-ms N] [--heartbeat-miss-limit N]\n"
+           "                 [--liveness-timeout-ms N]\n"
+           "                 [--progress-timeout-ms N]\n"
+           "                 [--straggler-factor X] [--straggler-min-ms N]\n"
+           "  chaos drills:  [--chaos-seed S] [--chaos-hang P]\n"
+           "                 [--chaos-torn P] [--chaos-corrupt-length P]\n"
+           "                 [--chaos-corrupt-payload P] [--chaos-drop P]\n"
+           "                 [--chaos-delay P] [--chaos-slow P]\n"
+           "                 [--chaos-slow-ms N] [--chaos-crash PHASE]\n"
+           "                 [--chaos-crash-after N]\n"
+           "                 [--chaos-tear-checkpoint N] [--chaos-tear-bytes N]\n"
+           "                 [--chaos-only-worker N] [--chaos-all-generations]\n"
+           "  S is a 64-bit decimal seed; --threads, --cycles, --batch,\n"
+           "  --min-workers and --chaos-crash-after take 1..2^31-1 (--workers\n"
+           "  also 0); other N take 0..2^31-1; P is a probability in [0, 1].\n";
+    std::exit(2);
+}
+
+[[noreturn]] void bad_value(const std::string& flag, const char* text) {
+    std::cerr << "campaign: invalid value for " << flag << ": " << text << "\n";
+    usage_exit();
+}
+
+/// Plain decimal integer in [lo, hi]: no sign, no spaces, no wrap-around.
+int parse_int(const std::string& flag, const char* text, long long lo,
+              long long hi = INT_MAX) {
+    if (!std::isdigit(static_cast<unsigned char>(text[0]))) bad_value(flag, text);
+    errno = 0;
     char* end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0) {
-        std::cerr << "invalid value for " << flag << ": " << text << "\n";
-        std::exit(2);
-    }
+    const long long v = std::strtoll(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v < lo || v > hi) bad_value(flag, text);
     return static_cast<int>(v);
+}
+
+/// Finite double in [0, hi].
+double parse_double(const std::string& flag, const char* text,
+                    double hi = HUGE_VAL) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || !(v >= 0.0 && v <= hi))
+        bad_value(flag, text);
+    return v;
+}
+
+std::uint64_t parse_seed(const std::string& flag, const char* text) {
+    try {
+        return svc::parse_seed(text, flag);
+    } catch (const svc::JobError& e) {
+        std::cerr << "campaign: " << e.what() << "\n";
+        usage_exit();
+    }
+}
+
+struct Args {
+    std::string spec_path;
+    std::string out_path;
+    std::string metrics_path;
+    std::string spool_path;
+    std::optional<int> cycles;
+    std::optional<std::uint64_t> seed;
+    std::optional<int> threads;
+    int workers = 0;
+    bool json = false;
+    int http_port = -1;
+    std::string service_flag;  ///< last service-only flag given, if any
+    svc::CoordinatorOptions service;
+};
+
+Args parse_args(int argc, char** argv) {
+    Args a;
+    svc::CoordinatorOptions& o = a.service;
+    // Liveness on by default at the CLI: an operator-facing run should
+    // notice a wedged worker on its own. (The library defaults stay off so
+    // embedded runs are frame-identical to the pre-liveness protocol.)
+    o.heartbeat_interval_ms = 1000;
+    o.restart_backoff_ms = 100;
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string flag = argv[i];
+        const auto value = [&]() -> const char* {
+            if (i + 1 >= argc) usage_exit();
+            return argv[++i];
+        };
+        const auto count = [&] { return parse_int(flag, value(), 1); };
+        const auto natural = [&] { return parse_int(flag, value(), 0); };
+        const auto prob = [&] { return parse_double(flag, value(), 1.0); };
+
+        if (flag == "--spec") a.spec_path = value();
+        else if (flag == "--cycles") a.cycles = count();
+        else if (flag == "--seed") a.seed = parse_seed(flag, value());
+        else if (flag == "--threads") a.threads = count();
+        else if (flag == "--workers") a.workers = natural();
+        else if (flag == "--json") a.json = true;
+        else if (flag == "--out") a.out_path = value();
+        else if (flag == "--metrics-json") a.metrics_path = value();
+        else {
+            a.service_flag = flag;
+            if (flag == "--batch") o.batch = static_cast<std::uint64_t>(count());
+            else if (flag == "--shard") o.shard = static_cast<std::uint64_t>(natural());
+            else if (flag == "--steal-min")
+                o.steal_min = static_cast<std::uint64_t>(natural());
+            else if (flag == "--checkpoint") o.checkpoint_path = value();
+            else if (flag == "--resume") o.resume = true;
+            else if (flag == "--fsync-every")
+                o.checkpoint_fsync_every_n = static_cast<std::uint64_t>(natural());
+            else if (flag == "--spool") a.spool_path = value();
+            else if (flag == "--http-port")
+                a.http_port = parse_int(flag, value(), 0, 65535);
+            else if (flag == "--no-restart") o.restart_dead_workers = false;
+            else if (flag == "--max-restarts") o.max_worker_restarts = natural();
+            else if (flag == "--restart-backoff-ms") o.restart_backoff_ms = natural();
+            else if (flag == "--min-workers") o.min_workers = count();
+            else if (flag == "--partial-ok") o.partial_ok = true;
+            else if (flag == "--heartbeat-ms") o.heartbeat_interval_ms = natural();
+            else if (flag == "--heartbeat-miss-limit") o.heartbeat_miss_limit = natural();
+            else if (flag == "--liveness-timeout-ms") o.liveness_timeout_ms = natural();
+            else if (flag == "--progress-timeout-ms") o.progress_timeout_ms = natural();
+            else if (flag == "--straggler-factor")
+                o.straggler_factor = parse_double(flag, value());
+            else if (flag == "--straggler-min-ms") o.straggler_min_ms = natural();
+            else if (flag == "--chaos-seed") o.chaos_seed = parse_seed(flag, value());
+            else if (flag == "--chaos-hang") o.chaos.hang_prob = prob();
+            else if (flag == "--chaos-torn") o.chaos.torn_frame_prob = prob();
+            else if (flag == "--chaos-corrupt-length")
+                o.chaos.corrupt_length_prob = prob();
+            else if (flag == "--chaos-corrupt-payload")
+                o.chaos.corrupt_payload_prob = prob();
+            else if (flag == "--chaos-drop") o.chaos.drop_frame_prob = prob();
+            else if (flag == "--chaos-delay") o.chaos.delay_frame_prob = prob();
+            else if (flag == "--chaos-slow") o.chaos.slow_batch_prob = prob();
+            else if (flag == "--chaos-slow-ms") o.chaos.slow_ms = natural();
+            else if (flag == "--chaos-crash") {
+                const char* phase = value();
+                try {
+                    o.chaos.crash_phase = svc::parse_crash_phase(phase);
+                } catch (const std::exception&) {
+                    std::cerr << "campaign: invalid --chaos-crash phase: " << phase
+                              << " (pre-init, mid-batch, pre-truncate-ack, "
+                                 "pre-checkpoint)\n";
+                    usage_exit();
+                }
+            } else if (flag == "--chaos-crash-after")
+                o.chaos.crash_after = static_cast<std::uint64_t>(count());
+            else if (flag == "--chaos-tear-checkpoint")
+                o.chaos.checkpoint_tear_after = static_cast<std::uint64_t>(natural());
+            else if (flag == "--chaos-tear-bytes")
+                o.chaos.checkpoint_tear_bytes = static_cast<std::size_t>(natural());
+            else if (flag == "--chaos-only-worker") o.chaos.only_worker = natural();
+            else if (flag == "--chaos-all-generations") o.chaos_all_generations = true;
+            else usage_exit();
+        }
+    }
+    if (a.workers == 0 && !a.service_flag.empty()) {
+        std::cerr << "campaign: " << a.service_flag << " requires --workers >= 1\n";
+        usage_exit();
+    }
+    if (o.resume && o.checkpoint_path.empty()) {
+        std::cerr << "campaign: --resume requires --checkpoint\n";
+        usage_exit();
+    }
+    return a;
+}
+
+/// The sweep run without --spec: both hardware variants on three parts, two
+/// JCAP flavours and two noise levels (24 scenarios).
+svc::JobSpec builtin_job() {
+    svc::JobSpec spec;
+    spec.variants = {app::SystemVariant::MonolithicHw,
+                     app::SystemVariant::ReconfiguredHw};
+    spec.parts = {fabric::PartName::XC3S200, fabric::PartName::XC3S400,
+                  fabric::PartName::XC3S1000};
+    spec.ports = {fleet::PortKind::Jcap, fleet::PortKind::JcapAccelerated};
+    spec.noise_levels = {1e-3, 5e-3};
+    spec.cycles = 6;
+    return spec;
+}
+
+svc::JobSpec load_job(const Args& a) {
+    svc::JobSpec spec = builtin_job();
+    if (!a.spec_path.empty()) {
+        std::ifstream in(a.spec_path);
+        if (!in) throw svc::JobError("cannot read job spec " + a.spec_path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        spec = svc::JobSpec::from_json(text.str());
+    }
+    if (a.cycles) spec.cycles = *a.cycles;
+    if (a.seed) spec.campaign_seed = *a.seed;
+    return spec;
+}
+
+/// Writes `text` plus a newline to `path`, or to stdout for an empty path.
+bool write_text(const std::string& path, const std::string& text) {
+    if (path.empty()) {
+        std::cout << text << "\n";
+        return true;
+    }
+    std::ofstream out(path);
+    if (!out) {
+        std::cerr << "campaign: cannot write " << path << "\n";
+        return false;
+    }
+    out << text << "\n";
+    return true;
+}
+
+/// The one output path of both modes: the obs JSON (when asked for) to
+/// --metrics-json and into the JSON report, then the report itself.
+bool write_outputs(const Args& a, fleet::CampaignReport& report,
+                   const obs::Recorder& recorder) {
+    if (!a.metrics_path.empty()) {
+        const std::string obs_json = recorder.render_json();
+        report.attach_metrics_json(obs_json);
+        if (!write_text(a.metrics_path == "-" ? "" : a.metrics_path, obs_json))
+            return false;
+    }
+    return write_text(a.out_path, a.json ? report.render_json() : report.render_text());
+}
+
+int run_in_process(const Args& a, const svc::JobSpec& spec, int threads) {
+    obs::Recorder recorder;
+    fleet::CampaignOptions options(threads);
+    options.stream_block_ticks = spec.stream_block_ticks;
+    options.stop = &g_stop;
+    if (!a.metrics_path.empty()) options.recorder = &recorder;
+
+    fleet::CampaignReport report =
+        fleet::CampaignReport::from(fleet::CampaignRunner(options).run(spec.expand()));
+    if (g_stop.load())
+        std::cerr << "campaign: interrupted: unstarted scenarios reported as "
+                     "\"cancelled before start\"\n";
+    if (!write_outputs(a, report, recorder)) return 2;
+    return report.failure_count() == 0 ? 0 : 1;
+}
+
+int run_service(const Args& a, const svc::JobSpec& spec, int threads,
+                const char* exec_path) {
+    obs::Recorder recorder;
+    svc::HttpEndpoint http;
+    svc::CoordinatorOptions options = a.service;
+    options.workers = a.workers;
+    options.worker_threads = threads;
+    options.spool_path = !a.spool_path.empty() ? a.spool_path
+                         : a.spec_path.empty() ? "campaign.spool"
+                                               : a.spec_path + ".spool";
+    options.recorder = &recorder;
+    options.stop = &g_stop;
+    options.launch = svc::CoordinatorOptions::Launch::Exec;
+    options.exec_path = exec_path;
+    if (a.http_port >= 0) {
+        http.listen(static_cast<std::uint16_t>(a.http_port));
+        options.http = &http;
+        std::cerr << "campaign: serving /metrics on 127.0.0.1:" << http.port() << "\n";
+    }
+
+    svc::Coordinator coordinator(spec, options);
+    const svc::CoordinatorResult result = coordinator.run();
+
+    std::cerr << "campaign: " << result.scenarios_committed << "/" << spec.grid_size()
+              << " scenarios (" << result.scenarios_resumed << " resumed), "
+              << result.shards_dispatched << " shards, " << result.shards_stolen
+              << " stolen, " << result.shards_reassigned << " reassigned, "
+              << result.worker_restarts << " restarts\n";
+    if (result.heartbeat_misses + result.liveness_kills + result.deadline_kills +
+            result.speculations + result.duplicates_discarded +
+            result.protocol_errors + result.chaos_faults_injected >
+        0)
+        std::cerr << "campaign: liveness: " << result.heartbeat_misses
+                  << " heartbeat misses, " << result.liveness_kills
+                  << " liveness kills, " << result.deadline_kills
+                  << " deadline kills, " << result.speculations << " speculations, "
+                  << result.duplicates_discarded << " duplicates discarded, "
+                  << result.protocol_errors << " protocol errors, "
+                  << result.chaos_faults_injected << " chaos faults\n";
+    if (result.partial)
+        std::cerr << "campaign: PARTIAL result accepted under --partial-ok; "
+                     "missing ranges are listed in the report\n";
+    else if (!result.completed)
+        std::cerr << "campaign: incomplete: " << result.error << "\n";
+
+    if (!write_outputs(a, coordinator.report(), recorder)) return 2;
+    // A partial result under --partial-ok is the requested behavior, not an
+    // error: exit reflects scenario failures only. Anything else short of
+    // completion is a failure exit so scripts notice.
+    if (!result.completed && !result.partial) return 1;
+    return coordinator.report().failure_count() == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    using namespace refpga;
+    // Worker mode: this process was forked+exec'd by a coordinator with the
+    // wire protocol pinned to fds 3 (in) and 4 (out). No CLI, no stdout.
+    if (argc == 2 && std::string(argv[1]) == "--campaign-worker")
+        return svc::worker_main(3, 4);
 
-    int threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads < 1) threads = 1;
-    int cycles = 6;
-    std::uint64_t seed = 2008;
-    bool json = false;
-    bool with_software = false;
-    std::string metrics_path;
+    const Args args = parse_args(argc, argv);
+    const int cores = static_cast<int>(std::thread::hardware_concurrency());
+    const int threads = args.threads.value_or(args.workers == 0 ? std::max(cores, 1) : 1);
+    try {
+        const svc::JobSpec spec = load_job(args);
+        std::cerr << "campaign: running " << spec.grid_size() << " scenarios on ";
+        if (args.workers > 0) std::cerr << args.workers << " worker(s) x ";
+        std::cerr << threads << " thread(s), " << spec.cycles
+                  << " cycles each (seed " << spec.campaign_seed << ")\n";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "--with-software") {
-            with_software = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = parse_int(argv[++i], "--threads");
-        } else if (arg == "--cycles" && i + 1 < argc) {
-            cycles = parse_int(argv[++i], "--cycles");
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(parse_int(argv[++i], "--seed"));
-        } else if (arg == "--metrics-json" && i + 1 < argc) {
-            metrics_path = argv[++i];
-        } else {
-            std::cerr << "usage: campaign [--threads N] [--cycles N] [--seed S] "
-                         "[--json] [--with-software] [--metrics-json FILE]\n";
-            return 2;
-        }
+        std::signal(SIGINT, handle_stop_signal);
+        std::signal(SIGTERM, handle_stop_signal);
+        return args.workers == 0 ? run_in_process(args, spec, threads)
+                                 : run_service(args, spec, threads, argv[0]);
+    } catch (const std::exception& e) {
+        std::cerr << "campaign: " << e.what() << "\n";
+        return 2;
     }
-
-    std::vector<app::SystemVariant> variants{app::SystemVariant::MonolithicHw,
-                                             app::SystemVariant::ReconfiguredHw};
-    if (with_software) variants.push_back(app::SystemVariant::Software);
-
-    const std::vector<fleet::Scenario> sweep =
-        fleet::SweepBuilder{}
-            .variants(std::move(variants))
-            .parts({fabric::PartName::XC3S200, fabric::PartName::XC3S400,
-                    fabric::PartName::XC3S1000})
-            .ports({fleet::PortKind::Jcap, fleet::PortKind::JcapAccelerated})
-            .noise_levels({1e-3, 5e-3})
-            .cycles(cycles)
-            .campaign_seed(seed)
-            .build();
-
-    if (!json)
-        std::cout << "running " << sweep.size() << " scenarios on " << threads
-                  << " thread(s), " << cycles << " cycles each (seed " << seed
-                  << ")\n\n";
-
-    std::signal(SIGINT, handle_stop_signal);
-    std::signal(SIGTERM, handle_stop_signal);
-
-    obs::Recorder recorder;
-    fleet::CampaignOptions options(threads);
-    options.stop = &g_stop;
-    if (!metrics_path.empty()) options.recorder = &recorder;
-
-    const fleet::CampaignResult result =
-        fleet::CampaignRunner(options).run(sweep);
-    fleet::CampaignReport report = fleet::CampaignReport::from(result);
-
-    if (!metrics_path.empty()) {
-        const std::string obs_json = recorder.render_json();
-        report.attach_metrics_json(obs_json);
-        if (metrics_path == "-") {
-            std::cout << obs_json << "\n";
-        } else {
-            std::ofstream out(metrics_path);
-            if (!out) {
-                std::cerr << "cannot write " << metrics_path << "\n";
-                return 2;
-            }
-            out << obs_json << "\n";
-        }
-    }
-
-    std::cout << (json ? report.render_json() : report.render_text()) << "\n";
-    if (g_stop.load() && !json)
-        std::cerr << "interrupted: unstarted scenarios reported as "
-                     "\"cancelled before start\"\n";
-    return result.failure_count() == 0 ? 0 : 1;
 }

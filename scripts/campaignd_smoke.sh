@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the sharded campaign service: boots campaignd with two
-# workers and a Prometheus endpoint, scrapes /metrics mid-run, SIGKILLs one
-# worker process, and then requires a clean exit with the full scenario
+# End-to-end smoke of the sharded campaign service: boots `campaign
+# --workers 2` with a Prometheus endpoint, scrapes /metrics mid-run, SIGKILLs
+# one worker process, and then requires a clean exit with the full scenario
 # count in the merged report — proving the steal/reassign/restart machinery
 # survives a real process death, not just the in-process test double.
 #
@@ -10,20 +10,23 @@
 # mid-batch crash and slow straggler must all finish with a report
 # byte-identical to a clean run's, and a torn checkpoint must abort the run
 # and then complete via --resume. Every drill is deterministic (fixed
-# --chaos-seed), so a failure replays exactly.
+# --chaos-seed), so a failure replays exactly. The drills pass
+# --metrics-json, so their JSON reports end with an "observability" member;
+# every byte before it must equal the clean reference. The same grid run in
+# process (--workers 0) must equal the reference byte for byte.
 #
 # Usage: scripts/campaignd_smoke.sh [BUILD_DIR] [OUT_DIR]
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-campaignd-smoke}"
-CAMPAIGND="$BUILD_DIR/examples/campaignd"
-[ -x "$CAMPAIGND" ] || { echo "FAIL: $CAMPAIGND not built" >&2; exit 1; }
+CAMPAIGN="$BUILD_DIR/examples/campaign"
+[ -x "$CAMPAIGN" ] || { echo "FAIL: $CAMPAIGN not built" >&2; exit 1; }
 
 mkdir -p "$OUT_DIR"
 SPEC="$OUT_DIR/job.json"
 REPORT="$OUT_DIR/report.json"
-LOG="$OUT_DIR/campaignd.log"
+LOG="$OUT_DIR/campaign.log"
 METRICS="$OUT_DIR/metrics.prom"
 EXPECTED=48
 
@@ -43,7 +46,7 @@ spec = {
 json.dump(spec, open(sys.argv[1], "w"))
 EOF
 
-"$CAMPAIGND" --spec "$SPEC" --workers 2 --batch 1 \
+"$CAMPAIGN" --spec "$SPEC" --workers 2 --batch 1 \
     --http-port 0 --json --out "$REPORT" \
     --spool "$OUT_DIR/job.spool" 2> "$LOG" &
 DAEMON=$!
@@ -57,7 +60,7 @@ for _ in $(seq 1 100); do
     [ -n "$PORT" ] && break
     if ! kill -0 "$DAEMON" 2>/dev/null; then
         cat "$LOG" >&2
-        echo "FAIL: campaignd died before serving /metrics" >&2
+        echo "FAIL: campaign died before serving /metrics" >&2
         exit 1
     fi
     sleep 0.1
@@ -86,7 +89,7 @@ kill -KILL "$VICTIM"
 
 if ! wait "$DAEMON"; then
     cat "$LOG" >&2
-    echo "FAIL: campaignd exited non-zero after worker kill" >&2
+    echo "FAIL: campaign exited non-zero after worker kill" >&2
     exit 1
 fi
 cat "$LOG"
@@ -133,19 +136,40 @@ EOF
 # Clean reference rendering: every drill's report must match it byte for
 # byte — fault recovery may cost wall time, never report drift.
 REFERENCE="$OUT_DIR/drill_reference.json"
-"$CAMPAIGND" --spec "$DRILL_SPEC" --workers 2 --batch 1 --json \
+"$CAMPAIGN" --spec "$DRILL_SPEC" --workers 2 --batch 1 --json \
     --out "$REFERENCE" --spool "$OUT_DIR/drill_ref.spool" \
     2> "$OUT_DIR/drill_reference.log"
 
-# run_drill NAME EXPECTED_RC EXTRA_FLAGS... — runs campaignd under one fault
-# category; on EXPECTED_RC=0 the report must equal the clean reference.
+# Entry-point parity: the same grid run in process on threads must render
+# the reference byte for byte.
+"$CAMPAIGN" --spec "$DRILL_SPEC" --threads 2 --json \
+    --out "$OUT_DIR/drill_inprocess.json" 2> "$OUT_DIR/drill_inprocess.log"
+cmp "$OUT_DIR/drill_inprocess.json" "$REFERENCE" \
+    || { echo "FAIL: in-process report differs from the 2-worker reference" >&2; exit 1; }
+echo "PASS: in-process report equals the 2-worker reference"
+
+# same_report OUT — OUT must equal the reference up to its trailing
+# "observability" member (wall-clock facts from --metrics-json), which the
+# report always writes last.
+same_report() {
+    python3 - "$1" "$REFERENCE" <<'EOF'
+import sys
+out = open(sys.argv[1]).read()
+ref = open(sys.argv[2]).read()
+cut = out.find(',"observability":')
+sys.exit(0 if cut >= 0 and out[:cut] + "}\n" == ref else 1)
+EOF
+}
+
+# run_drill NAME EXPECTED_RC EXTRA_FLAGS... — runs the service under one
+# fault category; on EXPECTED_RC=0 the report must equal the clean reference.
 run_drill() {
     local name="$1" want_rc="$2"
     shift 2
     local out="$OUT_DIR/drill_$name.json"
     local log="$OUT_DIR/drill_$name.log"
     local rc=0
-    "$CAMPAIGND" --spec "$DRILL_SPEC" --workers 2 --batch 1 --json \
+    "$CAMPAIGN" --spec "$DRILL_SPEC" --workers 2 --batch 1 --json \
         --out "$out" --spool "$OUT_DIR/drill_$name.spool" \
         --metrics-json "$OUT_DIR/drill_$name.metrics.json" \
         --chaos-seed 7 "$@" 2> "$log" || rc=$?
@@ -154,7 +178,7 @@ run_drill() {
         echo "FAIL: drill '$name' exited $rc (wanted $want_rc)" >&2
         exit 1
     fi
-    if [ "$want_rc" -eq 0 ] && ! cmp -s "$out" "$REFERENCE"; then
+    if [ "$want_rc" -eq 0 ] && ! same_report "$out"; then
         cat "$log" >&2
         echo "FAIL: drill '$name' report differs from the clean reference" >&2
         exit 1

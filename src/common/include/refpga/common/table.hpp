@@ -24,9 +24,9 @@ public:
     [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
     // Streaming primitives: render() is a composition of these, so a caller
-    // that cannot hold all rows at once (the campaign service's streaming
-    // report merge) can grow widths incrementally and emit rows later with
-    // byte-identical formatting.
+    // that cannot hold all rows at once (fleet::CampaignReport, which
+    // streams its rows from a spool) can grow widths incrementally and emit
+    // rows later with byte-identical formatting.
     [[nodiscard]] static std::vector<std::size_t> widths_of(
         const std::vector<std::string>& header);
     static void grow_widths(std::vector<std::size_t>& widths,

@@ -30,7 +30,9 @@ FaultPlan::FaultPlan(FaultSpec spec, int columns, std::uint64_t seed)
       bit_rng_(mix(seed, 4)),
       next_upset_s_(std::numeric_limits<double>::infinity()) {
     REFPGA_EXPECTS(columns_ > 0);
-    REFPGA_EXPECTS(spec_.upset_rate_per_column_s >= 0.0);
+    // A non-finite rate would schedule upsets at t += 0 forever.
+    REFPGA_EXPECTS(std::isfinite(spec_.upset_rate_per_column_s) &&
+                   spec_.upset_rate_per_column_s >= 0.0);
     REFPGA_EXPECTS(spec_.load_corruption_prob >= 0.0 && spec_.load_corruption_prob <= 1.0);
     REFPGA_EXPECTS(spec_.flash_error_prob >= 0.0 && spec_.flash_error_prob <= 1.0);
     REFPGA_EXPECTS(spec_.glitch_prob_per_cycle >= 0.0 && spec_.glitch_prob_per_cycle <= 1.0);

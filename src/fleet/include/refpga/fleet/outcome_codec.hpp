@@ -42,4 +42,9 @@ public:
 /// malformed, truncated or out-of-range input.
 [[nodiscard]] ScenarioOutcome decode_outcome_line(std::string_view line);
 
+/// JSON string-body escaping shared by the codec and the campaign report:
+/// quote, backslash, \n and \t get their short escapes, other control
+/// bytes become \u00xx, everything else passes through.
+[[nodiscard]] std::string json_escape(std::string_view text);
+
 }  // namespace refpga::fleet

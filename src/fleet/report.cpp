@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <tuple>
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/table.hpp"
-#include "report_render.hpp"
+#include "refpga/fleet/outcome_codec.hpp"
 
 namespace refpga::fleet {
 
@@ -65,36 +69,32 @@ double outcome_metric(const ScenarioOutcome& o, std::string_view key) {
     return 0.0;
 }
 
-namespace render {
+namespace {
 
+/// Sweep axes reports group by, in grouping/rendering order.
+constexpr std::string_view kAxes[] = {"variant", "part", "port", "noise",
+                                      "upset_rate"};
+
+const std::vector<std::string>& metric_keys() {
+    static const std::vector<std::string> keys = report_metric_keys();
+    return keys;
+}
+
+std::size_t metric_index(std::string_view key) {
+    const std::vector<std::string>& keys = metric_keys();
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    REFPGA_EXPECTS(it != keys.end() && "unknown report metric key");
+    return static_cast<std::size_t>(it - keys.begin());
+}
+
+/// One deterministic float-to-text path for every number in both renderings.
 std::string fmt(double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return buf;
 }
 
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
+/// Grouping value of one outcome on one axis.
 std::string axis_value(const ScenarioOutcome& o, std::string_view axis) {
     const Scenario& s = o.scenario;
     if (axis == "variant") return app::variant_name(s.variant);
@@ -121,7 +121,7 @@ std::vector<std::string> scenario_row_cells(const ScenarioOutcome& o) {
             o.fitted_part.empty() ? "none" : o.fitted_part};
 }
 
-void append_scenario_json(std::ostringstream& os, const ScenarioOutcome& o) {
+void append_scenario_json(std::ostream& os, const ScenarioOutcome& o) {
     const Scenario& s = o.scenario;
     os << "{\"name\":\"" << json_escape(s.name) << "\",\"variant\":\""
        << app::variant_name(s.variant) << "\",\"part\":\""
@@ -137,212 +137,260 @@ void append_scenario_json(std::ostringstream& os, const ScenarioOutcome& o) {
         return;
     }
     os << ",\"metrics\":{";
-    bool first = true;
-    for (const std::string& key : report_metric_keys()) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << key << "\":" << fmt(outcome_metric(o, key));
-    }
+    const std::vector<std::string>& keys = metric_keys();
+    for (std::size_t k = 0; k < keys.size(); ++k)
+        os << (k ? "," : "") << "\"" << keys[k]
+           << "\":" << fmt(outcome_metric(o, keys[k]));
     os << "},\"resident_slices\":" << o.resident_slices << ",\"fitted_part\":\""
        << json_escape(o.fitted_part)
        << "\",\"device_fits\":" << (o.device_fits ? "true" : "false") << "}";
 }
 
-void append_summary_json(std::ostringstream& os, const MetricSummary& s) {
-    os << "{\"min\":" << fmt(s.min) << ",\"mean\":" << fmt(s.mean)
-       << ",\"max\":" << fmt(s.max) << ",\"p50\":" << fmt(s.p50)
-       << ",\"p95\":" << fmt(s.p95) << ",\"count\":" << s.count << "}";
-}
-
-void append_text_head(std::ostringstream& os, std::size_t count,
-                      std::size_t failures, const PartialFacts& partial) {
-    os << "campaign: " << count << " scenarios, " << count - failures << " ok, "
-       << failures << " failed\n";
-    if (partial.partial()) {
-        os << "partial: " << count << "/" << partial.expected_count
-           << " scenarios committed; missing:";
-        for (const IntervalSet::Interval& iv : partial.missing)
-            os << " [" << iv.first << ", " << iv.last << ")";
-        os << "\n";
+/// '"key":{summary},...' over every metric column.
+void append_summaries_json(std::ostream& os,
+                           const std::vector<std::vector<double>>& columns) {
+    const std::vector<std::string>& keys = metric_keys();
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        const MetricSummary s = MetricSummary::of(columns[k]);
+        os << (k ? "," : "") << "\"" << keys[k] << "\":{\"min\":" << fmt(s.min)
+           << ",\"mean\":" << fmt(s.mean) << ",\"max\":" << fmt(s.max)
+           << ",\"p50\":" << fmt(s.p50) << ",\"p95\":" << fmt(s.p95)
+           << ",\"count\":" << s.count << "}";
     }
-    os << "\n";
-}
-
-void append_text_failure(std::ostringstream& os, const ScenarioOutcome& o) {
-    os << "  " << o.scenario.name << ": " << o.error << "\n";
-}
-
-void append_text_tail(std::ostringstream& os, const SummaryFn& summary,
-                      const std::vector<GroupFacts>& groups,
-                      const GroupSummaryFn& group_summary) {
-    Table summary_table({"metric", "min", "mean", "p50", "p95", "max"});
-    for (const std::string& key : report_metric_keys()) {
-        const MetricSummary s = summary(key);
-        summary_table.add_row({key, fmt(s.min), fmt(s.mean), fmt(s.p50), fmt(s.p95),
-                               fmt(s.max)});
-    }
-    os << "summary over successful scenarios:\n" << summary_table.render() << "\n";
-
-    Table by_axis({"axis", "value", "scenarios", "failed", "mean level err",
-                   "mean total (mW)"});
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        const MetricSummary err = group_summary(g, "level_error_mean");
-        const MetricSummary mw = group_summary(g, "total_mw");
-        by_axis.add_row({groups[g].axis, groups[g].value,
-                         std::to_string(groups[g].scenario_count),
-                         std::to_string(groups[g].failures), fmt(err.mean),
-                         fmt(mw.mean)});
-    }
-    os << "grouped by sweep axis:\n" << by_axis.render();
-}
-
-void append_json_head(std::ostringstream& os, std::size_t count,
-                      std::size_t failures, const PartialFacts& partial) {
-    os << "{\"campaign\":{\"scenario_count\":" << count
-       << ",\"ok_count\":" << count - failures
-       << ",\"failure_count\":" << failures;
-    if (partial.partial()) {
-        os << ",\"partial\":{\"expected_count\":" << partial.expected_count
-           << ",\"missing_ranges\":[";
-        bool first = true;
-        for (const IntervalSet::Interval& iv : partial.missing) {
-            if (!first) os << ",";
-            first = false;
-            os << "[" << iv.first << "," << iv.last << "]";
-        }
-        os << "]}";
-    }
-    os << "},\"scenarios\":[";
-}
-
-void append_json_tail(std::ostringstream& os, const SummaryFn& summary,
-                      const std::vector<GroupFacts>& groups,
-                      const GroupSummaryFn& group_summary,
-                      const std::string& metrics_json) {
-    os << "],\"summary\":{";
-    bool first = true;
-    for (const std::string& key : report_metric_keys()) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << key << "\":";
-        append_summary_json(os, summary(key));
-    }
-    os << "},\"groups\":[";
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        const GroupFacts& group = groups[g];
-        if (g) os << ",";
-        os << "{\"axis\":\"" << group.axis << "\",\"value\":\""
-           << json_escape(group.value) << "\",\"scenarios\":" << group.scenario_count
-           << ",\"failures\":" << group.failures << ",\"metrics\":{";
-        bool first_metric = true;
-        for (const std::string& key : report_metric_keys()) {
-            if (!first_metric) os << ",";
-            first_metric = false;
-            os << "\"" << key << "\":";
-            append_summary_json(os, group_summary(g, key));
-        }
-        os << "}}";
-    }
-    os << "]";
-    // The obs block is verbatim-embedded JSON from obs::Recorder; it carries
-    // wall-clock facts, so it only appears when explicitly attached.
-    if (!metrics_json.empty()) os << ",\"observability\":" << metrics_json;
-    os << "}";
-}
-
-}  // namespace render
-
-CampaignReport CampaignReport::from(const CampaignResult& result) {
-    CampaignReport report;
-    report.outcomes_ = result.outcomes;
-    report.failures_ = result.failure_count();
-    for (const std::string_view axis : render::kAxes) {
-        for (std::size_t i = 0; i < report.outcomes_.size(); ++i) {
-            const std::string value = render::axis_value(report.outcomes_[i], axis);
-            auto it = std::find_if(report.groups_.begin(), report.groups_.end(),
-                                   [&](const Group& g) {
-                                       return g.axis == axis && g.value == value;
-                                   });
-            if (it == report.groups_.end()) {
-                report.groups_.push_back({std::string(axis), value, {}, 0});
-                it = report.groups_.end() - 1;
-            }
-            it->indices.push_back(i);
-            if (!report.outcomes_[i].ok) ++it->failures;
-        }
-    }
-    return report;
-}
-
-MetricSummary CampaignReport::summary(std::string_view key) const {
-    std::vector<double> values;
-    values.reserve(outcomes_.size());
-    for (const ScenarioOutcome& o : outcomes_)
-        if (o.ok) values.push_back(outcome_metric(o, key));
-    return MetricSummary::of(std::move(values));
-}
-
-MetricSummary CampaignReport::group_summary(const Group& group,
-                                            std::string_view key) const {
-    std::vector<double> values;
-    values.reserve(group.indices.size());
-    for (const std::size_t i : group.indices)
-        if (outcomes_[i].ok) values.push_back(outcome_metric(outcomes_[i], key));
-    return MetricSummary::of(std::move(values));
-}
-
-namespace {
-
-std::vector<render::GroupFacts> group_facts(
-    const std::vector<CampaignReport::Group>& groups) {
-    std::vector<render::GroupFacts> facts;
-    facts.reserve(groups.size());
-    for (const CampaignReport::Group& g : groups)
-        facts.push_back({g.axis, g.value, g.indices.size(), g.failures});
-    return facts;
 }
 
 }  // namespace
 
+CampaignReport CampaignReport::from(const CampaignResult& result) {
+    CampaignReport report(result.outcomes.size(), "");
+    if (!result.outcomes.empty()) report.add(0, result.outcomes);
+    return report;
+}
+
+CampaignReport::CampaignReport(std::size_t scenario_count, std::string spool_path)
+    : scenario_count_(scenario_count),
+      spool_path_(std::move(spool_path)),
+      widths_(Table::widths_of(scenario_table_header())),
+      summary_values_(metric_keys().size()) {
+    if (spool_path_.empty()) {
+        spool_ = std::make_unique<std::stringstream>();
+        return;
+    }
+    spool_ = std::make_unique<std::fstream>(
+        spool_path_,
+        std::ios::in | std::ios::out | std::ios::trunc | std::ios::binary);
+    if (!*spool_)
+        throw std::runtime_error("CampaignReport: cannot open spool file '" +
+                                 spool_path_ + "'");
+}
+
+CampaignReport::~CampaignReport() {
+    // A moved-from report has no stream and owns no file.
+    if (spool_ == nullptr || spool_path_.empty()) return;
+    spool_.reset();
+    std::remove(spool_path_.c_str());
+}
+
+CampaignReport::CampaignReport(CampaignReport&&) = default;
+
+void CampaignReport::add(std::size_t first, const std::vector<ScenarioOutcome>& batch) {
+    REFPGA_EXPECTS(!batch.empty());
+    REFPGA_EXPECTS(first + batch.size() <= scenario_count_);
+    covered_.add(first, batch.size());  // throws on overlap before any commit
+
+    std::iostream& spool = *spool_;
+    spool.seekp(0, std::ios::end);
+    const std::streamoff offset = spool.tellp();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        spool << encode_outcome_line(batch[i]) << '\n';
+        reduce(first + i, batch[i]);
+    }
+    spool.flush();
+    if (!spool)
+        throw std::runtime_error("CampaignReport: spool write failed ('" +
+                                 spool_path_ + "')");
+    segments_.push_back({first, batch.size(), offset});
+    max_retained_rows_ = std::max(max_retained_rows_, batch.size());
+}
+
+void CampaignReport::add_encoded(std::size_t first,
+                                 const std::vector<std::string>& lines) {
+    REFPGA_EXPECTS(!lines.empty());
+    // Decode the whole batch before committing anything: a malformed line
+    // must not leave a half-merged batch behind.
+    std::vector<ScenarioOutcome> batch;
+    batch.reserve(lines.size());
+    for (const std::string& line : lines) batch.push_back(decode_outcome_line(line));
+    add(first, batch);
+}
+
+void CampaignReport::reduce(std::size_t index, const ScenarioOutcome& o) {
+    Table::grow_widths(widths_, scenario_row_cells(o));
+    const std::vector<std::string>& keys = metric_keys();
+    std::vector<double> values;
+    if (o.ok) {
+        for (const std::string& key : keys) values.push_back(outcome_metric(o, key));
+        for (std::size_t k = 0; k < keys.size(); ++k)
+            summary_values_[k].push_back(values[k]);
+    } else {
+        ++failures_;
+    }
+
+    for (std::size_t a = 0; a < std::size(kAxes); ++a) {
+        auto key = std::make_pair(a, axis_value(o, kAxes[a]));
+        auto it = group_index_.find(key);
+        if (it == group_index_.end()) {
+            GroupState g;
+            g.axis = a;
+            g.value = key.second;
+            g.min_index = index;
+            g.metric_values.resize(keys.size());
+            groups_.push_back(std::move(g));
+            it = group_index_.emplace(std::move(key), groups_.size() - 1).first;
+        }
+        GroupState& g = groups_[it->second];
+        g.min_index = std::min(g.min_index, index);
+        ++g.count;
+        if (!o.ok) {
+            ++g.failures;
+            continue;
+        }
+        for (std::size_t k = 0; k < keys.size(); ++k)
+            g.metric_values[k].push_back(values[k]);
+    }
+}
+
+template <typename Fn>
+void CampaignReport::for_each_committed(Fn&& fn) const {
+    std::vector<const Segment*> ordered;
+    ordered.reserve(segments_.size());
+    for (const Segment& s : segments_) ordered.push_back(&s);
+    std::sort(ordered.begin(), ordered.end(),
+              [](const Segment* a, const Segment* b) { return a->first < b->first; });
+
+    std::iostream& spool = *spool_;
+    spool.clear();
+    std::string line;
+    for (const Segment* seg : ordered) {
+        spool.seekg(seg->offset);
+        for (std::size_t i = 0; i < seg->count; ++i) {
+            if (!std::getline(spool, line))
+                throw std::runtime_error(
+                    "CampaignReport: spool truncated mid-segment ('" +
+                    spool_path_ + "')");
+            fn(decode_outcome_line(line));
+        }
+    }
+}
+
+std::vector<const CampaignReport::GroupState*>
+CampaignReport::ordered_groups() const {
+    std::vector<const GroupState*> order;
+    order.reserve(groups_.size());
+    for (const GroupState& g : groups_) order.push_back(&g);
+    std::sort(order.begin(), order.end(),
+              [](const GroupState* a, const GroupState* b) {
+                  return std::tie(a->axis, a->min_index) <
+                         std::tie(b->axis, b->min_index);
+              });
+    return order;
+}
+
+MetricSummary CampaignReport::summary(std::string_view key) const {
+    return MetricSummary::of(summary_values_[metric_index(key)]);
+}
+
 std::string CampaignReport::render_text() const {
     std::ostringstream os;
-    render::append_text_head(os, outcomes_.size(), failures_);
+    os << "campaign: " << committed() << " scenarios, " << committed() - failures_
+       << " ok, " << failures_ << " failed\n";
+    if (partial_) {
+        os << "partial: " << committed() << "/" << scenario_count_
+           << " scenarios committed; missing:";
+        for (const IntervalSet::Interval& iv : covered_.missing(scenario_count_))
+            os << " [" << iv.first << ", " << iv.last << ")";
+        os << "\n";
+    }
+    os << "\n";
 
-    Table scenarios(render::scenario_table_header());
-    for (const ScenarioOutcome& o : outcomes_)
-        scenarios.add_row(render::scenario_row_cells(o));
-    os << scenarios.render() << "\n";
+    Table::emit_rule(os, widths_);
+    Table::emit_row(os, widths_, scenario_table_header());
+    Table::emit_rule(os, widths_);
+    for_each_committed([&](const ScenarioOutcome& o) {
+        Table::emit_row(os, widths_, scenario_row_cells(o));
+    });
+    Table::emit_rule(os, widths_);
+    os << "\n";
 
     if (failures_ > 0) {
         os << "failures:\n";
-        for (const ScenarioOutcome& o : outcomes_)
-            if (!o.ok) render::append_text_failure(os, o);
+        for_each_committed([&](const ScenarioOutcome& o) {
+            if (!o.ok) os << "  " << o.scenario.name << ": " << o.error << "\n";
+        });
         os << "\n";
     }
 
-    render::append_text_tail(
-        os, [this](std::string_view key) { return summary(key); },
-        group_facts(groups_),
-        [this](std::size_t g, std::string_view key) {
-            return group_summary(groups_[g], key);
-        });
+    const std::vector<std::string>& keys = metric_keys();
+    Table summary_table({"metric", "min", "mean", "p50", "p95", "max"});
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        const MetricSummary s = MetricSummary::of(summary_values_[k]);
+        summary_table.add_row({keys[k], fmt(s.min), fmt(s.mean), fmt(s.p50),
+                               fmt(s.p95), fmt(s.max)});
+    }
+    os << "summary over successful scenarios:\n" << summary_table.render() << "\n";
+
+    const std::size_t err = metric_index("level_error_mean");
+    const std::size_t mw = metric_index("total_mw");
+    Table by_axis({"axis", "value", "scenarios", "failed", "mean level err",
+                   "mean total (mW)"});
+    for (const GroupState* g : ordered_groups())
+        by_axis.add_row({std::string(kAxes[g->axis]), g->value,
+                         std::to_string(g->count), std::to_string(g->failures),
+                         fmt(MetricSummary::of(g->metric_values[err]).mean),
+                         fmt(MetricSummary::of(g->metric_values[mw]).mean)});
+    os << "grouped by sweep axis:\n" << by_axis.render();
     return os.str();
 }
 
 std::string CampaignReport::render_json() const {
     std::ostringstream os;
-    render::append_json_head(os, outcomes_.size(), failures_);
-    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-        if (i) os << ",";
-        render::append_scenario_json(os, outcomes_[i]);
+    os << "{\"campaign\":{\"scenario_count\":" << committed()
+       << ",\"ok_count\":" << committed() - failures_
+       << ",\"failure_count\":" << failures_;
+    if (partial_) {
+        os << ",\"partial\":{\"expected_count\":" << scenario_count_
+           << ",\"missing_ranges\":[";
+        const char* sep = "";
+        for (const IntervalSet::Interval& iv : covered_.missing(scenario_count_)) {
+            os << sep << "[" << iv.first << "," << iv.last << "]";
+            sep = ",";
+        }
+        os << "]}";
     }
-    render::append_json_tail(
-        os, [this](std::string_view key) { return summary(key); },
-        group_facts(groups_),
-        [this](std::size_t g, std::string_view key) {
-            return group_summary(groups_[g], key);
-        },
-        metrics_json_);
+    os << "},\"scenarios\":[";
+    const char* sep = "";
+    for_each_committed([&](const ScenarioOutcome& o) {
+        os << sep;
+        sep = ",";
+        append_scenario_json(os, o);
+    });
+    os << "],\"summary\":{";
+    append_summaries_json(os, summary_values_);
+    os << "},\"groups\":[";
+    sep = "";
+    for (const GroupState* g : ordered_groups()) {
+        os << sep << "{\"axis\":\"" << kAxes[g->axis] << "\",\"value\":\""
+           << json_escape(g->value) << "\",\"scenarios\":" << g->count
+           << ",\"failures\":" << g->failures << ",\"metrics\":{";
+        append_summaries_json(os, g->metric_values);
+        os << "}}";
+        sep = ",";
+    }
+    os << "]";
+    // The obs block is verbatim-embedded JSON from obs::Recorder; it carries
+    // wall-clock facts, so it only appears when explicitly attached.
+    if (!metrics_json_.empty()) os << ",\"observability\":" << metrics_json_;
+    os << "}";
     return os.str();
 }
 

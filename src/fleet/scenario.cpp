@@ -1,8 +1,8 @@
 #include "refpga/fleet/scenario.hpp"
 
+#include <cmath>
 #include <cstdio>
-
-#include "refpga/common/contracts.hpp"
+#include <stdexcept>
 
 namespace refpga::fleet {
 
@@ -35,64 +35,20 @@ std::uint64_t scenario_seed(std::uint64_t campaign_seed, std::uint64_t index) {
     return z ^ (z >> 31);
 }
 
-SweepBuilder& SweepBuilder::variants(std::vector<app::SystemVariant> v) {
-    REFPGA_EXPECTS(!v.empty());
-    variants_ = std::move(v);
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::parts(std::vector<fabric::PartName> v) {
-    REFPGA_EXPECTS(!v.empty());
-    parts_ = std::move(v);
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::ports(std::vector<PortKind> v) {
-    REFPGA_EXPECTS(!v.empty());
-    ports_ = std::move(v);
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::noise_levels(std::vector<double> v) {
-    REFPGA_EXPECTS(!v.empty());
-    noise_levels_ = std::move(v);
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::upset_rates(std::vector<double> v) {
-    REFPGA_EXPECTS(!v.empty());
-    for (const double rate : v) REFPGA_EXPECTS(rate >= 0.0);
-    upset_rates_ = std::move(v);
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::fault_defaults(fault::FaultSpec spec) {
-    fault_defaults_ = spec;
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::fills(std::vector<FillProfile> v) {
-    REFPGA_EXPECTS(!v.empty());
-    fills_ = std::move(v);
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::cycles(int cycles) {
-    cycles_ = cycles;
-    return *this;
-}
-
-SweepBuilder& SweepBuilder::campaign_seed(std::uint64_t seed) {
-    campaign_seed_ = seed;
-    return *this;
-}
-
-std::size_t SweepBuilder::grid_size() const {
-    return variants_.size() * parts_.size() * ports_.size() * noise_levels_.size() *
-           upset_rates_.size() * fills_.size();
+std::size_t Sweep::grid_size() const {
+    return variants.size() * parts.size() * ports.size() * noise_levels.size() *
+           upset_rates.size() * fills.size();
 }
 
 namespace {
+
+void require(bool ok, const std::string& key, const char* rule) {
+    if (!ok) throw std::invalid_argument(key + ": " + rule);
+}
+
+// Comparisons are written so that NaN fails them.
+bool finite_non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
+bool in_unit_interval(double v) { return v >= 0.0 && v <= 1.0; }
 
 std::string format_noise(double noise) {
     char buf[32];
@@ -114,25 +70,49 @@ std::string format_fill(const FillProfile& fill) {
 
 }  // namespace
 
-std::vector<Scenario> SweepBuilder::build() const {
+void Sweep::validate() const {
+    require(!variants.empty(), "variants", "empty list");
+    require(!parts.empty(), "parts", "empty list");
+    require(!ports.empty(), "ports", "empty list");
+    require(!noise_levels.empty(), "noise_levels", "empty list");
+    require(!upset_rates.empty(), "upset_rates", "empty list");
+    require(!fills.empty(), "fills", "empty list");
+    for (const double noise : noise_levels)
+        require(finite_non_negative(noise), "noise_levels", "must be finite and >= 0");
+    for (const double rate : upset_rates)
+        require(finite_non_negative(rate), "upset_rates", "must be finite and >= 0");
+    for (const FillProfile& fill : fills) {
+        require(in_unit_interval(fill.start_level), "fills.start", "must be in [0, 1]");
+        require(in_unit_interval(fill.end_level), "fills.end", "must be in [0, 1]");
+    }
+    require(in_unit_interval(fault_defaults.load_corruption_prob),
+            "fault.load_corruption_prob", "must be in [0, 1]");
+    require(in_unit_interval(fault_defaults.flash_error_prob),
+            "fault.flash_error_prob", "must be in [0, 1]");
+    require(in_unit_interval(fault_defaults.glitch_prob_per_cycle),
+            "fault.glitch_prob_per_cycle", "must be in [0, 1]");
+    require(cycles > 0, "cycles", "must be positive");
+}
+
+std::vector<Scenario> Sweep::expand() const {
     std::vector<Scenario> grid;
     grid.reserve(grid_size());
-    for (const app::SystemVariant variant : variants_)
-        for (const fabric::PartName part : parts_)
-            for (const PortKind port : ports_)
-                for (const double noise : noise_levels_)
-                    for (const double upset_rate : upset_rates_)
-                        for (const FillProfile& fill : fills_) {
+    for (const app::SystemVariant variant : variants)
+        for (const fabric::PartName part : parts)
+            for (const PortKind port : ports)
+                for (const double noise : noise_levels)
+                    for (const double upset_rate : upset_rates)
+                        for (const FillProfile& fill : fills) {
                             Scenario s;
                             s.variant = variant;
                             s.part = part;
                             s.port = port;
                             s.fill = fill;
                             s.noise_rms_v = noise;
-                            s.fault = fault_defaults_;
+                            s.fault = fault_defaults;
                             s.fault.upset_rate_per_column_s = upset_rate;
-                            s.cycles = cycles_;
-                            s.seed = scenario_seed(campaign_seed_, grid.size());
+                            s.cycles = cycles;
+                            s.seed = scenario_seed(campaign_seed, grid.size());
                             s.name = std::string(app::variant_name(variant)) + "|" +
                                      std::string(fabric::part(part).id) + "|" +
                                      port_kind_name(port) + "|" +
@@ -142,6 +122,56 @@ std::vector<Scenario> SweepBuilder::build() const {
                             grid.push_back(std::move(s));
                         }
     return grid;
+}
+
+SweepBuilder& SweepBuilder::variants(std::vector<app::SystemVariant> v) {
+    sweep_.variants = std::move(v);
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::parts(std::vector<fabric::PartName> v) {
+    sweep_.parts = std::move(v);
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::ports(std::vector<PortKind> v) {
+    sweep_.ports = std::move(v);
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::noise_levels(std::vector<double> v) {
+    sweep_.noise_levels = std::move(v);
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::upset_rates(std::vector<double> v) {
+    sweep_.upset_rates = std::move(v);
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::fault_defaults(fault::FaultSpec spec) {
+    sweep_.fault_defaults = spec;
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::fills(std::vector<FillProfile> v) {
+    sweep_.fills = std::move(v);
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::cycles(int cycles) {
+    sweep_.cycles = cycles;
+    return *this;
+}
+
+SweepBuilder& SweepBuilder::campaign_seed(std::uint64_t seed) {
+    sweep_.campaign_seed = seed;
+    return *this;
+}
+
+std::vector<Scenario> SweepBuilder::build() const {
+    sweep_.validate();
+    return sweep_.expand();
 }
 
 }  // namespace refpga::fleet

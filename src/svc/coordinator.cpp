@@ -142,7 +142,7 @@ struct Coordinator::Impl {
     std::string job_json;
     std::size_t grid = 0;
 
-    std::unique_ptr<fleet::ReportAccumulator> accumulator;
+    std::unique_ptr<fleet::CampaignReport> report;
     std::optional<CheckpointWriter> checkpoint;
     std::vector<WorkerProc> workers;
     std::deque<Range> pending;
@@ -166,6 +166,7 @@ struct Coordinator::Impl {
 
     explicit Impl(JobSpec s, CoordinatorOptions o)
         : spec(std::move(s)), options(std::move(o)) {
+        spec.validate();
         REFPGA_EXPECTS(options.workers >= 1);
         REFPGA_EXPECTS(options.worker_threads >= 1);
         REFPGA_EXPECTS(options.batch >= 1);
@@ -182,8 +183,7 @@ struct Coordinator::Impl {
             options.shard = std::max(per_worker, options.batch);
         }
         if (options.steal_min == 0) options.steal_min = 2 * options.batch;
-        accumulator =
-            std::make_unique<fleet::ReportAccumulator>(grid, options.spool_path);
+        report = std::make_unique<fleet::CampaignReport>(grid, options.spool_path);
         obs = make_svc_obs(options.recorder);
         if (options.chaos.any())
             chaos_plan.emplace(options.chaos, options.chaos_seed);
@@ -206,7 +206,7 @@ struct Coordinator::Impl {
             const CheckpointContents contents =
                 load_checkpoint(options.checkpoint_path, fp, grid);
             for (const CheckpointBatch& batch : contents.batches) {
-                accumulator->add_encoded(batch.first, batch.lines);
+                report->add_encoded(batch.first, batch.lines);
                 result.scenarios_resumed += batch.lines.size();
             }
             checkpoint.emplace(
@@ -221,7 +221,7 @@ struct Coordinator::Impl {
 
     void seed_pending() {
         for (const IntervalSet::Interval& gap :
-             accumulator->covered().missing(grid))
+             report->covered().missing(grid))
             pending.push_back(Range{gap.first, gap.last});
     }
 
@@ -326,7 +326,7 @@ struct Coordinator::Impl {
     void update_gauges() {
         if (obs.rec == nullptr) return;
         obs.rec->metrics().set(obs.backlog,
-                               static_cast<double>(accumulator->segment_count()));
+                               static_cast<double>(report->segment_count()));
         obs.rec->metrics().set(obs.workers, static_cast<double>(alive_workers()));
     }
 
@@ -484,7 +484,7 @@ struct Coordinator::Impl {
         std::size_t fresh = 0;
         std::size_t i = 0;
         while (i < n) {
-            if (accumulator->covered().contains(
+            if (report->covered().contains(
                     static_cast<std::size_t>(batch.first) + i)) {
                 ++i;
                 ++result.duplicates_discarded;
@@ -492,13 +492,13 @@ struct Coordinator::Impl {
                 continue;
             }
             std::size_t j = i + 1;
-            while (j < n && !accumulator->covered().contains(
+            while (j < n && !report->covered().contains(
                                 static_cast<std::size_t>(batch.first) + j))
                 ++j;
             const std::vector<std::string> run(
                 batch.lines.begin() + static_cast<std::ptrdiff_t>(i),
                 batch.lines.begin() + static_cast<std::ptrdiff_t>(j));
-            accumulator->add_encoded(batch.first + i, run);
+            report->add_encoded(batch.first + i, run);
             fresh += run.size();
             if (checkpoint.has_value()) {
                 if (chaos_plan.has_value()) {
@@ -846,7 +846,7 @@ struct Coordinator::Impl {
                 return true;
             }
             if (path == "/healthz") {
-                body = "ok " + std::to_string(accumulator->committed()) + "/" +
+                body = "ok " + std::to_string(report->committed()) + "/" +
                        std::to_string(grid) + "\n";
                 return true;
             }
@@ -859,7 +859,7 @@ struct Coordinator::Impl {
             if (options.stop != nullptr &&
                 options.stop->load(std::memory_order_relaxed))
                 stopping = true;
-            if (accumulator->complete()) break;
+            if (report->complete()) break;
             if (stopping) break;
             const std::int64_t now = now_ms();
             service_restarts(now);
@@ -934,9 +934,9 @@ struct Coordinator::Impl {
     }
 
     void finalize_counts() {
-        result.scenarios_committed = accumulator->committed();
-        result.failures = accumulator->failure_count();
-        result.max_retained_rows = accumulator->max_retained_rows();
+        result.scenarios_committed = report->committed();
+        result.failures = report->failure_count();
+        result.max_retained_rows = report->max_retained_rows();
     }
 
     CoordinatorResult run() {
@@ -956,7 +956,7 @@ struct Coordinator::Impl {
         update_gauges();
 
         try {
-            if (!accumulator->complete() && result.error.empty()) event_loop();
+            if (!report->complete() && result.error.empty()) event_loop();
             broadcast_shutdown();
             drain_until_exit();
         } catch (const SimulatedCrash& e) {
@@ -980,7 +980,7 @@ struct Coordinator::Impl {
         if (checkpoint.has_value() && options.checkpoint_fsync_every_n > 0)
             checkpoint->sync();
 
-        result.completed = accumulator->complete();
+        result.completed = report->complete();
         finalize_counts();
         if (result.completed) {
             // Survivors finished the grid during the drain; a fail-fast
@@ -988,7 +988,7 @@ struct Coordinator::Impl {
             result.error.clear();
         } else if (partial_finish && result.error.empty()) {
             result.partial = true;
-            accumulator->mark_partial();
+            report->mark_partial();
         }
         if (!result.completed && !result.partial && result.error.empty())
             result.error = stopping ? "stopped before completion"
@@ -1004,10 +1004,8 @@ Coordinator::~Coordinator() = default;
 
 CoordinatorResult Coordinator::run() { return impl_->run(); }
 
-const fleet::ReportAccumulator& Coordinator::report() const {
-    return *impl_->accumulator;
-}
+const fleet::CampaignReport& Coordinator::report() const { return *impl_->report; }
 
-fleet::ReportAccumulator& Coordinator::report() { return *impl_->accumulator; }
+fleet::CampaignReport& Coordinator::report() { return *impl_->report; }
 
 }  // namespace refpga::svc

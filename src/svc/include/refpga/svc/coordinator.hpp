@@ -3,9 +3,9 @@
 //
 // One single-threaded poll() event loop owns everything: worker pipes, the
 // optional HTTP observability endpoint, the checkpoint journal and the
-// streaming report accumulator. Workers are pure executors, so every
-// consistency decision — exactly-once commits, work stealing, reassignment
-// after a crash — is made in one place with no locks.
+// campaign report that merges the streamed batches. Workers are pure
+// executors, so every consistency decision — exactly-once commits, work
+// stealing, reassignment after a crash — is made in one place with no locks.
 //
 // Lifecycle of a scenario index range:
 //
@@ -24,7 +24,7 @@
 #include <memory>
 #include <string>
 
-#include "refpga/fleet/report_stream.hpp"
+#include "refpga/fleet/report.hpp"
 #include "refpga/obs/obs.hpp"
 #include "refpga/svc/chaos.hpp"
 #include "refpga/svc/http.hpp"
@@ -58,7 +58,8 @@ struct CoordinatorOptions {
     /// Resume from an existing journal at checkpoint_path instead of
     /// truncating it. The journal must match the job fingerprint.
     bool resume = false;
-    /// Spool file backing the streaming report accumulator (required).
+    /// Spool file backing the campaign report (required); the report deletes
+    /// it when the Coordinator is destroyed.
     std::string spool_path = "campaign.spool";
 
     /// Refork a worker that dies unexpectedly, up to max_worker_restarts
@@ -75,7 +76,7 @@ struct CoordinatorOptions {
 
     // --- liveness policy (all off by default: a default-constructed run is
     // frame-for-frame identical to one that predates the liveness layer;
-    // campaignd turns these on) ------------------------------------------
+    // the campaign CLI turns these on) ---------------------------------
     /// Ping each worker after this many ms without hearing a frame from it
     /// (0 = no heartbeats).
     int heartbeat_interval_ms = 0;
@@ -146,8 +147,8 @@ struct CoordinatorOptions {
 
     /// How to launch workers. Fork calls worker_main() in the child
     /// directly (tests); Exec re-executes exec_path with the worker pipes
-    /// on fds 3 and 4 (campaignd), keeping stray stdio writes out of the
-    /// frame stream.
+    /// on fds 3 and 4 (the campaign CLI), keeping stray stdio writes out
+    /// of the frame stream.
     enum class Launch { Fork, Exec };
     Launch launch = Launch::Fork;
     /// argv[0] for Launch::Exec; invoked as "<exec_path> --campaign-worker".
@@ -190,6 +191,9 @@ struct CoordinatorResult {
 
 class Coordinator {
 public:
+    /// Validates the job's grid (fleet::Sweep::validate) before anything
+    /// else, so an invalid spec throws std::invalid_argument here and no
+    /// worker is ever forked for it.
     Coordinator(JobSpec spec, CoordinatorOptions options);
     ~Coordinator();
     Coordinator(const Coordinator&) = delete;
@@ -199,9 +203,9 @@ public:
     /// failure). May be called once per Coordinator.
     CoordinatorResult run();
 
-    /// Streaming report over everything committed so far; valid after run().
-    [[nodiscard]] const fleet::ReportAccumulator& report() const;
-    [[nodiscard]] fleet::ReportAccumulator& report();
+    /// Report over everything committed so far; valid after run().
+    [[nodiscard]] const fleet::CampaignReport& report() const;
+    [[nodiscard]] fleet::CampaignReport& report();
 
 private:
     struct Impl;

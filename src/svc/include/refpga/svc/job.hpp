@@ -1,12 +1,11 @@
 // Campaign job specification: the JSON document that fully describes a
 // sharded campaign run.
 //
-// A JobSpec is the serializable twin of fleet::SweepBuilder plus the
-// execution knobs a scenario's outcome depends on (cycles, campaign seed,
-// streaming block size). Workers never receive scenario lists over the wire
-// — they receive the JobSpec once (Init frame), expand the same grid
-// locally, and are then assigned index ranges into it. That keeps Assign
-// frames tiny and guarantees every process agrees on scenario -> index.
+// A JobSpec is a fleet::Sweep plus the front-end streaming block size, with
+// a JSON codec. Workers never receive scenario lists over the wire — they
+// receive the JobSpec once (Init frame), expand the same grid locally, and
+// are then assigned index ranges into it. That keeps Assign frames tiny and
+// guarantees every process agrees on scenario -> index.
 //
 // canonical_json() renders doubles as hexfloat strings so the document —
 // and therefore fingerprint(), which checkpoints embed to refuse resuming a
@@ -15,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "refpga/fleet/scenario.hpp"
 
@@ -33,19 +32,16 @@ public:
 [[nodiscard]] fabric::PartName parse_part(const std::string& id);
 [[nodiscard]] fleet::PortKind parse_port(const std::string& name);
 
-struct JobSpec {
-    std::vector<app::SystemVariant> variants{app::SystemVariant::ReconfiguredHw};
-    std::vector<fabric::PartName> parts{fabric::PartName::XC3S400};
-    std::vector<fleet::PortKind> ports{fleet::PortKind::Jcap};
-    std::vector<double> noise_levels{1e-3};
-    std::vector<double> upset_rates{0.0};
-    fault::FaultSpec fault_defaults;
-    std::vector<fleet::FillProfile> fills{fleet::FillProfile{}};
-    int cycles = 8;
-    std::uint64_t campaign_seed = 2008;
+/// Parses a seed written as a decimal string: digits only, the full 64-bit
+/// range, no wrap-around. Throws JobError naming `key`.
+[[nodiscard]] std::uint64_t parse_seed(const std::string& text,
+                                       const std::string& key);
+
+struct JobSpec : fleet::Sweep {
     int stream_block_ticks = 4096;
 
-    /// Parses a job document; unknown keys and malformed values throw
+    /// Parses a job document and validates its grid (fleet::Sweep::validate);
+    /// unknown keys, malformed values and grid-rule violations throw
     /// JobError with the offending key in the message.
     [[nodiscard]] static JobSpec from_json(const std::string& text);
 
@@ -56,13 +52,6 @@ struct JobSpec {
     /// FNV-1a over canonical_json(); checkpoints embed this so a journal is
     /// only ever replayed against the job that wrote it.
     [[nodiscard]] std::uint64_t fingerprint() const;
-
-    /// Number of scenarios the grid expands to.
-    [[nodiscard]] std::size_t grid_size() const;
-
-    /// Expands the full scenario grid via fleet::SweepBuilder — identical in
-    /// every process that holds the same spec.
-    [[nodiscard]] std::vector<fleet::Scenario> expand() const;
 };
 
 }  // namespace refpga::svc

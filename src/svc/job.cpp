@@ -34,6 +34,20 @@ fleet::PortKind parse_port(const std::string& name) {
     throw JobError("unknown config port '" + name + "'");
 }
 
+std::uint64_t parse_seed(const std::string& text, const std::string& key) {
+    if (text.empty()) throw JobError(key + ": empty seed");
+    std::uint64_t out = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            throw JobError(key + ": malformed seed '" + text + "'");
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (out > (UINT64_MAX - digit) / 10)
+            throw JobError(key + ": seed '" + text + "' overflows 64 bits");
+        out = out * 10 + digit;
+    }
+    return out;
+}
+
 namespace {
 
 // Doubles travel as hexfloat strings ("0x1.999999999999ap-4") so the
@@ -60,7 +74,6 @@ double parse_hex_double(const JsonValue& v, const char* key) {
 std::vector<double> double_list(const JsonValue& v, const char* key) {
     std::vector<double> out;
     for (const JsonValue& e : v.as_array()) out.push_back(parse_hex_double(e, key));
-    if (out.empty()) throw JobError(std::string(key) + ": empty list");
     return out;
 }
 
@@ -75,22 +88,8 @@ int int_value(const JsonValue& v, const char* key) {
 }
 
 std::uint64_t u64_value(const JsonValue& v, const char* key) {
-    if (v.is(JsonValue::Kind::String)) {
-        // Seeds round-trip as decimal strings: 2^53 < seed values exist.
-        const std::string& s = v.string;
-        std::uint64_t out = 0;
-        if (s.empty()) throw JobError(std::string(key) + ": empty seed");
-        for (const char c : s) {
-            if (c < '0' || c > '9')
-                throw JobError(std::string(key) + ": malformed seed '" + s + "'");
-            const auto digit = static_cast<std::uint64_t>(c - '0');
-            if (out > (UINT64_MAX - digit) / 10)
-                throw JobError(std::string(key) + ": seed '" + s +
-                               "' overflows 64 bits");
-            out = out * 10 + digit;
-        }
-        return out;
-    }
+    // Seeds round-trip as decimal strings: 2^53 < seed values exist.
+    if (v.is(JsonValue::Kind::String)) return parse_seed(v.string, key);
     const double d = v.as_number();
     if (d < 0 || std::floor(d) != d)
         throw JobError(std::string(key) + ": expected unsigned integer");
@@ -149,23 +148,18 @@ JobSpec JobSpec::from_json(const std::string& text) {
             spec.variants.clear();
             for (const JsonValue& e : value.as_array())
                 spec.variants.push_back(parse_variant(e.as_string()));
-            if (spec.variants.empty()) throw JobError("variants: empty list");
         } else if (key == "parts") {
             spec.parts.clear();
             for (const JsonValue& e : value.as_array())
                 spec.parts.push_back(parse_part(e.as_string()));
-            if (spec.parts.empty()) throw JobError("parts: empty list");
         } else if (key == "ports") {
             spec.ports.clear();
             for (const JsonValue& e : value.as_array())
                 spec.ports.push_back(parse_port(e.as_string()));
-            if (spec.ports.empty()) throw JobError("ports: empty list");
         } else if (key == "noise_levels") {
             spec.noise_levels = double_list(value, "noise_levels");
         } else if (key == "upset_rates") {
             spec.upset_rates = double_list(value, "upset_rates");
-            for (const double rate : spec.upset_rates)
-                if (rate < 0.0) throw JobError("upset_rates: negative rate");
         } else if (key == "fault") {
             if (!value.is(JsonValue::Kind::Object))
                 throw JobError("fault: expected object");
@@ -198,10 +192,8 @@ JobSpec JobSpec::from_json(const std::string& text) {
                 }
                 spec.fills.push_back(fill);
             }
-            if (spec.fills.empty()) throw JobError("fills: empty list");
         } else if (key == "cycles") {
             spec.cycles = int_value(value, "cycles");
-            if (spec.cycles <= 0) throw JobError("cycles: must be positive");
         } else if (key == "campaign_seed") {
             spec.campaign_seed = u64_value(value, "campaign_seed");
         } else if (key == "stream_block_ticks") {
@@ -211,6 +203,11 @@ JobSpec JobSpec::from_json(const std::string& text) {
         } else {
             throw JobError("job spec: unknown key '" + key + "'");
         }
+    }
+    try {
+        spec.validate();
+    } catch (const std::invalid_argument& e) {
+        throw JobError(e.what());
     }
     return spec;
 }
@@ -266,25 +263,6 @@ std::uint64_t JobSpec::fingerprint() const {
         hash *= 0x100000001b3ULL;  // FNV prime
     }
     return hash;
-}
-
-std::size_t JobSpec::grid_size() const {
-    return variants.size() * parts.size() * ports.size() * noise_levels.size() *
-           upset_rates.size() * fills.size();
-}
-
-std::vector<fleet::Scenario> JobSpec::expand() const {
-    fleet::SweepBuilder builder;
-    builder.variants(variants)
-        .parts(parts)
-        .ports(ports)
-        .noise_levels(noise_levels)
-        .upset_rates(upset_rates)
-        .fault_defaults(fault_defaults)
-        .fills(fills)
-        .cycles(cycles)
-        .campaign_seed(campaign_seed);
-    return builder.build();
 }
 
 }  // namespace refpga::svc

@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Flag and job-spec parsing of the campaign CLI: out-of-range numbers and
+# invalid grids must exit 2 (with the usage text) before any work starts,
+# and seeds must parse as full 64-bit values instead of wrapping.
+#
+# Usage: tests/campaign_cli.sh CAMPAIGN_BINARY
+set -uo pipefail
+
+BIN="$1"
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+status=0
+
+# expect_exit WANT ARGS... — runs the binary and checks its exit code.
+expect_exit() {
+    local want="$1" rc=0
+    shift
+    "$BIN" "$@" > "$WORK/out" 2> "$WORK/err" || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        cat "$WORK/err" >&2
+        echo "FAIL: campaign $* exited $rc (wanted $want)" >&2
+        status=1
+    else
+        echo "ok: campaign $* exits $rc"
+    fi
+}
+
+expect_exit 2 --seed 18446744073709551616 --cycles 1 --json
+expect_exit 2 --threads 4294967298 --cycles 1 --json
+expect_exit 2 --threads 0 --cycles 1 --json
+expect_exit 2 --cycles 1 --batch 2 --json   # service flag without --workers
+printf '{"upset_rates":[1e999]}\n' > "$WORK/inf.json"
+expect_exit 2 --spec "$WORK/inf.json" --cycles 1 --json
+
+# 2^32 must be its own seed, not 0 after truncation to 32 bits.
+expect_exit 0 --seed 4294967296 --cycles 1 --threads 2 --json
+mv "$WORK/out" "$WORK/seed_2p32.json"
+expect_exit 0 --seed 0 --cycles 1 --threads 2 --json
+if cmp -s "$WORK/out" "$WORK/seed_2p32.json"; then
+    echo "FAIL: --seed 4294967296 and --seed 0 gave the same report" >&2
+    status=1
+fi
+
+exit "$status"

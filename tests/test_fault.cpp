@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "refpga/app/system.hpp"
+#include "refpga/common/contracts.hpp"
 #include "refpga/fabric/device.hpp"
 #include "refpga/fault/fault.hpp"
 #include "refpga/fleet/campaign.hpp"
@@ -72,6 +73,16 @@ TEST(FaultPlan, ZeroSpecInjectsNothing) {
     const fault::LoadFault load = plan.next_load_fault();
     EXPECT_FALSE(load.any());
     EXPECT_EQ(plan.next_glitch().kind, fault::GlitchKind::None);
+}
+
+TEST(FaultPlan, RejectsNonFiniteUpsetRate) {
+    // An infinite rate would append upsets at t += 0 until memory runs out;
+    // the constructor must refuse it before any schedule is drawn.
+    for (const double rate : {HUGE_VAL, std::nan(""), -1.0}) {
+        fault::FaultSpec spec;
+        spec.upset_rate_per_column_s = rate;
+        EXPECT_THROW(fault::FaultPlan(spec, 28, 7), ContractViolation) << rate;
+    }
 }
 
 TEST(FaultPlan, UpsetTimesAscendAndColumnsStayInRange) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "refpga/common/contracts.hpp"
@@ -70,9 +73,35 @@ TEST(SweepBuilder, ScenarioSeedIsPureFunction) {
 }
 
 TEST(SweepBuilder, EmptyAxisRejected) {
-    SweepBuilder builder;
-    EXPECT_THROW(builder.parts({}), ContractViolation);
-    EXPECT_THROW(builder.noise_levels({}), ContractViolation);
+    EXPECT_THROW((void)SweepBuilder{}.parts({}).build(), std::invalid_argument);
+    EXPECT_THROW((void)SweepBuilder{}.noise_levels({}).build(), std::invalid_argument);
+}
+
+TEST(Sweep, ValidateNamesTheOffendingField) {
+    const auto message = [](const Sweep& sweep) -> std::string {
+        try {
+            sweep.validate();
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    EXPECT_EQ(message(Sweep{}), "accepted");
+    Sweep s;
+    s.upset_rates = {0.0, std::nan("")};
+    EXPECT_EQ(message(s).rfind("upset_rates:", 0), 0u) << message(s);
+    s = Sweep{};
+    s.noise_levels = {std::numeric_limits<double>::infinity()};
+    EXPECT_EQ(message(s).rfind("noise_levels:", 0), 0u) << message(s);
+    s = Sweep{};
+    s.fills = {{0.1, 1.5}};
+    EXPECT_EQ(message(s).rfind("fills.end:", 0), 0u) << message(s);
+    s = Sweep{};
+    s.fault_defaults.glitch_prob_per_cycle = 1.01;
+    EXPECT_EQ(message(s).rfind("fault.glitch_prob_per_cycle:", 0), 0u) << message(s);
+    s = Sweep{};
+    s.cycles = 0;
+    EXPECT_EQ(message(s).rfind("cycles:", 0), 0u) << message(s);
 }
 
 TEST(Ports, KindsMapToSpecs) {
@@ -273,22 +302,29 @@ TEST(Campaign, OutcomesCarryPhysicallySensibleMetrics) {
     EXPECT_GT(reconf->dynamic_mw, 0.0);
 }
 
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
 TEST(Campaign, GroupsCoverEveryAxisValue) {
     const std::vector<Scenario> sweep = acceptance_sweep();
     const CampaignReport report =
         CampaignReport::from(CampaignRunner(2).run(sweep));
 
-    std::size_t variant_groups = 0;
-    std::size_t part_groups = 0;
-    for (const CampaignReport::Group& g : report.groups()) {
-        if (g.axis == "variant") ++variant_groups;
-        if (g.axis == "part") ++part_groups;
-        std::size_t covered = 0;
-        for (const std::size_t i : g.indices) covered += i < report.outcomes().size();
-        EXPECT_EQ(covered, g.indices.size());
-    }
-    EXPECT_EQ(variant_groups, 2u);
-    EXPECT_EQ(part_groups, 3u);
+    // One group per axis value; each group counts every scenario carrying
+    // that value (24 scenarios: 12 per variant, 8 per part).
+    const std::string json = report.render_json();
+    EXPECT_EQ(occurrences(json, "{\"axis\":\"variant\""), 2u);
+    EXPECT_EQ(occurrences(json, "{\"axis\":\"part\""), 3u);
+    EXPECT_EQ(occurrences(json, "{\"axis\":\"port\""), 2u);
+    EXPECT_EQ(occurrences(json, "{\"axis\":\"noise\""), 2u);
+    EXPECT_EQ(occurrences(json, "{\"axis\":\"upset_rate\""), 1u);
+    EXPECT_EQ(occurrences(json, "\"value\":\"monolithic-hw\",\"scenarios\":12,"), 1u);
+    EXPECT_EQ(occurrences(json, "\"value\":\"xc3s400\",\"scenarios\":8,"), 1u);
 
     const MetricSummary busy = report.summary("cycle_busy_ms");
     EXPECT_EQ(busy.count, sweep.size());

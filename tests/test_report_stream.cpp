@@ -1,13 +1,17 @@
-// Merge semantics of the streaming report path: a ReportAccumulator fed
-// outcome batches in any partition and any arrival order must render the
-// byte-identical report to the single-process CampaignReport, and must do
-// so holding only O(batch) decoded rows in memory.
+// Merge semantics of the campaign report: a CampaignReport fed outcome
+// batches in any partition and any arrival order must render the
+// byte-identical report to CampaignReport::from over the whole result, must
+// do so holding only O(batch) decoded rows in memory, and must reproduce
+// the golden reports under tests/golden/ from every way of building it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +21,6 @@
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
 #include "refpga/fleet/report.hpp"
-#include "refpga/fleet/report_stream.hpp"
 #include "refpga/fleet/scenario.hpp"
 
 namespace refpga::fleet {
@@ -88,7 +91,7 @@ void expect_identical_renderings(const CampaignResult& result,
 
     std::mt19937 rng(20080808);
     for (int round = 0; round < 5; ++round) {
-        ReportAccumulator acc(result.outcomes.size(), temp_spool(tag));
+        CampaignReport acc(result.outcomes.size(), temp_spool(tag));
         if (!metrics_json.empty()) acc.attach_metrics_json(metrics_json);
         for (const auto& [first, count] :
              random_partition(result.outcomes.size(), rng)) {
@@ -122,7 +125,7 @@ TEST(ReportStream, EncodedLinesCommitLikeDecodedOutcomes) {
     const CampaignResult result = run_reference(plain_sweep());
     const std::string want = CampaignReport::from(result).render_text();
 
-    ReportAccumulator acc(result.outcomes.size(), temp_spool("encoded"));
+    CampaignReport acc(result.outcomes.size(), temp_spool("encoded"));
     std::vector<std::string> lines;
     for (const ScenarioOutcome& o : result.outcomes)
         lines.push_back(encode_outcome_line(o));
@@ -162,6 +165,19 @@ TEST(ReportStream, CodecRoundTripsEveryFieldBitExactly) {
     }
 }
 
+TEST(ReportStream, RendersFailedOutcomesOfAnyScenario) {
+    // The runner turns a scenario that breaks its preconditions into a
+    // failed outcome; the report must still spool and render it.
+    std::vector<Scenario> sweep =
+        SweepBuilder{}.noise_levels({1e-3, 2e-3}).cycles(1).campaign_seed(7).build();
+    sweep[1].cycles = -3;
+    const CampaignResult result = CampaignRunner(CampaignOptions(1)).run(sweep);
+    ASSERT_FALSE(result.outcomes[1].ok);
+    const std::string json = CampaignReport::from(result).render_json();
+    EXPECT_NE(json.find("\"cycles\":-3,"), std::string::npos);
+    EXPECT_NE(json.find("\"failure_count\":1"), std::string::npos);
+}
+
 TEST(ReportStream, CodecRejectsMalformedLines) {
     const CampaignResult result = run_reference(plain_sweep());
     const std::string line = encode_outcome_line(result.outcomes[0]);
@@ -176,7 +192,7 @@ TEST(ReportStream, CodecRejectsMalformedLines) {
 
 TEST(ReportStream, DuplicateCommitIsRejected) {
     const CampaignResult result = run_reference(plain_sweep());
-    ReportAccumulator acc(result.outcomes.size(), temp_spool("dup"));
+    CampaignReport acc(result.outcomes.size(), temp_spool("dup"));
     acc.add(0, {result.outcomes.begin(), result.outcomes.begin() + 2});
     EXPECT_THROW(acc.add(1, {result.outcomes.begin() + 1,
                              result.outcomes.begin() + 3}),
@@ -190,7 +206,7 @@ TEST(ReportStream, MarkPartialRendersExpectedCountAndMissingRanges) {
     // Commit [0, 3) and [5, 7) of an 8-scenario expectation, then declare
     // the run partial: both renderings must carry the expected count and the
     // exact gaps, so a degraded report can never pass for a complete one.
-    ReportAccumulator acc(8, temp_spool("partial"));
+    CampaignReport acc(8, temp_spool("partial"));
     acc.add(0, {result.outcomes.begin(), result.outcomes.begin() + 3});
     acc.add(5, {result.outcomes.begin() + 5, result.outcomes.begin() + 7});
     ASSERT_FALSE(acc.complete());
@@ -210,9 +226,9 @@ TEST(ReportStream, MarkPartialRendersExpectedCountAndMissingRanges) {
         std::string::npos);
 }
 
-TEST(ReportStream, UnmarkedIncompleteAccumulatorOmitsPartialAnnotations) {
+TEST(ReportStream, UnmarkedIncompleteReportOmitsPartialAnnotations) {
     const CampaignResult result = run_reference(plain_sweep());
-    ReportAccumulator acc(8, temp_spool("nopartial"));
+    CampaignReport acc(8, temp_spool("nopartial"));
     acc.add(0, {result.outcomes.begin(), result.outcomes.begin() + 3});
     EXPECT_EQ(acc.render_text().find("partial:"), std::string::npos);
     EXPECT_EQ(acc.render_json().find("\"partial\""), std::string::npos);
@@ -226,7 +242,7 @@ TEST(ReportStream, RetainedRowsStayBoundedOnLargeSweeps) {
     constexpr std::size_t kScenarios = 5000;
     constexpr std::size_t kBatch = 64;
 
-    ReportAccumulator acc(kScenarios, temp_spool("large"));
+    CampaignReport acc(kScenarios, temp_spool("large"));
     std::size_t index = 0;
     while (index < kScenarios) {
         const std::size_t count = std::min(kBatch, kScenarios - index);
@@ -251,6 +267,163 @@ TEST(ReportStream, RetainedRowsStayBoundedOnLargeSweeps) {
     const std::string text = acc.render_text();
     EXPECT_NE(text.find("synthetic-0 "), std::string::npos);
     EXPECT_NE(text.find("synthetic-4999"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- goldens
+//
+// tests/golden/report_*.{txt,json} pin the report bytes for
+// golden_result(): complete with an attached obs document, partial with
+// [3, 5) and [7, 8) missing, and an empty campaign. Every way of building a
+// report — from(result), a file-backed or in-memory report fed in random
+// arrival order, encoded lines — must reproduce them byte for byte; they
+// change only with a deliberate change to the report format.
+
+// Hand-built outcomes over an 8-scenario grid (2 variants x 2 ports x 2
+// upset rates, one noise level of 1/300 V): one failed row whose error needs
+// JSON escaping, fault metrics on every row, and awkward doubles (thirds,
+// 1e-300, the smallest denormal) that only a bit-exact spool reproduces.
+CampaignResult golden_result() {
+    fault::FaultSpec defaults;
+    defaults.load_corruption_prob = 0.25;
+    const std::vector<Scenario> grid =
+        SweepBuilder{}
+            .variants({SystemVariant::MonolithicHw, SystemVariant::ReconfiguredHw})
+            .ports({PortKind::Jcap, PortKind::Icap})
+            .noise_levels({1.0 / 300.0})
+            .upset_rates({0.0, 0.5})
+            .fault_defaults(defaults)
+            .cycles(3)
+            .campaign_seed(2008)
+            .build();
+    CampaignResult result;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        ScenarioOutcome o;
+        o.scenario = grid[i];
+        const auto n = static_cast<double>(i);
+        const auto k = static_cast<long>(i);
+        o.ok = i != 5;
+        if (!o.ok) {
+            o.error = "injected \"fault\"\n\tsecond line";
+            result.outcomes.push_back(o);
+            continue;
+        }
+        o.level_error_mean = (n + 1.0) / 3.0;
+        o.level_error_max = 2.0 * (n + 1.0) / 3.0;
+        o.cycle_busy_ms = 12.5 + n;
+        o.reconfig_ms_per_cycle = i % 2 == 1 ? 0.0 : 37.25 / (n + 1.0);
+        o.static_mw = 41.0 + 0.1 * n;
+        o.dynamic_mw = i == 2 ? 1e-300 : 3.0 / (n + 7.0);
+        o.reconfig_energy_mj = 0.01 * n;
+        o.resident_slices = 1000 + 37 * i;
+        o.fitted_part = i % 3 == 0 ? "" : "xc3s400";
+        o.device_fits = i % 2 == 0;
+        o.upsets_injected = k;
+        o.upsets_detected = k / 2;
+        o.columns_repaired = k / 2;
+        o.load_retries = k % 3;
+        o.load_failures = k % 2;
+        o.rejected_cycles = k % 4 == 1 ? 1 : 0;
+        o.fallback_cycles = k / 3;
+        o.availability = 1.0 - n / 64.0;
+        o.mttd_ms = i == 4 ? std::numeric_limits<double>::denorm_min() : 0.5 * n;
+        o.mttr_ms = n / 3.0;
+        o.scrub_ms_per_cycle = 0.125 * n;
+        result.outcomes.push_back(o);
+    }
+    return result;
+}
+
+constexpr const char* kGoldenObsJson = "{\"metrics\":{\"counters\":{\"demo_total\":3}}}";
+
+std::string golden(const std::string& name) {
+    std::ifstream in(std::string(REFPGA_GOLDEN_DIR) + name, std::ios::binary);
+    EXPECT_TRUE(in) << "missing golden file " << name;
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+void expect_golden(const CampaignReport& report, const std::string& stem) {
+    EXPECT_EQ(report.render_text(), golden(stem + ".txt")) << stem;
+    EXPECT_EQ(report.render_json(), golden(stem + ".json")) << stem;
+}
+
+std::vector<ScenarioOutcome> slice(const CampaignResult& result, std::size_t first,
+                                   std::size_t count) {
+    const auto begin = result.outcomes.begin() + static_cast<std::ptrdiff_t>(first);
+    return {begin, begin + static_cast<std::ptrdiff_t>(count)};
+}
+
+std::vector<std::string> encoded(const CampaignResult& result, std::size_t first,
+                                 std::size_t count) {
+    std::vector<std::string> lines;
+    for (const ScenarioOutcome& o : slice(result, first, count))
+        lines.push_back(encode_outcome_line(o));
+    return lines;
+}
+
+TEST(ReportGolden, CompleteFromResult) {
+    CampaignReport report = CampaignReport::from(golden_result());
+    report.attach_metrics_json(kGoldenObsJson);
+    expect_golden(report, "report_complete");
+}
+
+TEST(ReportGolden, CompleteFromBatchesInRandomArrivalOrder) {
+    const CampaignResult result = golden_result();
+    std::mt19937 rng(2008);
+    for (int round = 0; round < 4; ++round) {
+        // Even rounds spool to a file, odd rounds in memory.
+        const std::string spool = round % 2 == 0 ? temp_spool("golden") : "";
+        CampaignReport report(result.outcomes.size(), spool);
+        report.attach_metrics_json(kGoldenObsJson);
+        for (const auto& [first, count] :
+             random_partition(result.outcomes.size(), rng))
+            report.add(first, slice(result, first, count));
+        ASSERT_TRUE(report.complete());
+        expect_golden(report, "report_complete");
+    }
+}
+
+TEST(ReportGolden, CompleteFromEncodedLines) {
+    const CampaignResult result = golden_result();
+    const std::size_t n = result.outcomes.size();
+    CampaignReport report(n, temp_spool("golden_encoded"));
+    report.attach_metrics_json(kGoldenObsJson);
+    report.add_encoded(n / 2, encoded(result, n / 2, n - n / 2));
+    report.add_encoded(0, encoded(result, 0, n / 2));
+    expect_golden(report, "report_complete");
+}
+
+TEST(ReportGolden, PartialAfterMarkPartial) {
+    const CampaignResult result = golden_result();
+    for (const std::string& spool : {temp_spool("golden_partial"), std::string()}) {
+        CampaignReport report(result.outcomes.size(), spool);
+        report.add(5, slice(result, 5, 2));
+        report.add_encoded(0, encoded(result, 0, 3));
+        report.mark_partial();
+        expect_golden(report, "report_partial");
+    }
+}
+
+TEST(ReportGolden, EmptyCampaign) {
+    expect_golden(CampaignReport::from(CampaignResult{}), "report_empty");
+    const CampaignReport report(0, temp_spool("golden_empty"));
+    EXPECT_TRUE(report.complete());
+    expect_golden(report, "report_empty");
+}
+
+TEST(ReportStream, FileSpoolIsRemovedWithTheReport) {
+    const std::string spool = temp_spool("removed");
+    {
+        CampaignReport report(2, spool);
+        report.add(0, slice(golden_result(), 0, 2));
+        EXPECT_EQ(::access(spool.c_str(), F_OK), 0) << "spool not created";
+        // Moving the report hands the file over; only the last owner deletes.
+        const CampaignReport moved(std::move(report));
+        EXPECT_EQ(::access(spool.c_str(), F_OK), 0);
+        EXPECT_NE(moved.render_text().find("campaign: 2 scenarios"), std::string::npos);
+    }
+    EXPECT_NE(::access(spool.c_str(), F_OK), 0) << "spool left behind";
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +164,45 @@ TEST(Job, RejectsUnknownAndMalformedFields) {
     EXPECT_THROW((void)JobSpec::from_json("{\"upset_rates\":[-1]}"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":2.5}"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":1e12}"), JobError);
+}
+
+void expect_rejected(const std::string& doc, const std::string& key) {
+    try {
+        (void)JobSpec::from_json(doc);
+        ADD_FAILURE() << doc << " accepted";
+    } catch (const JobError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << doc << ": " << e.what();
+    }
+}
+
+TEST(Job, RejectsNonFiniteAndOutOfRangeValues) {
+    // Every double field ("@" marks the value): 1e999 overflows strtod to
+    // inf, and both number parsers accept the "inf" and "nan" spellings.
+    const std::vector<std::pair<std::string, std::string>> fields = {
+        {"noise_levels", "{\"noise_levels\":[@]}"},
+        {"upset_rates", "{\"upset_rates\":[@]}"},
+        {"fills", "{\"fills\":[{\"start\":@}]}"},
+        {"fills", "{\"fills\":[{\"end\":@}]}"},
+        {"load_corruption_prob", "{\"fault\":{\"load_corruption_prob\":@}}"},
+        {"flash_error_prob", "{\"fault\":{\"flash_error_prob\":@}}"},
+        {"glitch_prob_per_cycle", "{\"fault\":{\"glitch_prob_per_cycle\":@}}"},
+    };
+    for (const auto& [key, doc] : fields)
+        for (const char* value : {"1e999", "-1e999", "\"inf\"", "\"nan\""}) {
+            std::string text = doc;
+            text.replace(text.find('@'), 1, value);
+            expect_rejected(text, key);
+        }
+    expect_rejected("{\"fills\":[{\"start\":1.5}]}", "fills");
+    expect_rejected("{\"fills\":[{\"end\":-0.25}]}", "fills");
+    expect_rejected("{\"fault\":{\"load_corruption_prob\":1.5}}", "load_corruption_prob");
+    expect_rejected("{\"fault\":{\"flash_error_prob\":2}}", "flash_error_prob");
+    expect_rejected("{\"fault\":{\"glitch_prob_per_cycle\":1.01}}",
+                    "glitch_prob_per_cycle");
+    expect_rejected("{\"noise_levels\":[-1e-3]}", "noise_levels");
+    expect_rejected("{\"cycles\":0}", "cycles");
+    expect_rejected("{\"ports\":[]}", "ports");
 }
 
 TEST(Job, SeedStringsRejectOverflowButAcceptMaxU64) {
@@ -826,6 +867,62 @@ JobSpec fault_spec() {
     spec.cycles = 4;
     spec.campaign_seed = 910;
     return spec;  // 6 scenarios
+}
+
+TEST(Job, CanonicalJsonIsStable) {
+    // Checkpoints embed fingerprint(), so these literal bytes must never
+    // drift: if they do, every existing checkpoint refuses to resume.
+    EXPECT_EQ(JobSpec{}.canonical_json(),
+              "{\"variants\":[\"reconfigured-hw\"],\"parts\":[\"xc3s400\"],"
+              "\"ports\":[\"jcap\"],"
+              "\"noise_levels\":[\"0x1.0624dd2f1a9fcp-10\"],"
+              "\"upset_rates\":[\"0x0p+0\"],"
+              "\"fault\":{\"load_corruption_prob\":\"0x0p+0\","
+              "\"flash_error_prob\":\"0x0p+0\","
+              "\"glitch_prob_per_cycle\":\"0x0p+0\"},"
+              "\"fills\":[{\"start\":\"0x1.999999999999ap-4\","
+              "\"end\":\"0x1.ccccccccccccdp-1\"}],\"cycles\":8,"
+              "\"campaign_seed\":\"2008\",\"stream_block_ticks\":4096}");
+    EXPECT_EQ(JobSpec{}.fingerprint(), 0xf7f911b69143f12aULL);
+    EXPECT_EQ(fault_spec().canonical_json(),
+              "{\"variants\":[\"reconfigured-hw\"],\"parts\":[\"xc3s400\"],"
+              "\"ports\":[\"jcap\",\"icap\"],"
+              "\"noise_levels\":[\"0x1.0624dd2f1a9fcp-10\"],"
+              "\"upset_rates\":[\"0x0p+0\",\"0x1.999999999999ap-3\","
+              "\"0x1p+0\"],"
+              "\"fault\":{\"load_corruption_prob\":\"0x1.999999999999ap-4\","
+              "\"flash_error_prob\":\"0x0p+0\","
+              "\"glitch_prob_per_cycle\":\"0x0p+0\"},"
+              "\"fills\":[{\"start\":\"0x1.999999999999ap-4\","
+              "\"end\":\"0x1.ccccccccccccdp-1\"}],\"cycles\":4,"
+              "\"campaign_seed\":\"910\",\"stream_block_ticks\":4096}");
+    EXPECT_EQ(fault_spec().fingerprint(), 0xa90e25dc8bd736b9ULL);
+}
+
+TEST(Coordinator, RejectsInvalidSpecBeforeForking) {
+    // Built in code, so from_json's validation never saw it: the
+    // coordinator must refuse it before creating a spool or forking a
+    // worker, instead of letting every worker die on it.
+    JobSpec spec = small_spec();
+    spec.upset_rates = {0.0, std::nan("")};
+    CoordinatorOptions options;
+    options.spool_path = temp_path("invalid_spool");
+    EXPECT_THROW(Coordinator(spec, options), std::invalid_argument);
+    EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0);
+}
+
+TEST(Coordinator, RemovesSpoolWhenDestroyed) {
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.batch = 4;
+    options.spool_path = temp_path("removed_spool");
+    {
+        Coordinator coordinator(small_spec(), options);
+        ASSERT_TRUE(coordinator.run().completed);
+        EXPECT_EQ(::access(options.spool_path.c_str(), F_OK), 0);
+    }
+    EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0)
+        << "spool left behind";
 }
 
 TEST(Coordinator, MatchesSingleProcessReportByteForByte) {
