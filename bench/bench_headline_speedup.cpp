@@ -5,14 +5,24 @@
 // 7 us (without performing reconfiguration)". We measure the soft-core
 // executing the ported legacy firmware (soft multiply, code in external
 // SRAM), two intermediate software configurations, and the hardware modules.
+//
+// A second table times the simulation itself on the host: the resident
+// `SoftCore` (firmware loaded once, decode-cached CPU) against the oracle
+// path it replaced (assemble, fresh memory and `CpuReference` per window),
+// in microseconds per window and nanoseconds per retired instruction. Every
+// window's SoftwareRun must be identical on both paths; the exit status is
+// non-zero otherwise, so CI runs `--smoke` as a check.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "refpga/app/golden.hpp"
 #include "refpga/app/software.hpp"
+#include "refpga/app/software_reference.hpp"
 #include "refpga/common/table.hpp"
 
 namespace {
@@ -44,14 +54,14 @@ void print_speedup() {
 
     {
         app::SoftwareConfig cfg;  // legacy port: soft multiply, SRAM code
-        const auto run = app::run_software_cycle(meas, ref, p, cfg);
+        const auto run = app::SoftCore(p, cfg).run(meas, ref);
         rows.push_back({"SW: legacy port (soft mul, code in ext. SRAM)",
                         run.seconds(p.system_clock_hz), run.code_bytes});
     }
     {
         app::SoftwareConfig cfg;
         cfg.hw_multiplier = true;
-        const auto run = app::run_software_cycle(meas, ref, p, cfg);
+        const auto run = app::SoftCore(p, cfg).run(meas, ref);
         rows.push_back({"SW: + MULT18-backed multiplier",
                         run.seconds(p.system_clock_hz), run.code_bytes});
     }
@@ -60,7 +70,7 @@ void print_speedup() {
         cfg.hw_multiplier = true;
         cfg.code_in_sram = false;
         cfg.padding_bytes = 0;
-        const auto run = app::run_software_cycle(meas, ref, p, cfg);
+        const auto run = app::SoftCore(p, cfg).run(meas, ref);
         rows.push_back({"SW: + kernel-only code in LMB BRAM",
                         run.seconds(p.system_clock_hz), run.code_bytes});
     }
@@ -94,16 +104,104 @@ void print_speedup() {
                  "cutting dynamic power (see bench_power_breakdown)\n";
 }
 
+/// Host time of the simulation, resident core vs oracle path, over
+/// `windows` tone windows per configuration. Returns false when any
+/// SoftwareRun differs between the two.
+bool print_host_time(int windows) {
+    benchkit::print_header("Soft-core host time",
+                           "resident SoftCore vs per-window oracle path");
+    using Clock = std::chrono::steady_clock;
+    auto us_since = [](Clock::time_point t0) {
+        return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    };
+
+    const app::AppParams p;
+    struct Config {
+        const char* name;
+        app::SoftwareConfig cfg;
+    };
+    std::vector<Config> configs(3);
+    configs[0].name = "legacy port (soft mul, SRAM code)";
+    configs[1].name = "+ MULT18-backed multiplier";
+    configs[1].cfg.hw_multiplier = true;
+    configs[2].name = "+ kernel-only code in LMB BRAM";
+    configs[2].cfg.hw_multiplier = true;
+    configs[2].cfg.code_in_sram = false;
+    configs[2].cfg.padding_bytes = 0;
+
+    bool identical = true;
+    Table table({"configuration", "firmware build (us)", "SoftCore (us/window)",
+                 "oracle (us/window)", "SoftCore (ns/insn)", "oracle (ns/insn)",
+                 "speedup"});
+    for (const Config& c : configs) {
+        // Firmware build (generate, assemble, load): median of five.
+        std::vector<double> builds;
+        for (int i = 0; i < 5; ++i) {
+            const auto t0 = Clock::now();
+            const app::SoftCore probe(p, c.cfg);
+            builds.push_back(us_since(t0));
+        }
+        std::sort(builds.begin(), builds.end());
+        const double build_us = builds[builds.size() / 2];
+
+        app::SoftCore core(p, c.cfg);
+
+        double core_us = 0.0;
+        double oracle_us = 0.0;
+        std::int64_t core_insns = 0;
+        std::int64_t oracle_insns = 0;
+        for (int w = 0; w < windows; ++w) {
+            const auto meas = tone_window(p, 600.0 + 37.0 * w, 0.05 * w);
+            const auto ref = tone_window(p, 1000.0, -0.02 * w);
+            auto t0 = Clock::now();
+            const app::SoftwareRun fast = core.run(meas, ref);
+            core_us += us_since(t0);
+            core_insns += core.cpu().retired();
+
+            std::int64_t retired = 0;
+            t0 = Clock::now();
+            const app::SoftwareRun oracle =
+                app::run_software_cycle_reference(meas, ref, p, c.cfg, {}, &retired);
+            oracle_us += us_since(t0);
+            oracle_insns += retired;
+            if (fast != oracle || core.cpu().retired() != retired) {
+                std::cerr << "FAIL: " << c.name << ", window " << w
+                          << ": SoftwareRun differs from the oracle's\n";
+                identical = false;
+            }
+        }
+        table.add_row({c.name, Table::num(build_us, 0), Table::num(core_us / windows, 1),
+                       Table::num(oracle_us / windows, 1),
+                       Table::num(core_us * 1e3 / static_cast<double>(core_insns), 2),
+                       Table::num(oracle_us * 1e3 / static_cast<double>(oracle_insns), 2),
+                       Table::num(oracle_us / core_us, 1) + "x"});
+    }
+    std::cout << table.render();
+    std::cout << windows << " windows per configuration; every SoftwareRun identical "
+              << "to the oracle's: " << (identical ? "yes" : "NO") << "\n";
+    return identical;
+}
+
 void BM_SoftwareCycleLegacy(benchmark::State& state) {
     const app::AppParams p;
     const auto meas = tone_window(p, 1400.0, 0.3);
     const auto ref = tone_window(p, 1000.0, 0.0);
+    app::SoftCore core(p);
     for (auto _ : state) {
-        auto run = app::run_software_cycle(meas, ref, p);
+        auto run = core.run(meas, ref);
         benchmark::DoNotOptimize(run.level_q15);
     }
 }
-BENCHMARK(BM_SoftwareCycleLegacy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SoftwareCycleLegacy)->Unit(benchmark::kMicrosecond);
+
+void BM_SoftCoreBuild(benchmark::State& state) {
+    const app::AppParams p;
+    for (auto _ : state) {
+        app::SoftCore core(p);
+        benchmark::DoNotOptimize(core.cpu().pc());
+    }
+}
+BENCHMARK(BM_SoftCoreBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_GoldenPipelineWindow(benchmark::State& state) {
     const app::AppParams p;
@@ -120,7 +218,10 @@ BENCHMARK(BM_GoldenPipelineWindow)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+    const bool smoke = benchkit::smoke_mode(argc, argv);
     print_speedup();
+    if (!print_host_time(smoke ? 20 : 200)) return 1;
+    if (smoke) return 0;
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

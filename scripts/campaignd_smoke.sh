@@ -31,7 +31,8 @@ METRICS="$OUT_DIR/metrics.prom"
 EXPECTED=48
 
 # 24 noise levels x 2 upset rates: uniform-cost scenarios, long enough that
-# the mid-run scrape and the worker kill land while the sweep is in flight.
+# the mid-run scrape and the worker kill land while the sweep is in flight
+# (about half a second of scenario compute on a 4-vCPU host).
 python3 - "$SPEC" <<'EOF'
 import json, sys
 spec = {
@@ -40,7 +41,7 @@ spec = {
     "ports": ["jcap"],
     "noise_levels": [1e-3 * (1 + 0.05 * i) for i in range(24)],
     "upset_rates": [0.0, 0.5],
-    "cycles": 6,
+    "cycles": 64,
     "campaign_seed": 20080808,
 }
 json.dump(spec, open(sys.argv[1], "w"))

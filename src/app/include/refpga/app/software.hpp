@@ -66,13 +66,39 @@ struct SoftwareRun {
     [[nodiscard]] double seconds(double clock_hz) const {
         return static_cast<double>(cycles) / clock_hz;
     }
+    bool operator==(const SoftwareRun&) const = default;
 };
 
-/// Assembles, loads and executes one measurement window on the soft-core.
-[[nodiscard]] SoftwareRun run_software_cycle(std::span<const std::int32_t> meas,
-                                             std::span<const std::int32_t> ref,
-                                             const AppParams& params,
-                                             const SoftwareConfig& config = {},
-                                             const soc::MemoryConfig& mem_config = {});
+/// The measurement firmware resident on the soft-core. The constructor
+/// generates, assembles and loads the firmware once; run() rewrites the two
+/// sample buffers, resets the CPU and executes one window. The firmware
+/// writes nothing but the result block, so back-to-back runs equal runs on a
+/// freshly loaded core. Pinned to its address (the CPU refers to the
+/// memory).
+class SoftCore {
+public:
+    /// Throws ContractViolation when the image would reach
+    /// `SoftwareLayout::meas_buf` (too much `padding_bytes`).
+    explicit SoftCore(const AppParams& params, const SoftwareConfig& config = {},
+                      const soc::MemoryConfig& mem_config = {});
+
+    SoftCore(const SoftCore&) = delete;
+    SoftCore& operator=(const SoftCore&) = delete;
+
+    /// Executes one measurement window (`params.window` samples a channel).
+    [[nodiscard]] SoftwareRun run(std::span<const std::int32_t> meas,
+                                  std::span<const std::int32_t> ref);
+
+    [[nodiscard]] const soc::MemorySystem& memory() const { return memory_; }
+    [[nodiscard]] const soc::Cpu& cpu() const { return cpu_; }
+
+private:
+    std::size_t window_;
+    SoftwareLayout layout_;
+    soc::MemorySystem memory_;
+    soc::Cpu cpu_;
+    std::uint32_t entry_;
+    std::uint32_t code_bytes_ = 0;
+};
 
 }  // namespace refpga::app

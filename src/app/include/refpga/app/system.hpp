@@ -157,6 +157,9 @@ private:
     void apply_glitch(const fault::Glitch& glitch, std::vector<std::int32_t>& meas,
                       std::vector<std::int32_t>& ref);
     [[nodiscard]] double level_candidate(std::uint32_t cap_pf_q4) const;
+    /// The resident firmware, built on first use (Software variant, or the
+    /// first fallback cycle).
+    [[nodiscard]] SoftCore& soft_core();
     [[nodiscard]] double fallback_processing_s(
         const std::vector<std::int32_t>& meas, const std::vector<std::int32_t>& ref);
     void run_scrub_phase(CycleReport& report, double cycle_start_s, double& t);
@@ -183,6 +186,7 @@ private:
     golden::FilterState::Output last_good_level_{};
     int reject_streak_ = 0;
     std::optional<double> fallback_s_;  ///< cached software-path timing
+    std::optional<SoftCore> soft_core_;
 
     // Observability ids, interned once at construction (empty/invalid when
     // options_.recorder is null).

@@ -292,34 +292,40 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     return os.str();
 }
 
-SoftwareRun run_software_cycle(std::span<const std::int32_t> meas,
-                               std::span<const std::int32_t> ref,
-                               const AppParams& params, const SoftwareConfig& config,
-                               const soc::MemoryConfig& mem_config) {
-    REFPGA_EXPECTS(meas.size() == static_cast<std::size_t>(params.window));
+SoftCore::SoftCore(const AppParams& params, const SoftwareConfig& config,
+                   const soc::MemoryConfig& mem_config)
+    : window_(static_cast<std::size_t>(params.window)),
+      memory_(mem_config),
+      cpu_(memory_),
+      entry_(config.code_in_sram ? layout_.code_base : 0) {
+    const soc::Program program =
+        soc::assemble(measurement_source(params, config, layout_));
+    // Every window rewrites the sample buffers and the firmware the result
+    // block above them: an image reaching them would be corrupted.
+    REFPGA_EXPECTS(program.size_bytes() <= layout_.meas_buf);
+    memory_.load(program);
+    code_bytes_ = program.size_bytes() - entry_;
+}
+
+SoftwareRun SoftCore::run(std::span<const std::int32_t> meas,
+                          std::span<const std::int32_t> ref) {
+    REFPGA_EXPECTS(meas.size() == window_);
     REFPGA_EXPECTS(ref.size() == meas.size());
 
-    const SoftwareLayout layout;
-    const soc::Program program =
-        soc::assemble(measurement_source(params, config, layout));
-
-    soc::MemorySystem memory(mem_config);
-    memory.load(program);
     for (std::size_t i = 0; i < meas.size(); ++i) {
-        memory.poke(layout.meas_buf + static_cast<std::uint32_t>(4 * i),
-                    static_cast<std::uint32_t>(meas[i]));
-        memory.poke(layout.ref_buf + static_cast<std::uint32_t>(4 * i),
-                    static_cast<std::uint32_t>(ref[i]));
+        memory_.poke(layout_.meas_buf + static_cast<std::uint32_t>(4 * i),
+                     static_cast<std::uint32_t>(meas[i]));
+        memory_.poke(layout_.ref_buf + static_cast<std::uint32_t>(4 * i),
+                     static_cast<std::uint32_t>(ref[i]));
     }
 
-    soc::Cpu cpu(memory);
-    cpu.reset(config.code_in_sram ? layout.code_base : 0);
-    const soc::CpuState state = cpu.run(500'000'000);
+    cpu_.reset(entry_);
+    const soc::CpuState state = cpu_.run(500'000'000);
     REFPGA_EXPECTS(state == soc::CpuState::Halted);
 
     auto result_word = [&](SwResult r) {
-        return memory.peek(layout.result_base +
-                           static_cast<std::uint32_t>(4 * static_cast<int>(r)));
+        return memory_.peek(layout_.result_base +
+                            static_cast<std::uint32_t>(4 * static_cast<int>(r)));
     };
     SoftwareRun run;
     run.amp_meas = result_word(SwResult::AmpMeas);
@@ -329,9 +335,8 @@ SoftwareRun run_software_cycle(std::span<const std::int32_t> meas,
     run.ratio_q12 = result_word(SwResult::RatioQ12);
     run.cap_pf_q4 = result_word(SwResult::CapPfQ4);
     run.level_q15 = result_word(SwResult::LevelQ15);
-    run.cycles = cpu.cycles();
-    run.code_bytes = program.size_bytes() -
-                     (config.code_in_sram ? layout.code_base : 0);
+    run.cycles = cpu_.cycles();
+    run.code_bytes = code_bytes_;
     return run;
 }
 

@@ -229,14 +229,18 @@ double MeasurementSystem::level_candidate(std::uint32_t cap_pf_q4) const {
     return std::clamp((cap_pf - p.c_empty_pf) / span, 0.0, 1.0);
 }
 
+SoftCore& MeasurementSystem::soft_core() {
+    if (!soft_core_) soft_core_.emplace(options_.params, options_.software);
+    return *soft_core_;
+}
+
 double MeasurementSystem::fallback_processing_s(
     const std::vector<std::int32_t>& meas, const std::vector<std::int32_t>& ref) {
     // The resident software path always runs the same pipeline over the same
     // window size, so its cycle count is window-invariant: simulate it once
     // and reuse the timing.
     if (!fallback_s_) {
-        const SoftwareRun run =
-            run_software_cycle(meas, ref, options_.params, options_.software);
+        const SoftwareRun run = soft_core().run(meas, ref);
         fallback_s_ = run.seconds(options_.params.system_clock_hz);
     }
     return *fallback_s_;
@@ -355,8 +359,7 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
     obs::ScopedSpan process_span(options_.recorder, obs_ids_.span_process);
     if (options_.variant == SystemVariant::Software) {
         // The MicroBlaze executes the full pipeline from the sample buffers.
-        const SoftwareRun run =
-            run_software_cycle(meas, ref, p, options_.software);
+        const SoftwareRun run = soft_core().run(meas, ref);
         add_processing("software data processing (MicroBlaze)",
                        run.seconds(p.system_clock_hz));
         report.result.meas = {run.amp_meas, run.phase_meas};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <mutex>
 
 #include "refpga/analog/sample_block.hpp"
 #include "refpga/analog/tank.hpp"
@@ -57,9 +58,7 @@ VariantFit fit_from_stats(const std::vector<netlist::PartitionStats>& stats,
     return fit;
 }
 
-}  // namespace
-
-VariantFit variant_fit(app::SystemVariant variant) {
+VariantFit compute_variant_fit(app::SystemVariant variant) {
     app::SystemNetlistOptions options;
     if (variant == app::SystemVariant::Software) {
         // Processing runs on the soft core: only the static area is resident.
@@ -70,6 +69,19 @@ VariantFit variant_fit(app::SystemVariant variant) {
     const app::SystemNetlist sys = app::build_system_netlist(options);
     const auto stats = netlist::partition_stats(sys.nl);
     return fit_from_stats(stats, variant != app::SystemVariant::ReconfiguredHw);
+}
+
+}  // namespace
+
+VariantFit variant_fit(app::SystemVariant variant) {
+    // A pure function of the variant: each fit is built once per process, on
+    // first use, by whichever thread gets there first.
+    static std::array<std::once_flag, 3> once;
+    static std::array<VariantFit, 3> fits;
+    const auto v = static_cast<std::size_t>(variant);
+    REFPGA_EXPECTS(v < fits.size());
+    std::call_once(once[v], [&] { fits[v] = compute_variant_fit(variant); });
+    return fits[v];
 }
 
 namespace {

@@ -118,7 +118,8 @@ struct VariantFit {
 };
 
 /// Resident slice/FF demand of a system variant (from the structural system
-/// netlist; Software keeps only the static area resident).
+/// netlist; Software keeps only the static area resident). Computed once per
+/// process and variant; thread-safe.
 [[nodiscard]] VariantFit variant_fit(app::SystemVariant variant);
 
 class CampaignRunner {

@@ -35,12 +35,11 @@ void split_statement(const std::string& stmt, std::string& mnem,
     mnem = lower(stmt.substr(0, sp));
     operands.clear();
     if (sp == std::string::npos) return;
-    std::string rest = stmt.substr(sp + 1);
-    std::stringstream ss(rest);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        item = strip(item);
-        if (!item.empty()) operands.push_back(item);
+    for (std::size_t begin = sp + 1; begin <= stmt.size();) {
+        const std::size_t comma = std::min(stmt.find(',', begin), stmt.size());
+        std::string item = strip(stmt.substr(begin, comma - begin));
+        if (!item.empty()) operands.push_back(std::move(item));
+        begin = comma + 1;
     }
 }
 
@@ -98,7 +97,12 @@ private:
 
     void emit_word(std::uint32_t word, bool emit) {
         if (emit) program_.words[addr_] = word;
-        addr_ += 4;
+        advance(4);
+    }
+
+    void advance(std::uint32_t bytes) {
+        addr_ += bytes;
+        program_.extent = std::max(program_.extent, addr_);
     }
 
     void handle_directive(const std::string& mnem,
@@ -114,7 +118,11 @@ private:
             if (operands.size() != 1) fail(".space needs one operand");
             const auto bytes = parse_value(operands[0], emit);
             if (bytes < 0 || bytes % 4 != 0) fail(".space must be a multiple of 4");
-            for (std::int64_t i = 0; i < bytes; i += 4) emit_word(0, emit);
+            if (bytes > std::int64_t{0xFFFF'FFFF} - addr_)
+                fail(".space runs past the end of the address space");
+            // Reserved, not emitted: loading into zero-initialised memory
+            // leaves the range zeroed all the same.
+            advance(static_cast<std::uint32_t>(bytes));
         } else {
             fail("unknown directive '" + mnem + "'");
         }
@@ -214,6 +222,7 @@ private:
 
     void pass(bool emit) {
         addr_ = 0;
+        program_.extent = 0;
         line_no_ = 0;
         std::istringstream is(source_);
         std::string raw;
@@ -257,11 +266,6 @@ private:
 };
 
 }  // namespace
-
-std::uint32_t Program::size_bytes() const {
-    if (words.empty()) return 0;
-    return words.rbegin()->first + 4;
-}
 
 Program assemble(const std::string& source) { return Assembler(source).run(); }
 

@@ -16,7 +16,8 @@ std::uint32_t FslLink::read() {
     return v;
 }
 
-Cpu::Cpu(MemorySystem& memory, CpuCosts costs) : mem_(memory), costs_(costs) {}
+Cpu::Cpu(MemorySystem& memory, CpuCosts costs)
+    : mem_(memory), costs_(costs), decoded_(kDecodeSlots, DecodedSlot{0, decode(0)}) {}
 
 void Cpu::reset(std::uint32_t pc) {
     regs_.fill(0);
@@ -46,134 +47,127 @@ FslLink& Cpu::fsl_from_cpu(int link) {
     return fsl_out_[static_cast<std::size_t>(link)];
 }
 
-CpuState Cpu::step() {
-    if (state_ == CpuState::Halted) return state_;
+inline void Cpu::execute() {
     state_ = CpuState::Running;
 
     const std::uint32_t word = mem_.peek(pc_);
-    const Instruction insn = decode(word);
+    DecodedSlot& slot = decoded_[(pc_ >> 2) & (kDecodeSlots - 1)];
+    if (slot.word != word) {
+        slot.insn = decode(word);
+        slot.word = word;
+    }
+    const Instruction insn = slot.insn;
     const int fetch = mem_.fetch_latency(pc_);
 
-    auto ra = [&] { return reg(insn.ra); };
-    auto rb = [&] { return reg(insn.rb); };
-    auto rd_as_rb = [&] { return reg(insn.rd); };  // branches keep rb in rd slot
+    // Decoded register fields are 5 bits wide; regs_[0] stays 0 because
+    // set() and set_reg() skip it.
+    const std::uint32_t ra = regs_[insn.ra];
+    const std::uint32_t rb = regs_[insn.rb];
+    // sw's data register, or a branch's rb (branches keep rb in the rd slot).
+    const std::uint32_t rd_value = regs_[insn.rd];
+    auto set = [&](std::uint32_t value) {
+        if (insn.rd != 0) regs_[insn.rd] = value;
+    };
     const auto imm = static_cast<std::uint32_t>(insn.imm);
 
     std::uint32_t next_pc = pc_ + 4;
     int cost = costs_.alu;
+    // Conditional branches resolve without a host branch on the outcome.
+    const auto sa = static_cast<std::int32_t>(ra);
+    const auto sb = static_cast<std::int32_t>(rd_value);
+    auto branch = [&](bool taken) {
+        next_pc = taken ? pc_ + 4 + imm : next_pc;
+        cost = taken ? costs_.branch_taken : costs_.branch_not_taken;
+    };
 
     switch (insn.op) {
-        case Opcode::Add: set_reg(insn.rd, ra() + rb()); break;
-        case Opcode::Sub: set_reg(insn.rd, ra() - rb()); break;
+        case Opcode::Add: set(ra + rb); break;
+        case Opcode::Sub: set(ra - rb); break;
         case Opcode::Mul:
-            set_reg(insn.rd, ra() * rb());
+            set(ra * rb);
             cost = costs_.mul;
             break;
         case Opcode::Mulh: {
-            const std::int64_t p = static_cast<std::int64_t>(static_cast<std::int32_t>(ra())) *
-                                   static_cast<std::int32_t>(rb());
-            set_reg(insn.rd, static_cast<std::uint32_t>(p >> 32));
+            const std::int64_t p = static_cast<std::int64_t>(static_cast<std::int32_t>(ra)) *
+                                   static_cast<std::int32_t>(rb);
+            set(static_cast<std::uint32_t>(p >> 32));
             cost = costs_.mul;
             break;
         }
-        case Opcode::And: set_reg(insn.rd, ra() & rb()); break;
-        case Opcode::Or: set_reg(insn.rd, ra() | rb()); break;
-        case Opcode::Xor: set_reg(insn.rd, ra() ^ rb()); break;
-        case Opcode::Sll: set_reg(insn.rd, ra() << (rb() & 31)); break;
-        case Opcode::Srl: set_reg(insn.rd, ra() >> (rb() & 31)); break;
+        case Opcode::And: set(ra & rb); break;
+        case Opcode::Or: set(ra | rb); break;
+        case Opcode::Xor: set(ra ^ rb); break;
+        case Opcode::Sll: set(ra << (rb & 31)); break;
+        case Opcode::Srl: set(ra >> (rb & 31)); break;
         case Opcode::Sra:
-            set_reg(insn.rd, static_cast<std::uint32_t>(
-                                 static_cast<std::int32_t>(ra()) >> (rb() & 31)));
+            set(static_cast<std::uint32_t>(static_cast<std::int32_t>(ra) >> (rb & 31)));
             break;
-        case Opcode::Addi: set_reg(insn.rd, ra() + imm); break;
-        case Opcode::Andi: set_reg(insn.rd, ra() & (imm & 0xFFFFu)); break;
-        case Opcode::Ori: set_reg(insn.rd, ra() | (imm & 0xFFFFu)); break;
-        case Opcode::Xori: set_reg(insn.rd, ra() ^ (imm & 0xFFFFu)); break;
-        case Opcode::Slli: set_reg(insn.rd, ra() << (imm & 31)); break;
-        case Opcode::Srli: set_reg(insn.rd, ra() >> (imm & 31)); break;
+        case Opcode::Addi: set(ra + imm); break;
+        case Opcode::Andi: set(ra & (imm & 0xFFFFu)); break;
+        case Opcode::Ori: set(ra | (imm & 0xFFFFu)); break;
+        case Opcode::Xori: set(ra ^ (imm & 0xFFFFu)); break;
+        case Opcode::Slli: set(ra << (imm & 31)); break;
+        case Opcode::Srli: set(ra >> (imm & 31)); break;
         case Opcode::Srai:
-            set_reg(insn.rd, static_cast<std::uint32_t>(
-                                 static_cast<std::int32_t>(ra()) >> (imm & 31)));
+            set(static_cast<std::uint32_t>(static_cast<std::int32_t>(ra) >> (imm & 31)));
             break;
-        case Opcode::Lui: set_reg(insn.rd, (imm & 0xFFFFu) << 16); break;
+        case Opcode::Lui: set((imm & 0xFFFFu) << 16); break;
         case Opcode::Lw: {
             std::int64_t lat = 0;
-            set_reg(insn.rd, mem_.read_word(ra() + imm, lat));
+            set(mem_.read_word(ra + imm, lat));
             cost = costs_.load_store + static_cast<int>(lat);
             break;
         }
         case Opcode::Sw: {
             std::int64_t lat = 0;
-            mem_.write_word(ra() + imm, reg(insn.rd), lat);
+            mem_.write_word(ra + imm, rd_value, lat);
             cost = costs_.load_store + static_cast<int>(lat);
             break;
         }
-        case Opcode::Beq:
-        case Opcode::Bne:
-        case Opcode::Blt:
-        case Opcode::Bge:
-        case Opcode::Bltu:
-        case Opcode::Bgeu: {
-            const std::uint32_t a = ra();
-            const std::uint32_t b = rd_as_rb();
-            const auto sa = static_cast<std::int32_t>(a);
-            const auto sb = static_cast<std::int32_t>(b);
-            bool taken = false;
-            switch (insn.op) {
-                case Opcode::Beq: taken = a == b; break;
-                case Opcode::Bne: taken = a != b; break;
-                case Opcode::Blt: taken = sa < sb; break;
-                case Opcode::Bge: taken = sa >= sb; break;
-                case Opcode::Bltu: taken = a < b; break;
-                case Opcode::Bgeu: taken = a >= b; break;
-                default: break;
-            }
-            if (taken) {
-                next_pc = pc_ + 4 + imm;
-                cost = costs_.branch_taken;
-            } else {
-                cost = costs_.branch_not_taken;
-            }
-            break;
-        }
+        case Opcode::Beq: branch(ra == rd_value); break;
+        case Opcode::Bne: branch(ra != rd_value); break;
+        case Opcode::Blt: branch(sa < sb); break;
+        case Opcode::Bge: branch(sa >= sb); break;
+        case Opcode::Bltu: branch(ra < rd_value); break;
+        case Opcode::Bgeu: branch(ra >= rd_value); break;
         case Opcode::Br:
             next_pc = pc_ + 4 + imm;
             cost = costs_.branch_taken;
             break;
         case Opcode::Brl:
-            set_reg(15, pc_ + 4);
+            regs_[15] = pc_ + 4;
             next_pc = pc_ + 4 + imm;
             cost = costs_.branch_taken;
             break;
         case Opcode::Jr:
-            next_pc = ra();
+            next_pc = ra;
             cost = costs_.branch_taken;
             break;
         case Opcode::Get: {
-            FslLink& link = fsl_to_cpu(static_cast<int>(imm & 0x7));
+            FslLink& link = fsl_in_[imm & 0x7];
             if (!link.can_read()) {
                 ++cycles_;  // stall
                 state_ = CpuState::BlockedOnFsl;
-                return state_;
+                return;
             }
-            set_reg(insn.rd, link.read());
+            set(link.read());
             break;
         }
         case Opcode::Put: {
-            FslLink& link = fsl_from_cpu(static_cast<int>(imm & 0x7));
+            FslLink& link = fsl_out_[imm & 0x7];
             if (!link.can_write()) {
                 ++cycles_;
                 state_ = CpuState::BlockedOnFsl;
-                return state_;
+                return;
             }
-            link.write(ra());
+            link.write(ra);
             break;
         }
         case Opcode::Halt:
             state_ = CpuState::Halted;
             cycles_ += fetch;
             ++retired_;
-            return state_;
+            return;
     }
 
     // Fetch overlaps execution by one cycle in the pipeline; charge the
@@ -181,13 +175,17 @@ CpuState Cpu::step() {
     cycles_ += cost + (fetch - 1);
     ++retired_;
     pc_ = next_pc;
+}
+
+CpuState Cpu::step() {
+    if (state_ != CpuState::Halted) execute();
     return state_;
 }
 
 CpuState Cpu::run(std::int64_t max_cycles) {
     const std::int64_t limit = cycles_ + max_cycles;
     while (state_ != CpuState::Halted && cycles_ < limit) {
-        step();
+        execute();
         if (state_ == CpuState::BlockedOnFsl) break;  // needs external progress
     }
     return state_;

@@ -4,7 +4,7 @@
 //   label:                     define label at current address
 //   .org  ADDR                 set assembly address
 //   .word VALUE                emit a 32-bit literal
-//   .space BYTES               reserve zeroed bytes
+//   .space BYTES               reserve zeroed bytes (no words emitted)
 //   add   rd, ra, rb           R-type
 //   addi  rd, ra, IMM          I-type (IMM may be a label for lw/sw/addi)
 //   beq   ra, rb, LABEL        branch (pc-relative encoding computed)
@@ -29,13 +29,15 @@ struct AssemblyError {
     std::string message;
 };
 
-/// Assembled program: sparse 32-bit words keyed by byte address.
+/// Assembled program: sparse 32-bit words keyed by byte address. `.space`
+/// ranges hold no words; they count towards the extent only.
 struct Program {
     std::map<std::uint32_t, std::uint32_t> words;
     std::map<std::string, std::uint32_t> labels;
+    std::uint32_t extent = 0;  ///< end address of the highest word or reservation
 
     /// Code+data footprint in bytes (max extent over all sections).
-    [[nodiscard]] std::uint32_t size_bytes() const;
+    [[nodiscard]] std::uint32_t size_bytes() const { return extent; }
     [[nodiscard]] std::uint32_t entry() const { return 0; }
 };
 

@@ -4,6 +4,12 @@
 // the fetch latency of their code region; multiplies take 3, taken branches
 // flush 2 slots, loads/stores add the data region's latency. FSL get/put
 // block until the link has data/space, like MicroBlaze's fsl instructions.
+//
+// Each instruction is decoded once: a direct-mapped cache keyed by pc holds
+// the decoded form next to the word it came from, and every fetch still
+// reads memory and re-decodes on a mismatch — so pokes and self-modifying
+// stores behave exactly as with a decode per step. The per-step reference
+// interpreter (tests/support, `CpuReference`) pins this bit for bit.
 #pragma once
 
 #include <array>
@@ -11,6 +17,7 @@
 #include <deque>
 #include <vector>
 
+#include "refpga/soc/isa.hpp"
 #include "refpga/soc/memory.hpp"
 
 namespace refpga::soc {
@@ -69,8 +76,22 @@ public:
     CpuState run(std::int64_t max_cycles);
 
 private:
+    /// One decode-cache slot: the word last fetched at a pc mapping here and
+    /// its decoded form.
+    struct DecodedSlot {
+        std::uint32_t word = 0;
+        Instruction insn;
+    };
+    /// Slot count, a power of two. The firmware's kernel is ~1k words.
+    static constexpr std::uint32_t kDecodeSlots = 2048;
+
+    /// One instruction, or one stall cycle when FSL-blocked: the body of
+    /// step() and run().
+    void execute();
+
     MemorySystem& mem_;
     CpuCosts costs_;
+    std::vector<DecodedSlot> decoded_;
     std::array<std::uint32_t, 32> regs_{};
     std::array<FslLink, kFslLinks> fsl_in_;   ///< hardware -> CPU
     std::array<FslLink, kFslLinks> fsl_out_;  ///< CPU -> hardware

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "refpga/soc/assembler.hpp"
@@ -40,25 +41,72 @@ public:
 
     /// Word access; addr must be 4-aligned and mapped. Returns the value and
     /// adds the region's latency to `cycles`.
-    [[nodiscard]] std::uint32_t read_word(std::uint32_t addr, std::int64_t& cycles);
-    void write_word(std::uint32_t addr, std::uint32_t value, std::int64_t& cycles);
+    [[nodiscard]] std::uint32_t read_word(std::uint32_t addr, std::int64_t& cycles) {
+        if (const std::uint32_t* word = ram_word(addr)) {
+            cycles += ram_latency(addr);
+            return *word;
+        }
+        return read_word_slow(addr, cycles);
+    }
+    void write_word(std::uint32_t addr, std::uint32_t value, std::int64_t& cycles) {
+        if (std::uint32_t* word = ram_word(addr)) {
+            cycles += ram_latency(addr);
+            *word = value;
+            return;
+        }
+        write_word_slow(addr, value, cycles);
+    }
 
     /// Latency-free accessors for loaders and tests.
-    [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const;
-    void poke(std::uint32_t addr, std::uint32_t value);
+    [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const {
+        if (const std::uint32_t* word = ram_word(addr)) return *word;
+        std::int64_t dummy = 0;
+        // The slow read mutates nothing; const_cast is contained here.
+        return const_cast<MemorySystem*>(this)->read_word_slow(addr, dummy);
+    }
+    void poke(std::uint32_t addr, std::uint32_t value) {
+        std::int64_t dummy = 0;
+        write_word(addr, value, dummy);
+    }
 
-    /// Loads an assembled program at its linked addresses.
+    /// Loads an assembled program at its linked addresses. `.space`
+    /// reservations stay as they are (zero in fresh memory); the end of the
+    /// image must be mapped.
     void load(const Program& program);
 
     /// Fetch latency for the region containing `addr` (models instruction
     /// fetch cost: 1 for LMB, the SRAM latency for external code).
-    [[nodiscard]] int fetch_latency(std::uint32_t addr) const;
+    [[nodiscard]] int fetch_latency(std::uint32_t addr) const {
+        if (addr >= kOpbBase) return config_.opb_latency;
+        return ram_latency(addr);
+    }
 
     /// Characters written to the UART TX register so far.
     [[nodiscard]] const std::string& uart_output() const { return uart_tx_; }
     [[nodiscard]] std::uint32_t gpio() const { return gpio_; }
 
 private:
+    /// The RAM word at `addr`; nullptr when `addr` is misaligned, past the
+    /// end of its region or in the OPB window. The slow paths serve the
+    /// peripherals and raise the contract violations.
+    [[nodiscard]] const std::uint32_t* ram_word(std::uint32_t addr) const {
+        if (addr % 4 != 0 || addr >= kOpbBase) return nullptr;
+        const bool sram = addr >= kSramBase;
+        const std::vector<std::uint32_t>& region = sram ? sram_ : lmb_;
+        const std::uint32_t off = (addr - (sram ? kSramBase : kLmbBase)) / 4;
+        return off < region.size() ? region.data() + off : nullptr;
+    }
+    [[nodiscard]] std::uint32_t* ram_word(std::uint32_t addr) {
+        return const_cast<std::uint32_t*>(std::as_const(*this).ram_word(addr));
+    }
+    /// Latency of a RAM region (LMB below kSramBase, SRAM from there).
+    [[nodiscard]] int ram_latency(std::uint32_t addr) const {
+        return addr >= kSramBase ? config_.sram_latency : config_.lmb_latency;
+    }
+
+    std::uint32_t read_word_slow(std::uint32_t addr, std::int64_t& cycles);
+    void write_word_slow(std::uint32_t addr, std::uint32_t value, std::int64_t& cycles);
+
     MemoryConfig config_;
     std::vector<std::uint32_t> lmb_;
     std::vector<std::uint32_t> sram_;

@@ -9,7 +9,7 @@ MemorySystem::MemorySystem(MemoryConfig config)
       lmb_(config.lmb_bytes / 4, 0),
       sram_(config.sram_bytes / 4, 0) {}
 
-std::uint32_t MemorySystem::read_word(std::uint32_t addr, std::int64_t& cycles) {
+std::uint32_t MemorySystem::read_word_slow(std::uint32_t addr, std::int64_t& cycles) {
     REFPGA_EXPECTS(addr % 4 == 0);
     if (addr >= kOpbBase) {
         cycles += config_.opb_latency;
@@ -29,8 +29,8 @@ std::uint32_t MemorySystem::read_word(std::uint32_t addr, std::int64_t& cycles) 
     return lmb_[off];
 }
 
-void MemorySystem::write_word(std::uint32_t addr, std::uint32_t value,
-                              std::int64_t& cycles) {
+void MemorySystem::write_word_slow(std::uint32_t addr, std::uint32_t value,
+                                   std::int64_t& cycles) {
     REFPGA_EXPECTS(addr % 4 == 0);
     if (addr >= kOpbBase) {
         cycles += config_.opb_latency;
@@ -51,25 +51,9 @@ void MemorySystem::write_word(std::uint32_t addr, std::uint32_t value,
     lmb_[off] = value;
 }
 
-std::uint32_t MemorySystem::peek(std::uint32_t addr) const {
-    std::int64_t dummy = 0;
-    // read_word mutates nothing for RAM regions; const_cast is contained here.
-    return const_cast<MemorySystem*>(this)->read_word(addr, dummy);
-}
-
-void MemorySystem::poke(std::uint32_t addr, std::uint32_t value) {
-    std::int64_t dummy = 0;
-    write_word(addr, value, dummy);
-}
-
 void MemorySystem::load(const Program& program) {
     for (const auto& [addr, word] : program.words) poke(addr, word);
-}
-
-int MemorySystem::fetch_latency(std::uint32_t addr) const {
-    if (addr >= kOpbBase) return config_.opb_latency;
-    if (addr >= kSramBase) return config_.sram_latency;
-    return config_.lmb_latency;
+    if (program.size_bytes() > 0) (void)peek(program.size_bytes() - 4);
 }
 
 }  // namespace refpga::soc

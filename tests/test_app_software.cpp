@@ -9,6 +9,7 @@
 
 #include "refpga/app/golden.hpp"
 #include "refpga/app/software.hpp"
+#include "refpga/common/contracts.hpp"
 #include "refpga/soc/assembler.hpp"
 
 namespace refpga::app {
@@ -34,13 +35,17 @@ TEST(Software, ImageExceedsSixtyKilobytes) {
     // which made it necessary to store the code in external SRAM".
     const auto program = soc::assemble(measurement_source(params()));
     EXPECT_GT(program.size_bytes() - 0x80000000u, 60u * 1024u);
+    // The 58 KB firmware bulk is a `.space` reservation: it counts towards
+    // the image extent but emits no words.
+    EXPECT_EQ(program.size_bytes() - 0x80000000u, 63'356u);
+    EXPECT_LT(program.words.size() * 4, 4u * 1024u);
 }
 
 TEST(Software, PhaseAndExactStagesMatchGolden) {
     const AppParams p = params();
     const auto meas = tone_window(p, 1500.0, 0.4);
     const auto ref = tone_window(p, 900.0, -0.2);
-    const SoftwareRun run = run_software_cycle(meas, ref, p);
+    const SoftwareRun run = SoftCore(p).run(meas, ref);
 
     const auto acc = golden::accumulate_window(meas, ref, p);
     const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
@@ -61,7 +66,7 @@ TEST(Software, HwMultiplierVariantAmplitudeIsExact) {
     const auto ref = tone_window(p, 900.0, -0.2);
     SoftwareConfig config;
     config.hw_multiplier = true;
-    const SoftwareRun run = run_software_cycle(meas, ref, p, config);
+    const SoftwareRun run = SoftCore(p, config).run(meas, ref);
 
     const auto acc = golden::accumulate_window(meas, ref, p);
     const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
@@ -84,7 +89,7 @@ TEST(Software, CapacityCloseToGoldenWithSoftMultiply) {
     const AppParams p = params();
     const auto meas = tone_window(p, 1650.0, 0.1);
     const auto ref = tone_window(p, 1100.0, 0.1);
-    const SoftwareRun run = run_software_cycle(meas, ref, p);
+    const SoftwareRun run = SoftCore(p).run(meas, ref);
     // Expected C ~ 1.5 * C_ref = 330 pF.
     EXPECT_NEAR(static_cast<double>(run.cap_pf_q4) / 16.0, 330.0, 6.0);
 }
@@ -94,7 +99,7 @@ TEST(Software, RuntimeIsMilliseconds) {
     const AppParams p = params();
     const auto meas = tone_window(p, 1200.0, 0.0);
     const auto ref = tone_window(p, 1000.0, 0.0);
-    const SoftwareRun run = run_software_cycle(meas, ref, p);
+    const SoftwareRun run = SoftCore(p).run(meas, ref);
     const double seconds = run.seconds(p.system_clock_hz);
     EXPECT_GT(seconds, 2e-3);
     EXPECT_LT(seconds, 20e-3);
@@ -104,10 +109,10 @@ TEST(Software, HwMultiplierSpeedsUpSignificantly) {
     const AppParams p = params();
     const auto meas = tone_window(p, 1200.0, 0.0);
     const auto ref = tone_window(p, 1000.0, 0.0);
-    const SoftwareRun soft = run_software_cycle(meas, ref, p);
+    const SoftwareRun soft = SoftCore(p).run(meas, ref);
     SoftwareConfig config;
     config.hw_multiplier = true;
-    const SoftwareRun hw = run_software_cycle(meas, ref, p, config);
+    const SoftwareRun hw = SoftCore(p, config).run(meas, ref);
     EXPECT_LT(hw.cycles, soft.cycles / 2);
 }
 
@@ -117,31 +122,50 @@ TEST(Software, BramResidentCodeIsFaster) {
     const AppParams p = params();
     const auto meas = tone_window(p, 1200.0, 0.0);
     const auto ref = tone_window(p, 1000.0, 0.0);
-    const SoftwareRun sram = run_software_cycle(meas, ref, p);
+    const SoftwareRun sram = SoftCore(p).run(meas, ref);
 
+    // code_in_sram=false assembles from address 0; the data buffers stay in
+    // SRAM (they model the converters' buffers).
     SoftwareConfig bram_config;
     bram_config.code_in_sram = false;
     bram_config.padding_bytes = 0;
-    SoftwareLayout layout;
-    // Data buffers stay in SRAM (they model the converters' buffers).
-    const SoftwareRun bram = [&] {
-        // run_software_cycle uses the default layout; code_in_sram=false
-        // assembles from address 0.
-        return run_software_cycle(meas, ref, p, bram_config);
-    }();
+    const SoftwareRun bram = SoftCore(p, bram_config).run(meas, ref);
     EXPECT_EQ(bram.phase_meas, sram.phase_meas);  // identical results
     EXPECT_LT(bram.cycles, sram.cycles / 2);
-    (void)layout;
 }
 
 TEST(Software, DeterministicAcrossRuns) {
     const AppParams p = params();
     const auto meas = tone_window(p, 800.0, 1.0);
     const auto ref = tone_window(p, 700.0, 0.5);
-    const SoftwareRun a = run_software_cycle(meas, ref, p);
-    const SoftwareRun b = run_software_cycle(meas, ref, p);
+    SoftCore core(p);
+    const SoftwareRun a = core.run(meas, ref);
+    const SoftwareRun b = core.run(meas, ref);
     EXPECT_EQ(a.level_q15, b.level_q15);
     EXPECT_EQ(a.cycles, b.cycles);
+}
+
+TEST(Software, ImageMustEndBelowTheSampleBuffers) {
+    // The SRAM image starts at code_base; the sample buffers begin 128 KB
+    // above it. The kernel plus 127,108 bytes of bulk ends exactly at
+    // meas_buf; one more word would be overwritten by every window.
+    const AppParams p = params();
+    const SoftwareLayout layout;
+    const auto meas = tone_window(p, 1200.0, 0.0);
+    const auto ref = tone_window(p, 1000.0, 0.0);
+
+    SoftwareConfig fits;
+    fits.padding_bytes = 127'108;
+    SoftCore core(p, fits);
+    const SoftwareRun run = core.run(meas, ref);
+    EXPECT_EQ(run.code_bytes, layout.meas_buf - layout.code_base);
+    EXPECT_EQ(run.level_q15, SoftCore(p).run(meas, ref).level_q15);
+
+    SoftwareConfig overlaps;
+    overlaps.padding_bytes = 127'112;
+    EXPECT_THROW({ SoftCore core2(p, overlaps); }, ContractViolation);
+    overlaps.padding_bytes = 200 * 1024;
+    EXPECT_THROW({ SoftCore core2(p, overlaps); }, ContractViolation);
 }
 
 }  // namespace

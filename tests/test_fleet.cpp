@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -181,6 +182,34 @@ TEST(MetricSummary, UnknownKeyRejected) {
 }
 
 // ---------------------------------------------------------------- device fit
+
+TEST(VariantFit, RepeatedAndConcurrentCallsReturnEqualFits) {
+    // variant_fit is memoised per process; the first call may race with
+    // others on any thread and every caller must see the same fit. Declared
+    // before every other caller in this file, so in the default test order
+    // these threads make the process's first calls.
+    auto same = [](const VariantFit& a, const VariantFit& b) {
+        return a.resident_slices == b.resident_slices &&
+               a.with_headroom == b.with_headroom &&
+               a.resident_ffs == b.resident_ffs && a.fitted == b.fitted;
+    };
+    const std::array<SystemVariant, 3> variants = {
+        SystemVariant::Software, SystemVariant::MonolithicHw,
+        SystemVariant::ReconfiguredHw};
+    std::array<std::array<VariantFit, 3>, 4> seen{};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t)
+        threads.emplace_back([&seen, &variants, t] {
+            for (std::size_t v = 0; v < variants.size(); ++v)
+                seen[t][(v + t) % 3] = variant_fit(variants[(v + t) % 3]);
+        });
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        const VariantFit again = variant_fit(variants[v]);
+        for (const auto& fits : seen) EXPECT_TRUE(same(fits[v], again)) << v;
+    }
+    EXPECT_FALSE(same(seen[0][1], seen[0][2]));  // the variants differ
+}
 
 TEST(VariantFit, ReconfigurationShrinksResidentSet) {
     const VariantFit mono = variant_fit(SystemVariant::MonolithicHw);

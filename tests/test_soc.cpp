@@ -155,6 +155,26 @@ TEST(Assembler, DirectivesWork) {
     EXPECT_EQ(p.words.at(64), 17u);
     EXPECT_EQ(p.words.at(68), static_cast<std::uint32_t>(-3));
     EXPECT_EQ(p.labels.at("after"), 80u);
+    // .space reserves its range without emitting words into it.
+    EXPECT_EQ(p.words.count(72), 0u);
+    EXPECT_EQ(p.words.count(76), 0u);
+    EXPECT_EQ(p.words.size(), 3u);
+    EXPECT_EQ(p.size_bytes(), 84u);
+
+    // A trailing reservation still counts towards the extent, and loading
+    // leaves it zeroed.
+    const Program tail = assemble("  .org 64\n  halt\n  .space 4096\n");
+    EXPECT_EQ(tail.words.size(), 1u);
+    EXPECT_EQ(tail.size_bytes(), 64u + 4u + 4096u);
+    MemorySystem mem;
+    mem.load(tail);
+    EXPECT_EQ(mem.peek(64 + 4096), 0u);
+
+    // The reserved range must be mapped: the end of a reservation past the
+    // LMB is rejected on load, as a materialised one was.
+    MemorySystem small;
+    EXPECT_THROW(small.load(assemble("  halt\n  .space 32768\n")), ContractViolation);
+    EXPECT_THROW((void)assemble("  .org 4294967292\n  .space 8\n"), ContractViolation);
 }
 
 TEST(Assembler, CommentsAndBlankLinesIgnored) {

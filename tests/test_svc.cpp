@@ -983,6 +983,12 @@ TEST(Coordinator, StopCheckpointResumeCompletesWithoutRecomputing) {
         options.checkpoint_path = ckpt;
         options.spool_path = temp_path("resume_spool_a");
         options.stop_after_commits = 3;
+        // Pace every batch so the stop lands with work outstanding: a
+        // 2-cycle hardware scenario takes about a millisecond, and unpaced
+        // workers can finish the grid before the stop reaches them.
+        options.chaos.slow_batch_prob = 1.0;
+        options.chaos.slow_ms = 20;
+        options.chaos_seed = 10;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
         EXPECT_FALSE(result.completed);
