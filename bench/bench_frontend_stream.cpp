@@ -3,21 +3,23 @@
 // The Fig. 4 sample window (256 PCM pairs at 3.2 MHz plus two settling
 // windows, i.e. 3840 modulator ticks per cycle) is the hot loop of every
 // cycle and every campaign scenario. This bench drives the same waveform
-// through the retained per-sample path (the pre-streaming implementation),
-// the per-sample API (block-of-1 wrappers) and run_block_ds at several block
+// through the per-sample oracle (analog::FrontEndReference from the
+// test-support library, one component step() after another), the
+// per-sample API (block-of-1 wrappers) and run_block_ds at several block
 // sizes, checks the PCM streams are bit-identical, and measures samples/s
 // plus the end-to-end MeasurementSystem cycle latency vs stream_block_ticks.
 //
 // Two plant conditions are measured. With tank noise off the window is
-// pipeline-bound and the fused kernel's speedup is the headline (and the 3x
-// regression gate). With noise on, every tick must reproduce the reference
-// path's two Irwin-Hall Gaussians — 24 serial xoshiro draws whose RNG-state
-// recurrence dominates the tick regardless of batching — so the achievable
-// speedup is bounded near the RNG floor and reported for context.
+// pipeline-bound and the fused kernel's speedup over the oracle is the
+// headline (the 3x gate). With noise on, every tick adds two ziggurat
+// Gaussians in the oracle's draw order (meas, then ref); one draw is usually
+// one xoshiro256** output, so the noisy kernel must stay within 2.5x of the
+// noise-off kernel's wall time (the noise-cost gate).
 //
 // Emits BENCH_frontend_stream.json next to the binary; --json mirrors it to
-// stdout. Exit status is non-zero on a parity violation or (full mode) a
-// noise-off speedup below the 3x target, so CI can run it as a check.
+// stdout. Exit status is non-zero on a parity violation or, in full mode, on
+// a noise-off speedup below 3x or a noisy/noise-off wall-time ratio above
+// 2.5x, so CI can run it as a check.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -29,6 +31,7 @@
 
 #include "bench_common.hpp"
 #include "refpga/analog/frontend.hpp"
+#include "refpga/analog/frontend_reference.hpp"
 #include "refpga/analog/sample_block.hpp"
 #include "refpga/common/table.hpp"
 
@@ -54,7 +57,7 @@ struct Throughput {
     std::string label;
     double wall_ms = 0.0;
     double pcm_per_s = 0.0;
-    int block_ticks = 0;  ///< 0 = reference path, 1 = per-sample API
+    int block_ticks = 0;  ///< 0 = oracle, 1 = per-sample API
 };
 
 /// One plant condition's full measurement set.
@@ -80,16 +83,19 @@ struct Suite {
     }
 };
 
-analog::FrontEnd make_frontend(double noise_rms) {
+/// A front end (FrontEnd or the FrontEndReference oracle) with the bench's
+/// plant: tank level 0.6, seed kSeed.
+template <typename FrontEndT>
+FrontEndT make_frontend(double noise_rms) {
     analog::FrontEndConfig config;
     config.tank.noise_rms_v = noise_rms;
-    analog::FrontEnd frontend(config, kSeed);
+    FrontEndT frontend(config, kSeed);
     frontend.tank().set_level(0.6);
     return frontend;
 }
 
 /// Streams `drive` through run(frontend, drive) and reports PCM pairs/s.
-template <typename Run>
+template <typename FrontEndT = analog::FrontEnd, typename Run>
 Throughput time_run(const std::string& label, int block_ticks, double noise_rms,
                     const std::vector<std::uint8_t>& drive, std::size_t pcm_pairs,
                     Run run) {
@@ -97,10 +103,10 @@ Throughput time_run(const std::string& label, int block_ticks, double noise_rms,
     t.label = label;
     t.block_ticks = block_ticks;
     {
-        analog::FrontEnd warm = make_frontend(noise_rms);  // page in code paths
+        FrontEndT warm = make_frontend<FrontEndT>(noise_rms);  // page in code paths
         run(warm, drive);
     }
-    analog::FrontEnd frontend = make_frontend(noise_rms);
+    FrontEndT frontend = make_frontend<FrontEndT>(noise_rms);
     const double t0 = now_ms();
     run(frontend, drive);
     t.wall_ms = now_ms() - t0;
@@ -114,16 +120,17 @@ Suite run_suite(double noise_rms, const std::vector<std::uint8_t>& drive,
     Suite suite;
     suite.noise_rms = noise_rms;
 
-    // Retained pre-streaming path (component-by-component steps): the
-    // baseline the refactor's speedup is measured against.
+    // The per-sample oracle (component-by-component steps): the parity
+    // baseline and the base of the fused kernel's speedup.
     analog::SampleBlock baseline_pcm;
-    suite.reference = time_run(
-        "per-sample (reference)", 0, noise_rms, drive, pcm_pairs,
-        [&baseline_pcm](analog::FrontEnd& fe, const std::vector<std::uint8_t>& d) {
+    suite.reference = time_run<analog::FrontEndReference>(
+        "per-sample oracle", 0, noise_rms, drive, pcm_pairs,
+        [&baseline_pcm](analog::FrontEndReference& fe,
+                        const std::vector<std::uint8_t>& d) {
             baseline_pcm.clear_pcm();
             baseline_pcm.reserve_pcm(d.size() / 5);
             for (const std::uint8_t bit : d)
-                if (const auto pcm = fe.step_ds_bit_reference(bit != 0)) {
+                if (const auto pcm = fe.step_ds_bit(bit != 0)) {
                     baseline_pcm.meas.push_back(pcm->meas);
                     baseline_pcm.ref.push_back(pcm->ref);
                 }
@@ -212,7 +219,7 @@ int main(int argc, char** argv) {
     const bool smoke = benchkit::smoke_mode(argc, argv);
     const bool echo_json = flag(argc, argv, "--json");
     benchkit::print_header("frontend stream",
-                           std::string("block pipeline vs per-sample path") +
+                           std::string("block pipeline vs per-sample oracle") +
                                (smoke ? " [smoke]" : ""));
 
     // The drive is the real sinus generator's delta-sigma bit stream — the
@@ -233,20 +240,23 @@ int main(int argc, char** argv) {
     // End-to-end cycle latency (sampling + processing + reconfig) vs block
     // size — what a fleet campaign actually pays per cycle.
     const int cycles = smoke ? 3 : 20;
-    const std::vector<int> cycle_settings = {0, 1, 256, 4096};
+    const std::vector<int> cycle_settings = {1, 256, 4096};
     std::vector<double> cycle_wall_ms;
     Table cycle_table({"stream_block_ticks", "cycle wall (ms)"});
     for (const int setting : cycle_settings) {
         cycle_wall_ms.push_back(cycle_ms(setting, cycles));
-        cycle_table.add_row({setting == 0 ? "0 (reference)" : std::to_string(setting),
-                             Table::num(cycle_wall_ms.back(), 2)});
+        cycle_table.add_row({std::to_string(setting), Table::num(cycle_wall_ms.back(), 2)});
     }
     std::cout << cycle_table.render();
+    // Cost of the tank noise: best noisy block time over best noise-off
+    // block time, both measured in this process.
+    const double noise_cost = noisy.best().wall_ms / quiet.best().wall_ms;
     std::cout << "noise-off: " << Table::num(quiet.speedup_vs_reference(), 2)
-              << "x vs per-sample reference (best " << quiet.best().label << ", "
+              << "x vs per-sample oracle (best " << quiet.best().label << ", "
               << Table::num(quiet.best().pcm_per_s * 1e-6, 2) << " M pairs/s)\n";
     std::cout << "noise-on:  " << Table::num(noisy.speedup_vs_reference(), 2)
-              << "x vs per-sample reference (RNG-bound; draw order preserved)\n";
+              << "x vs per-sample oracle; " << Table::num(noise_cost, 2)
+              << "x the noise-off wall time (best " << noisy.best().label << ")\n";
     std::cout << "PCM bit-identical across all block sizes: "
               << (quiet.parity_ok && noisy.parity_ok ? "yes" : "NO") << "\n";
 
@@ -266,6 +276,7 @@ int main(int argc, char** argv) {
            << ", \"wall_ms\": " << cycle_wall_ms[i] << "}";
     js << "],\n"
        << "  \"speedup_sample_window\": " << quiet.speedup_vs_reference() << ",\n"
+       << "  \"noise_cost_ratio\": " << noise_cost << ",\n"
        << "  \"parity_ok\": "
        << (quiet.parity_ok && noisy.parity_ok ? "true" : "false") << "\n"
        << "}\n";
@@ -273,7 +284,7 @@ int main(int argc, char** argv) {
     if (echo_json) std::cout << js.str();
 
     if (!quiet.parity_ok || !noisy.parity_ok) {
-        std::cerr << "FAIL: streamed PCM differs from the per-sample path\n";
+        std::cerr << "FAIL: streamed PCM differs from the per-sample oracle\n";
         return 1;
     }
     // Timing gates only run in full mode: smoke workloads are too small to
@@ -281,6 +292,11 @@ int main(int argc, char** argv) {
     if (!smoke && quiet.speedup_vs_reference() < 3.0) {
         std::cerr << "FAIL: noise-off fused-kernel speedup "
                   << quiet.speedup_vs_reference() << "x is below the 3x target\n";
+        return 1;
+    }
+    if (!smoke && noise_cost > 2.5) {
+        std::cerr << "FAIL: noisy run_block takes " << noise_cost
+                  << "x the noise-off wall time, above the 2.5x bound\n";
         return 1;
     }
     return 0;

@@ -9,8 +9,9 @@
 // the two lanes of a 128-bit vector on SSE2 targets (always present on
 // x86-64). Packed IEEE-754 ops are lane-wise identical to their scalar
 // counterparts, so the vector loop produces bit-identical PCM to the scalar
-// fallback below and to the per-sample reference path; the parity tests pin
-// whichever variant the build selects.
+// fallback below and to the per-sample oracle (analog::FrontEndReference in
+// the test-support library); the parity tests pin whichever variant the
+// build selects.
 #if defined(__SSE2__) || defined(_M_AMD64)
 #define REFPGA_FRONTEND_SSE2 1
 #include <emmintrin.h>
@@ -28,9 +29,15 @@ void FrontEndConfig::validate() const {
     REFPGA_EXPECTS(recon_cutoff_hz > 0.0 && recon_cutoff_hz < modulator_hz / 2.0);
     REFPGA_EXPECTS(antialias_cutoff_hz > 0.0 &&
                    antialias_cutoff_hz < modulator_hz / 2.0);
-    REFPGA_EXPECTS(tank.c_full_pf > tank.c_empty_pf);
-    REFPGA_EXPECTS(tank.c_ref_pf > 0.0 && tank.r_leak_ohm > 0.0);
-    REFPGA_EXPECTS(tank.noise_rms_v >= 0.0);
+    // Finite tank values: an infinite noise level or gain passes a plain
+    // sign test and then pins every PCM sample at full scale.
+    const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    REFPGA_EXPECTS(finite_positive(tank.c_empty_pf));
+    REFPGA_EXPECTS(std::isfinite(tank.c_full_pf) && tank.c_full_pf > tank.c_empty_pf);
+    REFPGA_EXPECTS(finite_positive(tank.c_ref_pf));
+    REFPGA_EXPECTS(finite_positive(tank.r_leak_ohm));
+    REFPGA_EXPECTS(std::isfinite(tank.tia_gain_v_per_a) && tank.tia_gain_v_per_a != 0.0);
+    REFPGA_EXPECTS(std::isfinite(tank.noise_rms_v) && tank.noise_rms_v >= 0.0);
 }
 
 namespace {
@@ -50,28 +57,6 @@ FrontEnd::FrontEnd(FrontEndConfig config, std::uint64_t noise_seed)
       alias_ref_(config.antialias_cutoff_hz, config.modulator_hz),
       adc_meas_(config.adc_decimation, config.adc_bits),
       adc_ref_(config.adc_decimation, config.adc_bits) {}
-
-std::optional<FrontEnd::PcmPair> FrontEnd::advance_reference(double drive_raw_v) {
-    const double drive = recon_.step(drive_raw_v);
-    const TankCircuit::Currents branch = tank_.step(drive);
-    const double meas = alias_meas_.step(branch.meas_v);
-    const double ref = alias_ref_.step(branch.ref_v);
-
-    const auto pcm_meas = adc_meas_.step(meas);
-    const auto pcm_ref = adc_ref_.step(ref);
-    // Both ADCs share the decimation phase, so they fire together.
-    if (pcm_meas && pcm_ref) return PcmPair{*pcm_meas, *pcm_ref};
-    return std::nullopt;
-}
-
-std::optional<FrontEnd::PcmPair> FrontEnd::step_code8_reference(std::uint8_t code) {
-    const double drive = (static_cast<double>(code) - 128.0) / 128.0;
-    return advance_reference(drive);
-}
-
-std::optional<FrontEnd::PcmPair> FrontEnd::step_ds_bit_reference(bool bit) {
-    return advance_reference(bit ? 1.0 : -1.0);
-}
 
 long FrontEnd::ticks_for_pcm(long pcm_pairs) const {
     REFPGA_EXPECTS(pcm_pairs >= 0);
@@ -254,7 +239,7 @@ std::size_t FrontEnd::run_block_impl(const std::uint8_t* drive, std::size_t n,
         const double drive_v = rb_s;
 
         // Tank branch currents -> TIA voltages (TankCircuit::step). Noise
-        // draw order (meas, then ref, per tick) matches the reference path
+        // draw order (meas, then ref, per tick) matches TankCircuit::step
         // exactly.
         const double dv_dt = (drive_v - prev_drive) * inv_dt;
         prev_drive = drive_v;
@@ -308,7 +293,7 @@ std::size_t FrontEnd::run_block_impl(const std::uint8_t* drive, std::size_t n,
         // Tank branch currents -> TIA voltages (TankCircuit::step). The
         // priming branch runs once per front-end lifetime and predicts
         // perfectly afterwards. Noise draw order (meas, then ref, per tick)
-        // matches the reference path exactly.
+        // matches TankCircuit::step exactly.
         double meas_v = 0.0;
         double ref_v = 0.0;
         if (!primed) {

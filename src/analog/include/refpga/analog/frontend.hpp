@@ -15,7 +15,8 @@
 // wrappers over a block of one tick. Determinism rule: for a given drive
 // sequence the PCM stream — including the tank-noise RNG draw order — is
 // bit-identical for every block partitioning, and bit-identical to the
-// retained per-sample reference path (pinned by tests/test_frontend_stream).
+// per-sample oracle analog::FrontEndReference of the test-support library
+// (pinned by tests/test_frontend_stream).
 #pragma once
 
 #include <cstdint>
@@ -41,11 +42,13 @@ struct FrontEndConfig {
     /// Throws refpga::ContractViolation unless the config describes a
     /// realizable front end: positive finite rates, the excitation and both
     /// filter cutoffs below the modulator Nyquist rate, adc_decimation and
-    /// adc_bits within the DeltaSigmaAdc bounds, and a non-negative tank
-    /// noise level. A degenerate config (zero clock, cutoff at or above
-    /// Nyquist, decimation of 1) would otherwise produce NaN filter poles or
-    /// violate converter contracts deep inside the sample loop. Mirrors
-    /// reconfig::ConfigPortSpec::validate().
+    /// adc_bits within the DeltaSigmaAdc bounds, and a finite tank: noise
+    /// level >= 0, nonzero TIA gain, positive capacitances (full above
+    /// empty) and leak resistance. A degenerate config (zero clock, cutoff
+    /// at or above Nyquist, decimation of 1, an infinite noise level or
+    /// gain) would otherwise produce NaN filter poles, violate converter
+    /// contracts deep inside the sample loop or pin the PCM at full scale.
+    /// Mirrors reconfig::ConfigPortSpec::validate().
     void validate() const;
 };
 
@@ -75,13 +78,6 @@ public:
     /// Thin wrapper over run_block_ds with a block of one tick.
     std::optional<PcmPair> step_ds_bit(bool bit);
 
-    /// Reference per-sample path retained from the pre-streaming front end:
-    /// advances through the individual component step() calls. Used as the
-    /// parity baseline the fused block kernel must match bit-for-bit; not a
-    /// hot path.
-    std::optional<PcmPair> step_code8_reference(std::uint8_t code);
-    std::optional<PcmPair> step_ds_bit_reference(bool bit);
-
     /// Modulator ticks until `pcm_pairs` more PCM pairs fire (accounts for
     /// the ADCs' current decimation phase).
     [[nodiscard]] long ticks_for_pcm(long pcm_pairs) const;
@@ -103,7 +99,6 @@ public:
     void set_recorder(obs::Recorder* recorder);
 
 private:
-    std::optional<PcmPair> advance_reference(double drive_raw_v);
     void record_block(std::size_t ticks, std::size_t pairs);
 
     template <bool kNoisy, typename DriveToVolts>

@@ -53,8 +53,8 @@ private:
     TankParams params_;
     // Precomputed reciprocals: the differentiator and the leak current sit on
     // the 16 MHz sample path, and a divide there costs more than the rest of
-    // the tank arithmetic combined. Both the per-sample and the block kernel
-    // multiply by these same values, keeping the two paths bit-identical.
+    // the tank arithmetic combined. Both step() and the block kernel
+    // multiply by these same values, keeping the two bit-identical.
     double inv_dt_;
     double g_leak_;
     double level_ = 0.0;

@@ -45,8 +45,8 @@ TankCircuit::Currents TankCircuit::step(double drive_v) {
     if (params_.noise_rms_v > 0.0) {
         // Draw order (meas, then ref) is part of the front end's determinism
         // contract. At zero RMS the noise term is a signed zero, which cannot
-        // change any downstream sample, so the draws are skipped entirely —
-        // the Gaussian synthesis is the single most expensive part of a tick.
+        // change any downstream sample, so the draws are skipped entirely
+        // rather than spending two ziggurat draws on nothing.
         out.meas_v += params_.noise_rms_v * rng_.next_gaussian();
         out.ref_v += params_.noise_rms_v * rng_.next_gaussian();
     }

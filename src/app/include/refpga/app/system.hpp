@@ -45,11 +45,11 @@ struct SystemOptions {
     /// Settling windows discarded before the measured window (analog filters
     /// and the CIC need to charge up).
     int settle_windows = 2;
-    /// Modulator ticks advanced per front-end block in the sampling phase.
-    /// Any positive value yields bit-identical PCM, cycle reports and
-    /// campaign reports (pinned by tests/test_frontend_stream); larger
-    /// blocks amortize per-call state marshalling over more ticks. 0 selects
-    /// the retained per-sample reference path (parity baseline, slow).
+    /// Modulator ticks advanced per front-end block in the sampling phase;
+    /// must be positive (ContractViolation otherwise). Every value yields
+    /// bit-identical PCM, cycle reports and campaign reports (pinned by
+    /// tests/test_frontend_stream); larger blocks amortize per-call state
+    /// marshalling over more ticks.
     int stream_block_ticks = 4096;
 
     /// Fault environment (refpga::fault). The default all-zero spec injects

@@ -44,7 +44,7 @@ constexpr std::uint32_t kFabricCorruptMask = 0x2AAA;
 
 // Wall-clock histogram bounds for cycle phases: the streamed sample window
 // runs sub-millisecond on current hosts; the decade ladder keeps the same
-// metric meaningful on the slow reference path too.
+// metric meaningful on slower hosts and sanitizer builds too.
 std::vector<double> wall_bounds() {
     return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0};
 }
@@ -68,6 +68,7 @@ MeasurementSystem::MeasurementSystem(SystemOptions options, std::uint64_t noise_
     REFPGA_EXPECTS(options_.plausibility_patience >= 1);
     REFPGA_EXPECTS(options_.load_max_retries >= 0);
     REFPGA_EXPECTS(options_.settle_windows >= 0);
+    REFPGA_EXPECTS(options_.stream_block_ticks > 0);
 
     // Power-up configures the whole device; from then on every column is
     // covered by readback scrubbing.
@@ -145,30 +146,11 @@ void MeasurementSystem::collect_window(analog::SampleBlock& block,
     ref.clear();
     const int needed = p.window * (1 + options_.settle_windows);
 
-    if (options_.stream_block_ticks <= 0) {
-        // Per-sample reference path (parity baseline for the block pipeline).
-        int collected = 0;
-        while (collected < needed) {
-            const SinusGenModel::Step drive = sinusgen_.step();
-            const auto pcm = options_.use_ds_dac
-                                 ? frontend_.step_ds_bit_reference(drive.ds_bit)
-                                 : frontend_.step_code8_reference(
-                                       static_cast<std::uint8_t>(drive.code8));
-            if (!pcm) continue;
-            ++collected;
-            if (collected > options_.settle_windows * p.window) {
-                meas.push_back(pcm->meas);
-                ref.push_back(pcm->ref);
-            }
-        }
-        return;
-    }
-
-    // Block-streaming path: generate the drive batch, then push it through
-    // the fused front-end kernel, stream_block_ticks modulator ticks at a
-    // time. ticks_for_pcm accounts for the ADC decimation phase carried over
-    // from the previous cycle, so the settle-plus-measurement window always
-    // lands exactly `needed` PCM pairs.
+    // Generate the drive batch, then push it through the fused front-end
+    // kernel, stream_block_ticks modulator ticks at a time. ticks_for_pcm
+    // accounts for the ADC decimation phase carried over from the previous
+    // cycle, so the settle-plus-measurement window always lands exactly
+    // `needed` PCM pairs.
     block.clear_pcm();
     block.reserve_pcm(static_cast<std::size_t>(needed));
     long remaining = frontend_.ticks_for_pcm(needed);

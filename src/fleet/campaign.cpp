@@ -228,7 +228,9 @@ ScenarioOutcome run_one(const Scenario& s, const std::array<VariantFit, 3>& fits
 
 }  // namespace
 
-CampaignRunner::CampaignRunner(CampaignOptions options) : options_(options) {}
+CampaignRunner::CampaignRunner(CampaignOptions options) : options_(options) {
+    REFPGA_EXPECTS(options_.stream_block_ticks > 0);
+}
 
 CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios) const {
     // Resident-logic fits are shared by every scenario of a variant; compute

@@ -75,15 +75,23 @@ struct CampaignResult {
     }
 };
 
+/// Version of the simulation model behind every ScenarioOutcome. Bumped by
+/// any change that makes an unchanged scenario produce different outcomes
+/// (2: the ziggurat tank-noise generator replaced the Irwin-Hall-12 sum).
+/// svc checkpoint headers record it, so a resume never merges outcomes of
+/// two models into one report.
+inline constexpr int kModelVersion = 2;
+
 struct CampaignOptions {
     /// Worker threads; 1 runs inline on the calling thread. The report is
     /// identical either way (see determinism guarantee above).
     int threads = 1;
     /// Front-end streaming block size (modulator ticks) applied to every
-    /// scenario's system; each worker thread keeps one reusable
+    /// scenario's system; must be positive (the runner's constructor throws
+    /// ContractViolation otherwise). Each worker thread keeps one reusable
     /// analog::SampleBlock, so the sampling hot path never reallocates
-    /// between scenarios. Outcomes are bit-identical for every value
-    /// (0 = per-sample reference path; see app::SystemOptions).
+    /// between scenarios. Outcomes are bit-identical for every value (see
+    /// app::SystemOptions).
     int stream_block_ticks = 4096;
     /// Test instrumentation: invoked inside each scenario's try-block before
     /// its system is built, so tests can exercise failure isolation

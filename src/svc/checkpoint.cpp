@@ -22,10 +22,10 @@ constexpr std::string_view kMagic = "refpga-svc-checkpoint";
 
 std::string header_line(std::uint64_t fingerprint, std::size_t scenario_count) {
     char buf[160];
-    std::snprintf(buf, sizeof buf, "%s v1 codec %d fingerprint %016" PRIx64
+    std::snprintf(buf, sizeof buf, "%s v2 codec %d model %d fingerprint %016" PRIx64
                   " scenarios %zu\n",
                   std::string(kMagic).c_str(), fleet::kOutcomeCodecVersion,
-                  fingerprint, scenario_count);
+                  fleet::kModelVersion, fingerprint, scenario_count);
     return buf;
 }
 
@@ -172,20 +172,33 @@ CheckpointContents load_checkpoint(const std::string& path,
 
     {
         std::istringstream header(line);
-        std::string magic, version, codec_kw, fp_kw, fp_hex, sc_kw;
+        std::string magic, version, codec_kw, model_kw, fp_kw, fp_hex, sc_kw;
         int codec = -1;
+        int model = -1;
         std::size_t scenarios = 0;
-        if (!(header >> magic >> version >> codec_kw >> codec >> fp_kw >> fp_hex >>
+        const auto refuse_model = [&](int written_by) {
+            fail(path, line_no,
+                 "written by simulation model " + std::to_string(written_by) +
+                     ", this build runs model " + std::to_string(fleet::kModelVersion) +
+                     ": resuming would merge outcomes of two models into one report;"
+                     " rerun the job without --resume");
+        };
+        if (!(header >> magic >> version) || magic != kMagic)
+            fail(path, line_no, "malformed header '" + line + "'");
+        // v1 headers predate the model field; model 1 wrote them.
+        if (version == "v1") refuse_model(1);
+        if (version != "v2")
+            fail(path, line_no, "unsupported checkpoint version '" + version + "'");
+        if (!(header >> codec_kw >> codec >> model_kw >> model >> fp_kw >> fp_hex >>
               sc_kw >> scenarios) ||
-            magic != kMagic || codec_kw != "codec" || fp_kw != "fingerprint" ||
+            codec_kw != "codec" || model_kw != "model" || fp_kw != "fingerprint" ||
             sc_kw != "scenarios")
             fail(path, line_no, "malformed header '" + line + "'");
-        if (version != "v1")
-            fail(path, line_no, "unsupported checkpoint version '" + version + "'");
         if (codec != fleet::kOutcomeCodecVersion)
             fail(path, line_no,
                  "outcome codec " + std::to_string(codec) + " != supported " +
                      std::to_string(fleet::kOutcomeCodecVersion));
+        if (model != fleet::kModelVersion) refuse_model(model);
         if (fp_hex.size() != 16 ||
             std::sscanf(fp_hex.c_str(), "%16" SCNx64, &contents.fingerprint) != 1)
             fail(path, line_no, "malformed fingerprint '" + fp_hex + "'");

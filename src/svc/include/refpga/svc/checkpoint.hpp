@@ -3,7 +3,7 @@
 //
 // Plain-text, append-only format:
 //
-//   refpga-svc-checkpoint v1 codec <codec> fingerprint <hex16> scenarios <N>
+//   refpga-svc-checkpoint v2 codec <codec> model <model> fingerprint <hex16> scenarios <N>
 //   b <first> <count>
 //   <count outcome_codec lines>
 //   e <first>
@@ -15,7 +15,11 @@
 // load(). Every other malformation — wrong magic, fingerprint mismatch,
 // codec mismatch, count/trailer disagreement, undecodable outcome line,
 // overlapping ranges — throws CheckpointError naming the line: a corrupt
-// journal must fail loudly, not silently resume a wrong campaign.
+// journal must fail loudly, not silently resume a wrong campaign. So does a
+// journal written under another simulation model (fleet::kModelVersion; a
+// v1 header predates the field and counts as model 1): its outcomes are
+// valid, but merging them with this build's would make a report neither
+// build produces.
 #pragma once
 
 #include <cstdint>

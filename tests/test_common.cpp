@@ -145,12 +145,141 @@ TEST(Rng, DoubleInUnitInterval) {
     }
 }
 
-TEST(Rng, GaussianRoughlyCentred) {
-    Rng r(42);
-    double sum = 0.0;
-    const int n = 10000;
-    for (int i = 0; i < n; ++i) sum += r.next_gaussian();
-    EXPECT_NEAR(sum / n, 0.0, 0.05);
+// ------------------------------------------------------- gaussian (ziggurat)
+
+/// Sums over 10^7 draws at a fixed seed, shared by the distribution tests.
+struct GaussianSample {
+    static constexpr int kTailK = 5;
+    double n = 0.0;
+    double s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+    double positive = 0.0;
+    double beyond[kTailK + 1] = {};      ///< |g| > k, k = 1..5
+    double beyond_pos[kTailK + 1] = {};  ///< g > k
+
+    static const GaussianSample& get() {
+        static const GaussianSample sample = [] {
+            GaussianSample s;
+            Rng r(2008);
+            constexpr int kDraws = 10'000'000;
+            for (int i = 0; i < kDraws; ++i) {
+                const double g = r.next_gaussian();
+                const double g2 = g * g;
+                s.s1 += g;
+                s.s2 += g2;
+                s.s3 += g2 * g;
+                s.s4 += g2 * g2;
+                if (g > 0.0) s.positive += 1.0;
+                for (int k = 1; k <= kTailK; ++k) {
+                    if (std::fabs(g) > k) s.beyond[k] += 1.0;
+                    if (g > k) s.beyond_pos[k] += 1.0;
+                }
+            }
+            s.n = kDraws;
+            return s;
+        }();
+        return sample;
+    }
+};
+
+TEST(Rng, GaussianMomentsMatchStandardNormal) {
+    // Each moment within 5 standard errors of N(0, 1): SE(mean) = 1/sqrt(n),
+    // SE(variance) = sqrt(2/n), SE(skewness) = sqrt(6/n), SE(excess
+    // kurtosis) = sqrt(24/n). Irwin-Hall-12 fails the kurtosis (-0.1).
+    const GaussianSample& s = GaussianSample::get();
+    const double n = s.n;
+    const double mean = s.s1 / n;
+    const double m2 = s.s2 / n - mean * mean;
+    const double m3 = s.s3 / n - 3.0 * mean * s.s2 / n + 2.0 * mean * mean * mean;
+    const double m4 = s.s4 / n - 4.0 * mean * s.s3 / n +
+                      6.0 * mean * mean * s.s2 / n - 3.0 * mean * mean * mean * mean;
+    EXPECT_NEAR(mean, 0.0, 5.0 * std::sqrt(1.0 / n));
+    EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0 / n));
+    EXPECT_NEAR(m3 / std::pow(m2, 1.5), 0.0, 5.0 * std::sqrt(6.0 / n));
+    EXPECT_NEAR(m4 / (m2 * m2) - 3.0, 0.0, 5.0 * std::sqrt(24.0 / n));
+}
+
+TEST(Rng, GaussianTailMassMatchesStandardNormal) {
+    // P(|g| > k) = 2 Phi(-k) = erfc(k / sqrt 2), within 5 binomial sigma.
+    // Irwin-Hall-12 gives 0.00201 at k = 3 and 1.79e-5 at k = 4 against the
+    // true 0.00270 and 6.33e-5, and nothing beyond 6.
+    const GaussianSample& s = GaussianSample::get();
+    for (int k = 1; k <= GaussianSample::kTailK; ++k) {
+        const double p = std::erfc(k / std::sqrt(2.0));
+        const double sigma = std::sqrt(s.n * p * (1.0 - p));
+        EXPECT_NEAR(s.beyond[k], s.n * p, 5.0 * sigma) << "P(|g| > " << k << ")";
+    }
+}
+
+TEST(Rng, GaussianIsSignSymmetric) {
+    // Half the draws positive, and each tail split evenly between the signs
+    // (the tail method returns the sign of the layer's uniform).
+    const GaussianSample& s = GaussianSample::get();
+    EXPECT_NEAR(s.positive, 0.5 * s.n, 5.0 * std::sqrt(0.25 * s.n));
+    for (int k = 1; k <= 4; ++k)
+        EXPECT_NEAR(s.beyond_pos[k], 0.5 * s.beyond[k],
+                    5.0 * std::sqrt(0.25 * s.beyond[k]))
+            << "g > " << k;
+}
+
+TEST(Rng, ZigguratTablesFollowTheRecurrence) {
+    // Re-derives the hexfloat tables from (kR, kV) in extended precision:
+    // kX[1] = kR, kX[i+1] = sqrt(-2 ln(kV / kX[i] + f(kX[i]))), kX[0] =
+    // kV / f(kR), kX[256] = 0, kF[i] = f(kX[i]), f(x) = exp(-x^2 / 2).
+    using namespace ziggurat;
+    using Wide = long double;
+    const auto f = [](Wide x) { return std::exp(-x * x / 2); };
+    const auto rel = [](Wide got, Wide want) {
+        return static_cast<double>(std::fabs(got - want) / std::fabs(want));
+    };
+    constexpr double kTol = 1e-14;
+    const Wide r = kR;
+    const Wide v = kV;
+
+    // kV is the area of the base layer: the strip under f(kR) plus the tail.
+    const Wide tail = std::sqrt(std::acos(Wide{-1}) / 2) * std::erfc(r / std::sqrt(Wide{2}));
+    EXPECT_LE(rel(r * f(r) + tail, v), kTol);
+
+    Wide x[kLayers + 1];
+    x[0] = v / f(r);
+    x[1] = r;
+    for (int i = 1; i < kLayers - 1; ++i)
+        x[i + 1] = std::sqrt(-2 * std::log(v / x[i] + f(x[i])));
+    // kR closes the ziggurat: the top layer [0, kX[255]] x [f(kX[255]), 1]
+    // has area kV too.
+    EXPECT_LE(rel(x[kLayers - 1] * (1 - f(x[kLayers - 1])), v), kTol);
+
+    for (int i = 0; i < kLayers; ++i) {
+        EXPECT_LE(rel(kX[i], x[i]), kTol) << "kX[" << i << "]";
+        EXPECT_LE(rel(kF[i], f(x[i])), kTol) << "kF[" << i << "]";
+    }
+    EXPECT_EQ(kX[kLayers], 0.0);
+    EXPECT_EQ(kF[kLayers], 1.0);
+}
+
+TEST(Rng, GaussianStreamIsPinned) {
+    // Seed 10761's first eight draws cover every path of the ziggurat: draws
+    // 0-2 and 5-7 end on the fast path (one next_u64 each), draw 3 is a
+    // wedge draw (one more uniform for its height) and draw 4 comes from
+    // the tail beyond kR (two more uniforms). The slow-path values assume a
+    // glibc-grade std::exp/std::log. A change to the generator must re-pin
+    // these values on purpose.
+    constexpr double kWant[] = {
+        -0x1.37601075ab7e7p+1, -0x1.730e6c2e59b9ap+0, -0x1.e852dce651d1fp-1,
+        -0x1.690c603bb854dp-2, 0x1.deaffa0c5daeap+1,  -0x1.0ccdb0dd19a79p-1,
+        0x1.bbf468da5996fp+0,  -0x1.4633592ed2937p+0,
+    };
+    constexpr int kWords[] = {1, 1, 1, 2, 3, 1, 1, 1};
+    Rng r(10761);
+    for (int i = 0; i < 8; ++i) {
+        Rng advanced = r;  // the state before the draw, advanced by hand
+        EXPECT_EQ(r.next_gaussian(), kWant[i]) << "draw " << i;
+        for (int k = 0; k < kWords[i]; ++k) (void)advanced.next_u64();
+        Rng after = r;
+        EXPECT_EQ(advanced.next_u64(), after.next_u64())
+            << "draw " << i << " consumed other than " << kWords[i] << " words";
+    }
+    EXPECT_GT(std::fabs(kWant[4]), ziggurat::kR);
+    EXPECT_LT(std::fabs(kWant[3]), ziggurat::kR);
 }
 
 // ---------------------------------------------------------------- table

@@ -1,18 +1,21 @@
 // Parity suite for the block-streaming front end: the fused run_block_*
-// kernel, the block-of-1 step_*() wrappers, the system sample window and
-// whole campaign reports must stay bit-identical to the retained per-sample
-// reference path for every block partitioning — including the tank-noise RNG
-// draw order and fault-armed runs. Any divergence here means the streaming
-// refactor changed the signal, not just its batching.
+// kernel and the block-of-1 step_*() wrappers must stay bit-identical to the
+// per-sample oracle (analog::FrontEndReference, test-support library) for
+// every block partitioning, including the tank-noise RNG draw order; the
+// system sample window, fault bookkeeping and whole campaign reports must
+// be identical for every stream_block_ticks. Any divergence here means the
+// streaming kernel changed the signal, not just its batching.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "refpga/analog/frontend.hpp"
+#include "refpga/analog/frontend_reference.hpp"
 #include "refpga/analog/sample_block.hpp"
 #include "refpga/app/hw_modules.hpp"
 #include "refpga/app/system.hpp"
@@ -72,12 +75,12 @@ analog::FrontEndConfig make_config(double noise_rms) {
 
 PcmStream reference_stream(const analog::FrontEndConfig& config,
                            const std::vector<std::uint8_t>& drive, bool ds_bits) {
-    analog::FrontEnd frontend(config, 42);
+    analog::FrontEndReference frontend(config, 42);
     frontend.tank().set_level(0.6);
     PcmStream stream;
     for (std::uint8_t d : drive) {
-        const auto pcm = ds_bits ? frontend.step_ds_bit_reference(d != 0)
-                                 : frontend.step_code8_reference(d);
+        const auto pcm = ds_bits ? frontend.step_ds_bit(d != 0)
+                                 : frontend.step_code8(d);
         if (pcm) {
             stream.meas.push_back(pcm->meas);
             stream.ref.push_back(pcm->ref);
@@ -133,12 +136,12 @@ TEST(FrontEndStream, Code8DriveNoiselessMatchesReference) {
 TEST(FrontEndStream, StepWrappersMatchReferencePath) {
     const std::vector<std::uint8_t> drive = make_drive(4000, true);
     analog::FrontEnd wrapped(make_config(1e-3), 9);
-    analog::FrontEnd reference(make_config(1e-3), 9);
+    analog::FrontEndReference reference(make_config(1e-3), 9);
     wrapped.tank().set_level(0.3);
     reference.tank().set_level(0.3);
     for (std::uint8_t d : drive) {
         const auto a = wrapped.step_ds_bit(d != 0);
-        const auto b = reference.step_ds_bit_reference(d != 0);
+        const auto b = reference.step_ds_bit(d != 0);
         ASSERT_EQ(a.has_value(), b.has_value());
         if (a) {
             EXPECT_EQ(a->meas, b->meas);
@@ -201,6 +204,21 @@ TEST(FrontEndConfig, ValidateRejectsDegenerateConfigs) {
     reject([](analog::FrontEndConfig& c) { c.antialias_cutoff_hz = 0.0; });
     reject([](analog::FrontEndConfig& c) { c.tank.noise_rms_v = -1e-3; });
     reject([](analog::FrontEndConfig& c) { c.tank.c_full_pf = c.tank.c_empty_pf; });
+    // Non-finite tank values pass a plain sign test; an infinite noise level
+    // pins both PCM channels at full scale.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    reject([](analog::FrontEndConfig& c) { c.tank.noise_rms_v = kInf; });
+    reject([](analog::FrontEndConfig& c) { c.tank.noise_rms_v = kNaN; });
+    reject([](analog::FrontEndConfig& c) { c.tank.tia_gain_v_per_a = kInf; });
+    reject([](analog::FrontEndConfig& c) { c.tank.tia_gain_v_per_a = -kInf; });
+    reject([](analog::FrontEndConfig& c) { c.tank.tia_gain_v_per_a = 0.0; });
+    reject([](analog::FrontEndConfig& c) { c.tank.c_empty_pf = 0.0; });
+    reject([](analog::FrontEndConfig& c) { c.tank.c_full_pf = kInf; });
+    reject([](analog::FrontEndConfig& c) { c.tank.c_ref_pf = kInf; });
+    reject([](analog::FrontEndConfig& c) { c.tank.c_ref_pf = 0.0; });
+    reject([](analog::FrontEndConfig& c) { c.tank.r_leak_ohm = kInf; });
+    reject([](analog::FrontEndConfig& c) { c.tank.r_leak_ohm = kNaN; });
 }
 
 // ------------------------------------------------------------------ system
@@ -235,8 +253,10 @@ std::vector<std::string> run_fingerprints(app::SystemOptions options,
     return prints;
 }
 
+// Block size 1 is the baseline: the kernel itself is pinned to the oracle
+// above, so the system must only be invariant to its batching.
 void expect_system_parity(const app::SystemOptions& options, int cycles) {
-    const std::vector<std::string> want = run_fingerprints(options, 0, cycles);
+    const std::vector<std::string> want = run_fingerprints(options, 1, cycles);
     for (int block_size : kBlockSizes)
         EXPECT_EQ(run_fingerprints(options, block_size, cycles), want)
             << "stream_block_ticks " << block_size;
@@ -284,8 +304,19 @@ TEST(SystemStream, FaultArmedCycleReportsIdentical) {
            << fs.fallback_cycles;
         return os.str();
     };
-    const std::string want = stats_for(0);
+    const std::string want = stats_for(1);
     for (int block_size : kBlockSizes) EXPECT_EQ(stats_for(block_size), want);
+}
+
+TEST(SystemStream, NonPositiveBlockSizeIsRejected) {
+    for (const int block_ticks : {0, -1}) {
+        app::SystemOptions options;
+        options.stream_block_ticks = block_ticks;
+        EXPECT_THROW(app::MeasurementSystem(options, 11), ContractViolation);
+        fleet::CampaignOptions campaign;
+        campaign.stream_block_ticks = block_ticks;
+        EXPECT_THROW(fleet::CampaignRunner{campaign}, ContractViolation);
+    }
 }
 
 // ---------------------------------------------------------------- campaign
@@ -298,16 +329,16 @@ TEST(CampaignStream, ReportJsonByteIdenticalAcrossBlockSizes) {
                                                        .build();
     ASSERT_EQ(scenarios.size(), 4u);
 
-    // Per-sample reference path, single-threaded: the ground truth bytes.
-    fleet::CampaignOptions reference(1);
-    reference.stream_block_ticks = 0;
+    // Blocks of one tick, single-threaded: the baseline bytes.
+    fleet::CampaignOptions baseline(1);
+    baseline.stream_block_ticks = 1;
     const std::string want = fleet::CampaignReport::from(
-                                 fleet::CampaignRunner(reference).run(scenarios))
+                                 fleet::CampaignRunner(baseline).run(scenarios))
                                  .render_json();
 
-    // Streamed campaigns on worker threads (thread_local block reuse in
-    // play) must render the very same bytes.
-    for (int block_size : {1, 64, 4096}) {
+    // Campaigns on worker threads (thread_local block reuse in play) must
+    // render the very same bytes at every block size.
+    for (int block_size : kBlockSizes) {
         fleet::CampaignOptions options(2);
         options.stream_block_ticks = block_size;
         const std::string json = fleet::CampaignReport::from(

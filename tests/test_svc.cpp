@@ -371,8 +371,9 @@ TEST(Checkpoint, CorruptJournalsFailLoudly) {
     rewrite("refpga-svc-checkpoint v9 codec 1 fingerprint 0000000000001234 scenarios 10\n");
     EXPECT_THROW((void)load_checkpoint(path, 0, 0), CheckpointError);
 
-    const std::string header =
-        "refpga-svc-checkpoint v1 codec 1 fingerprint 0000000000001234 scenarios 10\n";
+    const std::string header = "refpga-svc-checkpoint v2 codec 1 model " +
+                               std::to_string(fleet::kModelVersion) +
+                               " fingerprint 0000000000001234 scenarios 10\n";
     // Mid-file garbage where a batch header belongs (at EOF it would be an
     // ambiguous crash tear and load would drop it instead).
     rewrite(header + "x 0 1\nmore garbage\n");
@@ -401,6 +402,41 @@ TEST(Checkpoint, CorruptJournalsFailLoudly) {
     EXPECT_THROW((void)load_checkpoint(path, 0x9999, 10), CheckpointError);
     EXPECT_THROW((void)load_checkpoint(path, 0x1234, 11), CheckpointError);
     EXPECT_NO_THROW((void)load_checkpoint(path, 0x1234, 10));
+}
+
+TEST(Checkpoint, RefusesJournalOfAnotherModel) {
+    // A journal whose outcomes another simulation model produced must not be
+    // resumed: merging them with this build's outcomes would make a report
+    // neither build produces. The v1 header is the format written before
+    // the model field existed (model 1).
+    const std::string path = temp_path("ckpt_model");
+    const std::string record = "b 0 1\n" + sample_lines(0, 1)[0] + "\ne 0\n";
+    const auto expect_refused = [&](const std::string& header) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << header << record;
+        }
+        try {
+            (void)load_checkpoint(path, 0x1234, 10);
+            ADD_FAILURE() << "loaded: " << header;
+        } catch (const CheckpointError& e) {
+            EXPECT_NE(std::string(e.what()).find("simulation model"), std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW((void)CheckpointWriter::resume(path, 0x1234, 10), CheckpointError);
+    };
+    expect_refused(
+        "refpga-svc-checkpoint v1 codec 1 fingerprint 0000000000001234 scenarios 10\n");
+    expect_refused("refpga-svc-checkpoint v2 codec 1 model " +
+                   std::to_string(fleet::kModelVersion - 1) +
+                   " fingerprint 0000000000001234 scenarios 10\n");
+
+    // The writer stamps this build's model, and the same journal loads.
+    {
+        CheckpointWriter writer(path, 0x1234, 10);
+        writer.append(0, sample_lines(0, 1));
+    }
+    EXPECT_EQ(load_checkpoint(path, 0x1234, 10).batches.size(), 1u);
 }
 
 TEST(Checkpoint, TearAtEveryByteOffsetLoadsOrFailsThenResumes) {
