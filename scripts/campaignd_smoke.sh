@@ -30,9 +30,11 @@ LOG="$OUT_DIR/campaign.log"
 METRICS="$OUT_DIR/metrics.prom"
 EXPECTED=48
 
-# 24 noise levels x 2 upset rates: uniform-cost scenarios, long enough that
-# the mid-run scrape and the worker kill land while the sweep is in flight
-# (about half a second of scenario compute on a 4-vCPU host).
+# 24 noise levels x 2 upset rates: uniform-cost scenarios. Their compute
+# alone (well under half a second on a 4-vCPU host) can end the sweep before
+# the mid-run scrape connects or the kill finds a worker, so the kill run
+# paces every generation-0 batch with the chaos slow-batch knob (20 ms each,
+# about half a second per worker); a restarted worker runs unpaced.
 python3 - "$SPEC" <<'EOF'
 import json, sys
 spec = {
@@ -48,6 +50,7 @@ json.dump(spec, open(sys.argv[1], "w"))
 EOF
 
 "$CAMPAIGN" --spec "$SPEC" --workers 2 --batch 1 \
+    --chaos-slow 1 --chaos-slow-ms 20 \
     --http-port 0 --json --out "$REPORT" \
     --spool "$OUT_DIR/job.spool" 2> "$LOG" &
 DAEMON=$!

@@ -1,11 +1,11 @@
 // Caller-owned buffers for the block-streaming front end.
 //
 // The 16 MHz measurement loop advances millions of modulator ticks per
-// simulated second; a SampleBlock lets FrontEnd::run_block_*() write whole
+// simulated second; a SampleBlock lets the FrontEnd block entries write whole
 // batches of PCM pairs into preallocated storage instead of returning one
-// std::optional per tick. The same object also carries the modulator-rate
-// drive scratch, so one block can be reused across windows, cycles and
-// scenarios without reallocating (refpga::fleet keeps one per worker thread).
+// std::optional per tick, and one block can be reused across windows, cycles
+// and scenarios without reallocating (refpga::fleet keeps one per worker
+// thread).
 #pragma once
 
 #include <cstddef>
@@ -14,15 +14,12 @@
 
 namespace refpga::analog {
 
-/// Reusable streaming buffers. `meas`/`ref` hold the decimated PCM output
-/// (appended to by FrontEnd::run_block_*); `drive` is modulator-rate drive
-/// scratch — delta-sigma bits (0/1) or 8-bit DAC codes — filled by the drive
-/// source (e.g. app::SinusGenModel::run_block_*). Plain vectors so callers
-/// keep full ownership of capacity and lifetime.
+/// Reusable streaming buffers: `meas`/`ref` hold the decimated PCM output
+/// (appended to by FrontEnd::run_block_* and run_periodic_*). Plain vectors
+/// so callers keep full ownership of capacity and lifetime.
 struct SampleBlock {
     std::vector<std::int32_t> meas;
     std::vector<std::int32_t> ref;
-    std::vector<std::uint8_t> drive;
 
     [[nodiscard]] std::size_t pcm_size() const { return meas.size(); }
 

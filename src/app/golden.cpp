@@ -16,13 +16,21 @@ std::int32_t wrap(std::int64_t v, int bits) {
 
 }  // namespace
 
+Tables::Tables(const AppParams& params)
+    : sin(sine_table(params.window, params.table_bits)),
+      cos(cosine_table(params.window, params.table_bits)),
+      cos256(cosine_table(256, params.cos_table_bits)),
+      atan(cordic_atan_table(params.cordic_stages, params.angle_bits)),
+      inv_gain_q15(cordic_inv_gain_q15(params.cordic_stages)) {}
+
 WindowAccumulators accumulate_window(std::span<const std::int32_t> meas,
                                      std::span<const std::int32_t> ref,
-                                     const AppParams& params) {
+                                     const AppParams& params, const Tables& tables) {
     REFPGA_EXPECTS(meas.size() == static_cast<std::size_t>(params.window));
     REFPGA_EXPECTS(ref.size() == meas.size());
-    const auto sin_t = sine_table(params.window, params.table_bits);
-    const auto cos_t = cosine_table(params.window, params.table_bits);
+    REFPGA_EXPECTS(tables.sin.size() == meas.size() && tables.cos.size() == meas.size());
+    const std::vector<std::int32_t>& sin_t = tables.sin;
+    const std::vector<std::int32_t>& cos_t = tables.cos;
 
     WindowAccumulators acc;
     std::uint32_t phase = 0;  // DDS phase accumulator, mod window
@@ -46,9 +54,11 @@ WindowAccumulators accumulate_window(std::span<const std::int32_t> meas,
     return acc;
 }
 
-CordicVector cordic_vector(std::int32_t x0, std::int32_t y0, const AppParams& params) {
+CordicVector cordic_vector(std::int32_t x0, std::int32_t y0, const AppParams& params,
+                           const Tables& tables) {
     const int w = params.cordic_bits;
-    const auto atan_t = cordic_atan_table(params.cordic_stages, params.angle_bits);
+    const std::vector<std::int32_t>& atan_t = tables.atan;
+    REFPGA_EXPECTS(atan_t.size() == static_cast<std::size_t>(params.cordic_stages));
     const std::uint32_t angle_mask =
         (params.angle_bits == 32) ? 0xFFFFFFFFu
                                   : ((std::uint32_t{1} << params.angle_bits) - 1);
@@ -86,15 +96,16 @@ CordicVector cordic_vector(std::int32_t x0, std::int32_t y0, const AppParams& pa
     return {x, z};
 }
 
-ChannelResult amp_phase(std::int32_t acc_i, std::int32_t acc_q, const AppParams& params) {
+ChannelResult amp_phase(std::int32_t acc_i, std::int32_t acc_q, const AppParams& params,
+                        const Tables& tables) {
     // Truncate accumulators to the CORDIC lane width.
     const std::int32_t x = acc_i >> params.acc_shift;
     const std::int32_t y = acc_q >> params.acc_shift;
-    const CordicVector v = cordic_vector(x, y, params);
+    const CordicVector v = cordic_vector(x, y, params, tables);
 
     // Gain correction: amp = (magnitude * invK) >> 15, 16-bit truncation.
     const std::int64_t scaled =
-        static_cast<std::int64_t>(v.magnitude) * cordic_inv_gain_q15(params.cordic_stages);
+        static_cast<std::int64_t>(v.magnitude) * tables.inv_gain_q15;
     ChannelResult result;
     result.amplitude = static_cast<std::uint32_t>(scaled >> 15) & 0xFFFFu;
     result.phase = v.angle;
@@ -112,16 +123,15 @@ std::uint32_t divide_sat(std::uint32_t num, std::uint32_t den, int frac_bits,
 }
 
 CapacityResult capacity(const ChannelResult& meas, const ChannelResult& ref,
-                        const AppParams& params) {
+                        const AppParams& params, const Tables& tables) {
     CapacityResult result;
     result.ratio_q12 = divide_sat(meas.amplitude, ref.amplitude,
                                   params.ratio_frac_bits, params.ratio_bits);
 
     const std::uint32_t angle_mask = (std::uint32_t{1} << params.angle_bits) - 1;
     const std::uint32_t dphi = (meas.phase - ref.phase) & angle_mask;
-    const auto cos_t = cosine_table(256, params.cos_table_bits);
     const std::uint32_t addr = dphi >> (params.angle_bits - 8);
-    result.cos_q11 = cos_t[addr];
+    result.cos_q11 = tables.cos256[addr];
 
     // C/C_ref in Q12: (ratio_q12 * cos_q11) >> 11, clamped at 0.
     const std::int64_t scaled =
@@ -176,14 +186,41 @@ FilterState::Output FilterState::step(std::uint32_t cap_pf_q4) {
 
 CycleResult process_window(std::span<const std::int32_t> meas,
                            std::span<const std::int32_t> ref, FilterState& filter,
-                           const AppParams& params) {
-    const WindowAccumulators acc = accumulate_window(meas, ref, params);
+                           const AppParams& params, const Tables& tables) {
+    const WindowAccumulators acc = accumulate_window(meas, ref, params, tables);
     CycleResult result;
-    result.meas = amp_phase(acc.i_meas, acc.q_meas, params);
-    result.ref = amp_phase(acc.i_ref, acc.q_ref, params);
-    result.cap = capacity(result.meas, result.ref, params);
+    result.meas = amp_phase(acc.i_meas, acc.q_meas, params, tables);
+    result.ref = amp_phase(acc.i_ref, acc.q_ref, params, tables);
+    result.cap = capacity(result.meas, result.ref, params, tables);
     result.level = filter.step(result.cap.cap_pf_q4);
     return result;
+}
+
+// One-off overloads: a fresh table set per call.
+
+WindowAccumulators accumulate_window(std::span<const std::int32_t> meas,
+                                     std::span<const std::int32_t> ref,
+                                     const AppParams& params) {
+    return accumulate_window(meas, ref, params, Tables(params));
+}
+
+CordicVector cordic_vector(std::int32_t x, std::int32_t y, const AppParams& params) {
+    return cordic_vector(x, y, params, Tables(params));
+}
+
+ChannelResult amp_phase(std::int32_t acc_i, std::int32_t acc_q, const AppParams& params) {
+    return amp_phase(acc_i, acc_q, params, Tables(params));
+}
+
+CapacityResult capacity(const ChannelResult& meas, const ChannelResult& ref,
+                        const AppParams& params) {
+    return capacity(meas, ref, params, Tables(params));
+}
+
+CycleResult process_window(std::span<const std::int32_t> meas,
+                           std::span<const std::int32_t> ref, FilterState& filter,
+                           const AppParams& params) {
+    return process_window(meas, ref, filter, params, Tables(params));
 }
 
 }  // namespace refpga::app::golden

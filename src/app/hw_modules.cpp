@@ -1,5 +1,6 @@
 #include "refpga/app/hw_modules.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "refpga/app/tables.hpp"
@@ -83,51 +84,51 @@ SinusGeneratorIo make_sinus_generator(Builder& b, NetId tick, const AppParams& p
 }
 
 SinusGenModel::SinusGenModel(const AppParams&) {
-    for (const std::uint32_t code : sinus_dac_codes())
-        table_.push_back(static_cast<std::int32_t>(code));
+    // The netlist's recurrence, tick by tick from reset: the out bit comes
+    // from the current s2, s2 integrates the new s1, and both integrators
+    // wrap at 14/16 bits.
+    const std::vector<std::uint32_t> table = sinus_dac_codes();
+    std::size_t addr = 0;
+    std::int32_t s1 = 0;
+    std::int32_t s2 = 0;
+    do {
+        // Bounded search: the state space has 2^35 states, and kMaxPeriod
+        // is far past any period worth tabulating.
+        REFPGA_ENSURES(bits_.size() < kMaxPeriod);
+        const auto code8 = static_cast<std::int32_t>(table[addr]);
+        const bool bit = s2 >= 0;
+        const std::int32_t fb = bit ? 128 : -128;
+        s1 = decode_signed(static_cast<std::uint32_t>(s1 + (code8 - 128) - fb), 14);
+        s2 = decode_signed(static_cast<std::uint32_t>(s2 + s1 - fb), 16);
+        bits_.push_back(static_cast<std::uint8_t>(bit));
+        codes_.push_back(static_cast<std::uint8_t>(code8));
+        addr = (addr + 1) % table.size();
+    } while (addr != 0 || s1 != 0 || s2 != 0);
 }
 
 SinusGenModel::Step SinusGenModel::step() {
-    Step out;
-    out.code8 = static_cast<std::uint32_t>(table_[addr_]);
-    std::uint8_t bit = 0;
-    run_block_bits(1, &bit);
-    out.ds_bit = bit != 0;
+    const Step out{codes_[phase_], bits_[phase_] != 0};
+    advance(1);
     return out;
 }
 
-template <bool kEmitBits>
-void SinusGenModel::run_block(std::size_t n, std::uint8_t* out) {
-    // Fused phase/LUT/modulator batch: the 32-entry table pointer, address
-    // and both integrators stay in registers for the whole block. Arithmetic
-    // mirrors the netlist exactly (out bit from current s2; s2 integrates
-    // the new s1; integrators wrap at 14/16 bits via decode_signed).
-    const std::int32_t* table = table_.data();
-    std::uint32_t addr = addr_;
-    std::int32_t s1 = s1_;
-    std::int32_t s2 = s2_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t code8 = table[addr];
-        const bool bit = s2 >= 0;
-        const std::int32_t u = code8 - 128;
-        const std::int32_t fb = bit ? 128 : -128;
-        s1 = decode_signed(static_cast<std::uint32_t>(s1 + u - fb), 14);
-        s2 = decode_signed(static_cast<std::uint32_t>(s2 + s1 - fb), 16);
-        out[i] = kEmitBits ? static_cast<std::uint8_t>(bit)
-                           : static_cast<std::uint8_t>(code8);
-        addr = (addr + 1) & 31;
+void SinusGenModel::copy_period(std::span<const std::uint8_t> period, std::size_t n,
+                                std::uint8_t* out) {
+    while (n > 0) {
+        const std::size_t run = std::min(n, period.size() - phase_);
+        std::copy_n(period.begin() + static_cast<std::ptrdiff_t>(phase_), run, out);
+        out += run;
+        n -= run;
+        advance(run);
     }
-    addr_ = addr;
-    s1_ = s1;
-    s2_ = s2;
 }
 
 void SinusGenModel::run_block_bits(std::size_t n, std::uint8_t* bits) {
-    run_block<true>(n, bits);
+    copy_period(bits_, n, bits);
 }
 
 void SinusGenModel::run_block_codes(std::size_t n, std::uint8_t* codes) {
-    run_block<false>(n, codes);
+    copy_period(codes_, n, codes);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "refpga/app/params.hpp"
 #include "refpga/netlist/builder.hpp"
@@ -28,34 +30,55 @@ struct SinusGeneratorIo {
                                                     netlist::NetId tick,
                                                     const AppParams& params);
 
-/// Bit-exact C++ mirror of the generator's delta-sigma stage (for tests and
-/// for driving the analog front end without netlist simulation).
+/// Bit-exact C++ mirror of the generator's LUT and delta-sigma stage (for
+/// tests and for driving the analog front end without netlist simulation).
+///
+/// The generator has no input, so its state (LUT address, s1, s2) is a pure
+/// function of the tick count: it returns to reset after a fixed number of
+/// ticks, 64 for the shipped table (two passes of the 32-entry LUT). The
+/// constructor runs the integrator recurrence once, from reset until the
+/// state returns there, and every tick after that is served from the
+/// recorded period; a table whose state does not return to reset within
+/// kMaxPeriod ticks is a contract failure. period() and phase() let a
+/// periodic consumer (analog::FrontEnd::run_periodic_*) read the period in
+/// place instead of copying the drive out tick by tick.
 class SinusGenModel {
 public:
+    /// Bound on the period the constructor searches for.
+    static constexpr std::size_t kMaxPeriod = std::size_t{1} << 16;
+
     explicit SinusGenModel(const AppParams& params);
-    /// One 16 MHz tick: returns {code8, ds_bit}. Thin wrapper over a block
-    /// of one tick.
+
+    /// One 16 MHz tick: returns {code8, ds_bit}.
     struct Step {
         std::uint32_t code8 = 0;
         bool ds_bit = false;
     };
     Step step();
 
-    /// Batch drive generation for the block-streaming front end: advances
-    /// `n` ticks through one fused LUT/phase/modulator loop, writing the
-    /// delta-sigma bit (0/1) of each tick into `bits`.
+    /// Ticks until the state returns to reset.
+    [[nodiscard]] std::size_t period() const { return bits_.size(); }
+    /// Position of the next tick within the period.
+    [[nodiscard]] std::size_t phase() const { return phase_; }
+    /// One period from reset: the delta-sigma bit (0/1) of each tick.
+    [[nodiscard]] std::span<const std::uint8_t> period_bits() const { return bits_; }
+    /// One period from reset: the 8-bit DAC code of each tick.
+    [[nodiscard]] std::span<const std::uint8_t> period_codes() const { return codes_; }
+    /// Skips `n` ticks.
+    void advance(std::size_t n) { phase_ = (phase_ + n % period()) % period(); }
+
+    /// The next `n` delta-sigma bits (0/1), copied into `bits`.
     void run_block_bits(std::size_t n, std::uint8_t* bits);
-    /// Same, writing the 8-bit DAC code of each tick into `codes`.
+    /// The next `n` 8-bit DAC codes, copied into `codes`.
     void run_block_codes(std::size_t n, std::uint8_t* codes);
 
 private:
-    template <bool kEmitBits>
-    void run_block(std::size_t n, std::uint8_t* out);
+    void copy_period(std::span<const std::uint8_t> period, std::size_t n,
+                     std::uint8_t* out);
 
-    std::vector<std::int32_t> table_;
-    std::uint32_t addr_ = 0;
-    std::int32_t s1_ = 0;
-    std::int32_t s2_ = 0;
+    std::vector<std::uint8_t> bits_;
+    std::vector<std::uint8_t> codes_;
+    std::size_t phase_ = 0;
 };
 
 /// Amplitude & phase module (the largest reconfigurable module): dual-channel

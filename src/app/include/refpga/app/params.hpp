@@ -46,6 +46,16 @@ struct AppParams {
     // Measurement schedule (Fig. 4): one full cycle every 100 ms.
     double cycle_period_s = 0.100;
 
+    /// Throws refpga::ContractViolation unless the parameters describe the
+    /// pipeline they configure: a power-of-two window, a correlation bin on
+    /// the excitation (bin * pcm_rate == window * signal_hz), a modulator
+    /// clock that plays the sinus generator's kSinusLutSize-entry LUT at
+    /// signal_hz, and table widths and CORDIC sizes within the table
+    /// generators' bounds. Anything else used to run and read a wrong level
+    /// (window 200, bin 41) or silently ignore a field (signal_hz,
+    /// modulator_hz). MeasurementSystem calls it before building its tables.
+    void validate() const;
+
     [[nodiscard]] double pcm_rate_hz() const { return modulator_hz / adc_decimation; }
     /// Capacity output scaling: pF in Q4.
     [[nodiscard]] int c_ref_q4() const { return static_cast<int>(c_ref_pf * 16.0); }

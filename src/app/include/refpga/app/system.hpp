@@ -117,6 +117,8 @@ struct CycleReport {
 /// on distinct threads concurrently (refpga::fleet relies on this).
 class MeasurementSystem {
 public:
+    /// Throws refpga::ContractViolation when options.params fails
+    /// AppParams::validate() or another option is out of range.
     explicit MeasurementSystem(SystemOptions options, std::uint64_t noise_seed = 7);
 
     // The configuration memory and scrubber hold references into this
@@ -164,9 +166,10 @@ private:
         const std::vector<std::int32_t>& meas, const std::vector<std::int32_t>& ref);
     void run_scrub_phase(CycleReport& report, double cycle_start_s, double& t);
 
-    SystemOptions options_;
+    SystemOptions options_;  // params checked by AppParams::validate()
     analog::FrontEnd frontend_;
     SinusGenModel sinusgen_;
+    golden::Tables tables_;  ///< the golden stages' tables, built once
     golden::FilterState filter_;
     fabric::Device device_;
     reconfig::ReconfigController controller_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "refpga/app/params.hpp"
+#include "refpga/common/contracts.hpp"
 
 namespace refpga::app {
 
@@ -15,9 +16,13 @@ namespace refpga::app {
 /// Signed cosine table with the same scaling.
 [[nodiscard]] std::vector<std::int32_t> cosine_table(int size, int bits);
 
-/// 32-entry unsigned 8-bit DAC code table for the sinus generator: sine at
-/// 0.8 of full scale (second-order delta-sigma modulators overload near
-/// full-scale inputs), centred on 128.
+/// Entries of the sinus generator's sine LUT: one excitation period per
+/// kSinusLutSize modulator ticks.
+inline constexpr int kSinusLutSize = 32;
+
+/// kSinusLutSize-entry unsigned 8-bit DAC code table for the sinus
+/// generator: sine at 0.8 of full scale (second-order delta-sigma modulators
+/// overload near full-scale inputs), centred on 128.
 [[nodiscard]] std::vector<std::uint32_t> sinus_dac_codes();
 
 /// CORDIC arc-tangent constants in angle turns:
@@ -28,8 +33,21 @@ namespace refpga::app {
 [[nodiscard]] std::int32_t cordic_inv_gain_q15(int stages);
 
 /// Two's-complement encode of a signed value into `bits` bits.
-[[nodiscard]] std::uint32_t encode_signed(std::int32_t value, int bits);
+[[nodiscard]] inline std::uint32_t encode_signed(std::int32_t value, int bits) {
+    REFPGA_EXPECTS(bits >= 1 && bits <= 32);
+    const std::uint32_t mask =
+        bits == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << bits) - 1);
+    return static_cast<std::uint32_t>(value) & mask;
+}
+
 /// Sign-extend the low `bits` bits of a word.
-[[nodiscard]] std::int32_t decode_signed(std::uint32_t word, int bits);
+[[nodiscard]] inline std::int32_t decode_signed(std::uint32_t word, int bits) {
+    REFPGA_EXPECTS(bits >= 1 && bits <= 32);
+    const std::uint32_t mask =
+        bits == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << bits) - 1);
+    const std::uint32_t v = word & mask;
+    const std::uint32_t sign = std::uint32_t{1} << (bits - 1);
+    return static_cast<std::int32_t>((v ^ sign)) - static_cast<std::int32_t>(sign);
+}
 
 }  // namespace refpga::app

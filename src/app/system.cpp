@@ -22,6 +22,11 @@ SystemOptions::SystemOptions() : port(reconfig::jcap_port()) {}
 
 namespace {
 
+SystemOptions checked(SystemOptions options) {
+    options.params.validate();
+    return options;
+}
+
 analog::FrontEndConfig frontend_config(const SystemOptions& options) {
     const AppParams& params = options.params;
     analog::FrontEndConfig cfg;
@@ -52,9 +57,10 @@ std::vector<double> wall_bounds() {
 }  // namespace
 
 MeasurementSystem::MeasurementSystem(SystemOptions options, std::uint64_t noise_seed)
-    : options_(std::move(options)),
+    : options_(checked(std::move(options))),
       frontend_(frontend_config(options_), noise_seed),
       sinusgen_(options_.params),
+      tables_(options_.params),
       filter_(options_.params),
       device_(options_.part),
       controller_(device_, options_.port),
@@ -146,25 +152,25 @@ void MeasurementSystem::collect_window(analog::SampleBlock& block,
     ref.clear();
     const int needed = p.window * (1 + options_.settle_windows);
 
-    // Generate the drive batch, then push it through the fused front-end
-    // kernel, stream_block_ticks modulator ticks at a time. ticks_for_pcm
-    // accounts for the ADC decimation phase carried over from the previous
-    // cycle, so the settle-plus-measurement window always lands exactly
-    // `needed` PCM pairs.
+    // Stream the generator's period through the front end,
+    // stream_block_ticks modulator ticks at a time. ticks_for_pcm accounts
+    // for the ADC decimation phase carried over from the previous cycle, so
+    // the settle-plus-measurement window always lands exactly `needed` PCM
+    // pairs.
     block.clear_pcm();
     block.reserve_pcm(static_cast<std::size_t>(needed));
+    const std::span<const std::uint8_t> period =
+        options_.use_ds_dac ? sinusgen_.period_bits() : sinusgen_.period_codes();
     long remaining = frontend_.ticks_for_pcm(needed);
     while (remaining > 0) {
-        const long n = std::min<long>(options_.stream_block_ticks, remaining);
-        block.drive.resize(static_cast<std::size_t>(n));
-        if (options_.use_ds_dac) {
-            sinusgen_.run_block_bits(static_cast<std::size_t>(n), block.drive.data());
-            frontend_.run_block_ds(block.drive, block);
-        } else {
-            sinusgen_.run_block_codes(static_cast<std::size_t>(n), block.drive.data());
-            frontend_.run_block_code8(block.drive, block);
-        }
-        remaining -= n;
+        const auto n =
+            static_cast<std::size_t>(std::min<long>(options_.stream_block_ticks, remaining));
+        if (options_.use_ds_dac)
+            frontend_.run_periodic_ds(period, sinusgen_.phase(), n, block);
+        else
+            frontend_.run_periodic_code8(period, sinusgen_.phase(), n, block);
+        sinusgen_.advance(n);
+        remaining -= static_cast<long>(n);
     }
     REFPGA_ENSURES(block.pcm_size() == static_cast<std::size_t>(needed));
 
@@ -353,17 +359,18 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
         // Hardware modules replay the buffered window at the system clock:
         // N cycles of streaming MAC, then the combinational tail registered
         // over a handful of cycles per stage.
-        const golden::WindowAccumulators acc = golden::accumulate_window(meas, ref, p);
+        const golden::WindowAccumulators acc =
+            golden::accumulate_window(meas, ref, p, tables_);
         bool hw_ok = add_reconfig("amp_phase");
         if (hw_ok) {
-            report.result.meas = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-            report.result.ref = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+            report.result.meas = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables_);
+            report.result.ref = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables_);
             add_processing("amplitude & phase (HW module)",
                            static_cast<double>(p.window + 4) / p.system_clock_hz);
             hw_ok = add_reconfig("capacity");
         }
         if (hw_ok) {
-            cap_raw = golden::capacity(report.result.meas, report.result.ref, p);
+            cap_raw = golden::capacity(report.result.meas, report.result.ref, p, tables_);
             add_processing("capacity computation (HW module)", 4.0 / p.system_clock_hz);
             hw_ok = add_reconfig("filter");
         }
@@ -375,9 +382,9 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
             // aborting it.
             report.fallback = true;
             ++stats_.fallback_cycles;
-            report.result.meas = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-            report.result.ref = golden::amp_phase(acc.i_ref, acc.q_ref, p);
-            cap_raw = golden::capacity(report.result.meas, report.result.ref, p);
+            report.result.meas = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables_);
+            report.result.ref = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables_);
+            cap_raw = golden::capacity(report.result.meas, report.result.ref, p, tables_);
             add_processing("fallback: software pipeline (slot failed)",
                            fallback_processing_s(meas, ref));
         }

@@ -27,9 +27,9 @@ std::vector<std::int32_t> cosine_table(int size, int bits) {
 }
 
 std::vector<std::uint32_t> sinus_dac_codes() {
-    const auto sine = sine_table(32, 9);  // +-255
+    const auto sine = sine_table(kSinusLutSize, 9);  // +-255
     std::vector<std::uint32_t> codes;
-    codes.reserve(32);
+    codes.reserve(kSinusLutSize);
     for (const std::int32_t s : sine)
         codes.push_back(static_cast<std::uint32_t>(128 + (s * 2) / 5));  // +-102
     return codes;
@@ -50,22 +50,6 @@ std::int32_t cordic_inv_gain_q15(int stages) {
     double k = 1.0;
     for (int i = 0; i < stages; ++i) k *= std::sqrt(1.0 + std::pow(2.0, -2 * i));
     return static_cast<std::int32_t>(std::lround(32768.0 / k));
-}
-
-std::uint32_t encode_signed(std::int32_t value, int bits) {
-    REFPGA_EXPECTS(bits >= 1 && bits <= 32);
-    const std::uint32_t mask =
-        bits == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << bits) - 1);
-    return static_cast<std::uint32_t>(value) & mask;
-}
-
-std::int32_t decode_signed(std::uint32_t word, int bits) {
-    REFPGA_EXPECTS(bits >= 1 && bits <= 32);
-    const std::uint32_t mask =
-        bits == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << bits) - 1);
-    const std::uint32_t v = word & mask;
-    const std::uint32_t sign = std::uint32_t{1} << (bits - 1);
-    return static_cast<std::int32_t>((v ^ sign)) - static_cast<std::int32_t>(sign);
 }
 
 }  // namespace refpga::app

@@ -52,6 +52,16 @@ TEST(Tables, SignedEncodingRoundTrip) {
         EXPECT_EQ(decode_signed(encode_signed(v, 11), 11), v) << v;
 }
 
+TEST(Tables, GoldenTableSetComesFromTheGenerators) {
+    const AppParams p = params();
+    const golden::Tables t(p);
+    EXPECT_EQ(t.sin, sine_table(p.window, p.table_bits));
+    EXPECT_EQ(t.cos, cosine_table(p.window, p.table_bits));
+    EXPECT_EQ(t.cos256, cosine_table(256, p.cos_table_bits));
+    EXPECT_EQ(t.atan, cordic_atan_table(p.cordic_stages, p.angle_bits));
+    EXPECT_EQ(t.inv_gain_q15, cordic_inv_gain_q15(p.cordic_stages));
+}
+
 // ---------------------------------------------------------------- cordic
 
 TEST(GoldenCordic, KnownAngles) {

@@ -991,6 +991,11 @@ TEST(Coordinator, SurvivesWorkerKillWithIdenticalReport) {
     options.kill_worker = 0;
     options.kill_after_commits = 1;
     options.max_worker_restarts = 2;
+    // Pace every generation-0 batch so the kill lands with work
+    // outstanding: unpaced, the killed worker can already have finished its
+    // shard, and then nothing is left to reassign.
+    options.chaos.slow_batch_prob = 1.0;
+    options.chaos.slow_ms = 20;
 
     obs::Recorder recorder;
     options.recorder = &recorder;
@@ -1226,7 +1231,12 @@ TEST(Coordinator, SpeculatesStragglerAndDiscardsDuplicatesExactly) {
 }
 
 TEST(Coordinator, MinWorkersFailsFastWhenFleetCannotRecover) {
-    const JobSpec spec = chaos_spec();
+    // The healthy worker's share must outlast slot 0's crash-restart-crash
+    // loop, or it finishes the grid and the run legitimately completes. The
+    // chaos spec is scoped to slot 0, so its slow-batch knob cannot pace the
+    // healthy slot; 64-cycle scenarios do.
+    JobSpec spec = chaos_spec();
+    spec.cycles = 64;
 
     CoordinatorOptions options;
     options.workers = 2;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "refpga/app/system.hpp"
+#include "refpga/common/contracts.hpp"
 #include "refpga/netlist/drc.hpp"
 #include "refpga/netlist/stats.hpp"
 #include "refpga/par/pack.hpp"
@@ -43,6 +44,32 @@ INSTANTIATE_TEST_SUITE_P(
                                          SystemVariant::MonolithicHw,
                                          SystemVariant::ReconfiguredHw),
                        ::testing::Values(0.2, 0.5, 0.8)));
+
+TEST(SystemParams, DefaultsValidate) {
+    EXPECT_NO_THROW(AppParams{}.validate());
+    EXPECT_NO_THROW(MeasurementSystem(SystemOptions{}));
+}
+
+// Parameters the pipeline cannot honour: each used to run without error and
+// read a wrong level (window, bin) or silently ignore the field (signal_hz,
+// modulator_hz). The system now refuses them before building any table.
+TEST(SystemParams, RejectsParametersThePipelineWouldIgnore) {
+    const auto reject = [](auto mutate) {
+        SystemOptions options;
+        mutate(options.params);
+        EXPECT_THROW(options.params.validate(), ContractViolation);
+        EXPECT_THROW(MeasurementSystem{options}, ContractViolation);
+    };
+    reject([](AppParams& p) { p.window = 200; });          // not a power of two
+    reject([](AppParams& p) { p.bin = 41; });              // off the excitation
+    reject([](AppParams& p) { p.signal_hz = 250e3; });     // LUT plays 500 kHz
+    reject([](AppParams& p) { p.modulator_hz = 8e6; });    // LUT plays 250 kHz
+    reject([](AppParams& p) { p.table_bits = 19; });
+    reject([](AppParams& p) { p.cos_table_bits = 1; });
+    reject([](AppParams& p) { p.cordic_stages = 0; });
+    reject([](AppParams& p) { p.cordic_stages = 25; });
+    reject([](AppParams& p) { p.angle_bits = 7; });
+}
 
 TEST(System, HwAndReconfigVariantsAgreeExactly) {
     // Reconfiguration changes *when* modules exist, not what they compute.
