@@ -7,17 +7,28 @@
 // SRAM), two intermediate software configurations, and the hardware modules.
 //
 // A second table times the simulation itself on the host: the resident
-// `SoftCore` (firmware loaded once, decode-cached CPU) against the oracle
-// path it replaced (assemble, fresh memory and `CpuReference` per window),
-// in microseconds per window and nanoseconds per retired instruction. Every
-// window's SoftwareRun must be identical on both paths; the exit status is
-// non-zero otherwise, so CI runs `--smoke` as a check.
+// `SoftCore` (firmware loaded once, CPU running from translated basic
+// blocks) against the oracle path it replaced (assemble, fresh memory and
+// `CpuReference` per window), in microseconds per window and nanoseconds per
+// retired instruction, with the number of blocks each resident core
+// translated. Every window's SoftwareRun must be identical on both paths;
+// the exit status is non-zero otherwise, so CI runs `--smoke` as a check.
+// In full mode the exit status is also non-zero unless the legacy port's
+// resident core runs at least 4.5x faster than the oracle path.
+//
+// --json writes BENCH_headline_speedup.json (host facts, and per
+// configuration the build time, both paths' time per window and per
+// instruction, the speedup and the translations) to the working directory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <string_view>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "refpga/app/golden.hpp"
@@ -28,6 +39,9 @@
 namespace {
 
 using namespace refpga;
+
+/// Full mode: the legacy port's resident core against the oracle path.
+constexpr double kLegacySpeedupGate = 4.5;
 
 std::vector<std::int32_t> tone_window(const app::AppParams& p, double amp, double phi) {
     std::vector<std::int32_t> w(static_cast<std::size_t>(p.window));
@@ -104,10 +118,22 @@ void print_speedup() {
                  "cutting dynamic power (see bench_power_breakdown)\n";
 }
 
+/// One configuration's host time, resident core against the oracle path.
+struct HostTime {
+    std::string name;
+    double build_us = 0.0;      ///< firmware build, median of five
+    double core_us = 0.0;       ///< resident SoftCore, per window
+    double oracle_us = 0.0;     ///< oracle path, per window
+    double core_ns_per_insn = 0.0;
+    double oracle_ns_per_insn = 0.0;
+    std::int64_t translations = 0;  ///< blocks the resident core translated
+    [[nodiscard]] double speedup() const { return oracle_us / core_us; }
+};
+
 /// Host time of the simulation, resident core vs oracle path, over
-/// `windows` tone windows per configuration. Returns false when any
-/// SoftwareRun differs between the two.
-bool print_host_time(int windows) {
+/// `windows` tone windows per configuration. Sets `identical` to whether
+/// every SoftwareRun matched between the two.
+std::vector<HostTime> print_host_time(int windows, bool& identical) {
     benchkit::print_header("Soft-core host time",
                            "resident SoftCore vs per-window oracle path");
     using Clock = std::chrono::steady_clock;
@@ -129,11 +155,14 @@ bool print_host_time(int windows) {
     configs[2].cfg.code_in_sram = false;
     configs[2].cfg.padding_bytes = 0;
 
-    bool identical = true;
+    identical = true;
+    std::vector<HostTime> rows;
     Table table({"configuration", "firmware build (us)", "SoftCore (us/window)",
                  "oracle (us/window)", "SoftCore (ns/insn)", "oracle (ns/insn)",
-                 "speedup"});
+                 "speedup", "blocks"});
     for (const Config& c : configs) {
+        HostTime row;
+        row.name = c.name;
         // Firmware build (generate, assemble, load): median of five.
         std::vector<double> builds;
         for (int i = 0; i < 5; ++i) {
@@ -142,7 +171,7 @@ bool print_host_time(int windows) {
             builds.push_back(us_since(t0));
         }
         std::sort(builds.begin(), builds.end());
-        const double build_us = builds[builds.size() / 2];
+        row.build_us = builds[builds.size() / 2];
 
         app::SoftCore core(p, c.cfg);
 
@@ -170,16 +199,49 @@ bool print_host_time(int windows) {
                 identical = false;
             }
         }
-        table.add_row({c.name, Table::num(build_us, 0), Table::num(core_us / windows, 1),
-                       Table::num(oracle_us / windows, 1),
-                       Table::num(core_us * 1e3 / static_cast<double>(core_insns), 2),
-                       Table::num(oracle_us * 1e3 / static_cast<double>(oracle_insns), 2),
-                       Table::num(oracle_us / core_us, 1) + "x"});
+        row.core_us = core_us / windows;
+        row.oracle_us = oracle_us / windows;
+        row.core_ns_per_insn = core_us * 1e3 / static_cast<double>(core_insns);
+        row.oracle_ns_per_insn = oracle_us * 1e3 / static_cast<double>(oracle_insns);
+        row.translations = core.cpu().translations();
+        table.add_row({row.name, Table::num(row.build_us, 0), Table::num(row.core_us, 1),
+                       Table::num(row.oracle_us, 1), Table::num(row.core_ns_per_insn, 2),
+                       Table::num(row.oracle_ns_per_insn, 2),
+                       Table::num(row.speedup(), 1) + "x",
+                       std::to_string(row.translations)});
+        rows.push_back(row);
     }
     std::cout << table.render();
     std::cout << windows << " windows per configuration; every SoftwareRun identical "
               << "to the oracle's: " << (identical ? "yes" : "NO") << "\n";
-    return identical;
+    return rows;
+}
+
+/// Host facts and the rows, as BENCH_headline_speedup.json.
+std::string render_json(bool smoke, int windows, const std::vector<HostTime>& rows,
+                        bool identical, bool gate_ok) {
+    std::ostringstream js;
+    js << "{\n  \"bench\": \"headline_speedup\",\n"
+       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"compiler\": \"" << REFPGA_COMPILER << "\",\n"
+       << "  \"build_type\": \"" << REFPGA_BUILD_TYPE << "\",\n"
+       << "  \"windows\": " << windows << ",\n  \"configurations\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const HostTime& r = rows[i];
+        js << "    {\"name\": \"" << r.name << "\", \"build_us\": " << r.build_us
+           << ", \"softcore_us_per_window\": " << r.core_us
+           << ", \"oracle_us_per_window\": " << r.oracle_us
+           << ", \"softcore_ns_per_insn\": " << r.core_ns_per_insn
+           << ", \"oracle_ns_per_insn\": " << r.oracle_ns_per_insn
+           << ", \"speedup\": " << r.speedup()
+           << ", \"translations\": " << r.translations << "}"
+           << (i + 1 < rows.size() ? ",\n" : "\n");
+    }
+    js << "  ],\n  \"legacy_speedup_gate\": " << kLegacySpeedupGate << ",\n"
+       << "  \"gate_ok\": " << (gate_ok ? "true" : "false") << ",\n"
+       << "  \"identical\": " << (identical ? "true" : "false") << "\n}\n";
+    return js.str();
 }
 
 void BM_SoftwareCycleLegacy(benchmark::State& state) {
@@ -219,8 +281,23 @@ BENCHMARK(BM_GoldenPipelineWindow)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
     const bool smoke = benchkit::smoke_mode(argc, argv);
+    bool json = false;
+    for (int i = 1; i < argc; ++i) json = json || std::string_view(argv[i]) == "--json";
     print_speedup();
-    if (!print_host_time(smoke ? 20 : 200)) return 1;
+    const int windows = smoke ? 20 : 200;
+    bool identical = true;
+    const std::vector<HostTime> rows = print_host_time(windows, identical);
+    // The timing gate runs in full mode only: 20 smoke windows are too few
+    // to time on a shared host.
+    const bool gate_ok = smoke || rows.front().speedup() >= kLegacySpeedupGate;
+    if (!smoke)
+        std::cout << "legacy port: resident core " << Table::num(rows.front().speedup(), 1)
+                  << "x the oracle path (gate >= " << Table::num(kLegacySpeedupGate, 1)
+                  << "x): " << (gate_ok ? "ok" : "FAIL") << "\n";
+    if (json)
+        std::ofstream("BENCH_headline_speedup.json")
+            << render_json(smoke, windows, rows, identical, gate_ok);
+    if (!identical || !gate_ok) return 1;
     if (smoke) return 0;
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -40,6 +40,14 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
         os << "    lui  " << reg << ", hi(" << what << ")\n";
         os << "    ori  " << reg << ", " << reg << ", lo(" << what << ")\n";
     };
+    // A parameter-derived constant: one addi when it fits the signed 16-bit
+    // field, lui/ori otherwise.
+    auto load_const = [&](const char* reg, std::int64_t value) {
+        if (value >= -32768 && value <= 32767)
+            os << "    addi " << reg << ", r0, " << value << "\n";
+        else
+            load_addr(reg, std::to_string(value));
+    };
     load_addr("r1", std::to_string(layout.meas_buf));
     load_addr("r2", std::to_string(layout.ref_buf));
     load_addr("r3", "sin_tab");
@@ -85,7 +93,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
         os << "    add  r26, " << acc_q << ", r0\n";
         os << "    brl  cordic\n";
         if (config.hw_multiplier) {
-            os << "    addi r11, r0, " << inv_k << "\n";
+            load_const("r11", inv_k);
             os << "    mul  r12, r27, r11\n";
             os << "    mulh r13, r27, r11\n";
             os << "    srli r12, r12, 15\n";
@@ -94,7 +102,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
         } else {
             // Soft-multiply route: pre-shift to keep the product in 31 bits.
             os << "    srai r10, r27, 2\n";
-            os << "    addi r11, r0, " << inv_k << "\n";
+            load_const("r11", inv_k);
             os << "    brl  mul\n";
             os << "    srai r12, r12, 13\n";
         }
@@ -134,7 +142,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     os << "    addi r12, r0, 0\n";
     os << "crel_ok:\n";
     os << "    add  r10, r12, r0\n";
-    os << "    addi r11, r0, " << params.c_ref_q4() << "\n";
+    load_const("r11", params.c_ref_q4());
     os << "    brl  mul\n";
     os << "    srli r12, r12, 12\n";
     os << "    sw   r12, r24, " << static_cast<int>(SwResult::CapPfQ4) * 4 << "\n";
@@ -172,13 +180,13 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     os << "    addi r13, r0, 64\n";
     os << "    bne  r19, r13, filt_loop\n";
 
-    os << "    addi r13, r0, " << params.c_empty_q4() << "\n";
+    load_const("r13", params.c_empty_q4());
     os << "    sub  r13, r18, r13\n";
     os << "    bge  r13, r0, delta_ok\n";
     os << "    addi r13, r0, 0\n";
     os << "delta_ok:\n";
     os << "    add  r10, r13, r0\n";
-    os << "    addi r11, r0, " << slope << "\n";
+    load_const("r11", slope);
     os << "    brl  mul\n";
     os << "    srli r12, r12, 10\n";
     os << "    addi r13, r0, 32767\n";
@@ -223,7 +231,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     os << "    bge  r25, r0, cordic_loop\n";
     os << "    sub  r25, r0, r25\n";
     os << "    sub  r26, r0, r26\n";
-    os << "    addi r28, r0, 32768\n";
+    os << "    addi r28, r0, -32768\n";  // half a turn, masked to 16 bits below
     os << "cordic_loop:\n";
     os << "    sra  r18, r25, r17\n";
     os << "    sra  r19, r26, r17\n";
@@ -249,7 +257,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     // ----- divide: r12 = sat14((r10 << 12) / r11) ----------------------------
     os << "divide:\n";
     os << "    bne  r11, r0, div_go\n";
-    os << "    addi r12, r0, " << ((1 << params.ratio_bits) - 1) << "\n";
+    load_const("r12", (1 << params.ratio_bits) - 1);
     os << "    jr   r15\n";
     os << "div_go:\n";
     os << "    slli r13, r10, " << params.ratio_frac_bits << "\n";  // dividend
@@ -270,7 +278,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     os << "    bge  r17, r0, div_loop\n";
     os << "    srli r14, r12, " << params.ratio_bits << "\n";
     os << "    beq  r14, r0, div_ret\n";
-    os << "    addi r12, r0, " << ((1 << params.ratio_bits) - 1) << "\n";
+    load_const("r12", (1 << params.ratio_bits) - 1);
     os << "div_ret:\n";
     os << "    jr   r15\n";
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
@@ -136,7 +137,10 @@ private:
         insn.op = *op;
 
         auto imm_of = [&](const std::string& text) {
-            return static_cast<std::int32_t>(parse_value(text, emit));
+            const std::int64_t value = parse_value(text, emit);
+            if (value < INT32_MIN || value > INT32_MAX)
+                fail(mnem + " immediate " + std::to_string(value) + " out of range");
+            return static_cast<std::int32_t>(value);
         };
         auto branch_off = [&](const std::string& text) {
             const auto target = parse_value(text, emit);
@@ -217,7 +221,13 @@ private:
                 break;
         }
         if (!emit && has_immediate(insn.op)) insn.imm = 0;  // placeholder pass
-        emit_word(encode(insn), emit);
+        std::uint32_t word = 0;
+        try {
+            word = encode(insn);  // checks the immediate against its field
+        } catch (const ContractViolation& e) {
+            fail(e.what());
+        }
+        emit_word(word, emit);
     }
 
     void pass(bool emit) {

@@ -17,7 +17,9 @@ std::uint32_t FslLink::read() {
 }
 
 Cpu::Cpu(MemorySystem& memory, CpuCosts costs)
-    : mem_(memory), costs_(costs), decoded_(kDecodeSlots, DecodedSlot{0, decode(0)}) {}
+    : mem_(memory), costs_(costs), epoch_(memory.code_epoch()) {
+    arena_.reserve(kArenaOps);
+}
 
 void Cpu::reset(std::uint32_t pc) {
     regs_.fill(0);
@@ -47,147 +49,291 @@ FslLink& Cpu::fsl_from_cpu(int link) {
     return fsl_out_[static_cast<std::size_t>(link)];
 }
 
-inline void Cpu::execute() {
-    state_ = CpuState::Running;
+namespace {
 
-    const std::uint32_t word = mem_.peek(pc_);
-    DecodedSlot& slot = decoded_[(pc_ >> 2) & (kDecodeSlots - 1)];
-    if (slot.word != word) {
-        slot.insn = decode(word);
-        slot.word = word;
-    }
-    const Instruction insn = slot.insn;
-    const int fetch = mem_.fetch_latency(pc_);
+/// Add..Lui: register-only ops that cannot fault, the ones a skip-one
+/// branch may jump over inside its block.
+bool is_alu(Opcode op) { return op <= Opcode::Lui; }
 
-    // Decoded register fields are 5 bits wide; regs_[0] stays 0 because
-    // set() and set_reg() skip it.
-    const std::uint32_t ra = regs_[insn.ra];
-    const std::uint32_t rb = regs_[insn.rb];
-    // sw's data register, or a branch's rb (branches keep rb in the rd slot).
-    const std::uint32_t rd_value = regs_[insn.rd];
-    auto set = [&](std::uint32_t value) {
-        if (insn.rd != 0) regs_[insn.rd] = value;
-    };
+bool is_conditional(Opcode op) { return op >= Opcode::Beq && op <= Opcode::Bgeu; }
+
+}  // namespace
+
+Cpu::Op Cpu::lower(const Instruction& insn, std::uint32_t pc) const {
+    // Fetch overlaps execution by one cycle in the pipeline; every op is
+    // charged the excess fetch latency beyond that overlap.
+    const int fetch_extra = mem_.fetch_latency(pc) - 1;
     const auto imm = static_cast<std::uint32_t>(insn.imm);
-
-    std::uint32_t next_pc = pc_ + 4;
-    int cost = costs_.alu;
-    // Conditional branches resolve without a host branch on the outcome.
-    const auto sa = static_cast<std::int32_t>(ra);
-    const auto sb = static_cast<std::int32_t>(rd_value);
-    auto branch = [&](bool taken) {
-        next_pc = taken ? pc_ + 4 + imm : next_pc;
-        cost = taken ? costs_.branch_taken : costs_.branch_not_taken;
-    };
-
+    Op op;
+    op.op = insn.op;
+    op.rd = insn.rd == 0 ? kSink : insn.rd;
+    op.ra = insn.ra;
+    op.rb = insn.rb;
+    op.advance = 1;
+    op.cost = costs_.alu + fetch_extra;
     switch (insn.op) {
-        case Opcode::Add: set(ra + rb); break;
-        case Opcode::Sub: set(ra - rb); break;
         case Opcode::Mul:
-            set(ra * rb);
-            cost = costs_.mul;
+        case Opcode::Mulh: op.cost = costs_.mul + fetch_extra; break;
+        case Opcode::Andi:
+        case Opcode::Ori:
+        case Opcode::Xori: op.imm = imm & 0xFFFFu; break;
+        case Opcode::Slli:
+        case Opcode::Srli:
+        case Opcode::Srai: op.imm = imm & 31; break;
+        case Opcode::Lui: op.imm = (imm & 0xFFFFu) << 16; break;
+        case Opcode::Addi: op.imm = imm; break;
+        case Opcode::Lw:
+            op.imm = imm;
+            op.cost = costs_.load_store + fetch_extra;
             break;
-        case Opcode::Mulh: {
-            const std::int64_t p = static_cast<std::int64_t>(static_cast<std::int32_t>(ra)) *
-                                   static_cast<std::int32_t>(rb);
-            set(static_cast<std::uint32_t>(p >> 32));
-            cost = costs_.mul;
+        case Opcode::Sw:
+            op.imm = imm;
+            op.rb = insn.rd;  // the data register travels in the rd slot
+            op.cost = costs_.load_store + fetch_extra;
             break;
-        }
-        case Opcode::And: set(ra & rb); break;
-        case Opcode::Or: set(ra | rb); break;
-        case Opcode::Xor: set(ra ^ rb); break;
-        case Opcode::Sll: set(ra << (rb & 31)); break;
-        case Opcode::Srl: set(ra >> (rb & 31)); break;
-        case Opcode::Sra:
-            set(static_cast<std::uint32_t>(static_cast<std::int32_t>(ra) >> (rb & 31)));
+        case Opcode::Beq:
+        case Opcode::Bne:
+        case Opcode::Blt:
+        case Opcode::Bge:
+        case Opcode::Bltu:
+        case Opcode::Bgeu:
+            op.rb = insn.rd;  // so does a branch's second operand
+            op.target = pc + 4 + imm;
+            op.advance = 0;
+            op.cost = costs_.branch_not_taken + fetch_extra;
+            op.taken_cost = costs_.branch_taken + fetch_extra;
             break;
-        case Opcode::Addi: set(ra + imm); break;
-        case Opcode::Andi: set(ra & (imm & 0xFFFFu)); break;
-        case Opcode::Ori: set(ra | (imm & 0xFFFFu)); break;
-        case Opcode::Xori: set(ra ^ (imm & 0xFFFFu)); break;
-        case Opcode::Slli: set(ra << (imm & 31)); break;
-        case Opcode::Srli: set(ra >> (imm & 31)); break;
-        case Opcode::Srai:
-            set(static_cast<std::uint32_t>(static_cast<std::int32_t>(ra) >> (imm & 31)));
-            break;
-        case Opcode::Lui: set((imm & 0xFFFFu) << 16); break;
-        case Opcode::Lw: {
-            std::int64_t lat = 0;
-            set(mem_.read_word(ra + imm, lat));
-            cost = costs_.load_store + static_cast<int>(lat);
-            break;
-        }
-        case Opcode::Sw: {
-            std::int64_t lat = 0;
-            mem_.write_word(ra + imm, rd_value, lat);
-            cost = costs_.load_store + static_cast<int>(lat);
-            break;
-        }
-        case Opcode::Beq: branch(ra == rd_value); break;
-        case Opcode::Bne: branch(ra != rd_value); break;
-        case Opcode::Blt: branch(sa < sb); break;
-        case Opcode::Bge: branch(sa >= sb); break;
-        case Opcode::Bltu: branch(ra < rd_value); break;
-        case Opcode::Bgeu: branch(ra >= rd_value); break;
         case Opcode::Br:
-            next_pc = pc_ + 4 + imm;
-            cost = costs_.branch_taken;
-            break;
         case Opcode::Brl:
-            regs_[15] = pc_ + 4;
-            next_pc = pc_ + 4 + imm;
-            cost = costs_.branch_taken;
+            op.target = pc + 4 + imm;
+            op.advance = 0;
+            op.cost = costs_.branch_taken + fetch_extra;
             break;
         case Opcode::Jr:
-            next_pc = ra;
-            cost = costs_.branch_taken;
+            op.advance = 0;
+            op.cost = costs_.branch_taken + fetch_extra;
             break;
-        case Opcode::Get: {
-            FslLink& link = fsl_in_[imm & 0x7];
-            if (!link.can_read()) {
-                ++cycles_;  // stall
-                state_ = CpuState::BlockedOnFsl;
-                return;
-            }
-            set(link.read());
-            break;
-        }
-        case Opcode::Put: {
-            FslLink& link = fsl_out_[imm & 0x7];
-            if (!link.can_write()) {
-                ++cycles_;
-                state_ = CpuState::BlockedOnFsl;
-                return;
-            }
-            link.write(ra);
-            break;
-        }
+        case Opcode::Get:
+        case Opcode::Put: op.imm = imm & 0x7; break;
         case Opcode::Halt:
-            state_ = CpuState::Halted;
-            cycles_ += fetch;
-            ++retired_;
-            return;
+            op.advance = 0;
+            op.cost = fetch_extra + 1;
+            break;
+        default: break;  // R-type ALU
     }
+    return op;
+}
 
-    // Fetch overlaps execution by one cycle in the pipeline; charge the
-    // excess fetch latency beyond that overlap.
-    cycles_ += cost + (fetch - 1);
-    ++retired_;
-    pc_ = next_pc;
+void Cpu::flush() {
+    for (Slot& slot : table_) slot.first = kNoBlock;
+    arena_.clear();
+    epoch_ = mem_.code_epoch();
+}
+
+const Cpu::Op* Cpu::translate(std::uint32_t pc) {
+    // The entry word is fetched as the reference fetches it, so an unmapped
+    // or misaligned pc or an illegal opcode throws here, before it retires.
+    Instruction insn = decode(mem_.peek(pc));
+    if (arena_.size() + static_cast<std::size_t>(kMaxBlockOps) > kArenaOps) flush();
+    ++translations_;
+    // Only RAM is watched: a block entered in the OPB window (the GPIO word
+    // changes without a RAM write) is one op long and never kept.
+    if (mem_.code_word(pc) == nullptr) {
+        Op op = lower(insn, pc);
+        op.advance = 0;
+        arena_.push_back(op);
+        return &arena_.back();
+    }
+    const auto first = static_cast<std::uint32_t>(arena_.size());
+    // Read ahead only over words whose fetch cannot fault, so a fault still
+    // belongs to the instruction that reaches it.
+    auto fetchable = [&](std::uint32_t addr) -> const std::uint32_t* {
+        const std::uint32_t* word = mem_.code_word(addr);
+        return word != nullptr && (*word >> 26) < static_cast<std::uint32_t>(kOpcodeCount)
+                   ? word
+                   : nullptr;
+    };
+    std::uint32_t at = pc;
+    for (int n = 1;; ++n, at += 4) {
+        Op op = lower(insn, at);
+        mem_.watch_code(at);
+        const std::uint32_t* next = n < kMaxBlockOps ? fetchable(at + 4) : nullptr;
+        if (next == nullptr) {
+            op.advance = 0;
+        } else if (is_conditional(op.op) && op.target == at + 8 && n + 1 < kMaxBlockOps &&
+                   is_alu(decode(*next).op) && fetchable(at + 8) != nullptr) {
+            // A conditional branch over exactly one ALU op keeps its block
+            // going; the op after the skipped one is in the block too.
+            op.advance = 1;
+        }
+        arena_.push_back(op);
+        if (op.advance == 0) break;
+        insn = decode(*next);
+    }
+    table_[(pc >> 2) & (kBlockSlots - 1)] = Slot{pc, first};
+    return arena_.data() + first;
+}
+
+inline const Cpu::Op* Cpu::block_at(std::uint32_t pc) {
+    if (mem_.code_epoch() != epoch_) flush();
+    const Slot& slot = table_[(pc >> 2) & (kBlockSlots - 1)];
+    if (slot.pc == pc && slot.first != kNoBlock) return arena_.data() + slot.first;
+    return translate(pc);
+}
+
+CpuState Cpu::execute(std::int64_t limit) {
+    state_ = CpuState::Running;
+    std::uint32_t pc = pc_;
+    std::int64_t cycles = cycles_;
+    std::int64_t retired = retired_;
+    std::uint32_t* const r = regs_.data();
+    try {
+        // Each op retires through one of three tails: straight-line ops
+        // break out of the switch, conditional branches go to `conditional`
+        // and ops that end their block with pc set go to `leave`. The limit
+        // is checked after every op, before the next block is looked up.
+        for (const Op* op = block_at(pc);;) {
+            const Op& o = *op;
+            bool taken = false;
+            switch (o.op) {
+                case Opcode::Add: r[o.rd] = r[o.ra] + r[o.rb]; break;
+                case Opcode::Sub: r[o.rd] = r[o.ra] - r[o.rb]; break;
+                case Opcode::Mul: r[o.rd] = r[o.ra] * r[o.rb]; break;
+                case Opcode::Mulh: {
+                    const std::int64_t p =
+                        static_cast<std::int64_t>(static_cast<std::int32_t>(r[o.ra])) *
+                        static_cast<std::int32_t>(r[o.rb]);
+                    r[o.rd] = static_cast<std::uint32_t>(p >> 32);
+                    break;
+                }
+                case Opcode::And: r[o.rd] = r[o.ra] & r[o.rb]; break;
+                case Opcode::Or: r[o.rd] = r[o.ra] | r[o.rb]; break;
+                case Opcode::Xor: r[o.rd] = r[o.ra] ^ r[o.rb]; break;
+                case Opcode::Sll: r[o.rd] = r[o.ra] << (r[o.rb] & 31); break;
+                case Opcode::Srl: r[o.rd] = r[o.ra] >> (r[o.rb] & 31); break;
+                case Opcode::Sra:
+                    r[o.rd] = static_cast<std::uint32_t>(
+                        static_cast<std::int32_t>(r[o.ra]) >> (r[o.rb] & 31));
+                    break;
+                case Opcode::Addi: r[o.rd] = r[o.ra] + o.imm; break;
+                case Opcode::Andi: r[o.rd] = r[o.ra] & o.imm; break;
+                case Opcode::Ori: r[o.rd] = r[o.ra] | o.imm; break;
+                case Opcode::Xori: r[o.rd] = r[o.ra] ^ o.imm; break;
+                case Opcode::Slli: r[o.rd] = r[o.ra] << o.imm; break;
+                case Opcode::Srli: r[o.rd] = r[o.ra] >> o.imm; break;
+                case Opcode::Srai:
+                    r[o.rd] = static_cast<std::uint32_t>(
+                        static_cast<std::int32_t>(r[o.ra]) >> o.imm);
+                    break;
+                case Opcode::Lui: r[o.rd] = o.imm; break;
+                case Opcode::Lw: {
+                    std::int64_t latency = 0;
+                    r[o.rd] = mem_.read_word(r[o.ra] + o.imm, latency);
+                    cycles += latency;
+                    break;
+                }
+                case Opcode::Sw: {
+                    std::int64_t latency = 0;
+                    mem_.write_word(r[o.ra] + o.imm, r[o.rb], latency);
+                    cycles += latency;
+                    // A store into translated code ends the block; the next
+                    // block entry drops the stale translations.
+                    if (mem_.code_epoch() != epoch_) {
+                        pc += 4;
+                        goto leave;
+                    }
+                    break;
+                }
+                case Opcode::Beq: taken = r[o.ra] == r[o.rb]; goto conditional;
+                case Opcode::Bne: taken = r[o.ra] != r[o.rb]; goto conditional;
+                case Opcode::Blt:
+                    taken = static_cast<std::int32_t>(r[o.ra]) <
+                            static_cast<std::int32_t>(r[o.rb]);
+                    goto conditional;
+                case Opcode::Bge:
+                    taken = static_cast<std::int32_t>(r[o.ra]) >=
+                            static_cast<std::int32_t>(r[o.rb]);
+                    goto conditional;
+                case Opcode::Bltu: taken = r[o.ra] < r[o.rb]; goto conditional;
+                case Opcode::Bgeu: taken = r[o.ra] >= r[o.rb]; goto conditional;
+                case Opcode::Br: pc = o.target; goto leave;
+                case Opcode::Brl:
+                    r[15] = pc + 4;
+                    pc = o.target;
+                    goto leave;
+                case Opcode::Jr: pc = r[o.ra]; goto leave;
+                case Opcode::Get: {
+                    FslLink& link = fsl_in_[o.imm];
+                    if (!link.can_read()) {
+                        ++cycles;  // stall
+                        state_ = CpuState::BlockedOnFsl;
+                        goto done;
+                    }
+                    r[o.rd] = link.read();
+                    break;
+                }
+                case Opcode::Put: {
+                    FslLink& link = fsl_out_[o.imm];
+                    if (!link.can_write()) {
+                        ++cycles;
+                        state_ = CpuState::BlockedOnFsl;
+                        goto done;
+                    }
+                    link.write(r[o.ra]);
+                    break;
+                }
+                case Opcode::Halt:
+                    cycles += o.cost;
+                    ++retired;
+                    state_ = CpuState::Halted;
+                    goto done;
+            }
+            cycles += o.cost;
+            ++retired;
+            pc += 4;
+            if (cycles >= limit) break;
+            op = o.advance != 0 ? op + 1 : block_at(pc);
+            continue;
+
+        conditional:
+            // A skip-one branch steps over its ALU op when taken.
+            cycles += taken ? o.taken_cost : o.cost;
+            ++retired;
+            pc = taken ? o.target : pc + 4;
+            if (cycles >= limit) break;
+            op = o.advance != 0 ? op + 1 + static_cast<int>(taken) : block_at(pc);
+            continue;
+
+        leave:
+            cycles += o.cost;
+            ++retired;
+            if (cycles >= limit) break;
+            op = block_at(pc);
+        }
+    done:;
+    } catch (...) {
+        // As in the reference, a contract violation leaves pc at the
+        // instruction that faulted and the counts of those before it.
+        pc_ = pc;
+        cycles_ = cycles;
+        retired_ = retired;
+        throw;
+    }
+    pc_ = pc;
+    cycles_ = cycles;
+    retired_ = retired;
+    return state_;
 }
 
 CpuState Cpu::step() {
-    if (state_ != CpuState::Halted) execute();
+    // A limit already reached stops after the first instruction.
+    if (state_ != CpuState::Halted) execute(cycles_);
     return state_;
 }
 
 CpuState Cpu::run(std::int64_t max_cycles) {
     const std::int64_t limit = cycles_ + max_cycles;
-    while (state_ != CpuState::Halted && cycles_ < limit) {
-        execute();
-        if (state_ == CpuState::BlockedOnFsl) break;  // needs external progress
-    }
+    if (state_ != CpuState::Halted && cycles_ < limit) execute(limit);
     return state_;
 }
 

@@ -12,7 +12,9 @@
 //   get   rd, FSL / put ra, FSL
 //   lui   rd, hi(LABEL) ; ori rd, rd, lo(LABEL)   32-bit address loads
 // Numbers: decimal or 0x hex; 'hi(x)'/'lo(x)' extract halves of a label or
-// literal.
+// literal. An immediate must fit its field (see encode() in isa.hpp):
+// [-32768, 32767] for addi/lw/sw and branch offsets, [0, 65535] for
+// andi/ori/xori/lui, [0, 31] for shifts, [0, 7] for FSL links.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,9 @@
 // 32 general registers (r0 hardwired to zero), 32-bit instructions:
 //   R-type:  op(6) rd(5) ra(5) rb(5) pad(11)
 //   I-type:  op(6) rd(5) ra(5) imm16  (imm sign-extended unless noted)
-// Branches are pc-relative in bytes; LUI loads imm16 << 16. GET/PUT move
-// words over Fast Simplex Links, blocking like MicroBlaze's fsl instructions.
+// Branches are pc-relative in bytes; LUI loads imm16 << 16; ANDI/ORI/XORI
+// zero-extend. GET/PUT move words over Fast Simplex Links, blocking like
+// MicroBlaze's fsl instructions.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,13 @@ struct Instruction {
     std::uint8_t rd = 0;
     std::uint8_t ra = 0;
     std::uint8_t rb = 0;
-    std::int32_t imm = 0;  ///< sign-extended
+    std::int32_t imm = 0;  ///< sign-extended; zero-extended for andi/ori/xori/lui
 };
 
+/// Throws ContractViolation, naming the mnemonic, the value and its range,
+/// when the immediate does not fit its field: [-32768, 32767] for addi, lw,
+/// sw and branch offsets, [0, 65535] for andi/ori/xori/lui, [0, 31] for
+/// shift amounts and [0, 7] for get/put links.
 [[nodiscard]] std::uint32_t encode(const Instruction& insn);
 [[nodiscard]] Instruction decode(std::uint32_t word);
 

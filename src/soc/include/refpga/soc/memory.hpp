@@ -52,6 +52,7 @@ public:
         if (std::uint32_t* word = ram_word(addr)) {
             cycles += ram_latency(addr);
             *word = value;
+            if (watched(word)) ++code_epoch_;
             return;
         }
         write_word_slow(addr, value, cycles);
@@ -81,6 +82,19 @@ public:
         return ram_latency(addr);
     }
 
+    /// The RAM word at `addr` when it is mapped and aligned, nullptr
+    /// otherwise (the OPB window included): a fetch there cannot fault.
+    [[nodiscard]] const std::uint32_t* code_word(std::uint32_t addr) const {
+        return ram_word(addr);
+    }
+
+    /// Marks the RAM word at `addr` as translated code (see `Cpu`): from then
+    /// on every store, poke or load into it bumps code_epoch(). `addr` must
+    /// be a RAM word (code_word() non-null). Marks are never cleared.
+    void watch_code(std::uint32_t addr);
+    /// Count of writes into watched words so far.
+    [[nodiscard]] std::uint64_t code_epoch() const { return code_epoch_; }
+
     /// Characters written to the UART TX register so far.
     [[nodiscard]] const std::string& uart_output() const { return uart_tx_; }
     [[nodiscard]] std::uint32_t gpio() const { return gpio_; }
@@ -92,9 +106,9 @@ private:
     [[nodiscard]] const std::uint32_t* ram_word(std::uint32_t addr) const {
         if (addr % 4 != 0 || addr >= kOpbBase) return nullptr;
         const bool sram = addr >= kSramBase;
-        const std::vector<std::uint32_t>& region = sram ? sram_ : lmb_;
         const std::uint32_t off = (addr - (sram ? kSramBase : kLmbBase)) / 4;
-        return off < region.size() ? region.data() + off : nullptr;
+        if (off >= (sram ? sram_words_ : lmb_words_)) return nullptr;
+        return ram_.data() + (sram ? lmb_words_ : 0) + off;
     }
     [[nodiscard]] std::uint32_t* ram_word(std::uint32_t addr) {
         return const_cast<std::uint32_t*>(std::as_const(*this).ram_word(addr));
@@ -103,13 +117,21 @@ private:
     [[nodiscard]] int ram_latency(std::uint32_t addr) const {
         return addr >= kSramBase ? config_.sram_latency : config_.lmb_latency;
     }
+    /// True when `word` (a pointer into ram_) holds translated code.
+    [[nodiscard]] bool watched(const std::uint32_t* word) const {
+        const auto index = static_cast<std::size_t>(word - ram_.data());
+        return ((watch_[index / 64] >> (index % 64)) & 1u) != 0;
+    }
 
     std::uint32_t read_word_slow(std::uint32_t addr, std::int64_t& cycles);
     void write_word_slow(std::uint32_t addr, std::uint32_t value, std::int64_t& cycles);
 
     MemoryConfig config_;
-    std::vector<std::uint32_t> lmb_;
-    std::vector<std::uint32_t> sram_;
+    std::uint32_t lmb_words_;
+    std::uint32_t sram_words_;
+    std::vector<std::uint32_t> ram_;     ///< LMB words, then SRAM words
+    std::vector<std::uint64_t> watch_;   ///< one bit per ram_ word: translated code
+    std::uint64_t code_epoch_ = 0;
     std::string uart_tx_;
     std::uint32_t gpio_ = 0;
 };

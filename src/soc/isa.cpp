@@ -1,6 +1,7 @@
 #include "refpga/soc/isa.hpp"
 
 #include <array>
+#include <string>
 
 #include "refpga/common/contracts.hpp"
 
@@ -13,6 +14,28 @@ constexpr std::array<std::string_view, kOpcodeCount> kMnemonics{
     "srai", "lui",  "lw",   "sw",   "beq",  "bne",  "blt",  "bge",
     "bltu", "bgeu", "br",   "brl",  "jr",   "get",  "put",  "halt",
 };
+
+/// The values an instruction's immediate field holds.
+struct ImmediateRange {
+    std::int32_t min = 0;
+    std::int32_t max = 0;
+};
+
+ImmediateRange immediate_range(Opcode op) {
+    switch (op) {
+        case Opcode::Andi:
+        case Opcode::Ori:
+        case Opcode::Xori:
+        case Opcode::Lui: return {0, 65535};
+        case Opcode::Slli:
+        case Opcode::Srli:
+        case Opcode::Srai: return {0, 31};
+        case Opcode::Get:
+        case Opcode::Put: return {0, 7};
+        default: return {-32768, 32767};  // addi, lw, sw, branch offsets
+    }
+}
+
 }  // namespace
 
 std::uint32_t encode(const Instruction& insn) {
@@ -21,7 +44,12 @@ std::uint32_t encode(const Instruction& insn) {
     std::uint32_t word = (op << 26) | (std::uint32_t{insn.rd} << 21) |
                          (std::uint32_t{insn.ra} << 16);
     if (has_immediate(insn.op)) {
-        REFPGA_EXPECTS(insn.imm >= -32768 && insn.imm <= 65535);
+        const ImmediateRange range = immediate_range(insn.op);
+        if (insn.imm < range.min || insn.imm > range.max)
+            throw ContractViolation(std::string(mnemonic(insn.op)) + " immediate " +
+                                    std::to_string(insn.imm) + " outside [" +
+                                    std::to_string(range.min) + ", " +
+                                    std::to_string(range.max) + "]");
         word |= static_cast<std::uint32_t>(insn.imm) & 0xFFFFu;
     } else {
         word |= std::uint32_t{insn.rb} << 11;
@@ -37,7 +65,10 @@ Instruction decode(std::uint32_t word) {
     insn.rd = static_cast<std::uint8_t>((word >> 21) & 0x1F);
     insn.ra = static_cast<std::uint8_t>((word >> 16) & 0x1F);
     if (has_immediate(insn.op)) {
-        insn.imm = static_cast<std::int16_t>(word & 0xFFFFu);
+        const std::uint32_t field = word & 0xFFFFu;
+        const bool zero_extend = immediate_range(insn.op).max == 65535;
+        insn.imm = zero_extend ? static_cast<std::int32_t>(field)
+                               : static_cast<std::int16_t>(field);
     } else {
         insn.rb = static_cast<std::uint8_t>((word >> 11) & 0x1F);
     }

@@ -6,8 +6,10 @@ namespace refpga::soc {
 
 MemorySystem::MemorySystem(MemoryConfig config)
     : config_(config),
-      lmb_(config.lmb_bytes / 4, 0),
-      sram_(config.sram_bytes / 4, 0) {}
+      lmb_words_(config.lmb_bytes / 4),
+      sram_words_(config.sram_bytes / 4),
+      ram_(std::size_t{lmb_words_} + sram_words_, 0),
+      watch_((ram_.size() + 63) / 64, 0) {}
 
 std::uint32_t MemorySystem::read_word_slow(std::uint32_t addr, std::int64_t& cycles) {
     REFPGA_EXPECTS(addr % 4 == 0);
@@ -17,16 +19,10 @@ std::uint32_t MemorySystem::read_word_slow(std::uint32_t addr, std::int64_t& cyc
         if (addr == kGpioAddr) return gpio_;
         return 0;
     }
-    if (addr >= kSramBase) {
-        cycles += config_.sram_latency;
-        const std::uint32_t off = (addr - kSramBase) / 4;
-        REFPGA_EXPECTS(off < sram_.size());
-        return sram_[off];
-    }
-    cycles += config_.lmb_latency;
-    const std::uint32_t off = addr / 4;
-    REFPGA_EXPECTS(off < lmb_.size());
-    return lmb_[off];
+    cycles += ram_latency(addr);
+    const std::uint32_t* word = ram_word(addr);
+    REFPGA_EXPECTS(word != nullptr);
+    return *word;
 }
 
 void MemorySystem::write_word_slow(std::uint32_t addr, std::uint32_t value,
@@ -38,17 +34,18 @@ void MemorySystem::write_word_slow(std::uint32_t addr, std::uint32_t value,
         if (addr == kGpioAddr) gpio_ = value;
         return;
     }
-    if (addr >= kSramBase) {
-        cycles += config_.sram_latency;
-        const std::uint32_t off = (addr - kSramBase) / 4;
-        REFPGA_EXPECTS(off < sram_.size());
-        sram_[off] = value;
-        return;
-    }
-    cycles += config_.lmb_latency;
-    const std::uint32_t off = addr / 4;
-    REFPGA_EXPECTS(off < lmb_.size());
-    lmb_[off] = value;
+    cycles += ram_latency(addr);
+    std::uint32_t* word = ram_word(addr);
+    REFPGA_EXPECTS(word != nullptr);
+    *word = value;
+    if (watched(word)) ++code_epoch_;
+}
+
+void MemorySystem::watch_code(std::uint32_t addr) {
+    const std::uint32_t* word = ram_word(addr);
+    REFPGA_EXPECTS(word != nullptr);
+    const auto index = static_cast<std::size_t>(word - ram_.data());
+    watch_[index / 64] |= std::uint64_t{1} << (index % 64);
 }
 
 void MemorySystem::load(const Program& program) {

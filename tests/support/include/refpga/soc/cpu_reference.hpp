@@ -3,7 +3,7 @@
 // The per-step interpreter the library's `Cpu` replaced: every step fetches
 // through `MemorySystem::peek`, decodes the word again and reaches the
 // registers through the checked accessors. It defines the semantics the
-// library's decode-cached `Cpu` must reproduce exactly — registers, pc,
+// library's block-translating `Cpu` must reproduce exactly — registers, pc,
 // state, cycles, retired count, memory and UART output after every call
 // (tests/test_soc_diff.cpp). Part of the test-support library
 // `refpga::oracles`.

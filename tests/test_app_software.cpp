@@ -11,6 +11,7 @@
 #include "refpga/app/software.hpp"
 #include "refpga/common/contracts.hpp"
 #include "refpga/soc/assembler.hpp"
+#include "refpga/soc/isa.hpp"
 
 namespace refpga::app {
 namespace {
@@ -166,6 +167,84 @@ TEST(Software, ImageMustEndBelowTheSampleBuffers) {
     EXPECT_THROW({ SoftCore core2(p, overlaps); }, ContractViolation);
     overlaps.padding_bytes = 200 * 1024;
     EXPECT_THROW({ SoftCore core2(p, overlaps); }, ContractViolation);
+}
+
+/// FNV-1a over every (address, word) pair of an image, bytes little-endian.
+std::uint64_t image_digest(const soc::Program& program) {
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (v >> (8 * i)) & 0xFFu;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (const auto& [addr, word] : program.words) {
+        mix(addr);
+        mix(word);
+    }
+    return h;
+}
+
+TEST(Software, DefaultImagesAreWordForWordUnchanged) {
+    // Parameter-derived constants outside addi's field load with lui/ori,
+    // and the CORDIC half-turn is written as -32768: the same word as the
+    // 32768 the assembler used to wrap. Every default image keeps the
+    // words it had before immediates were range-checked.
+    struct Pin {
+        bool hw_multiplier;
+        bool code_in_sram;
+        std::size_t words;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {false, true, 991, 0xb93fd99e9c1c9378ULL},
+        {true, true, 982, 0xdc0c3b25edff7341ULL},
+        {false, false, 991, 0x9a0fb1de5edd18f8ULL},
+        {true, false, 982, 0xb889096e7f416541ULL},
+    };
+    soc::Instruction half_turn;
+    half_turn.op = soc::Opcode::Addi;
+    half_turn.rd = 28;
+    half_turn.imm = -32768;
+    for (const Pin& pin : pins) {
+        SoftwareConfig config;
+        config.hw_multiplier = pin.hw_multiplier;
+        config.code_in_sram = pin.code_in_sram;
+        const soc::Program program = soc::assemble(measurement_source(params(), config));
+        EXPECT_EQ(program.words.size(), pin.words);
+        EXPECT_EQ(image_digest(program), pin.digest)
+            << "hw_multiplier " << pin.hw_multiplier << ", code_in_sram "
+            << pin.code_in_sram;
+        std::size_t half_turns = 0;
+        for (const auto& [addr, word] : program.words)
+            half_turns += word == soc::encode(half_turn) ? 1 : 0;
+        EXPECT_EQ(half_turns, 1u);
+    }
+}
+
+TEST(Software, NarrowSpanLevelMatchesGolden) {
+    // A 60-100 pF span makes the level slope 52,429 (Q10), wider than addi's
+    // signed field. Loaded with addi, it read as -13,107 and the level
+    // saturated at 32,767 where the golden pipeline reads mid-span.
+    AppParams p = params();
+    p.c_full_pf = 100.0;
+    p.validate();
+    const auto meas = tone_window(p, 400.0, 0.1);
+    const auto ref = tone_window(p, 1100.0, 0.1);
+    SoftwareConfig config;
+    config.hw_multiplier = true;
+    const SoftwareRun run = SoftCore(p, config).run(meas, ref);
+
+    const auto acc = golden::accumulate_window(meas, ref, p);
+    const auto cap = golden::capacity(golden::amp_phase(acc.i_meas, acc.q_meas, p),
+                                      golden::amp_phase(acc.i_ref, acc.q_ref, p), p);
+    golden::FilterState filter(p);
+    golden::FilterState::Output out{};
+    for (int i = 0; i < 64; ++i) out = filter.step(cap.cap_pf_q4);
+    EXPECT_EQ(run.cap_pf_q4, cap.cap_pf_q4);
+    EXPECT_GT(out.level_q15, 0u);
+    EXPECT_LT(out.level_q15, 32767u);
+    EXPECT_EQ(run.level_q15, out.level_q15);
 }
 
 }  // namespace

@@ -82,6 +82,7 @@ TEST(Disassembler, RoundTripsThroughAssembler) {
         "add  r1, r2, r3", "sub  r4, r5, r6",  "mul  r7, r8, r9",
         "addi r1, r0, 42", "andi r2, r3, 255", "srai r4, r5, 3",
         "lw   r6, r7, 16", "sw   r8, r9, -4",  "lui  r10, 4660",
+        "ori  r1, r1, 65535", "xori r2, r3, 32768",
         "jr   r15",        "get  r1, 3",       "put  r2, 5",
         "halt",
     };
@@ -189,6 +190,56 @@ TEST(Assembler, ErrorsCarryLineNumbers) {
     } catch (const ContractViolation& e) {
         EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
     }
+}
+
+/// The message of the ContractViolation assembling `source` throws; empty
+/// when it assembles.
+std::string assembly_error(const std::string& source) {
+    try {
+        (void)assemble(source);
+    } catch (const ContractViolation& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Assembler, RejectsImmediatesTheFieldCannotHold) {
+    // Each value used to be encoded as its low 16 bits, which a
+    // sign-extended field reads back with the sign flipped: r1 = -25,536, a
+    // backward branch, and a load from 0xFFFF9C40 in the OPB window.
+    const std::vector<std::string> bad = {
+        "  halt\n  addi r1, r0, 40000\n",
+        "  halt\n  beq  r0, r0, far\n  .space 40000\nfar:\n  halt\n",
+        "  halt\n  lw   r2, r0, 40000\n",
+        "  halt\n  sw   r2, r0, -32769\n",
+        "  halt\n  ori  r1, r1, -1\n",
+        "  halt\n  lui  r1, 65536\n",
+        "  halt\n  slli r1, r1, 32\n",
+        "  halt\n  srai r1, r1, -1\n",
+        "  halt\n  get  r1, 8\n",
+        "  halt\n  put  r1, 8\n",
+        "  halt\n  addi r1, r0, 4294967295\n",
+    };
+    for (const std::string& source : bad) {
+        const std::string error = assembly_error(source);
+        EXPECT_NE(error.find("line 2"), std::string::npos) << source << error;
+    }
+    // The edges of every field still assemble.
+    const std::vector<std::string> good = {
+        "  addi r1, r0, -32768\n  addi r1, r0, 32767\n",
+        "  lw   r2, r0, 32764\n  sw   r2, r0, -32768\n",
+        "  andi r1, r1, 65535\n  ori r1, r1, 0\n  xori r1, r1, 65535\n",
+        "  lui  r1, 65535\n  slli r1, r1, 31\n  srli r1, r1, 0\n",
+        "  get  r1, 7\n  put  r1, 0\n",
+    };
+    for (const std::string& source : good)
+        EXPECT_EQ(assembly_error(source), "") << source;
+
+    // encode() checks the same ranges for every caller.
+    Instruction addi;
+    addi.op = Opcode::Addi;
+    addi.imm = 32768;
+    EXPECT_THROW((void)encode(addi), ContractViolation);
 }
 
 TEST(Assembler, DuplicateLabelRejected) {

@@ -1,5 +1,5 @@
-// Differential tests for the soft core: the library's decode-cached `Cpu`
-// and the resident firmware (`app::SoftCore`) against the test-support
+// Differential tests for the soft core: the library's block-translating
+// `Cpu` and the resident firmware (`app::SoftCore`) against the test-support
 // oracles (`soc::CpuReference`, `app::run_software_cycle_reference`).
 //
 //   1. Seeded random programs run on both CPUs in lockstep, with random
@@ -9,15 +9,26 @@
 //      The programs cover every opcode, lw/sw to LMB, SRAM and OPB, taken and
 //      untaken branches, brl/jr, blocking and resumed FSL get/put, code in
 //      LMB and in SRAM (and calls between them), and a store that rewrites
-//      an already-decoded instruction ahead of the pc.
-//   2. The measurement firmware over seeded windows x {soft, hw multiplier}
+//      an already-translated instruction ahead of the pc.
+//   2. Focused programs for the translation cache, each in lockstep at every
+//      cycle budget from 1 to its length and by single steps: skip-one
+//      branches taken and not taken with a limit between the branch and
+//      its op, stores into the running block (ahead of the pc and earlier
+//      in a loop), pokes into a translated block and into a skipped op,
+//      straight-line code into an illegal word and off the end of the LMB,
+//      code run from the GPIO register, which changes without a RAM write;
+//      and more block entries than the table holds, at selected budgets
+//      (it runs ~15k cycles).
+//   3. The measurement firmware over seeded windows x {soft, hw multiplier}
 //      x {SRAM, LMB code}: one resident core run back to back, a fresh core
-//      per window and the oracle path agree on every SoftwareRun field.
-//   3. After those runs the resident core's memory equals a freshly loaded
+//      per window and the oracle path agree on every SoftwareRun field, and
+//      a second pass over the windows translates no block.
+//   4. After those runs the resident core's memory equals a freshly loaded
 //      image everywhere but the two sample buffers and the result words.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -69,7 +80,7 @@ public:
         for (int i = 0; i < 6; ++i)
             load_const(work_reg(), static_cast<std::uint32_t>(rng_.next_u64()));
 
-        // A loop, so the decode cache sees every body instruction again.
+        // A loop, so every body instruction runs again from its translation.
         op_line(Opcode::Addi, "addi " + r(kLoopReg) + ", r0, " +
                                   std::to_string(1 + rng_.next_below(4)));
         emit("loop_top:");
@@ -383,8 +394,8 @@ TEST(SocDiff, RandomProgramsMatchTheReference) {
 }
 
 TEST(SocDiff, PokedCodeIsReDecoded) {
-    // The decode cache is checked against the fetched word, so code changed
-    // from outside between runs executes as written.
+    // A poke into translated code bumps the code-write epoch, so code
+    // changed from outside between runs executes as written.
     const Program program = assemble(R"(
         addi r1, r0, 0
         addi r2, r0, 10
@@ -443,6 +454,360 @@ TEST(SocDiff, FaultsMatchTheReference) {
         EXPECT_THROW(ref.run(1000), ContractViolation) << source;
         expect_same_cpu(fast, ref, source);
     }
+}
+
+// ------------------------------------------------------ translation cache
+
+/// Memory small enough to compare word by word after every lockstep pass.
+MemoryConfig small_memory() {
+    MemoryConfig config;
+    config.lmb_bytes = 16 * 1024;
+    config.sram_bytes = 4 * 1024;
+    return config;
+}
+
+std::uint32_t word_of(Opcode op, int rd, int ra, std::int32_t imm) {
+    Instruction insn;
+    insn.op = op;
+    insn.rd = static_cast<std::uint8_t>(rd);
+    insn.ra = static_cast<std::uint8_t>(ra);
+    insn.imm = imm;
+    return encode(insn);
+}
+
+/// A program run on both CPUs in lockstep. `poke`, when set, writes into
+/// both memories twice: after the first call (pass 0) and at the next halt
+/// after it (pass 1). A poke at a halt restarts both CPUs at `entry`.
+struct LockstepCase {
+    std::string source;
+    std::uint32_t entry = 0;
+    MemoryConfig config = small_memory();
+    CpuCosts costs{};
+    std::function<void(MemorySystem&, int pass)> poke;
+};
+
+template <class Core>
+struct Side {
+    MemorySystem mem;
+    Core cpu;
+    bool threw = false;
+
+    Side(const LockstepCase& c, const Program& program)
+        : mem(c.config), cpu(mem, c.costs) {
+        mem.load(program);
+        cpu.reset(c.entry);
+    }
+    /// One run(budget) call, or one step() when budget is 0; a contract
+    /// violation ends the program.
+    void call(std::int64_t budget) {
+        try {
+            if (budget > 0)
+                cpu.run(budget);
+            else
+                cpu.step();
+        } catch (const ContractViolation&) {
+            threw = true;
+        }
+    }
+};
+
+/// One lockstep pass at `budget` cycles per run() call (single steps when
+/// 0), comparing the CPUs after every call and the memories at the end.
+/// Returns the reference's cycle count at the end of the program.
+std::int64_t lockstep_pass(const LockstepCase& c, const Program& program,
+                           std::int64_t budget) {
+    Side<Cpu> fast(c, program);
+    Side<CpuReference> ref(c, program);
+    const std::string where = "budget " + std::to_string(budget);
+    int pokes = 0;
+    std::int64_t total = 0;
+    for (int call = 0;; ++call) {
+        EXPECT_LT(call, 1'000'000) << where << ": did not halt";
+        if (call >= 1'000'000) break;
+        fast.call(budget);
+        ref.call(budget);
+        const std::string at = where + ", call " + std::to_string(call);
+        EXPECT_EQ(fast.threw, ref.threw) << at;
+        expect_same_cpu(fast.cpu, ref.cpu, at);
+        EXPECT_LE(fast.cpu.cached_ops(), Cpu::kArenaOps) << at;
+        if (::testing::Test::HasFailure()) break;
+        if (ref.threw) {
+            total += ref.cpu.cycles();
+            break;
+        }
+        const bool halted = ref.cpu.state() == CpuState::Halted;
+        if (c.poke && pokes < 2 && (pokes == 0 || halted)) {
+            c.poke(fast.mem, pokes);
+            c.poke(ref.mem, pokes);
+            ++pokes;
+            if (halted) {
+                total += ref.cpu.cycles();
+                fast.cpu.reset(c.entry);
+                ref.cpu.reset(c.entry);
+                continue;
+            }
+        }
+        if (halted) {
+            total += ref.cpu.cycles();
+            break;
+        }
+    }
+    expect_same_memory(fast.mem, ref.mem, where);
+    return total;
+}
+
+/// Lockstep at every budget from 1 to the program's length in cycles, and
+/// by single steps.
+void lockstep_every_budget(const LockstepCase& c) {
+    const Program program = assemble(c.source);
+    const std::int64_t length = lockstep_pass(c, program, 0);
+    ASSERT_GT(length, 0);
+    for (std::int64_t budget = 1; budget <= length; ++budget) {
+        lockstep_pass(c, program, budget);
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(SocTranslation, SkipOneBranchesAgreeAtEveryLimit) {
+    // The firmware's conditional-move idiom: each branch jumps over exactly
+    // one ALU op, taken on some iterations and not on others, with code in
+    // LMB and in SRAM (fetch latency 1 and 5), so some budget ends between
+    // each branch and its skipped op.
+    const std::string body = R"(
+        addi r1, r0, 0
+        addi r2, r0, 2
+        addi r9, r0, 4
+    loop:
+        bgeu r1, r2, skip_a      ; taken from the third iteration
+        addi r3, r3, 1
+    skip_a:
+        bltu r1, r2, skip_b      ; taken on the first two
+        sub  r4, r4, r1
+    skip_b:
+        beq  r1, r0, skip_c      ; taken on the first only
+        mul  r5, r1, r9
+    skip_c:
+        addi r1, r1, 1
+        bne  r1, r9, loop
+        halt
+    )";
+    LockstepCase lmb;
+    lmb.source = body;
+    lockstep_every_budget(lmb);
+
+    // Three blocks: the prologue running into the loop body, the loop body
+    // from `loop` (each branch over one op stays inside it) and the halt.
+    MemorySystem mem;
+    mem.load(assemble(body));
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(10'000), CpuState::Halted);
+    EXPECT_EQ(cpu.translations(), 3);
+
+    LockstepCase sram;
+    sram.source = "    .org " + std::to_string(kSramBase) + "\n" + body;
+    sram.entry = kSramBase;
+    sram.costs.branch_taken = 4;
+    lockstep_every_budget(sram);
+}
+
+TEST(SocTranslation, StoresIntoTranslatedCodeTakeEffect) {
+    // A store that rewrites the next instruction of its own block.
+    LockstepCase next;
+    next.source = R"(
+        lui  r1, hi(target)
+        ori  r1, r1, lo(target)
+        lui  r2, )" + std::to_string(word_of(Opcode::Addi, 5, 5, 100) >> 16) + R"(
+        ori  r2, r2, )" + std::to_string(word_of(Opcode::Addi, 5, 5, 100) & 0xFFFF) + R"(
+        sw   r2, r1, 0
+    target:
+        addi r5, r5, 1
+        addi r6, r6, 1
+        halt
+    )";
+    lockstep_every_budget(next);
+    {
+        MemorySystem mem;
+        mem.load(assemble(next.source));
+        Cpu cpu(mem);
+        ASSERT_EQ(cpu.run(10'000), CpuState::Halted);
+        EXPECT_EQ(cpu.reg(5), 100u);
+    }
+
+    // A store that rewrites the first instruction of the loop block it runs
+    // in: the first iteration adds 1, the later two add 100.
+    LockstepCase loop;
+    loop.source = R"(
+        addi r6, r0, 3
+        lui  r1, hi(loop)
+        ori  r1, r1, lo(loop)
+        lui  r2, )" + std::to_string(word_of(Opcode::Addi, 5, 5, 100) >> 16) + R"(
+        ori  r2, r2, )" + std::to_string(word_of(Opcode::Addi, 5, 5, 100) & 0xFFFF) + R"(
+    loop:
+        addi r5, r5, 1
+        sw   r2, r1, 0
+        addi r6, r6, -1
+        bne  r6, r0, loop
+        halt
+    )";
+    lockstep_every_budget(loop);
+
+    const Program program = assemble(loop.source);
+    MemorySystem mem;
+    mem.load(program);
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(10'000), CpuState::Halted);
+    EXPECT_EQ(cpu.reg(5), 201u);
+}
+
+TEST(SocTranslation, PokesBetweenRunsTakeEffect) {
+    const std::string source = R"(
+        addi r1, r0, 0
+        addi r2, r0, 2
+        addi r9, r0, 4
+    loop:
+        addi r3, r3, 1
+        addi r4, r4, 2           ; middle of the loop block
+        bltu r1, r2, skip
+        addi r5, r5, 3           ; skipped op
+    skip:
+        addi r1, r1, 1
+        bne  r1, r9, loop
+        halt
+    )";
+    const Program program = assemble(source);
+    const std::uint32_t loop = program.labels.at("loop");
+
+    // Into the middle of a translated block.
+    LockstepCase middle;
+    middle.source = source;
+    middle.poke = [&](MemorySystem& mem, int pass) {
+        mem.poke(loop + 4, word_of(Opcode::Addi, 4, 4, 20 + pass));
+    };
+    lockstep_every_budget(middle);
+
+    // Into the op a skip-one branch jumps over.
+    LockstepCase skipped;
+    skipped.source = source;
+    skipped.poke = [&](MemorySystem& mem, int pass) {
+        mem.poke(loop + 12, word_of(Opcode::Xori, 5, 5, 0x5A + pass));
+    };
+    lockstep_every_budget(skipped);
+}
+
+TEST(SocTranslation, ReadAheadStopsBeforeAFault) {
+    // Straight-line code into an illegal word: no fault until it executes.
+    LockstepCase illegal;
+    illegal.source = R"(
+        addi r1, r0, 1
+        addi r2, r0, 2
+        sw   r2, r0, 256
+        addi r3, r0, 3
+        .word 4227858432
+        addi r4, r0, 4
+    )";
+    lockstep_every_budget(illegal);
+
+    // Straight-line code that runs off the end of the LMB without a branch.
+    LockstepCase lmb_end;
+    lmb_end.entry = small_memory().lmb_bytes - 16;
+    lmb_end.source = "    .org " + std::to_string(lmb_end.entry) + R"(
+        addi r1, r0, 1
+        addi r2, r0, 2
+        addi r3, r0, 3
+        addi r4, r0, 4
+    )";
+    lockstep_every_budget(lmb_end);
+
+    // A branch over the last LMB word is no skip-one branch: the word after
+    // its op cannot be fetched.
+    LockstepCase last_word;
+    last_word.entry = small_memory().lmb_bytes - 16;
+    last_word.source = "    .org " + std::to_string(last_word.entry) + R"(
+        addi r1, r0, 1
+        addi r2, r0, 2
+        bne  r1, r2, end
+        addi r3, r0, 3
+    end:
+    )";
+    lockstep_every_budget(last_word);
+
+    // Each ends in the reference's fault, after every word before it.
+    for (const LockstepCase* c : {&illegal, &lmb_end, &last_word}) {
+        const Program program = assemble(c->source);
+        MemorySystem mem(c->config);
+        mem.load(program);
+        Cpu cpu(mem);
+        cpu.reset(c->entry);
+        EXPECT_THROW(cpu.run(1000), ContractViolation);
+        EXPECT_EQ(cpu.retired(), c == &last_word ? 3 : 4);
+    }
+}
+
+TEST(SocTranslation, CodeInTheOpbWindowIsNeverKept) {
+    // The GPIO register is fetchable code that changes without a RAM write:
+    // the program runs it twice, first as `jr r5`, then as `jr r6`.
+    const auto hi = [](std::uint32_t v) { return std::to_string(v >> 16); };
+    const auto lo = [](std::uint32_t v) { return std::to_string(v & 0xFFFF); };
+    Instruction jr;
+    jr.op = Opcode::Jr;
+    jr.ra = 5;
+    const std::uint32_t jr_r5 = encode(jr);
+    jr.ra = 6;
+    const std::uint32_t jr_r6 = encode(jr);
+    LockstepCase gpio;
+    gpio.source = R"(
+        lui  r1, )" + hi(kGpioAddr) + R"(
+        ori  r1, r1, )" + lo(kGpioAddr) + R"(
+        lui  r2, )" + hi(jr_r5) + R"(
+        ori  r2, r2, )" + lo(jr_r5) + R"(
+        lui  r3, )" + hi(jr_r6) + R"(
+        ori  r3, r3, )" + lo(jr_r6) + R"(
+        lui  r5, hi(back1)
+        ori  r5, r5, lo(back1)
+        lui  r6, hi(back2)
+        ori  r6, r6, lo(back2)
+        sw   r2, r1, 0
+        jr   r1
+    back1:
+        addi r7, r7, 1
+        sw   r3, r1, 0
+        jr   r1
+    back2:
+        addi r8, r8, 1
+        halt
+    )";
+    lockstep_every_budget(gpio);
+}
+
+TEST(SocTranslation, MoreBlockEntriesThanTheTableHolds) {
+    // A chain of 200 more two-op blocks than the table has slots, run three
+    // times: slots collide, evicted blocks are translated again and the
+    // arena reaches its cap.
+    const int blocks = static_cast<int>(Cpu::kBlockSlots) + 200;
+    std::string source = "    addi r9, r0, 3\nstart:\n";
+    for (int i = 0; i < blocks; ++i)
+        source += "b" + std::to_string(i) + ":\n    addi r1, r1, " +
+                  std::to_string(i % 7) + "\n    br   b" + std::to_string(i + 1) + "\n";
+    source += "b" + std::to_string(blocks) +
+              ":\n    addi r9, r9, -1\n    bne  r9, r0, start\n    halt\n";
+    LockstepCase chain;
+    chain.source = source;
+    chain.config.lmb_bytes = 32 * 1024;
+    const Program program = assemble(source);
+
+    // Single steps, short budgets (every instruction a block entry) and
+    // whole runs; a full sweep to the ~15k-cycle length adds nothing the
+    // short programs above do not cover.
+    for (const std::int64_t budget : {0, 1, 2, 3, 5, 8, 13, 64, 1000, 1'000'000}) {
+        lockstep_pass(chain, program, budget);
+        if (HasFailure()) return;
+    }
+    MemorySystem mem(chain.config);
+    mem.load(program);
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(1'000'000), CpuState::Halted);
+    EXPECT_GT(cpu.translations(), 3 * static_cast<std::int64_t>(Cpu::kBlockSlots));
+    EXPECT_LE(cpu.cached_ops(), Cpu::kArenaOps);
 }
 
 }  // namespace
@@ -515,17 +880,33 @@ TEST_P(FirmwareDiff, ResidentFreshAndOraclePathsAgree) {
     config.code_in_sram = GetParam().code_in_sram;
 
     SoftCore resident(p, config);
-    Rng rng(0xF1A5'0000 + (config.hw_multiplier ? 1u : 0u) +
-            (config.code_in_sram ? 2u : 0u));
+    const std::uint64_t seed = 0xF1A5'0000 + (config.hw_multiplier ? 1u : 0u) +
+                               (config.code_in_sram ? 2u : 0u);
+    Rng rng(seed);
     std::vector<std::int32_t> meas;
     std::vector<std::int32_t> ref;
+    std::vector<SoftwareRun> runs;
     for (int w = 0; w < kWindows; ++w) {
         make_window(rng, p, w, meas, ref);
         const std::string where = "window " + std::to_string(w);
         const SoftwareRun oracle = run_software_cycle_reference(meas, ref, p, config);
-        expect_same_run(resident.run(meas, ref), oracle, where + " (resident)");
+        runs.push_back(resident.run(meas, ref));
+        expect_same_run(runs.back(), oracle, where + " (resident)");
         expect_same_run(SoftCore(p, config).run(meas, ref), oracle, where + " (fresh)");
         if (HasFailure()) return;
+    }
+
+    // The first pass translated every path the windows take. Neither the
+    // sample-buffer pokes nor the result stores touch translated code, so a
+    // second pass over the same windows translates nothing.
+    const std::int64_t translated = resident.cpu().translations();
+    EXPECT_GT(translated, 0);
+    Rng replay(seed);
+    for (int w = 0; w < kWindows; ++w) {
+        make_window(replay, p, w, meas, ref);
+        expect_same_run(resident.run(meas, ref), runs[static_cast<std::size_t>(w)],
+                        "window " + std::to_string(w) + " (second pass)");
+        ASSERT_EQ(resident.cpu().translations(), translated) << "window " << w;
     }
 
     // Everything but the sample buffers and the results is the loaded image.
