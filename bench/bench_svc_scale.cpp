@@ -1,18 +1,20 @@
 // svc scaling — sharded campaign throughput vs worker processes.
 //
 // The process-level analogue of bench_fleet_campaign: the same job is run
-// through svc::Coordinator with 1, 2 and 4 forked workers (batch 1, default
-// sharding, stealing enabled) and scenarios/sec is reported against the
-// single-worker run. The sweep is deliberately uniform-cost — one variant,
-// one part, one port, N noise levels — so the speedup measures the service
-// (fork + framing + commit + steal overhead), not scenario skew.
+// through svc::Coordinator with 1, 2 and 4 forked workers (batch 1, so each
+// worker pulls one scenario at a time) and scenarios/sec is reported
+// against the single-worker run. The sweep is deliberately uniform-cost —
+// one variant, one part, one port, N noise levels — so the speedup measures
+// the service (fork + Init + framing + commit overhead), not scenario skew.
 //
 // Every worker count must render the byte-identical report to the
 // single-process CampaignRunner; that parity gate always applies, smoke
-// included. The 2-worker speedup gate (>= 1.8x) also applies in smoke mode
-// — the per-scenario work is large enough to time reliably — but only on
-// hosts with >= 2 cores, since process parallelism cannot beat the core
-// count.
+// included. The 2-worker speedup gate (>= 1.8x) also applies in smoke mode,
+// on hosts with >= 2 cores, since process parallelism cannot beat the core
+// count. The smoke grid's scenarios are too small to time that reliably:
+// the whole 8-scenario grid runs in a few milliseconds, so the gate mostly
+// weighs fork and Init against each other and its reading swings from run
+// to run on a 4-vCPU host.
 //
 // Emits BENCH_svc_scale.json next to the binary; --json mirrors it to
 // stdout. Exit status is non-zero on a parity violation or a failed
@@ -21,6 +23,8 @@
 // --chaos switches to the recovery-overhead matrix instead: the same job
 // runs once clean and once under each fault category (worker hang, mid-
 // batch crash, torn frame, slow straggler) with the liveness layer armed.
+// A straggler holds one batch at a time, so its row needs no policy of its
+// own: the other worker pulls the rest of the grid.
 // Every faulted run must still complete and render byte-identically to the
 // single-process report — recovery cost is allowed to show up only as wall
 // time, never as report drift. Emits BENCH_svc_chaos.json.
@@ -70,7 +74,6 @@ struct Run {
     double wall_s = 0.0;
     double scenarios_per_s = 0.0;
     double speedup = 1.0;
-    std::uint64_t shards_stolen = 0;
     bool byte_identical = false;
 };
 
@@ -84,8 +87,6 @@ struct ChaosRun {
     bool byte_identical = false;
     std::uint64_t restarts = 0;
     std::uint64_t liveness_kills = 0;
-    std::uint64_t speculations = 0;
-    std::uint64_t duplicates_discarded = 0;
     std::uint64_t protocol_errors = 0;
 };
 
@@ -134,9 +135,6 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
              o.chaos.slow_batch_prob = 1.0;
              o.chaos.slow_ms = 60;
              o.chaos.only_worker = 0;
-             o.steal_min = 1000;  // force the speculation path, not stealing
-             o.straggler_factor = 2.0;
-             o.straggler_min_ms = 40;
          }},
     };
 
@@ -145,7 +143,7 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
     bool all_ok = true;
 
     Table table({"fault", "wall (s)", "overhead", "restarts", "kills",
-                 "specs", "dupes", "report"});
+                 "report"});
     for (const Case& c : cases) {
         svc::CoordinatorOptions options = chaos_base_options(c.name);
         options.chaos_seed = 2008;
@@ -169,8 +167,6 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
             coordinator.report().render_json() == reference_json;
         run.restarts = result.worker_restarts;
         run.liveness_kills = result.liveness_kills + result.deadline_kills;
-        run.speculations = result.speculations;
-        run.duplicates_discarded = result.duplicates_discarded;
         run.protocol_errors = result.protocol_errors;
         all_ok = all_ok && run.completed && run.byte_identical;
         runs.push_back(run);
@@ -178,8 +174,6 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
                        Table::num(run.overhead, 2) + "x",
                        std::to_string(run.restarts),
                        std::to_string(run.liveness_kills),
-                       std::to_string(run.speculations),
-                       std::to_string(run.duplicates_discarded),
                        !run.completed        ? "INCOMPLETE"
                        : run.byte_identical ? "identical"
                                             : "DIFFERS"});
@@ -201,8 +195,6 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
            << ", \"completed\": " << (runs[i].completed ? "true" : "false")
            << ", \"worker_restarts\": " << runs[i].restarts
            << ", \"liveness_kills\": " << runs[i].liveness_kills
-           << ", \"speculations\": " << runs[i].speculations
-           << ", \"duplicates_discarded\": " << runs[i].duplicates_discarded
            << ", \"protocol_errors\": " << runs[i].protocol_errors
            << ", \"report_byte_identical\": "
            << (runs[i].byte_identical ? "true" : "false") << "}";
@@ -253,7 +245,7 @@ int main(int argc, char** argv) {
     bool parity_ok = true;
 
     Table table({"workers", "wall (s)", "scenarios/sec", "speedup vs 1",
-                 "stolen", "report"});
+                 "report"});
     for (const int workers : {1, 2, 4}) {
         svc::CoordinatorOptions options;
         options.workers = workers;
@@ -281,14 +273,12 @@ int main(int argc, char** argv) {
         if (workers == 1) single_rate = run.scenarios_per_s;
         run.speedup = single_rate > 0.0 ? run.scenarios_per_s / single_rate : 1.0;
         if (workers == 2) speedup_at_2 = run.speedup;
-        run.shards_stolen = result.shards_stolen;
         run.byte_identical = coordinator.report().render_json() == reference_json;
         parity_ok = parity_ok && run.byte_identical;
         runs.push_back(run);
         table.add_row({std::to_string(workers), Table::num(seconds, 3),
                        Table::num(run.scenarios_per_s, 2),
                        Table::num(run.speedup, 2) + "x",
-                       std::to_string(run.shards_stolen),
                        run.byte_identical ? "identical" : "DIFFERS"});
     }
     std::cout << table.render();
@@ -313,7 +303,6 @@ int main(int argc, char** argv) {
            << ", \"wall_s\": " << runs[i].wall_s
            << ", \"scenarios_per_s\": " << runs[i].scenarios_per_s
            << ", \"speedup_vs_1\": " << runs[i].speedup
-           << ", \"shards_stolen\": " << runs[i].shards_stolen
            << ", \"report_byte_identical\": "
            << (runs[i].byte_identical ? "true" : "false") << "}";
     js << "],\n"
@@ -330,9 +319,9 @@ int main(int argc, char** argv) {
                      "single-process report\n";
         return 1;
     }
-    // Unlike the timing gates elsewhere, this one holds in smoke mode too:
-    // scenarios cost hundreds of milliseconds each, so even the smoke
-    // workload times the 2-worker split reliably.
+    // Unlike the timing gates elsewhere, this one holds in smoke mode too,
+    // although the smoke grid runs in a few milliseconds and its reading is
+    // dominated by fork and Init (see the header).
     if (gate_evaluated && speedup_at_2 < 1.8) {
         std::cerr << "FAIL: 2-worker speedup " << speedup_at_2
                   << "x is below the 1.8x target on a " << hw << "-core host\n";

@@ -1,8 +1,9 @@
 // Measurement-campaign driver: sweeps the design space (variant x part x
 // config port x noise x upset rate) as independent scenarios and prints the
 // aggregated report. The sweep runs on threads in this process, or, with
-// --workers N, across N worker processes with streaming aggregation, work
-// stealing, liveness supervision and checkpoint/resume.
+// --workers N, across N worker processes that each pull one batch at a
+// time, with streaming aggregation, liveness supervision and
+// checkpoint/resume.
 //
 //   ./build/examples/campaign                        # built-in 24-scenario sweep
 //   ./build/examples/campaign --threads 4            # same report, faster
@@ -35,13 +36,12 @@
 // usage text; they exit 2 with --workers 0. Liveness is on by default here
 // (the library defaults are off): workers are pinged once a second, a silent
 // worker is reaped and restarted with exponential backoff, and
-// --progress-timeout-ms / --straggler-factor add progress deadlines and
-// speculative re-execution. --min-workers fails fast when the fleet cannot
-// be kept at strength; --partial-ok instead finishes with whatever committed
-// and marks the report partial (with its exact missing index ranges). The
-// --chaos-* family arms the deterministic fault-injection harness used by
-// the chaos drills: every fault is drawn from seeded per-category streams,
-// so a failing drill replays exactly.
+// --progress-timeout-ms adds a progress deadline. --min-workers fails fast
+// when the fleet cannot be kept at strength; --partial-ok instead finishes
+// with whatever committed and marks the report partial (with its exact
+// missing index ranges). The --chaos-* family arms the deterministic
+// fault-injection harness used by the chaos drills: every fault is drawn
+// from seeded per-category streams, so a failing drill replays exactly.
 //
 // SIGINT/SIGTERM: in-process, unstarted scenarios are reported as
 // "cancelled before start"; in service mode dispatch stops, in-flight
@@ -92,16 +92,13 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
            "  --workers 0 (default) runs in this process on --threads threads\n"
            "  (default: all cores); --workers N runs N worker processes with\n"
            "  --threads threads each (default 1) and takes the service flags:\n"
-           "  sharding:      [--batch N] [--shard N] [--steal-min N]\n"
-           "                 [--checkpoint FILE [--resume]] [--fsync-every N]\n"
-           "                 [--spool FILE] [--http-port P]\n"
+           "  batching:      [--batch N] [--checkpoint FILE [--resume]]\n"
+           "                 [--fsync-every N] [--spool FILE] [--http-port P]\n"
            "  fleet policy:  [--no-restart] [--max-restarts N]\n"
            "                 [--restart-backoff-ms N] [--min-workers N]\n"
            "                 [--partial-ok]\n"
            "  liveness:      [--heartbeat-ms N] [--heartbeat-miss-limit N]\n"
-           "                 [--liveness-timeout-ms N]\n"
-           "                 [--progress-timeout-ms N]\n"
-           "                 [--straggler-factor X] [--straggler-min-ms N]\n"
+           "                 [--liveness-timeout-ms N] [--progress-timeout-ms N]\n"
            "  chaos drills:  [--chaos-seed S] [--chaos-hang P]\n"
            "                 [--chaos-torn P] [--chaos-corrupt-length P]\n"
            "                 [--chaos-corrupt-payload P] [--chaos-drop P]\n"
@@ -132,12 +129,11 @@ int parse_int(const std::string& flag, const char* text, long long lo,
     return static_cast<int>(v);
 }
 
-/// Finite double in [0, hi].
-double parse_double(const std::string& flag, const char* text,
-                    double hi = HUGE_VAL) {
+/// Probability: a finite double in [0, 1].
+double parse_prob(const std::string& flag, const char* text) {
     char* end = nullptr;
     const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || !(v >= 0.0 && v <= hi))
+    if (end == text || *end != '\0' || !std::isfinite(v) || !(v >= 0.0 && v <= 1.0))
         bad_value(flag, text);
     return v;
 }
@@ -183,7 +179,7 @@ Args parse_args(int argc, char** argv) {
         };
         const auto count = [&] { return parse_int(flag, value(), 1); };
         const auto natural = [&] { return parse_int(flag, value(), 0); };
-        const auto prob = [&] { return parse_double(flag, value(), 1.0); };
+        const auto prob = [&] { return parse_prob(flag, value()); };
 
         if (flag == "--spec") a.spec_path = value();
         else if (flag == "--cycles") a.cycles = count();
@@ -196,9 +192,6 @@ Args parse_args(int argc, char** argv) {
         else {
             a.service_flag = flag;
             if (flag == "--batch") o.batch = static_cast<std::uint64_t>(count());
-            else if (flag == "--shard") o.shard = static_cast<std::uint64_t>(natural());
-            else if (flag == "--steal-min")
-                o.steal_min = static_cast<std::uint64_t>(natural());
             else if (flag == "--checkpoint") o.checkpoint_path = value();
             else if (flag == "--resume") o.resume = true;
             else if (flag == "--fsync-every")
@@ -215,9 +208,6 @@ Args parse_args(int argc, char** argv) {
             else if (flag == "--heartbeat-miss-limit") o.heartbeat_miss_limit = natural();
             else if (flag == "--liveness-timeout-ms") o.liveness_timeout_ms = natural();
             else if (flag == "--progress-timeout-ms") o.progress_timeout_ms = natural();
-            else if (flag == "--straggler-factor")
-                o.straggler_factor = parse_double(flag, value());
-            else if (flag == "--straggler-min-ms") o.straggler_min_ms = natural();
             else if (flag == "--chaos-seed") o.chaos_seed = parse_seed(flag, value());
             else if (flag == "--chaos-hang") o.chaos.hang_prob = prob();
             else if (flag == "--chaos-torn") o.chaos.torn_frame_prob = prob();
@@ -235,8 +225,7 @@ Args parse_args(int argc, char** argv) {
                     o.chaos.crash_phase = svc::parse_crash_phase(phase);
                 } catch (const std::exception&) {
                     std::cerr << "campaign: invalid --chaos-crash phase: " << phase
-                              << " (pre-init, mid-batch, pre-truncate-ack, "
-                                 "pre-checkpoint)\n";
+                              << " (pre-init, mid-batch, pre-checkpoint)\n";
                     usage_exit();
                 }
             } else if (flag == "--chaos-crash-after")
@@ -358,19 +347,17 @@ int run_service(const Args& a, const svc::JobSpec& spec, int threads,
 
     std::cerr << "campaign: " << result.scenarios_committed << "/" << spec.grid_size()
               << " scenarios (" << result.scenarios_resumed << " resumed), "
-              << result.shards_dispatched << " shards, " << result.shards_stolen
-              << " stolen, " << result.shards_reassigned << " reassigned, "
+              << result.shards_dispatched << " shards, "
+              << result.shards_reassigned << " reassigned, "
               << result.worker_restarts << " restarts\n";
     if (result.heartbeat_misses + result.liveness_kills + result.deadline_kills +
-            result.speculations + result.duplicates_discarded +
             result.protocol_errors + result.chaos_faults_injected >
         0)
         std::cerr << "campaign: liveness: " << result.heartbeat_misses
                   << " heartbeat misses, " << result.liveness_kills
                   << " liveness kills, " << result.deadline_kills
-                  << " deadline kills, " << result.speculations << " speculations, "
-                  << result.duplicates_discarded << " duplicates discarded, "
-                  << result.protocol_errors << " protocol errors, "
+                  << " deadline kills, " << result.protocol_errors
+                  << " protocol errors, "
                   << result.chaos_faults_injected << " chaos faults\n";
     if (result.partial)
         std::cerr << "campaign: PARTIAL result accepted under --partial-ok; "

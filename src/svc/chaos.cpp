@@ -67,16 +67,14 @@ const char* crash_phase_name(CrashPhase phase) {
         case CrashPhase::None: return "none";
         case CrashPhase::PreInit: return "pre-init";
         case CrashPhase::MidBatch: return "mid-batch";
-        case CrashPhase::PreTruncateAck: return "pre-truncate-ack";
         case CrashPhase::PreCheckpoint: return "pre-checkpoint";
     }
     return "?";
 }
 
 CrashPhase parse_crash_phase(std::string_view name) {
-    for (const CrashPhase p :
-         {CrashPhase::None, CrashPhase::PreInit, CrashPhase::MidBatch,
-          CrashPhase::PreTruncateAck, CrashPhase::PreCheckpoint})
+    for (const CrashPhase p : {CrashPhase::None, CrashPhase::PreInit,
+                               CrashPhase::MidBatch, CrashPhase::PreCheckpoint})
         if (name == crash_phase_name(p)) return p;
     throw std::runtime_error("unknown crash phase '" + std::string(name) + "'");
 }

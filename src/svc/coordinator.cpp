@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <deque>
@@ -42,14 +41,11 @@ struct Range {
     [[nodiscard]] std::uint64_t count() const { return end - first; }
 };
 
+/// The one batch a worker holds: [first, end) under assignment `id`.
 struct ShardState {
     std::uint64_t id = 0;
     std::uint64_t first = 0;
-    std::uint64_t next = 0;  ///< first index not yet committed
-    std::uint64_t end = 0;   ///< exclusive (shrinks when stolen from)
-    /// A speculative copy of [next, end) runs elsewhere; losers' duplicate
-    /// commits are discarded in commit_batch.
-    bool speculated = false;
+    std::uint64_t end = 0;  ///< exclusive
 };
 
 struct WorkerProc {
@@ -60,18 +56,14 @@ struct WorkerProc {
     bool alive = false;
     int slot = 0;        ///< stable index in the fleet
     int generation = 0;  ///< process incarnation of this slot
-    std::optional<ShardState> shard;
-    /// Truncate sent, TruncateAck not yet received; `steal_old_end` is the
-    /// shard end recorded when the steal was initiated.
-    bool steal_pending = false;
-    std::uint64_t steal_old_end = 0;
-    std::uint64_t killed_sent = 0;  ///< SIGKILL test hook fired
+    std::optional<ShardState> shard;  ///< in-flight batch, if any
+    bool killed_sent = false;  ///< SIGKILL test hook fired
 
     // --- liveness bookkeeping (liveness state machine: healthy while
     // frames arrive; suspect while pings go unanswered; restarting between
     // reap and respawn; dead once the restart budget is spent) -------------
     std::int64_t last_heard_ms = 0;     ///< last complete frame received
-    std::int64_t last_progress_ms = 0;  ///< last commit/completion on its shard
+    std::int64_t last_progress_ms = 0;  ///< last assignment or commit
     std::int64_t last_ping_ms = 0;
     int pings_unanswered = 0;
     int restart_attempts = 0;        ///< per-slot, drives the backoff curve
@@ -88,10 +80,9 @@ struct WorkerProc {
 
 struct SvcObs {
     obs::Recorder* rec = nullptr;
-    obs::MetricId dispatched, stolen, reassigned, restarts, checkpoints,
-        committed, backlog, workers, pings, hb_misses, liveness_kills,
-        deadline_kills, speculations, dupes, protocol_errors, chaos_injected,
-        recovery_seconds;
+    obs::MetricId dispatched, reassigned, restarts, checkpoints, committed,
+        backlog, workers, pings, hb_misses, liveness_kills, deadline_kills,
+        protocol_errors, chaos_injected, recovery_seconds;
 };
 
 SvcObs make_svc_obs(obs::Recorder* rec) {
@@ -100,7 +91,6 @@ SvcObs make_svc_obs(obs::Recorder* rec) {
     if (rec == nullptr) return o;
     obs::MetricRegistry& m = rec->metrics();
     o.dispatched = m.counter("svc.shards_dispatched_total");
-    o.stolen = m.counter("svc.shards_stolen_total");
     o.reassigned = m.counter("svc.shards_reassigned_total");
     o.restarts = m.counter("svc.worker_restarts_total");
     o.checkpoints = m.counter("svc.checkpoint_writes_total");
@@ -111,8 +101,6 @@ SvcObs make_svc_obs(obs::Recorder* rec) {
     o.hb_misses = m.counter("svc.heartbeat_misses_total");
     o.liveness_kills = m.counter("svc.liveness_kills_total");
     o.deadline_kills = m.counter("svc.deadline_kills_total");
-    o.speculations = m.counter("svc.speculations_total");
-    o.dupes = m.counter("svc.duplicates_discarded_total");
     o.protocol_errors = m.counter("svc.protocol_errors_total");
     o.chaos_injected = m.counter("svc.chaos_faults_injected_total");
     o.recovery_seconds = m.counter("svc.recovery_seconds_total");
@@ -156,9 +144,6 @@ struct Coordinator::Impl {
     std::uint64_t next_shard_id = 0;
     std::uint64_t commits = 0;  ///< batches committed this run
     std::uint64_t ping_seq = 0;
-    /// Recent batch-commit intervals across the fleet; the median is the
-    /// straggler detector's baseline.
-    std::deque<std::int64_t> batch_intervals_ms;
     bool stopping = false;       ///< stop requested; drain and return
     bool draining = false;       ///< Shutdown broadcast; no more restarts
     bool partial_finish = false; ///< fleet exhausted under partial_ok
@@ -176,13 +161,6 @@ struct Coordinator::Impl {
         REFPGA_EXPECTS(!options.spool_path.empty());
         job_json = spec.canonical_json();
         grid = spec.grid_size();
-        if (options.shard == 0) {
-            const std::uint64_t per_worker =
-                (grid + static_cast<std::uint64_t>(options.workers) - 1) /
-                static_cast<std::uint64_t>(options.workers);
-            options.shard = std::max(per_worker, options.batch);
-        }
-        if (options.steal_min == 0) options.steal_min = 2 * options.batch;
         report = std::make_unique<fleet::CampaignReport>(grid, options.spool_path);
         obs = make_svc_obs(options.recorder);
         if (options.chaos.any())
@@ -290,7 +268,6 @@ struct Coordinator::Impl {
         w.reader = FrameReader{};
         w.alive = true;
         w.shard.reset();
-        w.steal_pending = false;
         w.restart_due_ms = -1;
         w.pings_unanswered = 0;
         w.last_heard_ms = w.last_progress_ms = w.last_ping_ms = now_ms();
@@ -338,8 +315,8 @@ struct Coordinator::Impl {
 
     void assign_next(WorkerProc& w) {
         Range& range = pending.front();
-        const std::uint64_t count_n = std::min(options.shard, range.count());
-        const ShardState shard{next_shard_id, range.first, range.first,
+        const std::uint64_t count_n = std::min(options.batch, range.count());
+        const ShardState shard{next_shard_id, range.first,
                                range.first + count_n};
         // The write goes first: it throws WireError when the worker is
         // already dead (EPIPE), and at that point the range must still be
@@ -348,8 +325,7 @@ struct Coordinator::Impl {
         // forever for indices nobody owns.
         write_frame(w.to_fd, MsgType::Assign,
                     std::to_string(shard.id) + ' ' + std::to_string(shard.first) +
-                        ' ' + std::to_string(count_n) + ' ' +
-                        std::to_string(options.batch));
+                        ' ' + std::to_string(count_n));
         ++next_shard_id;
         range.first += count_n;
         if (range.count() == 0) pending.pop_front();
@@ -357,87 +333,6 @@ struct Coordinator::Impl {
         w.last_progress_ms = now_ms();
         ++result.shards_dispatched;
         count(obs.dispatched);
-    }
-
-    /// Picks the busiest worker and asks it to give back the upper half of
-    /// its uncommitted remainder.
-    void try_steal() {
-        WorkerProc* victim = nullptr;
-        std::uint64_t best_remaining = 0;
-        for (WorkerProc& w : workers) {
-            if (!w.alive || !w.shard.has_value() || w.steal_pending) continue;
-            const std::uint64_t remaining = w.shard->end - w.shard->next;
-            if (remaining > best_remaining) {
-                best_remaining = remaining;
-                victim = &w;
-            }
-        }
-        if (victim == nullptr || best_remaining < options.steal_min) return;
-        const std::uint64_t mid = victim->shard->next + best_remaining / 2;
-        victim->steal_pending = true;
-        victim->steal_old_end = victim->shard->end;
-        try {
-            write_frame(victim->to_fd, MsgType::Truncate,
-                        std::to_string(victim->shard->id) + ' ' +
-                            std::to_string(mid));
-        } catch (const WireError&) {
-            on_worker_death(*victim, "write failed");
-        }
-    }
-
-    /// Speculative re-execution of a straggler's remainder: the exact-steal
-    /// handshake can't help when the remainder is too small to split or the
-    /// victim has stopped answering, so run a *copy* on an idle worker and
-    /// let first-commit-wins (enforced in commit_batch) settle it.
-    void try_speculate(std::int64_t now) {
-        if (options.straggler_factor <= 0.0) return;
-        WorkerProc* idle = nullptr;
-        for (WorkerProc& w : workers) {
-            if (w.steal_pending) return;  // settle the steal first
-            if (w.alive && !w.shard.has_value() && idle == nullptr) idle = &w;
-        }
-        if (idle == nullptr) return;
-        std::int64_t median = 0;
-        if (!batch_intervals_ms.empty()) {
-            std::vector<std::int64_t> s(batch_intervals_ms.begin(),
-                                        batch_intervals_ms.end());
-            std::nth_element(s.begin(),
-                             s.begin() + static_cast<std::ptrdiff_t>(s.size() / 2),
-                             s.end());
-            median = s[s.size() / 2];
-        }
-        const std::int64_t threshold = std::max<std::int64_t>(
-            options.straggler_min_ms,
-            std::llround(options.straggler_factor * static_cast<double>(median)));
-        for (WorkerProc& w : workers) {
-            if (!w.alive || !w.shard.has_value() || w.shard->speculated)
-                continue;
-            if (w.shard->next >= w.shard->end) continue;
-            if (now - w.last_progress_ms < threshold) continue;
-            const std::uint64_t first = w.shard->next;
-            const std::uint64_t count_n = w.shard->end - first;
-            const ShardState copy{next_shard_id++, first, first, w.shard->end};
-            try {
-                write_frame(idle->to_fd, MsgType::Assign,
-                            std::to_string(copy.id) + ' ' +
-                                std::to_string(first) + ' ' +
-                                std::to_string(count_n) + ' ' +
-                                std::to_string(options.batch));
-            } catch (const WireError&) {
-                on_worker_death(*idle, "write failed");
-                return;
-            }
-            idle->shard = copy;
-            idle->last_progress_ms = now;
-            w.shard->speculated = true;
-            ++result.speculations;
-            ++result.shards_dispatched;
-            count(obs.speculations);
-            count(obs.dispatched);
-            log_warning("svc: straggler in slot ", w.slot,
-                        "; speculating its remainder on slot ", idle->slot);
-            return;
-        }
     }
 
     void dispatch() {
@@ -450,90 +345,50 @@ struct Coordinator::Impl {
                 on_worker_death(w, "write failed");
             }
         }
-        if (!stopping && pending.empty()) {
-            for (const WorkerProc& w : workers)
-                if (w.alive && !w.shard.has_value()) {
-                    try_steal();
-                    try_speculate(now_ms());
-                    break;
-                }
-        }
     }
 
     // --- frame handling ----------------------------------------------------
 
+    /// Commits the Batch that completes `w`'s assignment. It must be
+    /// exactly that assignment — same shard id, first index and count — or
+    /// the stream is quarantined.
     void commit_batch(WorkerProc& w, const BatchPayload& batch) {
-        if (batch.lines.empty())
-            throw CoordinatorError("empty batch frame");
-        if (!w.shard.has_value() || w.shard->id != batch.shard)
-            throw CoordinatorError("batch for shard " +
-                                   std::to_string(batch.shard) +
-                                   " from a worker not assigned to it");
-        ShardState& shard = *w.shard;
-        if (batch.first != shard.next ||
-            batch.first + batch.lines.size() > shard.end)
+        if (!w.shard.has_value() || w.shard->id != batch.shard ||
+            w.shard->first != batch.first ||
+            w.shard->end - w.shard->first != batch.lines.size())
             throw CoordinatorError(
                 "batch [" + std::to_string(batch.first) + ", " +
                 std::to_string(batch.first + batch.lines.size()) +
-                ") does not continue shard " + std::to_string(shard.id));
-        // Speculation can race two workers over the same indices; whoever
-        // committed first won, so split this batch into its still-uncovered
-        // runs and commit exactly those. The common (unraced) case is one
-        // run spanning the whole batch — byte-identical to the direct path.
-        const std::size_t n = batch.lines.size();
-        std::size_t fresh = 0;
-        std::size_t i = 0;
-        while (i < n) {
-            if (report->covered().contains(
-                    static_cast<std::size_t>(batch.first) + i)) {
-                ++i;
-                ++result.duplicates_discarded;
-                count(obs.dupes);
-                continue;
-            }
-            std::size_t j = i + 1;
-            while (j < n && !report->covered().contains(
-                                static_cast<std::size_t>(batch.first) + j))
-                ++j;
-            const std::vector<std::string> run(
-                batch.lines.begin() + static_cast<std::ptrdiff_t>(i),
-                batch.lines.begin() + static_cast<std::ptrdiff_t>(j));
-            report->add_encoded(batch.first + i, run);
-            fresh += run.size();
-            if (checkpoint.has_value()) {
-                if (chaos_plan.has_value()) {
-                    if (chaos_plan->crash_now(CrashPhase::PreCheckpoint)) {
-                        ++result.chaos_faults_injected;
-                        count(obs.chaos_injected);
-                        throw SimulatedCrash(
-                            "chaos: simulated coordinator crash before "
-                            "checkpoint append");
-                    }
-                    if (chaos_plan->tear_checkpoint_now()) {
-                        ++result.chaos_faults_injected;
-                        count(obs.chaos_injected);
-                        checkpoint->append_torn(
-                            batch.first + i, run,
-                            chaos_plan->spec().checkpoint_tear_bytes);
-                        throw SimulatedCrash(
-                            "chaos: checkpoint append torn mid-write");
-                    }
+                ") of shard " + std::to_string(batch.shard) +
+                " does not match the worker's assignment");
+        report->add_encoded(batch.first, batch.lines);
+        if (checkpoint.has_value()) {
+            if (chaos_plan.has_value()) {
+                if (chaos_plan->crash_now(CrashPhase::PreCheckpoint)) {
+                    ++result.chaos_faults_injected;
+                    count(obs.chaos_injected);
+                    throw SimulatedCrash(
+                        "chaos: simulated coordinator crash before "
+                        "checkpoint append");
                 }
-                checkpoint->append(batch.first + i, run);
-                ++result.checkpoint_records;
-                count(obs.checkpoints);
+                if (chaos_plan->tear_checkpoint_now()) {
+                    ++result.chaos_faults_injected;
+                    count(obs.chaos_injected);
+                    checkpoint->append_torn(
+                        batch.first, batch.lines,
+                        chaos_plan->spec().checkpoint_tear_bytes);
+                    throw SimulatedCrash(
+                        "chaos: checkpoint append torn mid-write");
+                }
             }
-            i = j;
+            checkpoint->append(batch.first, batch.lines);
+            ++result.checkpoint_records;
+            count(obs.checkpoints);
         }
-        shard.next = batch.first + n;
+        w.shard.reset();
         ++commits;
-        const std::int64_t now = now_ms();
-        // Zero-ms intervals count: a fast fleet's median must stay low or
-        // the straggler threshold drifts toward the stragglers themselves.
-        batch_intervals_ms.push_back(now - w.last_progress_ms);
-        if (batch_intervals_ms.size() > 64) batch_intervals_ms.pop_front();
-        w.last_progress_ms = now;
-        if (fresh > 0) count(obs.committed, static_cast<double>(fresh));
+        w.last_progress_ms = now_ms();
+        count(obs.committed, static_cast<double>(batch.lines.size()));
         fire_commit_hooks();
     }
 
@@ -546,8 +401,9 @@ struct Coordinator::Impl {
             commits >= options.kill_after_commits) {
             WorkerProc& target =
                 workers[static_cast<std::size_t>(options.kill_worker)];
-            if (target.alive && target.killed_sent == 0) {
-                target.killed_sent = 1;
+            if (target.alive && target.shard.has_value() &&
+                !target.killed_sent) {
+                target.killed_sent = true;
                 ::kill(target.pid, SIGKILL);
             }
         }
@@ -560,35 +416,6 @@ struct Coordinator::Impl {
             case MsgType::Batch:
                 commit_batch(w, parse_batch(frame.payload));
                 return;
-            case MsgType::ShardDone: {
-                const auto f = parse_fields(frame.payload, 2);
-                if (!w.shard.has_value() || w.shard->id != f[0])
-                    throw CoordinatorError("ShardDone for unassigned shard " +
-                                           std::to_string(f[0]));
-                if (w.shard->next != f[1] || f[1] > w.shard->end)
-                    throw CoordinatorError(
-                        "ShardDone at " + std::to_string(f[1]) +
-                        " but commits reached " + std::to_string(w.shard->next));
-                w.shard.reset();
-                w.last_progress_ms = w.last_heard_ms;
-                return;
-            }
-            case MsgType::TruncateAck: {
-                const auto f = parse_fields(frame.payload, 2);
-                if (!w.steal_pending)
-                    throw CoordinatorError("unsolicited TruncateAck");
-                w.steal_pending = false;
-                const std::uint64_t effective = f[1];
-                if (effective == kNothingStolen) return;  // shard had finished
-                if (w.shard.has_value() && w.shard->id == f[0])
-                    w.shard->end = std::min(w.shard->end, effective);
-                if (effective < w.steal_old_end) {
-                    pending.push_back(Range{effective, w.steal_old_end});
-                    ++result.shards_stolen;
-                    count(obs.stolen);
-                }
-                return;
-            }
             case MsgType::Pong:
                 (void)parse_fields(frame.payload, 1);
                 return;
@@ -631,19 +458,18 @@ struct Coordinator::Impl {
             ::waitpid(w.pid, nullptr, 0);
             w.pid = -1;
         }
-        w.steal_pending = false;
+        const bool held_batch = w.shard.has_value();
         // EOF after Shutdown with nothing assigned is the orderly exit, not
         // a death.
-        if (draining && !w.shard.has_value()) return;
-        if (w.shard.has_value()) {
-            if (w.shard->next < w.shard->end) {
-                pending.push_front(Range{w.shard->next, w.shard->end});
-                ++result.shards_reassigned;
-                count(obs.reassigned);
-            }
+        if (draining && !held_batch) return;
+        if (held_batch) {
+            pending.push_front(Range{w.shard->first, w.shard->end});
+            ++result.shards_reassigned;
+            count(obs.reassigned);
             w.shard.reset();
         }
-        log_warning("svc: worker died (", why, "); remainder requeued");
+        log_warning("svc: worker died (", why,
+                    held_batch ? "); in-flight batch requeued" : ")");
         if (!stopping && !draining && restart_budget_left()) {
             ++result.worker_restarts;
             count(obs.restarts);
@@ -902,9 +728,7 @@ struct Coordinator::Impl {
                 fds.push_back({options.http->fd(), POLLIN, 0});
 
             // Time-based policies are only evaluated when poll returns, so
-            // the timeout must undercut the shortest armed deadline — a
-            // straggler committing every 60ms would otherwise wake the loop
-            // itself and always be observed at gap ~0.
+            // the timeout must undercut the shortest armed deadline.
             int timeout_ms = 100;
             const auto tighten = [&](int ms) {
                 if (ms > 0) timeout_ms = std::min(timeout_ms, std::max(5, ms / 4));
@@ -913,8 +737,6 @@ struct Coordinator::Impl {
                 tighten(options.heartbeat_interval_ms);
             if (options.progress_timeout_ms > 0)
                 tighten(options.progress_timeout_ms);
-            if (options.straggler_factor > 0.0)
-                tighten(options.straggler_min_ms);
             if (restart_scheduled()) tighten(options.restart_backoff_ms);
 
             const int rc =

@@ -21,8 +21,8 @@
 //   - hang: the worker stops draining stdin and stops producing (the shape
 //     of a wedged process; only heartbeats/deadlines can catch it)
 //   - slow batch: a per-batch sleep, the shape of a straggler
-//   - crash-at-phase: _exit at PreInit / MidBatch / PreTruncateAck, or a
-//     simulated coordinator crash at PreCheckpoint
+//   - crash-at-phase: _exit at PreInit / MidBatch, or a simulated
+//     coordinator crash at PreCheckpoint
 //   - checkpoint tear: the Nth journal append lands partially and the
 //     coordinator "crashes" (run aborts without draining)
 //
@@ -41,15 +41,14 @@
 
 namespace refpga::svc {
 
-/// Where a crash-at-phase injection fires. PreInit/MidBatch/PreTruncateAck
-/// are worker phases (_exit); PreCheckpoint is coordinator-side (the run
-/// aborts right before the Nth journal append, as a crash would).
+/// Where a crash-at-phase injection fires. PreInit/MidBatch are worker
+/// phases (_exit); PreCheckpoint is coordinator-side (the run aborts right
+/// before the Nth journal append, as a crash would).
 enum class CrashPhase : std::uint8_t {
     None = 0,
-    PreInit,         ///< worker dies before processing Init
-    MidBatch,        ///< worker dies after computing a batch, before sending it
-    PreTruncateAck,  ///< worker dies mid steal handshake, before the ack
-    PreCheckpoint,   ///< coordinator "crashes" before a checkpoint append
+    PreInit,        ///< worker dies before processing Init
+    MidBatch,       ///< worker dies after computing a batch, before sending it
+    PreCheckpoint,  ///< coordinator "crashes" before a checkpoint append
 };
 
 [[nodiscard]] const char* crash_phase_name(CrashPhase phase);

@@ -1,22 +1,24 @@
-// Campaign coordinator: shards a job's scenario grid across worker
-// processes, merges their streamed outcome batches, and journals progress.
+// Campaign coordinator: hands a job's scenario grid to worker processes one
+// batch at a time, merges the streamed outcome batches, and journals
+// progress.
 //
 // One single-threaded poll() event loop owns everything: worker pipes, the
 // optional HTTP observability endpoint, the checkpoint journal and the
 // campaign report that merges the streamed batches. Workers are pure
-// executors, so every consistency decision — exactly-once commits, work
-// stealing, reassignment after a crash — is made in one place with no locks.
+// executors, so every consistency decision — exactly-once commits and
+// requeueing after a crash — is made in one place with no locks.
 //
 // Lifecycle of a scenario index range:
 //
-//   pending ──Assign──▶ in-flight ──Batch──▶ committed (spool + journal)
-//      ▲                   │
-//      │   Truncate/Ack    │ worker died: requeue [next, end)
-//      └───────────────────┘
+//   pending ──Assign──▶ in-flight (one batch) ──Batch──▶ committed
+//      ▲                        │                   (spool + journal)
+//      └────────────────────────┘
+//    worker died: the whole batch is requeued at the front
 //
-// Stealing is a two-step handshake (Truncate → TruncateAck) so the
-// coordinator never reassigns an index the victim might still emit; a
-// worker that dies mid-handshake simply has its whole remainder requeued.
+// Each idle worker is given the next min(batch, remaining range) scenarios
+// from the front of the pending queue, and its one Batch frame completes
+// the assignment. A slow worker therefore delays the run by at most the one
+// batch it holds, with no rebalancing protocol.
 #pragma once
 
 #include <atomic>
@@ -43,15 +45,11 @@ struct CoordinatorOptions {
     int workers = 2;
     /// Campaign threads inside each worker.
     int worker_threads = 1;
-    /// Outcomes per Batch frame — the unit of commit, steal granularity and
-    /// the bound on rows the coordinator ever holds in memory.
+    /// Scenarios per assignment — the unit of dispatch, commit and requeue,
+    /// and the bound on rows the coordinator ever holds in memory. An
+    /// assignment is shorter only where a pending range (the end of the
+    /// grid, a resumed journal's gap) is.
     std::uint64_t batch = 8;
-    /// Scenarios per shard (the unit of assignment). 0 = grid/workers,
-    /// clamped to at least one batch.
-    std::uint64_t shard = 0;
-    /// Only steal from a shard with at least this many uncommitted
-    /// scenarios left (0 = 2 * batch).
-    std::uint64_t steal_min = 0;
 
     /// Checkpoint journal path; empty disables checkpointing.
     std::string checkpoint_path;
@@ -63,7 +61,7 @@ struct CoordinatorOptions {
     std::string spool_path = "campaign.spool";
 
     /// Refork a worker that dies unexpectedly, up to max_worker_restarts
-    /// per run; its in-flight range is requeued either way.
+    /// per run; its in-flight batch is requeued either way.
     bool restart_dead_workers = true;
     int max_worker_restarts = 2;
 
@@ -86,19 +84,10 @@ struct CoordinatorOptions {
     /// a batch boundary — is not shot for computing.
     int heartbeat_miss_limit = 3;
     int liveness_timeout_ms = 10000;
-    /// Reap a worker holding a shard that has not committed anything for
-    /// this long (0 = no progress deadline). Catches a worker that answers
-    /// pings but computes nothing.
+    /// Reap a worker holding a batch that has not committed it within this
+    /// long (0 = no progress deadline). Catches a worker that answers pings
+    /// but computes nothing.
     int progress_timeout_ms = 0;
-
-    /// Straggler speculation: when the pending queue is empty, a worker sits
-    /// idle, and stealing is not viable, re-assign the remainder of a shard
-    /// whose owner has gone straggler_factor × the fleet's median
-    /// batch-commit interval (and at least straggler_min_ms) without
-    /// progress. First valid result wins; the loser's duplicate commits are
-    /// discarded exactly. 0 = disabled.
-    double straggler_factor = 0.0;
-    int straggler_min_ms = 1000;
 
     /// Fail the run once the alive fleet drops below this and the restart
     /// budget cannot restore it (unless partial_ok). 1 = complete on any
@@ -157,8 +146,10 @@ struct CoordinatorOptions {
     // --- deterministic failure-injection hooks (tests/CI only) ------------
     /// Behave as if `stop` turned true after this many committed batches.
     std::uint64_t stop_after_commits = 0;  ///< 0 = disabled
-    /// SIGKILL worker `kill_worker` after `kill_after_commits` committed
-    /// batches, exercising the reassignment path.
+    /// SIGKILL worker `kill_worker`, exercising the requeue path: the hook
+    /// fires at the first commit, at or after `kill_after_commits`
+    /// committed batches, at which that worker holds an in-flight batch (a
+    /// worker that has just committed holds nothing to requeue).
     int kill_worker = -1;  ///< -1 = disabled
     std::uint64_t kill_after_commits = 0;
 };
@@ -172,7 +163,10 @@ struct CoordinatorResult {
     std::size_t scenarios_committed = 0;
     std::size_t scenarios_resumed = 0;  ///< committed via journal replay
     std::size_t failures = 0;
-    std::uint64_t shards_dispatched = 0;
+    std::uint64_t shards_dispatched = 0;  ///< assignments (one batch each)
+    /// Always 0: there is no work stealing, since a worker never holds more
+    /// than one batch. Kept because perfbench/campaigns.cpp (the repo
+    /// benchmark) still reports it as svc.shards_stolen.
     std::uint64_t shards_stolen = 0;
     std::uint64_t shards_reassigned = 0;  ///< requeued after worker death
     std::uint64_t worker_restarts = 0;
@@ -183,8 +177,6 @@ struct CoordinatorResult {
     std::uint64_t heartbeat_misses = 0;   ///< pings that expired unanswered
     std::uint64_t liveness_kills = 0;     ///< reaped: heartbeat silence
     std::uint64_t deadline_kills = 0;     ///< reaped: progress deadline
-    std::uint64_t speculations = 0;       ///< straggler ranges re-assigned
-    std::uint64_t duplicates_discarded = 0;  ///< outcome lines dropped as dupes
     std::uint64_t protocol_errors = 0;    ///< corrupt streams quarantined
     std::uint64_t chaos_faults_injected = 0;  ///< coordinator-side injections
 };

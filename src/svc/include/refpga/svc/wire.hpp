@@ -36,12 +36,9 @@ public:
 
 enum class MsgType : std::uint8_t {
     Init = 1,     ///< coordinator→worker: "worker_threads\n" + job JSON
-    Assign,       ///< coordinator→worker: "shard first count batch"
-    Truncate,     ///< coordinator→worker: "shard new_end" (work stealing)
-    Shutdown,     ///< coordinator→worker: empty payload; drain and exit
+    Assign,       ///< coordinator→worker: "shard first count", one batch
+    Shutdown,     ///< coordinator→worker: empty payload; exit
     Batch,        ///< worker→coordinator: "shard first count\n" + outcome lines
-    ShardDone,    ///< worker→coordinator: "shard end"
-    TruncateAck,  ///< worker→coordinator: "shard effective_end"
     WorkerError,  ///< worker→coordinator: fatal error text
     Ping,         ///< coordinator→worker: "seq" liveness probe
     Pong,         ///< worker→coordinator: "seq" echoed back
@@ -75,10 +72,6 @@ public:
 
     /// Next complete frame, if any. Throws WireError on a corrupt prefix.
     [[nodiscard]] std::optional<Frame> next();
-
-    /// True when buffered bytes form only part of a frame (diagnostic for
-    /// worker-death handling: a truncated final frame is expected there).
-    [[nodiscard]] bool mid_frame() const { return !buffer_.empty(); }
 
 private:
     std::string buffer_;

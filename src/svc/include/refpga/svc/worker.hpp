@@ -2,26 +2,20 @@
 //
 // A worker speaks the svc wire protocol over two pipe fds. It receives the
 // job spec once (Init), expands the identical scenario grid the coordinator
-// holds, and then executes assigned index ranges, streaming outcome batches
-// back as they complete. Between batches it drains pending control frames,
-// which is what makes work stealing race-free: a Truncate can only ever
-// observe the worker at a batch boundary, so the acked effective end is
-// exact — every index below it has been (or is about to be) emitted, every
-// index at or above it never started.
+// holds, and then blocks on one instruction at a time: an Assign names one
+// batch of scenario indices, which the worker runs and answers with exactly
+// one Batch frame; a Ping gets its Pong; Shutdown ends the loop. A worker
+// therefore holds at most one batch, and a Ping or Shutdown sent while it
+// computes is read when that batch is done.
 //
 // Workers are execution only: no checkpointing, no aggregation, no
 // observability registry. All of that lives in the coordinator, which is
 // the single writer of every output artifact.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace refpga::svc {
-
-/// TruncateAck payload value meaning "that shard was already finished here;
-/// nothing was stolen".
-inline constexpr std::uint64_t kNothingStolen = ~std::uint64_t{0};
 
 /// Init frame payload: "<worker_threads>\n" followed by the job JSON.
 [[nodiscard]] std::string encode_init(int worker_threads,

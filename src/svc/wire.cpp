@@ -10,11 +10,8 @@ const char* msg_type_name(MsgType type) {
     switch (type) {
         case MsgType::Init: return "Init";
         case MsgType::Assign: return "Assign";
-        case MsgType::Truncate: return "Truncate";
         case MsgType::Shutdown: return "Shutdown";
         case MsgType::Batch: return "Batch";
-        case MsgType::ShardDone: return "ShardDone";
-        case MsgType::TruncateAck: return "TruncateAck";
         case MsgType::WorkerError: return "WorkerError";
         case MsgType::Ping: return "Ping";
         case MsgType::Pong: return "Pong";

@@ -1,9 +1,6 @@
 #include "refpga/svc/worker.hpp"
 
-#include <cerrno>
 #include <csignal>
-#include <cstring>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -24,24 +21,6 @@ std::string encode_init(int worker_threads, const std::string& job_json) {
 }
 
 namespace {
-
-struct Shard {
-    std::uint64_t id = 0;
-    std::uint64_t next = 0;   ///< first index not yet started
-    std::uint64_t end = 0;    ///< exclusive
-    std::uint64_t batch = 1;  ///< outcomes per Batch frame
-};
-
-/// True when in_fd has bytes ready right now (control frame between
-/// batches); does not block.
-bool readable_now(int fd) {
-    pollfd p{fd, POLLIN, 0};
-    while (true) {
-        const int rc = ::poll(&p, 1, 0);
-        if (rc < 0 && errno == EINTR) continue;
-        return rc > 0 && (p.revents & (POLLIN | POLLHUP)) != 0;
-    }
-}
 
 class Worker {
 public:
@@ -80,81 +59,44 @@ private:
             _exit(9);
     }
 
+    /// One instruction at a time: every frame is read while idle, so the
+    /// worker never holds more than the one batch it is running.
     void loop() {
         Frame frame;
-        while (true) {
-            if (!current_.has_value()) {
-                // Idle: block for the next instruction.
-                if (!read_frame(in_fd_, frame)) return;  // coordinator went away
-                if (!handle(frame)) return;
-                continue;
+        while (read_frame(in_fd_, frame)) {  // false: coordinator went away
+            switch (frame.type) {
+                case MsgType::Init:
+                    init(frame.payload);
+                    break;
+                case MsgType::Assign:
+                    run_batch(frame.payload);
+                    break;
+                case MsgType::Ping:
+                    // Liveness probe: answer immediately. A busy worker only
+                    // reads this after its batch, which is exactly the
+                    // granularity at which it can credibly claim to be alive.
+                    send(MsgType::Pong, frame.payload);
+                    break;
+                case MsgType::Shutdown:
+                    return;
+                default:
+                    throw WireError(std::string("unexpected ") +
+                                    msg_type_name(frame.type) +
+                                    " frame in worker");
             }
-            // Busy: drain control frames first so Truncate and Shutdown act
-            // at this batch boundary, then run one batch.
-            while (readable_now(in_fd_)) {
-                if (!read_frame(in_fd_, frame))
-                    throw WireError("coordinator closed the pipe mid-shard");
-                if (!handle(frame)) return;
-                if (!current_.has_value()) break;
-            }
-            if (current_.has_value()) run_batch();
         }
     }
 
-    /// Returns false on Shutdown.
-    bool handle(const Frame& frame) {
-        switch (frame.type) {
-            case MsgType::Init: {
-                const std::size_t eol = frame.payload.find('\n');
-                if (eol == std::string::npos)
-                    throw WireError("Init payload missing thread-count line");
-                parse_init_line(frame.payload.substr(0, eol));
-                if (chaos_.has_value() && chaos_->crash_now(CrashPhase::PreInit))
-                    _exit(9);
-                spec_ = JobSpec::from_json(frame.payload.substr(eol + 1));
-                scenarios_ = spec_.expand();
-                options_.stream_block_ticks = spec_.stream_block_ticks;
-                return true;
-            }
-            case MsgType::Assign: {
-                const auto f = parse_fields(frame.payload, 4);
-                if (scenarios_.empty())
-                    throw WireError("Assign before Init");
-                if (f[2] == 0 || f[3] == 0 || f[1] + f[2] > scenarios_.size())
-                    throw WireError("Assign range out of bounds");
-                if (current_.has_value())
-                    throw WireError("Assign while a shard is in progress");
-                current_ = Shard{f[0], f[1], f[1] + f[2], f[3]};
-                return true;
-            }
-            case MsgType::Truncate: {
-                const auto f = parse_fields(frame.payload, 2);
-                std::uint64_t effective = kNothingStolen;
-                if (current_.has_value() && current_->id == f[0]) {
-                    // Keep everything already started; give back the rest.
-                    effective = std::max(current_->next, f[1]);
-                    current_->end = std::min(current_->end, effective);
-                    if (current_->next >= current_->end) finish_shard();
-                }
-                if (chaos_.has_value() &&
-                    chaos_->crash_now(CrashPhase::PreTruncateAck))
-                    _exit(9);
-                send(MsgType::TruncateAck,
-                     std::to_string(f[0]) + ' ' + std::to_string(effective));
-                return true;
-            }
-            case MsgType::Ping:
-                // Liveness probe: answer immediately. A busy worker only
-                // sees this at a batch boundary, which is exactly the
-                // granularity at which it can credibly claim to be alive.
-                send(MsgType::Pong, frame.payload);
-                return true;
-            case MsgType::Shutdown:
-                return false;
-            default:
-                throw WireError(std::string("unexpected ") +
-                                msg_type_name(frame.type) + " frame in worker");
-        }
+    void init(const std::string& payload) {
+        const std::size_t eol = payload.find('\n');
+        if (eol == std::string::npos)
+            throw WireError("Init payload missing thread-count line");
+        parse_init_line(payload.substr(0, eol));
+        if (chaos_.has_value() && chaos_->crash_now(CrashPhase::PreInit))
+            _exit(9);
+        spec_ = JobSpec::from_json(payload.substr(eol + 1));
+        scenarios_ = spec_.expand();
+        options_.stream_block_ticks = spec_.stream_block_ticks;
     }
 
     /// First Init line: "<threads>" or "<threads> chaos <seed> <fields...>".
@@ -176,7 +118,16 @@ private:
         }
     }
 
-    void run_batch() {
+    /// Runs the Assign "shard first count" and answers with its one Batch.
+    void run_batch(const std::string& payload) {
+        const auto f = parse_fields(payload, 3);
+        const std::uint64_t shard = f[0];
+        const std::uint64_t first = f[1];
+        const std::uint64_t count = f[2];
+        if (scenarios_.empty()) throw WireError("Assign before Init");
+        if (count == 0 || first > scenarios_.size() ||
+            count > scenarios_.size() - first)
+            throw WireError("Assign range out of bounds");
         if (chaos_.has_value()) {
             if (chaos_->next_hang()) {
                 // Wedge exactly like a stuck process: stop draining stdin,
@@ -186,23 +137,20 @@ private:
             if (chaos_->next_slow())
                 ::poll(nullptr, 0, chaos_->spec().slow_ms);
         }
-        Shard& shard = *current_;
-        const std::uint64_t count =
-            std::min<std::uint64_t>(shard.batch, shard.end - shard.next);
         const std::vector<fleet::Scenario> slice(
-            scenarios_.begin() + static_cast<std::ptrdiff_t>(shard.next),
-            scenarios_.begin() + static_cast<std::ptrdiff_t>(shard.next + count));
+            scenarios_.begin() + static_cast<std::ptrdiff_t>(first),
+            scenarios_.begin() + static_cast<std::ptrdiff_t>(first + count));
         const fleet::CampaignRunner runner(options_);
         const fleet::CampaignResult result = runner.run(slice);
-        // The cursor advance below and the coordinator's shard.next both
-        // assume one outcome per scenario; anything else must fail loudly
-        // here, not as a baffling "does not continue shard" protocol error.
+        // The coordinator accepts only a batch of exactly the assigned
+        // count; anything else must fail loudly here, not as a baffling
+        // protocol error there.
         if (result.outcomes.size() != slice.size())
             throw std::runtime_error(
                 "CampaignRunner returned " +
                 std::to_string(result.outcomes.size()) + " outcomes for " +
                 std::to_string(slice.size()) + " scenarios in shard " +
-                std::to_string(shard.id));
+                std::to_string(shard));
         if (chaos_.has_value() && chaos_->crash_now(CrashPhase::MidBatch))
             _exit(9);  // the computed batch dies with us
 
@@ -210,15 +158,7 @@ private:
         lines.reserve(result.outcomes.size());
         for (const fleet::ScenarioOutcome& o : result.outcomes)
             lines.push_back(fleet::encode_outcome_line(o));
-        send(MsgType::Batch, encode_batch(shard.id, shard.next, lines));
-        shard.next += count;
-        if (shard.next >= shard.end) finish_shard();
-    }
-
-    void finish_shard() {
-        send(MsgType::ShardDone, std::to_string(current_->id) + ' ' +
-                                     std::to_string(current_->end));
-        current_.reset();
+        send(MsgType::Batch, encode_batch(shard, first, lines));
     }
 
     int in_fd_;
@@ -226,7 +166,6 @@ private:
     JobSpec spec_;
     std::vector<fleet::Scenario> scenarios_;
     fleet::CampaignOptions options_;
-    std::optional<Shard> current_;
     std::optional<ChaosPlan> chaos_;
 };
 

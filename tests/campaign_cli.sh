@@ -29,6 +29,12 @@ expect_exit 2 --seed 18446744073709551616 --cycles 1 --json
 expect_exit 2 --threads 4294967298 --cycles 1 --json
 expect_exit 2 --threads 0 --cycles 1 --json
 expect_exit 2 --cycles 1 --batch 2 --json   # service flag without --workers
+# Flags and a chaos phase of the removed work-stealing and speculation
+# machinery are unknown now, not silently ignored.
+expect_exit 2 --workers 2 --shard 4 --cycles 1 --json
+expect_exit 2 --workers 2 --steal-min 2 --cycles 1 --json
+expect_exit 2 --workers 2 --straggler-factor 2 --cycles 1 --json
+expect_exit 2 --workers 2 --chaos-crash pre-truncate-ack --cycles 1 --json
 printf '{"upset_rates":[1e999]}\n' > "$WORK/inf.json"
 expect_exit 2 --spec "$WORK/inf.json" --cycles 1 --json
 

@@ -4,8 +4,9 @@
 // checkpoint journal (including the corrupt/truncated failure paths), the
 // worker protocol driven directly over pipes, and end-to-end coordinator
 // runs that must render byte-identical reports to the single-process
-// CampaignRunner — including after a SIGKILLed worker's shard is reassigned
-// and after a graceful stop plus checkpoint resume.
+// CampaignRunner — including after a SIGKILLed worker's batch is requeued
+// and after a graceful stop plus checkpoint resume, at the same or another
+// batch size.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -53,7 +55,7 @@ TEST(Wire, FrameReaderReassemblesByteDribble) {
         // Build a wire image by writing frames into a pipe and draining it.
         int p[2];
         ASSERT_EQ(::pipe(p), 0);
-        write_frame(p[1], MsgType::Assign, "1 0 8 2");
+        write_frame(p[1], MsgType::Assign, "1 0 8");
         write_frame(p[1], MsgType::Batch, "1 0 1\n{}\n");
         write_frame(p[1], MsgType::Shutdown, "");
         ::close(p[1]);
@@ -72,11 +74,10 @@ TEST(Wire, FrameReaderReassemblesByteDribble) {
     }
     ASSERT_EQ(frames.size(), 3u);
     EXPECT_EQ(frames[0].type, MsgType::Assign);
-    EXPECT_EQ(frames[0].payload, "1 0 8 2");
+    EXPECT_EQ(frames[0].payload, "1 0 8");
     EXPECT_EQ(frames[1].type, MsgType::Batch);
     EXPECT_EQ(frames[2].type, MsgType::Shutdown);
     EXPECT_TRUE(frames[2].payload.empty());
-    EXPECT_FALSE(reader.mid_frame());
 }
 
 TEST(Wire, CorruptPrefixThrows) {
@@ -92,11 +93,12 @@ TEST(Wire, PayloadHelpersValidateShape) {
     EXPECT_THROW((void)parse_fields("3 14", 3), WireError);
     EXPECT_THROW((void)parse_fields("3 x 15", 3), WireError);
 
-    // Fields that overflow u64 must throw, not wrap; kNothingStolen (the
-    // largest legitimate value, 2^64-1) must still round-trip.
+    // Fields that overflow u64 must throw, not wrap; the largest value,
+    // 2^64-1, must still round-trip.
     EXPECT_THROW((void)parse_fields("99999999999999999999999", 1), WireError);
     EXPECT_THROW((void)parse_fields("18446744073709551616", 1), WireError);
-    EXPECT_EQ(parse_fields("18446744073709551615", 1)[0], kNothingStolen);
+    EXPECT_EQ(parse_fields("18446744073709551615", 1)[0],
+              18446744073709551615ULL);
 
     const std::vector<std::string> lines{"{\"a\":1}", "{\"b\":2}"};
     const BatchPayload batch = parse_batch(encode_batch(7, 40, lines));
@@ -645,7 +647,7 @@ TEST(Chaos, EncodeParseRoundTripsExactly) {
     spec.hang_prob = 0.125;
     spec.slow_batch_prob = 1e-9;
     spec.slow_ms = 33;
-    spec.crash_phase = CrashPhase::PreTruncateAck;
+    spec.crash_phase = CrashPhase::MidBatch;
     spec.crash_after = 5;
 
     const std::string encoded = encode_chaos(spec, 0xfeedULL);
@@ -731,60 +733,35 @@ JobSpec small_spec() {
     return spec;  // 8 scenarios
 }
 
-TEST(Worker, TruncateHandshakeIsExactAtBatchBoundary) {
+TEST(Worker, RunsOneBatchPerAssignThenIdles) {
     WorkerHandle w;
     spawn_worker(w);
     const JobSpec spec = small_spec();
     write_frame(w.to, MsgType::Init, encode_init(1, spec.canonical_json()));
-    // Assign all 8 scenarios as shard 0 with batch size 2, then immediately
-    // steal everything past index 4. The worker drains control frames
-    // before each batch, so it sees the Truncate before running anything
-    // and must settle on effective end 4 exactly.
-    write_frame(w.to, MsgType::Assign, "0 0 8 2");
-    write_frame(w.to, MsgType::Truncate, "0 4");
+    write_frame(w.to, MsgType::Assign, "0 2 3");
 
-    bool done = false;
-    std::uint64_t acked_end = 0;
-    std::uint64_t done_end = 0;
-    std::size_t outcomes = 0;
+    // The assignment is answered by exactly one Batch frame holding it...
     Frame frame;
-    while (!done || acked_end == 0) {
-        ASSERT_TRUE(read_frame(w.from, frame)) << "worker hung up early";
-        switch (frame.type) {
-            case MsgType::Batch: {
-                const BatchPayload batch = parse_batch(frame.payload);
-                EXPECT_EQ(batch.first, outcomes);
-                outcomes += batch.lines.size();
-                break;
-            }
-            case MsgType::ShardDone:
-                done = true;
-                done_end = parse_fields(frame.payload, 2)[1];
-                break;
-            case MsgType::TruncateAck:
-                acked_end = parse_fields(frame.payload, 2)[1];
-                break;
-            default:
-                FAIL() << "unexpected " << msg_type_name(frame.type);
-        }
-    }
-    EXPECT_EQ(acked_end, 4u);
-    EXPECT_EQ(done_end, 4u);
-    EXPECT_EQ(outcomes, 4u) << "no outcome past the truncated end may arrive";
-    write_frame(w.to, MsgType::Shutdown, "");
-}
+    ASSERT_TRUE(read_frame(w.from, frame)) << "worker hung up early";
+    ASSERT_EQ(frame.type, MsgType::Batch) << msg_type_name(frame.type);
+    const BatchPayload batch = parse_batch(frame.payload);
+    EXPECT_EQ(batch.shard, 0u);
+    EXPECT_EQ(batch.first, 2u);
+    ASSERT_EQ(batch.lines.size(), 3u);
+    const std::vector<fleet::Scenario> scenarios = spec.expand();
+    for (std::size_t i = 0; i < batch.lines.size(); ++i)
+        EXPECT_EQ(fleet::decode_outcome_line(batch.lines[i]).scenario.name,
+                  scenarios[2 + i].name);
 
-TEST(Worker, AcksNothingStolenForUnknownShard) {
-    WorkerHandle w;
-    spawn_worker(w);
-    write_frame(w.to, MsgType::Init,
-                encode_init(1, small_spec().canonical_json()));
-    write_frame(w.to, MsgType::Truncate, "42 0");
-    Frame frame;
+    // ...and by nothing else: the next frame answers the Ping, which shows
+    // the worker is idle again, and Shutdown closes the stream.
+    write_frame(w.to, MsgType::Ping, "5");
     ASSERT_TRUE(read_frame(w.from, frame));
-    ASSERT_EQ(frame.type, MsgType::TruncateAck);
-    EXPECT_EQ(parse_fields(frame.payload, 2)[1], kNothingStolen);
+    EXPECT_EQ(frame.type, MsgType::Pong) << msg_type_name(frame.type);
+    EXPECT_EQ(frame.payload, "5");
     write_frame(w.to, MsgType::Shutdown, "");
+    EXPECT_FALSE(read_frame(w.from, frame))
+        << "unexpected " << msg_type_name(frame.type) << " after Shutdown";
 }
 
 TEST(Worker, AnswersPingWithEchoedPong) {
@@ -885,6 +862,23 @@ TEST(Http, SilentClientCannotWedgeServeReady) {
 
 // ---------------------------------------------------------------- e2e
 
+// Multiplier for every liveness tolerance in the e2e tests. Sanitizer
+// builds (and heavily loaded CI runners) slow scenario compute 10-20x,
+// which would push healthy workers past reap windows tuned for a plain
+// build and exhaust the restart budget on workers that were never faulty.
+// The injected faults themselves (an infinite hang, a crash) don't need
+// scaling — only the windows that separate "slow" from "dead", and the
+// slow-batch delay that must stay distinguishable from ambient slowness.
+// The CI TSan job exports REFPGA_TEST_TIME_SCALE=20.
+int time_scale() {
+    static const int scale = [] {
+        const char* raw = std::getenv("REFPGA_TEST_TIME_SCALE");
+        const int value = (raw != nullptr) ? std::atoi(raw) : 1;
+        return value > 1 ? value : 1;
+    }();
+    return scale;
+}
+
 std::pair<std::string, std::string> reference_renderings(const JobSpec& spec) {
     fleet::CampaignOptions options(2);
     options.stream_block_ticks = spec.stream_block_ticks;
@@ -973,6 +967,11 @@ TEST(Coordinator, MatchesSingleProcessReportByteForByte) {
         const CoordinatorResult result = coordinator.run();
         ASSERT_TRUE(result.completed) << result.error;
         EXPECT_EQ(result.scenarios_committed, spec.grid_size());
+        // One assignment per batch, none of them ever handed out twice.
+        EXPECT_EQ(result.shards_dispatched,
+                  (spec.grid_size() + options.batch - 1) / options.batch);
+        EXPECT_EQ(result.shards_reassigned, 0u);
+        EXPECT_EQ(result.worker_restarts, 0u);
         EXPECT_LE(result.max_retained_rows, options.batch);
         EXPECT_EQ(coordinator.report().render_text(), want_text);
         EXPECT_EQ(coordinator.report().render_json(), want_json);
@@ -981,7 +980,7 @@ TEST(Coordinator, MatchesSingleProcessReportByteForByte) {
 
 TEST(Coordinator, SurvivesWorkerKillWithIdenticalReport) {
     JobSpec spec = small_spec();
-    spec.noise_levels = {1e-3, 5e-3};  // 16 scenarios: room for a mid-shard kill
+    spec.noise_levels = {1e-3, 5e-3};  // 16 scenarios: room for a mid-run kill
     const auto [want_text, want_json] = reference_renderings(spec);
 
     CoordinatorOptions options;
@@ -991,19 +990,21 @@ TEST(Coordinator, SurvivesWorkerKillWithIdenticalReport) {
     options.kill_worker = 0;
     options.kill_after_commits = 1;
     options.max_worker_restarts = 2;
-    // Pace every generation-0 batch so the kill lands with work
-    // outstanding: unpaced, the killed worker can already have finished its
-    // shard, and then nothing is left to reassign.
+    // The hook waits for a commit at which slot 0 holds a batch. Slot 0's
+    // first generation sleeps before each batch, so slot 1's first commit
+    // finds slot 0 holding its first batch mid-sleep, and the SIGKILL lands
+    // before that batch can reach the pipe: it must be requeued.
     options.chaos.slow_batch_prob = 1.0;
-    options.chaos.slow_ms = 20;
+    options.chaos.slow_ms = 200 * time_scale();
+    options.chaos.only_worker = 0;
 
     obs::Recorder recorder;
     options.recorder = &recorder;
     Coordinator coordinator(spec, options);
     const CoordinatorResult result = coordinator.run();
     ASSERT_TRUE(result.completed) << result.error;
-    EXPECT_GE(result.shards_reassigned + result.shards_stolen, 1u)
-        << "the killed worker's remainder must have been redistributed";
+    EXPECT_GE(result.shards_reassigned, 1u)
+        << "the killed worker's in-flight batch must have been requeued";
     EXPECT_EQ(coordinator.report().render_text(), want_text);
     EXPECT_EQ(coordinator.report().render_json(), want_json);
     EXPECT_GT(recorder.metrics().value("svc.scenarios_committed_total"),
@@ -1064,29 +1065,53 @@ TEST(Coordinator, StopCheckpointResumeCompletesWithoutRecomputing) {
     EXPECT_THROW((void)coordinator.run(), CheckpointError);
 }
 
+TEST(Coordinator, ResumeWithAnotherBatchSizeCompletes) {
+    JobSpec spec = small_spec();
+    spec.noise_levels = {1e-3, 5e-3};  // 16 scenarios
+    const auto [want_text, want_json] = reference_renderings(spec);
+    const std::string ckpt = temp_path("rebatch_ckpt");
+
+    // One worker commits strictly in order, so stopping after 3 commits of
+    // batch 3 leaves exactly [0, 9) in the journal and the gap [9, 16).
+    std::size_t committed_first = 0;
+    {
+        CoordinatorOptions options;
+        options.workers = 1;
+        options.batch = 3;
+        options.checkpoint_path = ckpt;
+        options.spool_path = temp_path("rebatch_spool_a");
+        options.stop_after_commits = 3;
+        Coordinator coordinator(spec, options);
+        const CoordinatorResult result = coordinator.run();
+        EXPECT_FALSE(result.completed);
+        committed_first = result.scenarios_committed;
+        EXPECT_EQ(committed_first, 9u);
+    }
+    // Resumed at batch 2, the 7-scenario gap is handed out as 2 + 2 + 2 + 1:
+    // the last assignment is shorter than a batch.
+    {
+        CoordinatorOptions options;
+        options.workers = 2;
+        options.batch = 2;
+        options.checkpoint_path = ckpt;
+        options.resume = true;
+        options.spool_path = temp_path("rebatch_spool_b");
+        Coordinator coordinator(spec, options);
+        const CoordinatorResult result = coordinator.run();
+        ASSERT_TRUE(result.completed) << result.error;
+        EXPECT_EQ(result.scenarios_resumed, committed_first);
+        EXPECT_EQ(result.shards_dispatched, 4u);
+        EXPECT_EQ(coordinator.report().render_text(), want_text);
+        EXPECT_EQ(coordinator.report().render_json(), want_json);
+    }
+}
+
 // ---------------------------------------------------------------- e2e chaos
 
 JobSpec chaos_spec() {
     JobSpec spec = small_spec();
     spec.noise_levels = {1e-3, 5e-3};  // 16 scenarios
     return spec;
-}
-
-// Multiplier for every liveness tolerance below. Sanitizer builds (and
-// heavily loaded CI runners) slow scenario compute 10-20x, which would push
-// healthy workers past reap windows tuned for a plain build and exhaust the
-// restart budget on workers that were never faulty. The injected faults
-// themselves (an infinite hang, a crash) don't need scaling — only the
-// windows that separate "slow" from "dead", and the slow-batch delay that
-// must stay distinguishable from ambient slowness. The CI TSan job exports
-// REFPGA_TEST_TIME_SCALE=20.
-int time_scale() {
-    static const int scale = [] {
-        const char* raw = std::getenv("REFPGA_TEST_TIME_SCALE");
-        const int value = (raw != nullptr) ? std::atoi(raw) : 1;
-        return value > 1 ? value : 1;
-    }();
-    return scale;
 }
 
 TEST(Coordinator, HeartbeatReapsHungWorkerWithIdenticalReport) {
@@ -1202,32 +1227,85 @@ TEST(Coordinator, QuarantinesCorruptStreamsAndRecovers) {
     }
 }
 
-TEST(Coordinator, SpeculatesStragglerAndDiscardsDuplicatesExactly) {
-    const JobSpec spec = chaos_spec();
-    const auto [want_text, want_json] = reference_renderings(spec);
+// A stand-in worker, run through Launch::Exec: for every Assign it sends one
+// Batch of valid outcome lines (one per grid index, read from `lines_path`)
+// that differs from the assignment in `field`: "shard", "first" or "count".
+std::string rogue_worker_script(const std::string& field,
+                                const std::string& lines_path) {
+    return "#!/usr/bin/env python3\n"
+           "import os, struct\n"
+           "ASSIGN, SHUTDOWN, BATCH = " +
+           std::to_string(static_cast<int>(MsgType::Assign)) + ", " +
+           std::to_string(static_cast<int>(MsgType::Shutdown)) + ", " +
+           std::to_string(static_cast<int>(MsgType::Batch)) + "\n" +
+           "FIELD = '" + field + "'\n" + "LINES = open('" + lines_path +
+           "').read().split('\\n')\n" +
+           R"(
+def read_exact(n):
+    data = b''
+    while len(data) < n:
+        chunk = os.read(3, n - len(data))
+        if not chunk:
+            raise SystemExit(0)
+        data += chunk
+    return data
 
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.batch = 1;
-    options.shard = 8;          // one shard per worker
-    options.steal_min = 1000;   // disable the exact-steal path entirely
-    options.spool_path = temp_path("straggler_spool");
-    options.chaos.slow_batch_prob = 1.0;  // slot 0 sleeps before every batch
-    options.chaos.slow_ms = 60 * time_scale();
-    options.chaos.only_worker = 0;
-    options.chaos_seed = 15;
-    options.straggler_factor = 2.0;
-    options.straggler_min_ms = 40 * time_scale();
-    Coordinator coordinator(spec, options);
-    const CoordinatorResult result = coordinator.run();
-    ASSERT_TRUE(result.completed) << result.error;
-    EXPECT_GE(result.speculations, 1u)
-        << "the idle fast worker must have re-executed the laggard's range";
-    EXPECT_GE(result.duplicates_discarded, 1u)
-        << "the losing copy's commits must be discarded, not double-merged";
-    EXPECT_EQ(result.shards_stolen, 0u);
-    EXPECT_EQ(coordinator.report().render_text(), want_text);
-    EXPECT_EQ(coordinator.report().render_json(), want_json);
+while True:
+    length, kind = struct.unpack('<IB', read_exact(5))
+    payload = read_exact(length).decode()
+    if kind == SHUTDOWN:
+        break
+    if kind != ASSIGN:
+        continue
+    shard, first, count = map(int, payload.split())
+    if FIELD == 'shard':
+        shard += 1
+    elif FIELD == 'first':
+        first += 1
+    else:
+        count += 1
+    body = '%d %d %d\n' % (shard, first, count)
+    body += ''.join(LINES[i] + '\n' for i in range(first, first + count))
+    data = body.encode()
+    data = struct.pack('<IB', len(data), BATCH) + data
+    while data:
+        data = data[os.write(4, data):]
+)";
+}
+
+TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
+    if (std::system("python3 -c pass > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "the stand-in worker needs python3";
+    const JobSpec spec = chaos_spec();
+    // Valid outcome lines, so the mismatch is the only thing to reject.
+    const std::string lines_path = temp_path("rogue_lines");
+    {
+        fleet::CampaignOptions options(2);
+        options.stream_block_ticks = spec.stream_block_ticks;
+        std::ofstream out(lines_path);
+        for (const fleet::ScenarioOutcome& o :
+             fleet::CampaignRunner(options).run(spec.expand()).outcomes)
+            out << fleet::encode_outcome_line(o) << '\n';
+    }
+    for (const char* field : {"shard", "first", "count"}) {
+        SCOPED_TRACE(field);
+        const std::string script = temp_path("rogue_worker.py");
+        std::ofstream(script) << rogue_worker_script(field, lines_path);
+        ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+        CoordinatorOptions options;
+        options.workers = 1;
+        options.batch = 2;
+        options.spool_path = temp_path("rogue_spool");
+        options.launch = CoordinatorOptions::Launch::Exec;
+        options.exec_path = script;
+        options.max_worker_restarts = 0;
+        Coordinator coordinator(spec, options);
+        const CoordinatorResult result = coordinator.run();
+        EXPECT_FALSE(result.completed);
+        EXPECT_EQ(result.protocol_errors, 1u);
+        EXPECT_EQ(result.scenarios_committed, 0u)
+            << "a batch that does not match its assignment must not commit";
+    }
 }
 
 TEST(Coordinator, MinWorkersFailsFastWhenFleetCannotRecover) {
