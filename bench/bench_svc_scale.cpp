@@ -22,9 +22,11 @@
 //
 // --chaos switches to the recovery-overhead matrix instead: the same job
 // runs once clean and once under each fault category (worker hang, mid-
-// batch crash, torn frame, slow straggler) with the liveness layer armed.
-// A straggler holds one batch at a time, so its row needs no policy of its
-// own: the other worker pulls the rest of the grid.
+// batch crash, torn frame, dropped frame, slow straggler) under one policy,
+// a 150 ms deadline plus the restart budget. The hang and the dropped Batch
+// frame leave a worker holding a batch it never commits, so only the
+// deadline ends them. A straggler holds one batch at a time, so its row
+// needs no policy of its own: the other worker pulls the rest of the grid.
 // Every faulted run must still complete and render byte-identically to the
 // single-process report — recovery cost is allowed to show up only as wall
 // time, never as report drift. Emits BENCH_svc_chaos.json.
@@ -82,27 +84,23 @@ struct Run {
 struct ChaosRun {
     std::string fault;
     double wall_s = 0.0;
-    double overhead = 1.0;  ///< wall vs the clean liveness-armed run
+    double overhead = 1.0;  ///< wall vs the clean run under the same policy
     bool completed = false;
     bool byte_identical = false;
     std::uint64_t restarts = 0;
-    std::uint64_t liveness_kills = 0;
+    std::uint64_t deadline_kills = 0;
     std::uint64_t protocol_errors = 0;
 };
 
-/// The liveness policy every chaos-matrix run (clean included) uses, so the
-/// overhead column compares like with like.
+/// The policy every chaos-matrix run (clean included) uses, so the overhead
+/// column compares like with like.
 svc::CoordinatorOptions chaos_base_options(const std::string& tag) {
     svc::CoordinatorOptions options;
     options.workers = 2;
     options.worker_threads = 1;
     options.batch = 1;
     options.spool_path = "BENCH_svc_chaos_" + tag + ".spool";
-    options.heartbeat_interval_ms = 25;
-    options.heartbeat_miss_limit = 2;
-    options.liveness_timeout_ms = 150;
-    options.restart_backoff_ms = 1;
-    options.restart_backoff_cap_ms = 50;
+    options.progress_timeout_ms = 150;
     options.max_worker_restarts = 4;
     return options;
 }
@@ -128,6 +126,11 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
         {"torn-frame",
          [](svc::CoordinatorOptions& o) {
              o.chaos.torn_frame_prob = 1.0;
+             o.chaos.only_worker = 0;
+         }},
+        {"drop-frame",
+         [](svc::CoordinatorOptions& o) {
+             o.chaos.drop_frame_prob = 1.0;
              o.chaos.only_worker = 0;
          }},
         {"slow-straggler",
@@ -166,14 +169,14 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
             result.completed &&
             coordinator.report().render_json() == reference_json;
         run.restarts = result.worker_restarts;
-        run.liveness_kills = result.liveness_kills + result.deadline_kills;
+        run.deadline_kills = result.deadline_kills;
         run.protocol_errors = result.protocol_errors;
         all_ok = all_ok && run.completed && run.byte_identical;
         runs.push_back(run);
         table.add_row({run.fault, Table::num(seconds, 3),
                        Table::num(run.overhead, 2) + "x",
                        std::to_string(run.restarts),
-                       std::to_string(run.liveness_kills),
+                       std::to_string(run.deadline_kills),
                        !run.completed        ? "INCOMPLETE"
                        : run.byte_identical ? "identical"
                                             : "DIFFERS"});
@@ -194,7 +197,7 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
            << ", \"overhead_vs_clean\": " << runs[i].overhead
            << ", \"completed\": " << (runs[i].completed ? "true" : "false")
            << ", \"worker_restarts\": " << runs[i].restarts
-           << ", \"liveness_kills\": " << runs[i].liveness_kills
+           << ", \"deadline_kills\": " << runs[i].deadline_kills
            << ", \"protocol_errors\": " << runs[i].protocol_errors
            << ", \"report_byte_identical\": "
            << (runs[i].byte_identical ? "true" : "false") << "}";

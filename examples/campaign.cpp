@@ -2,7 +2,7 @@
 // config port x noise x upset rate) as independent scenarios and prints the
 // aggregated report. The sweep runs on threads in this process, or, with
 // --workers N, across N worker processes that each pull one batch at a
-// time, with streaming aggregation, liveness supervision and
+// time, with streaming aggregation, deadline supervision and
 // checkpoint/resume.
 //
 //   ./build/examples/campaign                        # built-in 24-scenario sweep
@@ -33,20 +33,21 @@
 // (wall-clock facts, so only present when asked for).
 //
 // Service mode (--workers N >= 1) takes the service flags listed in the
-// usage text; they exit 2 with --workers 0. Liveness is on by default here
-// (the library defaults are off): workers are pinged once a second, a silent
-// worker is reaped and restarted with exponential backoff, and
-// --progress-timeout-ms adds a progress deadline. --min-workers fails fast
-// when the fleet cannot be kept at strength; --partial-ok instead finishes
-// with whatever committed and marks the report partial (with its exact
-// missing index ranges). The --chaos-* family arms the deterministic
-// fault-injection harness used by the chaos drills: every fault is drawn
-// from seeded per-category streams, so a failing drill replays exactly.
+// usage text; they exit 2 with --workers 0. One deadline supervises the
+// workers (--progress-timeout-ms, default 10000): a worker that holds a
+// batch past it, or has not exited that long after Shutdown, is killed, its
+// batch is requeued and, within --max-restarts, its slot is reforked at
+// once. --min-workers (at most --workers) fails fast when the fleet cannot
+// be kept at strength; --partial-ok instead finishes with whatever committed
+// and marks the report partial (with its exact missing index ranges). The
+// --chaos-* family arms the deterministic fault-injection harness used by
+// the chaos drills: every fault is drawn from seeded per-category streams,
+// so a failing drill replays exactly.
 //
 // SIGINT/SIGTERM: in-process, unstarted scenarios are reported as
 // "cancelled before start"; in service mode dispatch stops, in-flight
-// batches drain into the checkpoint and the rest stays uncommitted for
-// --resume. Either way the exit code is then 1.
+// batches drain into the checkpoint within the deadline and the rest stays
+// uncommitted for --resume. Either way the exit code is then 1.
 //
 // Exit codes: 0 ok; 1 failed scenarios or an incomplete run (a partial run
 // under --partial-ok counts only its failures); 2 bad flag or job spec.
@@ -94,11 +95,8 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
            "  --threads threads each (default 1) and takes the service flags:\n"
            "  batching:      [--batch N] [--checkpoint FILE [--resume]]\n"
            "                 [--fsync-every N] [--spool FILE] [--http-port P]\n"
-           "  fleet policy:  [--no-restart] [--max-restarts N]\n"
-           "                 [--restart-backoff-ms N] [--min-workers N]\n"
-           "                 [--partial-ok]\n"
-           "  liveness:      [--heartbeat-ms N] [--heartbeat-miss-limit N]\n"
-           "                 [--liveness-timeout-ms N] [--progress-timeout-ms N]\n"
+           "  fleet policy:  [--progress-timeout-ms N] [--max-restarts N]\n"
+           "                 [--min-workers N] [--partial-ok]\n"
            "  chaos drills:  [--chaos-seed S] [--chaos-hang P]\n"
            "                 [--chaos-torn P] [--chaos-corrupt-length P]\n"
            "                 [--chaos-corrupt-payload P] [--chaos-drop P]\n"
@@ -108,8 +106,9 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
            "                 [--chaos-tear-checkpoint N] [--chaos-tear-bytes N]\n"
            "                 [--chaos-only-worker N] [--chaos-all-generations]\n"
            "  S is a 64-bit decimal seed; --threads, --cycles, --batch,\n"
-           "  --min-workers and --chaos-crash-after take 1..2^31-1 (--workers\n"
-           "  also 0); other N take 0..2^31-1; P is a probability in [0, 1].\n";
+           "  --progress-timeout-ms, --min-workers and --chaos-crash-after take\n"
+           "  1..2^31-1 (--workers also 0); other N take 0..2^31-1; P is a\n"
+           "  probability in [0, 1].\n";
     std::exit(2);
 }
 
@@ -165,12 +164,6 @@ struct Args {
 Args parse_args(int argc, char** argv) {
     Args a;
     svc::CoordinatorOptions& o = a.service;
-    // Liveness on by default at the CLI: an operator-facing run should
-    // notice a wedged worker on its own. (The library defaults stay off so
-    // embedded runs are frame-identical to the pre-liveness protocol.)
-    o.heartbeat_interval_ms = 1000;
-    o.restart_backoff_ms = 100;
-
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
         const auto value = [&]() -> const char* {
@@ -199,15 +192,10 @@ Args parse_args(int argc, char** argv) {
             else if (flag == "--spool") a.spool_path = value();
             else if (flag == "--http-port")
                 a.http_port = parse_int(flag, value(), 0, 65535);
-            else if (flag == "--no-restart") o.restart_dead_workers = false;
+            else if (flag == "--progress-timeout-ms") o.progress_timeout_ms = count();
             else if (flag == "--max-restarts") o.max_worker_restarts = natural();
-            else if (flag == "--restart-backoff-ms") o.restart_backoff_ms = natural();
             else if (flag == "--min-workers") o.min_workers = count();
             else if (flag == "--partial-ok") o.partial_ok = true;
-            else if (flag == "--heartbeat-ms") o.heartbeat_interval_ms = natural();
-            else if (flag == "--heartbeat-miss-limit") o.heartbeat_miss_limit = natural();
-            else if (flag == "--liveness-timeout-ms") o.liveness_timeout_ms = natural();
-            else if (flag == "--progress-timeout-ms") o.progress_timeout_ms = natural();
             else if (flag == "--chaos-seed") o.chaos_seed = parse_seed(flag, value());
             else if (flag == "--chaos-hang") o.chaos.hang_prob = prob();
             else if (flag == "--chaos-torn") o.chaos.torn_frame_prob = prob();
@@ -350,12 +338,10 @@ int run_service(const Args& a, const svc::JobSpec& spec, int threads,
               << result.shards_dispatched << " shards, "
               << result.shards_reassigned << " reassigned, "
               << result.worker_restarts << " restarts\n";
-    if (result.heartbeat_misses + result.liveness_kills + result.deadline_kills +
-            result.protocol_errors + result.chaos_faults_injected >
+    if (result.deadline_kills + result.protocol_errors +
+            result.chaos_faults_injected >
         0)
-        std::cerr << "campaign: liveness: " << result.heartbeat_misses
-                  << " heartbeat misses, " << result.liveness_kills
-                  << " liveness kills, " << result.deadline_kills
+        std::cerr << "campaign: faults: " << result.deadline_kills
                   << " deadline kills, " << result.protocol_errors
                   << " protocol errors, "
                   << result.chaos_faults_injected << " chaos faults\n";

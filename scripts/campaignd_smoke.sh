@@ -6,14 +6,15 @@
 # survives a real process death, not just the in-process test double.
 #
 # After the kill smoke, a chaos drill matrix runs the seeded fault-injection
-# harness through the real binary: worker hang (heartbeat reap), torn frame,
-# mid-batch crash and slow straggler must all finish with a report
-# byte-identical to a clean run's, and a torn checkpoint must abort the run
-# and then complete via --resume. Every drill is deterministic (fixed
-# --chaos-seed), so a failure replays exactly. The drills pass
-# --metrics-json, so their JSON reports end with an "observability" member;
-# every byte before it must equal the clean reference. The same grid run in
-# process (--workers 0) must equal the reference byte for byte.
+# harness through the real binary: worker hang and dropped frame (both
+# reaped at the deadline), torn frame, mid-batch crash and slow straggler
+# must all finish with a report byte-identical to a clean run's, and a torn
+# checkpoint must abort the run and then complete via --resume. Every drill
+# is deterministic (fixed --chaos-seed), so a failure replays exactly. The
+# drills pass --metrics-json, so their JSON reports end with an
+# "observability" member; every byte before it must equal the clean
+# reference. The same grid run in process (--workers 0) must equal the
+# reference byte for byte.
 #
 # Usage: scripts/campaignd_smoke.sh [BUILD_DIR] [OUT_DIR]
 set -euo pipefail
@@ -190,19 +191,27 @@ run_drill() {
     echo "PASS: drill '$name' (exit $rc)"
 }
 
-# A hung worker is reaped by heartbeats and its range re-run clean.
+# A hung worker is reaped at its deadline and its range re-run clean.
 run_drill hang 0 --chaos-hang 1.0 --chaos-only-worker 0 \
-    --heartbeat-ms 50 --heartbeat-miss-limit 2 --liveness-timeout-ms 300 \
-    --max-restarts 2
-grep -q "liveness kills" "$OUT_DIR/drill_hang.log" \
-    || { echo "FAIL: hang drill logged no liveness kill" >&2; exit 1; }
+    --progress-timeout-ms 300 --max-restarts 2
+grep -q " [1-9][0-9]* deadline kills" "$OUT_DIR/drill_hang.log" \
+    || { echo "FAIL: hang drill logged no deadline kill" >&2; exit 1; }
+
+# A worker whose Batch frames are dropped stays alive and idle while the
+# batch it owes never arrives; the deadline frees that batch. Chaos seed 8
+# drops slot 0's first Batch (seed 7 only its second, which slot 0 does not
+# always get to send), so the deadline fires on every run.
+run_drill drop 0 --chaos-drop 0.5 --chaos-only-worker 0 \
+    --progress-timeout-ms 300 --chaos-seed 8
+grep -q " [1-9][0-9]* deadline kills" "$OUT_DIR/drill_drop.log" \
+    || { echo "FAIL: drop drill logged no deadline kill" >&2; exit 1; }
 
 # A torn frame kills the writer mid-write; the dead worker's range requeues.
 run_drill torn 0 --chaos-torn 1.0 --chaos-only-worker 0 --max-restarts 2
 
 # A worker that dies after computing (before sending) every first batch.
 run_drill crash 0 --chaos-crash mid-batch --chaos-crash-after 1 \
-    --max-restarts 4 --restart-backoff-ms 10
+    --max-restarts 4
 
 # A straggler 60ms/batch slower than the fleet holds one batch at a time,
 # so the other worker pulls the rest of the grid. Nothing dies, so nothing

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -17,7 +18,6 @@
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/log.hpp"
-#include "refpga/common/rng.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
 #include "refpga/svc/checkpoint.hpp"
 #include "refpga/svc/wire.hpp"
@@ -58,17 +58,9 @@ struct WorkerProc {
     int generation = 0;  ///< process incarnation of this slot
     std::optional<ShardState> shard;  ///< in-flight batch, if any
     bool killed_sent = false;  ///< SIGKILL test hook fired
-
-    // --- liveness bookkeeping (liveness state machine: healthy while
-    // frames arrive; suspect while pings go unanswered; restarting between
-    // reap and respawn; dead once the restart budget is spent) -------------
-    std::int64_t last_heard_ms = 0;     ///< last complete frame received
-    std::int64_t last_progress_ms = 0;  ///< last assignment or commit
-    std::int64_t last_ping_ms = 0;
-    int pings_unanswered = 0;
-    int restart_attempts = 0;        ///< per-slot, drives the backoff curve
-    std::int64_t restart_due_ms = -1;  ///< scheduled respawn (-1 = none)
-    std::int64_t death_ms = 0;
+    /// When the worker must have delivered what it owes: the Batch of the
+    /// shard it holds, or its exit after Shutdown (-1 = owes nothing).
+    std::int64_t deadline_ms = -1;
 
     void close_fds() {
         if (to_fd >= 0) ::close(to_fd);
@@ -81,8 +73,7 @@ struct WorkerProc {
 struct SvcObs {
     obs::Recorder* rec = nullptr;
     obs::MetricId dispatched, reassigned, restarts, checkpoints, committed,
-        backlog, workers, pings, hb_misses, liveness_kills, deadline_kills,
-        protocol_errors, chaos_injected, recovery_seconds;
+        backlog, workers, deadline_kills, protocol_errors, chaos_injected;
 };
 
 SvcObs make_svc_obs(obs::Recorder* rec) {
@@ -97,13 +88,9 @@ SvcObs make_svc_obs(obs::Recorder* rec) {
     o.committed = m.counter("svc.scenarios_committed_total");
     o.backlog = m.gauge("svc.merge_backlog_segments");
     o.workers = m.gauge("svc.workers_alive");
-    o.pings = m.counter("svc.heartbeat_pings_total");
-    o.hb_misses = m.counter("svc.heartbeat_misses_total");
-    o.liveness_kills = m.counter("svc.liveness_kills_total");
     o.deadline_kills = m.counter("svc.deadline_kills_total");
     o.protocol_errors = m.counter("svc.protocol_errors_total");
     o.chaos_injected = m.counter("svc.chaos_faults_injected_total");
-    o.recovery_seconds = m.counter("svc.recovery_seconds_total");
     return o;
 }
 
@@ -143,7 +130,6 @@ struct Coordinator::Impl {
 
     std::uint64_t next_shard_id = 0;
     std::uint64_t commits = 0;  ///< batches committed this run
-    std::uint64_t ping_seq = 0;
     bool stopping = false;       ///< stop requested; drain and return
     bool draining = false;       ///< Shutdown broadcast; no more restarts
     bool partial_finish = false; ///< fleet exhausted under partial_ok
@@ -152,12 +138,16 @@ struct Coordinator::Impl {
     explicit Impl(JobSpec s, CoordinatorOptions o)
         : spec(std::move(s)), options(std::move(o)) {
         spec.validate();
+        // A fleet that starts below min_workers can never satisfy it.
+        if (options.min_workers > options.workers)
+            throw std::invalid_argument(
+                "min_workers (" + std::to_string(options.min_workers) +
+                ") exceeds workers (" + std::to_string(options.workers) + ")");
         REFPGA_EXPECTS(options.workers >= 1);
         REFPGA_EXPECTS(options.worker_threads >= 1);
         REFPGA_EXPECTS(options.batch >= 1);
-        REFPGA_EXPECTS(options.drain_timeout_ms >= 1);
+        REFPGA_EXPECTS(options.progress_timeout_ms >= 1);
         REFPGA_EXPECTS(options.min_workers >= 1);
-        REFPGA_EXPECTS(options.restart_backoff_ms >= 0);
         REFPGA_EXPECTS(!options.spool_path.empty());
         job_json = spec.canonical_json();
         grid = spec.grid_size();
@@ -268,9 +258,7 @@ struct Coordinator::Impl {
         w.reader = FrameReader{};
         w.alive = true;
         w.shard.reset();
-        w.restart_due_ms = -1;
-        w.pings_unanswered = 0;
-        w.last_heard_ms = w.last_progress_ms = w.last_ping_ms = now_ms();
+        w.deadline_ms = -1;
         try {
             write_frame(w.to_fd, MsgType::Init, init_payload(w));
         } catch (const WireError&) {
@@ -288,16 +276,9 @@ struct Coordinator::Impl {
         return n;
     }
 
-    [[nodiscard]] bool restart_scheduled() const {
-        for (const WorkerProc& w : workers)
-            if (!w.alive && w.restart_due_ms >= 0) return true;
-        return false;
-    }
-
     [[nodiscard]] bool restart_budget_left() const {
-        return options.restart_dead_workers &&
-               result.worker_restarts <
-                   static_cast<std::uint64_t>(options.max_worker_restarts);
+        return result.worker_restarts <
+               static_cast<std::uint64_t>(options.max_worker_restarts);
     }
 
     void update_gauges() {
@@ -330,7 +311,7 @@ struct Coordinator::Impl {
         range.first += count_n;
         if (range.count() == 0) pending.pop_front();
         w.shard = shard;
-        w.last_progress_ms = now_ms();
+        w.deadline_ms = now_ms() + options.progress_timeout_ms;
         ++result.shards_dispatched;
         count(obs.dispatched);
     }
@@ -386,8 +367,10 @@ struct Coordinator::Impl {
             count(obs.checkpoints);
         }
         w.shard.reset();
+        // During the drain the worker still owes its exit, by the deadline
+        // of the assignment it just settled.
+        if (!draining) w.deadline_ms = -1;
         ++commits;
-        w.last_progress_ms = now_ms();
         count(obs.committed, static_cast<double>(batch.lines.size()));
         fire_commit_hooks();
     }
@@ -410,14 +393,9 @@ struct Coordinator::Impl {
     }
 
     void handle_frame(WorkerProc& w, const Frame& frame) {
-        w.last_heard_ms = now_ms();
-        w.pings_unanswered = 0;  // any complete frame proves the process runs
         switch (frame.type) {
             case MsgType::Batch:
                 commit_batch(w, parse_batch(frame.payload));
-                return;
-            case MsgType::Pong:
-                (void)parse_fields(frame.payload, 1);
                 return;
             case MsgType::WorkerError:
                 throw CoordinatorError("worker reported: " + frame.payload);
@@ -429,20 +407,6 @@ struct Coordinator::Impl {
     }
 
     // --- failure handling --------------------------------------------------
-
-    /// Backoff before the attempt-th respawn of a slot: exponential from the
-    /// base, capped, plus deterministic jitter derived from (fingerprint,
-    /// slot, attempt) so a fleet that died together does not refork in
-    /// lockstep — and so every run schedules identically.
-    [[nodiscard]] std::int64_t restart_delay_ms(int slot, int attempt) const {
-        const int shift = std::min(attempt - 1, 12);
-        std::int64_t delay = static_cast<std::int64_t>(options.restart_backoff_ms)
-                             << shift;
-        delay = std::min<std::int64_t>(delay, options.restart_backoff_cap_ms);
-        Rng jitter(worker_chaos_seed(spec.fingerprint(), slot, attempt));
-        delay += jitter.next_below(static_cast<std::uint32_t>(delay / 2 + 1));
-        return delay;
-    }
 
     void on_worker_death(WorkerProc& w, const char* why,
                          bool trust_stream = true) {
@@ -473,15 +437,8 @@ struct Coordinator::Impl {
         if (!stopping && !draining && restart_budget_left()) {
             ++result.worker_restarts;
             count(obs.restarts);
-            ++w.restart_attempts;
-            w.death_ms = now_ms();
-            if (options.restart_backoff_ms <= 0) {
-                ++w.generation;
-                spawn_worker(w);
-            } else {
-                w.restart_due_ms =
-                    w.death_ms + restart_delay_ms(w.slot, w.restart_attempts);
-            }
+            ++w.generation;
+            spawn_worker(w);
         }
     }
 
@@ -537,124 +494,33 @@ struct Coordinator::Impl {
         if (!drain_reader(w)) quarantine(w, "corrupt or violating stream");
     }
 
-    // --- liveness ----------------------------------------------------------
+    // --- supervision -------------------------------------------------------
 
-    /// Respawns slots whose backoff delay has expired.
-    void service_restarts(std::int64_t now) {
+    /// Reaps every worker past its deadline: SIGKILL, then the ordinary
+    /// death path (requeue, restart budget).
+    void check_deadlines(std::int64_t now) {
         for (WorkerProc& w : workers) {
-            if (w.alive || w.restart_due_ms < 0) continue;
-            if (stopping || draining) {
-                w.restart_due_ms = -1;
-                continue;
-            }
-            if (now < w.restart_due_ms) continue;
-            w.restart_due_ms = -1;
-            ++w.generation;
-            spawn_worker(w);
-            count(obs.recovery_seconds,
-                  static_cast<double>(now - w.death_ms) / 1000.0);
+            if (!w.alive || w.deadline_ms < 0 || now < w.deadline_ms) continue;
+            ++result.deadline_kills;
+            count(obs.deadline_kills);
+            if (w.pid > 0) ::kill(w.pid, SIGKILL);
+            on_worker_death(w, "deadline exceeded");
         }
     }
 
-    void reap(WorkerProc& w, const char* why) {
-        if (w.pid > 0) ::kill(w.pid, SIGKILL);
-        on_worker_death(w, why);
-    }
-
-    void check_liveness(std::int64_t now) {
-        if (options.heartbeat_interval_ms <= 0 &&
-            options.progress_timeout_ms <= 0)
-            return;
-        for (WorkerProc& w : workers) {
-            if (!w.alive) continue;
-            if (options.heartbeat_interval_ms > 0) {
-                if (now - std::max(w.last_ping_ms, w.last_heard_ms) >=
-                    options.heartbeat_interval_ms) {
-                    if (w.pings_unanswered > 0) {
-                        ++result.heartbeat_misses;
-                        count(obs.hb_misses);
-                    }
-                    try {
-                        write_frame(w.to_fd, MsgType::Ping,
-                                    std::to_string(ping_seq++));
-                    } catch (const WireError&) {
-                        on_worker_death(w, "write failed");
-                        continue;
-                    }
-                    count(obs.pings);
-                    ++w.pings_unanswered;
-                    w.last_ping_ms = now;
-                }
-                if (options.liveness_timeout_ms > 0 &&
-                    w.pings_unanswered >= options.heartbeat_miss_limit &&
-                    now - w.last_heard_ms >= options.liveness_timeout_ms) {
-                    ++result.heartbeat_misses;
-                    ++result.liveness_kills;
-                    count(obs.hb_misses);
-                    count(obs.liveness_kills);
-                    reap(w, "liveness timeout: heartbeats unanswered");
-                    continue;
-                }
-            }
-            if (options.progress_timeout_ms > 0 && w.shard.has_value() &&
-                now - w.last_progress_ms >= options.progress_timeout_ms) {
-                ++result.deadline_kills;
-                count(obs.deadline_kills);
-                reap(w, "progress deadline exceeded");
-            }
-        }
-    }
-
-    // --- shutdown ----------------------------------------------------------
-
+    /// Starts the drain. An idle worker now owes its exit within the
+    /// deadline; a worker holding a batch keeps the deadline of its
+    /// assignment.
     void broadcast_shutdown() {
         draining = true;
+        const std::int64_t due = now_ms() + options.progress_timeout_ms;
         for (WorkerProc& w : workers) {
-            w.restart_due_ms = -1;
             if (!w.alive) continue;
+            if (!w.shard.has_value()) w.deadline_ms = due;
             try {
                 write_frame(w.to_fd, MsgType::Shutdown, "");
             } catch (const WireError&) {
                 on_worker_death(w, "write failed");
-            }
-        }
-    }
-
-    /// After Shutdown: keep reading until every worker closes its pipe, so
-    /// in-flight batches land in the journal before the final report.
-    void drain_until_exit() {
-        bool term_sent = false;
-        while (alive_workers() > 0) {
-            std::vector<pollfd> fds;
-            for (const WorkerProc& w : workers)
-                if (w.alive) fds.push_back({w.from_fd, POLLIN, 0});
-            const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                                  options.drain_timeout_ms);
-            if (rc < 0 && errno != EINTR)
-                throw CoordinatorError(std::string("poll: ") +
-                                       std::strerror(errno));
-            std::size_t cursor = 0;
-            for (WorkerProc& w : workers) {
-                if (!w.alive) continue;
-                const pollfd& p = fds[cursor++];
-                if ((p.revents & (POLLIN | POLLHUP | POLLERR)) != 0)
-                    read_worker(w);
-            }
-            if (rc == 0) {
-                // A worker neither producing nor exiting after Shutdown is
-                // presumed wedged. Escalate: SIGTERM first so a merely slow
-                // batch still dies cleanly at the process level, SIGKILL on
-                // the next expiry so the final report cannot hang forever.
-                for (WorkerProc& w : workers)
-                    if (w.alive) {
-                        if (!term_sent) {
-                            ::kill(w.pid, SIGTERM);
-                        } else {
-                            ::kill(w.pid, SIGKILL);
-                            on_worker_death(w, "shutdown timeout");
-                        }
-                    }
-                term_sent = true;
             }
         }
     }
@@ -680,42 +546,47 @@ struct Coordinator::Impl {
         });
     }
 
+    /// True once the run must stop dispatching: the grid is committed, a
+    /// stop was requested, or the fleet policy gives up (which sets the
+    /// verdict).
+    [[nodiscard]] bool run_over() {
+        if (options.stop != nullptr &&
+            options.stop->load(std::memory_order_relaxed))
+            stopping = true;
+        if (report->complete() || stopping) return true;
+        // A dead worker is reforked at once while the budget lasts, so a
+        // fleet below strength has spent it. Policy decides the ending.
+        const int alive = alive_workers();
+        if (alive == 0) {
+            if (options.partial_ok)
+                partial_finish = true;
+            else
+                result.error = "all workers dead and restarts exhausted";
+            return true;
+        }
+        if (alive < options.min_workers && !options.partial_ok) {
+            result.error = "alive workers (" + std::to_string(alive) +
+                           ") below min_workers (" +
+                           std::to_string(options.min_workers) +
+                           ") with the restart budget exhausted";
+            return true;
+        }
+        return false;
+    }
+
+    /// One poll loop serves the run and, after Shutdown, the drain; it
+    /// returns once every worker has exited or been reaped.
     void event_loop() {
         while (true) {
-            if (options.stop != nullptr &&
-                options.stop->load(std::memory_order_relaxed))
-                stopping = true;
-            if (report->complete()) break;
-            if (stopping) break;
-            const std::int64_t now = now_ms();
-            service_restarts(now);
-            check_liveness(now);
-            dispatch();
+            check_deadlines(now_ms());
+            if (!draining) {
+                if (run_over())
+                    broadcast_shutdown();
+                else
+                    dispatch();
+            }
+            if (draining && alive_workers() == 0) return;
             update_gauges();
-
-            // All work parked but nobody to run it — and nobody scheduled to
-            // come back: the run cannot finish. Policy decides the ending.
-            bool in_flight = false;
-            for (const WorkerProc& w : workers)
-                in_flight = in_flight || (w.alive && w.shard.has_value());
-            const int alive = alive_workers();
-            if (!in_flight && alive == 0 && !restart_scheduled()) {
-                if (options.partial_ok) {
-                    partial_finish = true;
-                    return;
-                }
-                result.error = "all workers dead and restarts exhausted";
-                return;
-            }
-            if (alive < options.min_workers && !restart_scheduled() &&
-                !restart_budget_left() && !options.partial_ok) {
-                result.error =
-                    "alive workers (" + std::to_string(alive) +
-                    ") below min_workers (" +
-                    std::to_string(options.min_workers) +
-                    ") with the restart budget exhausted";
-                return;
-            }
 
             std::vector<pollfd> fds;
             std::vector<WorkerProc*> owners;
@@ -727,18 +598,10 @@ struct Coordinator::Impl {
             if (options.http != nullptr && options.http->listening())
                 fds.push_back({options.http->fd(), POLLIN, 0});
 
-            // Time-based policies are only evaluated when poll returns, so
-            // the timeout must undercut the shortest armed deadline.
-            int timeout_ms = 100;
-            const auto tighten = [&](int ms) {
-                if (ms > 0) timeout_ms = std::min(timeout_ms, std::max(5, ms / 4));
-            };
-            if (options.heartbeat_interval_ms > 0)
-                tighten(options.heartbeat_interval_ms);
-            if (options.progress_timeout_ms > 0)
-                tighten(options.progress_timeout_ms);
-            if (restart_scheduled()) tighten(options.restart_backoff_ms);
-
+            // Deadlines are only checked when poll returns, so the timeout
+            // must undercut the deadline.
+            const int timeout_ms =
+                std::clamp(options.progress_timeout_ms / 4, 5, 100);
             const int rc =
                 ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
             if (rc < 0) {
@@ -764,7 +627,7 @@ struct Coordinator::Impl {
     CoordinatorResult run() {
         REFPGA_EXPECTS(!ran);
         ran = true;
-        // A worker can die between our liveness check and a write; the
+        // A worker can die between our deadline check and a write; the
         // resulting EPIPE must surface as WireError, not kill the process.
         ::signal(SIGPIPE, SIG_IGN);
 
@@ -778,9 +641,7 @@ struct Coordinator::Impl {
         update_gauges();
 
         try {
-            if (!report->complete() && result.error.empty()) event_loop();
-            broadcast_shutdown();
-            drain_until_exit();
+            event_loop();
         } catch (const SimulatedCrash& e) {
             // A real crash takes the whole process with it. The closest
             // honest simulation kills the fleet outright and abandons the

@@ -19,7 +19,7 @@
 //     flipped out of ASCII, so the frame parses as a protocol violation
 //   - delayed frame / dropped frame
 //   - hang: the worker stops draining stdin and stops producing (the shape
-//     of a wedged process; only heartbeats/deadlines can catch it)
+//     of a wedged process; only the deadline can catch it)
 //   - slow batch: a per-batch sleep, the shape of a straggler
 //   - crash-at-phase: _exit at PreInit / MidBatch, or a simulated
 //     coordinator crash at PreCheckpoint

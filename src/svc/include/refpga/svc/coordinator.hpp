@@ -19,6 +19,14 @@
 // from the front of the pending queue, and its one Batch frame completes
 // the assignment. A slow worker therefore delays the run by at most the one
 // batch it holds, with no rebalancing protocol.
+//
+// One deadline supervises the fleet: a worker has progress_timeout_ms to
+// deliver what it owes — the Batch of the assignment it holds, or its exit
+// once Shutdown was sent. A worker that misses its deadline is SIGKILLed
+// and takes the ordinary death path: its batch is requeued, and the restart
+// budget decides whether the slot is reforked, at once. The drain after
+// Shutdown runs in the same poll loop as the run, so it is bounded by the
+// same deadline.
 #pragma once
 
 #include <atomic>
@@ -61,37 +69,20 @@ struct CoordinatorOptions {
     std::string spool_path = "campaign.spool";
 
     /// Refork a worker that dies unexpectedly, up to max_worker_restarts
-    /// per run; its in-flight batch is requeued either way.
-    bool restart_dead_workers = true;
+    /// per run (0 = never); its in-flight batch is requeued either way.
     int max_worker_restarts = 2;
 
-    /// Restart backoff: the k-th restart of a slot waits
-    /// min(cap, base << (k-1)) + jitter milliseconds, jitter deterministic
-    /// from (job fingerprint, slot, attempt). 0 = restart immediately (the
-    /// pre-liveness behavior, and what keeps clean-path timing identical).
-    int restart_backoff_ms = 0;
-    int restart_backoff_cap_ms = 5000;
-
-    // --- liveness policy (all off by default: a default-constructed run is
-    // frame-for-frame identical to one that predates the liveness layer;
-    // the campaign CLI turns these on) ---------------------------------
-    /// Ping each worker after this many ms without hearing a frame from it
-    /// (0 = no heartbeats).
-    int heartbeat_interval_ms = 0;
-    /// Reap a worker (SIGKILL + requeue + restart policy) once this many
-    /// pings went unanswered AND liveness_timeout_ms of total silence
-    /// passed. Both gates, so a worker mid-batch — which can only answer at
-    /// a batch boundary — is not shot for computing.
-    int heartbeat_miss_limit = 3;
-    int liveness_timeout_ms = 10000;
-    /// Reap a worker holding a batch that has not committed it within this
-    /// long (0 = no progress deadline). Catches a worker that answers pings
-    /// but computes nothing.
-    int progress_timeout_ms = 0;
+    /// The deadline, in milliseconds (>= 1): a worker holding a batch must
+    /// commit it within this long of the assignment, and a worker sent
+    /// Shutdown must exit within this long of the Shutdown (or of its
+    /// assignment, if it still holds a batch). A worker that misses it is
+    /// SIGKILLed and its batch requeued. Size it above the slowest expected
+    /// batch: a batch that outlives it is recomputed.
+    int progress_timeout_ms = 10000;
 
     /// Fail the run once the alive fleet drops below this and the restart
     /// budget cannot restore it (unless partial_ok). 1 = complete on any
-    /// surviving worker, the pre-liveness behavior.
+    /// surviving worker. Must not exceed workers.
     int min_workers = 1;
     /// When every worker is gone and restarts are exhausted, finish with
     /// whatever committed and mark the report (and result) partial instead
@@ -113,14 +104,6 @@ struct CoordinatorOptions {
     /// persistent-fault world the partial/fail-fast policies exist for.
     bool chaos_all_generations = false;
 
-    /// Milliseconds of poll silence after Shutdown before a worker is
-    /// presumed wedged. The first expiry sends SIGTERM (a batch that is
-    /// merely slow still gets to finish and commit); a second expiry
-    /// escalates to SIGKILL so the final report cannot hang forever. Size
-    /// this above the slowest expected batch, or stop/resume recomputes
-    /// the in-flight batches of workers killed mid-compute.
-    int drain_timeout_ms = 30000;
-
     /// Observability sinks (both optional).
     obs::Recorder* recorder = nullptr;
     /// Already-listening HTTP endpoint to serve on the event loop
@@ -129,9 +112,9 @@ struct CoordinatorOptions {
 
     /// Graceful-shutdown flag (typically set by a SIGINT/SIGTERM handler).
     /// When it reads true the coordinator stops dispatching, drains
-    /// in-flight batches, finalizes the journal and returns with
-    /// completed() == false; uncommitted scenarios stay uncommitted so a
-    /// --resume run picks them up.
+    /// in-flight batches (each within its deadline), finalizes the journal
+    /// and returns with completed() == false; uncommitted scenarios stay
+    /// uncommitted so a --resume run picks them up.
     const std::atomic<bool>* stop = nullptr;
 
     /// How to launch workers. Fork calls worker_main() in the child
@@ -173,19 +156,18 @@ struct CoordinatorResult {
     std::uint64_t checkpoint_records = 0;
     std::size_t max_retained_rows = 0;  ///< memory bound: peak decoded rows
 
-    // --- liveness layer ----------------------------------------------------
-    std::uint64_t heartbeat_misses = 0;   ///< pings that expired unanswered
-    std::uint64_t liveness_kills = 0;     ///< reaped: heartbeat silence
-    std::uint64_t deadline_kills = 0;     ///< reaped: progress deadline
+    // --- supervision ---------------------------------------------------------
+    std::uint64_t deadline_kills = 0;     ///< reaped: missed the deadline
     std::uint64_t protocol_errors = 0;    ///< corrupt streams quarantined
     std::uint64_t chaos_faults_injected = 0;  ///< coordinator-side injections
 };
 
 class Coordinator {
 public:
-    /// Validates the job's grid (fleet::Sweep::validate) before anything
-    /// else, so an invalid spec throws std::invalid_argument here and no
-    /// worker is ever forked for it.
+    /// Validates the job's grid (fleet::Sweep::validate) and the fleet
+    /// policy (min_workers <= workers) before anything else, so an invalid
+    /// spec or policy throws std::invalid_argument here and no spool is
+    /// created and no worker is ever forked for it.
     Coordinator(JobSpec spec, CoordinatorOptions options);
     ~Coordinator();
     Coordinator(const Coordinator&) = delete;

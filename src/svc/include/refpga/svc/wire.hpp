@@ -40,8 +40,6 @@ enum class MsgType : std::uint8_t {
     Shutdown,     ///< coordinator→worker: empty payload; exit
     Batch,        ///< worker→coordinator: "shard first count\n" + outcome lines
     WorkerError,  ///< worker→coordinator: fatal error text
-    Ping,         ///< coordinator→worker: "seq" liveness probe
-    Pong,         ///< worker→coordinator: "seq" echoed back
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType type);

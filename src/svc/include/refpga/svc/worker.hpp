@@ -4,9 +4,9 @@
 // job spec once (Init), expands the identical scenario grid the coordinator
 // holds, and then blocks on one instruction at a time: an Assign names one
 // batch of scenario indices, which the worker runs and answers with exactly
-// one Batch frame; a Ping gets its Pong; Shutdown ends the loop. A worker
-// therefore holds at most one batch, and a Ping or Shutdown sent while it
-// computes is read when that batch is done.
+// one Batch frame; Shutdown ends the loop. A worker therefore holds at most
+// one batch, and a Shutdown sent while it computes is read when that batch
+// is done.
 //
 // Workers are execution only: no checkpointing, no aggregation, no
 // observability registry. All of that lives in the coordinator, which is

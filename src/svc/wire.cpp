@@ -13,8 +13,6 @@ const char* msg_type_name(MsgType type) {
         case MsgType::Shutdown: return "Shutdown";
         case MsgType::Batch: return "Batch";
         case MsgType::WorkerError: return "WorkerError";
-        case MsgType::Ping: return "Ping";
-        case MsgType::Pong: return "Pong";
     }
     return "?";
 }
@@ -64,7 +62,7 @@ void check_header(std::uint32_t length, std::uint8_t type) {
                         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
                         " byte limit (corrupt length prefix?)");
     if (type < static_cast<std::uint8_t>(MsgType::Init) ||
-        type > static_cast<std::uint8_t>(MsgType::Pong))
+        type > static_cast<std::uint8_t>(MsgType::WorkerError))
         throw WireError("unknown frame type " + std::to_string(type));
 }
 

@@ -71,12 +71,6 @@ private:
                 case MsgType::Assign:
                     run_batch(frame.payload);
                     break;
-                case MsgType::Ping:
-                    // Liveness probe: answer immediately. A busy worker only
-                    // reads this after its batch, which is exactly the
-                    // granularity at which it can credibly claim to be alive.
-                    send(MsgType::Pong, frame.payload);
-                    break;
                 case MsgType::Shutdown:
                     return;
                 default:

@@ -35,6 +35,16 @@ expect_exit 2 --workers 2 --shard 4 --cycles 1 --json
 expect_exit 2 --workers 2 --steal-min 2 --cycles 1 --json
 expect_exit 2 --workers 2 --straggler-factor 2 --cycles 1 --json
 expect_exit 2 --workers 2 --chaos-crash pre-truncate-ack --cycles 1 --json
+# One deadline supervises the workers: the heartbeat, liveness and restart
+# backoff flags are unknown, and the deadline must be at least 1 ms.
+expect_exit 2 --workers 2 --heartbeat-ms 1000 --cycles 1 --json
+expect_exit 2 --workers 2 --heartbeat-miss-limit 3 --cycles 1 --json
+expect_exit 2 --workers 2 --liveness-timeout-ms 1000 --cycles 1 --json
+expect_exit 2 --workers 2 --restart-backoff-ms 10 --cycles 1 --json
+expect_exit 2 --workers 2 --no-restart --cycles 1 --json
+expect_exit 2 --workers 2 --progress-timeout-ms 0 --cycles 1 --json
+# A fleet that starts below --min-workers is refused before any fork.
+expect_exit 2 --workers 2 --min-workers 3 --cycles 1 --json
 printf '{"upset_rates":[1e999]}\n' > "$WORK/inf.json"
 expect_exit 2 --spec "$WORK/inf.json" --cycles 1 --json
 

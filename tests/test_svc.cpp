@@ -87,6 +87,27 @@ TEST(Wire, CorruptPrefixThrows) {
     EXPECT_THROW((void)reader.next(), WireError);
 }
 
+TEST(Wire, RejectsUnknownFrameTypes) {
+    // Message types are 1 (Init) to 5 (WorkerError). 6 and 7 are what a peer
+    // of an older protocol would send as Ping and Pong.
+    for (const int type : {0, 6, 7, 255}) {
+        SCOPED_TRACE(type);
+        const char header[5] = {0, 0, 0, 0, static_cast<char>(type)};
+        FrameReader reader;
+        reader.feed(header, sizeof header);
+        EXPECT_THROW((void)reader.next(), WireError);
+
+        int p[2];
+        ASSERT_EQ(::pipe(p), 0);
+        ASSERT_EQ(::write(p[1], header, sizeof header),
+                  static_cast<ssize_t>(sizeof header));
+        ::close(p[1]);
+        Frame frame;
+        EXPECT_THROW((void)read_frame(p[0], frame), WireError);
+        ::close(p[0]);
+    }
+}
+
 TEST(Wire, PayloadHelpersValidateShape) {
     EXPECT_EQ(parse_fields("3 14 15", 3),
               (std::vector<std::uint64_t>{3, 14, 15}));
@@ -753,28 +774,11 @@ TEST(Worker, RunsOneBatchPerAssignThenIdles) {
         EXPECT_EQ(fleet::decode_outcome_line(batch.lines[i]).scenario.name,
                   scenarios[2 + i].name);
 
-    // ...and by nothing else: the next frame answers the Ping, which shows
-    // the worker is idle again, and Shutdown closes the stream.
-    write_frame(w.to, MsgType::Ping, "5");
-    ASSERT_TRUE(read_frame(w.from, frame));
-    EXPECT_EQ(frame.type, MsgType::Pong) << msg_type_name(frame.type);
-    EXPECT_EQ(frame.payload, "5");
+    // ...and by nothing else: after Shutdown the stream ends cleanly at a
+    // frame boundary.
     write_frame(w.to, MsgType::Shutdown, "");
     EXPECT_FALSE(read_frame(w.from, frame))
-        << "unexpected " << msg_type_name(frame.type) << " after Shutdown";
-}
-
-TEST(Worker, AnswersPingWithEchoedPong) {
-    WorkerHandle w;
-    spawn_worker(w);
-    write_frame(w.to, MsgType::Init,
-                encode_init(1, small_spec().canonical_json()));
-    write_frame(w.to, MsgType::Ping, "1729");
-    Frame frame;
-    ASSERT_TRUE(read_frame(w.from, frame));
-    EXPECT_EQ(frame.type, MsgType::Pong);
-    EXPECT_EQ(frame.payload, "1729");
-    write_frame(w.to, MsgType::Shutdown, "");
+        << "unexpected " << msg_type_name(frame.type) << " after the Batch";
 }
 
 TEST(Worker, ChaosCrashPreInitDiesBeforeAnyFrame) {
@@ -862,13 +866,13 @@ TEST(Http, SilentClientCannotWedgeServeReady) {
 
 // ---------------------------------------------------------------- e2e
 
-// Multiplier for every liveness tolerance in the e2e tests. Sanitizer
-// builds (and heavily loaded CI runners) slow scenario compute 10-20x,
-// which would push healthy workers past reap windows tuned for a plain
-// build and exhaust the restart budget on workers that were never faulty.
-// The injected faults themselves (an infinite hang, a crash) don't need
-// scaling — only the windows that separate "slow" from "dead", and the
-// slow-batch delay that must stay distinguishable from ambient slowness.
+// Multiplier for every deadline in the e2e tests. Sanitizer builds (and
+// heavily loaded CI runners) slow scenario compute 10-20x, which would push
+// healthy workers past deadlines tuned for a plain build and exhaust the
+// restart budget on workers that were never faulty. The injected faults
+// themselves (an infinite hang, a crash) don't need scaling — only the
+// deadlines that separate "slow" from "dead", and the slow-batch delay that
+// must stay distinguishable from ambient slowness.
 // The CI TSan job exports REFPGA_TEST_TIME_SCALE=20.
 int time_scale() {
     static const int scale = [] {
@@ -938,6 +942,17 @@ TEST(Coordinator, RejectsInvalidSpecBeforeForking) {
     CoordinatorOptions options;
     options.spool_path = temp_path("invalid_spool");
     EXPECT_THROW(Coordinator(spec, options), std::invalid_argument);
+    EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0);
+}
+
+TEST(Coordinator, RejectsMinWorkersAboveWorkers) {
+    // A fleet that starts below min_workers can never satisfy it: refused
+    // like an invalid spec, before a spool exists or a worker is forked.
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.min_workers = 3;
+    options.spool_path = temp_path("min_workers_spool");
+    EXPECT_THROW(Coordinator(small_spec(), options), std::invalid_argument);
     EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0);
 }
 
@@ -1114,38 +1129,12 @@ JobSpec chaos_spec() {
     return spec;
 }
 
-TEST(Coordinator, HeartbeatReapsHungWorkerWithIdenticalReport) {
-    const JobSpec spec = chaos_spec();
-    const auto [want_text, want_json] = reference_renderings(spec);
-
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.batch = 1;
-    options.spool_path = temp_path("hang_spool");
-    options.chaos.hang_prob = 1.0;  // slot 0 wedges at its first batch
-    options.chaos.only_worker = 0;
-    options.chaos_seed = 11;
-    options.heartbeat_interval_ms = 25 * time_scale();
-    options.heartbeat_miss_limit = 2;
-    options.liveness_timeout_ms = 120 * time_scale();
-    options.max_worker_restarts = 2;
-    Coordinator coordinator(spec, options);
-    const CoordinatorResult result = coordinator.run();
-    ASSERT_TRUE(result.completed) << result.error;
-    EXPECT_GE(result.heartbeat_misses, 1u);
-    EXPECT_GE(result.liveness_kills, 1u);
-    EXPECT_GE(result.worker_restarts, 1u)
-        << "the reaped slot must have been restarted (clean) to finish";
-    EXPECT_EQ(coordinator.report().render_text(), want_text);
-    EXPECT_EQ(coordinator.report().render_json(), want_json);
-}
-
 TEST(Coordinator, ProgressDeadlineReapsSilentShardHolder) {
     const JobSpec spec = chaos_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
-    // No heartbeats at all: the progress deadline alone must catch a worker
-    // that holds a shard and commits nothing.
+    // The deadline must catch a worker that holds a shard and commits
+    // nothing.
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
@@ -1159,12 +1148,81 @@ TEST(Coordinator, ProgressDeadlineReapsSilentShardHolder) {
     const CoordinatorResult result = coordinator.run();
     ASSERT_TRUE(result.completed) << result.error;
     EXPECT_GE(result.deadline_kills, 1u);
-    EXPECT_EQ(result.liveness_kills, 0u);
+    EXPECT_GE(result.worker_restarts, 1u)
+        << "the reaped slot must have been restarted (clean) to finish";
     EXPECT_EQ(coordinator.report().render_text(), want_text);
     EXPECT_EQ(coordinator.report().render_json(), want_json);
 }
 
-TEST(Coordinator, CrashPhasesRecoverThroughBackoffRestarts) {
+TEST(Coordinator, DeadlineRecoversDroppedBatch) {
+    const JobSpec spec = chaos_spec();
+    const auto [want_text, want_json] = reference_renderings(spec);
+
+    // Slot 0 computes its first batch and drops the Batch frame: it is idle
+    // and alive, and the batch it owes never arrives. Only the deadline can
+    // free that batch.
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.batch = 1;
+    options.spool_path = temp_path("drop_spool");
+    options.chaos.drop_frame_prob = 1.0;
+    options.chaos.only_worker = 0;
+    options.chaos_seed = 15;
+    options.progress_timeout_ms = 100 * time_scale();
+    Coordinator coordinator(spec, options);
+    const CoordinatorResult result = coordinator.run();
+    ASSERT_TRUE(result.completed) << result.error;
+    EXPECT_GE(result.deadline_kills, 1u);
+    EXPECT_EQ(coordinator.report().render_text(), want_text);
+    EXPECT_EQ(coordinator.report().render_json(), want_json);
+}
+
+TEST(Coordinator, StopWithHungWorkerReturnsWithinDeadline) {
+    const JobSpec spec = chaos_spec();
+    const auto [want_text, want_json] = reference_renderings(spec);
+    const std::string ckpt = temp_path("hung_stop_ckpt");
+
+    // Slot 0 hangs at its first batch. The deadline leaves slot 1 ample time
+    // to commit the two batches that stop the run, so the drain starts with
+    // slot 0 still holding its batch and must end at that batch's deadline.
+    const int deadline_ms = 500 * time_scale();
+    {
+        CoordinatorOptions options;
+        options.workers = 2;
+        options.batch = 1;
+        options.checkpoint_path = ckpt;
+        options.spool_path = temp_path("hung_stop_spool_a");
+        options.chaos.hang_prob = 1.0;
+        options.chaos.only_worker = 0;
+        options.chaos_seed = 20;
+        options.progress_timeout_ms = deadline_ms;
+        options.stop_after_commits = 2;
+        Coordinator coordinator(spec, options);
+        const auto begin = std::chrono::steady_clock::now();
+        const CoordinatorResult result = coordinator.run();
+        const auto elapsed = std::chrono::steady_clock::now() - begin;
+        EXPECT_FALSE(result.completed);
+        EXPECT_EQ(result.scenarios_committed, 2u);
+        EXPECT_EQ(result.deadline_kills, 1u);
+        EXPECT_LT(elapsed, std::chrono::milliseconds(3 * deadline_ms));
+    }
+    {
+        CoordinatorOptions options;
+        options.workers = 2;
+        options.batch = 1;
+        options.checkpoint_path = ckpt;
+        options.resume = true;
+        options.spool_path = temp_path("hung_stop_spool_b");
+        Coordinator coordinator(spec, options);
+        const CoordinatorResult result = coordinator.run();
+        ASSERT_TRUE(result.completed) << result.error;
+        EXPECT_EQ(result.scenarios_resumed, 2u);
+        EXPECT_EQ(coordinator.report().render_text(), want_text);
+        EXPECT_EQ(coordinator.report().render_json(), want_json);
+    }
+}
+
+TEST(Coordinator, CrashPhasesRecoverThroughRestarts) {
     const JobSpec spec = chaos_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
@@ -1177,8 +1235,6 @@ TEST(Coordinator, CrashPhasesRecoverThroughBackoffRestarts) {
         options.chaos.crash_phase = phase;  // every slot dies once (gen 0)
         options.chaos.crash_after = 1;
         options.chaos_seed = 13;
-        options.restart_backoff_ms = 1;  // exercise the scheduled-restart path
-        options.restart_backoff_cap_ms = 20;
         options.max_worker_restarts = 2;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
@@ -1230,10 +1286,12 @@ TEST(Coordinator, QuarantinesCorruptStreamsAndRecovers) {
 // A stand-in worker, run through Launch::Exec: for every Assign it sends one
 // Batch of valid outcome lines (one per grid index, read from `lines_path`)
 // that differs from the assignment in `field`: "shard", "first" or "count".
+// With `field` "linger" the Batch matches, but the worker never exits after
+// Shutdown.
 std::string rogue_worker_script(const std::string& field,
                                 const std::string& lines_path) {
     return "#!/usr/bin/env python3\n"
-           "import os, struct\n"
+           "import os, struct, time\n"
            "ASSIGN, SHUTDOWN, BATCH = " +
            std::to_string(static_cast<int>(MsgType::Assign)) + ", " +
            std::to_string(static_cast<int>(MsgType::Shutdown)) + ", " +
@@ -1254,6 +1312,8 @@ while True:
     length, kind = struct.unpack('<IB', read_exact(5))
     payload = read_exact(length).decode()
     if kind == SHUTDOWN:
+        while FIELD == 'linger':
+            time.sleep(60)
         break
     if kind != ASSIGN:
         continue
@@ -1262,7 +1322,7 @@ while True:
         shard += 1
     elif FIELD == 'first':
         first += 1
-    else:
+    elif FIELD == 'count':
         count += 1
     body = '%d %d %d\n' % (shard, first, count)
     body += ''.join(LINES[i] + '\n' for i in range(first, first + count))
@@ -1273,20 +1333,25 @@ while True:
 )";
 }
 
+/// Writes the in-process outcome line of every scenario of `spec`, one per
+/// line in grid order, for the stand-in worker to send; returns the path.
+std::string outcome_lines_file(const JobSpec& spec, const char* tag) {
+    const std::string path = temp_path(tag);
+    fleet::CampaignOptions options(2);
+    options.stream_block_ticks = spec.stream_block_ticks;
+    std::ofstream out(path);
+    for (const fleet::ScenarioOutcome& o :
+         fleet::CampaignRunner(options).run(spec.expand()).outcomes)
+        out << fleet::encode_outcome_line(o) << '\n';
+    return path;
+}
+
 TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
     if (std::system("python3 -c pass > /dev/null 2>&1") != 0)
         GTEST_SKIP() << "the stand-in worker needs python3";
     const JobSpec spec = chaos_spec();
     // Valid outcome lines, so the mismatch is the only thing to reject.
-    const std::string lines_path = temp_path("rogue_lines");
-    {
-        fleet::CampaignOptions options(2);
-        options.stream_block_ticks = spec.stream_block_ticks;
-        std::ofstream out(lines_path);
-        for (const fleet::ScenarioOutcome& o :
-             fleet::CampaignRunner(options).run(spec.expand()).outcomes)
-            out << fleet::encode_outcome_line(o) << '\n';
-    }
+    const std::string lines_path = outcome_lines_file(spec, "rogue_lines");
     for (const char* field : {"shard", "first", "count"}) {
         SCOPED_TRACE(field);
         const std::string script = temp_path("rogue_worker.py");
@@ -1306,6 +1371,39 @@ TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
         EXPECT_EQ(result.scenarios_committed, 0u)
             << "a batch that does not match its assignment must not commit";
     }
+}
+
+TEST(Coordinator, DeadlineReapsWorkerThatIgnoresShutdown) {
+    if (std::system("python3 -c pass > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "the stand-in worker needs python3";
+    const JobSpec spec = chaos_spec();
+    const auto [want_text, want_json] = reference_renderings(spec);
+    const std::string lines_path = outcome_lines_file(spec, "linger_lines");
+    const std::string script = temp_path("linger_worker.py");
+    std::ofstream(script) << rogue_worker_script("linger", lines_path);
+    ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+    // The worker commits the whole grid and then ignores Shutdown: an idle
+    // worker's deadline starts at the Shutdown, and the run returns once it
+    // expires.
+    const int deadline_ms = 300 * time_scale();
+    CoordinatorOptions options;
+    options.workers = 1;
+    options.batch = 4;
+    options.spool_path = temp_path("linger_spool");
+    options.launch = CoordinatorOptions::Launch::Exec;
+    options.exec_path = script;
+    options.progress_timeout_ms = deadline_ms;
+    Coordinator coordinator(spec, options);
+    const auto begin = std::chrono::steady_clock::now();
+    const CoordinatorResult result = coordinator.run();
+    const auto elapsed = std::chrono::steady_clock::now() - begin;
+    ASSERT_TRUE(result.completed) << result.error;
+    EXPECT_EQ(result.deadline_kills, 1u);
+    EXPECT_EQ(result.shards_reassigned, 0u);
+    EXPECT_LT(elapsed, std::chrono::milliseconds(3 * deadline_ms));
+    EXPECT_EQ(coordinator.report().render_text(), want_text);
+    EXPECT_EQ(coordinator.report().render_json(), want_json);
 }
 
 TEST(Coordinator, MinWorkersFailsFastWhenFleetCannotRecover) {
