@@ -22,7 +22,8 @@
 //
 // --chaos switches to the recovery-overhead matrix instead: the same job
 // runs once clean and once under each fault category (worker hang, mid-
-// batch crash, torn frame, dropped frame, slow straggler) under one policy,
+// batch crash, torn frame, dropped frame, slow straggler), injected through
+// the test-support svc::FaultScript, under one policy,
 // a 150 ms deadline plus the restart budget. The hang and the dropped Batch
 // frame leave a worker holding a batch it never commits, so only the
 // deadline ends them. A straggler holds one batch at a time, so its row
@@ -37,6 +38,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -44,6 +46,7 @@
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/report.hpp"
 #include "refpga/svc/coordinator.hpp"
+#include "refpga/svc/fault_script.hpp"
 
 namespace {
 
@@ -79,8 +82,8 @@ struct Run {
     bool byte_identical = false;
 };
 
-/// One row of the --chaos matrix: a fault category, the options that arm
-/// it, and what the run had to do to survive.
+/// One row of the --chaos matrix: a fault category and what the run had to
+/// do to survive it.
 struct ChaosRun {
     std::string fault;
     double wall_s = 0.0;
@@ -107,38 +110,25 @@ svc::CoordinatorOptions chaos_base_options(const std::string& tag) {
 
 int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json,
                      bool smoke, bool echo_json) {
-    struct Case {
-        const char* name;
-        void (*arm)(svc::CoordinatorOptions&);
-    };
-    const Case cases[] = {
-        {"clean", [](svc::CoordinatorOptions&) {}},
-        {"hang",
-         [](svc::CoordinatorOptions& o) {
-             o.chaos.hang_prob = 1.0;
-             o.chaos.only_worker = 0;
-         }},
-        {"crash-mid-batch",
-         [](svc::CoordinatorOptions& o) {
-             o.chaos.crash_phase = svc::CrashPhase::MidBatch;
-             o.chaos.crash_after = 1;
-         }},
-        {"torn-frame",
-         [](svc::CoordinatorOptions& o) {
-             o.chaos.torn_frame_prob = 1.0;
-             o.chaos.only_worker = 0;
-         }},
-        {"drop-frame",
-         [](svc::CoordinatorOptions& o) {
-             o.chaos.drop_frame_prob = 1.0;
-             o.chaos.only_worker = 0;
-         }},
-        {"slow-straggler",
-         [](svc::CoordinatorOptions& o) {
-             o.chaos.slow_batch_prob = 1.0;
-             o.chaos.slow_ms = 60;
-             o.chaos.only_worker = 0;
-         }},
+    using Hook = svc::FaultScript::Hook;
+    using Action = svc::FaultScript::Action;
+    svc::FaultScript hang(Hook::BeforeBatch, Action::Hang);
+    hang.slot = 0;
+    svc::FaultScript crash(Hook::AfterBatch, Action::Exit);
+    svc::FaultScript torn(Hook::FrameWrite, Action::Tear);
+    torn.slot = 0;
+    svc::FaultScript drop(Hook::FrameWrite, Action::Drop);
+    drop.slot = 0;
+    svc::FaultScript slow(Hook::BeforeBatch, Action::Sleep);
+    slow.slot = 0;
+    slow.sleep_ms = 60;
+    const std::pair<const char*, svc::FaultScript*> cases[] = {
+        {"clean", nullptr},
+        {"hang", &hang},
+        {"crash-mid-batch", &crash},
+        {"torn-frame", &torn},
+        {"drop-frame", &drop},
+        {"slow-straggler", &slow},
     };
 
     std::vector<ChaosRun> runs;
@@ -147,10 +137,9 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
 
     Table table({"fault", "wall (s)", "overhead", "restarts", "kills",
                  "report"});
-    for (const Case& c : cases) {
-        svc::CoordinatorOptions options = chaos_base_options(c.name);
-        options.chaos_seed = 2008;
-        c.arm(options);
+    for (const auto& [name, faults] : cases) {
+        svc::CoordinatorOptions options = chaos_base_options(name);
+        options.worker_faults = faults;
 
         svc::Coordinator coordinator(spec, options);
         const auto begin = std::chrono::steady_clock::now();
@@ -160,7 +149,7 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
                 .count();
 
         ChaosRun run;
-        run.fault = c.name;
+        run.fault = name;
         run.wall_s = seconds;
         if (run.fault == "clean") clean_wall = seconds;
         run.overhead = clean_wall > 0.0 ? seconds / clean_wall : 1.0;

@@ -39,28 +39,22 @@
 // batch is requeued and, within --max-restarts, its slot is reforked at
 // once. --min-workers (at most --workers) fails fast when the fleet cannot
 // be kept at strength; --partial-ok instead finishes with whatever committed
-// and marks the report partial (with its exact missing index ranges). The
-// --chaos-* family arms the deterministic fault-injection harness used by
-// the chaos drills: every fault is drawn from seeded per-category streams,
-// so a failing drill replays exactly.
+// and marks the report partial (with its exact missing index ranges).
 //
 // SIGINT/SIGTERM: in-process, unstarted scenarios are reported as
 // "cancelled before start"; in service mode dispatch stops, in-flight
 // batches drain into the checkpoint within the deadline and the rest stays
-// uncommitted for --resume. Either way the exit code is then 1.
+// uncommitted for --resume (the forked workers ignore both signals, so a
+// terminal's Ctrl-C to the whole process group drains too). Either way the
+// exit code is then 1.
 //
 // Exit codes: 0 ok; 1 failed scenarios or an incomplete run (a partial run
 // under --partial-ok counts only its failures); 2 bad flag or job spec.
-//
-// The hidden --campaign-worker mode is how the coordinator re-executes this
-// binary as a worker (wire protocol on fds 3/4); it is not for interactive
-// use.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -76,7 +70,6 @@
 #include "refpga/svc/coordinator.hpp"
 #include "refpga/svc/http.hpp"
 #include "refpga/svc/job.hpp"
-#include "refpga/svc/worker.hpp"
 
 namespace {
 
@@ -97,18 +90,9 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
            "                 [--fsync-every N] [--spool FILE] [--http-port P]\n"
            "  fleet policy:  [--progress-timeout-ms N] [--max-restarts N]\n"
            "                 [--min-workers N] [--partial-ok]\n"
-           "  chaos drills:  [--chaos-seed S] [--chaos-hang P]\n"
-           "                 [--chaos-torn P] [--chaos-corrupt-length P]\n"
-           "                 [--chaos-corrupt-payload P] [--chaos-drop P]\n"
-           "                 [--chaos-delay P] [--chaos-slow P]\n"
-           "                 [--chaos-slow-ms N] [--chaos-crash PHASE]\n"
-           "                 [--chaos-crash-after N]\n"
-           "                 [--chaos-tear-checkpoint N] [--chaos-tear-bytes N]\n"
-           "                 [--chaos-only-worker N] [--chaos-all-generations]\n"
            "  S is a 64-bit decimal seed; --threads, --cycles, --batch,\n"
-           "  --progress-timeout-ms, --min-workers and --chaos-crash-after take\n"
-           "  1..2^31-1 (--workers also 0); other N take 0..2^31-1; P is a\n"
-           "  probability in [0, 1].\n";
+           "  --progress-timeout-ms and --min-workers take 1..2^31-1\n"
+           "  (--workers also 0); other N take 0..2^31-1.\n";
     std::exit(2);
 }
 
@@ -126,15 +110,6 @@ int parse_int(const std::string& flag, const char* text, long long lo,
     const long long v = std::strtoll(text, &end, 10);
     if (*end != '\0' || errno == ERANGE || v < lo || v > hi) bad_value(flag, text);
     return static_cast<int>(v);
-}
-
-/// Probability: a finite double in [0, 1].
-double parse_prob(const std::string& flag, const char* text) {
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || !(v >= 0.0 && v <= 1.0))
-        bad_value(flag, text);
-    return v;
 }
 
 std::uint64_t parse_seed(const std::string& flag, const char* text) {
@@ -172,7 +147,6 @@ Args parse_args(int argc, char** argv) {
         };
         const auto count = [&] { return parse_int(flag, value(), 1); };
         const auto natural = [&] { return parse_int(flag, value(), 0); };
-        const auto prob = [&] { return parse_prob(flag, value()); };
 
         if (flag == "--spec") a.spec_path = value();
         else if (flag == "--cycles") a.cycles = count();
@@ -196,34 +170,6 @@ Args parse_args(int argc, char** argv) {
             else if (flag == "--max-restarts") o.max_worker_restarts = natural();
             else if (flag == "--min-workers") o.min_workers = count();
             else if (flag == "--partial-ok") o.partial_ok = true;
-            else if (flag == "--chaos-seed") o.chaos_seed = parse_seed(flag, value());
-            else if (flag == "--chaos-hang") o.chaos.hang_prob = prob();
-            else if (flag == "--chaos-torn") o.chaos.torn_frame_prob = prob();
-            else if (flag == "--chaos-corrupt-length")
-                o.chaos.corrupt_length_prob = prob();
-            else if (flag == "--chaos-corrupt-payload")
-                o.chaos.corrupt_payload_prob = prob();
-            else if (flag == "--chaos-drop") o.chaos.drop_frame_prob = prob();
-            else if (flag == "--chaos-delay") o.chaos.delay_frame_prob = prob();
-            else if (flag == "--chaos-slow") o.chaos.slow_batch_prob = prob();
-            else if (flag == "--chaos-slow-ms") o.chaos.slow_ms = natural();
-            else if (flag == "--chaos-crash") {
-                const char* phase = value();
-                try {
-                    o.chaos.crash_phase = svc::parse_crash_phase(phase);
-                } catch (const std::exception&) {
-                    std::cerr << "campaign: invalid --chaos-crash phase: " << phase
-                              << " (pre-init, mid-batch, pre-checkpoint)\n";
-                    usage_exit();
-                }
-            } else if (flag == "--chaos-crash-after")
-                o.chaos.crash_after = static_cast<std::uint64_t>(count());
-            else if (flag == "--chaos-tear-checkpoint")
-                o.chaos.checkpoint_tear_after = static_cast<std::uint64_t>(natural());
-            else if (flag == "--chaos-tear-bytes")
-                o.chaos.checkpoint_tear_bytes = static_cast<std::size_t>(natural());
-            else if (flag == "--chaos-only-worker") o.chaos.only_worker = natural();
-            else if (flag == "--chaos-all-generations") o.chaos_all_generations = true;
             else usage_exit();
         }
     }
@@ -310,8 +256,7 @@ int run_in_process(const Args& a, const svc::JobSpec& spec, int threads) {
     return report.failure_count() == 0 ? 0 : 1;
 }
 
-int run_service(const Args& a, const svc::JobSpec& spec, int threads,
-                const char* exec_path) {
+int run_service(const Args& a, const svc::JobSpec& spec, int threads) {
     obs::Recorder recorder;
     svc::HttpEndpoint http;
     svc::CoordinatorOptions options = a.service;
@@ -322,8 +267,6 @@ int run_service(const Args& a, const svc::JobSpec& spec, int threads,
                                                : a.spec_path + ".spool";
     options.recorder = &recorder;
     options.stop = &g_stop;
-    options.launch = svc::CoordinatorOptions::Launch::Exec;
-    options.exec_path = exec_path;
     if (a.http_port >= 0) {
         http.listen(static_cast<std::uint16_t>(a.http_port));
         options.http = &http;
@@ -338,13 +281,10 @@ int run_service(const Args& a, const svc::JobSpec& spec, int threads,
               << result.shards_dispatched << " shards, "
               << result.shards_reassigned << " reassigned, "
               << result.worker_restarts << " restarts\n";
-    if (result.deadline_kills + result.protocol_errors +
-            result.chaos_faults_injected >
-        0)
+    if (result.deadline_kills + result.protocol_errors > 0)
         std::cerr << "campaign: faults: " << result.deadline_kills
                   << " deadline kills, " << result.protocol_errors
-                  << " protocol errors, "
-                  << result.chaos_faults_injected << " chaos faults\n";
+                  << " protocol errors\n";
     if (result.partial)
         std::cerr << "campaign: PARTIAL result accepted under --partial-ok; "
                      "missing ranges are listed in the report\n";
@@ -362,11 +302,6 @@ int run_service(const Args& a, const svc::JobSpec& spec, int threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Worker mode: this process was forked+exec'd by a coordinator with the
-    // wire protocol pinned to fds 3 (in) and 4 (out). No CLI, no stdout.
-    if (argc == 2 && std::string(argv[1]) == "--campaign-worker")
-        return svc::worker_main(3, 4);
-
     const Args args = parse_args(argc, argv);
     const int cores = static_cast<int>(std::thread::hardware_concurrency());
     const int threads = args.threads.value_or(args.workers == 0 ? std::max(cores, 1) : 1);
@@ -380,7 +315,7 @@ int main(int argc, char** argv) {
         std::signal(SIGINT, handle_stop_signal);
         std::signal(SIGTERM, handle_stop_signal);
         return args.workers == 0 ? run_in_process(args, spec, threads)
-                                 : run_service(args, spec, threads, argv[0]);
+                                 : run_service(args, spec, threads);
     } catch (const std::exception& e) {
         std::cerr << "campaign: " << e.what() << "\n";
         return 2;

@@ -51,20 +51,6 @@ void write_all(int fd, const char* data, std::size_t n,
     }
 }
 
-std::string batch_record(std::uint64_t first,
-                         const std::vector<std::string>& lines) {
-    // One buffered record per write(2): the `e` trailer lands in the same
-    // syscall as the data it seals, so a crash can only tear the last record.
-    std::string record =
-        "b " + std::to_string(first) + ' ' + std::to_string(lines.size()) + '\n';
-    for (const std::string& line : lines) {
-        record += line;
-        record += '\n';
-    }
-    record += "e " + std::to_string(first) + '\n';
-    return record;
-}
-
 }  // namespace
 
 CheckpointWriter::CheckpointWriter(Tag, const std::string& path) : path_(path) {}
@@ -126,19 +112,18 @@ CheckpointWriter::~CheckpointWriter() {
 
 void CheckpointWriter::append(std::uint64_t first,
                               const std::vector<std::string>& lines) {
-    const std::string record = batch_record(first, lines);
+    // One buffered record per write(2): the `e` trailer lands in the same
+    // syscall as the data it seals, so a crash can only tear the last record.
+    std::string record =
+        "b " + std::to_string(first) + ' ' + std::to_string(lines.size()) + '\n';
+    for (const std::string& line : lines) {
+        record += line;
+        record += '\n';
+    }
+    record += "e " + std::to_string(first) + '\n';
     write_all(fd_, record.data(), record.size(), path_);
     ++records_;
     if (fsync_every_ > 0 && ++appends_since_sync_ >= fsync_every_) sync();
-}
-
-void CheckpointWriter::append_torn(std::uint64_t first,
-                                   const std::vector<std::string>& lines,
-                                   std::size_t bytes) {
-    const std::string record = batch_record(first, lines);
-    const std::size_t cut =
-        bytes < record.size() ? bytes : record.size() - 1;
-    write_all(fd_, record.data(), cut, path_);
 }
 
 void CheckpointWriter::sync() {

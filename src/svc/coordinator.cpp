@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -57,7 +56,6 @@ struct WorkerProc {
     int slot = 0;        ///< stable index in the fleet
     int generation = 0;  ///< process incarnation of this slot
     std::optional<ShardState> shard;  ///< in-flight batch, if any
-    bool killed_sent = false;  ///< SIGKILL test hook fired
     /// When the worker must have delivered what it owes: the Batch of the
     /// shard it holds, or its exit after Shutdown (-1 = owes nothing).
     std::int64_t deadline_ms = -1;
@@ -73,7 +71,7 @@ struct WorkerProc {
 struct SvcObs {
     obs::Recorder* rec = nullptr;
     obs::MetricId dispatched, reassigned, restarts, checkpoints, committed,
-        backlog, workers, deadline_kills, protocol_errors, chaos_injected;
+        backlog, workers, deadline_kills, protocol_errors;
 };
 
 SvcObs make_svc_obs(obs::Recorder* rec) {
@@ -90,24 +88,8 @@ SvcObs make_svc_obs(obs::Recorder* rec) {
     o.workers = m.gauge("svc.workers_alive");
     o.deadline_kills = m.counter("svc.deadline_kills_total");
     o.protocol_errors = m.counter("svc.protocol_errors_total");
-    o.chaos_injected = m.counter("svc.chaos_faults_injected_total");
     return o;
 }
-
-/// Thrown by the coordinator-side chaos hooks (checkpoint tear,
-/// pre-checkpoint crash). Deliberately NOT a CoordinatorError: the
-/// quarantine path must never swallow it — it unwinds to run(), which kills
-/// the fleet and abandons the drain, exactly as a real crash would.
-class SimulatedCrash : public std::exception {
-public:
-    explicit SimulatedCrash(std::string what) : what_(std::move(what)) {}
-    [[nodiscard]] const char* what() const noexcept override {
-        return what_.c_str();
-    }
-
-private:
-    std::string what_;
-};
 
 }  // namespace
 
@@ -123,10 +105,6 @@ struct Coordinator::Impl {
     std::deque<Range> pending;
     SvcObs obs;
     CoordinatorResult result;
-    /// Coordinator-side chaos schedule (checkpoint tears, PreCheckpoint
-    /// crashes). Worker-side categories live in each worker's own plan,
-    /// seeded per (slot, generation) via the Init frame.
-    std::optional<ChaosPlan> chaos_plan;
 
     std::uint64_t next_shard_id = 0;
     std::uint64_t commits = 0;  ///< batches committed this run
@@ -153,8 +131,6 @@ struct Coordinator::Impl {
         grid = spec.grid_size();
         report = std::make_unique<fleet::CampaignReport>(grid, options.spool_path);
         obs = make_svc_obs(options.recorder);
-        if (options.chaos.any())
-            chaos_plan.emplace(options.chaos, options.chaos_seed);
     }
 
     ~Impl() {
@@ -193,23 +169,6 @@ struct Coordinator::Impl {
             pending.push_back(Range{gap.first, gap.last});
     }
 
-    /// Init head line: the thread count, plus the worker's chaos schedule
-    /// when armed for this (slot, generation). Unarmed runs send exactly
-    /// the bytes the pre-chaos protocol sent.
-    [[nodiscard]] std::string init_payload(const WorkerProc& w) const {
-        std::string head = std::to_string(options.worker_threads);
-        if (options.chaos.any_worker() &&
-            (options.chaos.only_worker < 0 ||
-             options.chaos.only_worker == w.slot) &&
-            (w.generation == 0 || options.chaos_all_generations)) {
-            head += ' ' + encode_chaos(
-                              options.chaos,
-                              worker_chaos_seed(options.chaos_seed, w.slot,
-                                                w.generation));
-        }
-        return head + '\n' + job_json;
-    }
-
     void spawn_worker(WorkerProc& w) {
         int to_pipe[2];    // coordinator writes, worker reads
         int from_pipe[2];  // worker writes, coordinator reads
@@ -226,28 +185,20 @@ struct Coordinator::Impl {
                 if (other.to_fd >= 0) ::close(other.to_fd);
                 if (other.from_fd >= 0) ::close(other.from_fd);
             }
-            if (options.launch == CoordinatorOptions::Launch::Exec) {
-                // Pin the protocol pipes to fds 3/4 so a stray stdout write
-                // in the re-executed binary cannot corrupt the frame stream.
-                // Park both above 4 first: the originals may themselves
-                // occupy 3 or 4, and a blind dup2 would clobber one.
-                const int rfd = ::fcntl(to_pipe[0], F_DUPFD, 5);
-                const int wfd = ::fcntl(from_pipe[1], F_DUPFD, 5);
-                if (rfd < 0 || wfd < 0) _exit(127);
-                ::close(to_pipe[0]);
-                ::close(from_pipe[1]);
-                if (::dup2(rfd, 3) < 0 || ::dup2(wfd, 4) < 0) _exit(127);
-                ::close(rfd);
-                ::close(wfd);
-                const char* argv[] = {options.exec_path.c_str(),
-                                      "--campaign-worker", nullptr};
-                ::execv(options.exec_path.c_str(),
-                        const_cast<char* const*>(argv));
-                _exit(127);
-            }
-            // Fork mode: run the protocol loop in-process and leave via
-            // _exit so no parent-inherited atexit/teardown runs twice.
-            _exit(worker_main(to_pipe[0], from_pipe[1]));
+            // The coordinator ends a worker through Shutdown, EOF or the
+            // deadline's SIGKILL; a terminal's Ctrl-C reaches the whole
+            // process group and must not kill a batch that can still drain
+            // into the checkpoint.
+            ::signal(SIGINT, SIG_IGN);
+            ::signal(SIGTERM, SIG_IGN);
+            // Only the coordinator serves /metrics; a worker that outlives
+            // it must not keep the port bound.
+            if (options.http != nullptr) options.http->close();
+            if (options.worker_faults != nullptr)
+                options.worker_faults->start(w.slot, w.generation);
+            // Leave via _exit so no parent-inherited atexit/teardown runs
+            // twice.
+            _exit(worker_main(to_pipe[0], from_pipe[1], options.worker_faults));
         }
         // Parent.
         ::close(to_pipe[0]);
@@ -260,7 +211,8 @@ struct Coordinator::Impl {
         w.shard.reset();
         w.deadline_ms = -1;
         try {
-            write_frame(w.to_fd, MsgType::Init, init_payload(w));
+            write_frame(w.to_fd, MsgType::Init,
+                        encode_init(options.worker_threads, job_json));
         } catch (const WireError&) {
             // The child died before the Init landed (a pre-init crash can
             // beat this write). Leave it marked alive: its read end is
@@ -344,24 +296,6 @@ struct Coordinator::Impl {
                 " does not match the worker's assignment");
         report->add_encoded(batch.first, batch.lines);
         if (checkpoint.has_value()) {
-            if (chaos_plan.has_value()) {
-                if (chaos_plan->crash_now(CrashPhase::PreCheckpoint)) {
-                    ++result.chaos_faults_injected;
-                    count(obs.chaos_injected);
-                    throw SimulatedCrash(
-                        "chaos: simulated coordinator crash before "
-                        "checkpoint append");
-                }
-                if (chaos_plan->tear_checkpoint_now()) {
-                    ++result.chaos_faults_injected;
-                    count(obs.chaos_injected);
-                    checkpoint->append_torn(
-                        batch.first, batch.lines,
-                        chaos_plan->spec().checkpoint_tear_bytes);
-                    throw SimulatedCrash(
-                        "chaos: checkpoint append torn mid-write");
-                }
-            }
             checkpoint->append(batch.first, batch.lines);
             ++result.checkpoint_records;
             count(obs.checkpoints);
@@ -372,24 +306,9 @@ struct Coordinator::Impl {
         if (!draining) w.deadline_ms = -1;
         ++commits;
         count(obs.committed, static_cast<double>(batch.lines.size()));
-        fire_commit_hooks();
-    }
-
-    void fire_commit_hooks() {
         if (options.stop_after_commits > 0 &&
             commits >= options.stop_after_commits)
             stopping = true;
-        if (options.kill_worker >= 0 &&
-            options.kill_worker < static_cast<int>(workers.size()) &&
-            commits >= options.kill_after_commits) {
-            WorkerProc& target =
-                workers[static_cast<std::size_t>(options.kill_worker)];
-            if (target.alive && target.shard.has_value() &&
-                !target.killed_sent) {
-                target.killed_sent = true;
-                ::kill(target.pid, SIGKILL);
-            }
-        }
     }
 
     void handle_frame(WorkerProc& w, const Frame& frame) {
@@ -618,12 +537,6 @@ struct Coordinator::Impl {
         }
     }
 
-    void finalize_counts() {
-        result.scenarios_committed = report->committed();
-        result.failures = report->failure_count();
-        result.max_retained_rows = report->max_retained_rows();
-    }
-
     CoordinatorResult run() {
         REFPGA_EXPECTS(!ran);
         ran = true;
@@ -640,31 +553,15 @@ struct Coordinator::Impl {
         }
         update_gauges();
 
-        try {
-            event_loop();
-        } catch (const SimulatedCrash& e) {
-            // A real crash takes the whole process with it. The closest
-            // honest simulation kills the fleet outright and abandons the
-            // drain, so --resume has to recover from exactly what hit disk.
-            for (WorkerProc& w : workers) {
-                if (w.alive && w.pid > 0) ::kill(w.pid, SIGKILL);
-                w.close_fds();
-                if (w.pid > 0) {
-                    ::waitpid(w.pid, nullptr, 0);
-                    w.pid = -1;
-                }
-                w.alive = false;
-            }
-            result.error = e.what();
-            finalize_counts();
-            return result;
-        }
+        event_loop();
         update_gauges();
         if (checkpoint.has_value() && options.checkpoint_fsync_every_n > 0)
             checkpoint->sync();
 
         result.completed = report->complete();
-        finalize_counts();
+        result.scenarios_committed = report->committed();
+        result.failures = report->failure_count();
+        result.max_retained_rows = report->max_retained_rows();
         if (result.completed) {
             // Survivors finished the grid during the drain; a fail-fast
             // verdict reached mid-loop is obsolete.

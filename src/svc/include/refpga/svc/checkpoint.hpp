@@ -58,12 +58,6 @@ public:
     /// scenario index `first`). Throws CheckpointError on I/O failure.
     void append(std::uint64_t first, const std::vector<std::string>& lines);
 
-    /// Chaos hook: writes only the first `bytes` of the record `append`
-    /// would have written — the on-disk shape of a crash mid-append. Never
-    /// counts as a record.
-    void append_torn(std::uint64_t first, const std::vector<std::string>& lines,
-                     std::size_t bytes);
-
     /// Durability policy: fsync after every n-th append (0 = never, the
     /// default — a torn tail is already recoverable; fsync buys power-loss
     /// durability at measured cost). Coordinators also call sync() once

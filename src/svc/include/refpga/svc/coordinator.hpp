@@ -36,11 +36,12 @@
 
 #include "refpga/fleet/report.hpp"
 #include "refpga/obs/obs.hpp"
-#include "refpga/svc/chaos.hpp"
 #include "refpga/svc/http.hpp"
 #include "refpga/svc/job.hpp"
 
 namespace refpga::svc {
+
+class WorkerFaults;
 
 class CoordinatorError : public std::runtime_error {
 public:
@@ -94,16 +95,6 @@ struct CoordinatorOptions {
     /// recoverable either way, fsync adds power-loss durability).
     std::uint64_t checkpoint_fsync_every_n = 0;
 
-    // --- chaos (tests/CI/benches; a default ChaosSpec injects nothing and
-    // leaves every wire byte identical to an unarmed build) ---------------
-    ChaosSpec chaos;
-    std::uint64_t chaos_seed = 1;
-    /// Arm worker-side chaos only in each slot's first process generation
-    /// (default), so a restarted worker runs clean and recovery can be
-    /// proven byte-identical. True re-arms every generation — the
-    /// persistent-fault world the partial/fail-fast policies exist for.
-    bool chaos_all_generations = false;
-
     /// Observability sinks (both optional).
     obs::Recorder* recorder = nullptr;
     /// Already-listening HTTP endpoint to serve on the event loop
@@ -117,24 +108,19 @@ struct CoordinatorOptions {
     /// uncommitted so a --resume run picks them up.
     const std::atomic<bool>* stop = nullptr;
 
-    /// How to launch workers. Fork calls worker_main() in the child
-    /// directly (tests); Exec re-executes exec_path with the worker pipes
-    /// on fds 3 and 4 (the campaign CLI), keeping stray stdio writes out
-    /// of the frame stream.
-    enum class Launch { Fork, Exec };
+    /// Workers are forked and run worker_main() in the child. Fork is the
+    /// only launch path; the enum stays because perfbench/campaigns.cpp
+    /// (the repo benchmark) sets it.
+    enum class Launch { Fork };
     Launch launch = Launch::Fork;
-    /// argv[0] for Launch::Exec; invoked as "<exec_path> --campaign-worker".
-    std::string exec_path;
 
-    // --- deterministic failure-injection hooks (tests/CI only) ------------
+    // --- test hooks ---------------------------------------------------------
     /// Behave as if `stop` turned true after this many committed batches.
     std::uint64_t stop_after_commits = 0;  ///< 0 = disabled
-    /// SIGKILL worker `kill_worker`, exercising the requeue path: the hook
-    /// fires at the first commit, at or after `kill_after_commits`
-    /// committed batches, at which that worker holds an in-flight batch (a
-    /// worker that has just committed holds nothing to requeue).
-    int kill_worker = -1;  ///< -1 = disabled
-    std::uint64_t kill_after_commits = 0;
+    /// Faults for each forked worker to run (svc::WorkerFaults in
+    /// worker.hpp; null = none). Not owned; each child works on its own
+    /// copy, made by the fork.
+    WorkerFaults* worker_faults = nullptr;
 };
 
 struct CoordinatorResult {
@@ -159,7 +145,6 @@ struct CoordinatorResult {
     // --- supervision ---------------------------------------------------------
     std::uint64_t deadline_kills = 0;     ///< reaped: missed the deadline
     std::uint64_t protocol_errors = 0;    ///< corrupt streams quarantined
-    std::uint64_t chaos_faults_injected = 0;  ///< coordinator-side injections
 };
 
 class Coordinator {

@@ -1,16 +1,11 @@
 #include "refpga/svc/worker.hpp"
 
 #include <csignal>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include <poll.h>
-#include <unistd.h>
-
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
-#include "refpga/svc/chaos.hpp"
 #include "refpga/svc/job.hpp"
 #include "refpga/svc/wire.hpp"
 
@@ -24,7 +19,8 @@ namespace {
 
 class Worker {
 public:
-    Worker(int in_fd, int out_fd) : in_fd_(in_fd), out_fd_(out_fd) {}
+    Worker(int in_fd, int out_fd, WorkerFaults& faults)
+        : in_fd_(in_fd), out_fd_(out_fd), faults_(faults) {}
 
     int run() {
         try {
@@ -32,9 +28,8 @@ public:
             return 0;
         } catch (const std::exception& e) {
             try {
-                // Error reporting bypasses the chaos wrapper: a worker dying
-                // of injected chaos already exercised the failure path; its
-                // last words should stay trustworthy.
+                // Error reporting bypasses the fault seam: a worker's last
+                // words should stay trustworthy.
                 write_frame(out_fd_, MsgType::WorkerError, e.what());
             } catch (...) {
                 // Pipe to the coordinator is gone; exit code says it all.
@@ -44,21 +39,6 @@ public:
     }
 
 private:
-    /// All protocol writes go through here so the chaos plan (when armed)
-    /// can tear, corrupt, delay or drop them. A torn write simulates death
-    /// mid-write: the process exits immediately, leaving the partial frame.
-    void send(MsgType type, const std::string& payload) {
-        if (!chaos_.has_value() || !chaos_->armed()) {
-            write_frame(out_fd_, type, payload);
-            return;
-        }
-        const WireAction action =
-            chaos_->next_wire_action(5 + payload.size(), payload.size());
-        if (!apply_wire_action(action, out_fd_,
-                               static_cast<std::uint8_t>(type), payload))
-            _exit(9);
-    }
-
     /// One instruction at a time: every frame is read while idle, so the
     /// worker never holds more than the one batch it is running.
     void loop() {
@@ -82,34 +62,15 @@ private:
     }
 
     void init(const std::string& payload) {
+        faults_.before_init();
         const std::size_t eol = payload.find('\n');
         if (eol == std::string::npos)
             throw WireError("Init payload missing thread-count line");
-        parse_init_line(payload.substr(0, eol));
-        if (chaos_.has_value() && chaos_->crash_now(CrashPhase::PreInit))
-            _exit(9);
+        options_.threads =
+            static_cast<int>(parse_fields(payload.substr(0, eol), 1)[0]);
         spec_ = JobSpec::from_json(payload.substr(eol + 1));
         scenarios_ = spec_.expand();
         options_.stream_block_ticks = spec_.stream_block_ticks;
-    }
-
-    /// First Init line: "<threads>" or "<threads> chaos <seed> <fields...>".
-    void parse_init_line(const std::string& line) {
-        const std::size_t space = line.find(' ');
-        const std::string threads_tok = line.substr(0, space);
-        const auto threads = parse_fields(threads_tok, 1);
-        options_.threads = static_cast<int>(threads[0]);
-        if (space == std::string::npos) return;
-        std::string rest = line.substr(space + 1);
-        constexpr std::string_view kw = "chaos ";
-        if (rest.compare(0, kw.size(), kw) != 0)
-            throw WireError("malformed Init option line '" + rest + "'");
-        try {
-            const auto [spec, seed] = parse_chaos(rest.substr(kw.size()));
-            chaos_.emplace(spec, seed);
-        } catch (const std::exception& e) {
-            throw WireError(std::string("bad Init chaos config: ") + e.what());
-        }
     }
 
     /// Runs the Assign "shard first count" and answers with its one Batch.
@@ -122,15 +83,7 @@ private:
         if (count == 0 || first > scenarios_.size() ||
             count > scenarios_.size() - first)
             throw WireError("Assign range out of bounds");
-        if (chaos_.has_value()) {
-            if (chaos_->next_hang()) {
-                // Wedge exactly like a stuck process: stop draining stdin,
-                // stop producing. Only a signal ends this.
-                for (;;) ::pause();
-            }
-            if (chaos_->next_slow())
-                ::poll(nullptr, 0, chaos_->spec().slow_ms);
-        }
+        faults_.before_batch();
         const std::vector<fleet::Scenario> slice(
             scenarios_.begin() + static_cast<std::ptrdiff_t>(first),
             scenarios_.begin() + static_cast<std::ptrdiff_t>(first + count));
@@ -145,32 +98,32 @@ private:
                 std::to_string(result.outcomes.size()) + " outcomes for " +
                 std::to_string(slice.size()) + " scenarios in shard " +
                 std::to_string(shard));
-        if (chaos_.has_value() && chaos_->crash_now(CrashPhase::MidBatch))
-            _exit(9);  // the computed batch dies with us
+        faults_.after_batch();
 
         std::vector<std::string> lines;
         lines.reserve(result.outcomes.size());
         for (const fleet::ScenarioOutcome& o : result.outcomes)
             lines.push_back(fleet::encode_outcome_line(o));
-        send(MsgType::Batch, encode_batch(shard, first, lines));
+        faults_.write(out_fd_, MsgType::Batch, encode_batch(shard, first, lines));
     }
 
     int in_fd_;
     int out_fd_;
+    WorkerFaults& faults_;
     JobSpec spec_;
     std::vector<fleet::Scenario> scenarios_;
     fleet::CampaignOptions options_;
-    std::optional<ChaosPlan> chaos_;
 };
 
 }  // namespace
 
-int worker_main(int in_fd, int out_fd) {
+int worker_main(int in_fd, int out_fd, WorkerFaults* faults) {
     // A coordinator that died (or quarantined this worker) closes our pipe;
     // the resulting EPIPE must surface as a WireError return path, not
     // SIGPIPE process death with no WorkerError frame.
     ::signal(SIGPIPE, SIG_IGN);
-    return Worker(in_fd, out_fd).run();
+    WorkerFaults none;
+    return Worker(in_fd, out_fd, faults != nullptr ? *faults : none).run();
 }
 
 }  // namespace refpga::svc

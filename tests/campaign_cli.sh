@@ -35,6 +35,16 @@ expect_exit 2 --workers 2 --shard 4 --cycles 1 --json
 expect_exit 2 --workers 2 --steal-min 2 --cycles 1 --json
 expect_exit 2 --workers 2 --straggler-factor 2 --cycles 1 --json
 expect_exit 2 --workers 2 --chaos-crash pre-truncate-ack --cycles 1 --json
+# The fault-injection flags and the worker re-exec mode left the shipped
+# binary (tests inject worker faults through svc::WorkerFaults).
+for flag in --chaos-seed --chaos-hang --chaos-torn --chaos-corrupt-length \
+            --chaos-corrupt-payload --chaos-drop --chaos-delay --chaos-slow \
+            --chaos-slow-ms --chaos-crash --chaos-crash-after \
+            --chaos-tear-checkpoint --chaos-tear-bytes --chaos-only-worker; do
+    expect_exit 2 --workers 2 "$flag" 1 --cycles 1 --json
+done
+expect_exit 2 --workers 2 --chaos-all-generations --cycles 1 --json
+expect_exit 2 --campaign-worker
 # One deadline supervises the workers: the heartbeat, liveness and restart
 # backoff flags are unknown, and the deadline must be at least 1 ms.
 expect_exit 2 --workers 2 --heartbeat-ms 1000 --cycles 1 --json

@@ -6,7 +6,8 @@
 // runs that must render byte-identical reports to the single-process
 // CampaignRunner — including after a SIGKILLed worker's batch is requeued
 // and after a graceful stop plus checkpoint resume, at the same or another
-// batch size.
+// batch size. Worker faults are injected through the test-support
+// FaultScript.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,21 +19,21 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
 #include "refpga/fleet/report.hpp"
-#include "refpga/svc/chaos.hpp"
 #include "refpga/svc/checkpoint.hpp"
 #include "refpga/svc/coordinator.hpp"
+#include "refpga/svc/fault_script.hpp"
 #include "refpga/svc/http.hpp"
 #include "refpga/svc/job.hpp"
 #include "refpga/svc/json.hpp"
@@ -511,203 +512,6 @@ TEST(Checkpoint, TearAtEveryByteOffsetLoadsOrFailsThenResumes) {
     }
 }
 
-// ---------------------------------------------------------------- chaos
-
-TEST(Chaos, SameSeedInjectsIdenticalTrace) {
-    ChaosSpec spec;
-    spec.torn_frame_prob = 0.2;
-    spec.corrupt_length_prob = 0.1;
-    spec.corrupt_payload_prob = 0.1;
-    spec.drop_frame_prob = 0.15;
-    spec.delay_frame_prob = 0.15;
-    spec.hang_prob = 0.0;
-    spec.slow_batch_prob = 0.3;
-
-    ChaosPlan a(spec, 42);
-    ChaosPlan b(spec, 42);
-    for (int i = 0; i < 200; ++i) {
-        const WireAction wa = a.next_wire_action(64, 59);
-        const WireAction wb = b.next_wire_action(64, 59);
-        EXPECT_EQ(static_cast<int>(wa.kind), static_cast<int>(wb.kind));
-        EXPECT_EQ(wa.cut, wb.cut);
-        EXPECT_EQ(wa.offset, wb.offset);
-        EXPECT_EQ(a.next_slow(), b.next_slow());
-    }
-    EXPECT_GT(a.stats().total(), 0u) << "nothing fired in 200 frames";
-    EXPECT_EQ(a.trace(), b.trace());
-
-    // A different seed must produce a different schedule.
-    ChaosPlan c(spec, 43);
-    for (int i = 0; i < 200; ++i) {
-        (void)c.next_wire_action(64, 59);
-        (void)c.next_slow();
-    }
-    EXPECT_NE(a.trace(), c.trace());
-}
-
-TEST(Chaos, CategoryStreamsAreIndependent) {
-    // The drop schedule must be byte-identical whether or not the delay
-    // category is also armed: every category draws from its own stream and
-    // draws exactly once per frame regardless of what fires.
-    ChaosSpec drops_only;
-    drops_only.drop_frame_prob = 0.3;
-    ChaosSpec drops_and_delays = drops_only;
-    drops_and_delays.delay_frame_prob = 0.5;
-
-    ChaosPlan a(drops_only, 7);
-    ChaosPlan b(drops_and_delays, 7);
-    std::vector<int> drop_frames_a;
-    std::vector<int> drop_frames_b;
-    for (int i = 0; i < 300; ++i) {
-        if (a.next_wire_action(32, 27).kind == WireAction::Kind::Drop)
-            drop_frames_a.push_back(i);
-        if (b.next_wire_action(32, 27).kind == WireAction::Kind::Drop)
-            drop_frames_b.push_back(i);
-    }
-    EXPECT_FALSE(drop_frames_a.empty());
-    EXPECT_EQ(drop_frames_a, drop_frames_b);
-    EXPECT_GT(b.stats().delayed_frames, 0u);
-}
-
-TEST(Chaos, EveryCategoryFiresAndIsCounted) {
-    {
-        ChaosSpec spec;
-        spec.torn_frame_prob = 1.0;
-        ChaosPlan plan(spec, 1);
-        const WireAction action = plan.next_wire_action(16, 11);
-        EXPECT_EQ(action.kind, WireAction::Kind::Torn);
-        EXPECT_GE(action.cut, 1u);
-        EXPECT_LT(action.cut, 16u);
-        EXPECT_EQ(plan.stats().torn_frames, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.corrupt_length_prob = 1.0;
-        ChaosPlan plan(spec, 1);
-        EXPECT_EQ(plan.next_wire_action(16, 11).kind,
-                  WireAction::Kind::CorruptLength);
-        EXPECT_EQ(plan.stats().corrupt_lengths, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.corrupt_payload_prob = 1.0;
-        ChaosPlan plan(spec, 1);
-        const WireAction action = plan.next_wire_action(16, 11);
-        EXPECT_EQ(action.kind, WireAction::Kind::CorruptPayload);
-        EXPECT_LT(action.offset, 8u);
-        EXPECT_EQ(plan.stats().corrupt_payloads, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.drop_frame_prob = 1.0;
-        ChaosPlan plan(spec, 1);
-        EXPECT_EQ(plan.next_wire_action(16, 11).kind, WireAction::Kind::Drop);
-        EXPECT_EQ(plan.stats().dropped_frames, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.delay_frame_prob = 1.0;
-        spec.delay_ms = 1;
-        ChaosPlan plan(spec, 1);
-        EXPECT_EQ(plan.next_wire_action(16, 11).kind, WireAction::Kind::Delay);
-        EXPECT_EQ(plan.stats().delayed_frames, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.hang_prob = 1.0;
-        spec.slow_batch_prob = 1.0;
-        ChaosPlan plan(spec, 1);
-        EXPECT_TRUE(plan.next_hang());
-        EXPECT_TRUE(plan.next_slow());
-        EXPECT_EQ(plan.stats().hangs, 1u);
-        EXPECT_EQ(plan.stats().slow_batches, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.crash_phase = CrashPhase::MidBatch;
-        spec.crash_after = 3;
-        ChaosPlan plan(spec, 1);
-        EXPECT_FALSE(plan.crash_now(CrashPhase::PreInit));  // wrong phase
-        EXPECT_FALSE(plan.crash_now(CrashPhase::MidBatch));  // opportunity 1
-        EXPECT_FALSE(plan.crash_now(CrashPhase::MidBatch));  // opportunity 2
-        EXPECT_TRUE(plan.crash_now(CrashPhase::MidBatch));   // opportunity 3
-        EXPECT_EQ(plan.stats().crashes, 1u);
-    }
-    {
-        ChaosSpec spec;
-        spec.checkpoint_tear_after = 2;
-        ChaosPlan plan(spec, 1);
-        EXPECT_FALSE(plan.tear_checkpoint_now());
-        EXPECT_TRUE(plan.tear_checkpoint_now());
-        EXPECT_EQ(plan.stats().checkpoint_tears, 1u);
-    }
-}
-
-TEST(Chaos, DisarmedPlanInjectsNothing) {
-    ChaosPlan plan(ChaosSpec{}, 99);
-    EXPECT_FALSE(plan.armed());
-    for (int i = 0; i < 50; ++i) {
-        EXPECT_EQ(plan.next_wire_action(16, 11).kind, WireAction::Kind::None);
-        EXPECT_FALSE(plan.next_hang());
-        EXPECT_FALSE(plan.next_slow());
-        EXPECT_FALSE(plan.crash_now(CrashPhase::MidBatch));
-        EXPECT_FALSE(plan.tear_checkpoint_now());
-    }
-    EXPECT_EQ(plan.stats().total(), 0u);
-    EXPECT_TRUE(plan.trace().empty());
-}
-
-TEST(Chaos, EncodeParseRoundTripsExactly) {
-    ChaosSpec spec;
-    spec.torn_frame_prob = 0.1;  // not exactly representable: hexfloat must
-    spec.corrupt_length_prob = 0.25;  // round-trip bit-exactly anyway
-    spec.corrupt_payload_prob = 1.0 / 3.0;
-    spec.delay_frame_prob = 0.05;
-    spec.delay_ms = 7;
-    spec.drop_frame_prob = 0.9;
-    spec.hang_prob = 0.125;
-    spec.slow_batch_prob = 1e-9;
-    spec.slow_ms = 33;
-    spec.crash_phase = CrashPhase::MidBatch;
-    spec.crash_after = 5;
-
-    const std::string encoded = encode_chaos(spec, 0xfeedULL);
-    ASSERT_EQ(encoded.compare(0, 6, "chaos "), 0);
-    const auto [back, seed] = parse_chaos(encoded.substr(6));
-    EXPECT_EQ(seed, 0xfeedULL);
-    EXPECT_EQ(back.torn_frame_prob, spec.torn_frame_prob);
-    EXPECT_EQ(back.corrupt_length_prob, spec.corrupt_length_prob);
-    EXPECT_EQ(back.corrupt_payload_prob, spec.corrupt_payload_prob);
-    EXPECT_EQ(back.delay_frame_prob, spec.delay_frame_prob);
-    EXPECT_EQ(back.delay_ms, spec.delay_ms);
-    EXPECT_EQ(back.drop_frame_prob, spec.drop_frame_prob);
-    EXPECT_EQ(back.hang_prob, spec.hang_prob);
-    EXPECT_EQ(back.slow_batch_prob, spec.slow_batch_prob);
-    EXPECT_EQ(back.slow_ms, spec.slow_ms);
-    EXPECT_EQ(back.crash_phase, spec.crash_phase);
-    EXPECT_EQ(back.crash_after, spec.crash_after);
-
-    // Same (spec, seed) on both sides of the wire: same injected trace.
-    ChaosPlan local(spec, seed);
-    ChaosPlan remote(back, seed);
-    for (int i = 0; i < 64; ++i) {
-        const WireAction a = local.next_wire_action(40, 35);
-        const WireAction b = remote.next_wire_action(40, 35);
-        EXPECT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind));
-    }
-    EXPECT_EQ(local.trace(), remote.trace());
-
-    EXPECT_TRUE(encode_chaos(ChaosSpec{}, 1).empty())
-        << "an unarmed spec must keep the Init line chaos-free";
-    EXPECT_THROW((void)parse_chaos("1 2 3"), std::runtime_error);
-    EXPECT_THROW((void)parse_chaos("x 0 0 0 0 2 0 0 0 20 none 1"),
-                 std::runtime_error);
-
-    // Per-worker derived seeds must differ across slots and generations.
-    EXPECT_NE(worker_chaos_seed(1, 0, 0), worker_chaos_seed(1, 1, 0));
-    EXPECT_NE(worker_chaos_seed(1, 0, 0), worker_chaos_seed(1, 0, 1));
-}
-
 // ---------------------------------------------------------------- worker
 
 struct WorkerHandle {
@@ -725,7 +529,7 @@ struct WorkerHandle {
     }
 };
 
-void spawn_worker(WorkerHandle& w) {
+void spawn_worker(WorkerHandle& w, WorkerFaults* faults = nullptr) {
     int to_pipe[2];
     int from_pipe[2];
     ASSERT_EQ(::pipe(to_pipe), 0);
@@ -735,7 +539,8 @@ void spawn_worker(WorkerHandle& w) {
     if (w.pid == 0) {
         ::close(to_pipe[1]);
         ::close(from_pipe[0]);
-        _exit(worker_main(to_pipe[0], from_pipe[1]));
+        if (faults != nullptr) faults->start(0, 0);
+        _exit(worker_main(to_pipe[0], from_pipe[1], faults));
     }
     ::close(to_pipe[0]);
     ::close(from_pipe[1]);
@@ -781,14 +586,13 @@ TEST(Worker, RunsOneBatchPerAssignThenIdles) {
         << "unexpected " << msg_type_name(frame.type) << " after the Batch";
 }
 
-TEST(Worker, ChaosCrashPreInitDiesBeforeAnyFrame) {
+TEST(Worker, ExitBeforeInitDiesBeforeAnyFrame) {
     WorkerHandle w;
-    spawn_worker(w);
-    ChaosSpec chaos;
-    chaos.crash_phase = CrashPhase::PreInit;
-    const std::string head = "1 " + encode_chaos(chaos, 5);
+    FaultScript exit_early(FaultScript::Hook::BeforeInit,
+                           FaultScript::Action::Exit);
+    spawn_worker(w, &exit_early);
     write_frame(w.to, MsgType::Init,
-                head + '\n' + small_spec().canonical_json());
+                encode_init(1, small_spec().canonical_json()));
     Frame frame;
     EXPECT_FALSE(read_frame(w.from, frame))
         << "a pre-Init crash must close the pipe without producing";
@@ -796,7 +600,7 @@ TEST(Worker, ChaosCrashPreInitDiesBeforeAnyFrame) {
     ASSERT_EQ(::waitpid(w.pid, &status, 0), w.pid);
     w.pid = -1;
     ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 9) << "chaos deaths exit with code 9";
+    EXPECT_EQ(WEXITSTATUS(status), 9) << "scripted exits use code 9";
 }
 
 // ---------------------------------------------------------------- http
@@ -1002,24 +806,22 @@ TEST(Coordinator, SurvivesWorkerKillWithIdenticalReport) {
     options.workers = 2;
     options.batch = 1;
     options.spool_path = temp_path("kill_spool");
-    options.kill_worker = 0;
-    options.kill_after_commits = 1;
     options.max_worker_restarts = 2;
-    // The hook waits for a commit at which slot 0 holds a batch. Slot 0's
-    // first generation sleeps before each batch, so slot 1's first commit
-    // finds slot 0 holding its first batch mid-sleep, and the SIGKILL lands
-    // before that batch can reach the pipe: it must be requeued.
-    options.chaos.slow_batch_prob = 1.0;
-    options.chaos.slow_ms = 200 * time_scale();
-    options.chaos.only_worker = 0;
+    // Slot 0 SIGKILLs itself while it holds its first batch: the batch must
+    // be requeued and the slot reforked.
+    FaultScript self_kill(FaultScript::Hook::BeforeBatch,
+                          FaultScript::Action::Kill);
+    self_kill.slot = 0;
+    options.worker_faults = &self_kill;
 
     obs::Recorder recorder;
     options.recorder = &recorder;
     Coordinator coordinator(spec, options);
     const CoordinatorResult result = coordinator.run();
     ASSERT_TRUE(result.completed) << result.error;
-    EXPECT_GE(result.shards_reassigned, 1u)
+    EXPECT_EQ(result.shards_reassigned, 1u)
         << "the killed worker's in-flight batch must have been requeued";
+    EXPECT_EQ(result.worker_restarts, 1u);
     EXPECT_EQ(coordinator.report().render_text(), want_text);
     EXPECT_EQ(coordinator.report().render_json(), want_json);
     EXPECT_GT(recorder.metrics().value("svc.scenarios_committed_total"),
@@ -1043,9 +845,10 @@ TEST(Coordinator, StopCheckpointResumeCompletesWithoutRecomputing) {
         // Pace every batch so the stop lands with work outstanding: a
         // 2-cycle hardware scenario takes about a millisecond, and unpaced
         // workers can finish the grid before the stop reaches them.
-        options.chaos.slow_batch_prob = 1.0;
-        options.chaos.slow_ms = 20;
-        options.chaos_seed = 10;
+        FaultScript pace(FaultScript::Hook::BeforeBatch,
+                         FaultScript::Action::Sleep);
+        pace.sleep_ms = 20;
+        options.worker_faults = &pace;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
         EXPECT_FALSE(result.completed);
@@ -1121,16 +924,16 @@ TEST(Coordinator, ResumeWithAnotherBatchSizeCompletes) {
     }
 }
 
-// ---------------------------------------------------------------- e2e chaos
+// ---------------------------------------------------------------- e2e faults
 
-JobSpec chaos_spec() {
+JobSpec drill_spec() {
     JobSpec spec = small_spec();
     spec.noise_levels = {1e-3, 5e-3};  // 16 scenarios
     return spec;
 }
 
 TEST(Coordinator, ProgressDeadlineReapsSilentShardHolder) {
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
     // The deadline must catch a worker that holds a shard and commits
@@ -1139,9 +942,9 @@ TEST(Coordinator, ProgressDeadlineReapsSilentShardHolder) {
     options.workers = 2;
     options.batch = 1;
     options.spool_path = temp_path("deadline_spool");
-    options.chaos.hang_prob = 1.0;
-    options.chaos.only_worker = 0;
-    options.chaos_seed = 12;
+    FaultScript hang(FaultScript::Hook::BeforeBatch, FaultScript::Action::Hang);
+    hang.slot = 0;
+    options.worker_faults = &hang;
     options.progress_timeout_ms = 100 * time_scale();
     options.max_worker_restarts = 2;
     Coordinator coordinator(spec, options);
@@ -1155,7 +958,7 @@ TEST(Coordinator, ProgressDeadlineReapsSilentShardHolder) {
 }
 
 TEST(Coordinator, DeadlineRecoversDroppedBatch) {
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
     // Slot 0 computes its first batch and drops the Batch frame: it is idle
@@ -1165,9 +968,9 @@ TEST(Coordinator, DeadlineRecoversDroppedBatch) {
     options.workers = 2;
     options.batch = 1;
     options.spool_path = temp_path("drop_spool");
-    options.chaos.drop_frame_prob = 1.0;
-    options.chaos.only_worker = 0;
-    options.chaos_seed = 15;
+    FaultScript drop(FaultScript::Hook::FrameWrite, FaultScript::Action::Drop);
+    drop.slot = 0;
+    options.worker_faults = &drop;
     options.progress_timeout_ms = 100 * time_scale();
     Coordinator coordinator(spec, options);
     const CoordinatorResult result = coordinator.run();
@@ -1178,7 +981,7 @@ TEST(Coordinator, DeadlineRecoversDroppedBatch) {
 }
 
 TEST(Coordinator, StopWithHungWorkerReturnsWithinDeadline) {
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
     const std::string ckpt = temp_path("hung_stop_ckpt");
 
@@ -1192,9 +995,10 @@ TEST(Coordinator, StopWithHungWorkerReturnsWithinDeadline) {
         options.batch = 1;
         options.checkpoint_path = ckpt;
         options.spool_path = temp_path("hung_stop_spool_a");
-        options.chaos.hang_prob = 1.0;
-        options.chaos.only_worker = 0;
-        options.chaos_seed = 20;
+        FaultScript hang(FaultScript::Hook::BeforeBatch,
+                         FaultScript::Action::Hang);
+        hang.slot = 0;
+        options.worker_faults = &hang;
         options.progress_timeout_ms = deadline_ms;
         options.stop_after_commits = 2;
         Coordinator coordinator(spec, options);
@@ -1223,18 +1027,22 @@ TEST(Coordinator, StopWithHungWorkerReturnsWithinDeadline) {
 }
 
 TEST(Coordinator, CrashPhasesRecoverThroughRestarts) {
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
-    for (const CrashPhase phase : {CrashPhase::PreInit, CrashPhase::MidBatch}) {
-        SCOPED_TRACE(crash_phase_name(phase));
+    const std::pair<const char*, FaultScript::Hook> phases[] = {
+        {"before-init", FaultScript::Hook::BeforeInit},
+        {"after-batch", FaultScript::Hook::AfterBatch},
+    };
+    for (const auto& [name, hook] : phases) {
+        SCOPED_TRACE(name);
         CoordinatorOptions options;
         options.workers = 2;
         options.batch = 1;
         options.spool_path = temp_path("crash_spool");
-        options.chaos.crash_phase = phase;  // every slot dies once (gen 0)
-        options.chaos.crash_after = 1;
-        options.chaos_seed = 13;
+        // Every slot dies once, in its first generation.
+        FaultScript crash(hook, FaultScript::Action::Exit);
+        options.worker_faults = &crash;
         options.max_worker_restarts = 2;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
@@ -1246,20 +1054,20 @@ TEST(Coordinator, CrashPhasesRecoverThroughRestarts) {
 }
 
 TEST(Coordinator, QuarantinesCorruptStreamsAndRecovers) {
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
     struct Case {
         const char* name;
-        double ChaosSpec::*prob;
+        FaultScript::Action action;
         bool counts_protocol_error;
     };
     // A torn frame is a clean death (EOF mid-frame, dropped silently); the
     // two corruptions poison the stream and must go through quarantine.
     const Case cases[] = {
-        {"torn", &ChaosSpec::torn_frame_prob, false},
-        {"corrupt-length", &ChaosSpec::corrupt_length_prob, true},
-        {"corrupt-payload", &ChaosSpec::corrupt_payload_prob, true},
+        {"torn", FaultScript::Action::Tear, false},
+        {"corrupt-length", FaultScript::Action::CorruptLength, true},
+        {"corrupt-payload", FaultScript::Action::CorruptPayload, true},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
@@ -1267,9 +1075,9 @@ TEST(Coordinator, QuarantinesCorruptStreamsAndRecovers) {
         options.workers = 2;
         options.batch = 1;
         options.spool_path = temp_path("corrupt_spool");
-        options.chaos.*(c.prob) = 1.0;  // every slot-0 gen-0 frame affected
-        options.chaos.only_worker = 0;
-        options.chaos_seed = 14;
+        FaultScript fault(FaultScript::Hook::FrameWrite, c.action);
+        fault.slot = 0;  // every frame of slot 0's first generation
+        options.worker_faults = &fault;
         options.max_worker_restarts = 2;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
@@ -1283,86 +1091,23 @@ TEST(Coordinator, QuarantinesCorruptStreamsAndRecovers) {
     }
 }
 
-// A stand-in worker, run through Launch::Exec: for every Assign it sends one
-// Batch of valid outcome lines (one per grid index, read from `lines_path`)
-// that differs from the assignment in `field`: "shard", "first" or "count".
-// With `field` "linger" the Batch matches, but the worker never exits after
-// Shutdown.
-std::string rogue_worker_script(const std::string& field,
-                                const std::string& lines_path) {
-    return "#!/usr/bin/env python3\n"
-           "import os, struct, time\n"
-           "ASSIGN, SHUTDOWN, BATCH = " +
-           std::to_string(static_cast<int>(MsgType::Assign)) + ", " +
-           std::to_string(static_cast<int>(MsgType::Shutdown)) + ", " +
-           std::to_string(static_cast<int>(MsgType::Batch)) + "\n" +
-           "FIELD = '" + field + "'\n" + "LINES = open('" + lines_path +
-           "').read().split('\\n')\n" +
-           R"(
-def read_exact(n):
-    data = b''
-    while len(data) < n:
-        chunk = os.read(3, n - len(data))
-        if not chunk:
-            raise SystemExit(0)
-        data += chunk
-    return data
-
-while True:
-    length, kind = struct.unpack('<IB', read_exact(5))
-    payload = read_exact(length).decode()
-    if kind == SHUTDOWN:
-        while FIELD == 'linger':
-            time.sleep(60)
-        break
-    if kind != ASSIGN:
-        continue
-    shard, first, count = map(int, payload.split())
-    if FIELD == 'shard':
-        shard += 1
-    elif FIELD == 'first':
-        first += 1
-    elif FIELD == 'count':
-        count += 1
-    body = '%d %d %d\n' % (shard, first, count)
-    body += ''.join(LINES[i] + '\n' for i in range(first, first + count))
-    data = body.encode()
-    data = struct.pack('<IB', len(data), BATCH) + data
-    while data:
-        data = data[os.write(4, data):]
-)";
-}
-
-/// Writes the in-process outcome line of every scenario of `spec`, one per
-/// line in grid order, for the stand-in worker to send; returns the path.
-std::string outcome_lines_file(const JobSpec& spec, const char* tag) {
-    const std::string path = temp_path(tag);
-    fleet::CampaignOptions options(2);
-    options.stream_block_ticks = spec.stream_block_ticks;
-    std::ofstream out(path);
-    for (const fleet::ScenarioOutcome& o :
-         fleet::CampaignRunner(options).run(spec.expand()).outcomes)
-        out << fleet::encode_outcome_line(o) << '\n';
-    return path;
-}
-
 TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
-    if (std::system("python3 -c pass > /dev/null 2>&1") != 0)
-        GTEST_SKIP() << "the stand-in worker needs python3";
-    const JobSpec spec = chaos_spec();
-    // Valid outcome lines, so the mismatch is the only thing to reject.
-    const std::string lines_path = outcome_lines_file(spec, "rogue_lines");
-    for (const char* field : {"shard", "first", "count"}) {
+    const JobSpec spec = drill_spec();
+    // The worker's outcome lines stay valid, so the mismatch is the only
+    // thing to reject.
+    const std::pair<const char*, FaultScript::Action> rewrites[] = {
+        {"shard", FaultScript::Action::RewriteShard},
+        {"first", FaultScript::Action::RewriteFirst},
+        {"count", FaultScript::Action::RewriteCount},
+    };
+    for (const auto& [field, action] : rewrites) {
         SCOPED_TRACE(field);
-        const std::string script = temp_path("rogue_worker.py");
-        std::ofstream(script) << rogue_worker_script(field, lines_path);
-        ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
         CoordinatorOptions options;
         options.workers = 1;
         options.batch = 2;
         options.spool_path = temp_path("rogue_spool");
-        options.launch = CoordinatorOptions::Launch::Exec;
-        options.exec_path = script;
+        FaultScript rewrite(FaultScript::Hook::FrameWrite, action);
+        options.worker_faults = &rewrite;
         options.max_worker_restarts = 0;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
@@ -1374,25 +1119,20 @@ TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
 }
 
 TEST(Coordinator, DeadlineReapsWorkerThatIgnoresShutdown) {
-    if (std::system("python3 -c pass > /dev/null 2>&1") != 0)
-        GTEST_SKIP() << "the stand-in worker needs python3";
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
-    const std::string lines_path = outcome_lines_file(spec, "linger_lines");
-    const std::string script = temp_path("linger_worker.py");
-    std::ofstream(script) << rogue_worker_script("linger", lines_path);
-    ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
 
-    // The worker commits the whole grid and then ignores Shutdown: an idle
-    // worker's deadline starts at the Shutdown, and the run returns once it
-    // expires.
+    // The worker commits the whole grid (4 batches) and then hangs, so it
+    // ignores Shutdown: an idle worker's deadline starts at the Shutdown,
+    // and the run returns once it expires.
     const int deadline_ms = 300 * time_scale();
     CoordinatorOptions options;
     options.workers = 1;
     options.batch = 4;
     options.spool_path = temp_path("linger_spool");
-    options.launch = CoordinatorOptions::Launch::Exec;
-    options.exec_path = script;
+    FaultScript linger(FaultScript::Hook::FrameWrite, FaultScript::Action::Hang);
+    linger.at = 4;
+    options.worker_faults = &linger;
     options.progress_timeout_ms = deadline_ms;
     Coordinator coordinator(spec, options);
     const auto begin = std::chrono::steady_clock::now();
@@ -1406,23 +1146,72 @@ TEST(Coordinator, DeadlineReapsWorkerThatIgnoresShutdown) {
     EXPECT_EQ(coordinator.report().render_json(), want_json);
 }
 
+TEST(Coordinator, StragglerFinishesWithoutReassignment) {
+    const JobSpec spec = drill_spec();
+    const auto [want_text, want_json] = reference_renderings(spec);
+
+    // Slot 0 runs 60 ms slower per batch. It holds one batch at a time, so
+    // the other worker pulls the rest of the grid: nothing dies, nothing is
+    // requeued.
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.batch = 1;
+    options.spool_path = temp_path("straggler_spool");
+    FaultScript slow(FaultScript::Hook::BeforeBatch, FaultScript::Action::Sleep);
+    slow.slot = 0;
+    slow.sleep_ms = 60;
+    options.worker_faults = &slow;
+    Coordinator coordinator(spec, options);
+    const CoordinatorResult result = coordinator.run();
+    ASSERT_TRUE(result.completed) << result.error;
+    EXPECT_EQ(result.shards_reassigned, 0u);
+    EXPECT_EQ(result.worker_restarts, 0u);
+    EXPECT_EQ(coordinator.report().render_text(), want_text);
+    EXPECT_EQ(coordinator.report().render_json(), want_json);
+}
+
+TEST(Coordinator, WorkersIgnoreTerminalSignals) {
+    // A terminal's Ctrl-C signals the whole process group. The coordinator
+    // ends its workers itself, so a worker hit by SIGINT or SIGTERM keeps
+    // its batch and the run loses nothing.
+    struct Interrupted : WorkerFaults {
+        void before_batch() override {
+            ::raise(SIGINT);
+            ::raise(SIGTERM);
+        }
+    } interrupted;
+    const JobSpec spec = drill_spec();
+    const auto [want_text, want_json] = reference_renderings(spec);
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.batch = 4;
+    options.spool_path = temp_path("signal_spool");
+    options.worker_faults = &interrupted;
+    Coordinator coordinator(spec, options);
+    const CoordinatorResult result = coordinator.run();
+    ASSERT_TRUE(result.completed) << result.error;
+    EXPECT_EQ(result.shards_reassigned, 0u);
+    EXPECT_EQ(result.worker_restarts, 0u);
+    EXPECT_EQ(coordinator.report().render_text(), want_text);
+    EXPECT_EQ(coordinator.report().render_json(), want_json);
+}
+
 TEST(Coordinator, MinWorkersFailsFastWhenFleetCannotRecover) {
     // The healthy worker's share must outlast slot 0's crash-restart-crash
     // loop, or it finishes the grid and the run legitimately completes. The
-    // chaos spec is scoped to slot 0, so its slow-batch knob cannot pace the
-    // healthy slot; 64-cycle scenarios do.
-    JobSpec spec = chaos_spec();
+    // fault is scoped to slot 0, so 64-cycle scenarios pace the healthy
+    // slot.
+    JobSpec spec = drill_spec();
     spec.cycles = 64;
 
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
     options.spool_path = temp_path("minworkers_spool");
-    options.chaos.crash_phase = CrashPhase::MidBatch;
-    options.chaos.crash_after = 1;
-    options.chaos.only_worker = 0;  // slot 0 dies in every generation
-    options.chaos_all_generations = true;
-    options.chaos_seed = 16;
+    FaultScript crash(FaultScript::Hook::AfterBatch, FaultScript::Action::Exit);
+    crash.slot = 0;  // slot 0 dies in every generation
+    crash.every_generation = true;
+    options.worker_faults = &crash;
     options.max_worker_restarts = 1;
     options.min_workers = 2;
     Coordinator coordinator(spec, options);
@@ -1435,7 +1224,7 @@ TEST(Coordinator, MinWorkersFailsFastWhenFleetCannotRecover) {
 }
 
 TEST(Coordinator, PartialOkFinishesDegradedWithExplicitlyPartialReport) {
-    const JobSpec spec = chaos_spec();
+    const JobSpec spec = drill_spec();
 
     // Persistent fault: every incarnation of every worker commits one batch
     // and dies. Once the restart budget is gone the run must finish with
@@ -1444,10 +1233,10 @@ TEST(Coordinator, PartialOkFinishesDegradedWithExplicitlyPartialReport) {
     options.workers = 2;
     options.batch = 1;
     options.spool_path = temp_path("partial_spool");
-    options.chaos.crash_phase = CrashPhase::MidBatch;
-    options.chaos.crash_after = 2;
-    options.chaos_all_generations = true;
-    options.chaos_seed = 17;
+    FaultScript crash(FaultScript::Hook::AfterBatch, FaultScript::Action::Exit);
+    crash.at = 2;
+    crash.every_generation = true;
+    options.worker_faults = &crash;
     options.max_worker_restarts = 2;
     options.partial_ok = true;
     Coordinator coordinator(spec, options);
@@ -1472,88 +1261,60 @@ TEST(Coordinator, PartialOkFinishesDegradedWithExplicitlyPartialReport) {
               std::string::npos);
 }
 
-TEST(Coordinator, ChaosCheckpointTearAbortsThenResumeCompletes) {
-    const JobSpec spec = chaos_spec();
+/// Completes the drill grid under a journal (batch 1: one record per
+/// scenario), cuts the journal `extra_bytes` past the start of record
+/// `record` (0-based), the shape a coordinator crash leaves on disk, and
+/// resumes it: the resume must replay `kept` records and render the
+/// reference bytes.
+void resume_after_journal_cut(const std::string& tag, std::size_t record,
+                              std::size_t extra_bytes, bool torn,
+                              std::size_t kept) {
+    const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
-    const std::string ckpt = temp_path("chaos_tear_ckpt");
+    const std::string ckpt = temp_path((tag + "_ckpt").c_str());
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.batch = 1;
+    options.checkpoint_path = ckpt;
+    options.spool_path = temp_path((tag + "_spool_a").c_str());
+    ASSERT_TRUE(Coordinator(spec, options).run().completed);
 
-    {
-        CoordinatorOptions options;
-        options.workers = 2;
-        options.batch = 1;
-        options.checkpoint_path = ckpt;
-        options.spool_path = temp_path("chaos_tear_spool_a");
-        options.chaos.checkpoint_tear_after = 3;  // 3rd append lands torn
-        options.chaos.checkpoint_tear_bytes = 7;
-        options.chaos_seed = 18;
-        Coordinator coordinator(spec, options);
-        const CoordinatorResult result = coordinator.run();
-        EXPECT_FALSE(result.completed);
-        EXPECT_NE(result.error.find("chaos"), std::string::npos)
-            << result.error;
-        EXPECT_EQ(result.chaos_faults_injected, 1u);
-    }
-    // The journal must hold exactly the two complete records plus a
-    // recoverable torn tail — the on-disk shape of a real crash mid-append.
+    std::ifstream in(ckpt, std::ios::binary);
+    std::stringstream all;
+    all << in.rdbuf();
+    in.close();
+    const std::string journal = all.str();
+    std::vector<std::size_t> starts;  // outcome lines start with '{'
+    for (std::size_t pos = journal.find("\nb "); pos != std::string::npos;
+         pos = journal.find("\nb ", pos + 1))
+        starts.push_back(pos + 1);
+    ASSERT_EQ(starts.size(), spec.grid_size());
+    std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+        << journal.substr(0, starts[record] + extra_bytes);
     const CheckpointContents contents =
         load_checkpoint(ckpt, spec.fingerprint(), spec.grid_size());
-    EXPECT_TRUE(contents.torn_tail);
-    ASSERT_EQ(contents.batches.size(), 2u);
-    {
-        CoordinatorOptions options;
-        options.workers = 2;
-        options.batch = 1;
-        options.checkpoint_path = ckpt;
-        options.resume = true;
-        options.spool_path = temp_path("chaos_tear_spool_b");
-        Coordinator coordinator(spec, options);
-        const CoordinatorResult result = coordinator.run();
-        ASSERT_TRUE(result.completed) << result.error;
-        EXPECT_EQ(result.scenarios_resumed, 2u);
-        EXPECT_EQ(coordinator.report().render_text(), want_text);
-        EXPECT_EQ(coordinator.report().render_json(), want_json);
-    }
+    EXPECT_EQ(contents.torn_tail, torn);
+    ASSERT_EQ(contents.batches.size(), kept);
+
+    options.resume = true;
+    options.spool_path = temp_path((tag + "_spool_b").c_str());
+    Coordinator coordinator(spec, options);
+    const CoordinatorResult result = coordinator.run();
+    ASSERT_TRUE(result.completed) << result.error;
+    EXPECT_EQ(result.scenarios_resumed, kept);
+    EXPECT_EQ(coordinator.report().render_text(), want_text);
+    EXPECT_EQ(coordinator.report().render_json(), want_json);
 }
 
-TEST(Coordinator, PreCheckpointCrashAbortsThenResumeCompletes) {
-    const JobSpec spec = chaos_spec();
-    const auto [want_text, want_json] = reference_renderings(spec);
-    const std::string ckpt = temp_path("chaos_crash_ckpt");
+TEST(Coordinator, CheckpointTearThenResumeCompletes) {
+    // Killed mid-append: the journal ends 7 bytes into its 3rd record, a
+    // torn tail that resume drops.
+    resume_after_journal_cut("tear", 2, 7, /*torn=*/true, /*kept=*/2);
+}
 
-    {
-        CoordinatorOptions options;
-        options.workers = 2;
-        options.batch = 1;
-        options.checkpoint_path = ckpt;
-        options.spool_path = temp_path("chaos_crash_spool_a");
-        options.chaos.crash_phase = CrashPhase::PreCheckpoint;
-        options.chaos.crash_after = 2;  // die right before the 2nd append
-        options.chaos_seed = 19;
-        Coordinator coordinator(spec, options);
-        const CoordinatorResult result = coordinator.run();
-        EXPECT_FALSE(result.completed);
-        EXPECT_NE(result.error.find("chaos"), std::string::npos)
-            << result.error;
-        EXPECT_EQ(result.chaos_faults_injected, 1u);
-    }
-    const CheckpointContents contents =
-        load_checkpoint(ckpt, spec.fingerprint(), spec.grid_size());
-    EXPECT_FALSE(contents.torn_tail);
-    ASSERT_EQ(contents.batches.size(), 1u);
-    {
-        CoordinatorOptions options;
-        options.workers = 2;
-        options.batch = 1;
-        options.checkpoint_path = ckpt;
-        options.resume = true;
-        options.spool_path = temp_path("chaos_crash_spool_b");
-        Coordinator coordinator(spec, options);
-        const CoordinatorResult result = coordinator.run();
-        ASSERT_TRUE(result.completed) << result.error;
-        EXPECT_EQ(result.scenarios_resumed, 1u);
-        EXPECT_EQ(coordinator.report().render_text(), want_text);
-        EXPECT_EQ(coordinator.report().render_json(), want_json);
-    }
+TEST(Coordinator, PreCheckpointCrashThenResumeCompletes) {
+    // Killed before the 2nd append: the journal ends with its 1st record.
+    resume_after_journal_cut("precrash", 1, 0, /*torn=*/false, /*kept=*/1);
 }
 
 }  // namespace
