@@ -14,7 +14,7 @@
 // translated. Every window's SoftwareRun must be identical on both paths;
 // the exit status is non-zero otherwise, so CI runs `--smoke` as a check.
 // In full mode the exit status is also non-zero unless the legacy port's
-// resident core runs at least 4.5x faster than the oracle path.
+// resident core runs at least 8x faster than the oracle path.
 //
 // --json writes BENCH_headline_speedup.json (host facts, and per
 // configuration the build time, both paths' time per window and per
@@ -41,7 +41,7 @@ namespace {
 using namespace refpga;
 
 /// Full mode: the legacy port's resident core against the oracle path.
-constexpr double kLegacySpeedupGate = 4.5;
+constexpr double kLegacySpeedupGate = 8.0;
 
 std::vector<std::int32_t> tone_window(const app::AppParams& p, double amp, double phi) {
     std::vector<std::int32_t> w(static_cast<std::size_t>(p.window));

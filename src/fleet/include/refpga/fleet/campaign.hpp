@@ -127,7 +127,8 @@ struct VariantFit {
 
 /// Resident slice/FF demand of a system variant (from the structural system
 /// netlist; Software keeps only the static area resident). Computed once per
-/// process and variant; thread-safe.
+/// process and variant; thread-safe. svc::Coordinator computes the fits of
+/// its job before it forks, so its workers inherit them.
 [[nodiscard]] VariantFit variant_fit(app::SystemVariant variant);
 
 class CampaignRunner {

@@ -1,5 +1,7 @@
 #include "refpga/soc/cpu.hpp"
 
+#include <iterator>
+
 #include "refpga/common/contracts.hpp"
 
 namespace refpga::soc {
@@ -65,11 +67,11 @@ Cpu::Op Cpu::lower(const Instruction& insn, std::uint32_t pc) const {
     const int fetch_extra = mem_.fetch_latency(pc) - 1;
     const auto imm = static_cast<std::uint32_t>(insn.imm);
     Op op;
-    op.op = insn.op;
+    op.handler = static_cast<std::uint8_t>(insn.op);
+    op.pc = pc;
     op.rd = insn.rd == 0 ? kSink : insn.rd;
     op.ra = insn.ra;
     op.rb = insn.rb;
-    op.advance = 1;
     op.cost = costs_.alu + fetch_extra;
     switch (insn.op) {
         case Opcode::Mul:
@@ -99,26 +101,18 @@ Cpu::Op Cpu::lower(const Instruction& insn, std::uint32_t pc) const {
         case Opcode::Bgeu:
             op.rb = insn.rd;  // so does a branch's second operand
             op.target = pc + 4 + imm;
-            op.advance = 0;
             op.cost = costs_.branch_not_taken + fetch_extra;
             op.taken_cost = costs_.branch_taken + fetch_extra;
             break;
         case Opcode::Br:
         case Opcode::Brl:
             op.target = pc + 4 + imm;
-            op.advance = 0;
             op.cost = costs_.branch_taken + fetch_extra;
             break;
-        case Opcode::Jr:
-            op.advance = 0;
-            op.cost = costs_.branch_taken + fetch_extra;
-            break;
+        case Opcode::Jr: op.cost = costs_.branch_taken + fetch_extra; break;
         case Opcode::Get:
         case Opcode::Put: op.imm = imm & 0x7; break;
-        case Opcode::Halt:
-            op.advance = 0;
-            op.cost = fetch_extra + 1;
-            break;
+        case Opcode::Halt: op.cost = fetch_extra + 1; break;
         default: break;  // R-type ALU
     }
     return op;
@@ -128,23 +122,20 @@ void Cpu::flush() {
     for (Slot& slot : table_) slot.first = kNoBlock;
     arena_.clear();
     epoch_ = mem_.code_epoch();
+    ++flushes_;
 }
 
 const Cpu::Op* Cpu::translate(std::uint32_t pc) {
     // The entry word is fetched as the reference fetches it, so an unmapped
     // or misaligned pc or an illegal opcode throws here, before it retires.
     Instruction insn = decode(mem_.peek(pc));
-    if (arena_.size() + static_cast<std::size_t>(kMaxBlockOps) > kArenaOps) flush();
+    // Room for the longest block and its fall-through op.
+    if (arena_.size() + static_cast<std::size_t>(kMaxBlockOps) + 1 > kArenaOps) flush();
     ++translations_;
-    // Only RAM is watched: a block entered in the OPB window (the GPIO word
-    // changes without a RAM write) is one op long and never kept.
-    if (mem_.code_word(pc) == nullptr) {
-        Op op = lower(insn, pc);
-        op.advance = 0;
-        arena_.push_back(op);
-        return &arena_.back();
-    }
     const auto first = static_cast<std::uint32_t>(arena_.size());
+    // Only RAM is watched: a block entered in the OPB window (the GPIO word
+    // changes without a RAM write) is one instruction long and never kept.
+    const bool kept = mem_.code_word(pc) != nullptr;
     // Read ahead only over words whose fetch cannot fault, so a fault still
     // belongs to the instruction that reaches it.
     auto fetchable = [&](std::uint32_t addr) -> const std::uint32_t* {
@@ -154,23 +145,38 @@ const Cpu::Op* Cpu::translate(std::uint32_t pc) {
                    : nullptr;
     };
     std::uint32_t at = pc;
+    bool skippable = false;  // the op at `at` follows a skip-one branch
     for (int n = 1;; ++n, at += 4) {
         Op op = lower(insn, at);
-        mem_.watch_code(at);
-        const std::uint32_t* next = n < kMaxBlockOps ? fetchable(at + 4) : nullptr;
-        if (next == nullptr) {
-            op.advance = 0;
-        } else if (is_conditional(op.op) && op.target == at + 8 && n + 1 < kMaxBlockOps &&
-                   is_alu(decode(*next).op) && fetchable(at + 8) != nullptr) {
+        if (kept) mem_.watch_code(at);
+        const std::uint32_t* next = kept && n < kMaxBlockOps ? fetchable(at + 4) : nullptr;
+        bool goes_on = !is_branch(insn.op) && insn.op != Opcode::Halt;
+        if (skippable) {
+            op.handler = static_cast<std::uint8_t>(kOpcodeCount + op.handler);
+            skippable = false;
+        } else if (next != nullptr && is_conditional(insn.op) && op.target == at + 8 &&
+                   n + 1 < kMaxBlockOps && is_alu(decode(*next).op) &&
+                   fetchable(at + 8) != nullptr) {
             // A conditional branch over exactly one ALU op keeps its block
             // going; the op after the skipped one is in the block too.
-            op.advance = 1;
+            op.handler = static_cast<std::uint8_t>(
+                kSkipOne + static_cast<int>(insn.op) - static_cast<int>(Opcode::Beq));
+            skippable = true;
+            goes_on = true;
         }
         arena_.push_back(op);
-        if (op.advance == 0) break;
+        if (!goes_on) break;
+        if (next == nullptr) {
+            // A straight-line run cut short falls through to the next word.
+            Op fall;
+            fall.handler = kFallThrough;
+            fall.pc = at + 4;
+            arena_.push_back(fall);
+            break;
+        }
         insn = decode(*next);
     }
-    table_[(pc >> 2) & (kBlockSlots - 1)] = Slot{pc, first};
+    if (kept) table_[(pc >> 2) & (kBlockSlots - 1)] = Slot{pc, first};
     return arena_.data() + first;
 }
 
@@ -181,146 +187,246 @@ inline const Cpu::Op* Cpu::block_at(std::uint32_t pc) {
     return translate(pc);
 }
 
+const Cpu::Op* Cpu::link(std::uint32_t from, int edge, std::uint32_t pc) {
+    const std::uint64_t flushes = flushes_;
+    const Op* to = block_at(pc);
+    // A link lives in the arena and outlives its target's table slot: the
+    // ops stay valid until the next flush, which drops every link too.
+    if (flushes_ == flushes && mem_.code_word(pc) != nullptr)
+        arena_[from].link[static_cast<std::size_t>(edge)] =
+            static_cast<std::uint32_t>(to - arena_.data());
+    return to;
+}
+
 CpuState Cpu::execute(std::int64_t limit) {
+    // The ALU ops, Add..Lui in Opcode order, and the value each writes.
+#define REFPGA_ALU_OPS(X)                                                             \
+    X(add, r[o->ra] + r[o->rb])                                                       \
+    X(sub, r[o->ra] - r[o->rb])                                                       \
+    X(mul, r[o->ra] * r[o->rb])                                                       \
+    X(mulh, static_cast<std::uint32_t>(                                               \
+                (static_cast<std::int64_t>(static_cast<std::int32_t>(r[o->ra])) *     \
+                 static_cast<std::int32_t>(r[o->rb])) >>                              \
+                32))                                                                  \
+    X(and_, r[o->ra] & r[o->rb])                                                      \
+    X(or_, r[o->ra] | r[o->rb])                                                       \
+    X(xor_, r[o->ra] ^ r[o->rb])                                                      \
+    X(sll, r[o->ra] << (r[o->rb] & 31))                                               \
+    X(srl, r[o->ra] >> (r[o->rb] & 31))                                               \
+    X(sra, static_cast<std::uint32_t>(static_cast<std::int32_t>(r[o->ra]) >>          \
+                                      (r[o->rb] & 31)))                               \
+    X(addi, r[o->ra] + o->imm)                                                        \
+    X(andi, r[o->ra] & o->imm)                                                        \
+    X(ori, r[o->ra] | o->imm)                                                         \
+    X(xori, r[o->ra] ^ o->imm)                                                        \
+    X(slli, r[o->ra] << o->imm)                                                       \
+    X(srli, r[o->ra] >> o->imm)                                                       \
+    X(srai, static_cast<std::uint32_t>(static_cast<std::int32_t>(r[o->ra]) >> o->imm)) \
+    X(lui, o->imm)
+    // The conditional branches, Beq..Bgeu in Opcode order, and their
+    // conditions.
+#define REFPGA_CONDITIONAL_OPS(X)                                                     \
+    X(beq, r[o->ra] == r[o->rb])                                                      \
+    X(bne, r[o->ra] != r[o->rb])                                                      \
+    X(blt, static_cast<std::int32_t>(r[o->ra]) < static_cast<std::int32_t>(r[o->rb])) \
+    X(bge, static_cast<std::int32_t>(r[o->ra]) >= static_cast<std::int32_t>(r[o->rb])) \
+    X(bltu, r[o->ra] < r[o->rb])                                                      \
+    X(bgeu, r[o->ra] >= r[o->rb])
+#define REFPGA_OP_LABEL(NAME, EXPR) &&op_##NAME,
+#define REFPGA_SKIPPED_LABEL(NAME, EXPR) &&skipped_##NAME,
+#define REFPGA_SKIP_ONE_LABEL(NAME, COND) &&skip_one_##NAME,
+
+    // Threaded dispatch: every handler ends in its own retire tail and its
+    // own indirect jump to the next op's handler, found through this table
+    // of label addresses (labels-as-values, a GNU extension like the
+    // __int128 of common/fixed.hpp), indexed by Op::handler.
+    static const void* const kHandlers[] = {
+        REFPGA_ALU_OPS(REFPGA_OP_LABEL)
+        &&op_lw, &&op_sw,
+        REFPGA_CONDITIONAL_OPS(REFPGA_OP_LABEL)
+        &&op_br, &&op_brl, &&op_jr, &&op_get, &&op_put, &&op_halt,
+        REFPGA_ALU_OPS(REFPGA_SKIPPED_LABEL)
+        REFPGA_CONDITIONAL_OPS(REFPGA_SKIP_ONE_LABEL)
+        &&fall_through};
+    static_assert(std::size(kHandlers) == kFallThrough + 1);
+
     state_ = CpuState::Running;
+    // pc is written only where it is read: at every way out, a contract
+    // violation included, and for a lookup. On the way through, each op
+    // carries its own.
     std::uint32_t pc = pc_;
-    std::int64_t cycles = cycles_;
+    std::int64_t budget = limit - cycles_;  // cycles left before the limit
     std::int64_t retired = retired_;
     std::uint32_t* const r = regs_.data();
+    const Op* const arena = arena_.data();  // never reallocated
+    const Op* o = nullptr;
+    std::uint32_t skip = 0;  // 1 when the last skip-one branch was taken
+
+    // Every tail retires `o` at COST cycles and stops at the limit, with pc
+    // at NEXT, before it finds the next op: the next op of the block, the
+    // linked successor block (FOLLOW, which looks it up and links it the
+    // first time), or a table lookup (LOOKUP) for jr, whose targets vary,
+    // and for a store that moved the code-write epoch, whose lookup flushes.
+    // Inside this loop only a store can move the epoch, so links are
+    // followed without checking it.
+#define REFPGA_DISPATCH() goto* kHandlers[o->handler]
+#define REFPGA_RETIRE(COST, NEXT) \
+    budget -= (COST);             \
+    ++retired;                    \
+    if (budget <= 0) {            \
+        pc = (NEXT);              \
+        goto done;                \
+    }
+#define REFPGA_NEXT(COST)          \
+    REFPGA_RETIRE(COST, o->pc + 4) \
+    ++o;                           \
+    REFPGA_DISPATCH()
+#define REFPGA_FOLLOW(EDGE, NEXT)                                                   \
+    do {                                                                            \
+        const std::uint32_t to = o->link[EDGE];                                     \
+        if (to != kNoBlock) {                                                       \
+            o = arena + to;                                                         \
+        } else {                                                                    \
+            pc = (NEXT);                                                            \
+            o = link(static_cast<std::uint32_t>(o - arena), EDGE, pc);              \
+        }                                                                           \
+    } while (false)
+#define REFPGA_LOOKUP(COST, NEXT) \
+    REFPGA_RETIRE(COST, NEXT)     \
+    pc = (NEXT);                  \
+    o = block_at(pc);             \
+    REFPGA_DISPATCH()
+#define REFPGA_OP(NAME, EXPR) \
+    op_##NAME:                \
+    r[o->rd] = (EXPR);        \
+    REFPGA_NEXT(o->cost);
+    // The op of a skip-one branch runs either way, so the host does not
+    // branch on the guest's condition: skipped, it writes the sink and
+    // retires nothing. It is never a block's last op, and the limit cannot
+    // stop it skipped: the branch charged nothing since its own check.
+#define REFPGA_SKIPPED(NAME, EXPR)                                 \
+    skipped_##NAME : {                                             \
+        const std::uint32_t value = (EXPR);                        \
+        const std::uint32_t keep = skip - 1; /* all ones or 0 */   \
+        r[(o->rd & keep) | (kSink & ~keep)] = value;               \
+        budget -= o->cost & static_cast<std::int32_t>(keep);       \
+    }                                                              \
+    retired += 1 - skip;                                           \
+    if (budget <= 0) {                                             \
+        pc = o->pc + 4;                                            \
+        goto done;                                                 \
+    }                                                              \
+    ++o;                                                           \
+    REFPGA_DISPATCH();
+    // A conditional branch that ends its block follows the edge it took.
+#define REFPGA_BRANCH(NAME, COND)                                      \
+    op_##NAME : {                                                      \
+        const bool taken = (COND);                                     \
+        const std::uint32_t next = taken ? o->target : o->pc + 4;      \
+        REFPGA_RETIRE(taken ? o->taken_cost : o->cost, next)           \
+        REFPGA_FOLLOW(static_cast<int>(taken), next);                  \
+    }                                                                  \
+    REFPGA_DISPATCH();
+    // A skip-one branch goes on to its op, which reads `skip`.
+#define REFPGA_SKIP_ONE(NAME, COND)                                      \
+    skip_one_##NAME:                                                     \
+    skip = (COND) ? 1 : 0;                                               \
+    REFPGA_RETIRE(skip != 0 ? o->taken_cost : o->cost,                   \
+                  skip != 0 ? o->target : o->pc + 4)                     \
+    ++o;                                                                 \
+    REFPGA_DISPATCH();
+
     try {
-        // Each op retires through one of three tails: straight-line ops
-        // break out of the switch, conditional branches go to `conditional`
-        // and ops that end their block with pc set go to `leave`. The limit
-        // is checked after every op, before the next block is looked up.
-        for (const Op* op = block_at(pc);;) {
-            const Op& o = *op;
-            bool taken = false;
-            switch (o.op) {
-                case Opcode::Add: r[o.rd] = r[o.ra] + r[o.rb]; break;
-                case Opcode::Sub: r[o.rd] = r[o.ra] - r[o.rb]; break;
-                case Opcode::Mul: r[o.rd] = r[o.ra] * r[o.rb]; break;
-                case Opcode::Mulh: {
-                    const std::int64_t p =
-                        static_cast<std::int64_t>(static_cast<std::int32_t>(r[o.ra])) *
-                        static_cast<std::int32_t>(r[o.rb]);
-                    r[o.rd] = static_cast<std::uint32_t>(p >> 32);
-                    break;
-                }
-                case Opcode::And: r[o.rd] = r[o.ra] & r[o.rb]; break;
-                case Opcode::Or: r[o.rd] = r[o.ra] | r[o.rb]; break;
-                case Opcode::Xor: r[o.rd] = r[o.ra] ^ r[o.rb]; break;
-                case Opcode::Sll: r[o.rd] = r[o.ra] << (r[o.rb] & 31); break;
-                case Opcode::Srl: r[o.rd] = r[o.ra] >> (r[o.rb] & 31); break;
-                case Opcode::Sra:
-                    r[o.rd] = static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(r[o.ra]) >> (r[o.rb] & 31));
-                    break;
-                case Opcode::Addi: r[o.rd] = r[o.ra] + o.imm; break;
-                case Opcode::Andi: r[o.rd] = r[o.ra] & o.imm; break;
-                case Opcode::Ori: r[o.rd] = r[o.ra] | o.imm; break;
-                case Opcode::Xori: r[o.rd] = r[o.ra] ^ o.imm; break;
-                case Opcode::Slli: r[o.rd] = r[o.ra] << o.imm; break;
-                case Opcode::Srli: r[o.rd] = r[o.ra] >> o.imm; break;
-                case Opcode::Srai:
-                    r[o.rd] = static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(r[o.ra]) >> o.imm);
-                    break;
-                case Opcode::Lui: r[o.rd] = o.imm; break;
-                case Opcode::Lw: {
-                    std::int64_t latency = 0;
-                    r[o.rd] = mem_.read_word(r[o.ra] + o.imm, latency);
-                    cycles += latency;
-                    break;
-                }
-                case Opcode::Sw: {
-                    std::int64_t latency = 0;
-                    mem_.write_word(r[o.ra] + o.imm, r[o.rb], latency);
-                    cycles += latency;
-                    // A store into translated code ends the block; the next
-                    // block entry drops the stale translations.
-                    if (mem_.code_epoch() != epoch_) {
-                        pc += 4;
-                        goto leave;
-                    }
-                    break;
-                }
-                case Opcode::Beq: taken = r[o.ra] == r[o.rb]; goto conditional;
-                case Opcode::Bne: taken = r[o.ra] != r[o.rb]; goto conditional;
-                case Opcode::Blt:
-                    taken = static_cast<std::int32_t>(r[o.ra]) <
-                            static_cast<std::int32_t>(r[o.rb]);
-                    goto conditional;
-                case Opcode::Bge:
-                    taken = static_cast<std::int32_t>(r[o.ra]) >=
-                            static_cast<std::int32_t>(r[o.rb]);
-                    goto conditional;
-                case Opcode::Bltu: taken = r[o.ra] < r[o.rb]; goto conditional;
-                case Opcode::Bgeu: taken = r[o.ra] >= r[o.rb]; goto conditional;
-                case Opcode::Br: pc = o.target; goto leave;
-                case Opcode::Brl:
-                    r[15] = pc + 4;
-                    pc = o.target;
-                    goto leave;
-                case Opcode::Jr: pc = r[o.ra]; goto leave;
-                case Opcode::Get: {
-                    FslLink& link = fsl_in_[o.imm];
-                    if (!link.can_read()) {
-                        ++cycles;  // stall
-                        state_ = CpuState::BlockedOnFsl;
-                        goto done;
-                    }
-                    r[o.rd] = link.read();
-                    break;
-                }
-                case Opcode::Put: {
-                    FslLink& link = fsl_out_[o.imm];
-                    if (!link.can_write()) {
-                        ++cycles;
-                        state_ = CpuState::BlockedOnFsl;
-                        goto done;
-                    }
-                    link.write(r[o.ra]);
-                    break;
-                }
-                case Opcode::Halt:
-                    cycles += o.cost;
-                    ++retired;
-                    state_ = CpuState::Halted;
-                    goto done;
-            }
-            cycles += o.cost;
-            ++retired;
-            pc += 4;
-            if (cycles >= limit) break;
-            op = o.advance != 0 ? op + 1 : block_at(pc);
-            continue;
+        o = block_at(pc);
+        REFPGA_DISPATCH();
 
-        conditional:
-            // A skip-one branch steps over its ALU op when taken.
-            cycles += taken ? o.taken_cost : o.cost;
-            ++retired;
-            pc = taken ? o.target : pc + 4;
-            if (cycles >= limit) break;
-            op = o.advance != 0 ? op + 1 + static_cast<int>(taken) : block_at(pc);
-            continue;
-
-        leave:
-            cycles += o.cost;
-            ++retired;
-            if (cycles >= limit) break;
-            op = block_at(pc);
+        REFPGA_ALU_OPS(REFPGA_OP)
+        REFPGA_ALU_OPS(REFPGA_SKIPPED)
+        REFPGA_CONDITIONAL_OPS(REFPGA_BRANCH)
+        REFPGA_CONDITIONAL_OPS(REFPGA_SKIP_ONE)
+    op_lw: {
+        std::int64_t latency = 0;
+        pc = o->pc;  // for a fault
+        r[o->rd] = mem_.read_word(r[o->ra] + o->imm, latency);
+        budget -= latency;
+    }
+        REFPGA_NEXT(o->cost);
+    op_sw: {
+        std::int64_t latency = 0;
+        pc = o->pc;  // for a fault
+        mem_.write_word(r[o->ra] + o->imm, r[o->rb], latency);
+        budget -= latency;
+    }
+        if (mem_.code_epoch() != epoch_) {
+            REFPGA_LOOKUP(o->cost, o->pc + 4);
         }
+        REFPGA_NEXT(o->cost);
+    op_br:
+        REFPGA_RETIRE(o->cost, o->target)
+        REFPGA_FOLLOW(1, o->target);
+        REFPGA_DISPATCH();
+    op_brl:
+        r[15] = o->pc + 4;
+        REFPGA_RETIRE(o->cost, o->target)
+        REFPGA_FOLLOW(1, o->target);
+        REFPGA_DISPATCH();
+    op_jr:
+        REFPGA_LOOKUP(o->cost, r[o->ra]);
+    op_get: {
+        FslLink& fsl = fsl_in_[o->imm];
+        if (!fsl.can_read()) {
+            --budget;  // stall
+            pc = o->pc;
+            state_ = CpuState::BlockedOnFsl;
+            goto done;
+        }
+        r[o->rd] = fsl.read();
+    }
+        REFPGA_NEXT(o->cost);
+    op_put: {
+        FslLink& fsl = fsl_out_[o->imm];
+        if (!fsl.can_write()) {
+            --budget;
+            pc = o->pc;
+            state_ = CpuState::BlockedOnFsl;
+            goto done;
+        }
+        fsl.write(r[o->ra]);
+    }
+        REFPGA_NEXT(o->cost);
+    fall_through:
+        REFPGA_FOLLOW(0, o->pc);
+        REFPGA_DISPATCH();
+    op_halt:
+        budget -= o->cost;
+        ++retired;
+        pc = o->pc;
+        state_ = CpuState::Halted;
     done:;
     } catch (...) {
         // As in the reference, a contract violation leaves pc at the
         // instruction that faulted and the counts of those before it.
         pc_ = pc;
-        cycles_ = cycles;
+        cycles_ = limit - budget;
         retired_ = retired;
         throw;
     }
+#undef REFPGA_SKIP_ONE
+#undef REFPGA_BRANCH
+#undef REFPGA_SKIPPED
+#undef REFPGA_OP
+#undef REFPGA_LOOKUP
+#undef REFPGA_FOLLOW
+#undef REFPGA_NEXT
+#undef REFPGA_RETIRE
+#undef REFPGA_DISPATCH
+#undef REFPGA_SKIP_ONE_LABEL
+#undef REFPGA_SKIPPED_LABEL
+#undef REFPGA_OP_LABEL
+#undef REFPGA_CONDITIONAL_OPS
+#undef REFPGA_ALU_OPS
     pc_ = pc;
-    cycles_ = cycles;
+    cycles_ = limit - budget;
     retired_ = retired;
     return state_;
 }

@@ -9,12 +9,18 @@
 // translates the straight-line run up to the first control transfer or halt
 // into pre-decoded ops that carry their static cost (fetch latency folded
 // in), their prepared immediate and absolute branch target. A conditional
-// branch over exactly one ALU op stays inside its block. The memory system
-// watches every translated word and bumps a code-write epoch on any write
-// into one; the CPU drops all its blocks when the epoch moves, checking at
-// block entry and after every store. So pokes and self-modifying stores
-// behave exactly as with a decode per step, which the per-step reference
-// interpreter (tests/support, `CpuReference`) pins bit for bit.
+// branch over exactly one ALU op stays inside its block, and that op runs
+// either way, writing a sink register when the branch is taken. Each op
+// jumps straight to the next op's handler (labels-as-values), and a block
+// end with a static successor (fall-through, either edge of a conditional
+// branch, br, brl) links to the successor block the first time it is
+// followed; jr is looked up every time. The memory system watches every
+// translated word and bumps a code-write epoch on any write into one; the
+// CPU drops all its blocks and their links when the epoch has moved,
+// checking at every table lookup and after every store. So pokes and
+// self-modifying stores behave exactly as with a decode per step, which the
+// per-step reference interpreter (tests/support, `CpuReference`) pins bit
+// for bit.
 #pragma once
 
 #include <array>
@@ -62,7 +68,8 @@ public:
     static constexpr std::uint32_t kBlockSlots = 1024;
     /// Ops in the translation arena; reaching it drops every block.
     static constexpr std::size_t kArenaOps = 4096;
-    /// Longest block; a longer straight-line run continues in the next one.
+    /// Longest block in instructions; a longer straight-line run continues
+    /// in the next one.
     static constexpr int kMaxBlockOps = 64;
 
     Cpu(MemorySystem& memory, CpuCosts costs = {});
@@ -93,28 +100,46 @@ public:
     CpuState run(std::int64_t max_cycles);
 
 private:
+    static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+
+    /// ALU ops, Add..Lui: the ops a skip-one branch may step over.
+    static constexpr int kAluOps = static_cast<int>(Opcode::Lui) + 1;
+    /// Handlers of the skip-one branches, Beq..Bgeu from here.
+    static constexpr int kSkipOne = kOpcodeCount + kAluOps;
+    /// Handler of the op that ends a straight-line run cut short (at
+    /// kMaxBlockOps or before a word that cannot be fetched): it retires
+    /// nothing and follows its link to the next word's block.
+    static constexpr std::uint8_t kFallThrough =
+        kSkipOne + static_cast<int>(Opcode::Bgeu) - static_cast<int>(Opcode::Beq) + 1;
+
     /// One pre-decoded instruction of a block.
     struct Op {
-        Opcode op = Opcode::Halt;
+        /// Its handler in execute(): the opcode; kOpcodeCount + opcode for
+        /// the ALU op of a skip-one branch, which runs either way and,
+        /// when the branch was taken, writes the sink and retires nothing;
+        /// kSkipOne + (opcode - Beq) for the skip-one branch itself, whose
+        /// block goes on; or kFallThrough.
+        std::uint8_t handler = 0;
         std::uint8_t rd = 0;  ///< written register; kSink stands in for r0
         std::uint8_t ra = 0;
         std::uint8_t rb = 0;  ///< rb, sw's data register or a branch's second operand
-        /// 1 when the block goes on after this op, 0 when it ends here. A
-        /// conditional branch with 1 is a skip-one branch: taken, it steps
-        /// over the ALU op that follows it.
-        std::uint8_t advance = 0;
         std::uint32_t imm = 0;     ///< immediate as used: sign-extended, masked or shifted
         std::uint32_t target = 0;  ///< absolute branch target
         std::int32_t cost = 0;        ///< static cycles (not taken, for a branch)
         std::int32_t taken_cost = 0;  ///< static cycles of a taken branch
+        std::uint32_t pc = 0;  ///< its address; kFallThrough's is the next word's
+        /// At a block end, the arena index of the successor block's first
+        /// op, kNoBlock until the edge is first followed: [0] falling
+        /// through (kFallThrough) or not taken, [1] taken (br and brl too).
+        /// jr never links.
+        std::array<std::uint32_t, 2> link{kNoBlock, kNoBlock};
     };
     /// A block-table slot: the entry pc and the block's first op in arena_.
     struct Slot {
         std::uint32_t pc = 0;
         std::uint32_t first = kNoBlock;
     };
-    static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
-    /// Register slot that receives writes to r0.
+    /// Register slot that receives writes to r0 and those of a skipped op.
     static constexpr std::uint8_t kSink = 32;
 
     /// Runs instructions until the cycle count reaches `limit` (at least
@@ -123,9 +148,13 @@ private:
     /// The block entered at `pc`, translated on a miss; drops every block
     /// first when translated code was written since the last check.
     const Op* block_at(std::uint32_t pc);
+    /// The block entered at `pc`, the successor along `edge` of the block
+    /// that ends with arena_[from]; links it there unless the lookup
+    /// flushed the arena (arena_[from] is gone) or the block is not kept.
+    const Op* link(std::uint32_t from, int edge, std::uint32_t pc);
     /// Translates the block entered at `pc` into the arena.
     const Op* translate(std::uint32_t pc);
-    /// `insn`, fetched at `pc`, as an op; only control transfers end a block.
+    /// `insn`, fetched at `pc`, as an op run by its opcode's handler.
     [[nodiscard]] Op lower(const Instruction& insn, std::uint32_t pc) const;
     /// Drops every block and takes the memory's current code-write epoch.
     void flush();
@@ -143,6 +172,7 @@ private:
     std::array<Slot, kBlockSlots> table_{};
     std::vector<Op> arena_;           ///< capacity kArenaOps, never reallocated
     std::uint64_t epoch_ = 0;         ///< mem_.code_epoch() the blocks were made at
+    std::uint64_t flushes_ = 0;       ///< arena flushes so far
     std::int64_t translations_ = 0;
 };
 

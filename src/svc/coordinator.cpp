@@ -17,6 +17,7 @@
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/log.hpp"
+#include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
 #include "refpga/svc/checkpoint.hpp"
 #include "refpga/svc/wire.hpp"
@@ -546,6 +547,10 @@ struct Coordinator::Impl {
 
         open_journal();
         seed_pending();
+        // The fits are built here, once, so that every forked worker
+        // inherits them instead of building the system netlists per job.
+        for (const app::SystemVariant variant : spec.variants)
+            (void)fleet::variant_fit(variant);
         workers.resize(static_cast<std::size_t>(options.workers));
         for (std::size_t i = 0; i < workers.size(); ++i) {
             workers[i].slot = static_cast<int>(i);

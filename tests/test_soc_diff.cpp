@@ -19,11 +19,17 @@
 //      code run from the GPIO register, which changes without a RAM write;
 //      and more block entries than the table holds, at selected budgets
 //      (it runs ~15k cycles).
-//   3. The measurement firmware over seeded windows x {soft, hw multiplier}
+//   3. Focused programs for the block links, in lockstep at every budget
+//      and by single steps: a link whose lookup flushes the arena and puts
+//      the next block on the stale op's index, a linked successor whose
+//      table slot a colliding entry pc took, a store into a linked
+//      successor, and the firmware's mul returning through jr to several
+//      call sites.
+//   4. The measurement firmware over seeded windows x {soft, hw multiplier}
 //      x {SRAM, LMB code}: one resident core run back to back, a fresh core
 //      per window and the oracle path agree on every SoftwareRun field, and
 //      a second pass over the windows translates no block.
-//   4. After those runs the resident core's memory equals a freshly loaded
+//   5. After those runs the resident core's memory equals a freshly loaded
 //      image everywhere but the two sample buffers and the result words.
 #include <gtest/gtest.h>
 
@@ -808,6 +814,169 @@ TEST(SocTranslation, MoreBlockEntriesThanTheTableHolds) {
     ASSERT_EQ(cpu.run(1'000'000), CpuState::Halted);
     EXPECT_GT(cpu.translations(), 3 * static_cast<std::int64_t>(Cpu::kBlockSlots));
     EXPECT_LE(cpu.cached_ops(), Cpu::kArenaOps);
+}
+
+// ------------------------------------------------------ block links
+
+TEST(SocLinks, LinkResolvedThroughAFlushIsNotWritten) {
+    // Block A (arena ops 0..3) ends in a bne that falls through on the
+    // first pass and links its not-taken edge. 63 blocks of 64 ops, each
+    // ending in a br, then fill the arena to 4036 ops. On the second pass
+    // the bne is taken for the first time: translating `late` flushes the
+    // arena, and `late` lands on ops 0..3, its br on A's old index. That
+    // op is gone, so nothing may be linked into it: a link written there
+    // would send the br back to `late` for ever.
+    std::string source = R"(
+    start:
+        addi r1, r1, 1
+        addi r2, r2, 2
+        addi r3, r3, 3
+        bne  r9, r0, late
+    )";
+    constexpr int kFillBlocks = 63;
+    for (int b = 0; b < kFillBlocks; ++b) {
+        source += "fill" + std::to_string(b) + ":\n";
+        if (b + 1 == kFillBlocks) source += "    addi r9, r0, 1\n";
+        for (int i = b + 1 == kFillBlocks ? 1 : 0; i < Cpu::kMaxBlockOps - 1; ++i)
+            source += "    addi r4, r4, " + std::to_string(b % 5 + 1) + "\n";
+        source += b + 1 == kFillBlocks ? "    br   start\n"
+                                       : "    br   fill" + std::to_string(b + 1) + "\n";
+    }
+    source += R"(
+    late:
+        addi r5, r5, 5
+        addi r6, r6, 6
+        addi r7, r7, 7
+        br   done
+        addi r8, r8, 8
+    done:
+        halt
+    )";
+    LockstepCase c;
+    c.source = source;  // 4042 words: it fits the 16 KB LMB
+    lockstep_every_budget(c);
+
+    // A whole run: the fill brings the arena past kArenaOps - kMaxBlockOps
+    // - 1 ops, so translating `late` flushes it.
+    MemorySystem mem(c.config);
+    mem.load(assemble(source));
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(1'000'000), CpuState::Halted);
+    EXPECT_EQ(cpu.reg(8), 0u);
+    EXPECT_EQ(cpu.translations(), 1 + kFillBlocks + 2);  // A, the fill, late, done
+    EXPECT_EQ(cpu.cached_ops(), 5u);                     // late and done since the flush
+}
+
+TEST(SocLinks, LinkOutlivesItsTargetsTableSlot) {
+    // `loop` links to `y`, whose table slot `z` (4096 bytes on) takes next;
+    // the later passes still reach `y` through the link, not the table.
+    LockstepCase c;
+    c.source = R"(
+        addi r9, r0, 3
+        br   loop
+    loop:
+        addi r1, r1, 1
+        br   y
+        .org 256
+    y:
+        addi r2, r2, 1
+        br   z
+        .org 4352
+    z:
+        addi r3, r3, 1
+        addi r9, r9, -1
+        bne  r9, r0, loop
+        halt
+    )";
+    lockstep_every_budget(c);
+
+    MemorySystem mem(c.config);
+    mem.load(assemble(c.source));
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(10'000), CpuState::Halted);
+    EXPECT_EQ(cpu.reg(2), 3u);
+    EXPECT_EQ(cpu.translations(), 5);  // entry, loop, y, z and halt, once each
+}
+
+TEST(SocLinks, StoreIntoALinkedSuccessorRetranslatesIt) {
+    // Block `w` is cut at kMaxBlockOps after its store and falls through to
+    // `y`. The first store lands before `y` is translated, so the fall-through
+    // links it; the second rewrites the linked `y`, moves the epoch and must
+    // leave through the table lookup, which translates `y` again.
+    const std::uint32_t add_one = word_of(Opcode::Addi, 5, 5, 1);
+    std::string source = R"(
+        addi r9, r0, 2
+        lui  r1, hi(y)
+        ori  r1, r1, lo(y)
+        lui  r2, )" + std::to_string(add_one >> 16) + R"(
+        ori  r2, r2, )" + std::to_string(add_one & 0xFFFF) + R"(
+        br   w
+    w:
+    )";
+    for (int i = 0; i < Cpu::kMaxBlockOps - 1; ++i) source += "    addi r6, r6, 1\n";
+    source += R"(
+        sw   r2, r1, 0
+    y:
+        addi r5, r5, 7           ; addi r5, r5, 1, then addi r5, r5, 100
+        addi r2, r2, 99
+        addi r9, r9, -1
+        bne  r9, r0, w
+        halt
+    )";
+    LockstepCase c;
+    c.source = source;
+    lockstep_every_budget(c);
+
+    MemorySystem mem(c.config);
+    mem.load(assemble(source));
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(10'000), CpuState::Halted);
+    EXPECT_EQ(cpu.reg(5), 101u);
+}
+
+/// The measurement firmware's soft multiply, `mul:` through its `jr r15`.
+std::string firmware_mul() {
+    const std::string firmware = app::measurement_source(app::AppParams{});
+    const std::size_t begin = firmware.find("\nmul:\n");
+    const std::string ret = "    jr   r15\n";
+    const std::size_t end = firmware.find(ret, begin);
+    EXPECT_NE(begin, std::string::npos);
+    EXPECT_NE(end, std::string::npos);
+    return firmware.substr(begin + 1, end + ret.size() - begin - 1);
+}
+
+TEST(SocLinks, JrReturnsToEveryCallSite) {
+    // The firmware's mul returns through jr to three call sites, twice
+    // each: jr is looked up every time, never linked to its first target.
+    LockstepCase c;
+    c.source = R"(
+        addi r9, r0, 2
+    again:
+        addi r10, r0, 7
+        addi r11, r0, -3
+        brl  mul
+        add  r20, r20, r12
+        addi r10, r0, 1234
+        addi r11, r0, 567
+        brl  mul
+        add  r21, r21, r12
+        addi r10, r0, -99
+        addi r11, r0, 45
+        brl  mul
+        add  r22, r22, r12
+        addi r9, r9, -1
+        bne  r9, r0, again
+        halt
+    )" + firmware_mul();
+    lockstep_every_budget(c);
+
+    MemorySystem mem(c.config);
+    mem.load(assemble(c.source));
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(100'000), CpuState::Halted);
+    EXPECT_EQ(cpu.reg(20), static_cast<std::uint32_t>(2 * 7 * -3));
+    EXPECT_EQ(cpu.reg(21), static_cast<std::uint32_t>(2 * 1234 * 567));
+    EXPECT_EQ(cpu.reg(22), static_cast<std::uint32_t>(2 * -99 * 45));
 }
 
 }  // namespace
