@@ -5,7 +5,7 @@
 // worker pulls one scenario at a time) and scenarios/sec is reported
 // against the single-worker run. The sweep is deliberately uniform-cost —
 // one variant, one part, one port, N noise levels — so the speedup measures
-// the service (fork + Init + framing + commit overhead), not scenario skew.
+// the service (fork + framing + commit overhead), not scenario skew.
 //
 // Every worker count must render the byte-identical report to the
 // single-process CampaignRunner; that parity gate always applies, smoke
@@ -13,8 +13,8 @@
 // on hosts with >= 2 cores, since process parallelism cannot beat the core
 // count. The smoke grid's scenarios are too small to time that reliably:
 // the whole 8-scenario grid runs in a few milliseconds, so the gate mostly
-// weighs fork and Init against each other and its reading swings from run
-// to run on a 4-vCPU host.
+// weighs the fork and the framing of each batch against each other and its
+// reading swings from run to run on a 4-vCPU host.
 //
 // Emits BENCH_svc_scale.json next to the binary; --json mirrors it to
 // stdout. Exit status is non-zero on a parity violation or a failed
@@ -97,12 +97,11 @@ struct ChaosRun {
 
 /// The policy every chaos-matrix run (clean included) uses, so the overhead
 /// column compares like with like.
-svc::CoordinatorOptions chaos_base_options(const std::string& tag) {
+svc::CoordinatorOptions chaos_base_options() {
     svc::CoordinatorOptions options;
     options.workers = 2;
     options.worker_threads = 1;
     options.batch = 1;
-    options.spool_path = "BENCH_svc_chaos_" + tag + ".spool";
     options.progress_timeout_ms = 150;
     options.max_worker_restarts = 4;
     return options;
@@ -138,7 +137,7 @@ int run_chaos_matrix(const svc::JobSpec& spec, const std::string& reference_json
     Table table({"fault", "wall (s)", "overhead", "restarts", "kills",
                  "report"});
     for (const auto& [name, faults] : cases) {
-        svc::CoordinatorOptions options = chaos_base_options(name);
+        svc::CoordinatorOptions options = chaos_base_options();
         options.worker_faults = faults;
 
         svc::Coordinator coordinator(spec, options);
@@ -243,8 +242,6 @@ int main(int argc, char** argv) {
         options.workers = workers;
         options.worker_threads = 1;
         options.batch = 1;
-        options.spool_path =
-            "BENCH_svc_scale_w" + std::to_string(workers) + ".spool";
         svc::Coordinator coordinator(spec, options);
 
         const auto begin = std::chrono::steady_clock::now();
@@ -313,7 +310,7 @@ int main(int argc, char** argv) {
     }
     // Unlike the timing gates elsewhere, this one holds in smoke mode too,
     // although the smoke grid runs in a few milliseconds and its reading is
-    // dominated by fork and Init (see the header).
+    // dominated by the fork and the framing (see the header).
     if (gate_evaluated && speedup_at_2 < 1.8) {
         std::cerr << "FAIL: 2-worker speedup " << speedup_at_2
                   << "x is below the 1.8x target on a " << hw << "-core host\n";

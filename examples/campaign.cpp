@@ -35,7 +35,8 @@
 // Service mode (--workers N >= 1) takes the service flags listed in the
 // usage text; they exit 2 with --workers 0. One deadline supervises the
 // workers (--progress-timeout-ms, default 10000): a worker that holds a
-// batch past it, or has not exited that long after Shutdown, is killed, its
+// batch past it, or has not exited that long after the drain closed its
+// input pipe, is killed, its
 // batch is requeued and, within --max-restarts, its slot is reforked at
 // once. --min-workers (at most --workers) fails fast when the fleet cannot
 // be kept at strength; --partial-ok instead finishes with whatever committed
@@ -87,7 +88,7 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
            "  (default: all cores); --workers N runs N worker processes with\n"
            "  --threads threads each (default 1) and takes the service flags:\n"
            "  batching:      [--batch N] [--checkpoint FILE [--resume]]\n"
-           "                 [--fsync-every N] [--spool FILE] [--http-port P]\n"
+           "                 [--fsync-every N] [--http-port P]\n"
            "  fleet policy:  [--progress-timeout-ms N] [--max-restarts N]\n"
            "                 [--min-workers N] [--partial-ok]\n"
            "  S is a 64-bit decimal seed; --threads, --cycles, --batch,\n"
@@ -125,7 +126,6 @@ struct Args {
     std::string spec_path;
     std::string out_path;
     std::string metrics_path;
-    std::string spool_path;
     std::optional<int> cycles;
     std::optional<std::uint64_t> seed;
     std::optional<int> threads;
@@ -163,7 +163,6 @@ Args parse_args(int argc, char** argv) {
             else if (flag == "--resume") o.resume = true;
             else if (flag == "--fsync-every")
                 o.checkpoint_fsync_every_n = static_cast<std::uint64_t>(natural());
-            else if (flag == "--spool") a.spool_path = value();
             else if (flag == "--http-port")
                 a.http_port = parse_int(flag, value(), 0, 65535);
             else if (flag == "--progress-timeout-ms") o.progress_timeout_ms = count();
@@ -262,9 +261,6 @@ int run_service(const Args& a, const svc::JobSpec& spec, int threads) {
     svc::CoordinatorOptions options = a.service;
     options.workers = a.workers;
     options.worker_threads = threads;
-    options.spool_path = !a.spool_path.empty() ? a.spool_path
-                         : a.spec_path.empty() ? "campaign.spool"
-                                               : a.spec_path + ".spool";
     options.recorder = &recorder;
     options.stop = &g_stop;
     if (a.http_port >= 0) {

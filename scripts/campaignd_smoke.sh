@@ -62,7 +62,7 @@ service() {
     local name="$1"
     shift
     RUN_CMD=("$CAMPAIGN" --spec "$SPEC" --workers 2 --batch 1 --json
-             --out "$OUT_DIR/$name.json" --spool "$OUT_DIR/$name.spool" "$@")
+             --out "$OUT_DIR/$name.json" "$@")
 }
 
 # run_service NAME FLAGS... — runs `service NAME FLAGS...` to completion.

@@ -42,9 +42,6 @@ struct SystemOptions {
     bool use_ds_dac = true;                        ///< internal delta-sigma DAC
     /// Tank output noise per channel (plant condition, swept by campaigns).
     double tank_noise_rms_v = 1e-3;
-    /// Settling windows discarded before the measured window (analog filters
-    /// and the CIC need to charge up).
-    int settle_windows = 2;
     /// Modulator ticks advanced per front-end block in the sampling phase;
     /// must be positive (ContractViolation otherwise). Every value yields
     /// bit-identical PCM, cycle reports and campaign reports (pinned by
@@ -63,11 +60,10 @@ struct SystemOptions {
     /// (Fig. 4 leaves ~29 ms idle per 100 ms cycle on the JCAP system).
     double scrub_idle_fraction = 0.5;
     /// Plausibility guard (armed, like load verification, only when `fault`
-    /// injects something): largest credible level change per cycle. A larger
-    /// jump holds the last-good value instead (counted as a rejection).
-    double max_level_jump = 0.25;
-    /// Consecutive rejections after which the guard yields — a persistent
-    /// "implausible" reading is a real step change, not a transient fault.
+    /// injects something; it holds the last-good value when the level moves
+    /// by more than 0.25 in one cycle): consecutive rejections after which
+    /// the guard yields — a persistent "implausible" reading is a real step
+    /// change, not a transient fault.
     int plausibility_patience = 2;
 
     /// Observability sink (refpga::obs); the system's obs toggle. nullptr —

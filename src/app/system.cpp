@@ -43,8 +43,16 @@ analog::FrontEndConfig frontend_config(const SystemOptions& options) {
 // Content signature of the power-up (full-device) configuration.
 constexpr std::uint64_t kStaticSignature = 0x5e1f0c0def417a11ULL;
 
+// Settling windows discarded before the measured window (analog filters and
+// the CIC need to charge up).
+constexpr int kSettleWindows = 2;
+
+// Plausibility guard: largest credible level change per cycle. A larger
+// jump holds the last-good value instead (counted as a rejection).
+constexpr double kMaxLevelJump = 0.25;
+
 // Stuck-bit pattern a corrupted fabric imprints on the capacity word; always
-// large enough (>= 170 pF) to trip the plausibility guard's default jump.
+// large enough (>= 170 pF) to trip the plausibility guard's jump.
 constexpr std::uint32_t kFabricCorruptMask = 0x2AAA;
 
 // Wall-clock histogram bounds for cycle phases: the streamed sample window
@@ -70,10 +78,8 @@ MeasurementSystem::MeasurementSystem(SystemOptions options, std::uint64_t noise_
       plan_(options_.fault, device_.cols(), noise_seed ^ 0xFA17005EED5EED01ULL) {
     REFPGA_EXPECTS(options_.scrub_idle_fraction >= 0.0 &&
                    options_.scrub_idle_fraction <= 1.0);
-    REFPGA_EXPECTS(options_.max_level_jump > 0.0);
     REFPGA_EXPECTS(options_.plausibility_patience >= 1);
     REFPGA_EXPECTS(options_.load_max_retries >= 0);
-    REFPGA_EXPECTS(options_.settle_windows >= 0);
     REFPGA_EXPECTS(options_.stream_block_ticks > 0);
 
     // Power-up configures the whole device; from then on every column is
@@ -150,7 +156,7 @@ void MeasurementSystem::collect_window(analog::SampleBlock& block,
     const AppParams& p = options_.params;
     meas.clear();
     ref.clear();
-    const int needed = p.window * (1 + options_.settle_windows);
+    const int needed = p.window * (1 + kSettleWindows);
 
     // Stream the generator's period through the front end,
     // stream_block_ticks modulator ticks at a time. ticks_for_pcm accounts
@@ -174,7 +180,7 @@ void MeasurementSystem::collect_window(analog::SampleBlock& block,
     }
     REFPGA_ENSURES(block.pcm_size() == static_cast<std::size_t>(needed));
 
-    const auto skip = static_cast<std::ptrdiff_t>(options_.settle_windows) * p.window;
+    const auto skip = static_cast<std::ptrdiff_t>(kSettleWindows) * p.window;
     meas.assign(block.meas.begin() + skip, block.meas.end());
     ref.assign(block.ref.begin() + skip, block.ref.end());
 }
@@ -310,7 +316,7 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
         collect_window(block, meas, ref);
     }
     apply_glitch(plan_.next_glitch(), meas, ref);
-    report.sampling_s = static_cast<double>(p.window * (1 + options_.settle_windows)) /
+    report.sampling_s = static_cast<double>(p.window * (1 + kSettleWindows)) /
                         p.pcm_rate_hz();
     report.phases.push_back({"AD conversion (sample window)", t, report.sampling_s});
     t += report.sampling_s;
@@ -408,7 +414,7 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
     // steep fill ramps and change the paper's baseline results.
     const double candidate = level_candidate(cap_raw.cap_pf_q4);
     if (options_.fault.any() && have_last_good_ &&
-        std::abs(candidate - last_good_candidate_) > options_.max_level_jump &&
+        std::abs(candidate - last_good_candidate_) > kMaxLevelJump &&
         reject_streak_ < options_.plausibility_patience) {
         // Implausible jump: hold the last-good value. After `patience`
         // consecutive rejections the new reading wins — a persistent change

@@ -23,45 +23,31 @@ std::string Table::num(double v, int precision) {
     return os.str();
 }
 
-std::vector<std::size_t> Table::widths_of(const std::vector<std::string>& header) {
-    std::vector<std::size_t> widths(header.size());
-    for (std::size_t c = 0; c < header.size(); ++c) widths[c] = header[c].size();
-    return widths;
-}
-
-void Table::grow_widths(std::vector<std::size_t>& widths,
-                        const std::vector<std::string>& cells) {
-    REFPGA_EXPECTS(cells.size() == widths.size());
-    for (std::size_t c = 0; c < cells.size(); ++c)
-        widths[c] = std::max(widths[c], cells[c].size());
-}
-
-void Table::emit_row(std::ostream& os, const std::vector<std::size_t>& widths,
-                     const std::vector<std::string>& cells) {
-    os << '|';
-    for (std::size_t c = 0; c < cells.size(); ++c)
-        os << ' ' << std::setw(static_cast<int>(widths[c])) << std::left << cells[c]
-           << " |";
-    os << '\n';
-}
-
-void Table::emit_rule(std::ostream& os, const std::vector<std::size_t>& widths) {
-    os << '+';
-    for (std::size_t c = 0; c < widths.size(); ++c)
-        os << std::string(widths[c] + 2, '-') << '+';
-    os << '\n';
-}
-
 std::string Table::render() const {
-    std::vector<std::size_t> width = widths_of(header_);
-    for (const auto& row : rows_) grow_widths(width, row);
+    std::vector<std::size_t> width(header_.size());
+    for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
+    for (const auto& row : rows_)
+        for (std::size_t c = 0; c < row.size(); ++c)
+            width[c] = std::max(width[c], row[c].size());
 
     std::ostringstream os;
-    emit_rule(os, width);
-    emit_row(os, width, header_);
-    emit_rule(os, width);
-    for (const auto& row : rows_) emit_row(os, width, row);
-    emit_rule(os, width);
+    const auto rule = [&] {
+        os << '+';
+        for (const std::size_t w : width) os << std::string(w + 2, '-') << '+';
+        os << '\n';
+    };
+    const auto line = [&](const std::vector<std::string>& cells) {
+        os << '|';
+        for (std::size_t c = 0; c < cells.size(); ++c)
+            os << ' ' << std::setw(static_cast<int>(width[c])) << std::left
+               << cells[c] << " |";
+        os << '\n';
+    };
+    rule();
+    line(header_);
+    rule();
+    for (const auto& row : rows_) line(row);
+    rule();
     return os.str();
 }
 

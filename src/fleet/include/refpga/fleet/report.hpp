@@ -4,12 +4,9 @@
 // One CampaignReport serves every entry point. The in-process campaign
 // builds it from a finished CampaignResult; the campaign service commits
 // outcome batches into it as they arrive from worker processes, in any
-// order. Each committed batch is appended to a spool (encoded via
-// outcome_codec) and reduced on arrival into running state: per-metric
-// value columns for the summary percentiles, per-axis group columns,
-// text-table column widths and failure counts. Rendering streams the spool
-// in sweep-index order, one decoded row at a time, so the rows held in
-// memory at once never exceed the largest batch (max_retained_rows()).
+// order. The report holds every committed outcome in memory, in a slot per
+// sweep index, and derives everything else — the scenario table, the
+// summaries and the per-axis groups — when it renders.
 //
 // Byte-identity: the renderings are pure functions of the committed
 // outcomes in sweep order. All floats are formatted through one
@@ -20,9 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,28 +52,18 @@ public:
     /// In-memory report over a finished campaign's outcomes.
     [[nodiscard]] static CampaignReport from(const CampaignResult& result);
 
-    /// `scenario_count` is the full sweep size the report expects. A
-    /// non-empty `spool_path` names a spool file that is created
-    /// (truncated) here and deleted by the destructor; an empty path keeps
-    /// the spool in memory. Throws std::runtime_error when the spool file
-    /// cannot be opened.
-    CampaignReport(std::size_t scenario_count, std::string spool_path);
-    ~CampaignReport();
-
-    CampaignReport(CampaignReport&&);
-    CampaignReport(const CampaignReport&) = delete;
-    CampaignReport& operator=(const CampaignReport&) = delete;
-    CampaignReport& operator=(CampaignReport&&) = delete;
+    /// `scenario_count` is the full sweep size the report expects.
+    explicit CampaignReport(std::size_t scenario_count);
 
     /// Commits the contiguous batch [first, first+batch.size()). Batches may
     /// arrive in any order; committing an index twice throws
     /// ContractViolation (the campaign service guarantees exactly-once
     /// delivery; a duplicate is a protocol bug, not mergeable data).
-    void add(std::size_t first, const std::vector<ScenarioOutcome>& batch);
+    void add(std::size_t first, std::vector<ScenarioOutcome> batch);
 
     /// Same commit from already-encoded outcome lines (the coordinator feeds
-    /// wire payloads and checkpoint records straight through). Throws
-    /// CodecError on a malformed line; nothing is committed in that case.
+    /// wire payloads straight through). Throws CodecError on a malformed
+    /// line; nothing is committed in that case.
     void add_encoded(std::size_t first, const std::vector<std::string>& lines);
 
     [[nodiscard]] std::size_t committed() const { return covered_.count(); }
@@ -90,16 +74,6 @@ public:
     /// Committed index ranges (sorted, disjoint) — the coordinator journals
     /// and resumes from these.
     [[nodiscard]] const IntervalSet& covered() const { return covered_; }
-
-    /// High-water mark of decoded outcome rows held in memory at once: the
-    /// largest batch committed so far (renders decode one row at a time).
-    [[nodiscard]] std::size_t max_retained_rows() const {
-        return max_retained_rows_;
-    }
-    /// Spool segments pending the final ordered merge (the merge backlog:
-    /// out-of-order commits append segments; rendering drains them in index
-    /// order).
-    [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 
     /// Declares the renderings partial: both formats then carry the
     /// expected scenario count and the exact missing index ranges, so a
@@ -126,44 +100,15 @@ public:
     [[nodiscard]] std::string render_json() const;
 
 private:
-    struct Segment {
-        std::size_t first = 0;
-        std::size_t count = 0;
-        std::streamoff offset = 0;  ///< byte offset into the spool
-    };
-
-    /// Per-group accumulated state; metric columns hold the successful
-    /// scenarios' values in arrival order (summaries sort before reducing).
-    struct GroupState {
-        std::size_t axis = 0;  ///< index into the report's axis list
-        std::string value;
-        std::size_t min_index = 0;  ///< smallest member index (render order)
-        std::size_t count = 0;
-        std::size_t failures = 0;
-        std::vector<std::vector<double>> metric_values;
-    };
-
-    void reduce(std::size_t index, const ScenarioOutcome& outcome);
-    /// Streams the spool in index order, invoking `fn` per decoded outcome.
-    template <typename Fn>
-    void for_each_committed(Fn&& fn) const;
-    /// Groups axis-major, then by first member index within an axis.
-    [[nodiscard]] std::vector<const GroupState*> ordered_groups() const;
+    /// The committed outcomes in sweep-index order.
+    [[nodiscard]] std::vector<const ScenarioOutcome*> committed_rows() const;
 
     std::size_t scenario_count_;
-    std::string spool_path_;  ///< empty = in-memory spool
-    std::unique_ptr<std::iostream> spool_;
-
+    /// One slot per sweep index; only the slots covered_ names are committed.
+    std::vector<ScenarioOutcome> outcomes_;
     IntervalSet covered_;
-    std::vector<Segment> segments_;
     std::size_t failures_ = 0;
-    std::size_t max_retained_rows_ = 0;
     bool partial_ = false;
-
-    std::vector<std::size_t> widths_;  ///< scenario-table column widths
-    std::vector<std::vector<double>> summary_values_;  ///< per metric key
-    std::vector<GroupState> groups_;
-    std::map<std::pair<std::size_t, std::string>, std::size_t> group_index_;
 
     std::string metrics_json_;  ///< verbatim obs JSON; empty = omitted
 };

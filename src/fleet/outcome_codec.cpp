@@ -261,8 +261,8 @@ ScenarioOutcome decode_outcome_line(std::string_view line) {
     in.expect(",\"glitch_prob_per_cycle\":");
     s.fault.glitch_prob_per_cycle = in.hex_double();
     in.expect(",\"cycles\":");
-    // Any int: a failed outcome carries its scenario as given, and the
-    // in-process report spools every outcome the runner returns.
+    // Any int: a failed outcome carries its scenario as given, and a worker
+    // encodes every outcome the runner returns.
     s.cycles = ranged_int(in.integer(), INT_MIN, INT_MAX, "cycles");
     in.expect(",\"seed\":");
     s.seed = in.unsigned64();

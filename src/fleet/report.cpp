@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
+#include <map>
 #include <sstream>
-#include <stdexcept>
-#include <tuple>
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/table.hpp"
@@ -146,12 +143,25 @@ void append_scenario_json(std::ostream& os, const ScenarioOutcome& o) {
        << "\",\"device_fits\":" << (o.device_fits ? "true" : "false") << "}";
 }
 
-/// '"key":{summary},...' over every metric column.
+/// Every metric's summary over the successful outcomes among `rows`, in
+/// report_metric_keys() order.
+std::vector<MetricSummary> summarize(const std::vector<const ScenarioOutcome*>& rows) {
+    std::vector<MetricSummary> summaries;
+    for (const std::string& key : metric_keys()) {
+        std::vector<double> values;
+        for (const ScenarioOutcome* o : rows)
+            if (o->ok) values.push_back(outcome_metric(*o, key));
+        summaries.push_back(MetricSummary::of(std::move(values)));
+    }
+    return summaries;
+}
+
+/// '"key":{summary},...' over every metric.
 void append_summaries_json(std::ostream& os,
-                           const std::vector<std::vector<double>>& columns) {
+                           const std::vector<MetricSummary>& summaries) {
     const std::vector<std::string>& keys = metric_keys();
     for (std::size_t k = 0; k < keys.size(); ++k) {
-        const MetricSummary s = MetricSummary::of(columns[k]);
+        const MetricSummary& s = summaries[k];
         os << (k ? "," : "") << "\"" << keys[k] << "\":{\"min\":" << fmt(s.min)
            << ",\"mean\":" << fmt(s.mean) << ",\"max\":" << fmt(s.max)
            << ",\"p50\":" << fmt(s.p50) << ",\"p95\":" << fmt(s.p95)
@@ -159,58 +169,50 @@ void append_summaries_json(std::ostream& os,
     }
 }
 
+/// The committed outcomes that share one value on one sweep axis.
+struct Group {
+    std::string_view axis;
+    std::string value;
+    std::vector<const ScenarioOutcome*> members;  ///< in sweep order
+    std::size_t failures = 0;
+};
+
+/// Groups axis-major, then by first member in sweep order.
+std::vector<Group> group_by_axis(const std::vector<const ScenarioOutcome*>& rows) {
+    std::vector<Group> groups;
+    for (const std::string_view axis : kAxes) {
+        std::map<std::string, std::size_t> position;  ///< value -> index in groups
+        for (const ScenarioOutcome* o : rows) {
+            const auto [it, fresh] =
+                position.try_emplace(axis_value(*o, axis), groups.size());
+            if (fresh) groups.push_back({axis, it->first, {}, 0});
+            Group& g = groups[it->second];
+            g.members.push_back(o);
+            if (!o->ok) ++g.failures;
+        }
+    }
+    return groups;
+}
+
 }  // namespace
 
 CampaignReport CampaignReport::from(const CampaignResult& result) {
-    CampaignReport report(result.outcomes.size(), "");
+    CampaignReport report(result.outcomes.size());
     if (!result.outcomes.empty()) report.add(0, result.outcomes);
     return report;
 }
 
-CampaignReport::CampaignReport(std::size_t scenario_count, std::string spool_path)
-    : scenario_count_(scenario_count),
-      spool_path_(std::move(spool_path)),
-      widths_(Table::widths_of(scenario_table_header())),
-      summary_values_(metric_keys().size()) {
-    if (spool_path_.empty()) {
-        spool_ = std::make_unique<std::stringstream>();
-        return;
-    }
-    spool_ = std::make_unique<std::fstream>(
-        spool_path_,
-        std::ios::in | std::ios::out | std::ios::trunc | std::ios::binary);
-    if (!*spool_)
-        throw std::runtime_error("CampaignReport: cannot open spool file '" +
-                                 spool_path_ + "'");
-}
+CampaignReport::CampaignReport(std::size_t scenario_count)
+    : scenario_count_(scenario_count), outcomes_(scenario_count) {}
 
-CampaignReport::~CampaignReport() {
-    // A moved-from report has no stream and owns no file.
-    if (spool_ == nullptr || spool_path_.empty()) return;
-    spool_.reset();
-    std::remove(spool_path_.c_str());
-}
-
-CampaignReport::CampaignReport(CampaignReport&&) = default;
-
-void CampaignReport::add(std::size_t first, const std::vector<ScenarioOutcome>& batch) {
+void CampaignReport::add(std::size_t first, std::vector<ScenarioOutcome> batch) {
     REFPGA_EXPECTS(!batch.empty());
     REFPGA_EXPECTS(first + batch.size() <= scenario_count_);
     covered_.add(first, batch.size());  // throws on overlap before any commit
-
-    std::iostream& spool = *spool_;
-    spool.seekp(0, std::ios::end);
-    const std::streamoff offset = spool.tellp();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        spool << encode_outcome_line(batch[i]) << '\n';
-        reduce(first + i, batch[i]);
+        if (!batch[i].ok) ++failures_;
+        outcomes_[first + i] = std::move(batch[i]);
     }
-    spool.flush();
-    if (!spool)
-        throw std::runtime_error("CampaignReport: spool write failed ('" +
-                                 spool_path_ + "')");
-    segments_.push_back({first, batch.size(), offset});
-    max_retained_rows_ = std::max(max_retained_rows_, batch.size());
 }
 
 void CampaignReport::add_encoded(std::size_t first,
@@ -221,86 +223,23 @@ void CampaignReport::add_encoded(std::size_t first,
     std::vector<ScenarioOutcome> batch;
     batch.reserve(lines.size());
     for (const std::string& line : lines) batch.push_back(decode_outcome_line(line));
-    add(first, batch);
+    add(first, std::move(batch));
 }
 
-void CampaignReport::reduce(std::size_t index, const ScenarioOutcome& o) {
-    Table::grow_widths(widths_, scenario_row_cells(o));
-    const std::vector<std::string>& keys = metric_keys();
-    std::vector<double> values;
-    if (o.ok) {
-        for (const std::string& key : keys) values.push_back(outcome_metric(o, key));
-        for (std::size_t k = 0; k < keys.size(); ++k)
-            summary_values_[k].push_back(values[k]);
-    } else {
-        ++failures_;
-    }
-
-    for (std::size_t a = 0; a < std::size(kAxes); ++a) {
-        auto key = std::make_pair(a, axis_value(o, kAxes[a]));
-        auto it = group_index_.find(key);
-        if (it == group_index_.end()) {
-            GroupState g;
-            g.axis = a;
-            g.value = key.second;
-            g.min_index = index;
-            g.metric_values.resize(keys.size());
-            groups_.push_back(std::move(g));
-            it = group_index_.emplace(std::move(key), groups_.size() - 1).first;
-        }
-        GroupState& g = groups_[it->second];
-        g.min_index = std::min(g.min_index, index);
-        ++g.count;
-        if (!o.ok) {
-            ++g.failures;
-            continue;
-        }
-        for (std::size_t k = 0; k < keys.size(); ++k)
-            g.metric_values[k].push_back(values[k]);
-    }
-}
-
-template <typename Fn>
-void CampaignReport::for_each_committed(Fn&& fn) const {
-    std::vector<const Segment*> ordered;
-    ordered.reserve(segments_.size());
-    for (const Segment& s : segments_) ordered.push_back(&s);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Segment* a, const Segment* b) { return a->first < b->first; });
-
-    std::iostream& spool = *spool_;
-    spool.clear();
-    std::string line;
-    for (const Segment* seg : ordered) {
-        spool.seekg(seg->offset);
-        for (std::size_t i = 0; i < seg->count; ++i) {
-            if (!std::getline(spool, line))
-                throw std::runtime_error(
-                    "CampaignReport: spool truncated mid-segment ('" +
-                    spool_path_ + "')");
-            fn(decode_outcome_line(line));
-        }
-    }
-}
-
-std::vector<const CampaignReport::GroupState*>
-CampaignReport::ordered_groups() const {
-    std::vector<const GroupState*> order;
-    order.reserve(groups_.size());
-    for (const GroupState& g : groups_) order.push_back(&g);
-    std::sort(order.begin(), order.end(),
-              [](const GroupState* a, const GroupState* b) {
-                  return std::tie(a->axis, a->min_index) <
-                         std::tie(b->axis, b->min_index);
-              });
-    return order;
+std::vector<const ScenarioOutcome*> CampaignReport::committed_rows() const {
+    std::vector<const ScenarioOutcome*> rows;
+    rows.reserve(committed());
+    for (const IntervalSet::Interval& iv : covered_.intervals())
+        for (std::size_t i = iv.first; i < iv.last; ++i) rows.push_back(&outcomes_[i]);
+    return rows;
 }
 
 MetricSummary CampaignReport::summary(std::string_view key) const {
-    return MetricSummary::of(summary_values_[metric_index(key)]);
+    return summarize(committed_rows())[metric_index(key)];
 }
 
 std::string CampaignReport::render_text() const {
+    const std::vector<const ScenarioOutcome*> rows = committed_rows();
     std::ostringstream os;
     os << "campaign: " << committed() << " scenarios, " << committed() - failures_
        << " ok, " << failures_ << " failed\n";
@@ -313,27 +252,22 @@ std::string CampaignReport::render_text() const {
     }
     os << "\n";
 
-    Table::emit_rule(os, widths_);
-    Table::emit_row(os, widths_, scenario_table_header());
-    Table::emit_rule(os, widths_);
-    for_each_committed([&](const ScenarioOutcome& o) {
-        Table::emit_row(os, widths_, scenario_row_cells(o));
-    });
-    Table::emit_rule(os, widths_);
-    os << "\n";
+    Table scenarios(scenario_table_header());
+    for (const ScenarioOutcome* o : rows) scenarios.add_row(scenario_row_cells(*o));
+    os << scenarios.render() << "\n";
 
     if (failures_ > 0) {
         os << "failures:\n";
-        for_each_committed([&](const ScenarioOutcome& o) {
-            if (!o.ok) os << "  " << o.scenario.name << ": " << o.error << "\n";
-        });
+        for (const ScenarioOutcome* o : rows)
+            if (!o->ok) os << "  " << o->scenario.name << ": " << o->error << "\n";
         os << "\n";
     }
 
     const std::vector<std::string>& keys = metric_keys();
+    const std::vector<MetricSummary> overall = summarize(rows);
     Table summary_table({"metric", "min", "mean", "p50", "p95", "max"});
     for (std::size_t k = 0; k < keys.size(); ++k) {
-        const MetricSummary s = MetricSummary::of(summary_values_[k]);
+        const MetricSummary& s = overall[k];
         summary_table.add_row({keys[k], fmt(s.min), fmt(s.mean), fmt(s.p50),
                                fmt(s.p95), fmt(s.max)});
     }
@@ -343,16 +277,19 @@ std::string CampaignReport::render_text() const {
     const std::size_t mw = metric_index("total_mw");
     Table by_axis({"axis", "value", "scenarios", "failed", "mean level err",
                    "mean total (mW)"});
-    for (const GroupState* g : ordered_groups())
-        by_axis.add_row({std::string(kAxes[g->axis]), g->value,
-                         std::to_string(g->count), std::to_string(g->failures),
-                         fmt(MetricSummary::of(g->metric_values[err]).mean),
-                         fmt(MetricSummary::of(g->metric_values[mw]).mean)});
+    for (const Group& g : group_by_axis(rows)) {
+        const std::vector<MetricSummary> s = summarize(g.members);
+        by_axis.add_row({std::string(g.axis), g.value,
+                         std::to_string(g.members.size()),
+                         std::to_string(g.failures), fmt(s[err].mean),
+                         fmt(s[mw].mean)});
+    }
     os << "grouped by sweep axis:\n" << by_axis.render();
     return os.str();
 }
 
 std::string CampaignReport::render_json() const {
+    const std::vector<const ScenarioOutcome*> rows = committed_rows();
     std::ostringstream os;
     os << "{\"campaign\":{\"scenario_count\":" << committed()
        << ",\"ok_count\":" << committed() - failures_
@@ -369,20 +306,20 @@ std::string CampaignReport::render_json() const {
     }
     os << "},\"scenarios\":[";
     const char* sep = "";
-    for_each_committed([&](const ScenarioOutcome& o) {
+    for (const ScenarioOutcome* o : rows) {
         os << sep;
         sep = ",";
-        append_scenario_json(os, o);
-    });
+        append_scenario_json(os, *o);
+    }
     os << "],\"summary\":{";
-    append_summaries_json(os, summary_values_);
+    append_summaries_json(os, summarize(rows));
     os << "},\"groups\":[";
     sep = "";
-    for (const GroupState* g : ordered_groups()) {
-        os << sep << "{\"axis\":\"" << kAxes[g->axis] << "\",\"value\":\""
-           << json_escape(g->value) << "\",\"scenarios\":" << g->count
-           << ",\"failures\":" << g->failures << ",\"metrics\":{";
-        append_summaries_json(os, g->metric_values);
+    for (const Group& g : group_by_axis(rows)) {
+        os << sep << "{\"axis\":\"" << g.axis << "\",\"value\":\""
+           << json_escape(g.value) << "\",\"scenarios\":" << g.members.size()
+           << ",\"failures\":" << g.failures << ",\"metrics\":{";
+        append_summaries_json(os, summarize(g.members));
         os << "}}";
         sep = ",";
     }

@@ -47,9 +47,6 @@ struct ReallocateOptions {
     /// likewise picked moderate-fanout nets such as multiplier inputs).
     std::size_t max_fanout = 16;
     CellDelays delays;
-    /// Full timing re-analysis at least every N committed moves, to keep the
-    /// accumulated delay bound tight.
-    int timing_resync_period = 8;
     /// Observability sink (refpga::obs). When set, optimize_net_power bumps
     /// realloc.{passes,nets_considered,candidates_evaluated,moves_committed,
     /// moves_rejected,timing_resyncs}_total and observes the pass wall time.

@@ -109,6 +109,10 @@ double NetPowerCache::exact_total_uw() const {
 
 namespace {
 
+/// Full timing re-analysis at least every this many committed moves, to keep
+/// the accumulated delay bound tight.
+constexpr int kTimingResyncPeriod = 8;
+
 SliceCoord net_centroid(const Placement& placement, NetId net) {
     const auto& n = placement.nl().net(net);
     long sx = 0;
@@ -380,7 +384,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     } else {
         obs_add(obs_commits_);
         change.moved_logic = true;
-        if (++commits_since_resync_ >= options_.timing_resync_period)
+        if (++commits_since_resync_ >= kTimingResyncPeriod)
             resync(analyze_timing(routed_, options_.delays));
     }
 }

@@ -68,11 +68,7 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
 }
 
 CheckpointWriter CheckpointWriter::resume(const std::string& path,
-                                          std::uint64_t fingerprint,
-                                          std::size_t scenario_count) {
-    // Validate identity first (throws on mismatch), then reopen for append.
-    const CheckpointContents contents =
-        load_checkpoint(path, fingerprint, scenario_count);
+                                          const CheckpointContents& loaded) {
     CheckpointWriter writer(Tag{}, path);
     writer.fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
     if (writer.fd_ < 0)
@@ -81,7 +77,7 @@ CheckpointWriter CheckpointWriter::resume(const std::string& path,
     // A torn tail that load dropped must also leave the file: O_APPEND lands
     // new records at physical EOF, and a partial record stranded mid-file
     // reads as hard corruption on the next load.
-    if (::ftruncate(writer.fd_, static_cast<off_t>(contents.valid_bytes)) != 0)
+    if (::ftruncate(writer.fd_, static_cast<off_t>(loaded.valid_bytes)) != 0)
         throw CheckpointError("cannot drop torn tail of checkpoint " + path +
                               ": " + std::strerror(errno));
     return writer;
@@ -233,7 +229,7 @@ CheckpointContents load_checkpoint(const std::string& path,
             ++line_no;
             record_bytes += line_bytes(line);
             try {
-                (void)fleet::decode_outcome_line(line);
+                batch.outcomes.push_back(fleet::decode_outcome_line(line));
             } catch (const fleet::CodecError& e) {
                 if (at_eof()) {
                     torn = true;
@@ -241,7 +237,6 @@ CheckpointContents load_checkpoint(const std::string& path,
                 }
                 fail(path, line_no, std::string("bad outcome line: ") + e.what());
             }
-            batch.lines.push_back(line);
         }
         if (!torn) {
             if (!std::getline(in, line)) {

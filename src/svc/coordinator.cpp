@@ -33,19 +33,13 @@ namespace {
         .count();
 }
 
-/// Contiguous scenario range awaiting assignment.
+/// Contiguous scenario range: one awaiting assignment, or the one batch a
+/// worker holds.
 struct Range {
     std::uint64_t first = 0;
     std::uint64_t end = 0;  ///< exclusive
 
     [[nodiscard]] std::uint64_t count() const { return end - first; }
-};
-
-/// The one batch a worker holds: [first, end) under assignment `id`.
-struct ShardState {
-    std::uint64_t id = 0;
-    std::uint64_t first = 0;
-    std::uint64_t end = 0;  ///< exclusive
 };
 
 struct WorkerProc {
@@ -56,15 +50,21 @@ struct WorkerProc {
     bool alive = false;
     int slot = 0;        ///< stable index in the fleet
     int generation = 0;  ///< process incarnation of this slot
-    std::optional<ShardState> shard;  ///< in-flight batch, if any
+    std::optional<Range> shard;  ///< in-flight batch, if any
     /// When the worker must have delivered what it owes: the Batch of the
-    /// shard it holds, or its exit after Shutdown (-1 = owes nothing).
+    /// shard it holds, or its exit once its input pipe is closed (-1 =
+    /// owes nothing).
     std::int64_t deadline_ms = -1;
 
-    void close_fds() {
+    /// Closes the input pipe: the worker reads EOF once it is idle.
+    void close_input() {
         if (to_fd >= 0) ::close(to_fd);
-        if (from_fd >= 0) ::close(from_fd);
         to_fd = -1;
+    }
+
+    void close_fds() {
+        close_input();
+        if (from_fd >= 0) ::close(from_fd);
         from_fd = -1;
     }
 };
@@ -72,7 +72,7 @@ struct WorkerProc {
 struct SvcObs {
     obs::Recorder* rec = nullptr;
     obs::MetricId dispatched, reassigned, restarts, checkpoints, committed,
-        backlog, workers, deadline_kills, protocol_errors;
+        workers, deadline_kills, protocol_errors;
 };
 
 SvcObs make_svc_obs(obs::Recorder* rec) {
@@ -85,7 +85,6 @@ SvcObs make_svc_obs(obs::Recorder* rec) {
     o.restarts = m.counter("svc.worker_restarts_total");
     o.checkpoints = m.counter("svc.checkpoint_writes_total");
     o.committed = m.counter("svc.scenarios_committed_total");
-    o.backlog = m.gauge("svc.merge_backlog_segments");
     o.workers = m.gauge("svc.workers_alive");
     o.deadline_kills = m.counter("svc.deadline_kills_total");
     o.protocol_errors = m.counter("svc.protocol_errors_total");
@@ -97,20 +96,20 @@ SvcObs make_svc_obs(obs::Recorder* rec) {
 struct Coordinator::Impl {
     JobSpec spec;
     CoordinatorOptions options;
-    std::string job_json;
     std::size_t grid = 0;
+    /// The expanded grid, built before the first fork: workers inherit it.
+    std::vector<fleet::Scenario> scenarios;
 
-    std::unique_ptr<fleet::CampaignReport> report;
+    fleet::CampaignReport report{0};
     std::optional<CheckpointWriter> checkpoint;
     std::vector<WorkerProc> workers;
     std::deque<Range> pending;
     SvcObs obs;
     CoordinatorResult result;
 
-    std::uint64_t next_shard_id = 0;
     std::uint64_t commits = 0;  ///< batches committed this run
     bool stopping = false;       ///< stop requested; drain and return
-    bool draining = false;       ///< Shutdown broadcast; no more restarts
+    bool draining = false;       ///< input pipes closed; no more restarts
     bool partial_finish = false; ///< fleet exhausted under partial_ok
     bool ran = false;
 
@@ -127,10 +126,8 @@ struct Coordinator::Impl {
         REFPGA_EXPECTS(options.batch >= 1);
         REFPGA_EXPECTS(options.progress_timeout_ms >= 1);
         REFPGA_EXPECTS(options.min_workers >= 1);
-        REFPGA_EXPECTS(!options.spool_path.empty());
-        job_json = spec.canonical_json();
         grid = spec.grid_size();
-        report = std::make_unique<fleet::CampaignReport>(grid, options.spool_path);
+        report = fleet::CampaignReport(grid);
         obs = make_svc_obs(options.recorder);
     }
 
@@ -148,14 +145,14 @@ struct Coordinator::Impl {
         if (options.checkpoint_path.empty()) return;
         const std::uint64_t fp = spec.fingerprint();
         if (options.resume) {
-            const CheckpointContents contents =
+            CheckpointContents contents =
                 load_checkpoint(options.checkpoint_path, fp, grid);
-            for (const CheckpointBatch& batch : contents.batches) {
-                report->add_encoded(batch.first, batch.lines);
-                result.scenarios_resumed += batch.lines.size();
+            for (CheckpointBatch& batch : contents.batches) {
+                result.scenarios_resumed += batch.outcomes.size();
+                report.add(batch.first, std::move(batch.outcomes));
             }
             checkpoint.emplace(
-                CheckpointWriter::resume(options.checkpoint_path, fp, grid));
+                CheckpointWriter::resume(options.checkpoint_path, contents));
             if (contents.torn_tail)
                 log_warning("svc: dropped torn record at checkpoint tail");
         } else {
@@ -166,7 +163,7 @@ struct Coordinator::Impl {
 
     void seed_pending() {
         for (const IntervalSet::Interval& gap :
-             report->covered().missing(grid))
+             report.covered().missing(grid))
             pending.push_back(Range{gap.first, gap.last});
     }
 
@@ -186,8 +183,8 @@ struct Coordinator::Impl {
                 if (other.to_fd >= 0) ::close(other.to_fd);
                 if (other.from_fd >= 0) ::close(other.from_fd);
             }
-            // The coordinator ends a worker through Shutdown, EOF or the
-            // deadline's SIGKILL; a terminal's Ctrl-C reaches the whole
+            // The coordinator ends a worker by closing its input pipe or by
+            // the deadline's SIGKILL; a terminal's Ctrl-C reaches the whole
             // process group and must not kill a batch that can still drain
             // into the checkpoint.
             ::signal(SIGINT, SIG_IGN);
@@ -197,9 +194,12 @@ struct Coordinator::Impl {
             if (options.http != nullptr) options.http->close();
             if (options.worker_faults != nullptr)
                 options.worker_faults->start(w.slot, w.generation);
+            fleet::CampaignOptions campaign(options.worker_threads);
+            campaign.stream_block_ticks = spec.stream_block_ticks;
             // Leave via _exit so no parent-inherited atexit/teardown runs
             // twice.
-            _exit(worker_main(to_pipe[0], from_pipe[1], options.worker_faults));
+            _exit(worker_main(to_pipe[0], from_pipe[1], scenarios, campaign,
+                              options.worker_faults));
         }
         // Parent.
         ::close(to_pipe[0]);
@@ -211,16 +211,6 @@ struct Coordinator::Impl {
         w.alive = true;
         w.shard.reset();
         w.deadline_ms = -1;
-        try {
-            write_frame(w.to_fd, MsgType::Init,
-                        encode_init(options.worker_threads, job_json));
-        } catch (const WireError&) {
-            // The child died before the Init landed (a pre-init crash can
-            // beat this write). Leave it marked alive: its read end is
-            // already closed, so the next poll sees POLLHUP and takes the
-            // ordinary death path (requeue + restart budget) — handling it
-            // here would recurse spawn → write → spawn.
-        }
     }
 
     [[nodiscard]] int alive_workers() const {
@@ -236,8 +226,6 @@ struct Coordinator::Impl {
 
     void update_gauges() {
         if (obs.rec == nullptr) return;
-        obs.rec->metrics().set(obs.backlog,
-                               static_cast<double>(report->segment_count()));
         obs.rec->metrics().set(obs.workers, static_cast<double>(alive_workers()));
     }
 
@@ -250,17 +238,14 @@ struct Coordinator::Impl {
     void assign_next(WorkerProc& w) {
         Range& range = pending.front();
         const std::uint64_t count_n = std::min(options.batch, range.count());
-        const ShardState shard{next_shard_id, range.first,
-                               range.first + count_n};
+        const Range shard{range.first, range.first + count_n};
         // The write goes first: it throws WireError when the worker is
         // already dead (EPIPE), and at that point the range must still be
         // intact in `pending` — carving it out before a failed write would
         // leak it (not pending, not in any shard) and the run would wait
         // forever for indices nobody owns.
         write_frame(w.to_fd, MsgType::Assign,
-                    std::to_string(shard.id) + ' ' + std::to_string(shard.first) +
-                        ' ' + std::to_string(count_n));
-        ++next_shard_id;
+                    std::to_string(shard.first) + ' ' + std::to_string(count_n));
         range.first += count_n;
         if (range.count() == 0) pending.pop_front();
         w.shard = shard;
@@ -284,18 +269,16 @@ struct Coordinator::Impl {
     // --- frame handling ----------------------------------------------------
 
     /// Commits the Batch that completes `w`'s assignment. It must be
-    /// exactly that assignment — same shard id, first index and count — or
-    /// the stream is quarantined.
+    /// exactly that assignment — same first index and count — or the stream
+    /// is quarantined.
     void commit_batch(WorkerProc& w, const BatchPayload& batch) {
-        if (!w.shard.has_value() || w.shard->id != batch.shard ||
-            w.shard->first != batch.first ||
-            w.shard->end - w.shard->first != batch.lines.size())
+        if (!w.shard.has_value() || w.shard->first != batch.first ||
+            w.shard->count() != batch.lines.size())
             throw CoordinatorError(
                 "batch [" + std::to_string(batch.first) + ", " +
                 std::to_string(batch.first + batch.lines.size()) +
-                ") of shard " + std::to_string(batch.shard) +
-                " does not match the worker's assignment");
-        report->add_encoded(batch.first, batch.lines);
+                ") does not match the worker's assignment");
+        report.add_encoded(batch.first, batch.lines);
         if (checkpoint.has_value()) {
             checkpoint->append(batch.first, batch.lines);
             ++result.checkpoint_records;
@@ -343,11 +326,11 @@ struct Coordinator::Impl {
             w.pid = -1;
         }
         const bool held_batch = w.shard.has_value();
-        // EOF after Shutdown with nothing assigned is the orderly exit, not
-        // a death.
+        // EOF during the drain with nothing assigned is the orderly exit,
+        // not a death.
         if (draining && !held_batch) return;
         if (held_batch) {
-            pending.push_front(Range{w.shard->first, w.shard->end});
+            pending.push_front(*w.shard);
             ++result.shards_reassigned;
             count(obs.reassigned);
             w.shard.reset();
@@ -428,20 +411,17 @@ struct Coordinator::Impl {
         }
     }
 
-    /// Starts the drain. An idle worker now owes its exit within the
-    /// deadline; a worker holding a batch keeps the deadline of its
-    /// assignment.
-    void broadcast_shutdown() {
+    /// Starts the drain by closing every worker's input pipe: a worker
+    /// sends the batch it holds, then reads EOF and exits. An idle worker
+    /// now owes its exit within the deadline; a worker holding a batch
+    /// keeps the deadline of its assignment.
+    void begin_drain() {
         draining = true;
         const std::int64_t due = now_ms() + options.progress_timeout_ms;
         for (WorkerProc& w : workers) {
             if (!w.alive) continue;
             if (!w.shard.has_value()) w.deadline_ms = due;
-            try {
-                write_frame(w.to_fd, MsgType::Shutdown, "");
-            } catch (const WireError&) {
-                on_worker_death(w, "write failed");
-            }
+            w.close_input();
         }
     }
 
@@ -458,7 +438,7 @@ struct Coordinator::Impl {
                 return true;
             }
             if (path == "/healthz") {
-                body = "ok " + std::to_string(report->committed()) + "/" +
+                body = "ok " + std::to_string(report.committed()) + "/" +
                        std::to_string(grid) + "\n";
                 return true;
             }
@@ -473,7 +453,7 @@ struct Coordinator::Impl {
         if (options.stop != nullptr &&
             options.stop->load(std::memory_order_relaxed))
             stopping = true;
-        if (report->complete() || stopping) return true;
+        if (report.complete() || stopping) return true;
         // A dead worker is reforked at once while the budget lasts, so a
         // fleet below strength has spent it. Policy decides the ending.
         const int alive = alive_workers();
@@ -494,14 +474,14 @@ struct Coordinator::Impl {
         return false;
     }
 
-    /// One poll loop serves the run and, after Shutdown, the drain; it
-    /// returns once every worker has exited or been reaped.
+    /// One poll loop serves the run and then the drain; it returns once
+    /// every worker has exited or been reaped.
     void event_loop() {
         while (true) {
             check_deadlines(now_ms());
             if (!draining) {
                 if (run_over())
-                    broadcast_shutdown();
+                    begin_drain();
                 else
                     dispatch();
             }
@@ -547,8 +527,9 @@ struct Coordinator::Impl {
 
         open_journal();
         seed_pending();
-        // The fits are built here, once, so that every forked worker
-        // inherits them instead of building the system netlists per job.
+        // The grid and the fits are built here, once, so that every forked
+        // worker inherits them instead of rebuilding them per process.
+        scenarios = spec.expand();
         for (const app::SystemVariant variant : spec.variants)
             (void)fleet::variant_fit(variant);
         workers.resize(static_cast<std::size_t>(options.workers));
@@ -563,17 +544,17 @@ struct Coordinator::Impl {
         if (checkpoint.has_value() && options.checkpoint_fsync_every_n > 0)
             checkpoint->sync();
 
-        result.completed = report->complete();
-        result.scenarios_committed = report->committed();
-        result.failures = report->failure_count();
-        result.max_retained_rows = report->max_retained_rows();
+        result.completed = report.complete();
+        result.scenarios_committed = report.committed();
+        result.failures = report.failure_count();
+        result.max_retained_rows = report.committed();
         if (result.completed) {
             // Survivors finished the grid during the drain; a fail-fast
             // verdict reached mid-loop is obsolete.
             result.error.clear();
         } else if (partial_finish && result.error.empty()) {
             result.partial = true;
-            report->mark_partial();
+            report.mark_partial();
         }
         if (!result.completed && !result.partial && result.error.empty())
             result.error = stopping ? "stopped before completion"
@@ -589,8 +570,8 @@ Coordinator::~Coordinator() = default;
 
 CoordinatorResult Coordinator::run() { return impl_->run(); }
 
-const fleet::CampaignReport& Coordinator::report() const { return *impl_->report; }
+const fleet::CampaignReport& Coordinator::report() const { return impl_->report; }
 
-fleet::CampaignReport& Coordinator::report() { return *impl_->report; }
+fleet::CampaignReport& Coordinator::report() { return impl_->report; }
 
 }  // namespace refpga::svc

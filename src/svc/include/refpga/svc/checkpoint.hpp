@@ -37,6 +37,8 @@ public:
         : std::runtime_error(what) {}
 };
 
+struct CheckpointContents;
+
 /// Append-side writer. Batches are flushed to the OS after each append; a
 /// torn final record is recoverable, a reordered one is not possible.
 class CheckpointWriter {
@@ -45,11 +47,11 @@ public:
     CheckpointWriter(const std::string& path, std::uint64_t fingerprint,
                      std::size_t scenario_count);
 
-    /// Opens `path` for append after a successful load() (resume). The
-    /// header is validated against the given job identity.
+    /// Opens `path` for append after `loaded = load_checkpoint(path, ...)`
+    /// validated it against the job (resume), and truncates the file to
+    /// loaded.valid_bytes so a dropped torn tail leaves it too.
     static CheckpointWriter resume(const std::string& path,
-                                   std::uint64_t fingerprint,
-                                   std::size_t scenario_count);
+                                   const CheckpointContents& loaded);
 
     CheckpointWriter(CheckpointWriter&& other) noexcept;
     CheckpointWriter& operator=(CheckpointWriter&& other) noexcept;
@@ -84,11 +86,11 @@ public:
     CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 };
 
-/// One recovered batch: outcome lines for scenario indices
-/// [first, first + lines.size()).
+/// One recovered batch: the decoded outcomes of scenario indices
+/// [first, first + outcomes.size()).
 struct CheckpointBatch {
     std::uint64_t first = 0;
-    std::vector<std::string> lines;
+    std::vector<fleet::ScenarioOutcome> outcomes;
 };
 
 struct CheckpointContents {

@@ -1,6 +1,7 @@
 // Campaign coordinator: hands a job's scenario grid to worker processes one
 // batch at a time, merges the streamed outcome batches, and journals
-// progress.
+// progress. It expands the grid and builds the variant fits once, before
+// its first fork, so every worker inherits both.
 //
 // One single-threaded poll() event loop owns everything: worker pipes, the
 // optional HTTP observability endpoint, the checkpoint journal and the
@@ -11,7 +12,7 @@
 // Lifecycle of a scenario index range:
 //
 //   pending ──Assign──▶ in-flight (one batch) ──Batch──▶ committed
-//      ▲                        │                   (spool + journal)
+//      ▲                        │                  (report + journal)
 //      └────────────────────────┘
 //    worker died: the whole batch is requeued at the front
 //
@@ -22,11 +23,11 @@
 //
 // One deadline supervises the fleet: a worker has progress_timeout_ms to
 // deliver what it owes — the Batch of the assignment it holds, or its exit
-// once Shutdown was sent. A worker that misses its deadline is SIGKILLed
-// and takes the ordinary death path: its batch is requeued, and the restart
-// budget decides whether the slot is reforked, at once. The drain after
-// Shutdown runs in the same poll loop as the run, so it is bounded by the
-// same deadline.
+// once its input pipe was closed. A worker that misses its deadline is
+// SIGKILLed and takes the ordinary death path: its batch is requeued, and
+// the restart budget decides whether the slot is reforked, at once. The
+// drain, which closes every worker's input pipe, runs in the same poll loop
+// as the run, so it is bounded by the same deadline.
 #pragma once
 
 #include <atomic>
@@ -54,9 +55,8 @@ struct CoordinatorOptions {
     int workers = 2;
     /// Campaign threads inside each worker.
     int worker_threads = 1;
-    /// Scenarios per assignment — the unit of dispatch, commit and requeue,
-    /// and the bound on rows the coordinator ever holds in memory. An
-    /// assignment is shorter only where a pending range (the end of the
+    /// Scenarios per assignment — the unit of dispatch, commit and requeue.
+    /// An assignment is shorter only where a pending range (the end of the
     /// grid, a resumed journal's gap) is.
     std::uint64_t batch = 8;
 
@@ -65,8 +65,8 @@ struct CoordinatorOptions {
     /// Resume from an existing journal at checkpoint_path instead of
     /// truncating it. The journal must match the job fingerprint.
     bool resume = false;
-    /// Spool file backing the campaign report (required); the report deletes
-    /// it when the Coordinator is destroyed.
+    /// Never read: the report holds its outcomes in memory. The field stays
+    /// because perfbench/campaigns.cpp (the repo benchmark) sets it.
     std::string spool_path = "campaign.spool";
 
     /// Refork a worker that dies unexpectedly, up to max_worker_restarts
@@ -74,9 +74,9 @@ struct CoordinatorOptions {
     int max_worker_restarts = 2;
 
     /// The deadline, in milliseconds (>= 1): a worker holding a batch must
-    /// commit it within this long of the assignment, and a worker sent
-    /// Shutdown must exit within this long of the Shutdown (or of its
-    /// assignment, if it still holds a batch). A worker that misses it is
+    /// commit it within this long of the assignment, and a worker whose
+    /// input pipe was closed must exit within this long of the close (or of
+    /// its assignment, if it still holds a batch). A worker that misses it is
     /// SIGKILLed and its batch requeued. Size it above the slowest expected
     /// batch: a batch that outlives it is recomputed.
     int progress_timeout_ms = 10000;
@@ -140,7 +140,10 @@ struct CoordinatorResult {
     std::uint64_t shards_reassigned = 0;  ///< requeued after worker death
     std::uint64_t worker_restarts = 0;
     std::uint64_t checkpoint_records = 0;
-    std::size_t max_retained_rows = 0;  ///< memory bound: peak decoded rows
+    /// Outcome rows the report holds: every committed one. Kept because
+    /// perfbench/campaigns.cpp (the repo benchmark) reports it as
+    /// svc.max_retained_rows.
+    std::size_t max_retained_rows = 0;
 
     // --- supervision ---------------------------------------------------------
     std::uint64_t deadline_kills = 0;     ///< reaped: missed the deadline
@@ -151,8 +154,8 @@ class Coordinator {
 public:
     /// Validates the job's grid (fleet::Sweep::validate) and the fleet
     /// policy (min_workers <= workers) before anything else, so an invalid
-    /// spec or policy throws std::invalid_argument here and no spool is
-    /// created and no worker is ever forked for it.
+    /// spec or policy throws std::invalid_argument here and no worker is
+    /// ever forked for it.
     Coordinator(JobSpec spec, CoordinatorOptions options);
     ~Coordinator();
     Coordinator(const Coordinator&) = delete;

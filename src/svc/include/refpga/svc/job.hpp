@@ -2,10 +2,10 @@
 // sharded campaign run.
 //
 // A JobSpec is a fleet::Sweep plus the front-end streaming block size, with
-// a JSON codec. Workers never receive scenario lists over the wire — they
-// receive the JobSpec once (Init frame), expand the same grid locally, and
-// are then assigned index ranges into it. That keeps Assign frames tiny and
-// guarantees every process agrees on scenario -> index.
+// a JSON codec. The coordinator expands the grid once, before it forks its
+// workers; each worker inherits that expansion and is assigned index ranges
+// into it. That keeps Assign frames tiny and guarantees every process
+// agrees on scenario -> index.
 //
 // canonical_json() renders doubles as hexfloat strings so the document —
 // and therefore fingerprint(), which checkpoints embed to refuse resuming a

@@ -1,6 +1,6 @@
 // Minimal strict JSON parser for the campaign service.
 //
-// Job specs arrive as JSON documents (files or Init frames) and tests
+// Job specs arrive as JSON documents (job files) and tests
 // validate rendered reports; both need a real parser, not string probing.
 // This is a small recursive-descent parser over the full JSON grammar
 // (objects, arrays, strings with escapes, numbers, booleans, null) with two

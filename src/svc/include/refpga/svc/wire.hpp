@@ -5,11 +5,13 @@
 //
 //   u32 little-endian payload length | u8 message type | payload bytes
 //
-// Payloads are line-oriented text: control messages carry space-separated
-// decimal fields, and Batch frames carry a "shard first count" header line
-// followed by `count` outcome_codec lines. Text keeps the protocol
-// debuggable (`xxd` on a captured stream reads almost like a log) at
-// negligible cost next to running scenarios.
+// Payloads are line-oriented text: an Assign carries "first count" as
+// space-separated decimal fields, and a Batch frame carries a "first count"
+// header line followed by `count` outcome_codec lines. Text keeps the
+// protocol debuggable (`xxd` on a captured stream reads almost like a log)
+// at negligible cost next to running scenarios. A forked worker inherits
+// its scenario grid and options, so no frame carries the job, and the
+// coordinator ends a worker by closing its input pipe.
 //
 // Delivery rules the coordinator relies on:
 //   - write_frame writes the whole frame or throws (partial writes and
@@ -35,17 +37,15 @@ public:
 };
 
 enum class MsgType : std::uint8_t {
-    Init = 1,     ///< coordinator→worker: "worker_threads\n" + job JSON
-    Assign,       ///< coordinator→worker: "shard first count", one batch
-    Shutdown,     ///< coordinator→worker: empty payload; exit
-    Batch,        ///< worker→coordinator: "shard first count\n" + outcome lines
+    Assign = 1,   ///< coordinator→worker: "first count", one batch
+    Batch,        ///< worker→coordinator: "first count\n" + outcome lines
     WorkerError,  ///< worker→coordinator: fatal error text
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType type);
 
 struct Frame {
-    MsgType type = MsgType::Init;
+    MsgType type = MsgType::Assign;
     std::string payload;
 };
 
@@ -82,14 +82,13 @@ private:
 [[nodiscard]] std::vector<std::uint64_t> parse_fields(std::string_view payload,
                                                       std::size_t n);
 
-/// Batch payload: header "shard first count" then `count` outcome lines.
+/// Batch payload: header "first count" then `count` outcome lines.
 struct BatchPayload {
-    std::uint64_t shard = 0;
     std::uint64_t first = 0;
     std::vector<std::string> lines;
 };
 
-[[nodiscard]] std::string encode_batch(std::uint64_t shard, std::uint64_t first,
+[[nodiscard]] std::string encode_batch(std::uint64_t first,
                                        const std::vector<std::string>& lines);
 [[nodiscard]] BatchPayload parse_batch(std::string_view payload);
 

@@ -1,21 +1,22 @@
 // Campaign worker: the child-process half of the sharded campaign service.
 //
-// A worker speaks the svc wire protocol over two pipe fds. It receives the
-// job spec once (Init), expands the identical scenario grid the coordinator
-// holds, and then blocks on one instruction at a time: an Assign names one
-// batch of scenario indices, which the worker runs and answers with exactly
-// one Batch frame; Shutdown ends the loop. A worker therefore holds at most
-// one batch, and a Shutdown sent while it computes is read when that batch
-// is done.
+// A worker is forked by the coordinator and inherits the expanded scenario
+// grid and its campaign options with the fork. It speaks the svc wire
+// protocol over two pipe fds and blocks on one instruction at a time: an
+// Assign names one batch of scenario indices, which the worker runs and
+// answers with exactly one Batch frame. The coordinator ends a worker by
+// closing its input pipe. A worker therefore holds at most one batch, and a
+// pipe closed while it computes is read when that batch is sent.
 //
 // Workers are execution only: no checkpointing, no aggregation, no
 // observability registry. All of that lives in the coordinator, which is
 // the single writer of every output artifact.
 #pragma once
 
-#include <string>
 #include <string_view>
+#include <vector>
 
+#include "refpga/fleet/campaign.hpp"
 #include "refpga/svc/wire.hpp"
 
 namespace refpga::svc {
@@ -29,7 +30,6 @@ public:
     virtual ~WorkerFaults() = default;
     /// Called once in the forked child, before the protocol loop.
     virtual void start(int /*slot*/, int /*generation*/) {}
-    virtual void before_init() {}
     virtual void before_batch() {}
     /// The batch is computed and not yet sent.
     virtual void after_batch() {}
@@ -39,16 +39,16 @@ public:
     }
 };
 
-/// Init frame payload: "<worker_threads>\n" followed by the job JSON.
-[[nodiscard]] std::string encode_init(int worker_threads,
-                                      const std::string& job_json);
-
-/// Runs the worker protocol loop until Shutdown or EOF on `in_fd`.
-/// Returns the process exit code (0 on orderly shutdown, 1 after a fatal
-/// error, which is also reported upstream via a WorkerError frame).
-/// Never throws — a worker that cannot even report its error just exits.
-/// `faults` (tests only) is consulted at every fault point when set.
+/// Runs the worker protocol loop over `scenarios`, the job's expanded grid,
+/// until EOF on `in_fd`. `options` sets the campaign threads and the
+/// front-end block size of every batch. Returns the process exit code (0
+/// at EOF, 1 after a fatal error, which is also reported upstream via a
+/// WorkerError frame). Never throws — a worker that cannot even report its
+/// error just exits. `faults` (tests only) is consulted at every fault
+/// point when set.
 [[nodiscard]] int worker_main(int in_fd, int out_fd,
+                              const std::vector<fleet::Scenario>& scenarios,
+                              const fleet::CampaignOptions& options,
                               WorkerFaults* faults = nullptr);
 
 }  // namespace refpga::svc

@@ -8,9 +8,7 @@ namespace refpga::svc {
 
 const char* msg_type_name(MsgType type) {
     switch (type) {
-        case MsgType::Init: return "Init";
         case MsgType::Assign: return "Assign";
-        case MsgType::Shutdown: return "Shutdown";
         case MsgType::Batch: return "Batch";
         case MsgType::WorkerError: return "WorkerError";
     }
@@ -61,7 +59,7 @@ void check_header(std::uint32_t length, std::uint8_t type) {
         throw WireError("frame payload of " + std::to_string(length) +
                         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
                         " byte limit (corrupt length prefix?)");
-    if (type < static_cast<std::uint8_t>(MsgType::Init) ||
+    if (type < static_cast<std::uint8_t>(MsgType::Assign) ||
         type > static_cast<std::uint8_t>(MsgType::WorkerError))
         throw WireError("unknown frame type " + std::to_string(type));
 }
@@ -148,10 +146,9 @@ std::vector<std::uint64_t> parse_fields(std::string_view payload, std::size_t n)
     return fields;
 }
 
-std::string encode_batch(std::uint64_t shard, std::uint64_t first,
+std::string encode_batch(std::uint64_t first,
                          const std::vector<std::string>& lines) {
-    std::string out = std::to_string(shard) + ' ' + std::to_string(first) + ' ' +
-                      std::to_string(lines.size()) + '\n';
+    std::string out = std::to_string(first) + ' ' + std::to_string(lines.size()) + '\n';
     for (const std::string& line : lines) {
         out += line;
         out += '\n';
@@ -163,11 +160,10 @@ BatchPayload parse_batch(std::string_view payload) {
     const std::size_t eol = payload.find('\n');
     if (eol == std::string_view::npos)
         throw WireError("batch payload missing header line");
-    const std::vector<std::uint64_t> head = parse_fields(payload.substr(0, eol), 3);
+    const std::vector<std::uint64_t> head = parse_fields(payload.substr(0, eol), 2);
     BatchPayload batch;
-    batch.shard = head[0];
-    batch.first = head[1];
-    const std::uint64_t count = head[2];
+    batch.first = head[0];
+    const std::uint64_t count = head[1];
     std::size_t pos = eol + 1;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::size_t end = payload.find('\n', pos);

@@ -2,25 +2,22 @@
 
 #include <csignal>
 #include <stdexcept>
-#include <vector>
 
-#include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
-#include "refpga/svc/job.hpp"
-#include "refpga/svc/wire.hpp"
 
 namespace refpga::svc {
-
-std::string encode_init(int worker_threads, const std::string& job_json) {
-    return std::to_string(worker_threads) + '\n' + job_json;
-}
 
 namespace {
 
 class Worker {
 public:
-    Worker(int in_fd, int out_fd, WorkerFaults& faults)
-        : in_fd_(in_fd), out_fd_(out_fd), faults_(faults) {}
+    Worker(int in_fd, int out_fd, const std::vector<fleet::Scenario>& scenarios,
+           const fleet::CampaignOptions& options, WorkerFaults& faults)
+        : in_fd_(in_fd),
+          out_fd_(out_fd),
+          scenarios_(scenarios),
+          options_(options),
+          faults_(faults) {}
 
     int run() {
         try {
@@ -43,43 +40,19 @@ private:
     /// worker never holds more than the one batch it is running.
     void loop() {
         Frame frame;
-        while (read_frame(in_fd_, frame)) {  // false: coordinator went away
-            switch (frame.type) {
-                case MsgType::Init:
-                    init(frame.payload);
-                    break;
-                case MsgType::Assign:
-                    run_batch(frame.payload);
-                    break;
-                case MsgType::Shutdown:
-                    return;
-                default:
-                    throw WireError(std::string("unexpected ") +
-                                    msg_type_name(frame.type) +
-                                    " frame in worker");
-            }
+        while (read_frame(in_fd_, frame)) {  // false: the pipe was closed
+            if (frame.type != MsgType::Assign)
+                throw WireError(std::string("unexpected ") +
+                                msg_type_name(frame.type) + " frame in worker");
+            run_batch(frame.payload);
         }
     }
 
-    void init(const std::string& payload) {
-        faults_.before_init();
-        const std::size_t eol = payload.find('\n');
-        if (eol == std::string::npos)
-            throw WireError("Init payload missing thread-count line");
-        options_.threads =
-            static_cast<int>(parse_fields(payload.substr(0, eol), 1)[0]);
-        spec_ = JobSpec::from_json(payload.substr(eol + 1));
-        scenarios_ = spec_.expand();
-        options_.stream_block_ticks = spec_.stream_block_ticks;
-    }
-
-    /// Runs the Assign "shard first count" and answers with its one Batch.
+    /// Runs the Assign "first count" and answers with its one Batch.
     void run_batch(const std::string& payload) {
-        const auto f = parse_fields(payload, 3);
-        const std::uint64_t shard = f[0];
-        const std::uint64_t first = f[1];
-        const std::uint64_t count = f[2];
-        if (scenarios_.empty()) throw WireError("Assign before Init");
+        const auto f = parse_fields(payload, 2);
+        const std::uint64_t first = f[0];
+        const std::uint64_t count = f[1];
         if (count == 0 || first > scenarios_.size() ||
             count > scenarios_.size() - first)
             throw WireError("Assign range out of bounds");
@@ -87,8 +60,7 @@ private:
         const std::vector<fleet::Scenario> slice(
             scenarios_.begin() + static_cast<std::ptrdiff_t>(first),
             scenarios_.begin() + static_cast<std::ptrdiff_t>(first + count));
-        const fleet::CampaignRunner runner(options_);
-        const fleet::CampaignResult result = runner.run(slice);
+        const fleet::CampaignResult result = fleet::CampaignRunner(options_).run(slice);
         // The coordinator accepts only a batch of exactly the assigned
         // count; anything else must fail loudly here, not as a baffling
         // protocol error there.
@@ -96,34 +68,36 @@ private:
             throw std::runtime_error(
                 "CampaignRunner returned " +
                 std::to_string(result.outcomes.size()) + " outcomes for " +
-                std::to_string(slice.size()) + " scenarios in shard " +
-                std::to_string(shard));
+                std::to_string(slice.size()) + " scenarios of batch " +
+                std::to_string(first));
         faults_.after_batch();
 
         std::vector<std::string> lines;
         lines.reserve(result.outcomes.size());
         for (const fleet::ScenarioOutcome& o : result.outcomes)
             lines.push_back(fleet::encode_outcome_line(o));
-        faults_.write(out_fd_, MsgType::Batch, encode_batch(shard, first, lines));
+        faults_.write(out_fd_, MsgType::Batch, encode_batch(first, lines));
     }
 
     int in_fd_;
     int out_fd_;
+    const std::vector<fleet::Scenario>& scenarios_;
+    const fleet::CampaignOptions& options_;
     WorkerFaults& faults_;
-    JobSpec spec_;
-    std::vector<fleet::Scenario> scenarios_;
-    fleet::CampaignOptions options_;
 };
 
 }  // namespace
 
-int worker_main(int in_fd, int out_fd, WorkerFaults* faults) {
+int worker_main(int in_fd, int out_fd, const std::vector<fleet::Scenario>& scenarios,
+                const fleet::CampaignOptions& options, WorkerFaults* faults) {
     // A coordinator that died (or quarantined this worker) closes our pipe;
     // the resulting EPIPE must surface as a WireError return path, not
     // SIGPIPE process death with no WorkerError frame.
     ::signal(SIGPIPE, SIG_IGN);
     WorkerFaults none;
-    return Worker(in_fd, out_fd, faults != nullptr ? *faults : none).run();
+    return Worker(in_fd, out_fd, scenarios, options,
+                  faults != nullptr ? *faults : none)
+        .run();
 }
 
 }  // namespace refpga::svc

@@ -45,6 +45,8 @@ for flag in --chaos-seed --chaos-hang --chaos-torn --chaos-corrupt-length \
 done
 expect_exit 2 --workers 2 --chaos-all-generations --cycles 1 --json
 expect_exit 2 --campaign-worker
+# The report holds its outcomes in memory; there is no spool file to name.
+expect_exit 2 --workers 2 --spool x --cycles 1 --json
 # One deadline supervises the workers: the heartbeat, liveness and restart
 # backoff flags are unknown, and the deadline must be at least 1 ms.
 expect_exit 2 --workers 2 --heartbeat-ms 1000 --cycles 1 --json

@@ -52,13 +52,11 @@ void FaultScript::write(int fd, MsgType type, std::string_view payload) {
         return;
     }
     std::string body(payload);
-    if (action == Action::RewriteShard || action == Action::RewriteFirst ||
-        action == Action::RewriteCount) {
+    if (action == Action::RewriteFirst || action == Action::RewriteCount) {
         BatchPayload batch = parse_batch(payload);
-        if (action == Action::RewriteShard) ++batch.shard;
         if (action == Action::RewriteFirst) ++batch.first;
         if (action == Action::RewriteCount) batch.lines.push_back(batch.lines.back());
-        body = encode_batch(batch.shard, batch.first, batch.lines);
+        body = encode_batch(batch.first, batch.lines);
     }
     const auto length = static_cast<std::uint32_t>(body.size());
     std::string frame;

@@ -14,8 +14,9 @@
 
 namespace refpga::par {
 
-/// Same contract and signature as optimize_net_power; `options.recorder`
-/// and `options.timing_resync_period` are ignored.
+/// Same contract and signature as optimize_net_power; `options.recorder` is
+/// ignored. It keeps no timing bound to resync (the fast path re-analyses
+/// every 8 committed moves): each move it makes gets a full timing analysis.
 [[nodiscard]] ReallocateReport optimize_net_power_reference(
     Placement& placement, RoutedDesign& routed, const sim::ActivityMap& activity,
     const ReallocateOptions& options = {});

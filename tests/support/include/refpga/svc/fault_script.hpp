@@ -16,7 +16,7 @@ namespace refpga::svc {
 
 class FaultScript final : public WorkerFaults {
 public:
-    enum class Hook { BeforeInit, BeforeBatch, AfterBatch, FrameWrite };
+    enum class Hook { BeforeBatch, AfterBatch, FrameWrite };
     enum class Action {
         Hang,            ///< block until killed
         Sleep,           ///< sleep sleep_ms, then go on
@@ -26,7 +26,6 @@ public:
         Tear,            ///< frame: write its first half, then _exit(9)
         CorruptLength,   ///< frame: length prefix far above the frame cap
         CorruptPayload,  ///< frame: first payload byte made non-ASCII
-        RewriteShard,    ///< Batch frame: shard id + 1
         RewriteFirst,    ///< Batch frame: first index + 1
         RewriteCount,    ///< Batch frame: one extra (repeated) outcome line
     };
@@ -41,7 +40,6 @@ public:
     int sleep_ms = 0;               ///< Sleep's duration
 
     void start(int worker_slot, int generation) override;
-    void before_init() override { if (due(Hook::BeforeInit)) act(); }
     void before_batch() override { if (due(Hook::BeforeBatch)) act(); }
     void after_batch() override { if (due(Hook::AfterBatch)) act(); }
     /// Frame actions change the frame; the others run after it is written.

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -299,26 +298,6 @@ TEST(Table, RejectsWrongArity) {
 }
 
 TEST(Table, NumFormatsPrecision) { EXPECT_EQ(Table::num(3.14159, 2), "3.14"); }
-
-TEST(Table, StreamingPrimitivesComposeToRender) {
-    // The static emit helpers are the streaming report path's building
-    // blocks; driving them by hand must reproduce render() exactly.
-    Table t({"a", "bb"});
-    t.add_row({"1", "2"});
-    t.add_row({"333", "4"});
-
-    std::vector<std::size_t> widths = Table::widths_of({"a", "bb"});
-    Table::grow_widths(widths, {"1", "2"});
-    Table::grow_widths(widths, {"333", "4"});
-    std::ostringstream out;
-    Table::emit_rule(out, widths);
-    Table::emit_row(out, widths, {"a", "bb"});
-    Table::emit_rule(out, widths);
-    Table::emit_row(out, widths, {"1", "2"});
-    Table::emit_row(out, widths, {"333", "4"});
-    Table::emit_rule(out, widths);
-    EXPECT_EQ(out.str(), t.render());
-}
 
 // ---------------------------------------------------------------- intervals
 

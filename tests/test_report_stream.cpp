@@ -1,12 +1,11 @@
 // Merge semantics of the campaign report: a CampaignReport fed outcome
 // batches in any partition and any arrival order must render the
-// byte-identical report to CampaignReport::from over the whole result, must
-// do so holding only O(batch) decoded rows in memory, and must reproduce
-// the golden reports under tests/golden/ from every way of building it.
+// byte-identical report to CampaignReport::from over the whole result, and
+// must reproduce the golden reports under tests/golden/ from every way of
+// building it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -14,8 +13,6 @@
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/fleet/campaign.hpp"
@@ -28,11 +25,6 @@ namespace {
 
 using app::SystemVariant;
 using fabric::PartName;
-
-std::string temp_spool(const char* tag) {
-    return testing::TempDir() + "refpga_spool_" + tag + "_" +
-           std::to_string(::getpid()) + ".jsonl";
-}
 
 // Small but multi-axis sweep: two variants, two parts, two ports.
 std::vector<Scenario> plain_sweep() {
@@ -64,6 +56,13 @@ CampaignResult run_reference(const std::vector<Scenario>& sweep) {
     return CampaignRunner(CampaignOptions(2)).run(sweep);
 }
 
+/// The outcomes of [first, first + count).
+std::vector<ScenarioOutcome> slice_of(const CampaignResult& result, std::size_t first,
+                                      std::size_t count) {
+    const auto begin = result.outcomes.begin() + static_cast<std::ptrdiff_t>(first);
+    return {begin, begin + static_cast<std::ptrdiff_t>(count)};
+}
+
 /// Splits [0, n) into random contiguous batches and returns them in a
 /// random arrival order.
 std::vector<std::pair<std::size_t, std::size_t>> random_partition(
@@ -82,7 +81,6 @@ std::vector<std::pair<std::size_t, std::size_t>> random_partition(
 }
 
 void expect_identical_renderings(const CampaignResult& result,
-                                 const char* tag,
                                  const std::string& metrics_json = "") {
     CampaignReport reference = CampaignReport::from(result);
     if (!metrics_json.empty()) reference.attach_metrics_json(metrics_json);
@@ -91,33 +89,28 @@ void expect_identical_renderings(const CampaignResult& result,
 
     std::mt19937 rng(20080808);
     for (int round = 0; round < 5; ++round) {
-        CampaignReport acc(result.outcomes.size(), temp_spool(tag));
+        CampaignReport acc(result.outcomes.size());
         if (!metrics_json.empty()) acc.attach_metrics_json(metrics_json);
         for (const auto& [first, count] :
              random_partition(result.outcomes.size(), rng)) {
-            const std::vector<ScenarioOutcome> batch(
-                result.outcomes.begin() + static_cast<std::ptrdiff_t>(first),
-                result.outcomes.begin() +
-                    static_cast<std::ptrdiff_t>(first + count));
-            acc.add(first, batch);
+            acc.add(first, slice_of(result, first, count));
         }
         ASSERT_TRUE(acc.complete());
         EXPECT_EQ(acc.render_text(), want_text) << "round " << round;
         EXPECT_EQ(acc.render_json(), want_json) << "round " << round;
-        EXPECT_LE(acc.max_retained_rows(), 4u);
     }
 }
 
 TEST(ReportStream, RandomPartitionsRenderIdenticalText) {
-    expect_identical_renderings(run_reference(plain_sweep()), "plain");
+    expect_identical_renderings(run_reference(plain_sweep()));
 }
 
 TEST(ReportStream, FaultMetricsSurviveStreamingMerge) {
-    expect_identical_renderings(run_reference(fault_sweep()), "fault");
+    expect_identical_renderings(run_reference(fault_sweep()));
 }
 
 TEST(ReportStream, AttachedObservabilityJsonIsPreserved) {
-    expect_identical_renderings(run_reference(plain_sweep()), "obs",
+    expect_identical_renderings(run_reference(plain_sweep()),
                                 "{\"metrics\":{\"demo\":1}}");
 }
 
@@ -125,11 +118,11 @@ TEST(ReportStream, EncodedLinesCommitLikeDecodedOutcomes) {
     const CampaignResult result = run_reference(plain_sweep());
     const std::string want = CampaignReport::from(result).render_text();
 
-    CampaignReport acc(result.outcomes.size(), temp_spool("encoded"));
+    CampaignReport acc(result.outcomes.size());
     std::vector<std::string> lines;
     for (const ScenarioOutcome& o : result.outcomes)
         lines.push_back(encode_outcome_line(o));
-    // Commit back half first to exercise out-of-order segment merge.
+    // Commit the back half first: out-of-order batches.
     const std::size_t half = lines.size() / 2;
     acc.add_encoded(half, {lines.begin() + static_cast<std::ptrdiff_t>(half),
                            lines.end()});
@@ -167,7 +160,7 @@ TEST(ReportStream, CodecRoundTripsEveryFieldBitExactly) {
 
 TEST(ReportStream, RendersFailedOutcomesOfAnyScenario) {
     // The runner turns a scenario that breaks its preconditions into a
-    // failed outcome; the report must still spool and render it.
+    // failed outcome; the report must still hold and render it.
     std::vector<Scenario> sweep =
         SweepBuilder{}.noise_levels({1e-3, 2e-3}).cycles(1).campaign_seed(7).build();
     sweep[1].cycles = -3;
@@ -192,7 +185,7 @@ TEST(ReportStream, CodecRejectsMalformedLines) {
 
 TEST(ReportStream, DuplicateCommitIsRejected) {
     const CampaignResult result = run_reference(plain_sweep());
-    CampaignReport acc(result.outcomes.size(), temp_spool("dup"));
+    CampaignReport acc(result.outcomes.size());
     acc.add(0, {result.outcomes.begin(), result.outcomes.begin() + 2});
     EXPECT_THROW(acc.add(1, {result.outcomes.begin() + 1,
                              result.outcomes.begin() + 3}),
@@ -206,7 +199,7 @@ TEST(ReportStream, MarkPartialRendersExpectedCountAndMissingRanges) {
     // Commit [0, 3) and [5, 7) of an 8-scenario expectation, then declare
     // the run partial: both renderings must carry the expected count and the
     // exact gaps, so a degraded report can never pass for a complete one.
-    CampaignReport acc(8, temp_spool("partial"));
+    CampaignReport acc(8);
     acc.add(0, {result.outcomes.begin(), result.outcomes.begin() + 3});
     acc.add(5, {result.outcomes.begin() + 5, result.outcomes.begin() + 7});
     ASSERT_FALSE(acc.complete());
@@ -228,45 +221,57 @@ TEST(ReportStream, MarkPartialRendersExpectedCountAndMissingRanges) {
 
 TEST(ReportStream, UnmarkedIncompleteReportOmitsPartialAnnotations) {
     const CampaignResult result = run_reference(plain_sweep());
-    CampaignReport acc(8, temp_spool("nopartial"));
+    CampaignReport acc(8);
     acc.add(0, {result.outcomes.begin(), result.outcomes.begin() + 3});
     EXPECT_EQ(acc.render_text().find("partial:"), std::string::npos);
     EXPECT_EQ(acc.render_json().find("\"partial\""), std::string::npos);
 }
 
-// The memory bound must hold for sweeps far larger than anything a test can
-// afford to execute, so this one synthesizes outcomes instead of running
-// them: 5000 scenarios committed in 64-row batches never retain more than
-// 64 decoded rows.
-TEST(ReportStream, RetainedRowsStayBoundedOnLargeSweeps) {
+// Sweeps far larger than anything a test can afford to execute: this one
+// synthesizes 5000 outcomes, commits them in 64-row batches in reverse
+// order, and must render every row in sweep order, byte-identical to
+// CampaignReport::from over the same outcomes.
+TEST(ReportStream, LargeSweepCommittedInReverseRendersInSweepOrder) {
     constexpr std::size_t kScenarios = 5000;
     constexpr std::size_t kBatch = 64;
 
-    CampaignReport acc(kScenarios, temp_spool("large"));
-    std::size_t index = 0;
-    while (index < kScenarios) {
-        const std::size_t count = std::min(kBatch, kScenarios - index);
-        std::vector<ScenarioOutcome> batch(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            ScenarioOutcome& o = batch[i];
-            o.scenario.name = "synthetic-" + std::to_string(index + i);
-            o.scenario.seed = index + i;
-            o.ok = true;
-            o.level_error_mean = 1e-3 * static_cast<double>(index + i);
-            o.availability = 1.0;
-            o.fitted_part = "xc3s400";
-            o.device_fits = true;
-        }
-        acc.add(index, batch);
-        index += count;
+    CampaignResult result;
+    for (std::size_t i = 0; i < kScenarios; ++i) {
+        ScenarioOutcome o;
+        o.scenario.name = "synthetic-" + std::to_string(i);
+        o.scenario.seed = i;
+        o.scenario.noise_rms_v = 1e-3 * static_cast<double>(1 + i % 7);
+        o.ok = i % 97 != 13;
+        if (!o.ok) o.error = "synthetic failure " + std::to_string(i);
+        o.level_error_mean = 1e-3 * static_cast<double>(i);
+        o.cycle_busy_ms = static_cast<double>(i % 101);
+        o.availability = 1.0;
+        o.fitted_part = "xc3s400";
+        o.device_fits = true;
+        result.outcomes.push_back(o);
+    }
+
+    CampaignReport acc(kScenarios);
+    std::size_t end = kScenarios;
+    while (end > 0) {
+        const std::size_t first = end > kBatch ? end - kBatch : 0;
+        acc.add(first, slice_of(result, first, end - first));
+        end = first;
     }
     ASSERT_TRUE(acc.complete());
     EXPECT_EQ(acc.committed(), kScenarios);
-    EXPECT_EQ(acc.max_retained_rows(), kBatch);
-    // Rendering streams the spool: it must succeed and cover every row.
+
     const std::string text = acc.render_text();
-    EXPECT_NE(text.find("synthetic-0 "), std::string::npos);
-    EXPECT_NE(text.find("synthetic-4999"), std::string::npos);
+    std::size_t cursor = 0;
+    for (std::size_t i = 0; i < kScenarios; ++i) {
+        const std::size_t at =
+            text.find("| synthetic-" + std::to_string(i) + " ", cursor);
+        ASSERT_NE(at, std::string::npos) << "row " << i << " missing or out of order";
+        cursor = at;
+    }
+    const CampaignReport reference = CampaignReport::from(result);
+    EXPECT_EQ(text, reference.render_text());
+    EXPECT_EQ(acc.render_json(), reference.render_json());
 }
 
 // ---------------------------------------------------------------- goldens
@@ -274,14 +279,14 @@ TEST(ReportStream, RetainedRowsStayBoundedOnLargeSweeps) {
 // tests/golden/report_*.{txt,json} pin the report bytes for
 // golden_result(): complete with an attached obs document, partial with
 // [3, 5) and [7, 8) missing, and an empty campaign. Every way of building a
-// report — from(result), a file-backed or in-memory report fed in random
-// arrival order, encoded lines — must reproduce them byte for byte; they
-// change only with a deliberate change to the report format.
+// report — from(result), batches fed in random arrival order, encoded
+// lines — must reproduce them byte for byte; they change only with a
+// deliberate change to the report format.
 
 // Hand-built outcomes over an 8-scenario grid (2 variants x 2 ports x 2
 // upset rates, one noise level of 1/300 V): one failed row whose error needs
 // JSON escaping, fault metrics on every row, and awkward doubles (thirds,
-// 1e-300, the smallest denormal) that only a bit-exact spool reproduces.
+// 1e-300, the smallest denormal) that only a bit-exact codec reproduces.
 CampaignResult golden_result() {
     fault::FaultSpec defaults;
     defaults.load_corruption_prob = 0.25;
@@ -348,16 +353,10 @@ void expect_golden(const CampaignReport& report, const std::string& stem) {
     EXPECT_EQ(report.render_json(), golden(stem + ".json")) << stem;
 }
 
-std::vector<ScenarioOutcome> slice(const CampaignResult& result, std::size_t first,
-                                   std::size_t count) {
-    const auto begin = result.outcomes.begin() + static_cast<std::ptrdiff_t>(first);
-    return {begin, begin + static_cast<std::ptrdiff_t>(count)};
-}
-
 std::vector<std::string> encoded(const CampaignResult& result, std::size_t first,
                                  std::size_t count) {
     std::vector<std::string> lines;
-    for (const ScenarioOutcome& o : slice(result, first, count))
+    for (const ScenarioOutcome& o : slice_of(result, first, count))
         lines.push_back(encode_outcome_line(o));
     return lines;
 }
@@ -372,13 +371,11 @@ TEST(ReportGolden, CompleteFromBatchesInRandomArrivalOrder) {
     const CampaignResult result = golden_result();
     std::mt19937 rng(2008);
     for (int round = 0; round < 4; ++round) {
-        // Even rounds spool to a file, odd rounds in memory.
-        const std::string spool = round % 2 == 0 ? temp_spool("golden") : "";
-        CampaignReport report(result.outcomes.size(), spool);
+        CampaignReport report(result.outcomes.size());
         report.attach_metrics_json(kGoldenObsJson);
         for (const auto& [first, count] :
              random_partition(result.outcomes.size(), rng))
-            report.add(first, slice(result, first, count));
+            report.add(first, slice_of(result, first, count));
         ASSERT_TRUE(report.complete());
         expect_golden(report, "report_complete");
     }
@@ -387,7 +384,7 @@ TEST(ReportGolden, CompleteFromBatchesInRandomArrivalOrder) {
 TEST(ReportGolden, CompleteFromEncodedLines) {
     const CampaignResult result = golden_result();
     const std::size_t n = result.outcomes.size();
-    CampaignReport report(n, temp_spool("golden_encoded"));
+    CampaignReport report(n);
     report.attach_metrics_json(kGoldenObsJson);
     report.add_encoded(n / 2, encoded(result, n / 2, n - n / 2));
     report.add_encoded(0, encoded(result, 0, n / 2));
@@ -396,34 +393,18 @@ TEST(ReportGolden, CompleteFromEncodedLines) {
 
 TEST(ReportGolden, PartialAfterMarkPartial) {
     const CampaignResult result = golden_result();
-    for (const std::string& spool : {temp_spool("golden_partial"), std::string()}) {
-        CampaignReport report(result.outcomes.size(), spool);
-        report.add(5, slice(result, 5, 2));
-        report.add_encoded(0, encoded(result, 0, 3));
-        report.mark_partial();
-        expect_golden(report, "report_partial");
-    }
+    CampaignReport report(result.outcomes.size());
+    report.add(5, slice_of(result, 5, 2));
+    report.add_encoded(0, encoded(result, 0, 3));
+    report.mark_partial();
+    expect_golden(report, "report_partial");
 }
 
 TEST(ReportGolden, EmptyCampaign) {
     expect_golden(CampaignReport::from(CampaignResult{}), "report_empty");
-    const CampaignReport report(0, temp_spool("golden_empty"));
+    const CampaignReport report(0);
     EXPECT_TRUE(report.complete());
     expect_golden(report, "report_empty");
-}
-
-TEST(ReportStream, FileSpoolIsRemovedWithTheReport) {
-    const std::string spool = temp_spool("removed");
-    {
-        CampaignReport report(2, spool);
-        report.add(0, slice(golden_result(), 0, 2));
-        EXPECT_EQ(::access(spool.c_str(), F_OK), 0) << "spool not created";
-        // Moving the report hands the file over; only the last owner deletes.
-        const CampaignReport moved(std::move(report));
-        EXPECT_EQ(::access(spool.c_str(), F_OK), 0);
-        EXPECT_NE(moved.render_text().find("campaign: 2 scenarios"), std::string::npos);
-    }
-    EXPECT_NE(::access(spool.c_str(), F_OK), 0) << "spool left behind";
 }
 
 }  // namespace

@@ -56,9 +56,9 @@ TEST(Wire, FrameReaderReassemblesByteDribble) {
         // Build a wire image by writing frames into a pipe and draining it.
         int p[2];
         ASSERT_EQ(::pipe(p), 0);
-        write_frame(p[1], MsgType::Assign, "1 0 8");
-        write_frame(p[1], MsgType::Batch, "1 0 1\n{}\n");
-        write_frame(p[1], MsgType::Shutdown, "");
+        write_frame(p[1], MsgType::Assign, "0 8");
+        write_frame(p[1], MsgType::Batch, "0 1\n{}\n");
+        write_frame(p[1], MsgType::WorkerError, "");
         ::close(p[1]);
         char buf[512];
         ssize_t r = 0;
@@ -75,9 +75,9 @@ TEST(Wire, FrameReaderReassemblesByteDribble) {
     }
     ASSERT_EQ(frames.size(), 3u);
     EXPECT_EQ(frames[0].type, MsgType::Assign);
-    EXPECT_EQ(frames[0].payload, "1 0 8");
+    EXPECT_EQ(frames[0].payload, "0 8");
     EXPECT_EQ(frames[1].type, MsgType::Batch);
-    EXPECT_EQ(frames[2].type, MsgType::Shutdown);
+    EXPECT_EQ(frames[2].type, MsgType::WorkerError);
     EXPECT_TRUE(frames[2].payload.empty());
 }
 
@@ -89,9 +89,9 @@ TEST(Wire, CorruptPrefixThrows) {
 }
 
 TEST(Wire, RejectsUnknownFrameTypes) {
-    // Message types are 1 (Init) to 5 (WorkerError). 6 and 7 are what a peer
-    // of an older protocol would send as Ping and Pong.
-    for (const int type : {0, 6, 7, 255}) {
+    // Message types are 1 (Assign) to 3 (WorkerError). 4 and 5 are what a
+    // peer of the five-type protocol would send as Batch and WorkerError.
+    for (const int type : {0, 4, 5, 255}) {
         SCOPED_TRACE(type);
         const char header[5] = {0, 0, 0, 0, static_cast<char>(type)};
         FrameReader reader;
@@ -123,11 +123,11 @@ TEST(Wire, PayloadHelpersValidateShape) {
               18446744073709551615ULL);
 
     const std::vector<std::string> lines{"{\"a\":1}", "{\"b\":2}"};
-    const BatchPayload batch = parse_batch(encode_batch(7, 40, lines));
-    EXPECT_EQ(batch.shard, 7u);
+    const BatchPayload batch = parse_batch(encode_batch(40, lines));
     EXPECT_EQ(batch.first, 40u);
     EXPECT_EQ(batch.lines, lines);
-    EXPECT_THROW((void)parse_batch("7 40 2\n{\"a\":1}\n"), WireError);
+    EXPECT_THROW((void)parse_batch("40 2\n{\"a\":1}\n"), WireError);
+    EXPECT_THROW((void)parse_batch("7 40 1\n{\"a\":1}\n"), WireError);
 }
 
 // ---------------------------------------------------------------- json
@@ -297,12 +297,13 @@ TEST(Checkpoint, WritesAndReloadsBatches) {
     EXPECT_FALSE(contents.torn_tail);
     ASSERT_EQ(contents.batches.size(), 2u);
     EXPECT_EQ(contents.batches[0].first, 0u);
-    EXPECT_EQ(contents.batches[0].lines.size(), 3u);
+    EXPECT_EQ(contents.batches[0].outcomes.size(), 3u);
     EXPECT_EQ(contents.batches[1].first, 6u);
 
     // Resume appends more records to the same journal.
     {
-        CheckpointWriter writer = CheckpointWriter::resume(path, 0x1234, 10);
+        CheckpointWriter writer =
+            CheckpointWriter::resume(path, load_checkpoint(path, 0x1234, 10));
         writer.append(3, sample_lines(3, 3));
     }
     EXPECT_EQ(load_checkpoint(path, 0x1234, 10).batches.size(), 3u);
@@ -352,7 +353,8 @@ TEST(Checkpoint, ResumeAfterTornTailTruncatesAndStaysLoadable) {
     // otherwise the partial record ends up mid-file and the next load sees
     // hard corruption instead of a clean journal.
     {
-        CheckpointWriter writer = CheckpointWriter::resume(path, 0x1234, 10);
+        CheckpointWriter writer =
+            CheckpointWriter::resume(path, load_checkpoint(path, 0x1234, 10));
         writer.append(3, sample_lines(3, 3));
         writer.append(6, sample_lines(6, 4));
     }
@@ -361,7 +363,7 @@ TEST(Checkpoint, ResumeAfterTornTailTruncatesAndStaysLoadable) {
     ASSERT_EQ(contents.batches.size(), 3u);
     EXPECT_EQ(contents.batches[1].first, 3u);
     EXPECT_EQ(contents.batches[2].first, 6u);
-    EXPECT_EQ(contents.batches[2].lines.size(), 4u);
+    EXPECT_EQ(contents.batches[2].outcomes.size(), 4u);
 
     // A second crash + resume cycle over the same journal must also work.
     std::ifstream in2(path, std::ios::binary);
@@ -373,7 +375,8 @@ TEST(Checkpoint, ResumeAfterTornTailTruncatesAndStaysLoadable) {
     out2 << full2.substr(0, full2.size() - 1);  // tear just the final newline
     out2.close();
     {
-        CheckpointWriter writer = CheckpointWriter::resume(path, 0x1234, 10);
+        CheckpointWriter writer =
+            CheckpointWriter::resume(path, load_checkpoint(path, 0x1234, 10));
         writer.append(6, sample_lines(6, 4));
     }
     EXPECT_EQ(load_checkpoint(path, 0x1234, 10).batches.size(), 3u);
@@ -447,7 +450,9 @@ TEST(Checkpoint, RefusesJournalOfAnotherModel) {
             EXPECT_NE(std::string(e.what()).find("simulation model"), std::string::npos)
                 << e.what();
         }
-        EXPECT_THROW((void)CheckpointWriter::resume(path, 0x1234, 10), CheckpointError);
+        EXPECT_THROW(
+            (void)CheckpointWriter::resume(path, load_checkpoint(path, 0x1234, 10)),
+            CheckpointError);
     };
     expect_refused(
         "refpga-svc-checkpoint v1 codec 1 fingerprint 0000000000001234 scenarios 10\n");
@@ -501,7 +506,7 @@ TEST(Checkpoint, TearAtEveryByteOffsetLoadsOrFailsThenResumes) {
             << "cut=" << cut;
         EXPECT_LE(contents.batches.size(), 2u);
         {
-            CheckpointWriter writer = CheckpointWriter::resume(path, 0xabcd, 10);
+            CheckpointWriter writer = CheckpointWriter::resume(path, contents);
             writer.append(8, sample_lines(8, 1));
         }
         const CheckpointContents again = load_checkpoint(path, 0xabcd, 10);
@@ -529,7 +534,12 @@ struct WorkerHandle {
     }
 };
 
-void spawn_worker(WorkerHandle& w, WorkerFaults* faults = nullptr) {
+/// Forks a worker over `spec`'s grid, as the coordinator does.
+void spawn_worker(WorkerHandle& w, const JobSpec& spec,
+                  WorkerFaults* faults = nullptr) {
+    const std::vector<fleet::Scenario> scenarios = spec.expand();
+    fleet::CampaignOptions options;
+    options.stream_block_ticks = spec.stream_block_ticks;
     int to_pipe[2];
     int from_pipe[2];
     ASSERT_EQ(::pipe(to_pipe), 0);
@@ -540,7 +550,7 @@ void spawn_worker(WorkerHandle& w, WorkerFaults* faults = nullptr) {
         ::close(to_pipe[1]);
         ::close(from_pipe[0]);
         if (faults != nullptr) faults->start(0, 0);
-        _exit(worker_main(to_pipe[0], from_pipe[1], faults));
+        _exit(worker_main(to_pipe[0], from_pipe[1], scenarios, options, faults));
     }
     ::close(to_pipe[0]);
     ::close(from_pipe[1]);
@@ -559,19 +569,25 @@ JobSpec small_spec() {
     return spec;  // 8 scenarios
 }
 
+/// Reaps the worker and returns its exit code (-1 unless it exited).
+int exit_code(WorkerHandle& w) {
+    int status = 0;
+    if (::waitpid(w.pid, &status, 0) != w.pid) return -1;
+    w.pid = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 TEST(Worker, RunsOneBatchPerAssignThenIdles) {
     WorkerHandle w;
-    spawn_worker(w);
     const JobSpec spec = small_spec();
-    write_frame(w.to, MsgType::Init, encode_init(1, spec.canonical_json()));
-    write_frame(w.to, MsgType::Assign, "0 2 3");
+    spawn_worker(w, spec);
+    write_frame(w.to, MsgType::Assign, "2 3");
 
     // The assignment is answered by exactly one Batch frame holding it...
     Frame frame;
     ASSERT_TRUE(read_frame(w.from, frame)) << "worker hung up early";
     ASSERT_EQ(frame.type, MsgType::Batch) << msg_type_name(frame.type);
     const BatchPayload batch = parse_batch(frame.payload);
-    EXPECT_EQ(batch.shard, 0u);
     EXPECT_EQ(batch.first, 2u);
     ASSERT_EQ(batch.lines.size(), 3u);
     const std::vector<fleet::Scenario> scenarios = spec.expand();
@@ -579,28 +595,44 @@ TEST(Worker, RunsOneBatchPerAssignThenIdles) {
         EXPECT_EQ(fleet::decode_outcome_line(batch.lines[i]).scenario.name,
                   scenarios[2 + i].name);
 
-    // ...and by nothing else: after Shutdown the stream ends cleanly at a
-    // frame boundary.
-    write_frame(w.to, MsgType::Shutdown, "");
+    // ...and by nothing else: once its input pipe is closed the stream ends
+    // cleanly at a frame boundary and the worker exits 0.
+    ::close(w.to);
+    w.to = -1;
     EXPECT_FALSE(read_frame(w.from, frame))
         << "unexpected " << msg_type_name(frame.type) << " after the Batch";
+    EXPECT_EQ(exit_code(w), 0);
 }
 
-TEST(Worker, ExitBeforeInitDiesBeforeAnyFrame) {
+TEST(Worker, ClosedInputStillDeliversTheHeldBatch) {
+    // The drain closes a worker's input pipe whatever it holds: a worker
+    // that is running a batch must still send it, and only then exit 0.
     WorkerHandle w;
-    FaultScript exit_early(FaultScript::Hook::BeforeInit,
+    FaultScript slow(FaultScript::Hook::BeforeBatch, FaultScript::Action::Sleep);
+    slow.sleep_ms = 100;
+    spawn_worker(w, small_spec(), &slow);
+    write_frame(w.to, MsgType::Assign, "0 2");
+    ::close(w.to);
+    w.to = -1;
+
+    Frame frame;
+    ASSERT_TRUE(read_frame(w.from, frame)) << "the held batch was lost";
+    ASSERT_EQ(frame.type, MsgType::Batch) << msg_type_name(frame.type);
+    EXPECT_EQ(parse_batch(frame.payload).lines.size(), 2u);
+    EXPECT_FALSE(read_frame(w.from, frame));
+    EXPECT_EQ(exit_code(w), 0);
+}
+
+TEST(Worker, ExitBeforeBatchDiesBeforeAnyFrame) {
+    WorkerHandle w;
+    FaultScript exit_early(FaultScript::Hook::BeforeBatch,
                            FaultScript::Action::Exit);
-    spawn_worker(w, &exit_early);
-    write_frame(w.to, MsgType::Init,
-                encode_init(1, small_spec().canonical_json()));
+    spawn_worker(w, small_spec(), &exit_early);
+    write_frame(w.to, MsgType::Assign, "0 1");
     Frame frame;
     EXPECT_FALSE(read_frame(w.from, frame))
-        << "a pre-Init crash must close the pipe without producing";
-    int status = 0;
-    ASSERT_EQ(::waitpid(w.pid, &status, 0), w.pid);
-    w.pid = -1;
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 9) << "scripted exits use code 9";
+        << "a crash before the batch must close the pipe without producing";
+    EXPECT_EQ(exit_code(w), 9) << "scripted exits use code 9";
 }
 
 // ---------------------------------------------------------------- http
@@ -739,39 +771,20 @@ TEST(Job, CanonicalJsonIsStable) {
 
 TEST(Coordinator, RejectsInvalidSpecBeforeForking) {
     // Built in code, so from_json's validation never saw it: the
-    // coordinator must refuse it before creating a spool or forking a
-    // worker, instead of letting every worker die on it.
+    // coordinator must refuse it before forking a worker, instead of
+    // letting every worker die on it.
     JobSpec spec = small_spec();
     spec.upset_rates = {0.0, std::nan("")};
-    CoordinatorOptions options;
-    options.spool_path = temp_path("invalid_spool");
-    EXPECT_THROW(Coordinator(spec, options), std::invalid_argument);
-    EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0);
+    EXPECT_THROW(Coordinator(spec, CoordinatorOptions{}), std::invalid_argument);
 }
 
 TEST(Coordinator, RejectsMinWorkersAboveWorkers) {
     // A fleet that starts below min_workers can never satisfy it: refused
-    // like an invalid spec, before a spool exists or a worker is forked.
+    // like an invalid spec, before a worker is forked.
     CoordinatorOptions options;
     options.workers = 2;
     options.min_workers = 3;
-    options.spool_path = temp_path("min_workers_spool");
     EXPECT_THROW(Coordinator(small_spec(), options), std::invalid_argument);
-    EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0);
-}
-
-TEST(Coordinator, RemovesSpoolWhenDestroyed) {
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.batch = 4;
-    options.spool_path = temp_path("removed_spool");
-    {
-        Coordinator coordinator(small_spec(), options);
-        ASSERT_TRUE(coordinator.run().completed);
-        EXPECT_EQ(::access(options.spool_path.c_str(), F_OK), 0);
-    }
-    EXPECT_NE(::access(options.spool_path.c_str(), F_OK), 0)
-        << "spool left behind";
 }
 
 TEST(Coordinator, MatchesSingleProcessReportByteForByte) {
@@ -781,7 +794,6 @@ TEST(Coordinator, MatchesSingleProcessReportByteForByte) {
         CoordinatorOptions options;
         options.workers = 2;
         options.batch = 2;
-        options.spool_path = temp_path("e2e_spool");
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
         ASSERT_TRUE(result.completed) << result.error;
@@ -791,7 +803,7 @@ TEST(Coordinator, MatchesSingleProcessReportByteForByte) {
                   (spec.grid_size() + options.batch - 1) / options.batch);
         EXPECT_EQ(result.shards_reassigned, 0u);
         EXPECT_EQ(result.worker_restarts, 0u);
-        EXPECT_LE(result.max_retained_rows, options.batch);
+        EXPECT_EQ(result.max_retained_rows, spec.grid_size());
         EXPECT_EQ(coordinator.report().render_text(), want_text);
         EXPECT_EQ(coordinator.report().render_json(), want_json);
     }
@@ -805,7 +817,6 @@ TEST(Coordinator, SurvivesWorkerKillWithIdenticalReport) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
-    options.spool_path = temp_path("kill_spool");
     options.max_worker_restarts = 2;
     // Slot 0 SIGKILLs itself while it holds its first batch: the batch must
     // be requeued and the slot reforked.
@@ -840,7 +851,6 @@ TEST(Coordinator, StopCheckpointResumeCompletesWithoutRecomputing) {
         options.workers = 2;
         options.batch = 1;
         options.checkpoint_path = ckpt;
-        options.spool_path = temp_path("resume_spool_a");
         options.stop_after_commits = 3;
         // Pace every batch so the stop lands with work outstanding: a
         // 2-cycle hardware scenario takes about a millisecond, and unpaced
@@ -862,7 +872,6 @@ TEST(Coordinator, StopCheckpointResumeCompletesWithoutRecomputing) {
         options.batch = 1;
         options.checkpoint_path = ckpt;
         options.resume = true;
-        options.spool_path = temp_path("resume_spool_b");
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
         ASSERT_TRUE(result.completed) << result.error;
@@ -878,7 +887,6 @@ TEST(Coordinator, StopCheckpointResumeCompletesWithoutRecomputing) {
     CoordinatorOptions options;
     options.checkpoint_path = ckpt;
     options.resume = true;
-    options.spool_path = temp_path("resume_spool_c");
     Coordinator coordinator(other, options);
     EXPECT_THROW((void)coordinator.run(), CheckpointError);
 }
@@ -897,7 +905,6 @@ TEST(Coordinator, ResumeWithAnotherBatchSizeCompletes) {
         options.workers = 1;
         options.batch = 3;
         options.checkpoint_path = ckpt;
-        options.spool_path = temp_path("rebatch_spool_a");
         options.stop_after_commits = 3;
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
@@ -913,7 +920,6 @@ TEST(Coordinator, ResumeWithAnotherBatchSizeCompletes) {
         options.batch = 2;
         options.checkpoint_path = ckpt;
         options.resume = true;
-        options.spool_path = temp_path("rebatch_spool_b");
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
         ASSERT_TRUE(result.completed) << result.error;
@@ -941,7 +947,6 @@ TEST(Coordinator, ProgressDeadlineReapsSilentShardHolder) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
-    options.spool_path = temp_path("deadline_spool");
     FaultScript hang(FaultScript::Hook::BeforeBatch, FaultScript::Action::Hang);
     hang.slot = 0;
     options.worker_faults = &hang;
@@ -967,7 +972,6 @@ TEST(Coordinator, DeadlineRecoversDroppedBatch) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
-    options.spool_path = temp_path("drop_spool");
     FaultScript drop(FaultScript::Hook::FrameWrite, FaultScript::Action::Drop);
     drop.slot = 0;
     options.worker_faults = &drop;
@@ -994,7 +998,6 @@ TEST(Coordinator, StopWithHungWorkerReturnsWithinDeadline) {
         options.workers = 2;
         options.batch = 1;
         options.checkpoint_path = ckpt;
-        options.spool_path = temp_path("hung_stop_spool_a");
         FaultScript hang(FaultScript::Hook::BeforeBatch,
                          FaultScript::Action::Hang);
         hang.slot = 0;
@@ -1016,7 +1019,6 @@ TEST(Coordinator, StopWithHungWorkerReturnsWithinDeadline) {
         options.batch = 1;
         options.checkpoint_path = ckpt;
         options.resume = true;
-        options.spool_path = temp_path("hung_stop_spool_b");
         Coordinator coordinator(spec, options);
         const CoordinatorResult result = coordinator.run();
         ASSERT_TRUE(result.completed) << result.error;
@@ -1031,7 +1033,7 @@ TEST(Coordinator, CrashPhasesRecoverThroughRestarts) {
     const auto [want_text, want_json] = reference_renderings(spec);
 
     const std::pair<const char*, FaultScript::Hook> phases[] = {
-        {"before-init", FaultScript::Hook::BeforeInit},
+        {"before-batch", FaultScript::Hook::BeforeBatch},
         {"after-batch", FaultScript::Hook::AfterBatch},
     };
     for (const auto& [name, hook] : phases) {
@@ -1039,7 +1041,6 @@ TEST(Coordinator, CrashPhasesRecoverThroughRestarts) {
         CoordinatorOptions options;
         options.workers = 2;
         options.batch = 1;
-        options.spool_path = temp_path("crash_spool");
         // Every slot dies once, in its first generation.
         FaultScript crash(hook, FaultScript::Action::Exit);
         options.worker_faults = &crash;
@@ -1074,7 +1075,6 @@ TEST(Coordinator, QuarantinesCorruptStreamsAndRecovers) {
         CoordinatorOptions options;
         options.workers = 2;
         options.batch = 1;
-        options.spool_path = temp_path("corrupt_spool");
         FaultScript fault(FaultScript::Hook::FrameWrite, c.action);
         fault.slot = 0;  // every frame of slot 0's first generation
         options.worker_faults = &fault;
@@ -1096,7 +1096,6 @@ TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
     // The worker's outcome lines stay valid, so the mismatch is the only
     // thing to reject.
     const std::pair<const char*, FaultScript::Action> rewrites[] = {
-        {"shard", FaultScript::Action::RewriteShard},
         {"first", FaultScript::Action::RewriteFirst},
         {"count", FaultScript::Action::RewriteCount},
     };
@@ -1105,7 +1104,6 @@ TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
         CoordinatorOptions options;
         options.workers = 1;
         options.batch = 2;
-        options.spool_path = temp_path("rogue_spool");
         FaultScript rewrite(FaultScript::Hook::FrameWrite, action);
         options.worker_faults = &rewrite;
         options.max_worker_restarts = 0;
@@ -1118,18 +1116,17 @@ TEST(Coordinator, QuarantinesBatchThatDoesNotMatchItsAssignment) {
     }
 }
 
-TEST(Coordinator, DeadlineReapsWorkerThatIgnoresShutdown) {
+TEST(Coordinator, DeadlineReapsWorkerThatDoesNotExitOnClose) {
     const JobSpec spec = drill_spec();
     const auto [want_text, want_json] = reference_renderings(spec);
 
     // The worker commits the whole grid (4 batches) and then hangs, so it
-    // ignores Shutdown: an idle worker's deadline starts at the Shutdown,
-    // and the run returns once it expires.
+    // never reads its closed input pipe: an idle worker's deadline starts
+    // where the drain closes the pipe, and the run returns once it expires.
     const int deadline_ms = 300 * time_scale();
     CoordinatorOptions options;
     options.workers = 1;
     options.batch = 4;
-    options.spool_path = temp_path("linger_spool");
     FaultScript linger(FaultScript::Hook::FrameWrite, FaultScript::Action::Hang);
     linger.at = 4;
     options.worker_faults = &linger;
@@ -1156,7 +1153,6 @@ TEST(Coordinator, StragglerFinishesWithoutReassignment) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
-    options.spool_path = temp_path("straggler_spool");
     FaultScript slow(FaultScript::Hook::BeforeBatch, FaultScript::Action::Sleep);
     slow.slot = 0;
     slow.sleep_ms = 60;
@@ -1185,7 +1181,6 @@ TEST(Coordinator, WorkersIgnoreTerminalSignals) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 4;
-    options.spool_path = temp_path("signal_spool");
     options.worker_faults = &interrupted;
     Coordinator coordinator(spec, options);
     const CoordinatorResult result = coordinator.run();
@@ -1207,7 +1202,6 @@ TEST(Coordinator, MinWorkersFailsFastWhenFleetCannotRecover) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
-    options.spool_path = temp_path("minworkers_spool");
     FaultScript crash(FaultScript::Hook::AfterBatch, FaultScript::Action::Exit);
     crash.slot = 0;  // slot 0 dies in every generation
     crash.every_generation = true;
@@ -1232,7 +1226,6 @@ TEST(Coordinator, PartialOkFinishesDegradedWithExplicitlyPartialReport) {
     CoordinatorOptions options;
     options.workers = 2;
     options.batch = 1;
-    options.spool_path = temp_path("partial_spool");
     FaultScript crash(FaultScript::Hook::AfterBatch, FaultScript::Action::Exit);
     crash.at = 2;
     crash.every_generation = true;
@@ -1276,7 +1269,6 @@ void resume_after_journal_cut(const std::string& tag, std::size_t record,
     options.workers = 2;
     options.batch = 1;
     options.checkpoint_path = ckpt;
-    options.spool_path = temp_path((tag + "_spool_a").c_str());
     ASSERT_TRUE(Coordinator(spec, options).run().completed);
 
     std::ifstream in(ckpt, std::ios::binary);
@@ -1297,7 +1289,6 @@ void resume_after_journal_cut(const std::string& tag, std::size_t record,
     ASSERT_EQ(contents.batches.size(), kept);
 
     options.resume = true;
-    options.spool_path = temp_path((tag + "_spool_b").c_str());
     Coordinator coordinator(spec, options);
     const CoordinatorResult result = coordinator.run();
     ASSERT_TRUE(result.completed) << result.error;
