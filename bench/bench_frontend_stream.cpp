@@ -6,9 +6,10 @@
 //
 //   - the sinus generator's delta-sigma bits, which repeat every 64 ticks,
 //     through the per-sample oracle (analog::FrontEndReference from the
-//     test-support library, one component step() after another), the
-//     per-sample API (block-of-1 wrappers) and the entry the measurement
-//     system uses, run_periodic_ds, at several block sizes. Once the DAC
+//     test-support library, one component step() after another),
+//     run_block_ds one tick per call (the public API used per sample) and
+//     the entry the measurement system uses, run_periodic_ds, at several
+//     block sizes. Once the DAC
 //     reconstruction has locked onto the drive's orbit, that entry replays
 //     one tabulated period of tank output per block; blocks shorter than a
 //     period run the generic loop.
@@ -73,7 +74,7 @@ struct Throughput {
     double wall_ms = 0.0;
     double pcm_per_s = 0.0;
     double ns_per_tick = 0.0;
-    int block_ticks = 0;  ///< 0 = oracle, 1 = per-sample API
+    int block_ticks = 0;  ///< 0 = oracle
 };
 
 /// One plant condition's full measurement set.
@@ -180,15 +181,15 @@ Suite run_suite(double noise_rms, std::span<const std::uint8_t> period,
     analog::SampleBlock baseline_pcm;
     suite.reference = time_oracle("per-sample oracle", noise_rms, drive, baseline_pcm);
 
-    // Per-sample public API: block-of-1 wrappers over the fused kernel.
+    // The public API used per sample: run_block_ds with one tick per call.
+    analog::SampleBlock api_pcm;
     suite.api = time_run(
-        "per-sample API (block of 1)", 1, noise_rms, ticks, [&](analog::FrontEnd& fe) {
-            std::int64_t sink = 0;
-            for (const std::uint8_t bit : drive)
-                if (const auto pcm = fe.step_ds_bit(bit != 0))
-                    sink += pcm->meas + pcm->ref;
-            if (sink == 0x7fffffff) std::cout << "";  // keep the loop live
+        "run_block 1 (per sample)", 1, noise_rms, ticks, [&](analog::FrontEnd& fe) {
+            api_pcm.clear_pcm();
+            api_pcm.reserve_pcm(ticks / 5);
+            for (const std::uint8_t& bit : drive) fe.run_block_ds({&bit, 1}, api_pcm);
         });
+    check(same_pcm(api_pcm, baseline_pcm), "run_block_ds, one tick per call");
 
     // The system's entry: the period read in place, block by block.
     for (const int bs : block_sizes) {

@@ -270,8 +270,9 @@ void BM_GoldenPipelineWindow(benchmark::State& state) {
     const auto meas = tone_window(p, 1400.0, 0.3);
     const auto ref = tone_window(p, 1000.0, 0.0);
     app::golden::FilterState filter(p);
+    const app::golden::Tables tables(p);
     for (auto _ : state) {
-        auto result = app::golden::process_window(meas, ref, filter, p);
+        auto result = app::golden::process_window(meas, ref, filter, p, tables);
         benchmark::DoNotOptimize(result.level.level_q15);
     }
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <optional>
 
 #include "refpga/common/contracts.hpp"
 
@@ -50,17 +51,10 @@ const FrontEndConfig& validated(const FrontEndConfig& config) {
     return config;
 }
 
-// Raw DAC volts of a drive byte: a delta-sigma bit (nonzero = +1 V) or an
-// 8-bit code ((code - 128) / 128 V, exact in binary).
+// Raw DAC volts of a drive byte: a delta-sigma bit, nonzero = +1 V.
 constexpr std::array<double, 256> kBitVolts = [] {
     std::array<double, 256> volts{};
     for (std::size_t b = 0; b < volts.size(); ++b) volts[b] = b != 0 ? 1.0 : -1.0;
-    return volts;
-}();
-constexpr std::array<double, 256> kCodeVolts = [] {
-    std::array<double, 256> volts{};
-    for (std::size_t c = 0; c < volts.size(); ++c)
-        volts[c] = (static_cast<double>(c) - 128.0) / 128.0;
     return volts;
 }();
 
@@ -89,17 +83,16 @@ bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// A drive sequence read in place: the k-th byte of `bytes` through a
-/// byte-to-volts table, wrapping after `period` bytes (an arbitrary drive is
-/// one period long and never wraps).
+/// A drive sequence read in place: the k-th byte of `bytes` through
+/// kBitVolts, wrapping after `period` bytes (an arbitrary drive is one
+/// period long and never wraps).
 struct Drive {
     const std::uint8_t* bytes;
     std::size_t period;
     std::size_t k;  ///< index of the next tick's byte
-    const double* volts;
 
     double next() {
-        const double v = volts[bytes[k]];
+        const double v = kBitVolts[bytes[k]];
         if (++k == period) k = 0;
         return v;
     }
@@ -450,9 +443,8 @@ std::size_t FrontEnd::run_block_impl(std::size_t n, SampleBlock& out, Tank& sour
     }
 #endif
 
-    // Write the downstream state back to the components so per-sample
-    // steps, resets and further blocks continue seamlessly; the caller
-    // writes back the tank's.
+    // Write the downstream state back to the components so resets and
+    // further blocks continue seamlessly; the caller writes back the tank's.
     source = tank;
     alias_meas_.a_.state_ = ma_s;
     alias_meas_.b_.state_ = mb_s;
@@ -495,10 +487,9 @@ std::size_t FrontEnd::prime(double raw_v, SampleBlock& out) {
     return 1;
 }
 
-std::size_t FrontEnd::run_drive(std::span<const std::uint8_t> bytes, std::size_t phase,
-                                const double* volts, std::size_t n, bool periodic,
-                                SampleBlock& out) {
-    Drive drive{bytes.data(), bytes.size(), phase, volts};
+std::size_t FrontEnd::run_drive(std::span<const std::uint8_t> bits, std::size_t phase,
+                                std::size_t n, bool periodic, SampleBlock& out) {
+    Drive drive{bits.data(), bits.size(), phase};
     const std::size_t ticks = n;
     std::size_t pairs = 0;
     if (n > 0 && !tank_.primed_) {
@@ -563,26 +554,14 @@ std::size_t FrontEnd::run_drive(std::span<const std::uint8_t> bytes, std::size_t
 
 std::size_t FrontEnd::run_block_ds(std::span<const std::uint8_t> bits,
                                    SampleBlock& out) {
-    return run_drive(bits, 0, kBitVolts.data(), bits.size(), false, out);
-}
-
-std::size_t FrontEnd::run_block_code8(std::span<const std::uint8_t> codes,
-                                      SampleBlock& out) {
-    return run_drive(codes, 0, kCodeVolts.data(), codes.size(), false, out);
+    return run_drive(bits, 0, bits.size(), false, out);
 }
 
 std::size_t FrontEnd::run_periodic_ds(std::span<const std::uint8_t> period,
                                       std::size_t phase, std::size_t n,
                                       SampleBlock& out) {
     REFPGA_EXPECTS(phase < period.size());
-    return run_drive(period, phase, kBitVolts.data(), n, true, out);
-}
-
-std::size_t FrontEnd::run_periodic_code8(std::span<const std::uint8_t> period,
-                                         std::size_t phase, std::size_t n,
-                                         SampleBlock& out) {
-    REFPGA_EXPECTS(phase < period.size());
-    return run_drive(period, phase, kCodeVolts.data(), n, true, out);
+    return run_drive(period, phase, n, true, out);
 }
 
 void FrontEnd::set_recorder(obs::Recorder* recorder) {
@@ -604,21 +583,6 @@ void FrontEnd::record_block(std::size_t ticks, std::size_t pairs, bool orbit) {
     m.add(pairs_metric_, static_cast<double>(pairs));
     m.add(blocks_metric_, 1.0);
     if (orbit) m.add(orbit_blocks_metric_, 1.0);
-}
-
-std::optional<FrontEnd::PcmPair> FrontEnd::step_ds_bit(bool bit) {
-    const std::uint8_t drive = bit ? 1 : 0;
-    step_scratch_.clear_pcm();
-    if (run_block_ds({&drive, 1}, step_scratch_) == 1)
-        return PcmPair{step_scratch_.meas[0], step_scratch_.ref[0]};
-    return std::nullopt;
-}
-
-std::optional<FrontEnd::PcmPair> FrontEnd::step_code8(std::uint8_t code) {
-    step_scratch_.clear_pcm();
-    if (run_block_code8({&code, 1}, step_scratch_) == 1)
-        return PcmPair{step_scratch_.meas[0], step_scratch_.ref[0]};
-    return std::nullopt;
 }
 
 }  // namespace refpga::analog

@@ -1,31 +1,26 @@
 // Complete analog front end: drive -> reconstruction filter -> tank ->
 // anti-alias filters -> dual delta-sigma ADCs (measurement + reference).
 //
-// Two drive variants mirror the paper's §4.1 progression:
-//   - step_code8() / run_block_code8() / run_periodic_code8(): the first
-//     prototype's external 8-bit DAC;
-//   - step_ds_bit() / run_block_ds() / run_periodic_ds(): the improved
-//     design's on-chip delta-sigma DAC bit, reconstructed by the external RC
-//     low-pass.
+// The drive is the paper's final §4.1 design: the on-chip delta-sigma DAC's
+// bit, reconstructed by the external RC low-pass.
 //
-// Streaming layer: the sample path is block-oriented. run_block_*() advances
-// N modulator ticks of an arbitrary drive per call through one fused,
-// branch-light inner loop (reconstruction, tank + noise, anti-alias,
-// modulators, 3-stage CIC, PCM code table) with all filter/modulator state
-// held in locals, writing PCM pairs into a caller-owned SampleBlock.
-// run_periodic_*() take a drive that repeats with a known period (the sinus
-// generator's) and read it in place; once the reconstruction has locked onto
-// the drive's orbit they replay one tabulated period of tank output instead
-// of recomputing it (see run_periodic_ds). The per-sample step_*() entry
-// points are thin wrappers over a block of one tick. Determinism rule: for a
-// given drive sequence the PCM stream — including the tank-noise RNG draw
-// order — is bit-identical for every entry point and block partitioning, and
-// bit-identical to the per-sample oracle analog::FrontEndReference of the
-// test-support library (pinned by tests/test_frontend_stream).
+// Streaming layer: the sample path is block-oriented, with two entry
+// points. run_block_ds() advances one modulator tick per drive bit through
+// one fused, branch-light inner loop (reconstruction, tank + noise,
+// anti-alias, modulators, 3-stage CIC, PCM code table) with all
+// filter/modulator state held in locals, writing PCM pairs into a
+// caller-owned SampleBlock. run_periodic_ds() takes a drive that repeats
+// with a known period (the sinus generator's) and reads it in place; once
+// the reconstruction has locked onto the drive's orbit it replays one
+// tabulated period of tank output instead of recomputing it. Determinism
+// rule: for a given drive sequence the PCM stream — including the
+// tank-noise RNG draw order — is bit-identical for both entry points and
+// every block partitioning, and bit-identical to the per-sample oracle
+// analog::FrontEndReference of the test-support library (pinned by
+// tests/test_frontend_stream).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -77,20 +72,6 @@ public:
         return config_.modulator_hz / config_.adc_decimation;
     }
 
-    struct PcmPair {
-        std::int32_t meas = 0;
-        std::int32_t ref = 0;
-    };
-
-    /// One modulator-rate step driven by an 8-bit DAC code (0..255 maps to
-    /// [-1, 1) volts). Yields a PCM pair every adc_decimation steps.
-    /// Thin wrapper over run_block_code8 with a block of one tick.
-    std::optional<PcmPair> step_code8(std::uint8_t code);
-
-    /// One modulator-rate step driven by a delta-sigma DAC output bit.
-    /// Thin wrapper over run_block_ds with a block of one tick.
-    std::optional<PcmPair> step_ds_bit(bool bit);
-
     /// Modulator ticks until `pcm_pairs` more PCM pairs fire (accounts for
     /// the ADCs' current decimation phase).
     [[nodiscard]] long ticks_for_pcm(long pcm_pairs) const;
@@ -100,9 +81,6 @@ public:
     /// Returns the number of pairs appended. The caller owns the block and
     /// its capacity; run_block never shrinks it.
     std::size_t run_block_ds(std::span<const std::uint8_t> bits, SampleBlock& out);
-
-    /// Same, driven by 8-bit DAC codes.
-    std::size_t run_block_code8(std::span<const std::uint8_t> codes, SampleBlock& out);
 
     /// Advances `n` ticks of a periodic delta-sigma drive, read in place:
     /// tick i is driven by period[(phase + i) % period.size()]. The PCM is
@@ -120,11 +98,6 @@ public:
     std::size_t run_periodic_ds(std::span<const std::uint8_t> period,
                                 std::size_t phase, std::size_t n, SampleBlock& out);
 
-    /// Same, driven by a periodic sequence of 8-bit DAC codes.
-    std::size_t run_periodic_code8(std::span<const std::uint8_t> period,
-                                   std::size_t phase, std::size_t n,
-                                   SampleBlock& out);
-
     /// The PCM code the block kernel emits for one CIC output: the code
     /// table's entry, equal to DeltaSigmaAdc::quantize at this front end's
     /// decimation R and width. ContractViolation outside the CIC's output
@@ -140,11 +113,10 @@ public:
     void set_recorder(obs::Recorder* recorder);
 
 private:
-    /// Every block entry: `n` ticks of drive bytes[(phase + i) % size]
-    /// through a byte-to-volts table; `periodic` allows the orbit replay.
-    std::size_t run_drive(std::span<const std::uint8_t> bytes, std::size_t phase,
-                          const double* volts, std::size_t n, bool periodic,
-                          SampleBlock& out);
+    /// Both block entries: `n` ticks of drive bits[(phase + i) % size];
+    /// `periodic` allows the orbit replay.
+    std::size_t run_drive(std::span<const std::uint8_t> bits, std::size_t phase,
+                          std::size_t n, bool periodic, SampleBlock& out);
     std::size_t prime(double raw_v, SampleBlock& out);
     void record_block(std::size_t ticks, std::size_t pairs, bool orbit);
 
@@ -162,7 +134,6 @@ private:
     std::vector<std::int32_t> pcm_codes_;  ///< quantize(v) at index v + R^3
     std::vector<double> orbit_tia_;        ///< per tick of a period: meas, ref V
     std::vector<double> orbit_state_;      ///< per tick: recon a, b, prev drive
-    SampleBlock step_scratch_;  ///< block-of-1 storage for the step_* wrappers
     obs::Recorder* recorder_ = nullptr;
     obs::MetricId ticks_metric_;
     obs::MetricId pairs_metric_;

@@ -146,12 +146,6 @@ CapacityResult capacity(const ChannelResult& meas, const ChannelResult& ref,
     return result;
 }
 
-std::int32_t level_slope_q10(const AppParams& params) {
-    const int span = params.c_full_q4() - params.c_empty_q4();
-    REFPGA_EXPECTS(span > 0);
-    return static_cast<std::int32_t>((32768LL * 1024 + span / 2) / span);
-}
-
 FilterState::Output FilterState::step(std::uint32_t cap_pf_q4) {
     // Median-of-3 over the most recent samples. State starts at zero exactly
     // like the hardware registers, so golden and netlist stay bit-identical
@@ -194,33 +188,6 @@ CycleResult process_window(std::span<const std::int32_t> meas,
     result.cap = capacity(result.meas, result.ref, params, tables);
     result.level = filter.step(result.cap.cap_pf_q4);
     return result;
-}
-
-// One-off overloads: a fresh table set per call.
-
-WindowAccumulators accumulate_window(std::span<const std::int32_t> meas,
-                                     std::span<const std::int32_t> ref,
-                                     const AppParams& params) {
-    return accumulate_window(meas, ref, params, Tables(params));
-}
-
-CordicVector cordic_vector(std::int32_t x, std::int32_t y, const AppParams& params) {
-    return cordic_vector(x, y, params, Tables(params));
-}
-
-ChannelResult amp_phase(std::int32_t acc_i, std::int32_t acc_q, const AppParams& params) {
-    return amp_phase(acc_i, acc_q, params, Tables(params));
-}
-
-CapacityResult capacity(const ChannelResult& meas, const ChannelResult& ref,
-                        const AppParams& params) {
-    return capacity(meas, ref, params, Tables(params));
-}
-
-CycleResult process_window(std::span<const std::int32_t> meas,
-                           std::span<const std::int32_t> ref, FilterState& filter,
-                           const AppParams& params) {
-    return process_window(meas, ref, filter, params, Tables(params));
 }
 
 }  // namespace refpga::app::golden

@@ -101,34 +101,18 @@ SinusGenModel::SinusGenModel(const AppParams&) {
         s1 = decode_signed(static_cast<std::uint32_t>(s1 + (code8 - 128) - fb), 14);
         s2 = decode_signed(static_cast<std::uint32_t>(s2 + s1 - fb), 16);
         bits_.push_back(static_cast<std::uint8_t>(bit));
-        codes_.push_back(static_cast<std::uint8_t>(code8));
         addr = (addr + 1) % table.size();
     } while (addr != 0 || s1 != 0 || s2 != 0);
 }
 
-SinusGenModel::Step SinusGenModel::step() {
-    const Step out{codes_[phase_], bits_[phase_] != 0};
-    advance(1);
-    return out;
-}
-
-void SinusGenModel::copy_period(std::span<const std::uint8_t> period, std::size_t n,
-                                std::uint8_t* out) {
+void SinusGenModel::run_block_bits(std::size_t n, std::uint8_t* bits) {
     while (n > 0) {
-        const std::size_t run = std::min(n, period.size() - phase_);
-        std::copy_n(period.begin() + static_cast<std::ptrdiff_t>(phase_), run, out);
-        out += run;
+        const std::size_t run = std::min(n, period() - phase_);
+        std::copy_n(bits_.begin() + static_cast<std::ptrdiff_t>(phase_), run, bits);
+        bits += run;
         n -= run;
         advance(run);
     }
-}
-
-void SinusGenModel::run_block_bits(std::size_t n, std::uint8_t* bits) {
-    copy_period(bits_, n, bits);
-}
-
-void SinusGenModel::run_block_codes(std::size_t n, std::uint8_t* codes) {
-    copy_period(codes_, n, codes);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,8 +364,7 @@ FilterIo make_filter(Builder& b, const Bus& cap, NetId cap_valid,
     const NetId below = delta_raw.back();
     const Bus delta = b.mux_bus(below, delta_raw, b.constant(0, 17));
 
-    const int span = params.c_full_q4() - params.c_empty_q4();
-    const std::int64_t slope = (32768LL * 1024 + span / 2) / span;
+    const std::int32_t slope = level_slope_q10(params);
     // 14 bits: the multiplier treats operands as signed, so the constant
     // needs a clear sign bit on top of its 13 magnitude bits.
     const Bus slope_bus = b.constant(static_cast<std::uint64_t>(slope), 14);

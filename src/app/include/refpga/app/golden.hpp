@@ -5,9 +5,8 @@
 // implements instruction by instruction. All arithmetic is two's-complement
 // with the widths in AppParams; wrap/truncate behaviour mirrors the fabric.
 //
-// Every stage reads its lookup tables from a golden::Tables. A caller that
-// runs many windows (MeasurementSystem) builds one set and passes it in; the
-// overloads without a Tables build a set per call, for one-off use.
+// Every stage reads its lookup tables from a golden::Tables, which a caller
+// builds once and passes to every window (MeasurementSystem keeps one).
 #pragma once
 
 #include <cstdint>
@@ -44,9 +43,6 @@ struct WindowAccumulators {
                                                    std::span<const std::int32_t> ref,
                                                    const AppParams& params,
                                                    const Tables& tables);
-[[nodiscard]] WindowAccumulators accumulate_window(std::span<const std::int32_t> meas,
-                                                   std::span<const std::int32_t> ref,
-                                                   const AppParams& params);
 
 struct ChannelResult {
     std::uint32_t amplitude = 0;  ///< 16-bit
@@ -56,8 +52,6 @@ struct ChannelResult {
 /// CORDIC vectoring + gain correction on truncated accumulators.
 [[nodiscard]] ChannelResult amp_phase(std::int32_t acc_i, std::int32_t acc_q,
                                       const AppParams& params, const Tables& tables);
-[[nodiscard]] ChannelResult amp_phase(std::int32_t acc_i, std::int32_t acc_q,
-                                      const AppParams& params);
 
 /// Raw CORDIC vectoring (exposed for unit tests): returns {magnitude, angle}.
 struct CordicVector {
@@ -66,8 +60,6 @@ struct CordicVector {
 };
 [[nodiscard]] CordicVector cordic_vector(std::int32_t x, std::int32_t y,
                                          const AppParams& params, const Tables& tables);
-[[nodiscard]] CordicVector cordic_vector(std::int32_t x, std::int32_t y,
-                                         const AppParams& params);
 
 /// Unsigned restoring division: floor((num << frac_bits) / den), saturated to
 /// `out_bits`. den == 0 saturates.
@@ -84,9 +76,6 @@ struct CapacityResult {
 [[nodiscard]] CapacityResult capacity(const ChannelResult& meas,
                                       const ChannelResult& ref,
                                       const AppParams& params, const Tables& tables);
-[[nodiscard]] CapacityResult capacity(const ChannelResult& meas,
-                                      const ChannelResult& ref,
-                                      const AppParams& params);
 
 /// Streaming filter/level state (median-3 + EMA + linearization).
 class FilterState {
@@ -121,12 +110,5 @@ struct CycleResult {
                                          std::span<const std::int32_t> ref,
                                          FilterState& filter, const AppParams& params,
                                          const Tables& tables);
-[[nodiscard]] CycleResult process_window(std::span<const std::int32_t> meas,
-                                         std::span<const std::int32_t> ref,
-                                         FilterState& filter, const AppParams& params);
-
-/// Level slope for the linearization step: Q10 multiplier such that
-/// level_q15 = ((cap - c_empty) * slope) >> 10, clamped.
-[[nodiscard]] std::int32_t level_slope_q10(const AppParams& params);
 
 }  // namespace refpga::app::golden

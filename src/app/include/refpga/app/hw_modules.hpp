@@ -40,7 +40,7 @@ struct SinusGeneratorIo {
 /// state returns there, and every tick after that is served from the
 /// recorded period; a table whose state does not return to reset within
 /// kMaxPeriod ticks is a contract failure. period() and phase() let a
-/// periodic consumer (analog::FrontEnd::run_periodic_*) read the period in
+/// periodic consumer (analog::FrontEnd::run_periodic_ds) read the period in
 /// place instead of copying the drive out tick by tick.
 class SinusGenModel {
 public:
@@ -49,35 +49,20 @@ public:
 
     explicit SinusGenModel(const AppParams& params);
 
-    /// One 16 MHz tick: returns {code8, ds_bit}.
-    struct Step {
-        std::uint32_t code8 = 0;
-        bool ds_bit = false;
-    };
-    Step step();
-
     /// Ticks until the state returns to reset.
     [[nodiscard]] std::size_t period() const { return bits_.size(); }
     /// Position of the next tick within the period.
     [[nodiscard]] std::size_t phase() const { return phase_; }
     /// One period from reset: the delta-sigma bit (0/1) of each tick.
     [[nodiscard]] std::span<const std::uint8_t> period_bits() const { return bits_; }
-    /// One period from reset: the 8-bit DAC code of each tick.
-    [[nodiscard]] std::span<const std::uint8_t> period_codes() const { return codes_; }
     /// Skips `n` ticks.
     void advance(std::size_t n) { phase_ = (phase_ + n % period()) % period(); }
 
     /// The next `n` delta-sigma bits (0/1), copied into `bits`.
     void run_block_bits(std::size_t n, std::uint8_t* bits);
-    /// The next `n` 8-bit DAC codes, copied into `codes`.
-    void run_block_codes(std::size_t n, std::uint8_t* codes);
 
 private:
-    void copy_period(std::span<const std::uint8_t> period, std::size_t n,
-                     std::uint8_t* out);
-
     std::vector<std::uint8_t> bits_;
-    std::vector<std::uint8_t> codes_;
     std::size_t phase_ = 0;
 };
 

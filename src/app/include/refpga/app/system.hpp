@@ -39,7 +39,6 @@ struct SystemOptions {
     SoftwareConfig software;                       ///< Software variant only
     reconfig::ConfigPortSpec port;                 ///< ReconfiguredHw only
     fabric::PartName part = fabric::PartName::XC3S400;
-    bool use_ds_dac = true;                        ///< internal delta-sigma DAC
     /// Tank output noise per channel (plant condition, swept by campaigns).
     double tank_noise_rms_v = 1e-3;
     /// Modulator ticks advanced per front-end block in the sampling phase;
@@ -59,12 +58,6 @@ struct SystemOptions {
     /// Fraction of the cycle's idle window donated to readback scrubbing
     /// (Fig. 4 leaves ~29 ms idle per 100 ms cycle on the JCAP system).
     double scrub_idle_fraction = 0.5;
-    /// Plausibility guard (armed, like load verification, only when `fault`
-    /// injects something; it holds the last-good value when the level moves
-    /// by more than 0.25 in one cycle): consecutive rejections after which
-    /// the guard yields — a persistent "implausible" reading is a real step
-    /// change, not a transient fault.
-    int plausibility_patience = 2;
 
     /// Observability sink (refpga::obs); the system's obs toggle. nullptr —
     /// the default — leaves every instrumentation site as a single null

@@ -32,6 +32,10 @@ inline constexpr int kSinusLutSize = 32;
 /// Inverse CORDIC gain 1/K in Q15 for the given stage count.
 [[nodiscard]] std::int32_t cordic_inv_gain_q15(int stages);
 
+/// Level slope for the filter's linearization step: Q10 multiplier such that
+/// level_q15 = ((cap - c_empty) * slope) >> 10, clamped.
+[[nodiscard]] std::int32_t level_slope_q10(const AppParams& params);
+
 /// Two's-complement encode of a signed value into `bits` bits.
 [[nodiscard]] inline std::uint32_t encode_signed(std::int32_t value, int bits) {
     REFPGA_EXPECTS(bits >= 1 && bits <= 32);

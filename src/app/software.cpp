@@ -25,8 +25,7 @@ std::string measurement_source(const AppParams& params, const SoftwareConfig& co
     REFPGA_EXPECTS(params.window == 256 && params.angle_bits == 16);
     std::ostringstream os;
     const std::int32_t inv_k = cordic_inv_gain_q15(params.cordic_stages);
-    const int span = params.c_full_q4() - params.c_empty_q4();
-    const std::int64_t slope = (32768LL * 1024 + span / 2) / span;
+    const std::int32_t slope = level_slope_q10(params);
 
     os << "; capacity-measurement firmware (generated)\n";
     os << "; register use: r1 meas, r2 ref, r3 sin, r4 cos, r5/r6 loop,\n";

@@ -47,9 +47,13 @@ constexpr std::uint64_t kStaticSignature = 0x5e1f0c0def417a11ULL;
 // the CIC need to charge up).
 constexpr int kSettleWindows = 2;
 
-// Plausibility guard: largest credible level change per cycle. A larger
-// jump holds the last-good value instead (counted as a rejection).
+// Plausibility guard (armed, like load verification, only when the fault
+// spec injects something): largest credible level change per cycle. A
+// larger jump holds the last-good value instead (counted as a rejection),
+// until kPlausibilityPatience consecutive rejections: a persistent
+// "implausible" reading is a real step change, not a transient fault.
 constexpr double kMaxLevelJump = 0.25;
+constexpr int kPlausibilityPatience = 2;
 
 // Stuck-bit pattern a corrupted fabric imprints on the capacity word; always
 // large enough (>= 170 pF) to trip the plausibility guard's jump.
@@ -78,7 +82,6 @@ MeasurementSystem::MeasurementSystem(SystemOptions options, std::uint64_t noise_
       plan_(options_.fault, device_.cols(), noise_seed ^ 0xFA17005EED5EED01ULL) {
     REFPGA_EXPECTS(options_.scrub_idle_fraction >= 0.0 &&
                    options_.scrub_idle_fraction <= 1.0);
-    REFPGA_EXPECTS(options_.plausibility_patience >= 1);
     REFPGA_EXPECTS(options_.load_max_retries >= 0);
     REFPGA_EXPECTS(options_.stream_block_ticks > 0);
 
@@ -165,16 +168,11 @@ void MeasurementSystem::collect_window(analog::SampleBlock& block,
     // pairs.
     block.clear_pcm();
     block.reserve_pcm(static_cast<std::size_t>(needed));
-    const std::span<const std::uint8_t> period =
-        options_.use_ds_dac ? sinusgen_.period_bits() : sinusgen_.period_codes();
     long remaining = frontend_.ticks_for_pcm(needed);
     while (remaining > 0) {
         const auto n =
             static_cast<std::size_t>(std::min<long>(options_.stream_block_ticks, remaining));
-        if (options_.use_ds_dac)
-            frontend_.run_periodic_ds(period, sinusgen_.phase(), n, block);
-        else
-            frontend_.run_periodic_code8(period, sinusgen_.phase(), n, block);
+        frontend_.run_periodic_ds(sinusgen_.period_bits(), sinusgen_.phase(), n, block);
         sinusgen_.advance(n);
         remaining -= static_cast<long>(n);
     }
@@ -415,10 +413,8 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
     const double candidate = level_candidate(cap_raw.cap_pf_q4);
     if (options_.fault.any() && have_last_good_ &&
         std::abs(candidate - last_good_candidate_) > kMaxLevelJump &&
-        reject_streak_ < options_.plausibility_patience) {
-        // Implausible jump: hold the last-good value. After `patience`
-        // consecutive rejections the new reading wins — a persistent change
-        // is a real step, not a transient fault.
+        reject_streak_ < kPlausibilityPatience) {
+        // Implausible jump: hold the last-good value.
         ++reject_streak_;
         ++stats_.rejected_cycles;
         report.plausibility_rejected = true;

@@ -52,4 +52,10 @@ std::int32_t cordic_inv_gain_q15(int stages) {
     return static_cast<std::int32_t>(std::lround(32768.0 / k));
 }
 
+std::int32_t level_slope_q10(const AppParams& params) {
+    const int span = params.c_full_q4() - params.c_empty_q4();
+    REFPGA_EXPECTS(span > 0);
+    return static_cast<std::int32_t>((32768LL * 1024 + span / 2) / span);
+}
+
 }  // namespace refpga::app

@@ -1,11 +1,8 @@
-// Minimal leveled logging to stderr.
+// Warnings to stderr.
 //
-// The library is quiet by default (Level::Warning); tools raise verbosity.
-//
-// Thread-safety: all functions here may be called from any thread. The
-// level is an atomic (set_log_level from one thread is visible to loggers on
-// others) and messages are emitted whole under an internal lock, so
-// concurrent log lines never interleave.
+// Thread-safety: log_warning may be called from any thread; each message is
+// emitted whole under an internal lock, so concurrent lines never
+// interleave.
 #pragma once
 
 #include <sstream>
@@ -13,31 +10,15 @@
 
 namespace refpga {
 
-enum class LogLevel { Debug, Info, Warning, Error, Off };
+/// Writes "[refpga:WARN] <msg>" and a newline to stderr.
+void log_warning_line(const std::string& msg);
 
-/// Global log threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
-
-void log_message(LogLevel level, const std::string& msg);
-
-namespace detail {
+/// Streams `args` into one message and writes it with log_warning_line.
 template <typename... Args>
-void log_fmt(LogLevel level, const Args&... args) {
-    if (level < log_level()) return;
+void log_warning(const Args&... args) {
     std::ostringstream os;
     (os << ... << args);
-    log_message(level, os.str());
+    log_warning_line(os.str());
 }
-}  // namespace detail
-
-template <typename... Args>
-void log_debug(const Args&... args) { detail::log_fmt(LogLevel::Debug, args...); }
-template <typename... Args>
-void log_info(const Args&... args) { detail::log_fmt(LogLevel::Info, args...); }
-template <typename... Args>
-void log_warning(const Args&... args) { detail::log_fmt(LogLevel::Warning, args...); }
-template <typename... Args>
-void log_error(const Args&... args) { detail::log_fmt(LogLevel::Error, args...); }
 
 }  // namespace refpga

@@ -1,39 +1,15 @@
 #include "refpga/common/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace refpga {
 
-namespace {
-// The threshold is read on every log call, possibly from many campaign
-// worker threads at once; relaxed atomics keep that race-free (ordering of
-// a level change vs in-flight messages is intentionally unspecified).
-std::atomic<LogLevel> g_level{LogLevel::Warning};
-
-// Serializes whole messages so concurrent workers never interleave output.
-std::mutex g_sink_mutex;
-
-const char* level_name(LogLevel level) {
-    switch (level) {
-        case LogLevel::Debug: return "DEBUG";
-        case LogLevel::Info: return "INFO";
-        case LogLevel::Warning: return "WARN";
-        case LogLevel::Error: return "ERROR";
-        case LogLevel::Off: return "OFF";
-    }
-    return "?";
-}
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
-void log_message(LogLevel level, const std::string& msg) {
-    if (level < log_level()) return;
-    const std::lock_guard<std::mutex> lock(g_sink_mutex);
-    std::cerr << "[refpga:" << level_name(level) << "] " << msg << '\n';
+void log_warning_line(const std::string& msg) {
+    // Serializes whole messages so concurrent threads never interleave.
+    static std::mutex sink_mutex;
+    const std::lock_guard<std::mutex> lock(sink_mutex);
+    std::cerr << "[refpga:WARN] " << msg << '\n';
 }
 
 }  // namespace refpga

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <mutex>
+#include <thread>
 
 #include "refpga/analog/sample_block.hpp"
 #include "refpga/analog/tank.hpp"
 #include "refpga/common/contracts.hpp"
-#include "refpga/common/thread_pool.hpp"
 #include "refpga/netlist/stats.hpp"
 #include "refpga/power/estimator.hpp"
 
@@ -245,19 +246,26 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios) const
     CampaignResult result;
     result.outcomes.resize(scenarios.size());
     const CampaignObs cobs = make_campaign_obs(options_.recorder);
-    if (options_.threads <= 1) {
-        for (std::size_t i = 0; i < scenarios.size(); ++i)
+
+    // Each thread claims the next unclaimed index and writes only that
+    // scenario's slot; run_one records a throwing scenario as a failure, so
+    // no scenario's exception escapes a thread.
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        for (std::size_t i = next++; i < scenarios.size(); i = next++)
             result.outcomes[i] = run_one(scenarios[i], fits, options_, cobs);
+    };
+    if (options_.threads <= 1) {
+        work();  // on the calling thread, with its thread_local sample block
         return result;
     }
-
-    ThreadPool pool(options_.threads);
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        pool.submit([&scenarios, &result, &fits, &cobs, i, this] {
-            // Each job writes only its own slot: no synchronization needed.
-            result.outcomes[i] = run_one(scenarios[i], fits, options_, cobs);
-        });
-    pool.wait_idle();
+    {  // the jthreads join at the end of this scope
+        const std::size_t count =
+            std::min(static_cast<std::size_t>(options_.threads), scenarios.size());
+        std::vector<std::jthread> threads;
+        threads.reserve(count);
+        for (std::size_t t = 0; t < count; ++t) threads.emplace_back(work);
+    }
     return result;
 }
 

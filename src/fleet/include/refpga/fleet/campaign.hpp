@@ -83,8 +83,9 @@ struct CampaignResult {
 inline constexpr int kModelVersion = 2;
 
 struct CampaignOptions {
-    /// Worker threads; 1 runs inline on the calling thread. The report is
-    /// identical either way (see determinism guarantee above).
+    /// Worker threads; 1 runs inline on the calling thread, more start
+    /// min(threads, scenarios) threads that claim scenarios in sweep order.
+    /// The report is identical either way (see determinism guarantee above).
     int threads = 1;
     /// Front-end streaming block size (modulator ticks) applied to every
     /// scenario's system; must be positive (the runner's constructor throws

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
+#include "refpga/common/json_escape.hpp"
 #include "refpga/common/table.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
 

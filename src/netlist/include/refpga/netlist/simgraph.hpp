@@ -12,8 +12,8 @@
 // per settle, which is what keeps event-driven toggle counts bit-identical
 // to the full cycle engine's.
 //
-// Like CellNetIndex, membership depends only on connectivity: the graph stays
-// valid until the netlist itself changes.
+// Membership depends only on connectivity: the graph stays valid until the
+// netlist itself changes.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
+#include "refpga/common/json_escape.hpp"
 
 namespace refpga::obs {
 
@@ -15,28 +16,6 @@ std::string fmt(double v) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return buf;
-}
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 // Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted names

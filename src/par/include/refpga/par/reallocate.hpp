@@ -10,11 +10,11 @@
 // The paper performed this by hand in FPGA Editor and argued it "must be
 // integrated in FPGA tools"; this is that integration.
 //
-// The engine is incremental: precomputed slice<->net adjacency (ReallocIndex
-// over netlist::CellNetIndex), scratch-route delta costing (no occupy/undo
-// churn on the live grid), cached per-net power with an O(1) maintained
-// total (NetPowerCache), and lazy timing behind a sound delay-increase bound
-// with periodic full resync. Candidate gains are computed per (dy, dx, idx)
+// The engine is incremental: precomputed slice<->net adjacency (ReallocIndex,
+// read off the packed design and the netlist), scratch-route delta costing
+// (no occupy/undo churn on the live grid), cached per-net power with an O(1)
+// maintained total (NetPowerCache), and lazy timing behind a sound
+// delay-increase bound with periodic full resync. Candidate gains are computed per (dy, dx, idx)
 // window position and reduced in window order (max gain, lowest coordinate
 // wins ties).
 //
@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "refpga/netlist/adjacency.hpp"
 #include "refpga/obs/obs.hpp"
 #include "refpga/par/router.hpp"
 #include "refpga/par/timing.hpp"
@@ -36,17 +35,20 @@
 
 namespace refpga::par {
 
+/// Move search radius around the net's centroid, in CLBs.
+inline constexpr int kReallocRadius = 4;
+/// Nets with more sinks than this are skipped: their power is dominated by
+/// irreducible pin capacitance, so reallocation cannot help (the paper
+/// likewise picked moderate-fanout nets such as multiplier inputs).
+inline constexpr std::size_t kReallocMaxFanout = 16;
+
+/// Options of optimize_net_power; its timing checks use the default
+/// CellDelays.
 struct ReallocateOptions {
     std::size_t net_count = 10;     ///< how many hot nets to optimize
     double vdd = 1.2;               ///< core voltage
     double timing_slack = 1.10;     ///< allowed critical-path growth factor
-    int radius = 4;                 ///< move search radius around the centroid
     bool capture_routes = false;    ///< record ASCII route views (Figure 6)
-    /// Nets with more sinks than this are skipped: their power is dominated
-    /// by irreducible pin capacitance, so reallocation cannot help (the paper
-    /// likewise picked moderate-fanout nets such as multiplier inputs).
-    std::size_t max_fanout = 16;
-    CellDelays delays;
     /// Observability sink (refpga::obs). When set, optimize_net_power bumps
     /// realloc.{passes,nets_considered,candidates_evaluated,moves_committed,
     /// moves_rejected,timing_resyncs}_total and observes the pass wall time.
@@ -98,7 +100,7 @@ struct ReallocateReport {
 /// the index stays valid across moves; rebuild only when packing changes.
 class ReallocIndex {
 public:
-    ReallocIndex(const Placement& placement, const netlist::CellNetIndex& cells);
+    explicit ReallocIndex(const Placement& placement);
 
     /// Non-dedicated nets incident to the slice's cells, sorted, unique.
     [[nodiscard]] std::span<const netlist::NetId> nets_of(SliceId slice) const;

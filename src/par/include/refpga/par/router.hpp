@@ -9,9 +9,9 @@
 // single net is supported.
 //
 // Candidate moves are costed through RouteScratch: segments chosen during a
-// trial route occupy a per-thread side buffer layered over the live usage
-// grid, so evaluating a move never touches (and never has to undo) the live
-// channel state. The live routing path funnels through the same code — it
+// trial route occupy a side buffer layered over the live usage grid, so
+// evaluating a move never touches (and never has to undo) the live channel
+// state. The live routing path funnels through the same code — it
 // routes into a scratch and then commits the deltas — which keeps trial and
 // committed routes byte-identical by construction.
 #pragma once
@@ -73,7 +73,7 @@ struct ChannelCapacity {
 
 /// Occupancy side-buffer for trial routing: deltas on top of the live usage
 /// grid plus the overflows recorded while routing into it. Reusable across
-/// trials via clear(); give each evaluating thread its own instance.
+/// trials via clear().
 class RouteScratch {
 public:
     RouteScratch() = default;
@@ -129,9 +129,7 @@ public:
     /// `moved` sat at `moved_pos`, costed against the live usage grid plus
     /// `scratch`'s accumulated deltas. Chosen segments occupy `scratch`, not
     /// the live grid, so consecutive trial routes within one candidate see
-    /// each other exactly as a live sequential re-route would. Thread-safe
-    /// for concurrent calls with distinct scratches, provided no live
-    /// routing mutates the design meanwhile.
+    /// each other exactly as a live sequential re-route would.
     [[nodiscard]] double trial_route_capacitance_pf(netlist::NetId net, SliceId moved,
                                                     const fabric::SliceCoord& moved_pos,
                                                     RouteMode mode,

@@ -30,18 +30,23 @@ void sort_unique_tail(std::vector<Id>& items, std::size_t begin) {
 
 }  // namespace
 
-ReallocIndex::ReallocIndex(const Placement& placement,
-                           const netlist::CellNetIndex& cells) {
+ReallocIndex::ReallocIndex(const Placement& placement) {
     const PackedDesign& design = placement.design();
+    const auto& nl = placement.nl();
 
     slice_offsets_.reserve(design.slice_count() + 1);
     slice_offsets_.push_back(0);
     for (std::uint32_t si = 0; si < design.slice_count(); ++si) {
         const PackedSlice& ps = design.slices()[si];
         const std::size_t begin = slice_nets_.size();
-        auto add_cell = [&](CellId cell) {
-            for (const NetId net : cells.nets_of(cell))
-                if (!placement.dedicated_net(net)) slice_nets_.push_back(net);
+        const auto add_net = [&](NetId net) {
+            if (net.valid() && !placement.dedicated_net(net)) slice_nets_.push_back(net);
+        };
+        const auto add_cell = [&](CellId cell) {
+            const netlist::Cell& c = nl.cell(cell);
+            for (const NetId in : c.inputs) add_net(in);
+            for (const NetId out : c.outputs) add_net(out);
+            add_net(c.clock);
         };
         for (const CellId cell : ps.luts) add_cell(cell);
         for (const CellId cell : ps.ffs) add_cell(cell);
@@ -49,15 +54,18 @@ ReallocIndex::ReallocIndex(const Placement& placement,
         slice_offsets_.push_back(static_cast<std::uint32_t>(slice_nets_.size()));
     }
 
-    const auto& nl = placement.nl();
     net_offsets_.reserve(nl.net_count() + 1);
     net_offsets_.push_back(0);
     for (std::uint32_t ni = 0; ni < nl.net_count(); ++ni) {
+        const netlist::Net& n = nl.net(NetId{ni});
         const std::size_t begin = net_slices_.size();
-        for (const CellId cell : cells.cells_of(NetId{ni})) {
+        const auto add_cell = [&](CellId cell) {
+            if (!cell.valid()) return;
             const SliceId s = design.slice_of(cell);
             if (s.valid()) net_slices_.push_back(s);
-        }
+        };
+        if (n.driven()) add_cell(n.driver.cell);
+        for (const netlist::PinRef& sink : n.sinks) add_cell(sink.cell);
         sort_unique_tail(net_slices_, begin);
         net_offsets_.push_back(static_cast<std::uint32_t>(net_slices_.size()));
     }
@@ -147,7 +155,7 @@ std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
     keyed.reserve(nl.net_count());
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
         const NetId net{i};
-        if (nl.net(net).fanout() > options.max_fanout) continue;
+        if (nl.net(net).fanout() > kReallocMaxFanout) continue;
         const NetRoute& r = routed.route(net);
         const double pin_c =
             RoutedDesign::kPinCapacitancePf * static_cast<double>(r.sinks.size());
@@ -166,15 +174,15 @@ std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
     return order;
 }
 
-/// Free sites in the (2*radius+1)^2 window around the centroid, in window
-/// scan order (the order candidates are reduced in).
+/// Free sites in the (2*kReallocRadius+1)^2 window around the centroid, in
+/// window scan order (the order candidates are reduced in).
 std::vector<SliceCoord> enumerate_targets(const Placement& placement,
                                           const Region& region,
                                           const SliceCoord& centroid,
-                                          const SliceCoord& original, int radius) {
+                                          const SliceCoord& original) {
     std::vector<SliceCoord> targets;
-    for (int dy = -radius; dy <= radius; ++dy) {
-        for (int dx = -radius; dx <= radius; ++dx) {
+    for (int dy = -kReallocRadius; dy <= kReallocRadius; ++dy) {
+        for (int dx = -kReallocRadius; dx <= kReallocRadius; ++dx) {
             for (int idx = 0; idx < fabric::Device::kSlicesPerClb; ++idx) {
                 const SliceCoord target{centroid.x + dx, centroid.y + dy, idx};
                 if (!region.contains(target.x, target.y)) continue;
@@ -201,7 +209,7 @@ public:
           routed_(routed),
           activity_(activity),
           options_(options),
-          index_(placement, netlist::CellNetIndex(placement.nl())),
+          index_(placement),
           cache_(routed, activity, options.vdd),
           rec_(options.recorder) {
         if (rec_ != nullptr) {
@@ -267,7 +275,7 @@ ReallocateReport Engine::run() {
 
     ReallocateReport report;
     report.total_before_uw = cache_.exact_total_uw();
-    const TimingReport t0 = analyze_timing(routed_, options_.delays);
+    const TimingReport t0 = analyze_timing(routed_);
     report.critical_before_ps = t0.critical_path_ps;
     limit_ = report.critical_before_ps * options_.timing_slack;
     crit_bound_ = t0.critical_path_ps;
@@ -287,7 +295,7 @@ ReallocateReport Engine::run() {
     }
 
     report.total_after_uw = cache_.exact_total_uw();
-    report.critical_after_ps = analyze_timing(routed_, options_.delays).critical_path_ps;
+    report.critical_after_ps = analyze_timing(routed_).critical_path_ps;
     return report;
 }
 
@@ -314,7 +322,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         placement_.design().slices()[slice.value()].partition);
     const SliceCoord original = placement_.slice_pos(slice);
     const std::vector<SliceCoord> targets =
-        enumerate_targets(placement_, region, centroid, original, options_.radius);
+        enumerate_targets(placement_, region, centroid, original);
     if (targets.empty()) return;
 
     const std::vector<std::vector<double>> old_delays = capture_delays(affected);
@@ -368,7 +376,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         // periodic resync closer so the bound re-tightens soon.
         if (slice_touches_critical(slice)) ++commits_since_resync_;
     } else {
-        const TimingReport tr = analyze_timing(routed_, options_.delays);
+        const TimingReport tr = analyze_timing(routed_);
         reject = tr.critical_path_ps > limit_;
         if (!reject) resync(tr);
     }
@@ -380,12 +388,12 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         route_all_lp(affected);
         // Re-measure: the restored routes need not match what the bound last
         // described. Rejections are rare, so this resync is off the hot path.
-        resync(analyze_timing(routed_, options_.delays));
+        resync(analyze_timing(routed_));
     } else {
         obs_add(obs_commits_);
         change.moved_logic = true;
         if (++commits_since_resync_ >= kTimingResyncPeriod)
-            resync(analyze_timing(routed_, options_.delays));
+            resync(analyze_timing(routed_));
     }
 }
 

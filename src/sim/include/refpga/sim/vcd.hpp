@@ -25,22 +25,13 @@
 
 namespace refpga::sim {
 
-/// A multi-bit variable for VcdWriter: emitted as one `$var wire N` with
-/// `b...` value changes instead of N scalars. Bits are LSB first.
-struct VcdVectorVar {
-    std::string name;
-    std::vector<netlist::NetId> bits;
-};
-
 class VcdWriter {
 public:
-    /// Watches `nets` of the engine's netlist as scalar variables, plus
-    /// optional multi-bit `vectors`. Works identically over any engine
-    /// (output depends only on net values at sample times, so the dual-engine
-    /// parity contract makes the bytes engine-independent). Header is
-    /// emitted immediately; timescale is 1 ps.
-    VcdWriter(std::ostream& os, const SimEngine& sim, std::vector<netlist::NetId> nets,
-              std::vector<VcdVectorVar> vectors = {});
+    /// Watches `nets` of the engine's netlist as scalar variables. Works
+    /// identically over any engine (output depends only on net values at
+    /// sample times, so the dual-engine parity contract makes the bytes
+    /// engine-independent). Header is emitted immediately; timescale is 1 ps.
+    VcdWriter(std::ostream& os, const SimEngine& sim, std::vector<netlist::NetId> nets);
 
     /// Emits value changes for watched variables at absolute time `time_ps`.
     /// Times must be strictly increasing.
@@ -52,10 +43,8 @@ private:
     std::ostream& os_;
     const SimEngine& sim_;
     std::vector<netlist::NetId> nets_;
-    std::vector<VcdVectorVar> vectors_;
-    std::vector<std::string> codes_;      ///< scalars, then vectors
-    std::vector<std::int8_t> last_;       ///< -1 = not yet dumped
-    std::vector<std::vector<std::int8_t>> vec_last_;
+    std::vector<std::string> codes_;
+    std::vector<std::int8_t> last_;  ///< -1 = not yet dumped
     std::int64_t last_time_ = -1;
 };
 
@@ -76,9 +65,10 @@ public:
     explicit VcdParseError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Parses a VCD stream produced by VcdWriter. Scalar changes accumulate
-/// toggles under the declared name. Vector (`b...`) changes on variables
-/// declared with width > 1 accumulate per-bit toggles under `name[i]`
+/// Parses a VCD stream: VcdWriter's scalar dumps, or an outside tool's dump
+/// with vector variables. Scalar changes accumulate toggles under the
+/// declared name. Vector (`b...`) changes on variables declared with
+/// width > 1 accumulate per-bit toggles under `name[i]`
 /// (i = 0 is the LSB, the rightmost binary digit; short values are
 /// left-extended per IEEE 1364). Vector changes on width-1 variables are
 /// skipped after validating the identifier, matching pre-vector behaviour.

@@ -8,12 +8,10 @@
 namespace refpga::sim {
 
 VcdWriter::VcdWriter(std::ostream& os, const SimEngine& sim,
-                     std::vector<netlist::NetId> nets,
-                     std::vector<VcdVectorVar> vectors)
-    : os_(os), sim_(sim), nets_(std::move(nets)), vectors_(std::move(vectors)) {
-    codes_.reserve(nets_.size() + vectors_.size());
+                     std::vector<netlist::NetId> nets)
+    : os_(os), sim_(sim), nets_(std::move(nets)) {
+    codes_.reserve(nets_.size());
     last_.assign(nets_.size(), -1);
-    vec_last_.resize(vectors_.size());
 
     os_ << "$timescale 1ps $end\n";
     os_ << "$scope module top $end\n";
@@ -23,13 +21,6 @@ VcdWriter::VcdWriter(std::ostream& os, const SimEngine& sim,
         // VCD identifiers must not contain whitespace; net names are safe
         // (builder uses [a-zA-Z0-9_/.\[\]]).
         os_ << "$var wire 1 " << codes_[i] << ' ' << net.name << " $end\n";
-    }
-    for (std::size_t j = 0; j < vectors_.size(); ++j) {
-        REFPGA_EXPECTS(!vectors_[j].bits.empty());
-        codes_.push_back(code_for(nets_.size() + j));
-        vec_last_[j].assign(vectors_[j].bits.size(), -1);
-        os_ << "$var wire " << vectors_[j].bits.size() << ' '
-            << codes_[nets_.size() + j] << ' ' << vectors_[j].name << " $end\n";
     }
     os_ << "$upscope $end\n$enddefinitions $end\n";
 }
@@ -47,36 +38,15 @@ std::string VcdWriter::code_for(std::size_t index) {
 void VcdWriter::sample(std::int64_t time_ps) {
     REFPGA_EXPECTS(time_ps > last_time_);
     bool header_emitted = false;
-    auto stamp = [&] {
+    for (std::size_t i = 0; i < nets_.size(); ++i) {
+        const auto v = static_cast<std::int8_t>(sim_.net_value(nets_[i]) ? 1 : 0);
+        if (v == last_[i]) continue;
         if (!header_emitted) {
             os_ << '#' << time_ps << '\n';
             header_emitted = true;
         }
-    };
-    for (std::size_t i = 0; i < nets_.size(); ++i) {
-        const auto v = static_cast<std::int8_t>(sim_.net_value(nets_[i]) ? 1 : 0);
-        if (v == last_[i]) continue;
-        stamp();
         os_ << (v != 0 ? '1' : '0') << codes_[i] << '\n';
         last_[i] = v;
-    }
-    for (std::size_t j = 0; j < vectors_.size(); ++j) {
-        const auto& bits = vectors_[j].bits;
-        auto& last = vec_last_[j];
-        bool dirty = false;
-        for (std::size_t b = 0; b < bits.size(); ++b) {
-            const auto v = static_cast<std::int8_t>(sim_.net_value(bits[b]) ? 1 : 0);
-            if (v != last[b]) {
-                last[b] = v;
-                dirty = true;
-            }
-        }
-        if (!dirty) continue;
-        stamp();
-        os_ << 'b';
-        for (std::size_t b = bits.size(); b-- > 0;)  // MSB first
-            os_ << (last[b] != 0 ? '1' : '0');
-        os_ << ' ' << codes_[nets_.size() + j] << '\n';
     }
     last_time_ = time_ps;
 }

@@ -238,8 +238,8 @@ CpuState Cpu::execute(std::int64_t limit) {
 
     // Threaded dispatch: every handler ends in its own retire tail and its
     // own indirect jump to the next op's handler, found through this table
-    // of label addresses (labels-as-values, a GNU extension like the
-    // __int128 of common/fixed.hpp), indexed by Op::handler.
+    // of label addresses (labels-as-values, a GNU extension), indexed by
+    // Op::handler.
     static const void* const kHandlers[] = {
         REFPGA_ALU_OPS(REFPGA_OP_LABEL)
         &&op_lw, &&op_sw,

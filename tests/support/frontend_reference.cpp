@@ -11,8 +11,8 @@ FrontEndReference::FrontEndReference(const FrontEndConfig& config,
       adc_meas_(config.adc_decimation, config.adc_bits),
       adc_ref_(config.adc_decimation, config.adc_bits) {}
 
-std::optional<FrontEnd::PcmPair> FrontEndReference::advance(double drive_raw_v) {
-    const double drive = recon_.step(drive_raw_v);
+std::optional<FrontEndReference::PcmPair> FrontEndReference::step_ds_bit(bool bit) {
+    const double drive = recon_.step(bit ? 1.0 : -1.0);
     const TankCircuit::Currents branch = tank_.step(drive);
     const double meas = alias_meas_.step(branch.meas_v);
     const double ref = alias_ref_.step(branch.ref_v);
@@ -20,16 +20,8 @@ std::optional<FrontEnd::PcmPair> FrontEndReference::advance(double drive_raw_v) 
     const auto pcm_meas = adc_meas_.step(meas);
     const auto pcm_ref = adc_ref_.step(ref);
     // Both ADCs share the decimation phase, so they fire together.
-    if (pcm_meas && pcm_ref) return FrontEnd::PcmPair{*pcm_meas, *pcm_ref};
+    if (pcm_meas && pcm_ref) return PcmPair{*pcm_meas, *pcm_ref};
     return std::nullopt;
-}
-
-std::optional<FrontEnd::PcmPair> FrontEndReference::step_code8(std::uint8_t code) {
-    return advance((static_cast<double>(code) - 128.0) / 128.0);
-}
-
-std::optional<FrontEnd::PcmPair> FrontEndReference::step_ds_bit(bool bit) {
-    return advance(bit ? 1.0 : -1.0);
 }
 
 }  // namespace refpga::analog

@@ -4,11 +4,11 @@
 // every modulator tick runs the component step() calls in turn — DAC
 // reconstruction (RcFilter2), the tank with its noise draws (TankCircuit),
 // one anti-alias RcFilter2 and one DeltaSigmaAdc per channel. It defines
-// the PCM stream FrontEnd::run_block_* and the step_* wrappers must
-// reproduce bit for bit for every block partitioning, including the tank
-// noise draw order (meas, then ref, per tick; none on the priming tick).
-// Built from the components' public interfaces only. Part of the
-// test-support library `refpga::oracles`.
+// the PCM stream FrontEnd::run_block_ds and run_periodic_ds must reproduce
+// bit for bit for every block partitioning, including the tank noise draw
+// order (meas, then ref, per tick; none on the priming tick). Built from
+// the components' public interfaces only. Part of the test-support library
+// `refpga::oracles`.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +28,16 @@ public:
 
     [[nodiscard]] TankCircuit& tank() { return tank_; }
 
-    /// One modulator tick driven by an 8-bit DAC code ((code - 128) / 128 V).
-    std::optional<FrontEnd::PcmPair> step_code8(std::uint8_t code);
-    /// One modulator tick driven by a delta-sigma DAC bit (+/-1 V).
-    std::optional<FrontEnd::PcmPair> step_ds_bit(bool bit);
+    struct PcmPair {
+        std::int32_t meas = 0;
+        std::int32_t ref = 0;
+    };
+
+    /// One modulator tick driven by a delta-sigma DAC bit (+/-1 V). Yields
+    /// a PCM pair every adc_decimation ticks.
+    std::optional<PcmPair> step_ds_bit(bool bit);
 
 private:
-    std::optional<FrontEnd::PcmPair> advance(double drive_raw_v);
-
     TankCircuit tank_;
     RcFilter2 recon_;
     RcFilter2 alias_meas_;

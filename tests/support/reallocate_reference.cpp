@@ -68,7 +68,7 @@ SliceCoord net_centroid(const Placement& placement, NetId net) {
     return SliceCoord{static_cast<int>(sx / count), static_cast<int>(sy / count), 0};
 }
 
-/// Nets with at most `max_fanout` sinks, by descending power switched on
+/// Nets with at most kReallocMaxFanout sinks, by descending power switched on
 /// routing wires (pin capacitance is fixed by connectivity); ties on the
 /// lower net id.
 std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
@@ -78,7 +78,7 @@ std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
     std::vector<std::pair<double, NetId>> keyed;
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
         const NetId net{i};
-        if (nl.net(net).fanout() > options.max_fanout) continue;
+        if (nl.net(net).fanout() > kReallocMaxFanout) continue;
         const NetRoute& r = routed.route(net);
         const double pin_c =
             RoutedDesign::kPinCapacitancePf * static_cast<double>(r.sinks.size());
@@ -106,7 +106,7 @@ public:
         ReallocateReport report;
         report.total_before_uw = total_power_uw(routed_, activity_, options_.vdd);
         report.critical_before_ps =
-            analyze_timing(routed_, options_.delays).critical_path_ps;
+            analyze_timing(routed_).critical_path_ps;
         limit_ = report.critical_before_ps * options_.timing_slack;
 
         for (const NetId net : rank_hot_nets(routed_, activity_, options_)) {
@@ -126,7 +126,7 @@ public:
 
         report.total_after_uw = total_power_uw(routed_, activity_, options_.vdd);
         report.critical_after_ps =
-            analyze_timing(routed_, options_.delays).critical_path_ps;
+            analyze_timing(routed_).critical_path_ps;
         return report;
     }
 
@@ -138,11 +138,11 @@ private:
             placement_.design().slices()[slice.value()].partition);
         const SliceCoord original = placement_.slice_pos(slice);
 
-        // Free sites of the (2*radius+1)^2 window around the centroid, in
-        // window scan order.
+        // Free sites of the (2*kReallocRadius+1)^2 window around the
+        // centroid, in window scan order.
         std::vector<SliceCoord> targets;
-        for (int dy = -options_.radius; dy <= options_.radius; ++dy)
-            for (int dx = -options_.radius; dx <= options_.radius; ++dx)
+        for (int dy = -kReallocRadius; dy <= kReallocRadius; ++dy)
+            for (int dx = -kReallocRadius; dx <= kReallocRadius; ++dx)
                 for (int idx = 0; idx < fabric::Device::kSlicesPerClb; ++idx) {
                     const SliceCoord target{centroid.x + dx, centroid.y + dy, idx};
                     if (region.contains(target.x, target.y) && target != original &&
@@ -173,7 +173,7 @@ private:
         if (move) placement_.swap_sites(original, targets[best]);
         route(affected);
         if (!move) return;
-        if (analyze_timing(routed_, options_.delays).critical_path_ps > limit_) {
+        if (analyze_timing(routed_).critical_path_ps > limit_) {
             rip(affected);
             placement_.swap_sites(targets[best], original);
             route(affected);

@@ -8,6 +8,7 @@
 #include "refpga/analog/delta_sigma.hpp"
 #include "refpga/analog/dsp.hpp"
 #include "refpga/analog/frontend.hpp"
+#include "refpga/analog/sample_block.hpp"
 #include "refpga/analog/tank.hpp"
 #include "refpga/common/contracts.hpp"
 
@@ -290,34 +291,43 @@ TEST(Tank, MeasAmplitudeGrowsWithLevel) {
 
 // ---------------------------------------------------------------- front end
 
+/// The on-chip DAC's drive: `ticks` delta-sigma bits of a 500 kHz sine at
+/// `amplitude`, one per 16 MHz modulator tick.
+std::vector<std::uint8_t> ds_sine_bits(int ticks, double amplitude) {
+    DeltaSigmaDac dac;
+    std::vector<std::uint8_t> bits(static_cast<std::size_t>(ticks));
+    for (int i = 0; i < ticks; ++i)
+        bits[static_cast<std::size_t>(i)] =
+            dac.step(amplitude * std::sin(2.0 * M_PI * 500e3 * i / 16e6)) > 0.0;
+    return bits;
+}
+
+/// Index of the first PCM pair fired after modulator tick `tick`, a multiple
+/// of adc_decimation: pair k fires on tick (k + 1) * adc_decimation - 1.
+std::size_t first_pair_after(int tick, const FrontEnd& fe) {
+    return static_cast<std::size_t>(tick / fe.config().adc_decimation);
+}
+
 TEST(FrontEnd, ProducesPcmAtDecimatedRate) {
     FrontEnd fe;
     fe.tank().set_level(0.5);
-    int pcm_count = 0;
     const int steps = 16 * 100;
-    for (int i = 0; i < steps; ++i) {
-        const double drive = std::sin(2.0 * M_PI * 500e3 * i / 16e6);
-        const auto code =
-            static_cast<std::uint8_t>(128.0 + 127.0 * drive);
-        if (fe.step_code8(code)) ++pcm_count;
-    }
-    EXPECT_EQ(pcm_count, steps / fe.config().adc_decimation);
+    SampleBlock pcm;
+    const std::size_t pcm_count = fe.run_block_ds(ds_sine_bits(steps, 0.8), pcm);
+    EXPECT_EQ(pcm_count, static_cast<std::size_t>(steps / fe.config().adc_decimation));
 }
 
 TEST(FrontEnd, MeasChannelSeesLevelDifference) {
     auto rms_at = [&](double level) {
         FrontEnd fe;
         fe.tank().set_level(level);
+        SampleBlock pcm;
+        fe.run_block_ds(ds_sine_bits(16 * 2000, 0.8), pcm);
         double sum2 = 0.0;
         int n = 0;
-        for (int i = 0; i < 16 * 2000; ++i) {
-            const double drive = std::sin(2.0 * M_PI * 500e3 * i / 16e6);
-            const auto pcm = fe.step_code8(
-                static_cast<std::uint8_t>(128.0 + 127.0 * drive));
-            if (pcm && i > 16 * 1000) {
-                sum2 += static_cast<double>(pcm->meas) * pcm->meas;
-                ++n;
-            }
+        for (std::size_t k = first_pair_after(16 * 1000, fe); k < pcm.meas.size(); ++k) {
+            sum2 += static_cast<double>(pcm.meas[k]) * pcm.meas[k];
+            ++n;
         }
         return std::sqrt(sum2 / n);
     };
@@ -329,15 +339,12 @@ TEST(FrontEnd, DsBitDriveProducesCleanTone) {
     // 500 kHz excitation after reconstruction.
     FrontEnd fe;
     fe.tank().set_level(0.5);
-    DeltaSigmaDac dac;
+    SampleBlock pcm;
+    fe.run_block_ds(ds_sine_bits(16 * 6000, 0.8), pcm);
     std::vector<double> ref_samples;
-    for (int i = 0; i < 16 * 6000 && ref_samples.size() < 4096; ++i) {
-        const double u = 0.8 * std::sin(2.0 * M_PI * 500e3 * i / 16e6);
-        const bool bit = dac.step(u) > 0.0;
-        const auto pcm = fe.step_ds_bit(bit);
-        if (pcm && i > 16 * 1000)
-            ref_samples.push_back(static_cast<double>(pcm->ref) / 2047.0);
-    }
+    for (std::size_t k = first_pair_after(16 * 1000, fe);
+         k < pcm.ref.size() && ref_samples.size() < 4096; ++k)
+        ref_samples.push_back(static_cast<double>(pcm.ref[k]) / 2047.0);
     ASSERT_EQ(ref_samples.size(), 4096u);
     // PCM rate = 3.2 MHz, tone 500 kHz -> bin = 4096 * 500/3200 = 640.
     const ToneQuality q = analyze_tone(ref_samples, 640);

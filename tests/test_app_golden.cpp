@@ -66,25 +66,27 @@ TEST(Tables, GoldenTableSetComesFromTheGenerators) {
 
 TEST(GoldenCordic, KnownAngles) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     // 45 degrees: atan2(1000, 1000) = 1/8 turn = 8192.
-    const auto r45 = golden::cordic_vector(20000, 20000, p);
+    const auto r45 = golden::cordic_vector(20000, 20000, p, tables);
     EXPECT_NEAR(static_cast<double>(r45.angle), 8192.0, 40.0);
     // 0 degrees (result may land just below 2^16 due to rounding).
-    const auto r0 = golden::cordic_vector(30000, 0, p);
+    const auto r0 = golden::cordic_vector(30000, 0, p, tables);
     const auto wrapped = std::min(r0.angle, 65536u - r0.angle);
     EXPECT_LE(wrapped, 60u);
     // 90 degrees = 16384.
-    const auto r90 = golden::cordic_vector(0, 30000, p);
+    const auto r90 = golden::cordic_vector(0, 30000, p, tables);
     EXPECT_NEAR(static_cast<double>(r90.angle), 16384.0, 40.0);
 }
 
 TEST(GoldenCordic, NegativeXQuadrants) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     // 135 degrees = 24576 turns units.
-    const auto r = golden::cordic_vector(-20000, 20000, p);
+    const auto r = golden::cordic_vector(-20000, 20000, p, tables);
     EXPECT_NEAR(static_cast<double>(r.angle), 24576.0, 40.0);
     // -135 degrees = 40960 (mod 2^16).
-    const auto r2 = golden::cordic_vector(-20000, -20000, p);
+    const auto r2 = golden::cordic_vector(-20000, -20000, p, tables);
     EXPECT_NEAR(static_cast<double>(r2.angle), 40960.0, 40.0);
 }
 
@@ -92,11 +94,12 @@ class CordicSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CordicSweep, MagnitudeAndAngleTrackAtan2) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const double deg = GetParam();
     const double rad = deg * M_PI / 180.0;
     const auto x = static_cast<std::int32_t>(30000 * std::cos(rad));
     const auto y = static_cast<std::int32_t>(30000 * std::sin(rad));
-    const auto r = golden::cordic_vector(x, y, p);
+    const auto r = golden::cordic_vector(x, y, p, tables);
     // Magnitude carries the CORDIC gain K = 1.6468.
     EXPECT_NEAR(r.magnitude, 30000 * 1.6468, 30000 * 0.01);
     const double got_turns = static_cast<double>(r.angle) / 65536.0;
@@ -115,23 +118,25 @@ INSTANTIATE_TEST_SUITE_P(Angles, CordicSweep,
 
 TEST(GoldenAmpPhase, RecoversAmplitudeOfSyntheticTone) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const auto meas = tone_window(p, 1500.0, 0.3);
     const auto ref = tone_window(p, 1000.0, 0.0);
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto m = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-    const auto r = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto m = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
+    const auto r = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables);
     // Amplitude ratio should track 1.5.
     EXPECT_NEAR(static_cast<double>(m.amplitude) / r.amplitude, 1.5, 0.02);
 }
 
 TEST(GoldenAmpPhase, PhaseDifferenceRecovered) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const double dphi = 0.7;  // radians
     const auto meas = tone_window(p, 1200.0, dphi);
     const auto ref = tone_window(p, 1200.0, 0.0);
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto m = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-    const auto r = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto m = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
+    const auto r = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables);
     // Convention: the correlator computes atan2(Q, I) with I = sum x*cos and
     // Q = sum x*sin, which maps a signal phase lead of dphi to a *decrease*
     // of the reported angle. Only |delta| matters downstream (cos is even).
@@ -142,11 +147,12 @@ TEST(GoldenAmpPhase, PhaseDifferenceRecovered) {
 
 TEST(GoldenAmpPhase, ZeroInputGivesZeroAmplitude) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const std::vector<std::int32_t> zeros(static_cast<std::size_t>(p.window), 0);
-    const auto acc = golden::accumulate_window(zeros, zeros, p);
+    const auto acc = golden::accumulate_window(zeros, zeros, p, tables);
     EXPECT_EQ(acc.i_meas, 0);
     EXPECT_EQ(acc.q_meas, 0);
-    const auto m = golden::amp_phase(acc.i_meas, acc.q_meas, p);
+    const auto m = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
     EXPECT_EQ(m.amplitude, 0u);
 }
 
@@ -183,9 +189,10 @@ INSTANTIATE_TEST_SUITE_P(Cases, DivideSweep,
 
 TEST(GoldenCapacity, EqualChannelsGiveCref) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     golden::ChannelResult m{1000, 0};
     golden::ChannelResult r{1000, 0};
-    const auto cap = golden::capacity(m, r, p);
+    const auto cap = golden::capacity(m, r, p, tables);
     // ratio 1.0, cos(0) = 1 -> C = C_ref.
     EXPECT_NEAR(static_cast<double>(cap.cap_pf_q4) / 16.0, p.c_ref_pf,
                 p.c_ref_pf * 0.01);
@@ -193,24 +200,27 @@ TEST(GoldenCapacity, EqualChannelsGiveCref) {
 
 TEST(GoldenCapacity, RatioScalesCapacity) {
     const AppParams p = params();
-    const auto cap2 = golden::capacity({2000, 0}, {1000, 0}, p);
+    const golden::Tables tables(p);
+    const auto cap2 = golden::capacity({2000, 0}, {1000, 0}, p, tables);
     EXPECT_NEAR(static_cast<double>(cap2.cap_pf_q4) / 16.0, 2.0 * p.c_ref_pf,
                 p.c_ref_pf * 0.02);
 }
 
 TEST(GoldenCapacity, PhaseShiftReducesCapacitiveComponent) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     // 60 degrees phase difference: cos = 0.5.
     const std::uint32_t dphi60 = 65536u / 6u;
-    const auto cap = golden::capacity({1000, dphi60}, {1000, 0}, p);
+    const auto cap = golden::capacity({1000, dphi60}, {1000, 0}, p, tables);
     EXPECT_NEAR(static_cast<double>(cap.cap_pf_q4) / 16.0, 0.5 * p.c_ref_pf,
                 p.c_ref_pf * 0.02);
 }
 
 TEST(GoldenCapacity, NegativeCosineClampsToZero) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const std::uint32_t dphi180 = 32768u;
-    const auto cap = golden::capacity({1000, dphi180}, {1000, 0}, p);
+    const auto cap = golden::capacity({1000, dphi180}, {1000, 0}, p, tables);
     EXPECT_EQ(cap.cap_pf_q4, 0u);
 }
 
@@ -268,13 +278,14 @@ TEST(GoldenFilter, LevelClampedToQ15) {
 
 TEST(GoldenPipeline, WindowToLevelTracksRatio) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     golden::FilterState filter(p);
     // Simulated channels: meas amplitude corresponds to C = 1.5 * C_ref = 330 pF.
     const auto meas = tone_window(p, 1650.0, 0.0);
     const auto ref = tone_window(p, 1100.0, 0.0);
     golden::CycleResult result;
     for (int i = 0; i < 100; ++i)
-        result = golden::process_window(meas, ref, filter, p);
+        result = golden::process_window(meas, ref, filter, p, tables);
     EXPECT_NEAR(static_cast<double>(result.cap.cap_pf_q4) / 16.0, 330.0, 5.0);
     const double expected_level = (330.0 - p.c_empty_pf) / (p.c_full_pf - p.c_empty_pf);
     EXPECT_NEAR(static_cast<double>(result.level.level_q15) / 32768.0,

@@ -55,12 +55,15 @@ TEST(HwSinusGen, MatchesModelBitForBit) {
 
     sim::Simulator simulator(nl);
     simulator.set_input("tick", 1);
+    // The DAC code is the LUT entry at the 5-bit address counter; the
+    // delta-sigma bit is the model's.
+    const std::vector<std::uint32_t> lut = sinus_dac_codes();
     SinusGenModel model(p);
-    for (int i = 0; i < 500; ++i) {
-        const auto expected = model.step();
-        EXPECT_EQ(simulator.get_port("code8"), expected.code8) << "cycle " << i;
-        EXPECT_EQ(simulator.get_port("ds_bit"), expected.ds_bit ? 1u : 0u)
-            << "cycle " << i;
+    std::vector<std::uint8_t> bits(500);
+    model.run_block_bits(bits.size(), bits.data());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        EXPECT_EQ(simulator.get_port("code8"), lut[i % lut.size()]) << "cycle " << i;
+        EXPECT_EQ(simulator.get_port("ds_bit"), unsigned{bits[i]}) << "cycle " << i;
         simulator.tick();
     }
 }
@@ -138,14 +141,15 @@ struct AmpPhaseHarness {
 
 TEST(HwAmpPhase, BitExactOnTone) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const auto meas = tone_window(p, 1500.0, 0.4);
     const auto ref = tone_window(p, 900.0, -0.2);
     AmpPhaseHarness harness;
     const auto hw = harness.run(meas, ref);
 
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
+    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables);
     EXPECT_EQ(hw.meas.amplitude, gm.amplitude);
     EXPECT_EQ(hw.meas.phase, gm.phase);
     EXPECT_EQ(hw.ref.amplitude, gr.amplitude);
@@ -156,13 +160,14 @@ class AmpPhaseRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AmpPhaseRandom, BitExactOnRandomWindows) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const auto meas = random_window(p, GetParam());
     const auto ref = random_window(p, GetParam() + 1000);
     AmpPhaseHarness harness;
     const auto hw = harness.run(meas, ref);
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
+    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables);
     EXPECT_EQ(hw.meas.amplitude, gm.amplitude);
     EXPECT_EQ(hw.meas.phase, gm.phase);
     EXPECT_EQ(hw.ref.amplitude, gr.amplitude);
@@ -173,6 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AmpPhaseRandom, ::testing::Values(1, 2, 3, 4, 5)
 
 TEST(HwAmpPhase, ClearRestartsWindow) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const auto w1 = random_window(p, 77);
     const auto w2 = random_window(p, 88);
     AmpPhaseHarness harness;
@@ -197,8 +203,8 @@ TEST(HwAmpPhase, ClearRestartsWindow) {
     feed(w1);
     feed(w2);
     s.set_input("chan", 0);
-    const auto acc = golden::accumulate_window(w2, w2, p);
-    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
+    const auto acc = golden::accumulate_window(w2, w2, p, tables);
+    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
     EXPECT_EQ(s.get_port("amp"), gm.amplitude);
     EXPECT_EQ(s.get_port("phase"), gm.phase);
 }
@@ -265,13 +271,14 @@ class CapacityRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CapacityRandom, BitExactAgainstGolden) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     Rng rng(GetParam());
     CapacityHarness harness;
     for (int i = 0; i < 12; ++i) {
         golden::ChannelResult m{rng.next_below(40000), rng.next_below(65536)};
         golden::ChannelResult r{1 + rng.next_below(40000), rng.next_below(65536)};
         const auto hw = harness.run(m, r);
-        const auto gold = golden::capacity(m, r, p);
+        const auto gold = golden::capacity(m, r, p, tables);
         EXPECT_EQ(hw.ratio_q12, gold.ratio_q12) << "case " << i;
         EXPECT_EQ(hw.cap_pf_q4, gold.cap_pf_q4) << "case " << i;
     }
@@ -281,11 +288,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CapacityRandom, ::testing::Values(11, 22, 33));
 
 TEST(HwCapacity, ZeroDivisorSaturatesLikeGolden) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     CapacityHarness harness;
     golden::ChannelResult m{5000, 0};
     golden::ChannelResult r{0, 0};
     const auto hw = harness.run(m, r);
-    const auto gold = golden::capacity(m, r, p);
+    const auto gold = golden::capacity(m, r, p, tables);
     EXPECT_EQ(hw.ratio_q12, gold.ratio_q12);
     EXPECT_EQ(hw.ratio_q12, 16383u);
 }

@@ -44,13 +44,14 @@ TEST(Software, ImageExceedsSixtyKilobytes) {
 
 TEST(Software, PhaseAndExactStagesMatchGolden) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const auto meas = tone_window(p, 1500.0, 0.4);
     const auto ref = tone_window(p, 900.0, -0.2);
     const SoftwareRun run = SoftCore(p).run(meas, ref);
 
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
+    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables);
     // Phases are computed with identical integer CORDIC: exact.
     EXPECT_EQ(run.phase_meas, gm.phase);
     EXPECT_EQ(run.phase_ref, gr.phase);
@@ -63,21 +64,22 @@ TEST(Software, PhaseAndExactStagesMatchGolden) {
 
 TEST(Software, HwMultiplierVariantAmplitudeIsExact) {
     const AppParams p = params();
+    const golden::Tables tables(p);
     const auto meas = tone_window(p, 1500.0, 0.4);
     const auto ref = tone_window(p, 900.0, -0.2);
     SoftwareConfig config;
     config.hw_multiplier = true;
     const SoftwareRun run = SoftCore(p, config).run(meas, ref);
 
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p);
-    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto gm = golden::amp_phase(acc.i_meas, acc.q_meas, p, tables);
+    const auto gr = golden::amp_phase(acc.i_ref, acc.q_ref, p, tables);
     EXPECT_EQ(run.amp_meas, gm.amplitude);
     EXPECT_EQ(run.amp_ref, gr.amplitude);
     EXPECT_EQ(run.phase_meas, gm.phase);
 
     // With exact amplitudes, ratio/capacity/level are exact too.
-    const auto cap = golden::capacity(gm, gr, p);
+    const auto cap = golden::capacity(gm, gr, p, tables);
     EXPECT_EQ(run.ratio_q12, cap.ratio_q12);
     EXPECT_EQ(run.cap_pf_q4, cap.cap_pf_q4);
     golden::FilterState filter(p);
@@ -229,15 +231,17 @@ TEST(Software, NarrowSpanLevelMatchesGolden) {
     AppParams p = params();
     p.c_full_pf = 100.0;
     p.validate();
+    const golden::Tables tables(p);
     const auto meas = tone_window(p, 400.0, 0.1);
     const auto ref = tone_window(p, 1100.0, 0.1);
     SoftwareConfig config;
     config.hw_multiplier = true;
     const SoftwareRun run = SoftCore(p, config).run(meas, ref);
 
-    const auto acc = golden::accumulate_window(meas, ref, p);
-    const auto cap = golden::capacity(golden::amp_phase(acc.i_meas, acc.q_meas, p),
-                                      golden::amp_phase(acc.i_ref, acc.q_ref, p), p);
+    const auto acc = golden::accumulate_window(meas, ref, p, tables);
+    const auto cap =
+        golden::capacity(golden::amp_phase(acc.i_meas, acc.q_meas, p, tables),
+                         golden::amp_phase(acc.i_ref, acc.q_ref, p, tables), p, tables);
     golden::FilterState filter(p);
     golden::FilterState::Output out{};
     for (int i = 0; i < 64; ++i) out = filter.step(cap.cap_pf_q4);

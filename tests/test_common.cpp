@@ -1,19 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "refpga/common/contracts.hpp"
-#include "refpga/common/fixed.hpp"
 #include "refpga/common/interval_set.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/common/strong_id.hpp"
 #include "refpga/common/table.hpp"
-#include "refpga/common/thread_pool.hpp"
 
 namespace refpga {
 namespace {
@@ -67,54 +62,6 @@ TEST(StrongId, Hashable) {
     std::hash<FooId> h;
     EXPECT_EQ(h(FooId{7}), h(FooId{7}));
 }
-
-// ---------------------------------------------------------------- fixed
-
-TEST(Fixed, FromIntRoundTrip) {
-    const Q16 v = Q16::from_int(-5);
-    EXPECT_DOUBLE_EQ(v.to_double(), -5.0);
-}
-
-TEST(Fixed, FromDoubleQuantizes) {
-    const Q16 v = Q16::from_double(1.5);
-    EXPECT_EQ(v.raw(), 3 << 15);
-}
-
-TEST(Fixed, Addition) {
-    EXPECT_DOUBLE_EQ((Q16::from_double(1.25) + Q16::from_double(2.5)).to_double(), 3.75);
-}
-
-TEST(Fixed, MultiplicationKeepsScale) {
-    EXPECT_DOUBLE_EQ((Q16::from_double(1.5) * Q16::from_double(2.0)).to_double(), 3.0);
-}
-
-TEST(Fixed, DivisionExact) {
-    EXPECT_DOUBLE_EQ((Q16::from_double(3.0) / Q16::from_double(2.0)).to_double(), 1.5);
-}
-
-TEST(Fixed, SaturatesInsteadOfWrapping) {
-    const Q16 big = Q16::from_double(32767.0);
-    const Q16 sum = big + big;
-    EXPECT_EQ(sum.raw(), Q16::kMaxRaw);
-}
-
-TEST(Fixed, DivisionByZeroViolatesContract) {
-    EXPECT_THROW(Q16::from_int(1) / Q16{}, ContractViolation);
-}
-
-class FixedMulProperty : public ::testing::TestWithParam<std::pair<double, double>> {};
-
-TEST_P(FixedMulProperty, MatchesDoubleWithinLsb) {
-    const auto [a, b] = GetParam();
-    const double got = (Q16::from_double(a) * Q16::from_double(b)).to_double();
-    EXPECT_NEAR(got, a * b, 1.0 / 32768.0 * (std::abs(a) + std::abs(b) + 1.0));
-}
-
-INSTANTIATE_TEST_SUITE_P(Pairs, FixedMulProperty,
-                         ::testing::Values(std::pair{0.5, 0.5}, std::pair{-1.5, 2.25},
-                                           std::pair{3.0, -7.125},
-                                           std::pair{-0.0625, -16.0},
-                                           std::pair{100.0, 0.01}));
 
 // ---------------------------------------------------------------- rng
 
@@ -333,80 +280,6 @@ TEST(IntervalSet, RejectsOverlapsAndDegenerateRanges) {
     EXPECT_THROW(set.add(0, 0), ContractViolation);
     EXPECT_FALSE(set.disjoint(2, 1));
     EXPECT_TRUE(set.disjoint(4, 1));
-}
-
-// ---------------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-    std::atomic<int> ran{0};
-    ThreadPool pool(4);
-    for (int i = 0; i < 200; ++i)
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(ThreadPool, ThrowingJobDoesNotKillTheWorkers) {
-    // The documented contract: a job that lets an exception escape is
-    // swallowed (and logged), and the pool keeps serving later jobs — error
-    // reporting is the job's responsibility, as in CampaignRunner::run_one.
-    std::atomic<int> ran{0};
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([] { throw std::runtime_error("job failure"); });
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 50);
-
-    // The pool is still healthy after the failures.
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 51);
-}
-
-TEST(ThreadPool, NonStandardThrowIsAlsoContained) {
-    std::atomic<int> ran{0};
-    ThreadPool pool(2);
-    pool.submit([] { throw 42; });  // NOLINT: deliberately non-std::exception
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsTheQueueUnderContention) {
-    // Jobs submitted from several threads while the pool is being torn down
-    // elsewhere is a race by construction; here all submitters finish first,
-    // then the destructor must run every queued job before joining.
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(3);
-        std::vector<std::thread> submitters;
-        submitters.reserve(4);
-        for (int t = 0; t < 4; ++t)
-            submitters.emplace_back([&pool, &ran] {
-                for (int i = 0; i < 125; ++i)
-                    pool.submit([&ran] {
-                        ran.fetch_add(1, std::memory_order_relaxed);
-                    });
-            });
-        for (std::thread& s : submitters) s.join();
-        // No wait_idle(): destruction itself must drain all 500 jobs.
-    }
-    EXPECT_EQ(ran.load(), 500);
-}
-
-TEST(ThreadPool, WaitIdleIsAWholePoolBarrier) {
-    std::atomic<int> ran{0};
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    // At the barrier nothing is in flight: the count is final, not racing.
-    const int at_barrier = ran.load();
-    EXPECT_EQ(at_barrier, 64);
-    pool.wait_idle();  // idempotent on an idle pool
-    EXPECT_EQ(ran.load(), at_barrier);
 }
 
 // ------------------------------------------------------- rng stream isolation

@@ -330,11 +330,11 @@ TEST(SelfHealingSystem, GuardYieldsToARealStepChange) {
     for (int i = 0; i < 6; ++i) (void)system.run_cycle();
     EXPECT_EQ(system.fault_stats().rejected_cycles, 0);
 
-    // A real step change looks implausible at first; after `patience`
-    // consecutive rejections the guard accepts the new plateau.
+    // A real step change looks implausible at first; after the guard's
+    // patience of two consecutive rejections it accepts the new plateau.
     system.set_true_level(0.8);
     for (int i = 0; i < 10; ++i) (void)system.run_cycle();
-    EXPECT_EQ(system.fault_stats().rejected_cycles, options.plausibility_patience);
+    EXPECT_EQ(system.fault_stats().rejected_cycles, 2);
     const app::CycleReport report = system.run_cycle();
     EXPECT_NEAR(static_cast<double>(report.result.cap.cap_pf_q4) / 16.0,
                 options.params.c_empty_pf +

@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
-#include <stdexcept>
 #include <thread>
 
 #include "refpga/common/contracts.hpp"
-#include "refpga/common/thread_pool.hpp"
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/report.hpp"
 #include "refpga/fleet/scenario.hpp"
@@ -121,43 +118,6 @@ TEST(FillProfile, LinearRampEndpoints) {
     EXPECT_DOUBLE_EQ(fill.level_at(0, 1), 0.2);  // single cycle: start level
 }
 
-// ---------------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsEveryJob) {
-    std::atomic<int> counter{0};
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.thread_count(), 4);
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-    ThreadPool pool(2);
-    pool.wait_idle();  // must not hang
-}
-
-TEST(ThreadPool, SurvivesThrowingJob) {
-    std::atomic<int> counter{0};
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedJobs) {
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 20; ++i)
-            pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    EXPECT_EQ(counter.load(), 20);
-}
-
 // ---------------------------------------------------------------- metrics
 
 TEST(MetricSummary, StatsOnKnownData) {
@@ -241,6 +201,25 @@ TEST(Campaign, ReportIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(CampaignReport::from(serial).render_text(),
               CampaignReport::from(parallel4).render_text());
     EXPECT_EQ(serial.failure_count(), 0u);
+}
+
+TEST(Campaign, MoreThreadsThanScenariosAndEmptyGrid) {
+    // Only min(threads, scenarios) threads start; the surplus must not
+    // change a byte of the report.
+    const std::vector<Scenario> sweep =
+        SweepBuilder{}
+            .variants({SystemVariant::ReconfiguredHw})
+            .noise_levels({1e-3, 2e-3, 3e-3})
+            .cycles(1)
+            .campaign_seed(3)
+            .build();
+    ASSERT_EQ(sweep.size(), 3u);
+    const std::string serial =
+        CampaignReport::from(CampaignRunner(1).run(sweep)).render_json();
+    EXPECT_EQ(CampaignReport::from(CampaignRunner(8).run(sweep)).render_json(), serial);
+
+    // An empty grid starts no thread and returns no outcome.
+    EXPECT_TRUE(CampaignRunner(4).run({}).outcomes.empty());
 }
 
 TEST(Campaign, FailingScenarioIsIsolated) {

@@ -1,8 +1,8 @@
-// Parity suite for the block-streaming front end: the fused run_block_* and
-// run_periodic_* kernel and the block-of-1 step_*() wrappers must stay
-// bit-identical to the per-sample oracle (analog::FrontEndReference,
-// test-support library) for every block partitioning, including the
-// tank-noise RNG draw order and level changes between blocks; the system
+// Parity suite for the block-streaming front end: the fused kernel behind
+// run_block_ds and run_periodic_ds must stay bit-identical to the per-sample
+// oracle (analog::FrontEndReference, test-support library) for every block
+// partitioning, including blocks of one tick, the tank-noise RNG draw order
+// and level changes between blocks; the system
 // sample window, fault bookkeeping and whole campaign reports must be
 // identical for every stream_block_ticks. Any divergence here means the
 // streaming kernel changed the signal, not just its batching. The sinus
@@ -38,28 +38,12 @@ constexpr int kBlockSizes[] = {1, 7, 64, 4096};
 
 // ---------------------------------------------------------- sinus generator
 
-TEST(SinusGenStream, BlockBitsMatchPerTickSteps) {
-    const std::size_t ticks = 1000;
-    app::SinusGenModel per_tick{app::AppParams{}};
-    app::SinusGenModel block{app::AppParams{}};
-    std::vector<std::uint8_t> bits(ticks);
-    std::vector<std::uint8_t> codes(ticks);
-    block.run_block_bits(ticks, bits.data());
-    app::SinusGenModel block2{app::AppParams{}};
-    block2.run_block_codes(ticks, codes.data());
-    for (std::size_t i = 0; i < ticks; ++i) {
-        const app::SinusGenModel::Step s = per_tick.step();
-        EXPECT_EQ(bits[i], s.ds_bit ? 1 : 0) << "tick " << i;
-        EXPECT_EQ(codes[i], static_cast<std::uint8_t>(s.code8)) << "tick " << i;
-    }
-}
-
-TEST(SinusGenStream, PeriodIsSixtyFourBitsAndThirtyTwoCodes) {
+TEST(SinusGenStream, PeriodIsSixtyFourBitsOverTwoLutPasses) {
     const app::SinusGenModel gen{app::AppParams{}};
     ASSERT_EQ(gen.period(), 64u);
+    EXPECT_EQ(gen.period(), 2u * app::kSinusLutSize);
     EXPECT_EQ(gen.phase(), 0u);
     const std::span<const std::uint8_t> bits = gen.period_bits();
-    const std::span<const std::uint8_t> codes = gen.period_codes();
     // Smallest shift under which a pattern repeats itself within one period.
     const auto min_period = [](std::span<const std::uint8_t> p) {
         for (std::size_t d = 1; d < p.size(); ++d) {
@@ -72,7 +56,6 @@ TEST(SinusGenStream, PeriodIsSixtyFourBitsAndThirtyTwoCodes) {
         return p.size();
     };
     EXPECT_EQ(min_period(bits), 64u);
-    EXPECT_EQ(min_period(codes), 32u);
 }
 
 TEST(SinusGenStream, CachedPeriodMatchesIntegratorRecurrence) {
@@ -86,7 +69,6 @@ TEST(SinusGenStream, CachedPeriodMatchesIntegratorRecurrence) {
     ASSERT_EQ(lut.size(), 32u);
     const std::size_t ticks = 1 << 17;
     std::vector<std::uint8_t> want_bits(ticks);
-    std::vector<std::uint8_t> want_codes(ticks);
     std::int32_t s1 = 0;
     std::int32_t s2 = 0;
     for (std::size_t i = 0; i < ticks; ++i) {
@@ -96,21 +78,17 @@ TEST(SinusGenStream, CachedPeriodMatchesIntegratorRecurrence) {
         s1 = wrap(s1 + code - 128 - fb, 14);
         s2 = wrap(s2 + s1 - fb, 16);
         want_bits[i] = bit ? 1 : 0;
-        want_codes[i] = static_cast<std::uint8_t>(code);
     }
 
-    // Served from the cached period in ragged chunks, through both batch
-    // entries, and read in place at the phase the generator reports.
+    // Served from the cached period in ragged chunks, and read in place at
+    // the phase the generator reports.
     app::SinusGenModel bits_gen{app::AppParams{}};
-    app::SinusGenModel codes_gen{app::AppParams{}};
     app::SinusGenModel in_place{app::AppParams{}};
     std::vector<std::uint8_t> bits(ticks);
-    std::vector<std::uint8_t> codes(ticks);
     const std::size_t chunks[] = {1, 63, 64, 65, 1000, 4133};
     for (std::size_t at = 0, c = 0; at < ticks; ++c) {
         const std::size_t n = std::min(chunks[c % std::size(chunks)], ticks - at);
         bits_gen.run_block_bits(n, bits.data() + at);
-        codes_gen.run_block_codes(n, codes.data() + at);
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t k = (in_place.phase() + i) % in_place.period();
             ASSERT_EQ(in_place.period_bits()[k], want_bits[at + i]) << "tick " << at + i;
@@ -119,7 +97,6 @@ TEST(SinusGenStream, CachedPeriodMatchesIntegratorRecurrence) {
         at += n;
     }
     EXPECT_EQ(bits, want_bits);
-    EXPECT_EQ(codes, want_codes);
 }
 
 // --------------------------------------------------------------- front end
@@ -130,15 +107,12 @@ struct PcmStream {
 };
 
 // Drive sequence shared by every partitioning: the real sinus generator's
-// delta-sigma bits or DAC codes, so the parity run exercises the same
-// waveforms the system does.
-std::vector<std::uint8_t> make_drive(std::size_t ticks, bool ds_bits) {
+// delta-sigma bits, so the parity run exercises the waveform the system
+// does.
+std::vector<std::uint8_t> make_drive(std::size_t ticks) {
     app::SinusGenModel gen{app::AppParams{}};
     std::vector<std::uint8_t> drive(ticks);
-    if (ds_bits)
-        gen.run_block_bits(ticks, drive.data());
-    else
-        gen.run_block_codes(ticks, drive.data());
+    gen.run_block_bits(ticks, drive.data());
     return drive;
 }
 
@@ -149,14 +123,12 @@ analog::FrontEndConfig make_config(double noise_rms) {
 }
 
 PcmStream reference_stream(const analog::FrontEndConfig& config,
-                           const std::vector<std::uint8_t>& drive, bool ds_bits) {
+                           const std::vector<std::uint8_t>& drive) {
     analog::FrontEndReference frontend(config, 42);
     frontend.tank().set_level(0.6);
     PcmStream stream;
     for (std::uint8_t d : drive) {
-        const auto pcm = ds_bits ? frontend.step_ds_bit(d != 0)
-                                 : frontend.step_code8(d);
-        if (pcm) {
+        if (const auto pcm = frontend.step_ds_bit(d != 0)) {
             stream.meas.push_back(pcm->meas);
             stream.ref.push_back(pcm->ref);
         }
@@ -164,13 +136,13 @@ PcmStream reference_stream(const analog::FrontEndConfig& config,
     return stream;
 }
 
-void expect_block_parity(double noise_rms, bool ds_bits) {
+void expect_block_parity(double noise_rms) {
     // Deliberately not a multiple of any tested block size, so every
     // partitioning ends on a ragged tail and mid-decimation ADC phase.
     const std::size_t ticks = 12347;
-    const std::vector<std::uint8_t> drive = make_drive(ticks, ds_bits);
+    const std::vector<std::uint8_t> drive = make_drive(ticks);
     const analog::FrontEndConfig config = make_config(noise_rms);
-    const PcmStream want = reference_stream(config, drive, ds_bits);
+    const PcmStream want = reference_stream(config, drive);
     ASSERT_EQ(want.meas.size(), ticks / static_cast<std::size_t>(config.adc_decimation));
 
     for (int block_size : kBlockSizes) {
@@ -180,11 +152,7 @@ void expect_block_parity(double noise_rms, bool ds_bits) {
         for (std::size_t at = 0; at < ticks;) {
             const std::size_t n =
                 std::min<std::size_t>(static_cast<std::size_t>(block_size), ticks - at);
-            const std::span<const std::uint8_t> chunk(drive.data() + at, n);
-            if (ds_bits)
-                frontend.run_block_ds(chunk, block);
-            else
-                frontend.run_block_code8(chunk, block);
+            frontend.run_block_ds({drive.data() + at, n}, block);
             at += n;
         }
         EXPECT_EQ(block.meas, want.meas) << "block size " << block_size;
@@ -193,19 +161,11 @@ void expect_block_parity(double noise_rms, bool ds_bits) {
 }
 
 TEST(FrontEndStream, DsDriveMatchesReferenceAcrossBlockSizes) {
-    expect_block_parity(1e-3, true);
+    expect_block_parity(1e-3);
 }
 
 TEST(FrontEndStream, DsDriveNoiselessMatchesReference) {
-    expect_block_parity(0.0, true);
-}
-
-TEST(FrontEndStream, Code8DriveMatchesReferenceAcrossBlockSizes) {
-    expect_block_parity(1e-3, false);
-}
-
-TEST(FrontEndStream, Code8DriveNoiselessMatchesReference) {
-    expect_block_parity(0.0, false);
+    expect_block_parity(0.0);
 }
 
 // Block lengths, cycled: most are not a multiple of the generator's 64-tick
@@ -218,7 +178,7 @@ constexpr std::size_t kPartitions[] = {4133, 1000, 4096, 777, 5000, 300,
 // tick, the front end one block per partition through `run`.
 template <typename Run>
 void expect_partition_parity(double noise_rms, const std::vector<std::uint8_t>& drive,
-                             bool ds_bits, Run run, obs::Recorder* recorder = nullptr) {
+                             Run run, obs::Recorder* recorder = nullptr) {
     const analog::FrontEndConfig config = make_config(noise_rms);
     analog::FrontEndReference reference(config, 42);
     analog::FrontEnd frontend(config, 42);
@@ -233,9 +193,7 @@ void expect_partition_parity(double noise_rms, const std::vector<std::uint8_t>& 
         const std::size_t n =
             std::min(kPartitions[b % std::size(kPartitions)], drive.size() - at);
         for (std::size_t i = at; i < at + n; ++i) {
-            const auto pcm = ds_bits ? reference.step_ds_bit(drive[i] != 0)
-                                     : reference.step_code8(drive[i]);
-            if (pcm) {
+            if (const auto pcm = reference.step_ds_bit(drive[i] != 0)) {
                 want.meas.push_back(pcm->meas);
                 want.ref.push_back(pcm->ref);
             }
@@ -250,25 +208,21 @@ void expect_partition_parity(double noise_rms, const std::vector<std::uint8_t>& 
     EXPECT_EQ(mismatches, 0u) << "of " << 2 * want.meas.size() << " PCM samples";
 }
 
-// The generator's period streamed in place through run_periodic_*: after
+// The generator's period streamed in place through run_periodic_ds: after
 // the first blocks lock the reconstruction onto its orbit, the kernel
 // replays a tabulated period per block, rebuilt after each level change.
-void expect_periodic_parity(double noise_rms, bool ds_bits) {
+void expect_periodic_parity(double noise_rms) {
     const app::SinusGenModel gen{app::AppParams{}};
-    const std::span<const std::uint8_t> period =
-        ds_bits ? gen.period_bits() : gen.period_codes();
+    const std::span<const std::uint8_t> period = gen.period_bits();
     const std::size_t ticks = 60'000;
     std::vector<std::uint8_t> drive(ticks);
     for (std::size_t i = 0; i < ticks; ++i) drive[i] = period[i % period.size()];
 
     obs::Recorder recorder;
     expect_partition_parity(
-        noise_rms, drive, ds_bits,
+        noise_rms, drive,
         [&](analog::FrontEnd& fe, std::size_t at, std::size_t n, analog::SampleBlock& out) {
-            if (ds_bits)
-                fe.run_periodic_ds(period, at % period.size(), n, out);
-            else
-                fe.run_periodic_code8(period, at % period.size(), n, out);
+            fe.run_periodic_ds(period, at % period.size(), n, out);
         },
         &recorder);
     // The replay path must actually have run, or the parity above pins only
@@ -277,67 +231,43 @@ void expect_periodic_parity(double noise_rms, bool ds_bits) {
 }
 
 TEST(FrontEndStream, PeriodicDsDriveMatchesReferenceAcrossLevelChanges) {
-    expect_periodic_parity(1e-3, true);
+    expect_periodic_parity(1e-3);
 }
 
 TEST(FrontEndStream, PeriodicDsDriveNoiselessMatchesReference) {
-    expect_periodic_parity(0.0, true);
-}
-
-TEST(FrontEndStream, PeriodicCode8DriveMatchesReferenceAcrossLevelChanges) {
-    expect_periodic_parity(1e-3, false);
-}
-
-TEST(FrontEndStream, PeriodicCode8DriveNoiselessMatchesReference) {
-    expect_periodic_parity(0.0, false);
+    expect_periodic_parity(0.0);
 }
 
 // A seeded aperiodic drive pins the generic loop the same way, through both
-// the arbitrary-drive entries and a periodic entry whose period is longer
-// than any block (so it never replays).
-void expect_aperiodic_parity(double noise_rms, bool ds_bits) {
+// the arbitrary-drive entry and a periodic entry whose period is longer than
+// any block (so it never replays).
+void expect_aperiodic_parity(double noise_rms) {
     const std::size_t ticks = 40'000;
     std::vector<std::uint8_t> drive(ticks);
     Rng rng(2008);
-    for (std::uint8_t& d : drive)
-        d = static_cast<std::uint8_t>(ds_bits ? rng.next_below(2) : rng.next_below(256));
+    for (std::uint8_t& d : drive) d = static_cast<std::uint8_t>(rng.next_below(2));
 
     expect_partition_parity(
-        noise_rms, drive, ds_bits,
+        noise_rms, drive,
         [&](analog::FrontEnd& fe, std::size_t at, std::size_t n, analog::SampleBlock& out) {
-            const std::span<const std::uint8_t> chunk(drive.data() + at, n);
-            if (ds_bits)
-                fe.run_block_ds(chunk, out);
-            else
-                fe.run_block_code8(chunk, out);
+            fe.run_block_ds({drive.data() + at, n}, out);
         });
     obs::Recorder recorder;
     expect_partition_parity(
-        noise_rms, drive, ds_bits,
+        noise_rms, drive,
         [&](analog::FrontEnd& fe, std::size_t at, std::size_t n, analog::SampleBlock& out) {
-            if (ds_bits)
-                fe.run_periodic_ds(drive, at, n, out);
-            else
-                fe.run_periodic_code8(drive, at, n, out);
+            fe.run_periodic_ds(drive, at, n, out);
         },
         &recorder);
     EXPECT_EQ(recorder.metrics().value("frontend.orbit_blocks_total"), 0.0);
 }
 
 TEST(FrontEndStream, AperiodicDsDriveMatchesReferenceAcrossLevelChanges) {
-    expect_aperiodic_parity(1e-3, true);
+    expect_aperiodic_parity(1e-3);
 }
 
 TEST(FrontEndStream, AperiodicDsDriveNoiselessMatchesReference) {
-    expect_aperiodic_parity(0.0, true);
-}
-
-TEST(FrontEndStream, AperiodicCode8DriveMatchesReferenceAcrossLevelChanges) {
-    expect_aperiodic_parity(1e-3, false);
-}
-
-TEST(FrontEndStream, AperiodicCode8DriveNoiselessMatchesReference) {
-    expect_aperiodic_parity(0.0, false);
+    expect_aperiodic_parity(0.0);
 }
 
 TEST(FrontEndStream, PeriodicEntryRejectsAPhaseOutsideThePeriod) {
@@ -345,7 +275,7 @@ TEST(FrontEndStream, PeriodicEntryRejectsAPhaseOutsideThePeriod) {
     analog::SampleBlock block;
     const std::vector<std::uint8_t> period(64, 1);
     EXPECT_THROW(frontend.run_periodic_ds(period, 64, 10, block), ContractViolation);
-    EXPECT_THROW(frontend.run_periodic_code8({}, 0, 10, block), ContractViolation);
+    EXPECT_THROW(frontend.run_periodic_ds({}, 0, 10, block), ContractViolation);
 }
 
 TEST(FrontEndStream, PcmCodeTableEqualsQuantizerAtEveryAdmittedDecimation) {
@@ -367,34 +297,17 @@ TEST(FrontEndStream, PcmCodeTableEqualsQuantizerAtEveryAdmittedDecimation) {
     }
 }
 
-TEST(FrontEndStream, StepWrappersMatchReferencePath) {
-    const std::vector<std::uint8_t> drive = make_drive(4000, true);
-    analog::FrontEnd wrapped(make_config(1e-3), 9);
-    analog::FrontEndReference reference(make_config(1e-3), 9);
-    wrapped.tank().set_level(0.3);
-    reference.tank().set_level(0.3);
-    for (std::uint8_t d : drive) {
-        const auto a = wrapped.step_ds_bit(d != 0);
-        const auto b = reference.step_ds_bit(d != 0);
-        ASSERT_EQ(a.has_value(), b.has_value());
-        if (a) {
-            EXPECT_EQ(a->meas, b->meas);
-            EXPECT_EQ(a->ref, b->ref);
-        }
-    }
-}
-
 TEST(FrontEndStream, TicksForPcmTracksDecimationPhase) {
     analog::FrontEnd frontend;  // adc_decimation = 5
     EXPECT_EQ(frontend.ticks_for_pcm(0), 0);
     EXPECT_EQ(frontend.ticks_for_pcm(3), 15);
     // Two ticks in (no PCM yet): the next pair needs only three more.
-    (void)frontend.step_ds_bit(true);
-    (void)frontend.step_ds_bit(false);
+    analog::SampleBlock block;
+    const std::uint8_t two_ticks[] = {1, 0};
+    EXPECT_EQ(frontend.run_block_ds(two_ticks, block), 0u);
     EXPECT_EQ(frontend.ticks_for_pcm(1), 3);
     EXPECT_EQ(frontend.ticks_for_pcm(2), 8);
     // A block of exactly ticks_for_pcm(n) ticks fires exactly n pairs.
-    analog::SampleBlock block;
     const std::vector<std::uint8_t> bits(
         static_cast<std::size_t>(frontend.ticks_for_pcm(4)), 1);
     EXPECT_EQ(frontend.run_block_ds(bits, block), 4u);
@@ -505,12 +418,6 @@ TEST(SystemStream, CycleReportsIdenticalAcrossBlockSizes) {
     expect_system_parity(app::SystemOptions{}, 3);
 }
 
-TEST(SystemStream, ExternalDacCycleReportsIdentical) {
-    app::SystemOptions options;
-    options.use_ds_dac = false;
-    expect_system_parity(options, 2);
-}
-
 TEST(SystemStream, SoftwareVariantCycleReportsIdentical) {
     app::SystemOptions options;
     options.variant = app::SystemVariant::Software;
@@ -551,20 +458,16 @@ TEST(SystemStream, SteadyCyclesReplayTheLockedOrbit) {
     // One block per cycle at the default stream_block_ticks: the first
     // cycle starts from reset and runs the generic loop, every later one
     // replays the locked orbit.
-    for (const bool ds_dac : {true, false}) {
-        obs::Recorder recorder;
-        app::SystemOptions options;
-        options.use_ds_dac = ds_dac;
-        options.recorder = &recorder;
-        app::MeasurementSystem system(options, 11);
-        for (int c = 0; c < 6; ++c) {
-            system.set_true_level(0.1 + 0.15 * c);
-            (void)system.run_cycle();
-        }
-        EXPECT_EQ(recorder.metrics().value("frontend.blocks_total"), 6.0);
-        EXPECT_EQ(recorder.metrics().value("frontend.orbit_blocks_total"), 5.0)
-            << "ds_dac " << ds_dac;
+    obs::Recorder recorder;
+    app::SystemOptions options;
+    options.recorder = &recorder;
+    app::MeasurementSystem system(options, 11);
+    for (int c = 0; c < 6; ++c) {
+        system.set_true_level(0.1 + 0.15 * c);
+        (void)system.run_cycle();
     }
+    EXPECT_EQ(recorder.metrics().value("frontend.blocks_total"), 6.0);
+    EXPECT_EQ(recorder.metrics().value("frontend.orbit_blocks_total"), 5.0);
 }
 
 TEST(SystemStream, NonPositiveBlockSizeIsRejected) {

@@ -12,7 +12,6 @@
 
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/rng.hpp"
-#include "refpga/netlist/adjacency.hpp"
 #include "refpga/netlist/builder.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
@@ -134,8 +133,7 @@ TEST(ReallocateEngine, TightSlackStillEquivalent) {
 
 TEST(ReallocateEngine, IndexMatchesNaiveSetBuilders) {
     Scenario s;
-    const netlist::CellNetIndex cells(s.d.nl);
-    const ReallocIndex index(s.placement, cells);
+    const ReallocIndex index(s.placement);
     const PackedDesign& packed = s.placement.design();
 
     for (std::uint32_t si = 0; si < packed.slice_count(); ++si) {
@@ -143,8 +141,12 @@ TEST(ReallocateEngine, IndexMatchesNaiveSetBuilders) {
         std::set<NetId> expected;
         const PackedSlice& ps = packed.slices()[si];
         auto add_cell = [&](CellId cell) {
-            for (const NetId net : cells.nets_of(cell))
-                if (!s.placement.dedicated_net(net)) expected.insert(net);
+            const netlist::Cell& c = s.d.nl.cell(cell);
+            std::vector<NetId> pins(c.inputs.begin(), c.inputs.end());
+            pins.insert(pins.end(), c.outputs.begin(), c.outputs.end());
+            pins.push_back(c.clock);
+            for (const NetId net : pins)
+                if (net.valid() && !s.placement.dedicated_net(net)) expected.insert(net);
         };
         for (const CellId cell : ps.luts) add_cell(cell);
         for (const CellId cell : ps.ffs) add_cell(cell);
@@ -157,8 +159,12 @@ TEST(ReallocateEngine, IndexMatchesNaiveSetBuilders) {
     for (std::uint32_t ni = 0; ni < s.d.nl.net_count(); ++ni) {
         const NetId net{ni};
         std::set<SliceId> expected;
-        for (const CellId cell : cells.cells_of(net)) {
-            const SliceId slice = packed.slice_of(cell);
+        const netlist::Net& n = s.d.nl.net(net);
+        std::vector<CellId> cells;
+        if (n.driven()) cells.push_back(n.driver.cell);
+        for (const netlist::PinRef& sink : n.sinks) cells.push_back(sink.cell);
+        for (const CellId cell : cells) {
+            const SliceId slice = cell.valid() ? packed.slice_of(cell) : SliceId{};
             if (slice.valid()) expected.insert(slice);
         }
         const auto got = index.slices_of(net);

@@ -551,51 +551,6 @@ TEST(ToggleSpec, ConstantsNeverToggleEventEngine) {
     check_constants_and_undriven_never_toggle<EventSimulator>();
 }
 
-// ------------------------------------------------- VCD vector round trip
-
-/// Property: writing a dump with a multi-bit `$var` and parsing it back
-/// reproduces the engine's per-net toggle counts exactly, bit for bit,
-/// including across idle stretches where no value changes (the writer emits
-/// no timestamp at all) and uneven sample spacing.
-template <typename Engine>
-void check_vector_round_trip() {
-    Design d = make_design();
-    Builder b(d.nl, d.clk);
-    const Bus ce = d.nl.add_input_port("ce", 1);
-    const Bus q = b.counter(5, ce[0], "q");
-    d.nl.add_output_port("q", q);
-    Engine sim(d.nl);
-
-    std::ostringstream os;
-    // Mixed declaration: bit 0 as a scalar AND the whole bus as one vector.
-    VcdWriter writer(os, sim, {q[0]}, {{"qv", q}});
-    writer.sample(0);
-    Rng rng(99);
-    std::int64_t t = 0;
-    for (int step = 1; step <= 60; ++step) {
-        sim.set_input("ce", step % 9 < 3 ? 0 : 1);  // idle gaps while CE low
-        sim.tick();
-        t += 500 + static_cast<std::int64_t>(rng.next_below(1500));
-        writer.sample(t);
-    }
-
-    std::istringstream is(os.str());
-    const VcdActivity activity = parse_vcd(is);
-    for (std::size_t i = 0; i < q.size(); ++i)
-        EXPECT_EQ(activity.toggles.at("qv[" + std::to_string(i) + "]"),
-                  sim.toggle_counts()[q[i].value()])
-            << "bit " << i;
-    // The scalar alias of bit 0 agrees with the vector's LSB.
-    EXPECT_EQ(activity.toggles.at(d.nl.net(q[0]).name),
-              activity.toggles.at("qv[0]"));
-}
-
-TEST(Vcd, VectorRoundTripMatchesCycleEngine) { check_vector_round_trip<Simulator>(); }
-
-TEST(Vcd, VectorRoundTripMatchesEventEngine) {
-    check_vector_round_trip<EventSimulator>();
-}
-
 // ------------------------------------------------- wide-vector parsing
 
 namespace {
