@@ -31,7 +31,7 @@ struct GeneratorFixture {
         const auto clk = nl.add_input_port("clk", 1)[0];
         netlist::Builder b(nl, clk);
         const auto tick = nl.add_input_port("tick", 1);
-        io = app::make_sinus_generator(b, tick[0], app::AppParams{});
+        io = app::make_sinus_generator(b, tick[0]);
         nl.add_output_port("code8", io.code8);
         nl.add_output_port("ds_bit", netlist::Bus{io.ds_bit});
     }

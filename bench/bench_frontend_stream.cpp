@@ -19,8 +19,9 @@
 //
 // Every streamed PCM sequence must be bit-identical to the oracle's on the
 // same drive, in smoke and full mode; each row prints its ns per modulator
-// tick. The end-to-end MeasurementSystem cycle latency vs stream_block_ticks
-// closes the report.
+// tick, from the fastest of kRounds rounds that alternate the two plant
+// conditions (both sides of both gates use that statistic). The end-to-end
+// MeasurementSystem cycle latency vs stream_block_ticks closes the report.
 //
 // Two plant conditions are measured. With tank noise off the window is
 // pipeline-bound and the periodic entry's best block size against the
@@ -56,6 +57,12 @@ namespace {
 using namespace refpga;
 
 constexpr std::uint64_t kSeed = 42;
+/// Rounds of both suites. A row's time is its fastest round, each run on a
+/// fresh front end, so one slow run on a shared host does not decide a
+/// gate; the noise-off and noisy suites alternate round by round, so both
+/// sides of a gate's ratio are sampled over the same stretch of time. The
+/// first round also pages the code paths in.
+constexpr int kRounds = 5;
 
 bool flag(int argc, char** argv, std::string_view name) {
     for (int i = 1; i < argc; ++i)
@@ -107,6 +114,20 @@ struct Suite {
                    ? generic.pcm_per_s / generic_reference.pcm_per_s
                    : 0.0;
     }
+
+    /// Keeps each row's faster time of this round and `other`, a later
+    /// round of the same rows.
+    void keep_faster(const Suite& other) {
+        const auto faster = [](Throughput& kept, const Throughput& t) {
+            if (t.wall_ms < kept.wall_ms) kept = t;
+        };
+        faster(reference, other.reference);
+        faster(api, other.api);
+        for (std::size_t i = 0; i < blocks.size(); ++i) faster(blocks[i], other.blocks[i]);
+        faster(generic_reference, other.generic_reference);
+        faster(generic, other.generic);
+        parity_ok = parity_ok && other.parity_ok;
+    }
 };
 
 /// A front end (FrontEnd or the FrontEndReference oracle) with the bench's
@@ -120,18 +141,14 @@ FrontEndT make_frontend(double noise_rms) {
     return frontend;
 }
 
-/// Streams `ticks` modulator ticks through run(frontend) and reports PCM
-/// pairs/s and ns per tick.
+/// Streams `ticks` modulator ticks through run(frontend) on a fresh front
+/// end and reports PCM pairs/s and ns per tick.
 template <typename FrontEndT = analog::FrontEnd, typename Run>
 Throughput time_run(const std::string& label, int block_ticks, double noise_rms,
                     std::size_t ticks, Run run) {
     Throughput t;
     t.label = label;
     t.block_ticks = block_ticks;
-    {
-        FrontEndT warm = make_frontend<FrontEndT>(noise_rms);  // page in code paths
-        run(warm);
-    }
     FrontEndT frontend = make_frontend<FrontEndT>(noise_rms);
     const double t0 = now_ms();
     run(frontend);
@@ -299,7 +316,7 @@ int main(int argc, char** argv) {
     // stream — the stimulus run_cycle feeds the front end (Fig. 4 sample
     // window) — unrolled for the oracle and the per-sample rows.
     const std::size_t ticks = smoke ? 200'000 : 8'000'000;
-    app::SinusGenModel sinusgen{app::AppParams{}};
+    app::SinusGenModel sinusgen;
     std::vector<std::uint8_t> drive(ticks);
     sinusgen.run_block_bits(ticks, drive.data());
     std::vector<std::uint8_t> aperiodic(ticks);
@@ -309,10 +326,16 @@ int main(int argc, char** argv) {
         ticks / static_cast<std::size_t>(analog::FrontEndConfig{}.adc_decimation);
 
     const std::vector<int> block_sizes = {16, 64, 256, 1024, 4096};
-    const Suite quiet =
-        run_suite(0.0, sinusgen.period_bits(), drive, aperiodic, block_sizes);
-    const Suite noisy =
-        run_suite(1e-3, sinusgen.period_bits(), drive, aperiodic, block_sizes);
+    const auto round = [&](double noise_rms) {
+        return run_suite(noise_rms, sinusgen.period_bits(), drive, aperiodic,
+                         block_sizes);
+    };
+    Suite quiet = round(0.0);
+    Suite noisy = round(1e-3);
+    for (int r = 1; r < kRounds; ++r) {
+        quiet.keep_faster(round(0.0));
+        noisy.keep_faster(round(1e-3));
+    }
     print_suite(quiet);
     print_suite(noisy);
 

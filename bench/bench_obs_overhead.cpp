@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     const std::size_t ticks = smoke ? 200'000 : 8'000'000;
     const int reps = smoke ? 3 : 5;
     std::vector<std::uint8_t> drive(ticks);
-    app::SinusGenModel sinusgen{app::AppParams{}};
+    app::SinusGenModel sinusgen;
     sinusgen.run_block_bits(ticks, drive.data());
     const std::size_t pcm_pairs =
         ticks / static_cast<std::size_t>(analog::FrontEndConfig{}.adc_decimation);

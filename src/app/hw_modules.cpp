@@ -36,7 +36,7 @@ std::vector<std::uint32_t> encode_table(const std::vector<std::int32_t>& values,
 // Sinus generator (Fig. 3)
 // ---------------------------------------------------------------------------
 
-SinusGeneratorIo make_sinus_generator(Builder& b, NetId tick, const AppParams& params) {
+SinusGeneratorIo make_sinus_generator(Builder& b, NetId tick) {
     b.push_scope("sinusgen");
 
     // 5-bit address counter at the 16 MHz tick; 32-entry unsigned sine LUT
@@ -79,11 +79,10 @@ SinusGeneratorIo make_sinus_generator(Builder& b, NetId tick, const AppParams& p
     io.code8 = code8;
     io.ds_bit = out_bit;
     b.pop_scope();
-    (void)params;
     return io;
 }
 
-SinusGenModel::SinusGenModel(const AppParams&) {
+SinusGenModel::SinusGenModel() {
     // The netlist's recurrence, tick by tick from reset: the out bit comes
     // from the current s2, s2 integrates the new s1, and both integrators
     // wrap at 14/16 bits.

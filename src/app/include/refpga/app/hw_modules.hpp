@@ -21,14 +21,15 @@ namespace refpga::app {
 
 /// Sinus generator (Fig. 3): 32-entry sine LUT + 5-bit address counter +
 /// on-chip second-order delta-sigma DAC. `tick` is the 16 MHz clock enable
-/// from the DCM model.
+/// from the DCM model. The generator takes no parameters: its LUT is fixed,
+/// and AppParams::validate() holds the rates to it (modulator_hz ==
+/// kSinusLutSize × signal_hz).
 struct SinusGeneratorIo {
     netlist::Bus code8;     ///< 8-bit unsigned DAC code (external-DAC variant)
     netlist::NetId ds_bit;  ///< delta-sigma bitstream (internal-DAC variant)
 };
 [[nodiscard]] SinusGeneratorIo make_sinus_generator(netlist::Builder& builder,
-                                                    netlist::NetId tick,
-                                                    const AppParams& params);
+                                                    netlist::NetId tick);
 
 /// Bit-exact C++ mirror of the generator's LUT and delta-sigma stage (for
 /// tests and for driving the analog front end without netlist simulation).
@@ -47,7 +48,7 @@ public:
     /// Bound on the period the constructor searches for.
     static constexpr std::size_t kMaxPeriod = std::size_t{1} << 16;
 
-    explicit SinusGenModel(const AppParams& params);
+    SinusGenModel();
 
     /// Ticks until the state returns to reset.
     [[nodiscard]] std::size_t period() const { return bits_.size(); }

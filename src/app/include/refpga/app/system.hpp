@@ -135,9 +135,6 @@ public:
     [[nodiscard]] const reconfig::ReconfigController& controller() const {
         return controller_;
     }
-    [[nodiscard]] const reconfig::ConfigMemory& config_memory() const {
-        return config_mem_;
-    }
     [[nodiscard]] const fault::FaultStats& fault_stats() const { return stats_; }
     [[nodiscard]] long cycles_run() const { return cycles_run_; }
 

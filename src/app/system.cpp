@@ -71,7 +71,6 @@ std::vector<double> wall_bounds() {
 MeasurementSystem::MeasurementSystem(SystemOptions options, std::uint64_t noise_seed)
     : options_(checked(std::move(options))),
       frontend_(frontend_config(options_), noise_seed),
-      sinusgen_(options_.params),
       tables_(options_.params),
       filter_(options_.params),
       device_(options_.part),
@@ -495,7 +494,7 @@ SystemNetlist build_system_netlist(const SystemNetlistOptions& options) {
 
     if (options.include_soft_ip) soc::emit_static_soft_ip(b, options.soft_ip);
 
-    const SinusGeneratorIo sinus = make_sinus_generator(b, tick16[0], p);
+    const SinusGeneratorIo sinus = make_sinus_generator(b, tick16[0]);
     sys.nl.add_output_port("dac_code", sinus.code8);
     sys.nl.add_output_port("dac_ds_bit", Bus{sinus.ds_bit});
 

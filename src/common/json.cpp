@@ -1,9 +1,10 @@
-#include "refpga/svc/json.hpp"
+#include "refpga/common/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
-namespace refpga::svc {
+namespace refpga {
 
 const JsonValue* JsonValue::find(std::string_view key) const {
     if (kind != Kind::Object) return nullptr;
@@ -236,4 +237,54 @@ private:
 
 JsonValue parse_json(std::string_view text) { return Parser(text).document(); }
 
-}  // namespace refpga::svc
+std::string json_escape(std::string_view text) {
+    std::string out;
+    out.reserve(text.size());
+    for (const char c : text) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                    out += buf;
+                } else {
+                    out += c;
+                }
+        }
+    }
+    return out;
+}
+
+std::string hexfloat(double v) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+double parse_hexfloat(const std::string& text) {
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(begin, &end);
+    if (end == begin || *end != '\0')
+        throw JsonError("malformed number '" + text + "'");
+    return v;
+}
+
+std::errc parse_decimal(std::string_view text, std::uint64_t& out) {
+    if (text.empty()) return std::errc::invalid_argument;
+    std::uint64_t value = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9') return std::errc::invalid_argument;
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (UINT64_MAX - digit) / 10) return std::errc::result_out_of_range;
+        value = value * 10 + digit;
+    }
+    out = value;
+    return {};
+}
+
+}  // namespace refpga

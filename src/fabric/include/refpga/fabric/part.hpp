@@ -42,9 +42,6 @@ struct Part {
 
     /// Static power in milliwatts at Vccint = 1.2 V.
     [[nodiscard]] double static_power_mw() const { return quiescent_ma * 1.2; }
-
-    /// 18-kbit BRAM capacity in bytes (data bits only).
-    [[nodiscard]] std::int64_t bram_bytes() const { return bram_blocks * 18432 / 8; }
 };
 
 /// All Spartan-3 parts, smallest first.

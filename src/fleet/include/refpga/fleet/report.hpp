@@ -61,11 +61,6 @@ public:
     /// delivery; a duplicate is a protocol bug, not mergeable data).
     void add(std::size_t first, std::vector<ScenarioOutcome> batch);
 
-    /// Same commit from already-encoded outcome lines (the coordinator feeds
-    /// wire payloads straight through). Throws CodecError on a malformed
-    /// line; nothing is committed in that case.
-    void add_encoded(std::size_t first, const std::vector<std::string>& lines);
-
     [[nodiscard]] std::size_t committed() const { return covered_.count(); }
     [[nodiscard]] bool complete() const {
         return covered_.covers_exactly(scenario_count_);

@@ -7,9 +7,8 @@
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
-#include "refpga/common/json_escape.hpp"
+#include "refpga/common/json.hpp"
 #include "refpga/common/table.hpp"
-#include "refpga/fleet/outcome_codec.hpp"
 
 namespace refpga::fleet {
 
@@ -214,17 +213,6 @@ void CampaignReport::add(std::size_t first, std::vector<ScenarioOutcome> batch) 
         if (!batch[i].ok) ++failures_;
         outcomes_[first + i] = std::move(batch[i]);
     }
-}
-
-void CampaignReport::add_encoded(std::size_t first,
-                                 const std::vector<std::string>& lines) {
-    REFPGA_EXPECTS(!lines.empty());
-    // Decode the whole batch before committing anything: a malformed line
-    // must not leave a half-merged batch behind.
-    std::vector<ScenarioOutcome> batch;
-    batch.reserve(lines.size());
-    for (const std::string& line : lines) batch.push_back(decode_outcome_line(line));
-    add(first, std::move(batch));
 }
 
 std::vector<const ScenarioOutcome*> CampaignReport::committed_rows() const {

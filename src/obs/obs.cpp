@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
-#include "refpga/common/json_escape.hpp"
+#include "refpga/common/json.hpp"
 
 namespace refpga::obs {
 

@@ -31,7 +31,6 @@ public:
     void place_initial();
 
     [[nodiscard]] fabric::SliceCoord slice_pos(SliceId s) const;
-    void set_slice_pos(SliceId s, const fabric::SliceCoord& pos);
 
     /// Site occupancy: slice at a site, or invalid id.
     [[nodiscard]] SliceId slice_at(const fabric::SliceCoord& pos) const;

@@ -136,14 +136,6 @@ SliceCoord Placement::slice_pos(SliceId s) const {
     return slice_pos_[s.value()];
 }
 
-void Placement::set_slice_pos(SliceId s, const SliceCoord& pos) {
-    REFPGA_EXPECTS(s.value() < slice_pos_.size());
-    REFPGA_EXPECTS(!slice_at(pos).valid());
-    site_to_slice_[site_index(slice_pos_[s.value()])] = SliceId{};
-    slice_pos_[s.value()] = pos;
-    site_to_slice_[site_index(pos)] = s;
-}
-
 SliceId Placement::slice_at(const SliceCoord& pos) const {
     return site_to_slice_[site_index(pos)];
 }

@@ -22,15 +22,6 @@ std::uint64_t module_signature(const std::string& module) {
 
 }  // namespace
 
-const char* slot_health_name(SlotHealth health) {
-    switch (health) {
-        case SlotHealth::Healthy: return "healthy";
-        case SlotHealth::Retrying: return "retrying";
-        case SlotHealth::Failed: return "failed";
-    }
-    return "?";
-}
-
 ReconfigController::ReconfigController(const fabric::Device& dev, ConfigPortSpec port,
                                        FlashSpec flash)
     : dev_(dev), port_(std::move(port)), flash_(std::move(flash)) {}
@@ -142,7 +133,6 @@ ReconfigEvent ReconfigController::load(const std::string& slot,
         if (fault.flash_error) {
             // The fetch fails its CRC at end of stream: the attempt's full
             // transfer time is spent, nothing lands in the fabric.
-            s.health = SlotHealth::Retrying;
             continue;
         }
         if (policy_.verify_after_write) {
@@ -152,7 +142,6 @@ ReconfigEvent ReconfigController::load(const std::string& slot,
             event.energy_mj += verify_s * port_.active_power_mw;
             if (fault.corrupt_transfer) {
                 // Readback disagrees with the golden bitstream: retry.
-                s.health = SlotHealth::Retrying;
                 continue;
             }
         }

@@ -33,12 +33,9 @@ struct FlashSpec {
 /// Health of a reconfigurable slot across load attempts.
 ///
 ///   Healthy  — last load verified (or no load yet)
-///   Retrying — a load attempt failed and is being retried
 ///   Failed   — the retry budget is exhausted; no module is resident until a
 ///              later load succeeds (callers degrade to a software path)
-enum class SlotHealth { Healthy, Retrying, Failed };
-
-[[nodiscard]] const char* slot_health_name(SlotHealth health);
+enum class SlotHealth { Healthy, Failed };
 
 /// One reconfigurable slot of the floorplan.
 struct Slot {
@@ -81,12 +78,10 @@ public:
                        FlashSpec flash = {});
 
     [[nodiscard]] const ConfigPortSpec& port() const { return port_; }
-    [[nodiscard]] const FlashSpec& flash() const { return flash_; }
 
     /// Declares a slot. Regions of different slots must not overlap columns
     /// (frames are column-granular).
     void add_slot(const std::string& name, const fabric::Region& region);
-    [[nodiscard]] const std::vector<Slot>& slots() const { return slots_; }
 
     /// Registers a module's partial bitstream for a slot.
     void register_module(const std::string& slot, const std::string& module);
@@ -107,7 +102,6 @@ public:
     // --- fault hardening ------------------------------------------------------
 
     void set_load_policy(LoadPolicy policy);
-    [[nodiscard]] const LoadPolicy& load_policy() const { return policy_; }
 
     /// Installs the per-attempt fault source (empty hook = no faults).
     void set_load_fault_hook(LoadFaultHook hook) { fault_hook_ = std::move(hook); }

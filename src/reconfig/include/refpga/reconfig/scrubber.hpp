@@ -76,15 +76,9 @@ public:
     /// golden, rewrite any corrupted column from the golden bitstream.
     ScrubReport scan(int x_begin, int x_end);
 
-    /// Accumulated over all scans.
-    [[nodiscard]] long total_scans() const { return scans_; }
-    [[nodiscard]] long total_repairs() const { return repairs_; }
-
 private:
     ConfigMemory& memory_;
     ConfigPortSpec port_;
-    long scans_ = 0;
-    long repairs_ = 0;
 };
 
 /// Mean time to detect an upset, given a scan period: on average the upset

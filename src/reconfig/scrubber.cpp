@@ -73,10 +73,8 @@ ScrubReport Scrubber::scan(int x_begin, int x_end) {
         memory_.load_columns(x, x + 1, *golden ^ (0x9e3779b97f4a7c15ULL * (x + 1)));
         report.repair_s += port_.setup_s + column_bits / port_.throughput_bps();
         ++report.columns_repaired;
-        ++repairs_;
     }
     report.energy_mj = report.total_s() * port_.active_power_mw;
-    ++scans_;
     return report;
 }
 

@@ -52,9 +52,6 @@ private:
 struct VcdActivity {
     std::int64_t duration_ps = 0;
     std::map<std::string, std::int64_t> toggles;  ///< signal name -> transitions
-
-    /// Transitions per second for one signal (0 if unknown).
-    [[nodiscard]] double toggle_rate_hz(const std::string& signal) const;
 };
 
 /// Malformed VCD input. The §4.3 flow feeds externally produced dumps into

@@ -51,13 +51,6 @@ void VcdWriter::sample(std::int64_t time_ps) {
     last_time_ = time_ps;
 }
 
-double VcdActivity::toggle_rate_hz(const std::string& signal) const {
-    if (duration_ps <= 0) return 0.0;
-    const auto it = toggles.find(signal);
-    if (it == toggles.end()) return 0.0;
-    return static_cast<double>(it->second) / (static_cast<double>(duration_ps) * 1e-12);
-}
-
 namespace {
 
 struct VcdVarState {

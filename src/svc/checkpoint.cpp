@@ -177,8 +177,11 @@ CheckpointContents load_checkpoint(const std::string& path,
             fail(path, line_no, "malformed header '" + line + "'");
         if (codec != fleet::kOutcomeCodecVersion)
             fail(path, line_no,
-                 "outcome codec " + std::to_string(codec) + " != supported " +
-                     std::to_string(fleet::kOutcomeCodecVersion));
+                 "written by outcome codec " + std::to_string(codec) +
+                     ", this build reads outcome codec " +
+                     std::to_string(fleet::kOutcomeCodecVersion) +
+                     ": its outcome lines do not decode here;"
+                     " rerun the job without --resume");
         if (model != fleet::kModelVersion) refuse_model(model);
         if (fp_hex.size() != 16 ||
             std::sscanf(fp_hex.c_str(), "%16" SCNx64, &contents.fingerprint) != 1)

@@ -149,7 +149,7 @@ struct Coordinator::Impl {
                 load_checkpoint(options.checkpoint_path, fp, grid);
             for (CheckpointBatch& batch : contents.batches) {
                 result.scenarios_resumed += batch.outcomes.size();
-                report.add(batch.first, std::move(batch.outcomes));
+                commit(batch.first, std::move(batch.outcomes));
             }
             checkpoint.emplace(
                 CheckpointWriter::resume(options.checkpoint_path, contents));
@@ -159,6 +159,14 @@ struct Coordinator::Impl {
             checkpoint.emplace(options.checkpoint_path, fp, grid);
         }
         checkpoint->set_fsync_every(options.checkpoint_fsync_every_n);
+    }
+
+    /// Commits decoded outcomes of [first, first + batch.size()), each given
+    /// its scenario from the grid: outcome lines carry only measurements.
+    void commit(std::uint64_t first, std::vector<fleet::ScenarioOutcome> batch) {
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            batch[i].scenario = scenarios[first + i];
+        report.add(first, std::move(batch));
     }
 
     void seed_pending() {
@@ -278,7 +286,13 @@ struct Coordinator::Impl {
                 "batch [" + std::to_string(batch.first) + ", " +
                 std::to_string(batch.first + batch.lines.size()) +
                 ") does not match the worker's assignment");
-        report.add_encoded(batch.first, batch.lines);
+        // Decode the whole batch before committing anything: a malformed
+        // line must not leave a half-merged batch behind.
+        std::vector<fleet::ScenarioOutcome> outcomes;
+        outcomes.reserve(batch.lines.size());
+        for (const std::string& line : batch.lines)
+            outcomes.push_back(fleet::decode_outcome_line(line));
+        commit(batch.first, std::move(outcomes));
         if (checkpoint.has_value()) {
             checkpoint->append(batch.first, batch.lines);
             ++result.checkpoint_records;
@@ -525,11 +539,12 @@ struct Coordinator::Impl {
         // resulting EPIPE must surface as WireError, not kill the process.
         ::signal(SIGPIPE, SIG_IGN);
 
+        // The grid and the fits are built here, once, so that every forked
+        // worker inherits them instead of rebuilding them per process. The
+        // grid comes first: resumed outcomes take their scenarios from it.
+        scenarios = spec.expand();
         open_journal();
         seed_pending();
-        // The grid and the fits are built here, once, so that every forked
-        // worker inherits them instead of rebuilding them per process.
-        scenarios = spec.expand();
         for (const app::SystemVariant variant : spec.variants)
             (void)fleet::variant_fit(variant);
         workers.resize(static_cast<std::size_t>(options.workers));

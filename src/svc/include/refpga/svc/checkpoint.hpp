@@ -19,7 +19,10 @@
 // journal written under another simulation model (fleet::kModelVersion; a
 // v1 header predates the field and counts as model 1): its outcomes are
 // valid, but merging them with this build's would make a report neither
-// build produces.
+// build produces. A journal of another outcome codec is refused too (codec
+// 1 lines still carried their scenario; codec 2 lines carry only what was
+// measured, and the coordinator attaches each scenario from its grid, which
+// the fingerprint binds the journal to).
 #pragma once
 
 #include <cstdint>

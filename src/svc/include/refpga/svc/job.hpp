@@ -26,12 +26,6 @@ public:
     explicit JobError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Axis-value parsers, inverse of the names the fleet layer renders.
-// Throw JobError on unknown names.
-[[nodiscard]] app::SystemVariant parse_variant(const std::string& name);
-[[nodiscard]] fabric::PartName parse_part(const std::string& id);
-[[nodiscard]] fleet::PortKind parse_port(const std::string& name);
-
 /// Parses a seed written as a decimal string: digits only, the full 64-bit
 /// range, no wrap-around. Throws JobError naming `key`.
 [[nodiscard]] std::uint64_t parse_seed(const std::string& text,

@@ -1,15 +1,25 @@
 #include "refpga/svc/job.hpp"
 
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
+#include <system_error>
+#include <vector>
 
-#include "refpga/svc/json.hpp"
+#include "refpga/common/json.hpp"
 
 namespace refpga::svc {
 
+std::uint64_t parse_seed(const std::string& text, const std::string& key) {
+    if (text.empty()) throw JobError(key + ": empty seed");
+    std::uint64_t out = 0;
+    const std::errc ec = parse_decimal(text, out);
+    if (ec == std::errc::result_out_of_range)
+        throw JobError(key + ": seed '" + text + "' overflows 64 bits");
+    if (ec != std::errc{}) throw JobError(key + ": malformed seed '" + text + "'");
+    return out;
+}
+
+namespace {
+
+// Axis-value parsers, inverse of the names the fleet layer renders.
 app::SystemVariant parse_variant(const std::string& name) {
     for (const auto v : {app::SystemVariant::Software, app::SystemVariant::MonolithicHw,
                          app::SystemVariant::ReconfiguredHw})
@@ -18,12 +28,7 @@ app::SystemVariant parse_variant(const std::string& name) {
 }
 
 fabric::PartName parse_part(const std::string& id) {
-    for (const auto p :
-         {fabric::PartName::XC3S50, fabric::PartName::XC3S200, fabric::PartName::XC3S400,
-          fabric::PartName::XC3S1000, fabric::PartName::XC3S1500,
-          fabric::PartName::XC3S2000, fabric::PartName::XC3S4000,
-          fabric::PartName::XC3S5000})
-        if (id == fabric::part(p).id) return p;
+    if (const auto part = fabric::parse_part(id)) return *part;
     throw JobError("unknown part '" + id + "'");
 }
 
@@ -34,72 +39,45 @@ fleet::PortKind parse_port(const std::string& name) {
     throw JobError("unknown config port '" + name + "'");
 }
 
-std::uint64_t parse_seed(const std::string& text, const std::string& key) {
-    if (text.empty()) throw JobError(key + ": empty seed");
-    std::uint64_t out = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9')
-            throw JobError(key + ": malformed seed '" + text + "'");
-        const auto digit = static_cast<std::uint64_t>(c - '0');
-        if (out > (UINT64_MAX - digit) / 10)
-            throw JobError(key + ": seed '" + text + "' overflows 64 bits");
-        out = out * 10 + digit;
+/// Runs `read`, rethrowing its JsonError as a JobError that names `key`.
+template <class Read>
+auto keyed(const char* key, Read read) -> decltype(read()) {
+    try {
+        return read();
+    } catch (const JsonError& e) {
+        throw JobError(std::string(key) + ": " + e.what());
     }
-    return out;
 }
-
-namespace {
 
 // Doubles travel as hexfloat strings ("0x1.999999999999ap-4") so the
 // canonical document survives any locale or printf quirk bit-exactly.
-std::string hex_double(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-}
-
-double parse_hex_double(const JsonValue& v, const char* key) {
+double number_value(const JsonValue& v, const char* key) {
     if (v.is(JsonValue::Kind::Number)) return v.number;  // plain JSON accepted
     if (!v.is(JsonValue::Kind::String))
         throw JobError(std::string(key) + ": expected number or hexfloat string");
-    const std::string& s = v.string;
-    const char* begin = s.c_str();
-    char* end = nullptr;
-    const double parsed = std::strtod(begin, &end);
-    if (end == begin || *end != '\0')
-        throw JobError(std::string(key) + ": malformed number '" + s + "'");
-    return parsed;
+    return keyed(key, [&] { return parse_hexfloat(v.string); });
 }
 
 std::vector<double> double_list(const JsonValue& v, const char* key) {
     std::vector<double> out;
-    for (const JsonValue& e : v.as_array()) out.push_back(parse_hex_double(e, key));
+    for (const JsonValue& e : v.as_array()) out.push_back(number_value(e, key));
     return out;
 }
 
-int int_value(const JsonValue& v, const char* key) {
-    const double d = v.as_number();
-    if (std::floor(d) != d) throw JobError(std::string(key) + ": expected integer");
-    // Checked before the cast: converting an out-of-range double to int is
-    // undefined behaviour.
-    if (d < std::numeric_limits<int>::min() || d > std::numeric_limits<int>::max())
-        throw JobError(std::string(key) + ": integer out of range");
-    return static_cast<int>(d);
-}
-
-std::uint64_t u64_value(const JsonValue& v, const char* key) {
+std::uint64_t seed_value(const JsonValue& v, const char* key) {
     // Seeds round-trip as decimal strings: 2^53 < seed values exist.
     if (v.is(JsonValue::Kind::String)) return parse_seed(v.string, key);
-    const double d = v.as_number();
-    if (d < 0 || std::floor(d) != d)
-        throw JobError(std::string(key) + ": expected unsigned integer");
     // JSON numbers arrive as doubles, which hold every integer only below
     // 2^53: a larger one may already be rounded to a different seed.
-    if (d >= 9007199254740992.0)
+    if (v.as_number() >= 9007199254740992.0)
         throw JobError(std::string(key) +
                        ": numeric seeds must be below 2^53; give the seed as a "
                        "decimal string, e.g. \"18446744073709551615\"");
-    return static_cast<std::uint64_t>(d);
+    try {
+        return json_integer<std::uint64_t>(v);
+    } catch (const JsonError&) {
+        throw JobError(std::string(key) + ": expected unsigned integer");
+    }
 }
 
 void append_string_list(std::string& out, const char* key,
@@ -124,7 +102,7 @@ void append_double_list(std::string& out, const char* key,
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        out += hex_double(values[i]);
+        out += hexfloat(values[i]);
         out += '"';
     }
     out += ']';
@@ -166,13 +144,13 @@ JobSpec JobSpec::from_json(const std::string& text) {
             for (const auto& [fkey, fvalue] : value.object) {
                 if (fkey == "load_corruption_prob")
                     spec.fault_defaults.load_corruption_prob =
-                        parse_hex_double(fvalue, "fault.load_corruption_prob");
+                        number_value(fvalue, "fault.load_corruption_prob");
                 else if (fkey == "flash_error_prob")
                     spec.fault_defaults.flash_error_prob =
-                        parse_hex_double(fvalue, "fault.flash_error_prob");
+                        number_value(fvalue, "fault.flash_error_prob");
                 else if (fkey == "glitch_prob_per_cycle")
                     spec.fault_defaults.glitch_prob_per_cycle =
-                        parse_hex_double(fvalue, "fault.glitch_prob_per_cycle");
+                        number_value(fvalue, "fault.glitch_prob_per_cycle");
                 else
                     throw JobError("fault: unknown key '" + fkey + "'");
             }
@@ -184,20 +162,21 @@ JobSpec JobSpec::from_json(const std::string& text) {
                 fleet::FillProfile fill;
                 for (const auto& [fkey, fvalue] : e.object) {
                     if (fkey == "start")
-                        fill.start_level = parse_hex_double(fvalue, "fills.start");
+                        fill.start_level = number_value(fvalue, "fills.start");
                     else if (fkey == "end")
-                        fill.end_level = parse_hex_double(fvalue, "fills.end");
+                        fill.end_level = number_value(fvalue, "fills.end");
                     else
                         throw JobError("fills: unknown key '" + fkey + "'");
                 }
                 spec.fills.push_back(fill);
             }
         } else if (key == "cycles") {
-            spec.cycles = int_value(value, "cycles");
+            spec.cycles = keyed("cycles", [&] { return json_integer<int>(value); });
         } else if (key == "campaign_seed") {
-            spec.campaign_seed = u64_value(value, "campaign_seed");
+            spec.campaign_seed = seed_value(value, "campaign_seed");
         } else if (key == "stream_block_ticks") {
-            spec.stream_block_ticks = int_value(value, "stream_block_ticks");
+            spec.stream_block_ticks =
+                keyed("stream_block_ticks", [&] { return json_integer<int>(value); });
             if (spec.stream_block_ticks <= 0)
                 throw JobError("stream_block_ticks: must be positive");
         } else {
@@ -235,16 +214,16 @@ std::string JobSpec::canonical_json() const {
     append_double_list(out, "upset_rates", upset_rates);
 
     out += ",\"fault\":{\"load_corruption_prob\":\"" +
-           hex_double(fault_defaults.load_corruption_prob) +
-           "\",\"flash_error_prob\":\"" + hex_double(fault_defaults.flash_error_prob) +
+           hexfloat(fault_defaults.load_corruption_prob) +
+           "\",\"flash_error_prob\":\"" + hexfloat(fault_defaults.flash_error_prob) +
            "\",\"glitch_prob_per_cycle\":\"" +
-           hex_double(fault_defaults.glitch_prob_per_cycle) + "\"}";
+           hexfloat(fault_defaults.glitch_prob_per_cycle) + "\"}";
 
     out += ",\"fills\":[";
     for (std::size_t i = 0; i < fills.size(); ++i) {
         if (i > 0) out += ',';
-        out += "{\"start\":\"" + hex_double(fills[i].start_level) + "\",\"end\":\"" +
-               hex_double(fills[i].end_level) + "\"}";
+        out += "{\"start\":\"" + hexfloat(fills[i].start_level) + "\",\"end\":\"" +
+               hexfloat(fills[i].end_level) + "\"}";
     }
     out += ']';
 

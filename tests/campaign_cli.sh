@@ -60,6 +60,25 @@ expect_exit 2 --workers 2 --min-workers 3 --cycles 1 --json
 printf '{"upset_rates":[1e999]}\n' > "$WORK/inf.json"
 expect_exit 2 --spec "$WORK/inf.json" --cycles 1 --json
 
+# A journal of outcome codec 1, whose lines still carried their scenario, is
+# refused with both codec versions named instead of being resumed. The fresh
+# run supplies a header with this job's fingerprint.
+printf '{"variants":["monolithic-hw"],"parts":["xc3s200"],"ports":["jcap"],"cycles":1}\n' \
+    > "$WORK/one.json"
+expect_exit 0 --spec "$WORK/one.json" --workers 1 --checkpoint "$WORK/fresh.ckpt" --json
+codec="$(head -n 1 "$WORK/fresh.ckpt" | sed -n 's/.* codec \([0-9]*\) .*/\1/p')"
+codec1_line='{"name":"monolithic-hw|xc3s200|jcap|n0.001|u0|f0.10-0.90","variant":1,"part":1,"port":0,"fill_start":"0x1.999999999999ap-4","fill_end":"0x1.ccccccccccccdp-1","noise_rms_v":"0x1.0624dd2f1a9fcp-10","upset_rate":"0x0p+0","load_corruption_prob":"0x0p+0","flash_error_prob":"0x0p+0","glitch_prob_per_cycle":"0x0p+0","cycles":1,"seed":7,"ok":true,"error":"","level_error_mean":"0x1p-7","level_error_max":"0x1p-6","cycle_busy_ms":"0x1.8p+3","reconfig_ms_per_cycle":"0x0p+0","static_mw":"0x1.4p+5","dynamic_mw":"0x1p+1","reconfig_energy_mj":"0x0p+0","upsets_injected":0,"upsets_detected":0,"columns_repaired":0,"load_retries":0,"load_failures":0,"rejected_cycles":0,"fallback_cycles":0,"availability":"0x1p+0","mttd_ms":"0x0p+0","mttr_ms":"0x0p+0","scrub_ms_per_cycle":"0x0p+0","resident_slices":1200,"fitted_part":"xc3s200","device_fits":true}'
+{
+    head -n 1 "$WORK/fresh.ckpt" | sed 's/ codec [0-9]* / codec 1 /'
+    printf 'b 0 1\n%s\ne 0\n' "$codec1_line"
+} > "$WORK/codec1.ckpt"
+expect_exit 2 --spec "$WORK/one.json" --workers 2 --checkpoint "$WORK/codec1.ckpt" \
+    --resume --json
+if ! grep -q "codec 1" "$WORK/err" || ! grep -q "codec $codec" "$WORK/err"; then
+    echo "FAIL: the codec-1 journal's refusal does not name codec 1 and codec $codec" >&2
+    status=1
+fi
+
 # 2^32 must be its own seed, not 0 after truncation to 32 bits.
 expect_exit 0 --seed 4294967296 --cycles 1 --threads 2 --json
 mv "$WORK/out" "$WORK/seed_2p32.json"

@@ -43,12 +43,11 @@ std::vector<std::int32_t> tone_window(const AppParams& p, double amp, double phi
 // ---------------------------------------------------------------- sinus generator
 
 TEST(HwSinusGen, MatchesModelBitForBit) {
-    const AppParams p = params();
     Netlist nl;
     const NetId clk = nl.add_input_port("clk", 1)[0];
     Builder b(nl, clk);
     const auto tick = nl.add_input_port("tick", 1);
-    const SinusGeneratorIo io = make_sinus_generator(b, tick[0], p);
+    const SinusGeneratorIo io = make_sinus_generator(b, tick[0]);
     nl.add_output_port("code8", io.code8);
     nl.add_output_port("ds_bit", Bus{io.ds_bit});
     ASSERT_TRUE(netlist::run_drc(nl).empty());
@@ -58,7 +57,7 @@ TEST(HwSinusGen, MatchesModelBitForBit) {
     // The DAC code is the LUT entry at the 5-bit address counter; the
     // delta-sigma bit is the model's.
     const std::vector<std::uint32_t> lut = sinus_dac_codes();
-    SinusGenModel model(p);
+    SinusGenModel model;
     std::vector<std::uint8_t> bits(500);
     model.run_block_bits(bits.size(), bits.data());
     for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -70,12 +69,11 @@ TEST(HwSinusGen, MatchesModelBitForBit) {
 
 TEST(HwSinusGen, ResourceFootprintNearFiftySlices) {
     // §4.1: "total resource utilization was restricted to ca. 50 slices".
-    const AppParams p = params();
     Netlist nl;
     const NetId clk = nl.add_input_port("clk", 1)[0];
     Builder b(nl, clk);
     const auto tick = nl.add_input_port("tick", 1);
-    (void)make_sinus_generator(b, tick[0], p);
+    (void)make_sinus_generator(b, tick[0]);
     // Measured ~85 slices vs the paper's "ca. 50": our modulator carries
     // wider state registers; same order of magnitude (see EXPERIMENTS.md).
     const auto stats = netlist::total_stats(nl);
@@ -341,7 +339,7 @@ TEST(HwModules, AllModulesPassDrc) {
     const Bus ref = nl.add_input_port("ref", p.sample_bits);
     const Bus flags = nl.add_input_port("flags", 3);
     const Bus tick = nl.add_input_port("tick", 1);
-    (void)make_sinus_generator(b, tick[0], p);
+    (void)make_sinus_generator(b, tick[0]);
     const AmpPhaseIo amp = make_amp_phase(b, meas, ref, flags[0], flags[1], flags[2], p);
     const CapacityIo cap = make_capacity(b, amp.amp, amp.phase, amp.amp, amp.phase, p);
     const FilterIo filt = make_filter(b, cap.cap_pf_q4, flags[0], p);

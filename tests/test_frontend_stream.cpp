@@ -39,7 +39,7 @@ constexpr int kBlockSizes[] = {1, 7, 64, 4096};
 // ---------------------------------------------------------- sinus generator
 
 TEST(SinusGenStream, PeriodIsSixtyFourBitsOverTwoLutPasses) {
-    const app::SinusGenModel gen{app::AppParams{}};
+    const app::SinusGenModel gen;
     ASSERT_EQ(gen.period(), 64u);
     EXPECT_EQ(gen.period(), 2u * app::kSinusLutSize);
     EXPECT_EQ(gen.phase(), 0u);
@@ -82,8 +82,8 @@ TEST(SinusGenStream, CachedPeriodMatchesIntegratorRecurrence) {
 
     // Served from the cached period in ragged chunks, and read in place at
     // the phase the generator reports.
-    app::SinusGenModel bits_gen{app::AppParams{}};
-    app::SinusGenModel in_place{app::AppParams{}};
+    app::SinusGenModel bits_gen;
+    app::SinusGenModel in_place;
     std::vector<std::uint8_t> bits(ticks);
     const std::size_t chunks[] = {1, 63, 64, 65, 1000, 4133};
     for (std::size_t at = 0, c = 0; at < ticks; ++c) {
@@ -110,7 +110,7 @@ struct PcmStream {
 // delta-sigma bits, so the parity run exercises the waveform the system
 // does.
 std::vector<std::uint8_t> make_drive(std::size_t ticks) {
-    app::SinusGenModel gen{app::AppParams{}};
+    app::SinusGenModel gen;
     std::vector<std::uint8_t> drive(ticks);
     gen.run_block_bits(ticks, drive.data());
     return drive;
@@ -212,7 +212,7 @@ void expect_partition_parity(double noise_rms, const std::vector<std::uint8_t>& 
 // the first blocks lock the reconstruction onto its orbit, the kernel
 // replays a tabulated period per block, rebuilt after each level change.
 void expect_periodic_parity(double noise_rms) {
-    const app::SinusGenModel gen{app::AppParams{}};
+    const app::SinusGenModel gen;
     const std::span<const std::uint8_t> period = gen.period_bits();
     const std::size_t ticks = 60'000;
     std::vector<std::uint8_t> drive(ticks);

@@ -63,6 +63,20 @@ std::vector<ScenarioOutcome> slice_of(const CampaignResult& result, std::size_t 
     return {begin, begin + static_cast<std::ptrdiff_t>(count)};
 }
 
+/// The coordinator's commit path for [first, first + count): each outcome
+/// through the codec, given its scenario back from the sweep.
+std::vector<ScenarioOutcome> through_codec(const CampaignResult& result,
+                                           const std::vector<Scenario>& sweep,
+                                           std::size_t first, std::size_t count) {
+    std::vector<ScenarioOutcome> batch;
+    for (std::size_t i = first; i < first + count; ++i) {
+        ScenarioOutcome o = decode_outcome_line(encode_outcome_line(result.outcomes[i]));
+        o.scenario = sweep[i];
+        batch.push_back(std::move(o));
+    }
+    return batch;
+}
+
 /// Splits [0, n) into random contiguous batches and returns them in a
 /// random arrival order.
 std::vector<std::pair<std::size_t, std::size_t>> random_partition(
@@ -115,46 +129,85 @@ TEST(ReportStream, AttachedObservabilityJsonIsPreserved) {
 }
 
 TEST(ReportStream, EncodedLinesCommitLikeDecodedOutcomes) {
-    const CampaignResult result = run_reference(plain_sweep());
+    const std::vector<Scenario> sweep = plain_sweep();
+    const CampaignResult result = run_reference(sweep);
     const std::string want = CampaignReport::from(result).render_text();
 
     CampaignReport acc(result.outcomes.size());
-    std::vector<std::string> lines;
-    for (const ScenarioOutcome& o : result.outcomes)
-        lines.push_back(encode_outcome_line(o));
     // Commit the back half first: out-of-order batches.
-    const std::size_t half = lines.size() / 2;
-    acc.add_encoded(half, {lines.begin() + static_cast<std::ptrdiff_t>(half),
-                           lines.end()});
-    acc.add_encoded(0, {lines.begin(),
-                        lines.begin() + static_cast<std::ptrdiff_t>(half)});
+    const std::size_t half = result.outcomes.size() / 2;
+    acc.add(half, through_codec(result, sweep, half, result.outcomes.size() - half));
+    acc.add(0, through_codec(result, sweep, 0, half));
     ASSERT_TRUE(acc.complete());
     EXPECT_EQ(acc.render_text(), want);
 }
 
+/// Every field the codec carries, compared bit for bit: reports derive
+/// percentiles from these values, so any rounding would break byte-identity.
+void expect_same_measurements(const ScenarioOutcome& back, const ScenarioOutcome& o) {
+    const auto bits = [](double v) {
+        std::uint64_t u = 0;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    EXPECT_EQ(back.ok, o.ok);
+    EXPECT_EQ(back.error, o.error);
+    EXPECT_EQ(bits(back.level_error_mean), bits(o.level_error_mean));
+    EXPECT_EQ(bits(back.level_error_max), bits(o.level_error_max));
+    EXPECT_EQ(bits(back.cycle_busy_ms), bits(o.cycle_busy_ms));
+    EXPECT_EQ(bits(back.reconfig_ms_per_cycle), bits(o.reconfig_ms_per_cycle));
+    EXPECT_EQ(bits(back.static_mw), bits(o.static_mw));
+    EXPECT_EQ(bits(back.dynamic_mw), bits(o.dynamic_mw));
+    EXPECT_EQ(bits(back.reconfig_energy_mj), bits(o.reconfig_energy_mj));
+    EXPECT_EQ(back.upsets_injected, o.upsets_injected);
+    EXPECT_EQ(back.upsets_detected, o.upsets_detected);
+    EXPECT_EQ(back.columns_repaired, o.columns_repaired);
+    EXPECT_EQ(back.load_retries, o.load_retries);
+    EXPECT_EQ(back.load_failures, o.load_failures);
+    EXPECT_EQ(back.rejected_cycles, o.rejected_cycles);
+    EXPECT_EQ(back.fallback_cycles, o.fallback_cycles);
+    EXPECT_EQ(bits(back.availability), bits(o.availability));
+    EXPECT_EQ(bits(back.mttd_ms), bits(o.mttd_ms));
+    EXPECT_EQ(bits(back.mttr_ms), bits(o.mttr_ms));
+    EXPECT_EQ(bits(back.scrub_ms_per_cycle), bits(o.scrub_ms_per_cycle));
+    EXPECT_EQ(back.resident_slices, o.resident_slices);
+    EXPECT_EQ(back.fitted_part, o.fitted_part);
+    EXPECT_EQ(back.device_fits, o.device_fits);
+}
+
+/// A failed outcome whose error text needs every kind of escape, and
+/// extreme values in the fields a successful one would carry.
+ScenarioOutcome awkward_outcome() {
+    ScenarioOutcome o;
+    o.scenario.name = "not encoded";
+    o.ok = false;
+    o.error = "bad \"quote\"\nnext line\x01 control, \\ and \xc2\xb5";
+    o.level_error_mean = -0.0;
+    o.level_error_max = std::numeric_limits<double>::infinity();
+    o.cycle_busy_ms = std::numeric_limits<double>::denorm_min();
+    o.reconfig_ms_per_cycle = std::numeric_limits<double>::max();
+    o.static_mw = 1.0 / 3.0;
+    o.dynamic_mw = -1e-300;
+    o.upsets_injected = 9007199254740991;  // 2^53 - 1
+    o.upsets_detected = -9007199254740991;
+    o.load_failures = -1;
+    o.resident_slices = 9007199254740991;
+    o.fitted_part = "xc3s5000";
+    o.device_fits = true;
+    return o;
+}
+
 TEST(ReportStream, CodecRoundTripsEveryFieldBitExactly) {
-    const CampaignResult result = run_reference(fault_sweep());
+    CampaignResult result = run_reference(fault_sweep());
+    result.outcomes.push_back(awkward_outcome());
     for (const ScenarioOutcome& o : result.outcomes) {
-        const ScenarioOutcome back = decode_outcome_line(encode_outcome_line(o));
-        EXPECT_EQ(back.scenario.name, o.scenario.name);
-        EXPECT_EQ(back.scenario.seed, o.scenario.seed);
-        EXPECT_EQ(back.ok, o.ok);
-        // Bit-level equality, not approximate: reports derive percentiles
-        // from these values, so any rounding would break byte-identity.
-        const auto bits = [](double v) {
-            std::uint64_t u = 0;
-            std::memcpy(&u, &v, sizeof u);
-            return u;
-        };
-        EXPECT_EQ(bits(back.level_error_mean), bits(o.level_error_mean));
-        EXPECT_EQ(bits(back.level_error_max), bits(o.level_error_max));
-        EXPECT_EQ(bits(back.dynamic_mw), bits(o.dynamic_mw));
-        EXPECT_EQ(bits(back.availability), bits(o.availability));
-        EXPECT_EQ(bits(back.mttr_ms), bits(o.mttr_ms));
-        EXPECT_EQ(back.upsets_injected, o.upsets_injected);
-        EXPECT_EQ(back.fallback_cycles, o.fallback_cycles);
-        EXPECT_EQ(back.fitted_part, o.fitted_part);
-        EXPECT_EQ(back.device_fits, o.device_fits);
+        const std::string line = encode_outcome_line(o);
+        const ScenarioOutcome back = decode_outcome_line(line);
+        expect_same_measurements(back, o);
+        // The line carries what was measured, never the scenario.
+        EXPECT_EQ(line.find("\"name\""), std::string::npos) << line;
+        EXPECT_EQ(back.scenario.name, "");
+        EXPECT_EQ(back.scenario.seed, Scenario{}.seed);
     }
 }
 
@@ -172,15 +225,76 @@ TEST(ReportStream, RendersFailedOutcomesOfAnyScenario) {
 }
 
 TEST(ReportStream, CodecRejectsMalformedLines) {
-    const CampaignResult result = run_reference(plain_sweep());
-    const std::string line = encode_outcome_line(result.outcomes[0]);
-    EXPECT_THROW((void)decode_outcome_line(""), CodecError);
-    EXPECT_THROW((void)decode_outcome_line(line.substr(0, line.size() / 2)),
-                 CodecError);
-    EXPECT_THROW((void)decode_outcome_line(line + "x"), CodecError);
-    std::string wrong_key = line;
-    wrong_key.replace(wrong_key.find("\"name\""), 6, "\"nom\" ");
-    EXPECT_THROW((void)decode_outcome_line(wrong_key), CodecError);
+    ScenarioOutcome o;
+    o.ok = true;
+    o.upsets_injected = 3;
+    o.resident_slices = 1234;
+    o.fitted_part = "xc3s400";
+    const std::string line = encode_outcome_line(o);
+    ASSERT_NO_THROW((void)decode_outcome_line(line));
+    const auto edited = [&](std::string_view from, std::string_view to) {
+        std::string text = line;
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    const std::vector<std::string> bad = {
+        "",
+        "[]",
+        line.substr(0, line.size() / 2),
+        line + "x",
+        // A renamed, missing, extra and reordered key.
+        edited("\"error\"", "\"errox\""),
+        edited(",\"device_fits\":false", ""),
+        edited("}", ",\"name\":\"s0\"}"),
+        edited("\"ok\":true,\"error\":\"\"", "\"error\":\"\",\"ok\":true"),
+        // Wrong value kinds.
+        edited("\"ok\":true", "\"ok\":1"),
+        edited("\"error\":\"\"", "\"error\":null"),
+        edited("\"level_error_mean\":\"0x0p+0\"", "\"level_error_mean\":0"),
+        edited("\"level_error_mean\":\"0x0p+0\"", "\"level_error_mean\":\"0x\""),
+        edited("\"upsets_injected\":3", "\"upsets_injected\":\"3\""),
+        // Non-integral and out-of-range counts.
+        edited("\"upsets_injected\":3", "\"upsets_injected\":3.5"),
+        edited("\"upsets_injected\":3", "\"upsets_injected\":1e300"),
+        edited("\"upsets_injected\":3", "\"upsets_injected\":9007199254740992"),
+        edited("\"resident_slices\":1234", "\"resident_slices\":-1"),
+    };
+    for (const std::string& text : bad)
+        EXPECT_THROW((void)decode_outcome_line(text), CodecError) << text;
+}
+
+TEST(ReportStream, CodecMutationsDecodeOrThrowCodecError) {
+    // Every prefix and every single-byte replacement of a valid line must
+    // either decode or throw CodecError: the checkpoint loader and the
+    // coordinator's quarantine recognise a bad line by that type alone.
+    ScenarioOutcome ok = run_reference(fault_sweep()).outcomes.back();
+    ASSERT_TRUE(ok.ok);
+    ScenarioOutcome failed;
+    failed.error = "bad \"quote\"\nnext line\x01 control";
+    for (const ScenarioOutcome& o : {ok, failed}) {
+        const std::string line = encode_outcome_line(o);
+        std::size_t escaped = 0;
+        const auto check = [&](const std::string& text) {
+            try {
+                (void)decode_outcome_line(text);
+            } catch (const CodecError&) {
+            } catch (const std::exception& e) {
+                if (++escaped <= 3) ADD_FAILURE() << e.what() << " from " << text;
+            } catch (...) {
+                if (++escaped <= 3) ADD_FAILURE() << "non-standard throw from " << text;
+            }
+        };
+        for (std::size_t n = 0; n <= line.size(); ++n) check(line.substr(0, n));
+        for (std::size_t i = 0; i < line.size(); ++i) {
+            std::string text = line;
+            for (int b = 0; b < 256; ++b) {
+                text[i] = static_cast<char>(b);
+                check(text);
+            }
+        }
+        EXPECT_EQ(escaped, 0u) << line;
+    }
 }
 
 TEST(ReportStream, DuplicateCommitIsRejected) {
@@ -279,27 +393,31 @@ TEST(ReportStream, LargeSweepCommittedInReverseRendersInSweepOrder) {
 // tests/golden/report_*.{txt,json} pin the report bytes for
 // golden_result(): complete with an attached obs document, partial with
 // [3, 5) and [7, 8) missing, and an empty campaign. Every way of building a
-// report — from(result), batches fed in random arrival order, encoded
-// lines — must reproduce them byte for byte; they change only with a
+// report — from(result), batches fed in random arrival order, outcomes
+// through the codec with their scenarios attached from the grid — must
+// reproduce them byte for byte; they change only with a
 // deliberate change to the report format.
 
 // Hand-built outcomes over an 8-scenario grid (2 variants x 2 ports x 2
 // upset rates, one noise level of 1/300 V): one failed row whose error needs
 // JSON escaping, fault metrics on every row, and awkward doubles (thirds,
 // 1e-300, the smallest denormal) that only a bit-exact codec reproduces.
-CampaignResult golden_result() {
+std::vector<Scenario> golden_grid() {
     fault::FaultSpec defaults;
     defaults.load_corruption_prob = 0.25;
-    const std::vector<Scenario> grid =
-        SweepBuilder{}
-            .variants({SystemVariant::MonolithicHw, SystemVariant::ReconfiguredHw})
-            .ports({PortKind::Jcap, PortKind::Icap})
-            .noise_levels({1.0 / 300.0})
-            .upset_rates({0.0, 0.5})
-            .fault_defaults(defaults)
-            .cycles(3)
-            .campaign_seed(2008)
-            .build();
+    return SweepBuilder{}
+        .variants({SystemVariant::MonolithicHw, SystemVariant::ReconfiguredHw})
+        .ports({PortKind::Jcap, PortKind::Icap})
+        .noise_levels({1.0 / 300.0})
+        .upset_rates({0.0, 0.5})
+        .fault_defaults(defaults)
+        .cycles(3)
+        .campaign_seed(2008)
+        .build();
+}
+
+CampaignResult golden_result() {
+    const std::vector<Scenario> grid = golden_grid();
     CampaignResult result;
     for (std::size_t i = 0; i < grid.size(); ++i) {
         ScenarioOutcome o;
@@ -353,14 +471,6 @@ void expect_golden(const CampaignReport& report, const std::string& stem) {
     EXPECT_EQ(report.render_json(), golden(stem + ".json")) << stem;
 }
 
-std::vector<std::string> encoded(const CampaignResult& result, std::size_t first,
-                                 std::size_t count) {
-    std::vector<std::string> lines;
-    for (const ScenarioOutcome& o : slice_of(result, first, count))
-        lines.push_back(encode_outcome_line(o));
-    return lines;
-}
-
 TEST(ReportGolden, CompleteFromResult) {
     CampaignReport report = CampaignReport::from(golden_result());
     report.attach_metrics_json(kGoldenObsJson);
@@ -386,8 +496,8 @@ TEST(ReportGolden, CompleteFromEncodedLines) {
     const std::size_t n = result.outcomes.size();
     CampaignReport report(n);
     report.attach_metrics_json(kGoldenObsJson);
-    report.add_encoded(n / 2, encoded(result, n / 2, n - n / 2));
-    report.add_encoded(0, encoded(result, 0, n / 2));
+    report.add(n / 2, through_codec(result, golden_grid(), n / 2, n - n / 2));
+    report.add(0, through_codec(result, golden_grid(), 0, n / 2));
     expect_golden(report, "report_complete");
 }
 
@@ -395,7 +505,7 @@ TEST(ReportGolden, PartialAfterMarkPartial) {
     const CampaignResult result = golden_result();
     CampaignReport report(result.outcomes.size());
     report.add(5, slice_of(result, 5, 2));
-    report.add_encoded(0, encoded(result, 0, 3));
+    report.add(0, through_codec(result, golden_grid(), 0, 3));
     report.mark_partial();
     expect_golden(report, "report_partial");
 }

@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "refpga/common/json.hpp"
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/outcome_codec.hpp"
 #include "refpga/fleet/report.hpp"
@@ -36,7 +37,6 @@
 #include "refpga/svc/fault_script.hpp"
 #include "refpga/svc/http.hpp"
 #include "refpga/svc/job.hpp"
-#include "refpga/svc/json.hpp"
 #include "refpga/svc/wire.hpp"
 #include "refpga/svc/worker.hpp"
 
@@ -142,9 +142,14 @@ TEST(Json, ParsesDocumentsStrictly) {
     EXPECT_TRUE(doc.find("l")->as_array()[2].is(JsonValue::Kind::Null));
     EXPECT_EQ(doc.find("missing"), nullptr);
 
+    EXPECT_NO_THROW(
+        (void)parse_json(R"({"a":[1,2.5,-3e4],"b":"x\"y","c":true,"d":null})"));
     EXPECT_THROW((void)parse_json("{\"a\":1} trailing"), JsonError);
+    EXPECT_THROW((void)parse_json("{} trailing"), JsonError);
     EXPECT_THROW((void)parse_json("{\"a\":1,\"a\":2}"), JsonError);
     EXPECT_THROW((void)parse_json("{\"a\":}"), JsonError);
+    EXPECT_THROW((void)parse_json("{\"a\":1"), JsonError);
+    EXPECT_THROW((void)parse_json("[1,]"), JsonError);
     EXPECT_THROW((void)parse_json("\"unterminated"), JsonError);
 }
 
@@ -398,7 +403,8 @@ TEST(Checkpoint, CorruptJournalsFailLoudly) {
     rewrite("refpga-svc-checkpoint v9 codec 1 fingerprint 0000000000001234 scenarios 10\n");
     EXPECT_THROW((void)load_checkpoint(path, 0, 0), CheckpointError);
 
-    const std::string header = "refpga-svc-checkpoint v2 codec 1 model " +
+    const std::string header = "refpga-svc-checkpoint v2 codec " +
+                               std::to_string(fleet::kOutcomeCodecVersion) + " model " +
                                std::to_string(fleet::kModelVersion) +
                                " fingerprint 0000000000001234 scenarios 10\n";
     // Mid-file garbage where a batch header belongs (at EOF it would be an
@@ -456,7 +462,8 @@ TEST(Checkpoint, RefusesJournalOfAnotherModel) {
     };
     expect_refused(
         "refpga-svc-checkpoint v1 codec 1 fingerprint 0000000000001234 scenarios 10\n");
-    expect_refused("refpga-svc-checkpoint v2 codec 1 model " +
+    expect_refused("refpga-svc-checkpoint v2 codec " +
+                   std::to_string(fleet::kOutcomeCodecVersion) + " model " +
                    std::to_string(fleet::kModelVersion - 1) +
                    " fingerprint 0000000000001234 scenarios 10\n");
 
@@ -466,6 +473,49 @@ TEST(Checkpoint, RefusesJournalOfAnotherModel) {
         writer.append(0, sample_lines(0, 1));
     }
     EXPECT_EQ(load_checkpoint(path, 0x1234, 10).batches.size(), 1u);
+}
+
+/// A record as codec 1 wrote it: the scenario's 13 keys, then ok, error and
+/// the measured fields.
+const char* const kCodec1Line =
+    "{\"name\":\"monolithic-hw|xc3s200|jcap|n0.001|u0|f0.10-0.90\",\"variant\":1,"
+    "\"part\":1,\"port\":0,\"fill_start\":\"0x1.999999999999ap-4\","
+    "\"fill_end\":\"0x1.ccccccccccccdp-1\",\"noise_rms_v\":\"0x1.0624dd2f1a9fcp-10\","
+    "\"upset_rate\":\"0x0p+0\",\"load_corruption_prob\":\"0x0p+0\","
+    "\"flash_error_prob\":\"0x0p+0\",\"glitch_prob_per_cycle\":\"0x0p+0\","
+    "\"cycles\":1,\"seed\":7,\"ok\":true,\"error\":\"\","
+    "\"level_error_mean\":\"0x1p-7\",\"level_error_max\":\"0x1p-6\","
+    "\"cycle_busy_ms\":\"0x1.8p+3\",\"reconfig_ms_per_cycle\":\"0x0p+0\","
+    "\"static_mw\":\"0x1.4p+5\",\"dynamic_mw\":\"0x1p+1\","
+    "\"reconfig_energy_mj\":\"0x0p+0\",\"upsets_injected\":0,\"upsets_detected\":0,"
+    "\"columns_repaired\":0,\"load_retries\":0,\"load_failures\":0,"
+    "\"rejected_cycles\":0,\"fallback_cycles\":0,\"availability\":\"0x1p+0\","
+    "\"mttd_ms\":\"0x0p+0\",\"mttr_ms\":\"0x0p+0\",\"scrub_ms_per_cycle\":\"0x0p+0\","
+    "\"resident_slices\":1200,\"fitted_part\":\"xc3s200\",\"device_fits\":true}";
+
+TEST(Checkpoint, RefusesJournalOfAnotherCodec) {
+    // Codec 1 lines carried their scenario; this build's lines carry only
+    // what was measured. A journal of the old codec must be refused with
+    // both versions named, not decoded or half-resumed.
+    const std::string path = temp_path("ckpt_codec");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "refpga-svc-checkpoint v2 codec 1 model " << fleet::kModelVersion
+            << " fingerprint 0000000000001234 scenarios 10\nb 0 1\n"
+            << kCodec1Line << "\ne 0\n";
+    }
+    try {
+        (void)load_checkpoint(path, 0x1234, 10);
+        ADD_FAILURE() << "a codec-1 journal loaded";
+    } catch (const CheckpointError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("codec 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("codec " + std::to_string(fleet::kOutcomeCodecVersion)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("without --resume"), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)fleet::decode_outcome_line(kCodec1Line), fleet::CodecError);
 }
 
 TEST(Checkpoint, TearAtEveryByteOffsetLoadsOrFailsThenResumes) {
@@ -590,10 +640,15 @@ TEST(Worker, RunsOneBatchPerAssignThenIdles) {
     const BatchPayload batch = parse_batch(frame.payload);
     EXPECT_EQ(batch.first, 2u);
     ASSERT_EQ(batch.lines.size(), 3u);
+    // Lines carry no scenario: they must be the outcomes of scenarios [2, 5)
+    // of the inherited grid, as an in-process run measures them.
     const std::vector<fleet::Scenario> scenarios = spec.expand();
+    fleet::CampaignOptions options;
+    options.stream_block_ticks = spec.stream_block_ticks;
+    const fleet::CampaignResult want = fleet::CampaignRunner(options).run(
+        {scenarios.begin() + 2, scenarios.begin() + 5});
     for (std::size_t i = 0; i < batch.lines.size(); ++i)
-        EXPECT_EQ(fleet::decode_outcome_line(batch.lines[i]).scenario.name,
-                  scenarios[2 + i].name);
+        EXPECT_EQ(batch.lines[i], fleet::encode_outcome_line(want.outcomes[i]));
 
     // ...and by nothing else: once its input pipe is closed the stream ends
     // cleanly at a frame boundary and the worker exits 0.
