@@ -13,10 +13,13 @@
 // The engine is incremental: precomputed slice<->net adjacency (ReallocIndex,
 // read off the packed design and the netlist), scratch-route delta costing
 // (no occupy/undo churn on the live grid), cached per-net power with an O(1)
-// maintained total (NetPowerCache), and lazy timing behind a sound
-// delay-increase bound with periodic full resync. Candidate gains are computed per (dy, dx, idx)
-// window position and reduced in window order (max gain, lowest coordinate
-// wins ties).
+// maintained total (NetPowerCache), lazy timing behind a sound
+// delay-increase bound with periodic full resync over one levelization per
+// run, and candidate pruning: a move is trial-routed only when the router's
+// admissible capacitance bound (RoutedDesign::capacitance_lower_bound_pf)
+// leaves it room to beat the best gain so far. Candidate gains are computed
+// per (dy, dx, idx) window position and reduced in window order (max gain,
+// lowest coordinate wins ties).
 //
 // Its reports are pinned bitwise to a naive reference implementation of the
 // same semantics (per-call set builders, every candidate applied, measured
@@ -50,8 +53,10 @@ struct ReallocateOptions {
     double timing_slack = 1.10;     ///< allowed critical-path growth factor
     bool capture_routes = false;    ///< record ASCII route views (Figure 6)
     /// Observability sink (refpga::obs). When set, optimize_net_power bumps
-    /// realloc.{passes,nets_considered,candidates_evaluated,moves_committed,
-    /// moves_rejected,timing_resyncs}_total and observes the pass wall time.
+    /// realloc.{passes,nets_considered,candidates_evaluated,candidates_pruned,
+    /// moves_committed,moves_rejected,timing_resyncs}_total and observes the
+    /// pass wall time (candidates_evaluated counts trial-routed candidates,
+    /// candidates_pruned those the capacitance bound ruled out).
     /// Reports remain byte-identical whether or not a recorder is attached.
     /// Non-owning.
     obs::Recorder* recorder = nullptr;

@@ -140,6 +140,21 @@ public:
     /// Driver output + sink input pin capacitance per connection (pF).
     static constexpr double kPinCapacitancePf = 0.35;
 
+    /// Admissible lower bound on the capacitance this router charges for
+    /// `connections` driver->sink connections whose endpoints lie
+    /// `manhattan_tiles` apart in total, in either mode and at any channel
+    /// occupancy: kPinCapacitancePf per connection plus the smallest
+    /// capacitance_pf / span of fabric::wire_params per tile. It holds
+    /// because route_axis never takes a wire longer than the distance left on
+    /// its axis and its overflow fallback is a span-1 Direct, so a
+    /// connection's segment spans sum exactly to its Manhattan length. The
+    /// result is scaled down by 1e-9 relative, far above the rounding of the
+    /// router's own left-to-right sums, so it stays at or below every
+    /// computed route capacitance, not only the exact one. (A tree router
+    /// that shares wire between sinks would bound a net by its HPWL.)
+    [[nodiscard]] static double capacitance_lower_bound_pf(std::size_t connections,
+                                                           long manhattan_tiles);
+
 private:
     void rip_up(netlist::NetId net);
     void route_net(netlist::NetId net, RouteMode mode);

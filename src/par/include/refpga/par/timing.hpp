@@ -9,6 +9,8 @@
 // ("Naturally the requirements on performance must be considered", §4.3).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,14 @@ struct CellDelays {
 };
 
 [[nodiscard]] TimingReport analyze_timing(const RoutedDesign& routed,
+                                          const CellDelays& delays = {});
+
+/// Same analysis over a levelization computed once by the caller:
+/// `comb_order` must be `netlist::SimGraph(nl).comb_order()` of the routed
+/// design's netlist. A caller that analyses one netlist many times (the §4.3
+/// reallocator) levelizes once instead of on every call.
+[[nodiscard]] TimingReport analyze_timing(const RoutedDesign& routed,
+                                          std::span<const std::uint32_t> comb_order,
                                           const CellDelays& delays = {});
 
 /// Per-cell mask over the netlist: true when the cell lies on `report`'s

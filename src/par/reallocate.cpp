@@ -1,7 +1,10 @@
 #include "refpga/par/reallocate.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
+
+#include "refpga/netlist/simgraph.hpp"
 
 namespace refpga::par {
 
@@ -211,12 +214,14 @@ public:
           options_(options),
           index_(placement),
           cache_(routed, activity, options.vdd),
+          comb_order_(netlist::SimGraph(placement.nl()).comb_order()),
           rec_(options.recorder) {
         if (rec_ != nullptr) {
             obs::MetricRegistry& m = rec_->metrics();
             obs_passes_ = m.counter("realloc.passes_total");
             obs_nets_ = m.counter("realloc.nets_considered_total");
             obs_candidates_ = m.counter("realloc.candidates_evaluated_total");
+            obs_pruned_ = m.counter("realloc.candidates_pruned_total");
             obs_commits_ = m.counter("realloc.moves_committed_total");
             obs_rejects_ = m.counter("realloc.moves_rejected_total");
             obs_resyncs_ = m.counter("realloc.timing_resyncs_total");
@@ -234,6 +239,11 @@ private:
                         std::span<const NetId> affected, NetPowerChange& change);
     [[nodiscard]] double trial_cost(std::span<const NetId> affected, SliceId slice,
                                     const SliceCoord& pos);
+    void prepare_bound(SliceId slice, std::span<const NetId> affected);
+    [[nodiscard]] double cost_bound(const SliceCoord& pos) const;
+    [[nodiscard]] TimingReport analyze() const {
+        return analyze_timing(routed_, comb_order_);
+    }
     void rip_all(std::span<const NetId> affected);
     void route_all_lp(std::span<const NetId> affected);
     [[nodiscard]] std::vector<std::vector<double>> capture_delays(
@@ -252,6 +262,22 @@ private:
     ReallocIndex index_;
     NetPowerCache cache_;
     RouteScratch scratch_;
+    std::vector<std::uint32_t> comb_order_;  ///< levelized once per run
+
+    /// One affected net's capacitance lower bound with the moved slice at a
+    /// target, in pieces: connections with neither end on the slice add
+    /// `fixed_tiles` whatever the target; each connection with exactly one
+    /// end on it adds the distance from its other end (bound_ends_
+    /// [ends_begin, ends_end)) to the target; one with both ends on it adds
+    /// nothing.
+    struct BoundNet {
+        double rate_hz;
+        std::size_t connections;
+        long fixed_tiles;
+        std::size_t ends_begin, ends_end;
+    };
+    std::vector<BoundNet> bound_nets_;  ///< in `affected` order
+    std::vector<SliceCoord> bound_ends_;
 
     double limit_ = 0.0;
     double crit_bound_ = 0.0;           ///< sound upper bound on current critical path
@@ -259,7 +285,7 @@ private:
     int commits_since_resync_ = 0;
 
     obs::Recorder* rec_;
-    obs::MetricId obs_passes_, obs_nets_, obs_candidates_, obs_commits_,
+    obs::MetricId obs_passes_, obs_nets_, obs_candidates_, obs_pruned_, obs_commits_,
         obs_rejects_, obs_resyncs_, obs_pass_wall_;
 
     void obs_add(obs::MetricId id, double delta = 1.0) {
@@ -275,7 +301,7 @@ ReallocateReport Engine::run() {
 
     ReallocateReport report;
     report.total_before_uw = cache_.exact_total_uw();
-    const TimingReport t0 = analyze_timing(routed_);
+    const TimingReport t0 = analyze();
     report.critical_before_ps = t0.critical_path_ps;
     limit_ = report.critical_before_ps * options_.timing_slack;
     crit_bound_ = t0.critical_path_ps;
@@ -295,7 +321,7 @@ ReallocateReport Engine::run() {
     }
 
     report.total_after_uw = cache_.exact_total_uw();
-    report.critical_after_ps = analyze_timing(routed_).critical_path_ps;
+    report.critical_after_ps = analyze().critical_path_ps;
     return report;
 }
 
@@ -332,27 +358,43 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     // from, so trial routes equal committed routes byte for byte.
     rip_all(affected);
     const double cost_before = trial_cost(affected, slice, original);
+    prepare_bound(slice, affected);
 
     // Reduction in window order, strict improvement required: the first
     // (lowest-coordinate) candidate wins ties. Slice sites within one CLB are
     // adjacent in window order and share the tile coordinate, and routing
     // never reads the intra-CLB index, so their gains are bitwise equal and
     // only a tile's first site is ever selectable: evaluate that one alone.
+    //
+    // A candidate is trial-routed only when its cost bound leaves room to
+    // beat best_gain. Each net's bound capacitance is at or below its
+    // computed trial capacitance (RoutedDesign::capacitance_lower_bound_pf
+    // absorbs the rounding of the router's sums), and switch_power_uw, the
+    // sum over `affected` in one order and the subtraction from cost_before
+    // are all monotone under rounding, so cost_before - bound is at least
+    // the gain the trial would compute. A pruned candidate therefore could
+    // never have passed `gain > best_gain`, and the choice is unchanged.
     double best_gain = 0.0;
     std::size_t best = targets.size();
-    double candidates = 0.0;
+    double evaluated = 0.0;
+    double pruned = 0.0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
         if (i > 0 && targets[i].x == targets[i - 1].x &&
             targets[i].y == targets[i - 1].y)
             continue;
-        ++candidates;
+        if (cost_before - cost_bound(targets[i]) <= best_gain) {
+            ++pruned;
+            continue;
+        }
+        ++evaluated;
         const double gain = cost_before - trial_cost(affected, slice, targets[i]);
         if (gain > best_gain) {
             best_gain = gain;
             best = i;
         }
     }
-    obs_add(obs_candidates_, candidates);
+    obs_add(obs_candidates_, evaluated);
+    obs_add(obs_pruned_, pruned);
 
     const bool move = best < targets.size();
     if (move) placement_.swap_sites(original, targets[best]);
@@ -376,7 +418,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         // periodic resync closer so the bound re-tightens soon.
         if (slice_touches_critical(slice)) ++commits_since_resync_;
     } else {
-        const TimingReport tr = analyze_timing(routed_);
+        const TimingReport tr = analyze();
         reject = tr.critical_path_ps > limit_;
         if (!reject) resync(tr);
     }
@@ -388,12 +430,12 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         route_all_lp(affected);
         // Re-measure: the restored routes need not match what the bound last
         // described. Rejections are rare, so this resync is off the hot path.
-        resync(analyze_timing(routed_));
+        resync(analyze());
     } else {
         obs_add(obs_commits_);
         change.moved_logic = true;
         if (++commits_since_resync_ >= kTimingResyncPeriod)
-            resync(analyze_timing(routed_));
+            resync(analyze());
     }
 }
 
@@ -407,6 +449,48 @@ double Engine::trial_cost(std::span<const NetId> affected, SliceId slice,
                                                scratch_),
             activity_.rate_hz(a), options_.vdd);
     return cost;
+}
+
+void Engine::prepare_bound(SliceId slice, std::span<const NetId> affected) {
+    const auto& nl = placement_.nl();
+    const PackedDesign& design = placement_.design();
+    bound_nets_.clear();
+    bound_ends_.clear();
+    for (const NetId a : affected) {
+        BoundNet b{activity_.rate_hz(a), 0, 0, bound_ends_.size(), 0};
+        const netlist::Net& n = nl.net(a);
+        // Mirrors trial_route_capacitance_pf: such nets cost nothing.
+        if (!placement_.dedicated_net(a) && n.driven()) {
+            b.connections = n.sinks.size();
+            const bool driver_moves = design.slice_of(n.driver.cell) == slice;
+            const SliceCoord from = placement_.cell_pos(n.driver.cell);
+            for (const netlist::PinRef& sink : n.sinks) {
+                const SliceCoord to = placement_.cell_pos(sink.cell);
+                if ((design.slice_of(sink.cell) == slice) != driver_moves)
+                    bound_ends_.push_back(driver_moves ? to : from);
+                else if (!driver_moves)
+                    b.fixed_tiles += std::abs(to.x - from.x) + std::abs(to.y - from.y);
+            }
+        }
+        b.ends_end = bound_ends_.size();
+        bound_nets_.push_back(b);
+    }
+}
+
+double Engine::cost_bound(const SliceCoord& pos) const {
+    // Same terms, in the same order, as trial_cost.
+    double bound = 0.0;
+    for (const BoundNet& b : bound_nets_) {
+        long tiles = b.fixed_tiles;
+        for (std::size_t e = b.ends_begin; e < b.ends_end; ++e) {
+            const SliceCoord& end = bound_ends_[e];
+            tiles += std::abs(pos.x - end.x) + std::abs(pos.y - end.y);
+        }
+        bound += switch_power_uw(
+            RoutedDesign::capacitance_lower_bound_pf(b.connections, tiles), b.rate_hz,
+            options_.vdd);
+    }
+    return bound;
 }
 
 void Engine::rip_all(std::span<const NetId> affected) {

@@ -1,6 +1,7 @@
 #include "refpga/par/router.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
@@ -31,6 +32,19 @@ RoutedDesign::RoutedDesign(const Placement& placement, ChannelCapacity capacity)
     usage_.assign(static_cast<std::size_t>(placement.device().rows()) *
                       placement.device().cols() * fabric::kWireTypeCount,
                   0);
+}
+
+double RoutedDesign::capacitance_lower_bound_pf(std::size_t connections,
+                                                long manhattan_tiles) {
+    static const double per_tile_pf = [] {
+        double least = std::numeric_limits<double>::infinity();
+        for (const WireType t : fabric::all_wire_types())
+            least = std::min(least, wire_params(t).capacitance_pf / wire_params(t).span);
+        return least;
+    }();
+    return (static_cast<double>(connections) * kPinCapacitancePf +
+            per_tile_pf * static_cast<double>(manhattan_tiles)) *
+           (1.0 - 1e-9);
 }
 
 const NetRoute& RoutedDesign::route(NetId net) const {

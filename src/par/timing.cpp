@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "refpga/common/contracts.hpp"
 #include "refpga/netlist/simgraph.hpp"
 
 namespace refpga::par {
@@ -12,7 +13,15 @@ using netlist::CellKind;
 using netlist::NetId;
 
 TimingReport analyze_timing(const RoutedDesign& routed, const CellDelays& delays) {
+    return analyze_timing(routed, netlist::SimGraph(routed.placement().nl()).comb_order(),
+                          delays);
+}
+
+TimingReport analyze_timing(const RoutedDesign& routed,
+                            std::span<const std::uint32_t> comb_order,
+                            const CellDelays& delays) {
     const auto& nl = routed.placement().nl();
+    REFPGA_EXPECTS(comb_order.size() <= nl.cell_count());
 
     auto cell_delay = [&](const Cell& c) {
         switch (c.kind) {
@@ -34,7 +43,6 @@ TimingReport analyze_timing(const RoutedDesign& routed, const CellDelays& delays
     // so every cell's arrival is final before it propagates. SimGraph's
     // levelization throws on a combinational loop (DRC-clean designs have
     // none).
-    const netlist::SimGraph graph(nl);
     std::vector<double> arrival(nl.cell_count(), -1.0);
     std::vector<CellId> pred(nl.cell_count(), CellId{});
 
@@ -98,7 +106,7 @@ TimingReport analyze_timing(const RoutedDesign& routed, const CellDelays& delays
             propagate(i);
         }
     }
-    for (const std::uint32_t ci : graph.comb_order()) propagate(ci);
+    for (const std::uint32_t ci : comb_order) propagate(ci);
 
     TimingReport report;
     report.critical_path_ps = critical;

@@ -13,7 +13,22 @@ using netlist::NetId;
 
 EventSimulator::EventSimulator(const netlist::Netlist& nl) : nl_(nl), graph_(nl) {
     netlist::require_clean(nl_);
-    words_.assign((nl_.net_count() + 63) / 64, 0);
+    // Net index net_count() is the sentinel: never set, so it always reads 0.
+    const auto sentinel = static_cast<std::uint32_t>(nl_.net_count());
+    words_.assign(nl_.net_count() / 64 + 1, 0);
+    comb_.assign(nl_.cell_count(), CombRecord{{sentinel, sentinel, sentinel, sentinel},
+                                              sentinel, 0, false});
+    for (const std::uint32_t i : graph_.comb_order()) {
+        const Cell& c = nl_.cell(CellId{i});
+        if (c.kind != CellKind::Lut) continue;
+        REFPGA_EXPECTS(c.inputs.size() <= 4);
+        CombRecord& r = comb_[i];
+        for (std::size_t pin = 0; pin < c.inputs.size(); ++pin)
+            if (c.inputs[pin].valid()) r.in[pin] = c.inputs[pin].value();
+        r.out = c.outputs[0].value();
+        r.mask = c.lut_mask;
+        r.lut = true;
+    }
     toggles_.assign(nl_.net_count(), 0);
     in_queue_.assign(nl_.cell_count(), 0);
     seq_armed_.assign(nl_.cell_count(), 0);
@@ -34,7 +49,7 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl) : nl_(nl), graph_(nl)
     // settle and are not part of the toggle specification (engine.hpp).
     for (std::uint32_t i = 0; i < nl_.cell_count(); ++i) {
         const Cell& c = nl_.cell(CellId{i});
-        if (c.kind == CellKind::Vcc) set_net(c.outputs[0], true);
+        if (c.kind == CellKind::Vcc) set_net(c.outputs[0].value(), true);
     }
     for (const std::uint32_t ci : graph_.comb_order()) eval_cell(ci);
     for (auto& q : level_queue_) q.clear();
@@ -56,13 +71,13 @@ std::uint64_t EventSimulator::bus_in(const Cell& c, std::size_t first,
     return v;
 }
 
-void EventSimulator::set_net(NetId net, bool value) {
-    const std::uint32_t n = net.value();
+void EventSimulator::set_net(std::uint32_t n, bool value) {
     const std::uint64_t mask = std::uint64_t{1} << (n & 63);
     std::uint64_t& word = words_[n >> 6];
     if (((word & mask) != 0) == value) return;
     word ^= mask;
     ++toggles_[n];
+    const NetId net{n};
     changed_.push_back(net);
     for (const std::uint32_t c : graph_.comb_consumers(net)) schedule(c);
     for (const std::uint32_t c : graph_.seq_consumers(net)) seq_armed_[c] = 1;
@@ -75,33 +90,34 @@ void EventSimulator::schedule(std::uint32_t cell) {
 }
 
 void EventSimulator::eval_cell(std::uint32_t cell_index) {
-    const Cell& c = nl_.cell(CellId{cell_index});
-    switch (c.kind) {
-        case CellKind::Lut: {
-            std::uint32_t index = 0;
-            for (std::size_t i = 0; i < c.inputs.size(); ++i)
-                if (in_value(c, i)) index |= 1u << i;
-            set_net(c.outputs[0], ((c.lut_mask >> index) & 1) != 0);
-            break;
-        }
-        case CellKind::Mult18: {
-            const std::size_t a_bits = c.lut_mask;  // operand split marker
-            const std::size_t b_bits = c.inputs.size() - a_bits;
-            auto sext = [](std::uint64_t raw, std::size_t bits) {
-                const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
-                return static_cast<std::int64_t>((raw ^ sign)) -
-                       static_cast<std::int64_t>(sign);
-            };
-            const std::int64_t a = sext(bus_in(c, 0, a_bits), a_bits);
-            const std::int64_t b = sext(bus_in(c, a_bits, b_bits), b_bits);
-            const std::int64_t p = a * b;
-            for (std::size_t i = 0; i < c.outputs.size(); ++i)
-                set_net(c.outputs[i], ((p >> i) & 1) != 0);
-            break;
-        }
-        default:
-            break;  // sequential cells and pads are not in the comb graph
+    const CombRecord& r = comb_[cell_index];
+    if (!r.lut) {
+        eval_mult(nl_.cell(CellId{cell_index}));
+        return;
     }
+    // Input pin i is bit i of the truth-table index; the sentinel reads 0,
+    // as an unused pin contributes nothing.
+    const unsigned index = static_cast<unsigned>(bit(r.in[0])) |
+                           static_cast<unsigned>(bit(r.in[1])) << 1 |
+                           static_cast<unsigned>(bit(r.in[2])) << 2 |
+                           static_cast<unsigned>(bit(r.in[3])) << 3;
+    set_net(r.out, ((r.mask >> index) & 1) != 0);
+}
+
+void EventSimulator::eval_mult(const Cell& c) {
+    // The combinational graph holds LUTs and MULT18s only.
+    REFPGA_EXPECTS(c.kind == CellKind::Mult18);
+    const std::size_t a_bits = c.lut_mask;  // operand split marker
+    const std::size_t b_bits = c.inputs.size() - a_bits;
+    auto sext = [](std::uint64_t raw, std::size_t bits) {
+        const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
+        return static_cast<std::int64_t>((raw ^ sign)) - static_cast<std::int64_t>(sign);
+    };
+    const std::int64_t a = sext(bus_in(c, 0, a_bits), a_bits);
+    const std::int64_t b = sext(bus_in(c, a_bits, b_bits), b_bits);
+    const std::int64_t p = a * b;
+    for (std::size_t i = 0; i < c.outputs.size(); ++i)
+        set_net(c.outputs[i].value(), ((p >> i) & 1) != 0);
 }
 
 void EventSimulator::drain_levels() {
@@ -123,7 +139,7 @@ void EventSimulator::set_input(const std::string& port, std::uint64_t value) {
     REFPGA_EXPECTS(p != nullptr && p->dir == netlist::PortDir::Input);
     changed_.clear();
     for (std::size_t i = 0; i < p->nets.size(); ++i)
-        set_net(p->nets[i], ((value >> i) & 1) != 0);
+        set_net(p->nets[i].value(), ((value >> i) & 1) != 0);
     drain_levels();
 }
 
@@ -159,7 +175,7 @@ void EventSimulator::tick(NetId clock) {
         if (c.kind == CellKind::Ff) {
             const bool enabled =
                 c.inputs.size() < 2 || !c.inputs[1].valid() || in_value(c, 1);
-            if (enabled) ff_scratch_.push_back({i, in_value(c, 0)});
+            if (enabled) ff_scratch_.push_back({c.outputs[0].value(), in_value(c, 0)});
         } else {  // BRAM
             const auto& cfg = nl_.bram_config(c);
             const auto addr = static_cast<std::size_t>(
@@ -179,12 +195,11 @@ void EventSimulator::tick(NetId clock) {
 
     // Phase 2: commit outputs (set_net re-arms feedback consumers), then
     // drain the dirtied combinational levels.
-    for (const FfUpdate& u : ff_scratch_)
-        set_net(nl_.cell(CellId{u.cell}).outputs[0], u.q);
+    for (const FfUpdate& u : ff_scratch_) set_net(u.q_net, u.q);
     for (const BramUpdate& u : bram_scratch_) {
         const Cell& c = nl_.cell(CellId{u.cell});
         for (std::size_t b = 0; b < c.outputs.size(); ++b)
-            set_net(c.outputs[b], ((u.read_word >> b) & 1) != 0);
+            set_net(c.outputs[b].value(), ((u.read_word >> b) & 1) != 0);
     }
     drain_levels();
     ++cycles_;

@@ -24,6 +24,12 @@
 //    skipped BRAM's write would be idempotent, so skipping is unobservable.
 //  - All sequential cells start armed so the first edge after reset latches
 //    everything, like the cycle engine's first tick.
+//
+// LUTs, most of the evaluations, are read from flat per-cell records built
+// at construction (truth table, four input net indices, output net) instead
+// of through netlist::Cell and its heap vectors; an unused or unconnected
+// pin reads a sentinel bit past the last net that is always 0. MULT18s, FFs
+// and BRAMs read their Cell.
 #pragma once
 
 #include <cstdint>
@@ -72,17 +78,28 @@ private:
     [[nodiscard]] bool bit(std::uint32_t net) const {
         return ((words_[net >> 6] >> (net & 63)) & 1) != 0;
     }
-    void set_net(netlist::NetId net, bool value);
+    void set_net(std::uint32_t net, bool value);
     void schedule(std::uint32_t cell);
     void eval_cell(std::uint32_t cell_index);
+    void eval_mult(const netlist::Cell& c);
     void drain_levels();
     [[nodiscard]] bool in_value(const netlist::Cell& c, std::size_t pin) const;
     [[nodiscard]] std::uint64_t bus_in(const netlist::Cell& c, std::size_t first,
                                        std::size_t count) const;
 
+    /// A combinational cell as eval_cell reads it. For a LUT: truth table,
+    /// input net indices (unused pins: the sentinel net) and output net.
+    struct CombRecord {
+        std::uint32_t in[4];
+        std::uint32_t out;
+        std::uint16_t mask;
+        bool lut;  ///< false: evaluate through the Cell (MULT18)
+    };
+
     const netlist::Netlist& nl_;
     netlist::SimGraph graph_;
-    std::vector<std::uint64_t> words_;         ///< packed net values, 64 per word
+    std::vector<CombRecord> comb_;             ///< per cell; LUT fields for LUTs
+    std::vector<std::uint64_t> words_;         ///< packed net values + the sentinel bit
     std::vector<std::vector<std::uint32_t>> level_queue_;  ///< pending comb cells
     std::vector<std::uint8_t> in_queue_;       ///< per-cell: already scheduled
     std::vector<std::uint8_t> seq_armed_;      ///< per-cell: data input changed
@@ -94,7 +111,7 @@ private:
 
     // Per-tick scratch, members to avoid reallocation on the hot path.
     struct FfUpdate {
-        std::uint32_t cell;
+        std::uint32_t q_net;
         bool q;
     };
     struct BramUpdate {

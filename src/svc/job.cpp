@@ -58,9 +58,23 @@ double number_value(const JsonValue& v, const char* key) {
     return keyed(key, [&] { return parse_hexfloat(v.string); });
 }
 
+const std::vector<JsonValue>& array_value(const JsonValue& v, const char* key) {
+    return keyed(key, [&]() -> const std::vector<JsonValue>& { return v.as_array(); });
+}
+
 std::vector<double> double_list(const JsonValue& v, const char* key) {
     std::vector<double> out;
-    for (const JsonValue& e : v.as_array()) out.push_back(number_value(e, key));
+    for (const JsonValue& e : array_value(v, key)) out.push_back(number_value(e, key));
+    return out;
+}
+
+/// Reads `v` as an array of strings, each one turned into a value by `parse`.
+template <class Parse>
+auto string_list(const JsonValue& v, const char* key, Parse parse) {
+    std::vector<decltype(parse(std::string{}))> out;
+    for (const JsonValue& e : array_value(v, key))
+        out.push_back(
+            parse(keyed(key, [&]() -> const std::string& { return e.as_string(); })));
     return out;
 }
 
@@ -69,7 +83,7 @@ std::uint64_t seed_value(const JsonValue& v, const char* key) {
     if (v.is(JsonValue::Kind::String)) return parse_seed(v.string, key);
     // JSON numbers arrive as doubles, which hold every integer only below
     // 2^53: a larger one may already be rounded to a different seed.
-    if (v.as_number() >= 9007199254740992.0)
+    if (keyed(key, [&] { return v.as_number(); }) >= 9007199254740992.0)
         throw JobError(std::string(key) +
                        ": numeric seeds must be below 2^53; give the seed as a "
                        "decimal string, e.g. \"18446744073709551615\"");
@@ -123,17 +137,11 @@ JobSpec JobSpec::from_json(const std::string& text) {
     JobSpec spec;
     for (const auto& [key, value] : doc.object) {
         if (key == "variants") {
-            spec.variants.clear();
-            for (const JsonValue& e : value.as_array())
-                spec.variants.push_back(parse_variant(e.as_string()));
+            spec.variants = string_list(value, "variants", parse_variant);
         } else if (key == "parts") {
-            spec.parts.clear();
-            for (const JsonValue& e : value.as_array())
-                spec.parts.push_back(parse_part(e.as_string()));
+            spec.parts = string_list(value, "parts", parse_part);
         } else if (key == "ports") {
-            spec.ports.clear();
-            for (const JsonValue& e : value.as_array())
-                spec.ports.push_back(parse_port(e.as_string()));
+            spec.ports = string_list(value, "ports", parse_port);
         } else if (key == "noise_levels") {
             spec.noise_levels = double_list(value, "noise_levels");
         } else if (key == "upset_rates") {
@@ -156,7 +164,7 @@ JobSpec JobSpec::from_json(const std::string& text) {
             }
         } else if (key == "fills") {
             spec.fills.clear();
-            for (const JsonValue& e : value.as_array()) {
+            for (const JsonValue& e : array_value(value, "fills")) {
                 if (!e.is(JsonValue::Kind::Object))
                     throw JobError("fills: expected objects");
                 fleet::FillProfile fill;

@@ -59,6 +59,13 @@ expect_exit 2 --workers 2 --progress-timeout-ms 0 --cycles 1 --json
 expect_exit 2 --workers 2 --min-workers 3 --cycles 1 --json
 printf '{"upset_rates":[1e999]}\n' > "$WORK/inf.json"
 expect_exit 2 --spec "$WORK/inf.json" --cycles 1 --json
+# A value of the wrong JSON kind is refused naming its key.
+printf '{"variants":"software"}\n' > "$WORK/kind.json"
+expect_exit 2 --spec "$WORK/kind.json" --cycles 1 --json
+if ! grep -q "variants: expected array" "$WORK/err"; then
+    echo "FAIL: the wrongly typed variants value is refused without its key" >&2
+    status=1
+fi
 
 # A journal of outcome codec 1, whose lines still carried their scenario, is
 # refused with both codec versions named instead of being resumed. The fresh

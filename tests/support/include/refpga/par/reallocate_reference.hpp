@@ -14,9 +14,12 @@
 
 namespace refpga::par {
 
-/// Same contract and signature as optimize_net_power; `options.recorder` is
-/// ignored. It keeps no timing bound to resync (the fast path re-analyses
-/// every 8 committed moves): each move it makes gets a full timing analysis.
+/// Same contract and signature as optimize_net_power. It keeps no timing
+/// bound to resync (the fast path re-analyses every 8 committed moves): each
+/// move it makes gets a full timing analysis. `options.recorder`, when set,
+/// receives one counter only: realloc.candidates_selectable_total, the
+/// targets that can win (a tile's first free site in window order), which
+/// the library engine either trial-routes or prunes.
 [[nodiscard]] ReallocateReport optimize_net_power_reference(
     Placement& placement, RoutedDesign& routed, const sim::ActivityMap& activity,
     const ReallocateOptions& options = {});

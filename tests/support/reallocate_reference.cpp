@@ -150,6 +150,7 @@ private:
                         targets.push_back(target);
                 }
         if (targets.empty()) return;
+        count_selectable(targets);
 
         // Every candidate is applied to the live placement, routed from the
         // base occupancy with all affected nets ripped up, measured, and
@@ -180,6 +181,20 @@ private:
         } else {
             change.moved_logic = true;
         }
+    }
+
+    /// Adds the targets that can win to realloc.candidates_selectable_total:
+    /// every site of a tile costs the same, so under the strict tie rule only
+    /// a tile's first free site in window order is ever chosen.
+    void count_selectable(const std::vector<SliceCoord>& targets) {
+        if (options_.recorder == nullptr) return;
+        double selectable = 0.0;
+        for (std::size_t i = 0; i < targets.size(); ++i)
+            if (i == 0 || targets[i].x != targets[i - 1].x ||
+                targets[i].y != targets[i - 1].y)
+                ++selectable;
+        obs::MetricRegistry& m = options_.recorder->metrics();
+        m.add(m.counter("realloc.candidates_selectable_total"), selectable);
     }
 
     /// Routes `affected`, sums their power in ascending net order, rips them.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/builder.hpp"
@@ -287,6 +290,132 @@ TEST(Router, RenderRouteShowsDriver) {
         EXPECT_NE(view.find('D'), std::string::npos);
         break;
     }
+}
+
+/// Summed Manhattan length, in tiles, of `net`'s connections with slice
+/// `moved` at `moved_pos` and every other cell where it is placed.
+long manhattan_tiles(const Placement& placement, NetId net, SliceId moved,
+                     const SliceCoord& moved_pos) {
+    const auto pos = [&](netlist::CellId cell) {
+        return moved.valid() && placement.design().slice_of(cell) == moved
+                   ? moved_pos
+                   : placement.cell_pos(cell);
+    };
+    const netlist::Net& n = placement.nl().net(net);
+    const SliceCoord from = pos(n.driver.cell);
+    long tiles = 0;
+    for (const netlist::PinRef& sink : n.sinks) {
+        const SliceCoord to = pos(sink.cell);
+        tiles += std::abs(to.x - from.x) + std::abs(to.y - from.y);
+    }
+    return tiles;
+}
+
+TEST(Router, CapacitanceLowerBoundIsAdmissible) {
+    // Random LUT nets on slices scattered over the die, the first ones
+    // pinned to its corners and edges, routed in both modes on default and
+    // on saturated channels. Every routed connection, and every trial route
+    // of a random move (edge targets included) over a randomly thinned and
+    // scratch-loaded occupancy, must cost at least the bound.
+    Design d;
+    Rng rng(27);
+    const auto below = [&](std::size_t n) {
+        return rng.next_below(static_cast<std::uint32_t>(n));
+    };
+    std::vector<NetId> pool = d.nl.add_input_port("a", 6);
+    for (int i = 0; i < 160; ++i) {
+        std::vector<NetId> inputs;
+        const std::size_t k = 1 + below(4);
+        while (inputs.size() < k) {
+            const NetId in = pool[below(pool.size())];
+            if (std::find(inputs.begin(), inputs.end(), in) == inputs.end())
+                inputs.push_back(in);
+        }
+        pool.push_back(d.nl.add_lut(static_cast<std::uint16_t>(rng.next_u64()), inputs,
+                                    "l" + std::to_string(i)));
+    }
+    d.nl.add_output_port("o", Bus(pool.end() - 8, pool.end()));
+    const PackedDesign packed = pack(d.nl);
+    const Device dev(PartName::XC3S200);
+    const int cols = dev.cols();
+    const int rows = dev.rows();
+    const std::vector<SliceCoord> edges = {
+        {0, 0, 0},        {cols - 1, 0, 1},        {0, rows - 1, 2},
+        {cols - 1, rows - 1, 3}, {cols / 2, 0, 0}, {0, rows / 2, 1},
+        {cols - 1, rows / 2, 2}, {cols / 2, rows - 1, 3}};
+    const auto random_site = [&] {
+        return SliceCoord{static_cast<int>(below(static_cast<std::size_t>(cols))),
+                          static_cast<int>(below(static_cast<std::size_t>(rows))),
+                          static_cast<int>(below(4))};
+    };
+    Placement placement(dev, d.nl, packed);
+    placement.place_initial();
+    for (std::uint32_t i = 0; i < packed.slice_count(); ++i) {
+        const SliceCoord target = i < edges.size() ? edges[i] : random_site();
+        if (!placement.slice_at(target).valid())
+            placement.swap_sites(placement.slice_pos(SliceId{i}), target);
+    }
+
+    long connections = 0;
+    long trials = 0;
+    long attained = 0;
+    const ChannelCapacity saturated{1, 1, 1, 1};
+    for (const ChannelCapacity capacity : {ChannelCapacity{}, saturated}) {
+        for (const RouteMode mode : {RouteMode::Performance, RouteMode::LowPower}) {
+            RoutedDesign routed(placement, capacity);
+            routed.route_all(mode);
+            if (capacity.direct == 1) {
+                EXPECT_GT(routed.overflow_count(), 0);
+            }
+            for (std::uint32_t ni = 0; ni < d.nl.net_count(); ++ni) {
+                const NetId net{ni};
+                const netlist::Net& n = d.nl.net(net);
+                if (placement.dedicated_net(net) || !n.driven()) continue;
+                const SliceCoord from = placement.cell_pos(n.driver.cell);
+                for (const SinkRoute& s : routed.route(net).sinks) {
+                    const SliceCoord to = placement.cell_pos(s.sink.cell);
+                    const double bound = RoutedDesign::capacitance_lower_bound_pf(
+                        1, std::abs(to.x - from.x) + std::abs(to.y - from.y));
+                    EXPECT_GE(s.capacitance_pf, bound) << n.name;
+                    if (s.capacitance_pf - bound < 1e-6) ++attained;
+                    ++connections;
+                }
+            }
+
+            for (std::uint32_t ni = 0; ni < d.nl.net_count(); ++ni)
+                if (!placement.dedicated_net(NetId{ni}) && below(3) == 0)
+                    routed.unroute_net(NetId{ni});
+            RouteScratch scratch;
+            for (std::uint32_t ni = 0; ni < d.nl.net_count(); ++ni) {
+                const NetId net{ni};
+                const netlist::Net& n = d.nl.net(net);
+                if (placement.dedicated_net(net) || !n.driven()) continue;
+                for (int t = 0; t < 3; ++t) {
+                    // Move the driver's slice, a sink's or any slice; a pad
+                    // has none, and then nothing moves.
+                    SliceId moved{below(packed.slice_count())};
+                    if (t == 0)
+                        moved = packed.slice_of(n.driver.cell);
+                    else if (t == 1 && !n.sinks.empty())
+                        moved = packed.slice_of(n.sinks[below(n.sinks.size())].cell);
+                    const SliceCoord target = t == 0 ? edges[below(edges.size())] : random_site();
+                    const double trial = routed.trial_route_capacitance_pf(
+                        net, moved, target, mode, scratch);
+                    EXPECT_GE(trial, RoutedDesign::capacitance_lower_bound_pf(
+                                         n.sinks.size(),
+                                         manhattan_tiles(placement, net, moved, target)))
+                        << n.name;
+                    ++trials;
+                }
+                if (below(4) == 0) scratch.clear();
+            }
+        }
+    }
+    EXPECT_GT(connections, 1000);
+    EXPECT_GT(trials, 1000);
+    // Not vacuous: short LowPower connections on free Direct channels cost
+    // exactly pins + r_min x distance.
+    EXPECT_GT(attained, 0);
 }
 
 TEST(Router, SwitchPowerFormula) {

@@ -50,10 +50,10 @@ struct Scenario {
     RoutedDesign routed;
     sim::ActivityMap activity;
 
-    Scenario()
+    explicit Scenario(ChannelCapacity capacity = {})
         : packed(build(d)),
           placement(dev, d.nl, packed),
-          routed((prepare(placement), placement), {}),
+          routed((prepare(placement), placement), capacity),
           activity(sim::ActivityMap(0)) {
         routed.route_all(RouteMode::Performance);
         sim::Simulator simulator(d.nl);
@@ -86,13 +86,15 @@ struct Scenario {
     }
 };
 
-ReallocateReport run_engine(const ReallocateOptions& options) {
-    Scenario s;
+ReallocateReport run_engine(const ReallocateOptions& options,
+                            ChannelCapacity capacity = {}) {
+    Scenario s(capacity);
     return optimize_net_power(s.placement, s.routed, s.activity, options);
 }
 
-ReallocateReport run_reference(const ReallocateOptions& options) {
-    Scenario s;
+ReallocateReport run_reference(const ReallocateOptions& options,
+                               ChannelCapacity capacity = {}) {
+    Scenario s(capacity);
     return optimize_net_power_reference(s.placement, s.routed, s.activity, options);
 }
 
@@ -127,6 +129,36 @@ TEST(ReallocateEngine, TightSlackStillEquivalent) {
     const ReallocateReport incremental = run_engine(options);
     EXPECT_TRUE(incremental == reference);
     EXPECT_LE(reference.critical_after_ps, reference.critical_before_ps + 1e-9);
+}
+
+TEST(ReallocateEngine, PruningKeepsReportsBitwiseAndCountsEveryCandidate) {
+    // Pruned candidates are never trial-routed, so only the decisions pin the
+    // pruning: the reports must equal the oracle's, which applies and measures
+    // every site, on open and on saturated channels (where most connections
+    // overflow onto span-1 Direct wires, which the bound charges exactly).
+    const ChannelCapacity saturated{1, 1, 1, 1};
+    for (const ChannelCapacity capacity : {ChannelCapacity{}, saturated}) {
+        SCOPED_TRACE(capacity.direct);
+        obs::Recorder engine_rec;
+        obs::Recorder oracle_rec;
+        ReallocateOptions options = base_options();
+        options.net_count = 8;
+        options.recorder = &oracle_rec;
+        const ReallocateReport reference = run_reference(options, capacity);
+        options.recorder = &engine_rec;
+        const ReallocateReport incremental = run_engine(options, capacity);
+        EXPECT_TRUE(incremental == reference);
+        EXPECT_TRUE(std::any_of(reference.nets.begin(), reference.nets.end(),
+                                [](const NetPowerChange& c) { return c.moved_logic; }));
+
+        const obs::MetricRegistry& m = engine_rec.metrics();
+        const double evaluated = m.value("realloc.candidates_evaluated_total");
+        const double pruned = m.value("realloc.candidates_pruned_total");
+        EXPECT_GT(pruned, 0.0);
+        EXPECT_GT(evaluated, 0.0);
+        EXPECT_EQ(evaluated + pruned,
+                  oracle_rec.metrics().value("realloc.candidates_selectable_total"));
+    }
 }
 
 // ------------------------------------------------- adjacency index

@@ -234,6 +234,37 @@ TEST(Job, RejectsNonFiniteAndOutOfRangeValues) {
     expect_rejected("{\"ports\":[]}", "ports");
 }
 
+TEST(Job, WronglyTypedValuesNameTheirKey) {
+    // Each key given a value of the wrong kind, and each list key an element
+    // of the wrong kind: a JobError that starts with the key, never a bare
+    // JsonError.
+    const std::vector<std::pair<std::string, std::string>> docs = {
+        {"variants", "{\"variants\":\"software\"}"},
+        {"variants", "{\"variants\":[3]}"},
+        {"parts", "{\"parts\":3}"},
+        {"parts", "{\"parts\":[3]}"},
+        {"ports", "{\"ports\":\"jcap\"}"},
+        {"ports", "{\"ports\":[null]}"},
+        {"noise_levels", "{\"noise_levels\":3}"},
+        {"noise_levels", "{\"noise_levels\":[true]}"},
+        {"upset_rates", "{\"upset_rates\":{}}"},
+        {"upset_rates", "{\"upset_rates\":[[]]}"},
+        {"fills", "{\"fills\":3}"},
+        {"fills", "{\"fills\":[3]}"},
+        {"campaign_seed", "{\"campaign_seed\":true}"},
+        {"campaign_seed", "{\"campaign_seed\":[1]}"},
+    };
+    for (const auto& [key, doc] : docs) {
+        try {
+            (void)JobSpec::from_json(doc);
+            ADD_FAILURE() << doc << " accepted";
+        } catch (const JobError& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(key + ": ", 0), 0u)
+                << doc << ": " << e.what();
+        }
+    }
+}
+
 TEST(Job, SeedStringsRejectOverflowButAcceptMaxU64) {
     // A >20-digit seed must fail loudly, not wrap modulo 2^64 into a
     // different (accepted!) seed.
