@@ -2,19 +2,24 @@
 // Table-2 scenario.
 //
 // Three stages are pinned. The incremental annealer (cached per-net bounding
-// boxes) must give the same PlacerResult and slice positions as the
-// full-rescan `anneal_reference`; the levelized timing analysis the same
+// boxes, most moves rejected by a lower bound on their cost change) must give
+// the same PlacerResult and slice positions as the full-rescan
+// `anneal_reference`; the levelized timing analysis the same
 // `critical_path_ps` as the worklist `analyze_timing_reference`; and the
 // incremental reallocator (precomputed adjacency, scratch-route delta
 // costing, cached net power, lazy timing) a byte-identical ReallocateReport
 // to the naive `optimize_net_power_reference`. This bench times each pair,
-// checks the equalities and the total-power invariant, and emits a
-// machine-readable BENCH_par_reallocate.json next to the binary. Exit status
-// is non-zero on any violation, so CI can run it as a check.
+// checks the equalities and the total-power invariant, prints how many
+// anneal moves the bound decided and how many reallocation candidates the
+// capacitance bound pruned, and writes BENCH_par_reallocate.json (with the
+// host facts) to the working directory. Exit status is non-zero on any
+// violation, so CI can run it as a check.
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "refpga/common/table.hpp"
@@ -45,11 +50,13 @@ struct AnnealRun {
 };
 
 /// Anneals a copy of `initial` the way benchkit::Implementation does and
-/// times only the annealer.
-AnnealRun run_annealer(Annealer annealer, const par::Placement& initial) {
+/// times only the annealer (the oracle ignores the recorder).
+AnnealRun run_annealer(Annealer annealer, const par::Placement& initial,
+                       obs::Recorder* recorder = nullptr) {
     AnnealRun r{initial, {}, 0.0};
     par::PlacerOptions options;
     options.effort = kAnnealEffort;
+    options.recorder = recorder;
     const auto t0 = std::chrono::steady_clock::now();
     r.result = annealer(r.placement, options, nullptr);
     r.wall_ms = ms_since(t0);
@@ -139,8 +146,9 @@ int main(int argc, char** argv) {
     const fabric::Device device(part);
     par::Placement initial(device, sys.nl, packed);
     initial.place_initial();
+    obs::Recorder recorder;
     const AnnealRun anneal_ref = run_annealer(&par::anneal_reference, initial);
-    const AnnealRun anneal_lib = run_annealer(&par::anneal, initial);
+    const AnnealRun anneal_lib = run_annealer(&par::anneal, initial, &recorder);
     const bool anneal_identical = same_anneal(anneal_lib, anneal_ref);
 
     par::RoutedDesign routed(anneal_lib.placement, par::ChannelCapacity{});
@@ -154,8 +162,21 @@ int main(int argc, char** argv) {
     options.net_count = 8;
     const RunResult ref =
         run_engine(&par::optimize_net_power_reference, sys.nl, part, activity, options);
+    options.recorder = &recorder;
     const RunResult inc =
         run_engine(&par::optimize_net_power, sys.nl, part, activity, options);
+
+    const obs::MetricRegistry& m = recorder.metrics();
+    const long moves_evaluated = std::lround(m.value("anneal.moves_evaluated_total"));
+    const long moves_bound_rejected =
+        std::lround(m.value("anneal.moves_bound_rejected_total"));
+    const double bound_share =
+        moves_evaluated > 0
+            ? static_cast<double>(moves_bound_rejected) / static_cast<double>(moves_evaluated)
+            : 0.0;
+    const long candidates_evaluated =
+        std::lround(m.value("realloc.candidates_evaluated_total"));
+    const long candidates_pruned = std::lround(m.value("realloc.candidates_pruned_total"));
 
     const bool identical = inc.report == ref.report;
     const bool power_ok = ref.report.total_after_uw <= ref.report.total_before_uw;
@@ -177,6 +198,11 @@ int main(int argc, char** argv) {
               << anneal_lib.result.moves_accepted << " accepted, HPWL "
               << anneal_lib.result.initial_cost << " -> " << anneal_lib.result.final_cost
               << "\n";
+    std::cout << "anneal bound: " << moves_bound_rejected << " of " << moves_evaluated
+              << " costed moves rejected without a rescan ("
+              << Table::num(100.0 * bound_share, 1) << " %)\n";
+    std::cout << "reallocation candidates: " << candidates_evaluated << " trial-routed, "
+              << candidates_pruned << " pruned by the capacitance bound\n";
     std::cout << "critical path: " << Table::num(sta_lib.report.critical_path_ps, 1)
               << " ps\n";
     std::cout << "total dynamic power: " << Table::num(ref.report.total_before_uw * 1e-3)
@@ -192,17 +218,25 @@ int main(int argc, char** argv) {
     json << "{\n"
          << "  \"bench\": \"par_reallocate\",\n"
          << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+         << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+         << "  \"compiler\": \"" << REFPGA_COMPILER << "\",\n"
+         << "  \"build_type\": \"" << REFPGA_BUILD_TYPE << "\",\n"
          << "  \"scenario\": \""
          << (smoke ? "xc3s400_core_only" : "table2_xc3s1000_full_system") << "\",\n"
          << "  \"anneal\": {\"reference_ms\": " << anneal_ref.wall_ms
          << ", \"library_ms\": " << anneal_lib.wall_ms
          << ", \"moves_tried\": " << anneal_lib.result.moves_tried
+         << ", \"moves_evaluated\": " << moves_evaluated
+         << ", \"moves_bound_rejected\": " << moves_bound_rejected
+         << ", \"bound_decided_share\": " << bound_share
          << ", \"identical\": " << (anneal_identical ? "true" : "false") << "},\n"
          << "  \"timing\": {\"reference_ms\": " << sta_ref.wall_ms
          << ", \"library_ms\": " << sta_lib.wall_ms
          << ", \"critical_path_ps\": " << sta_lib.report.critical_path_ps
          << ", \"identical\": " << (timing_identical ? "true" : "false") << "},\n"
          << "  \"nets_optimized\": " << ref.report.nets.size() << ",\n"
+         << "  \"candidates_evaluated\": " << candidates_evaluated << ",\n"
+         << "  \"candidates_pruned\": " << candidates_pruned << ",\n"
          << "  \"reference\": {\"wall_ms\": " << ref.wall_ms
          << ", \"nets_per_s\": " << nets_per_s(ref) << "},\n"
          << "  \"incremental\": {\"wall_ms\": " << inc.wall_ms

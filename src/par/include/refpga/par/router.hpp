@@ -72,20 +72,15 @@ struct ChannelCapacity {
 };
 
 /// Occupancy side-buffer for trial routing: deltas on top of the live usage
-/// grid plus the overflows recorded while routing into it. Reusable across
-/// trials via clear().
+/// grid. Reusable across trials via clear().
 class RouteScratch {
 public:
     RouteScratch() = default;
-
-    /// Overflows recorded by routes into this scratch since the last clear().
-    [[nodiscard]] long overflow_count() const { return overflow_; }
 
     /// Resets all deltas (O(touched), not O(grid)).
     void clear() {
         for (const std::size_t idx : touched_) delta_[idx] = 0;
         touched_.clear();
-        overflow_ = 0;
     }
 
 private:
@@ -95,13 +90,11 @@ private:
         if (delta_.size() != n) {
             delta_.assign(n, 0);
             touched_.clear();
-            overflow_ = 0;
         }
     }
 
     std::vector<int> delta_;            ///< same layout as the live usage grid
     std::vector<std::size_t> touched_;  ///< indices with nonzero delta
-    long overflow_ = 0;
 };
 
 class RoutedDesign {
@@ -111,7 +104,12 @@ public:
     [[nodiscard]] const Placement& placement() const { return *placement_; }
     [[nodiscard]] const NetRoute& route(netlist::NetId net) const;
     [[nodiscard]] double total_capacitance_pf() const;
-    [[nodiscard]] long overflow_count() const { return overflow_; }
+    /// Live channel overflow: the wires in use beyond capacity, summed over
+    /// every tile and wire type (sum of max(0, usage - capacity)). A
+    /// connection whose channels are all full takes a span-1 Direct anyway
+    /// (see route_axis), which adds exactly one; ripping a net up or
+    /// re-routing it takes its overflow back.
+    [[nodiscard]] long overflow_count() const;
 
     /// Routes every non-dedicated net. Previously routed nets are ripped up.
     void route_all(RouteMode mode);
@@ -195,7 +193,6 @@ private:
     std::vector<NetRoute> routes_;      ///< indexed by net id
     std::vector<int> usage_;            ///< [y][x][type]
     RouteScratch live_scratch_;         ///< staging buffer for live routing
-    long overflow_ = 0;
 };
 
 /// ASCII rendering of one net's route on the device grid (Figure 6 views).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <span>
 
@@ -22,9 +23,12 @@ constexpr double kInitialTemperature = 4.0;
 constexpr double kCooling = 0.92;
 constexpr double kFinalTemperature = 0.05;
 
-/// Bounding box of a net's pins with the number of pins on each edge, so a
-/// move updates it in O(1) unless it empties an edge (Betz & Rose, VPR,
-/// FPL'97).
+/// Relative margin on the bound's acceptance probability; it covers the
+/// sub-ulp error of std::exp, which is not guaranteed monotone.
+constexpr double kExpMargin = 1.0 + 1e-12;
+
+/// Bounding box of a net's pins with the number of pins on each edge (Betz &
+/// Rose, VPR, FPL'97).
 struct NetBox {
     int xmin = std::numeric_limits<int>::max();
     int xmax = std::numeric_limits<int>::min();
@@ -40,14 +44,17 @@ struct NetBox {
         extend(ymin, on_ymin, ymax, on_ymax, pos.y, pins);
     }
 
-    /// Moves `pins` pins from `from` to `to`. False when they leave an edge
-    /// that then holds no pin: the new edge is unknown without a rescan.
-    [[nodiscard]] bool move(const SliceCoord& from, const SliceCoord& to, int pins) {
-        return shift(xmin, on_xmin, xmax, on_xmax, from.x, to.x, pins) &&
-               shift(ymin, on_ymin, ymax, on_ymax, from.y, to.y, pins);
-    }
-
+    [[nodiscard]] bool empty() const { return on_xmin == 0; }
     [[nodiscard]] int hpwl() const { return (xmax - xmin) + (ymax - ymin); }
+
+    /// Lower bound on hpwl() once `pins` of the net's pins move from `from`
+    /// to `to`, while at least one of its pins stays put. Exact unless the
+    /// move empties an edge.
+    [[nodiscard]] int hpwl_after_move_lb(const SliceCoord& from, const SliceCoord& to,
+                                         int pins) const {
+        return extent_lb(xmin, on_xmin, xmax, on_xmax, from.x, to.x, pins) +
+               extent_lb(ymin, on_ymin, ymax, on_ymax, from.y, to.y, pins);
+    }
 
 private:
     static void extend(int& lo, int& on_lo, int& hi, int& on_hi, int v, int pins) {
@@ -65,26 +72,21 @@ private:
         }
     }
 
-    static bool shift(int& lo, int& on_lo, int& hi, int& on_hi, int from, int to,
-                      int pins) {
+    /// One axis of hpwl_after_move_lb. When the pins leave an edge that then
+    /// holds none, the new edge is unknown without a rescan, but a pin that
+    /// stays sits on the opposite edge, so the extent is at least the
+    /// distance from `to` to that edge.
+    static int extent_lb(int lo, int on_lo, int hi, int on_hi, int from, int to,
+                         int pins) {
         if (to < from) {
-            if (to < lo) {
-                lo = to;
-                on_lo = pins;
-            } else if (to == lo) {
-                on_lo += pins;
-            }
-            if (from == hi && (on_hi -= pins) == 0) return false;
-        } else if (to > from) {
-            if (to > hi) {
-                hi = to;
-                on_hi = pins;
-            } else if (to == hi) {
-                on_hi += pins;
-            }
-            if (from == lo && (on_lo -= pins) == 0) return false;
+            if (from == hi && on_hi == pins) return std::abs(to - lo);
+            return hi - std::min(lo, to);
         }
-        return true;
+        if (to > from) {
+            if (from == lo && on_lo == pins) return std::abs(to - hi);
+            return std::max(hi, to) - lo;
+        }
+        return hi - lo;
     }
 };
 
@@ -96,7 +98,10 @@ struct PinGroup {
 
 /// Per-net pin groups and per-slice net lists, precomputed once per anneal.
 /// A slice lists its nets in ascending net id, the order the move cost sums
-/// them in.
+/// them in. A net whose pins all sit on one slice, with no fixed pin, is
+/// listed nowhere: its HPWL is 0 wherever that slice goes, so it would add
+/// +0.0 to both sums of every move of its slice, and the move bound, which
+/// needs a pin that stays put, would not hold for it.
 struct Connectivity {
     std::vector<std::uint32_t> net_begin;  ///< net_count + 1 offsets
     std::vector<PinGroup> net_slices;      ///< slice groups of each net
@@ -110,7 +115,6 @@ struct Connectivity {
         net_begin.reserve(nl.net_count() + 1);
         net_begin.push_back(0);
         fixed.resize(nl.net_count());
-        std::vector<std::uint32_t> degree(design.slice_count(), 0);
         std::vector<std::uint32_t> group_of(design.slice_count(),
                                             std::numeric_limits<std::uint32_t>::max());
         for (std::uint32_t ni = 0; ni < nl.net_count(); ++ni) {
@@ -128,7 +132,6 @@ struct Connectivity {
                     if (g == std::numeric_limits<std::uint32_t>::max()) {
                         g = static_cast<std::uint32_t>(net_slices.size());
                         net_slices.push_back({s.value(), 0});
-                        ++degree[s.value()];
                     }
                     ++net_slices[g].pins;
                 };
@@ -141,15 +144,23 @@ struct Connectivity {
         }
 
         slice_begin.assign(design.slice_count() + 1, 0);
+        for (std::uint32_t ni = 0; ni < nl.net_count(); ++ni)
+            if (listed(ni))
+                for (const PinGroup& g : slices_of(ni)) ++slice_begin[g.id + 1];
         for (std::size_t s = 0; s < design.slice_count(); ++s)
-            slice_begin[s + 1] = slice_begin[s] + degree[s];
-        slice_nets.resize(net_slices.size());
+            slice_begin[s + 1] += slice_begin[s];
+        slice_nets.resize(slice_begin.back());
         std::vector<std::uint32_t> fill(slice_begin.begin(), slice_begin.end() - 1);
         for (std::uint32_t ni = 0; ni < nl.net_count(); ++ni)
-            for (std::uint32_t g = net_begin[ni]; g < net_begin[ni + 1]; ++g)
-                slice_nets[fill[net_slices[g].id]++] = {ni, net_slices[g].pins};
+            if (listed(ni))
+                for (const PinGroup& g : slices_of(ni))
+                    slice_nets[fill[g.id]++] = {ni, g.pins};
     }
 
+    [[nodiscard]] bool listed(std::uint32_t net) const {
+        const std::uint32_t groups = net_begin[net + 1] - net_begin[net];
+        return groups > 1 || (groups == 1 && !fixed[net].empty());
+    }
     [[nodiscard]] std::span<const PinGroup> slices_of(std::uint32_t net) const {
         return {net_slices.data() + net_begin[net], net_slices.data() + net_begin[net + 1]};
     }
@@ -194,9 +205,9 @@ PlacerResult anneal(Placement& placement, const PlacerOptions& options,
         return result;
     }
 
-    // Cached box and weighted HPWL of every net on a slice. A move costs
-    // only the nets of its two slices, and sums their terms exactly as a
-    // full rescan would (first slice's nets, then the other's; a net on both
+    // Cached box and weighted HPWL of every listed net. A move costs only
+    // the nets of its two slices and sums their terms in the order a full
+    // rescan would (first slice's nets, then the other's; a net on both
     // counts twice), so every accept decision is the same.
     const Connectivity conn(placement);
     auto net_box = [&](std::uint32_t net) {
@@ -208,40 +219,34 @@ PlacerResult anneal(Placement& placement, const PlacerOptions& options,
     std::vector<NetBox> box(nl.net_count());
     std::vector<double> cost(nl.net_count(), 0.0);
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
-        if (conn.slices_of(i).empty()) continue;
+        if (!conn.listed(i)) continue;
         box[i] = net_box(i);
         cost[i] = weight[i] * box[i].hpwl();
     }
 
-    // Per-move trial boxes; `slot` maps a net to its trial.
+    // Per-move rescanned boxes, committed when the move is accepted.
     struct Trial {
         std::uint32_t net;
         NetBox box;
         double cost;
     };
     std::vector<Trial> trials;
-    constexpr std::uint32_t kNoTrial = std::numeric_limits<std::uint32_t>::max();
-    constexpr std::uint32_t kOnOther = kNoTrial - 1;
-    std::vector<std::uint32_t> slot(nl.net_count(), kNoTrial);
-    auto stage = [&](std::uint32_t net, const NetBox& b) {
+    auto stage = [&](std::uint32_t net) {
+        const NetBox b = net_box(net);
         const double c = weight[net] * b.hpwl();
-        slot[net] = static_cast<std::uint32_t>(trials.size());
         trials.push_back({net, b, c});
         return c;
-    };
-    // Trial of a net on one swapped slice only: its pins there moved.
-    auto stage_moved = [&](const PinGroup& g, const SliceCoord& from,
-                           const SliceCoord& to) {
-        NetBox b = box[g.id];
-        if (!b.move(from, to, g.pins)) b = net_box(g.id);
-        return stage(g.id, b);
     };
 
     const long moves_per_temp = std::max<long>(
         64, std::lround(options.effort * 8.0 *
                         static_cast<double>(design.slice_count())));
+    long temperature_steps = 0;
+    long moves_evaluated = 0;
+    long moves_bound_rejected = 0;
 
     for (double temp = kInitialTemperature; temp > kFinalTemperature; temp *= kCooling) {
+        ++temperature_steps;
         for (long m = 0; m < moves_per_temp; ++m) {
             ++result.moves_tried;
             // Pick a random slice and a random target site inside its region.
@@ -267,30 +272,56 @@ PlacerResult anneal(Placement& placement, const PlacerOptions& options,
                 !placement.region_of(design.slices()[other.value()].partition)
                      .contains(source.x, source.y))
                 continue;
+            ++moves_evaluated;
             const std::span<const PinGroup> first = conn.nets_of(si);
             const std::span<const PinGroup> second =
                 other.valid() ? conn.nets_of(other.value()) : std::span<const PinGroup>{};
 
+            // Bound pass, read-only: `after_lb` adds, in `after`'s order, a
+            // lower bound on each term. A net on one slice gets its box's
+            // bound; a net on both keeps its cost, since the swap keeps its
+            // set of pin sites (the merge of the sorted lists finds it).
             double before = 0.0;
-            for (const PinGroup& g : first) before += cost[g.id];
-            for (const PinGroup& g : second) before += cost[g.id];
+            double after_lb = 0.0;
+            auto bound = [&](std::span<const PinGroup> nets,
+                             std::span<const PinGroup> others, const SliceCoord& from,
+                             const SliceCoord& to) {
+                auto o = others.begin();
+                for (const PinGroup& g : nets) {
+                    while (o != others.end() && o->id < g.id) ++o;
+                    before += cost[g.id];
+                    after_lb += o != others.end() && o->id == g.id
+                                    ? cost[g.id]
+                                    : weight[g.id] *
+                                          box[g.id].hpwl_after_move_lb(from, to, g.pins);
+                }
+            };
+            bound(first, second, source, target);
+            bound(second, first, target, source);
 
+            // Each bound term is at most its exact term and both sums round
+            // monotonically in the same order, so delta_lb <= delta bit for
+            // bit: a move the bound rejects, the exact cost rejects too, and
+            // `u` is drawn exactly when the exact cost would draw it.
+            const double delta_lb = after_lb - before;
+            const bool drew = delta_lb > 0.0;
+            const double u = drew ? rng.next_double() : 0.0;
+            if (drew && u >= std::exp(-delta_lb / temp) * kExpMargin) {
+                ++moves_bound_rejected;
+                continue;
+            }
+
+            // Full evaluation: swap and rescan every affected net (a net on
+            // both slices twice, as `after` counts it twice).
             placement.swap_sites(source, target);
-
-            // A net on both slices gets a full rescan (its pins moved both
-            // ways) and is staged once but counted twice.
-            for (const PinGroup& g : second) slot[g.id] = kOnOther;
             double after = 0.0;
-            for (const PinGroup& g : first)
-                after += slot[g.id] == kOnOther ? stage(g.id, net_box(g.id))
-                                                : stage_moved(g, source, target);
-            for (const PinGroup& g : second)
-                after += slot[g.id] == kOnOther ? stage_moved(g, target, source)
-                                                : trials[slot[g.id]].cost;
+            for (const PinGroup& g : first) after += stage(g.id);
+            for (const PinGroup& g : second) after += stage(g.id);
 
             const double delta = after - before;
             const bool accept =
-                delta <= 0.0 || rng.next_double() < std::exp(-delta / temp);
+                delta <= 0.0 ||
+                (drew ? u : rng.next_double()) < std::exp(-delta / temp);
             if (accept) {
                 ++result.moves_accepted;
                 for (const Trial& t : trials) {
@@ -300,9 +331,22 @@ PlacerResult anneal(Placement& placement, const PlacerOptions& options,
             } else {
                 placement.swap_sites(source, target);  // undo
             }
-            for (const Trial& t : trials) slot[t.net] = kNoTrial;
             trials.clear();
         }
+    }
+
+    if (options.recorder != nullptr && options.recorder->enabled()) {
+        obs::MetricRegistry& m = options.recorder->metrics();
+        m.add(m.counter("anneal.moves_tried_total"),
+              static_cast<double>(result.moves_tried));
+        m.add(m.counter("anneal.moves_evaluated_total"),
+              static_cast<double>(moves_evaluated));
+        m.add(m.counter("anneal.moves_bound_rejected_total"),
+              static_cast<double>(moves_bound_rejected));
+        m.add(m.counter("anneal.moves_accepted_total"),
+              static_cast<double>(result.moves_accepted));
+        m.add(m.counter("anneal.temperature_steps_total"),
+              static_cast<double>(temperature_steps));
     }
 
     result.final_cost = std::lround(full_cost());

@@ -58,6 +58,16 @@ double RoutedDesign::total_capacitance_pf() const {
     return c;
 }
 
+long RoutedDesign::overflow_count() const {
+    long excess = 0;
+    for (std::size_t i = 0; i < usage_.size(); ++i) {
+        const int cap =
+            capacity_.of(static_cast<WireType>(i % fabric::kWireTypeCount));
+        excess += std::max(0, usage_[i] - cap);
+    }
+    return excess;
+}
+
 std::size_t RoutedDesign::usage_index(int x, int y, WireType t) const {
     const auto cols = placement_->device().cols();
     return (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
@@ -103,7 +113,6 @@ void RoutedDesign::occupy_scratch(const RouteSegment& seg, RouteScratch& scratch
 
 void RoutedDesign::commit_scratch(RouteScratch& scratch) {
     for (const std::size_t idx : scratch.touched_) usage_[idx] += scratch.delta_[idx];
-    overflow_ += scratch.overflow_;
     scratch.clear();
 }
 
@@ -152,12 +161,12 @@ void RoutedDesign::route_axis(int fixed, int begin, int end, bool horizontal,
         }
         if (!found) {
             // All fitting channels are full: take the mode's smallest wire
-            // anyway and record the overflow (Pathfinder would negotiate;
-            // a counted overflow keeps the model honest about congestion).
+            // anyway, one past its capacity (Pathfinder would negotiate;
+            // overflow_count() reports the excess, which keeps the model
+            // honest about congestion).
             const WireType t = WireType::Direct;
             chosen = RouteSegment{t, horizontal ? pos : fixed,
                                   horizontal ? fixed : pos, horizontal, step};
-            ++scratch.overflow_;
         }
         occupy_scratch(chosen, scratch);
         emit(chosen);
@@ -259,7 +268,6 @@ void RoutedDesign::route_net(NetId net, RouteMode mode) {
 void RoutedDesign::route_all(RouteMode mode) {
     for (std::uint32_t i = 0; i < routes_.size(); ++i)
         if (routes_[i].routed) rip_up(NetId{i});
-    overflow_ = 0;
     // Route short nets first so they keep the cheap wires; long nets can
     // better amortize hex/long segments.
     std::vector<std::uint32_t> order(routes_.size());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -276,6 +277,54 @@ TEST(Router, ReRouteReleasesChannels) {
             if (!r.placement.dedicated_net(NetId{i}))
                 routed.reroute_net(NetId{i}, RouteMode::Performance);
     EXPECT_NEAR(routed.total_capacitance_pf(), before, before * 0.1);
+}
+
+/// Channel overflow recounted from the routes' segments: each segment
+/// occupies its tiles up to the die edge, and every wire a (tile, type)
+/// holds beyond its capacity counts once.
+long recount_overflow(const RoutedDesign& routed, const ChannelCapacity& capacity) {
+    const Device& dev = routed.placement().device();
+    std::vector<int> usage(static_cast<std::size_t>(dev.cols()) * dev.rows() *
+                               fabric::kWireTypeCount,
+                           0);
+    for (std::uint32_t ni = 0; ni < routed.placement().nl().net_count(); ++ni)
+        for (const SinkRoute& sink : routed.route(NetId{ni}).sinks)
+            for (const RouteSegment& seg : sink.segments) {
+                int x = seg.x;
+                int y = seg.y;
+                for (int i = 0; i < fabric::wire_params(seg.type).span; ++i) {
+                    if (x < 0 || x >= dev.cols() || y < 0 || y >= dev.rows()) break;
+                    ++usage[(static_cast<std::size_t>(y) * dev.cols() + x) *
+                                fabric::kWireTypeCount +
+                            static_cast<std::size_t>(seg.type)];
+                    (seg.horizontal ? x : y) += seg.step;
+                }
+            }
+    long excess = 0;
+    for (std::size_t i = 0; i < usage.size(); ++i)
+        excess += std::max(
+            0, usage[i] - capacity.of(static_cast<fabric::WireType>(
+                              i % fabric::kWireTypeCount)));
+    return excess;
+}
+
+TEST(Router, OverflowCountIsLiveAcrossReroutes) {
+    Routed r(16);
+    const ChannelCapacity saturated{1, 1, 1, 1};
+    RoutedDesign routed(r.placement, saturated);
+    routed.route_all(RouteMode::Performance);
+    const long after_route_all = routed.overflow_count();
+    EXPECT_GT(after_route_all, 0);
+    EXPECT_EQ(after_route_all, recount_overflow(routed, saturated));
+
+    for (std::uint32_t i = 0; i < r.p.d.nl.net_count(); ++i)
+        routed.reroute_net(NetId{i}, RouteMode::LowPower);
+    EXPECT_GT(routed.overflow_count(), 0);
+    EXPECT_EQ(routed.overflow_count(), recount_overflow(routed, saturated));
+
+    for (std::uint32_t i = 0; i < r.p.d.nl.net_count(); ++i)
+        routed.unroute_net(NetId{i});
+    EXPECT_EQ(routed.overflow_count(), 0);
 }
 
 TEST(Router, RenderRouteShowsDriver) {

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "refpga/app/activity.hpp"
 #include "refpga/app/system.hpp"
 #include "refpga/common/contracts.hpp"
 #include "refpga/netlist/builder.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
 #include "refpga/par/placer.hpp"
@@ -166,6 +168,121 @@ TEST(AnnealDiff, MatchesReferenceWhenCrossPartitionSwapsAreRejected) {
         if (p.packed.slices()[i].partition == sys.static_part) continue;
         const auto pos = lib.slice_pos(SliceId{i});
         EXPECT_TRUE(right.contains(pos.x, pos.y)) << "slice " << i;
+    }
+}
+
+TEST(AnnealDiff, BoundDecidesMostMoves) {
+    // Most moves are rejected by the bound pass alone, yet every decision
+    // matches the oracle's exact costing; the moves it cannot reject are
+    // evaluated in full, and only some of those are accepted.
+    const app::SystemNetlist sys = hardware_core();
+    const Placed p(sys.nl, PartName::XC3S400);
+    obs::Recorder recorder;
+    PlacerOptions options;
+    options.seed = 2008;
+    options.effort = kCoreEffort;
+    options.recorder = &recorder;
+    expect_anneal_matches(p, options);
+
+    const obs::MetricRegistry& m = recorder.metrics();
+    const double tried = m.value("anneal.moves_tried_total");
+    const double evaluated = m.value("anneal.moves_evaluated_total");
+    const double bound_rejected = m.value("anneal.moves_bound_rejected_total");
+    const double accepted = m.value("anneal.moves_accepted_total");
+    const double steps = m.value("anneal.temperature_steps_total");
+    EXPECT_LE(evaluated, tried);
+    EXPECT_GE(bound_rejected, 0.9 * tried);
+    EXPECT_GT(evaluated - bound_rejected, accepted);  // full evaluations
+    EXPECT_GT(accepted, 0.0);
+    ASSERT_GT(steps, 0.0);
+    EXPECT_EQ(std::fmod(tried, steps), 0.0);  // the same moves at every step
+
+    // A recorder changes nothing, and its counts are the PlacerResult's.
+    Placement with = p.placement;
+    Placement without = p.placement;
+    const PlacerResult a = anneal(with, options);
+    options.recorder = nullptr;
+    const PlacerResult b = anneal(without, options);
+    EXPECT_TRUE(a == b);
+    EXPECT_EQ(tried, static_cast<double>(a.moves_tried));
+    EXPECT_EQ(accepted, static_cast<double>(a.moves_accepted));
+    for (std::uint32_t i = 0; i < p.packed.slice_count(); ++i)
+        ASSERT_EQ(with.slice_pos(SliceId{i}), without.slice_pos(SliceId{i})) << i;
+}
+
+TEST(AnnealDiff, MatchesReferenceOnSingleSliceAndSharedNets) {
+    // The nets the bound pass treats apart, in a region small enough that
+    // most moves swap two occupied sites:
+    //  - LUT->FF nets inside one slice, with no fixed pin: the move lists
+    //    leave them out;
+    //  - one LUT->FF net inside one slice that also drives an output pad:
+    //    its HPWL moves with its slice, so it must stay listed;
+    //  - slices `x` and `y` joined by four nets, two on those slices alone
+    //    and two from input pads that also reach other slices: swapping x
+    //    and y keeps each such net's pin sites;
+    //  - a net with 64 sinks over 32 slices.
+    Netlist nl;
+    const NetId clk = nl.add_input_port("clk", 1)[0];
+    Builder b(nl, clk);
+    const Bus a = nl.add_input_port("a", 8);
+
+    // x = {x0, x1}, y = {y0, y1}: the first two slices packed.
+    const NetId x0 = b.and_(a[0], a[1]);
+    const NetId x1 = b.xor_(a[2], a[3]);
+    const NetId y0 = b.lut(0xE8, {x0, x1, a[0]});
+    const NetId y1 = b.lut(0x96, {x0, x1, a[2]});
+    const NetId y1_out = b.ff(b.or_(y1, a[7]));
+
+    // LUT->FF pairs: each D net stays inside its slice.
+    Bus regs;
+    for (int i = 0; i < 8; ++i) regs.push_back(b.ff(b.xor_(a[i], a[(i + 3) % 8])));
+
+    // An unpaired LUT and FF share a slice, and the LUT also drives a pad.
+    const NetId padded = b.and_(regs[0], regs[1]);
+    const NetId padded_q = b.ff(padded);
+    nl.add_output_port("padded", Bus{padded});
+
+    // A 64-sink net, reduced by an XOR tree into a register.
+    const NetId hub = b.or_(y0, padded_q);
+    Bus level;
+    for (int i = 0; i < 64; ++i) level.push_back(b.xor_(hub, regs[i % 8]));
+    while (level.size() > 1) {
+        Bus next;
+        for (std::size_t i = 0; i + 1 < level.size(); i += 2)
+            next.push_back(b.xor_(level[i], level[i + 1]));
+        level = next;
+    }
+    nl.add_output_port("q", Bus{b.ff(level[0]), y1_out});
+
+    const Region region{2, 7, 3, 8};
+    const Placed p(nl, PartName::XC3S200, [&](Placement& placement) {
+        placement.constrain(netlist::PartitionId{0}, region);
+    });
+    const PackedDesign& packed = p.packed;
+    const SliceId x = packed.slice_of(nl.net(x0).driver.cell);
+    const SliceId y = packed.slice_of(nl.net(y0).driver.cell);
+    ASSERT_EQ(packed.slice_of(nl.net(x1).driver.cell), x);
+    ASSERT_EQ(packed.slice_of(nl.net(y1).driver.cell), y);
+    ASSERT_NE(x, y);
+    for (const NetId q : regs) {
+        const CellId ff = nl.net(q).driver.cell;
+        const NetId d = nl.cell(ff).inputs[0];
+        ASSERT_EQ(nl.net(d).fanout(), 1u);
+        ASSERT_EQ(packed.slice_of(nl.net(d).driver.cell), packed.slice_of(ff));
+    }
+    const CellId padded_ff = nl.net(padded_q).driver.cell;
+    ASSERT_EQ(packed.slice_of(nl.net(padded).driver.cell), packed.slice_of(padded_ff));
+    ASSERT_EQ(nl.net(padded).fanout(), 2u);
+    ASSERT_EQ(nl.net(hub).fanout(), 64u);
+    // Most of the region's sites are taken.
+    ASSERT_GT(2 * packed.slice_count(), static_cast<std::size_t>(region.slice_capacity()));
+
+    for (const std::uint64_t seed : {3u, 2008u}) {
+        SCOPED_TRACE(seed);
+        PlacerOptions options;
+        options.seed = seed;
+        options.effort = 2.0;
+        expect_anneal_matches(p, options);
     }
 }
 
