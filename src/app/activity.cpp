@@ -14,6 +14,7 @@ sim::ActivityMap system_activity(const netlist::Netlist& nl, double clock_hz,
                                  const ActivityOptions& opts) {
     REFPGA_EXPECTS(clock_hz > 0.0 && opts.cycles > 0);
     sim::EventSimulator engine(nl);
+    engine.set_recorder(opts.recorder);
     for (const char* held : {"tick_16mhz", "adc_valid"})
         if (nl.find_port(held) != nullptr) engine.set_input(held, 1);
 

@@ -13,6 +13,7 @@
 #include <ostream>
 
 #include "refpga/netlist/netlist.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/sim/activity.hpp"
 
 namespace refpga::app {
@@ -23,6 +24,11 @@ struct ActivityOptions {
     /// VCD (1 ps timescale, first sample at t = 0 when the counting window
     /// opens, one sample per clock period). Non-owning.
     std::ostream* vcd = nullptr;
+    /// Observability sink (refpga::obs), attached to the engine with
+    /// EventSimulator::set_recorder: the run adds its settles to
+    /// sim.{ticks,dense_ticks,evaluations}_total. The activity is identical
+    /// whether or not a recorder is attached. Non-owning.
+    obs::Recorder* recorder = nullptr;
 };
 
 /// Stimulates `nl` for `opts.cycles` clock cycles with the deterministic

@@ -1,10 +1,12 @@
 // Common interface over the simulation engines.
 //
 // The library simulates with `EventSimulator`, the levelized event-driven
-// engine that only evaluates cells downstream of nets that actually changed.
-// The levelized full-sweep cycle engine (`Simulator`) is kept as the
-// reference semantics in the test-support library (`refpga::oracles`), which
-// only tests and parity benches link. Both implement this interface, through
+// engine: it evaluates only cells downstream of nets that actually changed,
+// and settles a tick on which much of the fabric changes with one
+// level-order sweep instead (event_sim.hpp). The levelized full-sweep cycle
+// engine (`Simulator`) is kept as the reference semantics in the
+// test-support library (`refpga::oracles`), which only tests and parity
+// benches link. Both implement this interface, through
 // which `VcdWriter`, `activity_from_simulation`, `power::estimate_power` and
 // the differential tests drive either engine, and they are contractually
 // bit-identical: same per-net toggle counts, same final net/BRAM state,

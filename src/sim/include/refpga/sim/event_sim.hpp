@@ -1,43 +1,53 @@
 // Levelized event-driven simulator (the library's simulation engine).
 //
-// Where the reference cycle engine re-evaluates every combinational cell on
-// every settle, this engine keeps per-level pending queues and only evaluates
-// cells downstream of nets whose value actually changed. On realistic
-// designs — where a small fraction of the fabric toggles per cycle (the
-// clock-gated measurement datapath of the paper is the motivating case) —
-// this is an order of magnitude cheaper while remaining bit-identical to the
-// reference `Simulator` of the test-support library (see engine.hpp for the
-// contract, tests/test_sim_diff.cpp for the differential harness that
-// enforces it).
+// Bit-identical to the reference `Simulator` of the test-support library
+// (see engine.hpp for the contract, tests/test_sim_diff.cpp for the
+// differential harness that enforces it), with two ways to settle a tick:
 //
-// How parity is maintained:
-//  - Net state is a packed bit vector; a cell is (re)scheduled only when one
-//    of its input nets flips, into the queue of its precomputed level
-//    (netlist::SimGraph). Levels are drained in ascending order and every
-//    consumer sits at a strictly higher level than its driver, so each dirty
-//    cell evaluates at most once per settle — exactly the transitions the
-//    full sweep would produce, hence identical toggle counts.
-//  - Sequential cells are edge-scheduled: a FF/BRAM is "armed" when any data
-//    input changes (or its BRAM contents are poked externally), evaluated on
-//    the next matching clock edge, and skipped otherwise. A skipped FF
-//    necessarily has D == Q (nothing changed since it last latched), and a
-//    skipped BRAM's write would be idempotent, so skipping is unobservable.
-//  - All sequential cells start armed so the first edge after reset latches
-//    everything, like the cycle engine's first tick.
+//  - The event drain, for sparse ticks and every set_input. A cell is
+//    (re)scheduled only when one of its input nets flips, into the queue of
+//    its precomputed level (netlist::SimGraph). Levels are drained in
+//    ascending order and every consumer sits at a strictly higher level than
+//    its driver, so each dirty cell evaluates at most once per settle —
+//    exactly the transitions the full sweep would produce, hence identical
+//    toggle counts. Sequential cells are edge-scheduled: a FF/BRAM is
+//    "armed" when any data input changes (or its BRAM contents are poked
+//    externally), evaluated on the next matching clock edge, and skipped
+//    otherwise. A skipped FF necessarily has D == Q (nothing changed since
+//    it last latched), and a skipped BRAM's write would be idempotent, so
+//    skipping is unobservable. All sequential cells start armed so the first
+//    edge after reset latches everything, like the cycle engine's first tick.
+//  - The level-order sweep, for dense ticks: every FF and BRAM on the ticked
+//    clock is evaluated, their outputs are committed, and every
+//    combinational cell is evaluated once in SimGraph level order — the
+//    reference engine's tick, applied to settled state. Each write adds
+//    (old ^ new) to the net's toggle count and appends the net to
+//    changed_nets() at an index that advances by the same bit, so neither
+//    the count nor the compaction branches on whether the net flipped. A
+//    sweep schedules nothing, so afterwards every sequential cell is left
+//    armed.
 //
-// LUTs, most of the evaluations, are read from flat per-cell records built
-// at construction (truth table, four input net indices, output net) instead
-// of through netlist::Cell and its heap vectors; an unused or unconnected
-// pin reads a sentinel bit past the last net that is always 0. MULT18s, FFs
-// and BRAMs read their Cell.
+// Before each tick the engine picks the path from the previous tick's
+// changed-net count against its combinational cell count (kDenseDivisor in
+// event_sim.cpp, derived from the two paths' measured costs); no option
+// selects it.
+//
+// Net values are one byte per net. Both paths read one array of
+// combinational records in level order (truth table, four input nets and
+// the output net of a LUT; a MULT18 is evaluated through its Cell), flat FF
+// and BRAM records, and one commit helper. An unused or unconnected pin
+// reads a sentinel net past the last one that always reads 0; an FF without
+// a clock enable reads a second sentinel that always reads 1.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "refpga/netlist/netlist.hpp"
 #include "refpga/netlist/simgraph.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/sim/engine.hpp"
 
 namespace refpga::sim {
@@ -74,52 +84,88 @@ public:
     void set_bram_word(netlist::CellId bram, std::size_t addr,
                        std::uint32_t value) override;
 
-private:
-    [[nodiscard]] bool bit(std::uint32_t net) const {
-        return ((words_[net >> 6] >> (net & 63)) & 1) != 0;
-    }
-    void set_net(std::uint32_t net, bool value);
-    void schedule(std::uint32_t cell);
-    void eval_cell(std::uint32_t cell_index);
-    void eval_mult(const netlist::Cell& c);
-    void drain_levels();
-    [[nodiscard]] bool in_value(const netlist::Cell& c, std::size_t pin) const;
-    [[nodiscard]] std::uint64_t bus_in(const netlist::Cell& c, std::size_t first,
-                                       std::size_t count) const;
+    /// Attach (or detach with nullptr) an observability recorder. Registers
+    /// sim.{ticks,dense_ticks,evaluations}_total; each settle adds to them
+    /// once, after it finishes, never per cell (evaluations counts
+    /// combinational cell evaluations; a set_input settle adds only those).
+    /// Simulation results are identical whether or not a recorder is
+    /// attached. Non-owning; the recorder must outlive the engine or be
+    /// detached first.
+    void set_recorder(obs::Recorder* recorder);
 
-    /// A combinational cell as eval_cell reads it. For a LUT: truth table,
-    /// input net indices (unused pins: the sentinel net) and output net.
+private:
+    /// A combinational cell, stored at its position in SimGraph level order.
+    /// A LUT: input nets (unused pins: the zero sentinel), output net and
+    /// truth table. A MULT18: `out` holds its cell index.
     struct CombRecord {
         std::uint32_t in[4];
         std::uint32_t out;
         std::uint16_t mask;
-        bool lut;  ///< false: evaluate through the Cell (MULT18)
+        bool lut;
     };
+    struct FfRecord {
+        std::uint32_t d;
+        std::uint32_t ce;  ///< the one sentinel when the FF has no enable
+        std::uint32_t q;
+        std::uint32_t cell;
+        netlist::NetId clock;
+    };
+    /// A BRAM port; its nets sit at bram_nets_[first...]: the inputs
+    /// (address, then write enable and write data when writable), then the
+    /// data_bits read-data outputs.
+    struct BramRecord {
+        std::uint32_t cell;
+        std::uint32_t first;
+        std::uint32_t inputs;
+        std::uint32_t state;  ///< index into bram_state_ (the cell's bram_index)
+        std::uint16_t addr_bits;
+        std::uint16_t data_bits;
+        bool writable;
+        netlist::NetId clock;
+    };
+    /// A sequential output the edge computed, waiting for commit.
+    struct NetWrite {
+        std::uint32_t net;
+        std::uint8_t value;
+    };
+
+    template <typename Write>
+    void eval(const CombRecord& r, Write& write);
+    template <typename Write>
+    void commit(std::span<const NetWrite> writes, Write& write);
+    std::span<const NetWrite> evaluate_sequential(netlist::NetId clock, bool every);
+    [[nodiscard]] std::uint64_t bus(const std::uint32_t* nets, std::size_t count) const;
+    [[nodiscard]] std::int64_t mult_product(const netlist::Cell& c) const;
+    void set_net(std::uint32_t net, std::uint8_t value);
+    void schedule(std::uint32_t cell);
+    std::size_t drain_levels();
+    std::size_t sweep_levels(std::span<const NetWrite> edge);
+    void record(bool tick, bool dense, std::size_t evaluations);
 
     const netlist::Netlist& nl_;
     netlist::SimGraph graph_;
-    std::vector<CombRecord> comb_;             ///< per cell; LUT fields for LUTs
-    std::vector<std::uint64_t> words_;         ///< packed net values + the sentinel bit
-    std::vector<std::vector<std::uint32_t>> level_queue_;  ///< pending comb cells
-    std::vector<std::uint8_t> in_queue_;       ///< per-cell: already scheduled
-    std::vector<std::uint8_t> seq_armed_;      ///< per-cell: data input changed
-    std::vector<std::vector<std::uint32_t>> bram_state_;   ///< per BRAM cell contents
+    std::vector<CombRecord> comb_;             ///< by position in level order
+    std::vector<std::uint32_t> position_;      ///< per cell: its comb_ position
+    std::vector<FfRecord> ffs_;
+    std::vector<BramRecord> brams_;
+    std::vector<std::uint32_t> bram_nets_;
+    std::vector<std::uint8_t> values_;         ///< per net, then the 0 and 1 sentinels
+    std::vector<std::vector<std::uint32_t>> level_queue_;  ///< pending positions
+    std::vector<std::uint8_t> queued_;         ///< per position: already scheduled
+    std::vector<std::uint8_t> seq_armed_;      ///< per cell: data input changed
+    std::vector<std::vector<std::uint32_t>> bram_state_;   ///< by BramRecord::state
     std::vector<std::int64_t> toggles_;
     std::vector<netlist::NetId> changed_;
+    std::vector<netlist::NetId> swept_;        ///< sweep's changed list, net_count slots
+    std::vector<NetWrite> commits_;            ///< a slot per sequential output
+    std::size_t last_tick_changed_ = 0;
     netlist::NetId default_clock_;
     std::int64_t cycles_ = 0;
 
-    // Per-tick scratch, members to avoid reallocation on the hot path.
-    struct FfUpdate {
-        std::uint32_t q_net;
-        bool q;
-    };
-    struct BramUpdate {
-        std::uint32_t cell;
-        std::uint32_t read_word;
-    };
-    std::vector<FfUpdate> ff_scratch_;
-    std::vector<BramUpdate> bram_scratch_;
+    obs::Recorder* recorder_ = nullptr;
+    obs::MetricId ticks_metric_;
+    obs::MetricId dense_ticks_metric_;
+    obs::MetricId evaluations_metric_;
 };
 
 }  // namespace refpga::sim

@@ -11,6 +11,7 @@
 #include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/builder.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/sim/event_sim.hpp"
 #include "refpga/sim/vcd.hpp"
 
@@ -129,6 +130,25 @@ TEST(SystemActivity, VcdSinkParsesBackToBitEqualActivity) {
     for (std::uint32_t i = 0; i < sys.nl.net_count(); ++i)
         if (activity.rate_hz(NetId{i}) > 0.0) ++active;
     EXPECT_GT(active, sys.nl.net_count() / 10);
+}
+
+TEST(SystemActivity, RecorderCountsEverySettleAndOnlyObserves) {
+    // ActivityOptions::recorder reaches the engine: one tick per cycle, the
+    // Table-2 system's ticks mostly settled by the level-order sweep, and
+    // the same activity as a run without a recorder.
+    const SystemNetlist sys = build_system_netlist({});
+    constexpr int kCycles = 32;
+    obs::Recorder recorder;
+    const sim::ActivityMap observed =
+        system_activity(sys.nl, 50e6, {.cycles = kCycles, .recorder = &recorder});
+    const obs::MetricRegistry& m = recorder.metrics();
+    EXPECT_EQ(m.value("sim.ticks_total"), kCycles);
+    EXPECT_GT(m.value("sim.dense_ticks_total"), kCycles / 2);
+    EXPECT_LE(m.value("sim.dense_ticks_total"), kCycles);
+    EXPECT_GT(m.value("sim.evaluations_total"), 0.0);
+
+    const sim::ActivityMap plain = system_activity(sys.nl, 50e6, {.cycles = kCycles});
+    EXPECT_TRUE(differing_nets(sys.nl, plain, observed).empty());
 }
 
 }  // namespace

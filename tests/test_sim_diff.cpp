@@ -12,11 +12,13 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/builder.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/sim/activity.hpp"
 #include "refpga/sim/event_sim.hpp"
 #include "refpga/sim/random_netlist.hpp"
@@ -206,6 +208,197 @@ TEST(EngineParity, FullSystemNetlistUnderSystemActivityStimulus) {
     EXPECT_GT(std::count_if(toggles.begin(), toggles.end(),
                             [](std::int64_t n) { return n > 0; }),
               1000);
+}
+
+// ------------------------------------------- settle paths and explicit clocks
+
+/// Both engines in lockstep for schedules run_pair cannot express
+/// (explicit clocks, stretches of chosen density). After every tick
+/// the toggles, net and BRAM state, changed-net set and VCD bytes so far
+/// must equal the reference's; the event engine's recorder tells which
+/// settle path each tick took.
+class Lockstep {
+public:
+    explicit Lockstep(const netlist::Netlist& nl, std::uint64_t seed)
+        : nl_(nl),
+          seed_(seed),
+          ref_(nl),
+          fast_(nl),
+          ref_writer_(ref_vcd_, ref_, all_nets(nl)),
+          fast_writer_(fast_vcd_, fast_, all_nets(nl)) {
+        fast_.set_recorder(&recorder_);
+        ref_writer_.sample(1);
+        fast_writer_.sample(1);
+    }
+
+    void set_input(const std::string& port, std::uint64_t value) {
+        ref_.set_input(port, value);
+        fast_.set_input(port, value);
+        EXPECT_EQ(sorted_changed(ref_), sorted_changed(fast_))
+            << "changed-net set diverged on set_input " << port << ", seed " << seed_;
+    }
+
+    void set_bram_word(CellId bram, std::size_t addr, std::uint32_t word) {
+        ref_.set_bram_word(bram, addr, word);
+        fast_.set_bram_word(bram, addr, word);
+    }
+
+    /// Ticks `clock` on both engines and checks them; returns whether the
+    /// event engine settled the tick with the level-order sweep.
+    bool tick(NetId clock = NetId{}) {
+        const double dense_before = dense_ticks();
+        ref_.tick(clock);
+        fast_.tick(clock);
+        ++ticks_;
+        EXPECT_EQ(sorted_changed(ref_), sorted_changed(fast_))
+            << "changed-net set diverged on tick " << ticks_ << ", seed " << seed_;
+        ref_writer_.sample(1 + ticks_ * 1000);
+        fast_writer_.sample(1 + ticks_ * 1000);
+        EXPECT_EQ(ref_vcd_.str(), fast_vcd_.str())
+            << "VCD bytes diverged on tick " << ticks_ << ", seed " << seed_;
+        expect_equivalent(nl_, ref_, fast_, seed_);
+        return dense_ticks() > dense_before;
+    }
+
+    [[nodiscard]] double dense_ticks() const {
+        return recorder_.metrics().value("sim.dense_ticks_total");
+    }
+    [[nodiscard]] const obs::MetricRegistry& metrics() const { return recorder_.metrics(); }
+
+private:
+    const netlist::Netlist& nl_;
+    std::uint64_t seed_;
+    obs::Recorder recorder_;
+    Simulator ref_;
+    EventSimulator fast_;
+    std::ostringstream ref_vcd_, fast_vcd_;
+    VcdWriter ref_writer_;
+    VcdWriter fast_writer_;
+    std::int64_t ticks_ = 0;
+};
+
+/// Two clock domains over shared logic: CE'd 8-bit banks on clk_a and
+/// clk_b whose next states both read one shared cone of both banks, clk_a's
+/// 4-bit counter and a writable 16 x 8 BRAM on clk_a (addressed from clk_b's
+/// bank, written with bank A ^ stim). `run` enables the banks, clk_a's
+/// counter and the RAM's writes; clk_b's 4-bit counter runs free and reaches
+/// only the probe, so run = 0 under a held stim leaves a trickle of
+/// activity. Ports: clk_a, clk_b, stim (8), run (1), probe (8).
+netlist::Netlist two_clock_netlist() {
+    using netlist::Builder;
+    using netlist::Bus;
+    netlist::Netlist nl;
+    const NetId clk_a = nl.add_input_port("clk_a", 1)[0];
+    const NetId clk_b = nl.add_input_port("clk_b", 1)[0];
+    const Bus stim = nl.add_input_port("stim", 8);
+    const NetId run = nl.add_input_port("run", 1)[0];
+    Builder a(nl, clk_a);
+    Builder b(nl, clk_b);
+    const Bus count_a = a.counter(4, run, "count_a");
+    const Bus count_b = b.counter(4, NetId{}, "count_b");
+
+    Bus shared;
+    (void)a.feedback_reg(
+        8,
+        [&](const Bus& qa) {
+            const Bus qb_out = b.feedback_reg(
+                8,
+                [&](const Bus& qb) {
+                    netlist::BramConfig cfg;
+                    cfg.addr_bits = 4;
+                    cfg.data_bits = 8;
+                    cfg.writable = true;
+                    cfg.init.resize(cfg.depth());
+                    for (std::size_t i = 0; i < cfg.init.size(); ++i)
+                        cfg.init[i] = static_cast<std::uint32_t>(i * 37 + 11) & 0xFF;
+                    const Bus ram = nl.add_bram(cfg, Builder::slice(qb, 0, 4), clk_a,
+                                                a.and_(run, stim[7]),
+                                                a.xor_bus(qa, stim), "ram");
+                    const Bus counts = Builder::concat(count_a, Builder::slice(qb, 4, 4));
+                    shared = a.add(a.xor_bus(qa, qb), a.xor_bus(ram, counts));
+                    return b.add(qb, b.xor_bus(shared, stim));
+                },
+                run, "bank_b");
+            return a.xor_bus(a.add(qa, shared), qb_out);
+        },
+        run, "bank_a");
+    nl.add_output_port("probe",
+                       a.xor_bus(shared, a.zero_extend(count_b, 8)));
+    return nl;
+}
+
+TEST(SettlePaths, TwoClocksAlternateThroughDenseAndSparseStretches) {
+    // tick(clk_a) and tick(clk_b) alternate. A dense tick may evaluate only
+    // its own clock's sequential cells and must leave the other clock's
+    // armed (DESIGN §8); stretches of fresh stimulus with run = 1 and of
+    // held stimulus with run = 0 take both settle paths on both clocks.
+    const netlist::Netlist nl = two_clock_netlist();
+    const NetId clk_a = nl.find_port("clk_a")->nets[0];
+    const NetId clk_b = nl.find_port("clk_b")->nets[0];
+    const CellId ram = writable_brams(nl).at(0);
+    Lockstep sims(nl, 2);
+    Rng stim(2);
+    int dense[2] = {0, 0};
+    int sparse[2] = {0, 0};
+    for (int stretch = 0; stretch < 8; ++stretch) {
+        const bool busy = stretch % 2 == 0;
+        sims.set_input("run", busy ? 1 : 0);
+        for (int t = 0; t < 24; ++t) {
+            if (busy) sims.set_input("stim", stim.next_below(256));
+            if (!busy && t == 11)
+                sims.set_bram_word(ram, stim.next_below(16), stim.next_below(256));
+            const int which = t % 2;
+            if (sims.tick(which == 0 ? clk_a : clk_b))
+                ++dense[which];
+            else
+                ++sparse[which];
+            if (::testing::Test::HasFailure()) return;
+        }
+    }
+    for (int which = 0; which < 2; ++which) {
+        EXPECT_GT(dense[which], 0) << "clock " << which;
+        EXPECT_GT(sparse[which], 0) << "clock " << which;
+    }
+}
+
+TEST(SettlePaths, BurstsAndIdleStretchesTakeBothPaths) {
+    // Bursts of fresh stimulus separated by idle stretches with BRAM pokes,
+    // on netlists without free-running counters so that idle really is
+    // quiet: each run must go dense -> sparse -> dense at least once.
+    RandomNetlistOptions opts;
+    opts.luts = 96;
+    opts.ffs = 24;
+    opts.with_feedback = false;
+    for (std::uint64_t seed = 500; seed < 508; ++seed) {
+        const netlist::Netlist nl = random_netlist(seed, opts);
+        const std::vector<CellId> brams = writable_brams(nl);
+        ASSERT_FALSE(brams.empty());
+        Lockstep sims(nl, seed);
+        Rng stim(seed);
+        const auto mask = (std::uint64_t{1} << nl.find_port("stim")->nets.size()) - 1;
+        std::string path;  // one letter per tick: D dense, s sparse
+        for (int t = 0; t < 120; ++t) {
+            const bool burst = t % 40 < 12;
+            if (burst) sims.set_input("stim", stim.next_u64() & mask);
+            if (!burst && stim.next_below(6) == 0) {
+                const CellId bram = brams[stim.next_below(
+                    static_cast<std::uint32_t>(brams.size()))];
+                const auto& cfg = nl.bram_config(nl.cell(bram));
+                sims.set_bram_word(
+                    bram, stim.next_below(static_cast<std::uint32_t>(cfg.depth())),
+                    static_cast<std::uint32_t>(stim.next_u64()) &
+                        ((1u << cfg.data_bits) - 1));
+            }
+            path += sims.tick() ? 'D' : 's';
+            if (::testing::Test::HasFailure()) return;
+        }
+        const obs::MetricRegistry& m = sims.metrics();
+        EXPECT_EQ(m.value("sim.ticks_total"), 120.0);
+        EXPECT_GT(m.value("sim.dense_ticks_total"), 0.0) << "seed " << seed;
+        EXPECT_LT(m.value("sim.dense_ticks_total"), 120.0) << "seed " << seed;
+        EXPECT_NE(path.find('D', path.find('s', path.find('D'))), std::string::npos)
+            << "no dense -> sparse -> dense transition, seed " << seed << ": " << path;
+    }
 }
 
 // -------------------------------------------------- golden activity (§4.3)
