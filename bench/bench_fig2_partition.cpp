@@ -27,8 +27,10 @@ void print_partition_report() {
               << "\n";
 
     std::size_t macro_cells = 0;
-    for (const auto& cell : sys.nl.cells())
-        if (cell.name.find(reconfig::kBusMacroTag) != std::string::npos) ++macro_cells;
+    for (std::uint32_t i = 0; i < sys.nl.cell_count(); ++i)
+        if (sys.nl.name(netlist::CellId{i}).find(reconfig::kBusMacroTag) !=
+            std::string::npos)
+            ++macro_cells;
     std::cout << "bus macro buffer LUTs: " << macro_cells << " ("
               << macro_cells / 2 << " boundary signals)\n";
 }

@@ -8,8 +8,10 @@
 //   disabled — recorder attached but disabled (what every production build
 //              pays for having the hooks compiled in);
 //   enabled  — recorder attached and recording (the actual cost of metrics).
-// Each configuration is timed best-of-N with a fresh front end per rep, so
-// scheduler noise shrinks the spread instead of inflating one side.
+// Each row is timed as its fastest of several rounds that alternate the
+// three configurations (one pass each per round, every pass on a fresh front
+// end, as bench_frontend_stream times its rows), so a slow phase of a shared
+// host falls on every row alike instead of on one side of the gate.
 //
 // The gate (full mode only; smoke workloads are too small to time reliably
 // on loaded CI machines): disabled throughput must stay within 2% of bare.
@@ -69,39 +71,42 @@ struct Config {
     std::int64_t pcm_checksum = 0;  ///< must match across configurations
 };
 
-void time_config(Config& cfg, const std::vector<std::uint8_t>& drive,
-                 std::size_t pcm_pairs, int reps) {
+/// One pass of the drive through a fresh front end with `cfg`'s recorder;
+/// returns its wall time and leaves the PCM in `out`.
+double stream_once(const Config& cfg, const std::vector<std::uint8_t>& drive,
+                   analog::SampleBlock& out) {
+    analog::FrontEnd frontend = make_frontend();
+    if (cfg.recorder != nullptr) frontend.set_recorder(cfg.recorder);
+    out.clear_pcm();
+    out.reserve_pcm(drive.size() / 5);
+    const double t0 = now_ms();
+    for (std::size_t at = 0; at < drive.size();) {
+        const std::size_t n = std::min<std::size_t>(kBlockTicks, drive.size() - at);
+        frontend.run_block_ds({drive.data() + at, n}, out);
+        at += n;
+    }
+    return now_ms() - t0;
+}
+
+/// Times every configuration over `rounds` rounds that alternate them, after
+/// one untimed warm-up pass each; every row keeps its fastest pass.
+void time_configs(const std::vector<Config*>& configs,
+                  const std::vector<std::uint8_t>& drive, std::size_t pcm_pairs,
+                  int rounds) {
     analog::SampleBlock out;
-    const auto stream = [&](analog::FrontEnd& fe) {
-        out.clear_pcm();
-        out.reserve_pcm(drive.size() / 5);
-        for (std::size_t at = 0; at < drive.size();) {
-            const std::size_t n =
-                std::min<std::size_t>(kBlockTicks, drive.size() - at);
-            fe.run_block_ds({drive.data() + at, n}, out);
-            at += n;
+    for (Config* cfg : configs) (void)stream_once(*cfg, drive, out);  // page in code paths
+    for (int r = 0; r < rounds; ++r)
+        for (Config* cfg : configs) {
+            const double wall = stream_once(*cfg, drive, out);
+            if (r == 0 || wall < cfg->best_wall_ms) cfg->best_wall_ms = wall;
+            cfg->pcm_checksum = 0;
+            for (const std::int32_t v : out.meas) cfg->pcm_checksum += v;
+            for (const std::int32_t v : out.ref) cfg->pcm_checksum -= v;
         }
-    };
-    {
-        analog::FrontEnd warm = make_frontend();  // page in code paths
-        if (cfg.recorder != nullptr) warm.set_recorder(cfg.recorder);
-        stream(warm);
-    }
-    cfg.best_wall_ms = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        analog::FrontEnd frontend = make_frontend();
-        if (cfg.recorder != nullptr) frontend.set_recorder(cfg.recorder);
-        const double t0 = now_ms();
-        stream(frontend);
-        const double wall = now_ms() - t0;
-        if (r == 0 || wall < cfg.best_wall_ms) cfg.best_wall_ms = wall;
-    }
-    cfg.pcm_per_s = cfg.best_wall_ms > 0.0
-                        ? static_cast<double>(pcm_pairs) / (cfg.best_wall_ms * 1e-3)
-                        : 0.0;
-    cfg.pcm_checksum = 0;
-    for (const std::int32_t v : out.meas) cfg.pcm_checksum += v;
-    for (const std::int32_t v : out.ref) cfg.pcm_checksum -= v;
+    for (Config* cfg : configs)
+        cfg->pcm_per_s = cfg->best_wall_ms > 0.0
+                             ? static_cast<double>(pcm_pairs) / (cfg->best_wall_ms * 1e-3)
+                             : 0.0;
 }
 
 }  // namespace
@@ -115,7 +120,7 @@ int main(int argc, char** argv) {
                                (smoke ? " [smoke]" : ""));
 
     const std::size_t ticks = smoke ? 200'000 : 8'000'000;
-    const int reps = smoke ? 3 : 5;
+    const int rounds = smoke ? 3 : 7;
     std::vector<std::uint8_t> drive(ticks);
     app::SinusGenModel sinusgen;
     sinusgen.run_block_bits(ticks, drive.data());
@@ -128,11 +133,7 @@ int main(int argc, char** argv) {
     Config bare{"bare (no recorder)", nullptr};
     Config disabled{"attached, disabled", &disabled_recorder};
     Config enabled{"attached, enabled", &enabled_recorder};
-    // Interleaving would be fairer still, but best-of-reps already clips the
-    // scheduler tail; measure in a fixed order so runs are comparable.
-    time_config(bare, drive, pcm_pairs, reps);
-    time_config(disabled, drive, pcm_pairs, reps);
-    time_config(enabled, drive, pcm_pairs, reps);
+    time_configs({&bare, &disabled, &enabled}, drive, pcm_pairs, rounds);
 
     const bool parity_ok = bare.pcm_checksum == disabled.pcm_checksum &&
                            bare.pcm_checksum == enabled.pcm_checksum;
@@ -175,6 +176,7 @@ int main(int argc, char** argv) {
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "  \"modulator_ticks\": " << ticks << ",\n"
        << "  \"pcm_pairs\": " << pcm_pairs << ",\n"
+       << "  \"rounds\": " << rounds << ",\n"
        << "  \"bare_pcm_per_s\": " << bare.pcm_per_s << ",\n"
        << "  \"disabled_pcm_per_s\": " << disabled.pcm_per_s << ",\n"
        << "  \"enabled_pcm_per_s\": " << enabled.pcm_per_s << ",\n"

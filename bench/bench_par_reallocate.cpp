@@ -14,12 +14,25 @@
 // capacitance bound pruned, and writes BENCH_par_reallocate.json (with the
 // host facts) to the working directory. Exit status is non-zero on any
 // violation, so CI can run it as a check.
+//
+// It also runs the whole Table-2 job the way perfbench's table2_flow does
+// (build, activity, pack, place, anneal, route, reallocate) and reports, per
+// job, the heap allocations of the build, pack, route_all and reallocation
+// stages (counted by this binary's operator new) and the destructor time of
+// the routed design and of the system netlist, each the median of several
+// jobs.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "refpga/common/table.hpp"
@@ -27,6 +40,20 @@
 #include "refpga/par/reallocate.hpp"
 #include "refpga/par/reallocate_reference.hpp"
 #include "refpga/par/timing_reference.hpp"
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Every heap allocation of this process, counted; the job profile reads the
+// count around each stage.
+void* operator new(std::size_t size) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -112,6 +139,82 @@ RunResult run_engine(Optimizer optimize, const netlist::Netlist& nl,
     return r;
 }
 
+/// One Table-2 job's heap allocations per stage and teardown times.
+struct JobProfile {
+    long build_allocs = 0;
+    long pack_allocs = 0;
+    long route_allocs = 0;
+    long realloc_allocs = 0;
+    double build_ms = 0.0;
+    double route_ms = 0.0;
+    double realloc_ms = 0.0;
+    double routed_teardown_ms = 0.0;
+    double netlist_teardown_ms = 0.0;
+};
+
+/// Runs the job as perfbench's table2_flow does (seed 2008) and times the
+/// two teardowns that follow its last stage.
+JobProfile profile_job(const app::SystemNetlistOptions& system, fabric::PartName part,
+                       int cycles) {
+    JobProfile p;
+    const auto allocs = [] { return g_allocations.load(std::memory_order_relaxed); };
+    long a0 = allocs();
+    auto t0 = std::chrono::steady_clock::now();
+    std::optional<app::SystemNetlist> sys(app::build_system_netlist(system));
+    p.build_ms = ms_since(t0);
+    p.build_allocs = allocs() - a0;
+    const sim::ActivityMap activity =
+        app::system_activity(sys->nl, kClockHz, {.cycles = cycles});
+    a0 = allocs();
+    std::optional<par::PackedDesign> packed(par::pack(sys->nl));
+    p.pack_allocs = allocs() - a0;
+    const fabric::Device device(part);
+    std::optional<par::Placement> placement(std::in_place, device, sys->nl, *packed);
+    placement->place_initial();
+    par::PlacerOptions placer;
+    placer.seed = 2008;
+    placer.effort = kAnnealEffort;
+    (void)par::anneal(*placement, placer);
+    a0 = allocs();
+    t0 = std::chrono::steady_clock::now();
+    std::optional<par::RoutedDesign> routed(std::in_place, *placement,
+                                            par::ChannelCapacity{});
+    routed->route_all(par::RouteMode::Performance);
+    p.route_ms = ms_since(t0);
+    p.route_allocs = allocs() - a0;
+    par::ReallocateOptions options;
+    options.net_count = 8;
+    a0 = allocs();
+    t0 = std::chrono::steady_clock::now();
+    (void)par::optimize_net_power(*placement, *routed, activity, options);
+    p.realloc_ms = ms_since(t0);
+    p.realloc_allocs = allocs() - a0;
+
+    t0 = std::chrono::steady_clock::now();
+    routed.reset();
+    p.routed_teardown_ms = ms_since(t0);
+    placement.reset();
+    packed.reset();
+    t0 = std::chrono::steady_clock::now();
+    sys.reset();
+    p.netlist_teardown_ms = ms_since(t0);
+    return p;
+}
+
+/// Field-wise median over the jobs (allocation counts do not vary).
+JobProfile median_profile(std::vector<JobProfile> jobs) {
+    const auto median = [&](auto field) {
+        std::sort(jobs.begin(), jobs.end(),
+                  [&](const JobProfile& a, const JobProfile& b) { return a.*field < b.*field; });
+        return jobs[jobs.size() / 2].*field;
+    };
+    return {median(&JobProfile::build_allocs),        median(&JobProfile::pack_allocs),
+            median(&JobProfile::route_allocs),        median(&JobProfile::realloc_allocs),
+            median(&JobProfile::build_ms),            median(&JobProfile::route_ms),
+            median(&JobProfile::realloc_ms),          median(&JobProfile::routed_teardown_ms),
+            median(&JobProfile::netlist_teardown_ms)};
+}
+
 double speedup(double reference_ms, double library_ms) {
     return library_ms > 0.0 ? reference_ms / library_ms : 0.0;
 }
@@ -132,14 +235,22 @@ int main(int argc, char** argv) {
 
     // Table-2 scenario: the full system on the XC3S1000 (smoke: the hardware
     // core alone on the XC3S400, fewer stimulus cycles).
-    const app::SystemNetlist sys =
-        smoke ? app::build_system_netlist(
-                    {app::AppParams{}, soc::SoftIpBudgets{}, /*include_soft_ip=*/false})
-              : app::build_system_netlist({});
+    const app::SystemNetlistOptions system =
+        smoke ? app::SystemNetlistOptions{app::AppParams{}, soc::SoftIpBudgets{},
+                                          /*include_soft_ip=*/false}
+              : app::SystemNetlistOptions{};
     const fabric::PartName part =
         smoke ? fabric::PartName::XC3S400 : fabric::PartName::XC3S1000;
+    const int cycles = smoke ? 64 : 256;
+
+    // The job profile runs first, on a fresh heap.
+    std::vector<JobProfile> jobs;
+    for (int i = 0; i < (smoke ? 3 : 9); ++i) jobs.push_back(profile_job(system, part, cycles));
+    const JobProfile job = median_profile(std::move(jobs));
+
+    const app::SystemNetlist sys = app::build_system_netlist(system);
     const sim::ActivityMap activity =
-        app::system_activity(sys.nl, kClockHz, {.cycles = smoke ? 64 : 256});
+        app::system_activity(sys.nl, kClockHz, {.cycles = cycles});
 
     // Anneal, then route the library's placement and analyse its timing.
     const par::PackedDesign packed = par::pack(sys.nl);
@@ -214,6 +325,19 @@ int main(int argc, char** argv) {
     std::cout << "reports byte-identical to the oracle: " << (identical ? "yes" : "NO")
               << "\n";
 
+    Table profile({"job stage", "heap allocations", "wall (ms)"});
+    profile.add_row({"build system netlist", std::to_string(job.build_allocs),
+                     Table::num(job.build_ms, 2)});
+    profile.add_row({"pack", std::to_string(job.pack_allocs), "-"});
+    profile.add_row({"route_all", std::to_string(job.route_allocs),
+                     Table::num(job.route_ms, 2)});
+    profile.add_row({"reallocation", std::to_string(job.realloc_allocs),
+                     Table::num(job.realloc_ms, 2)});
+    profile.add_row({"destroy routed design", "-", Table::num(job.routed_teardown_ms, 2)});
+    profile.add_row({"destroy system netlist", "-", Table::num(job.netlist_teardown_ms, 2)});
+    std::cout << "\nTable-2 job (median of " << (smoke ? 3 : 9) << " jobs):\n"
+              << profile.render();
+
     std::ofstream json("BENCH_par_reallocate.json");
     json << "{\n"
          << "  \"bench\": \"par_reallocate\",\n"
@@ -247,7 +371,15 @@ int main(int argc, char** argv) {
          << "  \"critical_before_ps\": " << ref.report.critical_before_ps << ",\n"
          << "  \"critical_after_ps\": " << ref.report.critical_after_ps << ",\n"
          << "  \"overflow_count\": " << ref.overflow << ",\n"
-         << "  \"reports_identical\": " << (identical ? "true" : "false") << "\n"
+         << "  \"reports_identical\": " << (identical ? "true" : "false") << ",\n"
+         << "  \"job\": {\"jobs\": " << (smoke ? 3 : 9)
+         << ", \"allocations\": {\"build\": " << job.build_allocs
+         << ", \"pack\": " << job.pack_allocs << ", \"route_all\": " << job.route_allocs
+         << ", \"reallocation\": " << job.realloc_allocs << "}"
+         << ", \"wall_ms\": {\"build\": " << job.build_ms
+         << ", \"route_all\": " << job.route_ms << ", \"reallocation\": " << job.realloc_ms
+         << "}, \"teardown_ms\": {\"routed_design\": " << job.routed_teardown_ms
+         << ", \"system_netlist\": " << job.netlist_teardown_ms << "}}\n"
          << "}\n";
 
     bool ok = true;

@@ -1,6 +1,7 @@
 #include "refpga/netlist/builder.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 namespace refpga::netlist {
 
@@ -15,33 +16,46 @@ constexpr std::uint16_t kMaskMux = 0xCA;    ///< (a, b, sel): sel ? b : a
 constexpr std::uint16_t kMaskSum3 = 0x96;   ///< parity(a, b, cin)
 constexpr std::uint16_t kMaskCarry3 = 0xE8; ///< majority(a, b, cin)
 constexpr std::uint16_t kMaskLt = 0xD4;     ///< (a, b, lt_prev): a<b | (a==b & lt_prev)
+
+/// op(a[i], b[i]) for every bit of two equal-width buses, LSB first.
+template <typename Op>
+Bus zip(const Bus& a, const Bus& b, Op op) {
+    REFPGA_EXPECTS(a.size() == b.size());
+    Bus out;
+    out.reserve(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) out.push_back(op(a[i], b[i]));
+    return out;
+}
 }  // namespace
 
 Builder::Builder(Netlist& nl, NetId clock) : nl_(nl), clock_(clock) {
     REFPGA_EXPECTS(clock.valid());
 }
 
-void Builder::push_scope(const std::string& name) { scopes_.push_back(name); }
+void Builder::push_scope(const std::string& name) {
+    scopes_.push_back(prefix_.size());
+    prefix_ += name;
+    prefix_ += '/';
+}
 
 void Builder::pop_scope() {
     REFPGA_EXPECTS(!scopes_.empty());
+    prefix_.resize(scopes_.back());
     scopes_.pop_back();
 }
 
-std::string Builder::scoped(const std::string& name) const {
-    std::string full;
-    for (const auto& s : scopes_) {
-        full += s;
-        full += '/';
-    }
-    full += name;
-    return full;
+std::string_view Builder::scoped(std::string_view name, std::string_view sep,
+                                 std::uint64_t n) {
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof digits, n).ptr;
+    name_.assign(prefix_).append(name).append(sep).append(digits, end);
+    return name_;
 }
 
 NetId Builder::lut(std::uint16_t mask, std::initializer_list<NetId> inputs,
                    const std::string& name) {
-    const std::vector<NetId> ins(inputs);
-    return nl_.add_lut(mask, ins, scoped(name) + "_" + std::to_string(unique_++));
+    return nl_.add_lut(mask, std::span(inputs.begin(), inputs.size()),
+                       scoped(name, "_", unique_++));
 }
 
 NetId Builder::not_(NetId a) { return lut(kMaskNot, {a}, "not"); }
@@ -55,7 +69,7 @@ NetId Builder::mux(NetId sel, NetId when0, NetId when1) {
 }
 
 NetId Builder::ff(NetId d, NetId ce, const std::string& name) {
-    return nl_.add_ff(d, clock_, ce, scoped(name) + "_" + std::to_string(unique_++));
+    return nl_.add_ff(d, clock_, ce, scoped(name, "_", unique_++));
 }
 
 Bus Builder::constant(std::uint64_t value, int width) {
@@ -75,36 +89,19 @@ Bus Builder::not_bus(const Bus& a) {
 }
 
 Bus Builder::and_bus(const Bus& a, const Bus& b) {
-    REFPGA_EXPECTS(a.size() == b.size());
-    Bus out;
-    out.reserve(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) out.push_back(and_(a[i], b[i]));
-    return out;
+    return zip(a, b, [this](NetId x, NetId y) { return and_(x, y); });
 }
 
 Bus Builder::or_bus(const Bus& a, const Bus& b) {
-    REFPGA_EXPECTS(a.size() == b.size());
-    Bus out;
-    out.reserve(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) out.push_back(or_(a[i], b[i]));
-    return out;
+    return zip(a, b, [this](NetId x, NetId y) { return or_(x, y); });
 }
 
 Bus Builder::xor_bus(const Bus& a, const Bus& b) {
-    REFPGA_EXPECTS(a.size() == b.size());
-    Bus out;
-    out.reserve(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) out.push_back(xor_(a[i], b[i]));
-    return out;
+    return zip(a, b, [this](NetId x, NetId y) { return xor_(x, y); });
 }
 
 Bus Builder::mux_bus(NetId sel, const Bus& when0, const Bus& when1) {
-    REFPGA_EXPECTS(when0.size() == when1.size());
-    Bus out;
-    out.reserve(when0.size());
-    for (std::size_t i = 0; i < when0.size(); ++i)
-        out.push_back(mux(sel, when0[i], when1[i]));
-    return out;
+    return zip(when0, when1, [&](NetId x, NetId y) { return mux(sel, x, y); });
 }
 
 Bus Builder::add(const Bus& a, const Bus& b, bool keep_carry) {
@@ -219,21 +216,15 @@ Bus Builder::feedback_reg(int width, const std::function<Bus(const Bus&)>& next,
     Bus d_placeholder;
     Bus q;
     for (int i = 0; i < width; ++i)
-        d_placeholder.push_back(nl_.add_net(scoped(name) + "_d" + std::to_string(i)));
+        d_placeholder.push_back(nl_.add_net(scoped(name, "_d", static_cast<std::uint64_t>(i))));
     for (int i = 0; i < width; ++i)
         q.push_back(nl_.add_ff(d_placeholder[i], clock_, ce,
-                               scoped(name) + std::to_string(i) + "_" +
-                                   std::to_string(unique_++)));
+                               scoped(name + std::to_string(i), "_", unique_++)));
     const Bus nx = next(q);
     REFPGA_EXPECTS(static_cast<int>(nx.size()) == width);
     for (int i = 0; i < width; ++i) {
-        Net& ph = nl_.net(d_placeholder[i]);
-        REFPGA_EXPECTS(ph.sinks.size() == 1);
-        const PinRef sink = ph.sinks.front();
-        ph.sinks.clear();
-        Cell& ffc = nl_.cell(sink.cell);
-        ffc.inputs[sink.pin] = nx[i];
-        nl_.net(nx[i]).sinks.push_back(sink);
+        REFPGA_EXPECTS(nl_.net(d_placeholder[i]).fanout() == 1);
+        nl_.rewire(netlist::PinRef{nl_.net(q[i]).driver.cell, 0}, nx[i]);
     }
     return q;
 }
@@ -245,8 +236,7 @@ NetId Builder::rom_bit(const Bus& addr, const std::vector<bool>& column,
         std::uint16_t mask = 0;
         for (std::size_t i = 0; i < column.size(); ++i)
             if (column[i]) mask |= static_cast<std::uint16_t>(1u << i);
-        std::vector<NetId> ins(addr.begin(), addr.end());
-        return nl_.add_lut(mask, ins, scoped(name) + "_" + std::to_string(unique_++));
+        return nl_.add_lut(mask, addr, scoped(name, "_", unique_++));
     }
     // Split on the MSB: two half-size ROMs plus a 2:1 mux.
     const Bus low_addr(addr.begin(), addr.end() - 1);
@@ -281,9 +271,7 @@ Bus Builder::rom_bram(const Bus& addr, const std::vector<std::uint32_t>& content
     cfg.data_bits = data_bits;
     cfg.writable = false;
     cfg.init = contents;
-    auto out = nl_.add_bram(cfg, addr, clock_, NetId{}, {},
-                            scoped(name) + "_" + std::to_string(unique_++));
-    return out;
+    return nl_.add_bram(cfg, addr, clock_, NetId{}, {}, scoped(name, "_", unique_++));
 }
 
 Bus Builder::mul_mult18(const Bus& a, const Bus& b, int out_bits, int shift,
@@ -292,8 +280,7 @@ Bus Builder::mul_mult18(const Bus& a, const Bus& b, int out_bits, int shift,
     REFPGA_EXPECTS(shift >= 0 && shift + out_bits <= 36);
     const Bus a18 = sign_extend(a, 18);
     const Bus b18 = sign_extend(b, 18);
-    const auto product =
-        nl_.add_mult18(a18, b18, scoped(name) + "_" + std::to_string(unique_++));
+    const auto product = nl_.add_mult18(a18, b18, scoped(name, "_", unique_++));
     return {product.begin() + shift, product.begin() + shift + out_bits};
 }
 
@@ -320,13 +307,6 @@ Bus Builder::sign_extend(const Bus& a, int width) {
     Bus out = a;
     while (static_cast<int>(out.size()) < width) out.push_back(a.back());
     return out;
-}
-
-std::size_t count_kind(const Netlist& nl, CellKind kind) {
-    std::size_t n = 0;
-    for (const Cell& c : nl.cells())
-        if (c.kind == kind) ++n;
-    return n;
 }
 
 }  // namespace refpga::netlist

@@ -1,6 +1,7 @@
 #include "refpga/netlist/drc.hpp"
 
 #include <cstdint>
+#include <span>
 
 namespace refpga::netlist {
 
@@ -27,34 +28,29 @@ bool has_combinational_loop(const Netlist& nl, std::string* where) {
         std::size_t next_sink = 0;  ///< next sink within that net
     };
 
+    std::vector<Frame> stack;
     for (std::uint32_t start = 0; start < nl.cell_count(); ++start) {
         if (mark[start] != Mark::White) continue;
         if (nl.cell(CellId{start}).sequential()) continue;
 
-        std::vector<Frame> stack{{start}};
+        stack.push_back({start});
         mark[start] = Mark::Grey;
         while (!stack.empty()) {
             Frame& f = stack.back();
-            const Cell& c = nl.cell(CellId{f.cell});
+            const std::span<const NetId> outs = nl.outputs(CellId{f.cell});
             bool descended = false;
-            while (f.next_out < c.outputs.size()) {
-                const NetId out = c.outputs[f.next_out];
-                if (!out.valid()) {
-                    ++f.next_out;
-                    continue;
-                }
-                const Net& n = nl.net(out);
-                if (f.next_sink >= n.sinks.size()) {
+            while (f.next_out < outs.size()) {
+                const std::span<const PinRef> sinks = nl.sinks(outs[f.next_out]);
+                if (f.next_sink >= sinks.size()) {
                     ++f.next_out;
                     f.next_sink = 0;
                     continue;
                 }
-                const PinRef sink = n.sinks[f.next_sink++];
-                const Cell& sc = nl.cell(sink.cell);
-                if (sc.sequential()) continue;  // FF/BRAM breaks the cycle
+                const PinRef sink = sinks[f.next_sink++];
+                if (nl.cell(sink.cell).sequential()) continue;  // FF/BRAM breaks the cycle
                 const auto v = sink.cell.value();
                 if (mark[v] == Mark::Grey) {
-                    if (where) *where = sc.name;
+                    if (where) *where = nl.name(sink.cell);
                     return true;
                 }
                 if (mark[v] == Mark::White) {
@@ -64,7 +60,7 @@ bool has_combinational_loop(const Netlist& nl, std::string* where) {
                     break;
                 }
             }
-            if (!descended && stack.back().next_out >= c.outputs.size()) {
+            if (!descended && stack.back().next_out >= outs.size()) {
                 mark[f.cell] = Mark::Black;
                 stack.pop_back();
             }
@@ -78,29 +74,31 @@ bool has_combinational_loop(const Netlist& nl, std::string* where) {
 std::vector<DrcIssue> run_drc(const Netlist& nl) {
     std::vector<DrcIssue> issues;
 
-    for (std::size_t i = 0; i < nl.net_count(); ++i) {
-        const Net& n = nl.net(NetId{static_cast<std::uint32_t>(i)});
-        if (!n.driven() && !n.sinks.empty())
-            issues.push_back({DrcIssue::Kind::UndrivenNet, n.name});
+    for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
+        const NetId id{i};
+        const Net& n = nl.net(id);
+        if (!n.driven() && n.fanout() > 0)
+            issues.push_back({DrcIssue::Kind::UndrivenNet, std::string(nl.name(id))});
         if (n.is_clock && n.driven()) {
             // A clock may fan out to data inputs only through explicit use;
             // flag cases where the same net is both a clock and a LUT input.
-            for (const PinRef& sink : n.sinks) {
-                const Cell& c = nl.cell(sink.cell);
-                if (c.kind == CellKind::Lut)
+            for (const PinRef& sink : nl.sinks(id)) {
+                if (nl.cell(sink.cell).kind == CellKind::Lut)
                     issues.push_back({DrcIssue::Kind::ClockUsedAsData,
-                                      n.name + " -> " + c.name});
+                                      std::string(nl.name(id)) + " -> " +
+                                          std::string(nl.name(sink.cell))});
             }
         }
     }
 
-    for (std::size_t i = 0; i < nl.cell_count(); ++i) {
-        const Cell& c = nl.cell(CellId{static_cast<std::uint32_t>(i)});
-        for (std::size_t pin = 0; pin < c.inputs.size(); ++pin) {
+    for (std::uint32_t i = 0; i < nl.cell_count(); ++i) {
+        const CellId id{i};
+        const std::span<const NetId> inputs = nl.inputs(id);
+        for (std::size_t pin = 0; pin < inputs.size(); ++pin) {
             // FF pin 1 (CE) is optional; all other pins must be wired.
-            if (!c.inputs[pin].valid() && !(c.kind == CellKind::Ff && pin == 1))
+            if (!inputs[pin].valid() && !(nl.cell(id).kind == CellKind::Ff && pin == 1))
                 issues.push_back({DrcIssue::Kind::DanglingInput,
-                                  c.name + " pin " + std::to_string(pin)});
+                                  std::string(nl.name(id)) + " pin " + std::to_string(pin)});
         }
     }
 

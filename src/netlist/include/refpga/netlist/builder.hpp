@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "refpga/netlist/netlist.hpp"
@@ -106,16 +107,18 @@ public:
     Bus sign_extend(const Bus& a, int width);
 
 private:
-    [[nodiscard]] std::string scoped(const std::string& name) const;
+    /// "<scopes>/<name><sep><n>", composed in a buffer the builder reuses;
+    /// valid until the next call.
+    [[nodiscard]] std::string_view scoped(std::string_view name, std::string_view sep,
+                                          std::uint64_t n);
     NetId rom_bit(const Bus& addr, const std::vector<bool>& column, const std::string& name);
 
     Netlist& nl_;
     NetId clock_;
-    std::vector<std::string> scopes_;
+    std::string prefix_;               ///< every open scope, each followed by '/'
+    std::vector<std::size_t> scopes_;  ///< prefix_ size before each open scope
+    std::string name_;                 ///< scoped()'s buffer
     std::uint64_t unique_ = 0;
 };
-
-/// Number of LUT cells in the netlist (diagnostics).
-[[nodiscard]] std::size_t count_kind(const Netlist& nl, CellKind kind);
 
 }  // namespace refpga::netlist

@@ -12,8 +12,11 @@
 // per settle, which is what keeps event-driven toggle counts bit-identical
 // to the full cycle engine's.
 //
-// Membership depends only on connectivity: the graph stays valid until the
-// netlist itself changes.
+// A netlist owns its one graph: Netlist::sim_graph() builds it on first use
+// and every reader (the simulator, par::analyze_timing, the reallocator)
+// shares it, so a netlist is levelized once. Membership depends only on
+// connectivity; a structural change to the netlist drops the graph, and a
+// reference taken before it dangles.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +29,6 @@ namespace refpga::netlist {
 
 class SimGraph {
 public:
-    /// The netlist must be free of combinational loops (DRC-clean designs
-    /// are); construction levelizes with Kahn's algorithm and throws a
-    /// ContractViolation if a loop prevents complete levelization.
-    explicit SimGraph(const Netlist& nl);
-
     /// Combinational cells (LUT/MULT18) with `net` among their inputs,
     /// sorted, unique. Outpads are observation-only and excluded.
     [[nodiscard]] std::span<const std::uint32_t> comb_consumers(NetId net) const {
@@ -68,6 +66,12 @@ public:
     }
 
 private:
+    friend class Netlist;
+    /// The netlist must be free of combinational loops (DRC-clean designs
+    /// are); construction levelizes with Kahn's algorithm and throws a
+    /// ContractViolation if a loop prevents complete levelization.
+    explicit SimGraph(const Netlist& nl);
+
     std::vector<std::uint32_t> comb_offsets_;  ///< net_count + 1 entries
     std::vector<std::uint32_t> comb_sinks_;
     std::vector<std::uint32_t> seq_offsets_;   ///< net_count + 1 entries

@@ -21,134 +21,166 @@ Netlist::Netlist() {
     current_partition_ = PartitionId{0};
 }
 
-NetId Netlist::add_net(std::string name) {
-    nets_.push_back(Net{std::move(name), PinRef{}, {}, false});
+// `name` may be a view into names_ itself: append copies a range that is
+// valid when it is called, whether or not the string then grows.
+void Netlist::intern(std::string_view name, std::string_view suffix,
+                     std::uint32_t& offset, std::uint32_t& size) {
+    offset = static_cast<std::uint32_t>(names_.size());
+    names_.append(name);
+    names_.append(suffix);
+    size = static_cast<std::uint32_t>(names_.size() - offset);
+}
+
+NetId Netlist::add_net(std::string_view name) {
+    Net& n = nets_.emplace_back();
+    intern(name, {}, n.name_, n.name_size_);
+    changed();
     return NetId{static_cast<std::uint32_t>(nets_.size() - 1)};
 }
 
-CellId Netlist::new_cell(Cell cell) {
-    cell.partition = current_partition_;
-    cells_.push_back(std::move(cell));
+CellId Netlist::new_cell(CellKind kind, std::string_view name, std::size_t inputs,
+                         std::size_t outputs) {
+    Cell& c = cells_.emplace_back();
+    c.kind = kind;
+    c.partition = current_partition_;
+    c.pins_ = static_cast<std::uint32_t>(pins_.size());
+    c.inputs_ = static_cast<std::uint16_t>(inputs);
+    c.outputs_ = static_cast<std::uint16_t>(outputs);
+    intern(name, {}, c.name_, c.name_size_);
+    pins_.resize(pins_.size() + inputs + outputs);
+    log_entry_.resize(pins_.size());
+    changed();
     return CellId{static_cast<std::uint32_t>(cells_.size() - 1)};
 }
 
 void Netlist::connect_input(CellId cell_id, std::uint16_t pin, NetId net_id) {
-    REFPGA_EXPECTS(net_id.valid());
-    Cell& c = cell(cell_id);
-    if (c.inputs.size() <= pin) c.inputs.resize(pin + 1);
-    c.inputs[pin] = net_id;
-    net(net_id).sinks.push_back(PinRef{cell_id, pin});
+    REFPGA_EXPECTS(net_id.value() < nets_.size());
+    const Cell& c = cell(cell_id);
+    REFPGA_EXPECTS(pin < c.inputs_);
+    pins_[c.pins_ + pin] = net_id;
+    log_entry_[c.pins_ + pin] = static_cast<std::uint32_t>(sink_log_.size());
+    sink_log_.push_back(PinRef{cell_id, pin});
+    ++nets_[net_id.value()].fanout_;
 }
 
-NetId Netlist::new_output(CellId cell_id, std::uint16_t pin, std::string name) {
-    const NetId out = add_net(std::move(name));
-    Cell& c = cell(cell_id);
-    if (c.outputs.size() <= pin) c.outputs.resize(pin + 1);
-    c.outputs[pin] = out;
-    net(out).driver = PinRef{cell_id, pin};
+NetId Netlist::new_output(CellId cell_id, std::uint16_t pin, std::string_view name,
+                          std::string_view suffix) {
+    const NetId out{static_cast<std::uint32_t>(nets_.size())};
+    Net& n = nets_.emplace_back();
+    intern(name, suffix, n.name_, n.name_size_);
+    n.driver = PinRef{cell_id, pin};
+    const Cell& c = cell(cell_id);
+    pins_[c.pins_ + c.inputs_ + pin] = out;
     return out;
 }
 
-NetId Netlist::add_lut(std::uint16_t mask, std::span<const NetId> inputs, std::string name) {
-    REFPGA_EXPECTS(!inputs.empty() && inputs.size() <= 4);
-    Cell c;
-    c.kind = CellKind::Lut;
-    c.name = name;
-    c.lut_mask = mask;
-    const CellId id = new_cell(std::move(c));
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        connect_input(id, static_cast<std::uint16_t>(i), inputs[i]);
-    return new_output(id, 0, name + ".o");
+void Netlist::rewire(PinRef sink, NetId net_id) {
+    REFPGA_EXPECTS(net_id.value() < nets_.size());
+    const Cell& c = cell(sink.cell);
+    REFPGA_EXPECTS(sink.pin < c.inputs_);
+    NetId& slot = pins_[c.pins_ + sink.pin];
+    REFPGA_EXPECTS(slot.valid());
+    --nets_[slot.value()].fanout_;
+    sink_log_[log_entry_[c.pins_ + sink.pin]].cell = CellId{};
+    slot = NetId{};
+    connect_input(sink.cell, sink.pin, net_id);
+    changed();
 }
 
-NetId Netlist::add_ff(NetId d, NetId clock, NetId ce, std::string name) {
+std::shared_ptr<const Netlist::SinkIndex> Netlist::make_sink_index() const {
+    auto index = std::make_shared<SinkIndex>();
+    index->begin.resize(nets_.size() + 1, 0);
+    for (std::size_t i = 0; i < nets_.size(); ++i)
+        index->begin[i + 1] = index->begin[i] + nets_[i].fanout_;
+    index->pins.resize(index->begin.back());
+    std::vector<std::uint32_t> next(index->begin.begin(), index->begin.end() - 1);
+    for (const PinRef& sink : sink_log_)
+        if (sink.cell.valid())
+            index->pins[next[pins_[cells_[sink.cell.value()].pins_ + sink.pin].value()]++] = sink;
+    return index;
+}
+
+NetId Netlist::add_lut(std::uint16_t mask, std::span<const NetId> inputs,
+                       std::string_view name) {
+    REFPGA_EXPECTS(!inputs.empty() && inputs.size() <= 4);
+    const CellId id = new_cell(CellKind::Lut, name, inputs.size(), 1);
+    cells_.back().lut_mask = mask;
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        connect_input(id, static_cast<std::uint16_t>(i), inputs[i]);
+    return new_output(id, 0, this->name(id), ".o");
+}
+
+NetId Netlist::add_ff(NetId d, NetId clock, NetId ce, std::string_view name) {
     REFPGA_EXPECTS(d.valid() && clock.valid());
-    Cell c;
-    c.kind = CellKind::Ff;
-    c.name = name;
-    c.clock = clock;
-    const CellId id = new_cell(std::move(c));
+    const CellId id = new_cell(CellKind::Ff, name, ce.valid() ? 2 : 1, 1);
+    cells_.back().clock = clock;
     connect_input(id, 0, d);
     if (ce.valid()) connect_input(id, 1, ce);
-    net(clock).is_clock = true;
-    return new_output(id, 0, name + ".q");
+    nets_[clock.value()].is_clock = true;
+    return new_output(id, 0, this->name(id), ".q");
 }
 
 std::vector<NetId> Netlist::add_bram(const BramConfig& cfg, std::span<const NetId> addr,
                                      NetId clock, NetId we, std::span<const NetId> wdata,
-                                     std::string name) {
+                                     std::string_view name) {
     REFPGA_EXPECTS(cfg.addr_bits >= 1 && cfg.addr_bits <= 14);
     REFPGA_EXPECTS(cfg.data_bits >= 1 && cfg.data_bits <= 32);
     REFPGA_EXPECTS(addr.size() == static_cast<std::size_t>(cfg.addr_bits));
     REFPGA_EXPECTS(!cfg.writable || wdata.size() == static_cast<std::size_t>(cfg.data_bits));
     REFPGA_EXPECTS(clock.valid());
+    REFPGA_EXPECTS(!cfg.writable || we.valid());
 
-    Cell c;
-    c.kind = CellKind::Bram;
-    c.name = name;
-    c.clock = clock;
-    c.bram_index = static_cast<std::uint32_t>(bram_configs_.size());
+    // Input pin layout: [addr..., we, wdata...]
+    const std::size_t inputs = addr.size() + (cfg.writable ? 1 + wdata.size() : 0);
+    const CellId id =
+        new_cell(CellKind::Bram, name, inputs, static_cast<std::size_t>(cfg.data_bits));
+    cells_.back().clock = clock;
+    cells_.back().bram_index = static_cast<std::uint32_t>(bram_configs_.size());
     bram_configs_.push_back(cfg);
     bram_configs_.back().init.resize(bram_configs_.back().depth(), 0);
 
-    const CellId id = new_cell(std::move(c));
-    // Input pin layout: [addr..., we, wdata...]
     std::uint16_t pin = 0;
     for (const NetId a : addr) connect_input(id, pin++, a);
     if (cfg.writable) {
-        REFPGA_EXPECTS(we.valid());
         connect_input(id, pin++, we);
         for (const NetId w : wdata) connect_input(id, pin++, w);
     }
-    net(clock).is_clock = true;
+    nets_[clock.value()].is_clock = true;
 
     std::vector<NetId> out;
     out.reserve(static_cast<std::size_t>(cfg.data_bits));
     for (int i = 0; i < cfg.data_bits; ++i)
-        out.push_back(new_output(id, static_cast<std::uint16_t>(i),
-                                 name + ".do" + std::to_string(i)));
+        out.push_back(new_output(id, static_cast<std::uint16_t>(i), this->name(id),
+                                 std::string(".do").append(std::to_string(i))));
     return out;
 }
 
 std::vector<NetId> Netlist::add_mult18(std::span<const NetId> a, std::span<const NetId> b,
-                                       std::string name) {
+                                       std::string_view name) {
     REFPGA_EXPECTS(!a.empty() && a.size() <= 18);
     REFPGA_EXPECTS(!b.empty() && b.size() <= 18);
-    Cell c;
-    c.kind = CellKind::Mult18;
-    c.name = name;
-    const CellId id = new_cell(std::move(c));
+    const CellId id = new_cell(CellKind::Mult18, name, a.size() + b.size(), 36);
+    // Record the operand split so evaluators can reconstruct it.
+    cells_.back().lut_mask = static_cast<std::uint16_t>(a.size());
     std::uint16_t pin = 0;
     for (const NetId n : a) connect_input(id, pin++, n);
     for (const NetId n : b) connect_input(id, pin++, n);
-    // Record the operand split so evaluators can reconstruct it.
-    cell(id).lut_mask = static_cast<std::uint16_t>(a.size());
 
     std::vector<NetId> out;
     out.reserve(36);
     for (int i = 0; i < 36; ++i)
-        out.push_back(new_output(id, static_cast<std::uint16_t>(i),
-                                 name + ".p" + std::to_string(i)));
+        out.push_back(new_output(id, static_cast<std::uint16_t>(i), this->name(id),
+                                 std::string(".p").append(std::to_string(i))));
     return out;
 }
 
 NetId Netlist::add_gnd() {
-    if (gnd_net_.valid()) return gnd_net_;
-    Cell c;
-    c.kind = CellKind::Gnd;
-    c.name = "gnd";
-    const CellId id = new_cell(std::move(c));
-    gnd_net_ = new_output(id, 0, "gnd");
+    if (!gnd_net_.valid()) gnd_net_ = new_output(new_cell(CellKind::Gnd, "gnd", 0, 1), 0, "gnd");
     return gnd_net_;
 }
 
 NetId Netlist::add_vcc() {
-    if (vcc_net_.valid()) return vcc_net_;
-    Cell c;
-    c.kind = CellKind::Vcc;
-    c.name = "vcc";
-    const CellId id = new_cell(std::move(c));
-    vcc_net_ = new_output(id, 0, "vcc");
+    if (!vcc_net_.valid()) vcc_net_ = new_output(new_cell(CellKind::Vcc, "vcc", 0, 1), 0, "vcc");
     return vcc_net_;
 }
 
@@ -159,12 +191,10 @@ std::vector<NetId> Netlist::add_input_port(const std::string& name, int width) {
     port.name = name;
     port.dir = PortDir::Input;
     for (int i = 0; i < width; ++i) {
-        Cell c;
-        c.kind = CellKind::Inpad;
-        c.name = name + "[" + std::to_string(i) + "]";
-        const CellId id = new_cell(std::move(c));
+        const CellId id =
+            new_cell(CellKind::Inpad, name + "[" + std::to_string(i) + "]", 0, 1);
         port.pads.push_back(id);
-        port.nets.push_back(new_output(id, 0, name + "_" + std::to_string(i)));
+        port.nets.push_back(new_output(id, 0, name, std::string("_").append(std::to_string(i))));
     }
     ports_.push_back(std::move(port));
     return ports_.back().nets;
@@ -177,10 +207,8 @@ void Netlist::add_output_port(const std::string& name, std::span<const NetId> bi
     port.name = name;
     port.dir = PortDir::Output;
     for (std::size_t i = 0; i < bits.size(); ++i) {
-        Cell c;
-        c.kind = CellKind::Outpad;
-        c.name = name + "[" + std::to_string(i) + "]";
-        const CellId id = new_cell(std::move(c));
+        const CellId id =
+            new_cell(CellKind::Outpad, name + "[" + std::to_string(i) + "]", 1, 0);
         connect_input(id, 0, bits[i]);
         port.pads.push_back(id);
         port.nets.push_back(bits[i]);
@@ -196,26 +224,6 @@ PartitionId Netlist::add_partition(std::string name) {
 void Netlist::set_current_partition(PartitionId p) {
     REFPGA_EXPECTS(p.value() < partition_names_.size());
     current_partition_ = p;
-}
-
-const Cell& Netlist::cell(CellId id) const {
-    REFPGA_EXPECTS(id.value() < cells_.size());
-    return cells_[id.value()];
-}
-
-Cell& Netlist::cell(CellId id) {
-    REFPGA_EXPECTS(id.value() < cells_.size());
-    return cells_[id.value()];
-}
-
-const Net& Netlist::net(NetId id) const {
-    REFPGA_EXPECTS(id.value() < nets_.size());
-    return nets_[id.value()];
-}
-
-Net& Netlist::net(NetId id) {
-    REFPGA_EXPECTS(id.value() < nets_.size());
-    return nets_[id.value()];
 }
 
 const Port* Netlist::find_port(const std::string& name) const {

@@ -33,10 +33,9 @@ SimGraph::SimGraph(const Netlist& nl) {
     comb_offsets_.push_back(0);
     seq_offsets_.push_back(0);
     for (std::uint32_t ni = 0; ni < nets; ++ni) {
-        const Net& n = nl.net(NetId{ni});
         const std::size_t comb_begin = comb_sinks_.size();
         const std::size_t seq_begin = seq_sinks_.size();
-        for (const PinRef sink : n.sinks) {
+        for (const PinRef sink : nl.sinks(NetId{ni})) {
             const Cell& c = nl.cell(sink.cell);
             if (is_comb(c))
                 comb_sinks_.push_back(sink.cell.value());
@@ -56,39 +55,28 @@ SimGraph::SimGraph(const Netlist& nl) {
     levels_.assign(cells, 0);
     std::vector<std::uint32_t> pending(cells, 0);
     std::size_t comb_count = 0;
-    std::vector<std::uint32_t> distinct;
     for (std::uint32_t ci = 0; ci < cells; ++ci) {
         const Cell& c = nl.cell(CellId{ci});
         if (c.sequential()) seq_cells_.push_back(ci);
         if (!is_comb(c)) continue;
         ++comb_count;
-        // The drain below decrements once per distinct comb-driven input net
-        // (the consumer CSR is deduplicated), so a cell wired to the same
-        // net through several pins must count that net once.
-        distinct.clear();
-        for (const NetId in : c.inputs) {
-            if (!in.valid()) continue;
-            const Net& n = nl.net(in);
-            if (n.driven() && is_comb(nl.cell(n.driver.cell)))
-                distinct.push_back(in.value());
-        }
-        sort_unique_tail(distinct, 0);
-        pending[ci] = static_cast<std::uint32_t>(distinct.size());
+        // The drain below decrements once per (output net, consumer) pair of
+        // the deduplicated consumer CSR, so count exactly those pairs: a cell
+        // wired to one net through several pins counts that net once.
+        for (const NetId out : nl.outputs(CellId{ci}))
+            for (const std::uint32_t dep : comb_consumers(out)) ++pending[dep];
     }
 
-    std::vector<std::uint32_t> ready;
+    std::vector<std::uint32_t> queue;
     for (std::uint32_t ci = 0; ci < cells; ++ci)
-        if (is_comb(nl.cell(CellId{ci})) && pending[ci] == 0) ready.push_back(ci);
+        if (is_comb(nl.cell(CellId{ci})) && pending[ci] == 0) queue.push_back(ci);
 
     comb_order_.reserve(comb_count);
     std::size_t head = 0;  // FIFO drain keeps the frontier in level waves
-    std::vector<std::uint32_t> queue = std::move(ready);
     while (head < queue.size()) {
         const std::uint32_t ci = queue[head++];
         comb_order_.push_back(ci);
-        const Cell& c = nl.cell(CellId{ci});
-        for (const NetId out : c.outputs) {
-            if (!out.valid()) continue;
+        for (const NetId out : nl.outputs(CellId{ci})) {
             for (const std::uint32_t dep : comb_consumers(out)) {
                 levels_[dep] = std::max(levels_[dep], levels_[ci] + 1);
                 if (--pending[dep] == 0) queue.push_back(dep);
@@ -105,6 +93,11 @@ SimGraph::SimGraph(const Netlist& nl) {
                          return a < b;
                      });
     if (!comb_order_.empty()) level_count_ = levels_[comb_order_.back()] + 1;
+}
+
+const SimGraph& Netlist::sim_graph() const {
+    return sim_graph_.get(
+        [this] { return std::shared_ptr<const SimGraph>(new SimGraph(*this)); });
 }
 
 }  // namespace refpga::netlist

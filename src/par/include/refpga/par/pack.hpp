@@ -33,10 +33,6 @@ public:
     [[nodiscard]] const std::vector<netlist::CellId>& mults() const { return mults_; }
     [[nodiscard]] const std::vector<netlist::CellId>& pads() const { return pads_; }
 
-    /// Number of slices per partition.
-    [[nodiscard]] std::vector<std::size_t> slices_per_partition(
-        const netlist::Netlist& nl) const;
-
 private:
     friend PackedDesign pack(const netlist::Netlist& nl);
 

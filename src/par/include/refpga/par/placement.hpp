@@ -58,9 +58,6 @@ private:
     std::vector<std::optional<fabric::Region>> regions_;  ///< per partition
     std::vector<fabric::SliceCoord> slice_pos_;           ///< per slice
     std::vector<SliceId> site_to_slice_;                  ///< per site
-    std::vector<fabric::SliceCoord> bram_pos_;            ///< per design.brams() entry
-    std::vector<fabric::SliceCoord> mult_pos_;
-    std::vector<fabric::SliceCoord> pad_pos_;
     std::vector<fabric::SliceCoord> fixed_pos_;           ///< per cell; index -1 = none
     bool placed_ = false;
 };

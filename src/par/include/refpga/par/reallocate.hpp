@@ -10,14 +10,15 @@
 // The paper performed this by hand in FPGA Editor and argued it "must be
 // integrated in FPGA tools"; this is that integration.
 //
-// The engine is incremental: precomputed slice<->net adjacency (ReallocIndex,
-// read off the packed design and the netlist), scratch-route delta costing
-// (no occupy/undo churn on the live grid), cached per-net power with an O(1)
-// maintained total (NetPowerCache), lazy timing behind a sound
-// delay-increase bound with periodic full resync over one levelization per
-// run, and candidate pruning: a move is trial-routed only when the router's
-// admissible capacitance bound (RoutedDesign::capacitance_lower_bound_pf)
-// leaves it room to beat the best gain so far. Candidate gains are computed
+// The engine is incremental: slice<->net adjacency read on demand off the
+// packed design and the netlist's pin and sink arrays, scratch-route delta
+// costing (no occupy/undo churn on the live grid), cached per-net power with
+// an O(1) maintained total (NetPowerCache), lazy timing behind a sound
+// delay-increase bound with periodic full resync over the netlist's shared
+// levelization (Netlist::sim_graph), and candidate pruning: a move is
+// trial-routed only when the router's admissible capacitance bound
+// (RoutedDesign::capacitance_lower_bound_pf) leaves it room to beat the best
+// gain so far. Candidate gains are computed
 // per (dy, dx, idx) window position and reduced in window order (max gain,
 // lowest coordinate wins ties).
 //
@@ -99,25 +100,13 @@ struct ReallocateReport {
 [[nodiscard]] double net_power_uw(const RoutedDesign& routed, netlist::NetId net,
                                   const sim::ActivityMap& activity, double vdd);
 
-/// Precomputed slice<->net adjacency over one placement: which non-dedicated
-/// nets touch a slice's cells (these must be re-routed when it moves) and
-/// which slices participate in a net. Membership is position-independent, so
-/// the index stays valid across moves; rebuild only when packing changes.
-class ReallocIndex {
-public:
-    explicit ReallocIndex(const Placement& placement);
-
-    /// Non-dedicated nets incident to the slice's cells, sorted, unique.
-    [[nodiscard]] std::span<const netlist::NetId> nets_of(SliceId slice) const;
-    /// Slices holding the net's driver or sinks, sorted, unique.
-    [[nodiscard]] std::span<const SliceId> slices_of(netlist::NetId net) const;
-
-private:
-    std::vector<std::uint32_t> slice_offsets_;
-    std::vector<netlist::NetId> slice_nets_;
-    std::vector<std::uint32_t> net_offsets_;
-    std::vector<SliceId> net_slices_;
-};
+/// Non-dedicated nets incident to the slice's cells (they must be re-routed
+/// when it moves), sorted, unique.
+[[nodiscard]] std::vector<netlist::NetId> slice_nets(const Placement& placement,
+                                                     SliceId slice);
+/// Slices holding the net's driver or sinks, sorted, unique.
+[[nodiscard]] std::vector<SliceId> net_slices(const Placement& placement,
+                                              netlist::NetId net);
 
 /// Per-net dynamic power cache. refresh() recomputes one net's entry from
 /// its live route and maintains a running total, so total_uw() is O(1)

@@ -14,8 +14,17 @@
 // state. The live routing path funnels through the same code — it
 // routes into a scratch and then commits the deltas — which keeps trial and
 // committed routes byte-identical by construction.
+//
+// Routes are stored flat: every connection in one arena and every segment
+// in another, with one range per net and one per connection. A re-route
+// appends to the arenas, and route_all starts them fresh. A NetRoute and the
+// spans it hands out are views into the arenas: any re-route, rip-up or
+// route_all may grow or clear them, and so invalidates every view taken
+// before it.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,27 +43,25 @@ struct RouteSegment {
     int step = 1;         ///< +1 or -1 direction along the axis
 };
 
-/// Route of one driver->sink connection.
+/// Route of one driver->sink connection; its segments are
+/// RoutedDesign::segments(*this).
 struct SinkRoute {
     netlist::PinRef sink;
-    std::vector<RouteSegment> segments;
+    std::uint32_t first_segment = 0;  ///< in the design's segment arena
+    std::uint32_t segment_count = 0;
     double capacitance_pf = 0.0;
     double delay_ps = 0.0;
 };
 
+/// One net's route, a view into the design's connection arena.
 struct NetRoute {
     bool routed = false;
-    std::vector<SinkRoute> sinks;
+    std::span<const SinkRoute> sinks;  ///< in the net's sink order
 
     [[nodiscard]] double capacitance_pf() const {
         double c = 0.0;
         for (const auto& s : sinks) c += s.capacitance_pf;
         return c;
-    }
-    [[nodiscard]] double max_delay_ps() const {
-        double d = 0.0;
-        for (const auto& s : sinks) d = d > s.delay_ps ? d : s.delay_ps;
-        return d;
     }
 };
 
@@ -102,7 +109,10 @@ public:
     RoutedDesign(const Placement& placement, ChannelCapacity capacity);
 
     [[nodiscard]] const Placement& placement() const { return *placement_; }
-    [[nodiscard]] const NetRoute& route(netlist::NetId net) const;
+    [[nodiscard]] NetRoute route(netlist::NetId net) const;
+    [[nodiscard]] std::span<const RouteSegment> segments(const SinkRoute& sink) const {
+        return {segments_.data() + sink.first_segment, sink.segment_count};
+    }
     [[nodiscard]] double total_capacitance_pf() const;
     /// Live channel overflow: the wires in use beyond capacity, summed over
     /// every tile and wire type (sum of max(0, usage - capacity)). A
@@ -154,43 +164,50 @@ public:
                                                            long manhattan_tiles);
 
 private:
+    /// A net's range in the connection arena.
+    struct NetRange {
+        std::uint32_t first = 0;
+        std::uint32_t count = 0;
+        bool routed = false;
+    };
+
     void rip_up(netlist::NetId net);
+    /// Routes `net` live: appends its connections to the arenas through
+    /// live_scratch_, then commits the scratch to the usage grid.
     void route_net(netlist::NetId net, RouteMode mode);
-    /// Shared trial/live core: routes `net` into `out`, occupying `scratch`.
-    /// When `moved_pos` is non-null, cells of slice `moved` read that
-    /// position instead of the placement's.
-    void route_net_into(netlist::NetId net, RouteMode mode, SliceId moved,
-                        const fabric::SliceCoord* moved_pos, NetRoute& out,
-                        RouteScratch& scratch) const;
-    [[nodiscard]] SinkRoute route_connection(const fabric::SliceCoord& from,
-                                             const fabric::SliceCoord& to,
-                                             netlist::PinRef sink, RouteMode mode,
-                                             RouteScratch& scratch) const;
-    /// Cost-only twin of route_connection: same segment decisions and scratch
-    /// occupancy, but only the capacitance is accumulated — no segment
-    /// storage, so trial costing allocates nothing.
-    [[nodiscard]] double route_connection_cost(const fabric::SliceCoord& from,
-                                               const fabric::SliceCoord& to,
-                                               RouteMode mode,
-                                               RouteScratch& scratch) const;
-    /// Segment decisions for one axis leg; every chosen segment occupies
-    /// `scratch` and is handed to `emit` (store it, or just cost it).
+    /// Segment decisions of one connection, L-shaped (horizontal leg first):
+    /// every chosen segment occupies `scratch` and is handed to `emit`, which
+    /// stores it (live routing) or only costs it (trial routing, which so
+    /// allocates nothing). Both therefore take the same segments.
+    template <typename EmitSegment>
+    void route_connection(const fabric::SliceCoord& from, const fabric::SliceCoord& to,
+                          RouteMode mode, RouteScratch& scratch, EmitSegment&& emit) const {
+        route_axis(from.y, from.x, to.x, true, mode, scratch, emit);
+        route_axis(to.x, from.y, to.y, false, mode, scratch, emit);
+    }
+    /// Segment decisions for one axis leg.
     template <typename EmitSegment>
     void route_axis(int fixed, int begin, int end, bool horizontal, RouteMode mode,
                     RouteScratch& scratch, EmitSegment&& emit) const;
+    /// Calls fn(usage index) for each of the segment's tiles on the die, in
+    /// order, until fn returns false (then returns false).
+    template <typename Fn>
+    bool each_tile(const RouteSegment& seg, Fn&& fn) const;
     [[nodiscard]] bool segment_fits(const RouteSegment& seg,
                                     const RouteScratch& scratch) const;
     void occupy_scratch(const RouteSegment& seg, RouteScratch& scratch) const;
     /// Applies a scratch's deltas to the live grid, then clears it.
     void commit_scratch(RouteScratch& scratch);
-    void occupy_live(const RouteSegment& seg, int delta);
+    /// Takes one use of the segment's tiles back from the live grid.
+    void release(const RouteSegment& seg);
     [[nodiscard]] fabric::SliceCoord pos_of(netlist::CellId cell, SliceId moved,
-                                            const fabric::SliceCoord* moved_pos) const;
-    [[nodiscard]] std::size_t usage_index(int x, int y, fabric::WireType t) const;
+                                            const fabric::SliceCoord& moved_pos) const;
 
     const Placement* placement_;
     ChannelCapacity capacity_;
-    std::vector<NetRoute> routes_;      ///< indexed by net id
+    std::vector<NetRange> routes_;      ///< indexed by net id
+    std::vector<SinkRoute> sinks_;      ///< every connection, a range per net
+    std::vector<RouteSegment> segments_;  ///< every segment, a range per connection
     std::vector<int> usage_;            ///< [y][x][type]
     RouteScratch live_scratch_;         ///< staging buffer for live routing
 };

@@ -3,14 +3,13 @@
 // Arrival times propagate through the combinational cone from sequential
 // outputs / input pads to sequential inputs / output pads using routed net
 // delays plus cell delays, in one forward pass over the combinational cells
-// in topological order (netlist::SimGraph's levelization; a combinational
-// loop throws). Fmax follows from the critical path. The power
+// in topological order (the netlist's shared SimGraph levelization; a
+// combinational loop throws). Fmax follows from the critical path. The power
 // reallocator uses this to reject moves that would break the clock target
 // ("Naturally the requirements on performance must be considered", §4.3).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -40,15 +39,10 @@ struct CellDelays {
     double ff_setup_ps = 520.0;
 };
 
+/// Reads the levelization the netlist shares (Netlist::sim_graph), so a
+/// caller that analyses one netlist many times (the §4.3 reallocator)
+/// levelizes it once, or not at all after a simulation of it.
 [[nodiscard]] TimingReport analyze_timing(const RoutedDesign& routed,
-                                          const CellDelays& delays = {});
-
-/// Same analysis over a levelization computed once by the caller:
-/// `comb_order` must be `netlist::SimGraph(nl).comb_order()` of the routed
-/// design's netlist. A caller that analyses one netlist many times (the §4.3
-/// reallocator) levelizes once instead of on every call.
-[[nodiscard]] TimingReport analyze_timing(const RoutedDesign& routed,
-                                          std::span<const std::uint32_t> comb_order,
                                           const CellDelays& delays = {});
 
 /// Per-cell mask over the netlist: true when the cell lies on `report`'s

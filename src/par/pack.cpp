@@ -16,13 +16,6 @@ SliceId PackedDesign::slice_of(CellId cell) const {
     return cell_slice_[cell.value()];
 }
 
-std::vector<std::size_t> PackedDesign::slices_per_partition(const Netlist& nl) const {
-    std::vector<std::size_t> counts(nl.partitions().size(), 0);
-    for (const PackedSlice& s : slices_)
-        if (s.partition.value() < counts.size()) ++counts[s.partition.value()];
-    return counts;
-}
-
 PackedDesign pack(const Netlist& nl) {
     PackedDesign design;
     design.cell_slice_.assign(nl.cell_count(), SliceId{});
@@ -34,8 +27,7 @@ PackedDesign pack(const Netlist& nl) {
     for (std::uint32_t i = 0; i < nl.cell_count(); ++i) {
         const Cell& c = nl.cell(CellId{i});
         if (c.kind != CellKind::Ff) continue;
-        const NetId d = c.inputs.empty() ? NetId{} : c.inputs[0];
-        if (!d.valid()) continue;
+        const NetId d = nl.inputs(CellId{i})[0];
         const auto& dnet = nl.net(d);
         if (!dnet.driven() || dnet.fanout() != 1) continue;
         const Cell& drv = nl.cell(dnet.driver.cell);

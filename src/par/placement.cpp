@@ -107,26 +107,27 @@ void Placement::place_initial() {
             out[i] = sites[best];
         }
     };
-    assign_sites(design_->brams(), dev_->bram_sites(), bram_pos_);
-    assign_sites(design_->mults(), dev_->mult_sites(), mult_pos_);
+    std::vector<SliceCoord> bram_pos, mult_pos;
+    assign_sites(design_->brams(), dev_->bram_sites(), bram_pos);
+    assign_sites(design_->mults(), dev_->mult_sites(), mult_pos);
 
     // Pads along the bottom edge (y = 0 ring), spread evenly.
-    pad_pos_.resize(design_->pads().size());
+    std::vector<SliceCoord> pad_pos(design_->pads().size());
     const int cols = dev_->cols();
-    for (std::size_t i = 0; i < pad_pos_.size(); ++i) {
+    for (std::size_t i = 0; i < pad_pos.size(); ++i) {
         const int x = static_cast<int>((i * static_cast<std::size_t>(cols)) /
-                                       std::max<std::size_t>(pad_pos_.size(), 1));
-        pad_pos_[i] = SliceCoord{std::min(x, cols - 1), 0, 0};
+                                       std::max<std::size_t>(pad_pos.size(), 1));
+        pad_pos[i] = SliceCoord{std::min(x, cols - 1), 0, 0};
     }
 
     // Fixed-position lookup for O(1) cell_pos on non-slice cells.
     fixed_pos_.assign(nl_->cell_count(), SliceCoord{0, 0, -1});
     for (std::size_t i = 0; i < design_->brams().size(); ++i)
-        fixed_pos_[design_->brams()[i].value()] = bram_pos_[i];
+        fixed_pos_[design_->brams()[i].value()] = bram_pos[i];
     for (std::size_t i = 0; i < design_->mults().size(); ++i)
-        fixed_pos_[design_->mults()[i].value()] = mult_pos_[i];
+        fixed_pos_[design_->mults()[i].value()] = mult_pos[i];
     for (std::size_t i = 0; i < design_->pads().size(); ++i)
-        fixed_pos_[design_->pads()[i].value()] = pad_pos_[i];
+        fixed_pos_[design_->pads()[i].value()] = pad_pos[i];
 
     placed_ = true;
 }
@@ -167,7 +168,7 @@ bool Placement::dedicated_net(NetId net) const {
 
 int Placement::net_hpwl(NetId net) const {
     const auto& n = nl_->net(net);
-    if (dedicated_net(net) || n.sinks.empty()) return 0;
+    if (dedicated_net(net) || n.fanout() == 0) return 0;
     int min_x = dev_->cols();
     int max_x = 0;
     int min_y = dev_->rows();
@@ -179,7 +180,7 @@ int Placement::net_hpwl(NetId net) const {
         max_y = std::max(max_y, pos.y);
     };
     extend(cell_pos(n.driver.cell));
-    for (const auto& sink : n.sinks) extend(cell_pos(sink.cell));
+    for (const auto& sink : nl_->sinks(net)) extend(cell_pos(sink.cell));
     return (max_x - min_x) + (max_y - min_y);
 }
 

@@ -136,7 +136,7 @@ struct Connectivity {
                     ++net_slices[g].pins;
                 };
                 touch(n.driver.cell);
-                for (const auto& sink : n.sinks) touch(sink.cell);
+                for (const auto& sink : nl.sinks(net)) touch(sink.cell);
             }
             for (std::size_t g = first; g < net_slices.size(); ++g)
                 group_of[net_slices[g].id] = std::numeric_limits<std::uint32_t>::max();

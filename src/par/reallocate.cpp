@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "refpga/netlist/simgraph.hpp"
-
 namespace refpga::par {
 
 using fabric::Region;
@@ -19,71 +17,45 @@ double net_power_uw(const RoutedDesign& routed, NetId net,
                            activity.rate_hz(net), vdd);
 }
 
-// ---------------------------------------------------------------- ReallocIndex
+// ------------------------------------------------------------------ adjacency
 
 namespace {
 
 template <typename Id>
-void sort_unique_tail(std::vector<Id>& items, std::size_t begin) {
-    std::sort(items.begin() + static_cast<std::ptrdiff_t>(begin), items.end());
-    items.erase(std::unique(items.begin() + static_cast<std::ptrdiff_t>(begin),
-                            items.end()),
-                items.end());
+std::vector<Id> sorted_unique(std::vector<Id> items) {
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+    return items;
 }
 
 }  // namespace
 
-ReallocIndex::ReallocIndex(const Placement& placement) {
-    const PackedDesign& design = placement.design();
+std::vector<NetId> slice_nets(const Placement& placement, SliceId slice) {
     const auto& nl = placement.nl();
-
-    slice_offsets_.reserve(design.slice_count() + 1);
-    slice_offsets_.push_back(0);
-    for (std::uint32_t si = 0; si < design.slice_count(); ++si) {
-        const PackedSlice& ps = design.slices()[si];
-        const std::size_t begin = slice_nets_.size();
-        const auto add_net = [&](NetId net) {
-            if (net.valid() && !placement.dedicated_net(net)) slice_nets_.push_back(net);
-        };
-        const auto add_cell = [&](CellId cell) {
-            const netlist::Cell& c = nl.cell(cell);
-            for (const NetId in : c.inputs) add_net(in);
-            for (const NetId out : c.outputs) add_net(out);
-            add_net(c.clock);
-        };
-        for (const CellId cell : ps.luts) add_cell(cell);
-        for (const CellId cell : ps.ffs) add_cell(cell);
-        sort_unique_tail(slice_nets_, begin);
-        slice_offsets_.push_back(static_cast<std::uint32_t>(slice_nets_.size()));
-    }
-
-    net_offsets_.reserve(nl.net_count() + 1);
-    net_offsets_.push_back(0);
-    for (std::uint32_t ni = 0; ni < nl.net_count(); ++ni) {
-        const netlist::Net& n = nl.net(NetId{ni});
-        const std::size_t begin = net_slices_.size();
-        const auto add_cell = [&](CellId cell) {
-            if (!cell.valid()) return;
-            const SliceId s = design.slice_of(cell);
-            if (s.valid()) net_slices_.push_back(s);
-        };
-        if (n.driven()) add_cell(n.driver.cell);
-        for (const netlist::PinRef& sink : n.sinks) add_cell(sink.cell);
-        sort_unique_tail(net_slices_, begin);
-        net_offsets_.push_back(static_cast<std::uint32_t>(net_slices_.size()));
-    }
+    const PackedSlice& ps = placement.design().slices()[slice.value()];
+    std::vector<NetId> nets;
+    const auto add_net = [&](NetId net) {
+        if (net.valid() && !placement.dedicated_net(net)) nets.push_back(net);
+    };
+    for (const auto* cells : {&ps.luts, &ps.ffs})
+        for (const CellId cell : *cells) {
+            for (const NetId in : nl.inputs(cell)) add_net(in);
+            for (const NetId out : nl.outputs(cell)) add_net(out);
+            add_net(nl.cell(cell).clock);
+        }
+    return sorted_unique(std::move(nets));
 }
 
-std::span<const NetId> ReallocIndex::nets_of(SliceId slice) const {
-    REFPGA_EXPECTS(slice.value() + 1 < slice_offsets_.size());
-    return {slice_nets_.data() + slice_offsets_[slice.value()],
-            slice_nets_.data() + slice_offsets_[slice.value() + 1]};
-}
-
-std::span<const SliceId> ReallocIndex::slices_of(NetId net) const {
-    REFPGA_EXPECTS(net.value() + 1 < net_offsets_.size());
-    return {net_slices_.data() + net_offsets_[net.value()],
-            net_slices_.data() + net_offsets_[net.value() + 1]};
+std::vector<SliceId> net_slices(const Placement& placement, NetId net) {
+    const auto& nl = placement.nl();
+    std::vector<SliceId> slices;
+    const auto add_cell = [&](CellId cell) {
+        const SliceId s = cell.valid() ? placement.design().slice_of(cell) : SliceId{};
+        if (s.valid()) slices.push_back(s);
+    };
+    add_cell(nl.net(net).driver.cell);
+    for (const netlist::PinRef& sink : nl.sinks(net)) add_cell(sink.cell);
+    return sorted_unique(std::move(slices));
 }
 
 // --------------------------------------------------------------- NetPowerCache
@@ -125,7 +97,8 @@ namespace {
 constexpr int kTimingResyncPeriod = 8;
 
 SliceCoord net_centroid(const Placement& placement, NetId net) {
-    const auto& n = placement.nl().net(net);
+    const auto& nl = placement.nl();
+    const auto& n = nl.net(net);
     long sx = 0;
     long sy = 0;
     long count = 0;
@@ -136,7 +109,7 @@ SliceCoord net_centroid(const Placement& placement, NetId net) {
         ++count;
     };
     if (n.driven()) add(n.driver.cell);
-    for (const auto& sink : n.sinks) add(sink.cell);
+    for (const auto& sink : nl.sinks(net)) add(sink.cell);
     if (count == 0) return SliceCoord{0, 0, 0};
     return SliceCoord{static_cast<int>(sx / count), static_cast<int>(sy / count), 0};
 }
@@ -159,7 +132,7 @@ std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
         const NetId net{i};
         if (nl.net(net).fanout() > kReallocMaxFanout) continue;
-        const NetRoute& r = routed.route(net);
+        const NetRoute r = routed.route(net);
         const double pin_c =
             RoutedDesign::kPinCapacitancePf * static_cast<double>(r.sinks.size());
         const double wire_c = std::max(r.capacitance_pf() - pin_c, 0.0);
@@ -212,9 +185,7 @@ public:
           routed_(routed),
           activity_(activity),
           options_(options),
-          index_(placement),
           cache_(routed, activity, options.vdd),
-          comb_order_(netlist::SimGraph(placement.nl()).comb_order()),
           rec_(options.recorder) {
         if (rec_ != nullptr) {
             obs::MetricRegistry& m = rec_->metrics();
@@ -241,9 +212,7 @@ private:
                                     const SliceCoord& pos);
     void prepare_bound(SliceId slice, std::span<const NetId> affected);
     [[nodiscard]] double cost_bound(const SliceCoord& pos) const;
-    [[nodiscard]] TimingReport analyze() const {
-        return analyze_timing(routed_, comb_order_);
-    }
+    [[nodiscard]] TimingReport analyze() const { return analyze_timing(routed_); }
     void rip_all(std::span<const NetId> affected);
     void route_all_lp(std::span<const NetId> affected);
     [[nodiscard]] std::vector<std::vector<double>> capture_delays(
@@ -259,10 +228,8 @@ private:
     const sim::ActivityMap& activity_;
     const ReallocateOptions& options_;
 
-    ReallocIndex index_;
     NetPowerCache cache_;
     RouteScratch scratch_;
-    std::vector<std::uint32_t> comb_order_;  ///< levelized once per run
 
     /// One affected net's capacitance lower bound with the moved slice at a
     /// target, in pieces: connections with neither end on the slice add
@@ -311,7 +278,7 @@ ReallocateReport Engine::run() {
         obs_add(obs_nets_);
         NetPowerChange change;
         change.net = net;
-        change.name = nl.net(net).name;
+        change.name = nl.name(net);
         change.before_uw = net_power_uw(routed_, net, activity_, options_.vdd);
         if (options_.capture_routes) change.route_before = render_route(routed_, net);
         optimize_net(net, change);
@@ -335,8 +302,8 @@ void Engine::optimize_net(NetId net, NetPowerChange& change) {
 
     // Step 2: try to pull each participating slice toward the centroid.
     const SliceCoord centroid = net_centroid(placement_, net);
-    for (const SliceId slice : index_.slices_of(net))
-        optimize_slice(slice, centroid, index_.nets_of(slice), change);
+    for (const SliceId slice : net_slices(placement_, net))
+        optimize_slice(slice, centroid, slice_nets(placement_, slice), change);
 }
 
 void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
@@ -461,10 +428,10 @@ void Engine::prepare_bound(SliceId slice, std::span<const NetId> affected) {
         const netlist::Net& n = nl.net(a);
         // Mirrors trial_route_capacitance_pf: such nets cost nothing.
         if (!placement_.dedicated_net(a) && n.driven()) {
-            b.connections = n.sinks.size();
+            b.connections = n.fanout();
             const bool driver_moves = design.slice_of(n.driver.cell) == slice;
             const SliceCoord from = placement_.cell_pos(n.driver.cell);
-            for (const netlist::PinRef& sink : n.sinks) {
+            for (const netlist::PinRef& sink : nl.sinks(a)) {
                 const SliceCoord to = placement_.cell_pos(sink.cell);
                 if ((design.slice_of(sink.cell) == slice) != driver_moves)
                     bound_ends_.push_back(driver_moves ? to : from);
@@ -509,7 +476,7 @@ std::vector<std::vector<double>> Engine::capture_delays(
     std::vector<std::vector<double>> out;
     out.reserve(affected.size());
     for (const NetId a : affected) {
-        const NetRoute& r = routed_.route(a);
+        const NetRoute r = routed_.route(a);
         std::vector<double> delays;
         delays.reserve(r.sinks.size());
         for (const auto& s : r.sinks) delays.push_back(s.delay_ps);
@@ -527,7 +494,7 @@ double Engine::bound_delta(
     // worst per-sink increase, summed over the re-routed nets.
     double total = 0.0;
     for (std::size_t k = 0; k < affected.size(); ++k) {
-        const NetRoute& r = routed_.route(affected[k]);
+        const NetRoute r = routed_.route(affected[k]);
         if (r.sinks.size() != old_delays[k].size())
             return std::numeric_limits<double>::infinity();  // force re-analysis
         double worst = 0.0;

@@ -47,14 +47,15 @@ double RoutedDesign::capacitance_lower_bound_pf(std::size_t connections,
            (1.0 - 1e-9);
 }
 
-const NetRoute& RoutedDesign::route(NetId net) const {
+NetRoute RoutedDesign::route(NetId net) const {
     REFPGA_EXPECTS(net.value() < routes_.size());
-    return routes_[net.value()];
+    const NetRange& r = routes_[net.value()];
+    return {r.routed, {sinks_.data() + r.first, r.count}};
 }
 
 double RoutedDesign::total_capacitance_pf() const {
     double c = 0.0;
-    for (const auto& r : routes_) c += r.capacitance_pf();
+    for (std::uint32_t i = 0; i < routes_.size(); ++i) c += route(NetId{i}).capacitance_pf();
     return c;
 }
 
@@ -68,47 +69,36 @@ long RoutedDesign::overflow_count() const {
     return excess;
 }
 
-std::size_t RoutedDesign::usage_index(int x, int y, WireType t) const {
-    const auto cols = placement_->device().cols();
-    return (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
-           static_cast<std::size_t>(t);
-}
-
-bool RoutedDesign::segment_fits(const RouteSegment& seg,
-                                const RouteScratch& scratch) const {
-    const auto& params = wire_params(seg.type);
+template <typename Fn>
+bool RoutedDesign::each_tile(const RouteSegment& seg, Fn&& fn) const {
     const int cols = placement_->device().cols();
     const int rows = placement_->device().rows();
-    const int cap = capacity_.of(seg.type);
+    const int span = wire_params(seg.type).span;
     int x = seg.x;
     int y = seg.y;
-    for (int i = 0; i < params.span; ++i) {
-        if (x < 0 || x >= cols || y < 0 || y >= rows)
-            return true;  // clipped at the die edge; remaining tiles are free
-        const std::size_t idx =
-            (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
-            static_cast<std::size_t>(seg.type);
-        if (usage_[idx] + scratch.delta_[idx] >= cap) return false;
+    for (int i = 0; i < span; ++i) {
+        if (x < 0 || x >= cols || y < 0 || y >= rows) break;  // clipped at the die edge
+        if (!fn((static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
+                static_cast<std::size_t>(seg.type)))
+            return false;
         (seg.horizontal ? x : y) += seg.step;
     }
     return true;
 }
 
+bool RoutedDesign::segment_fits(const RouteSegment& seg,
+                                const RouteScratch& scratch) const {
+    const int cap = capacity_.of(seg.type);
+    return each_tile(seg, [&](std::size_t idx) {
+        return usage_[idx] + scratch.delta_[idx] < cap;
+    });
+}
+
 void RoutedDesign::occupy_scratch(const RouteSegment& seg, RouteScratch& scratch) const {
-    const auto& params = wire_params(seg.type);
-    const int cols = placement_->device().cols();
-    const int rows = placement_->device().rows();
-    int x = seg.x;
-    int y = seg.y;
-    for (int i = 0; i < params.span; ++i) {
-        if (x < 0 || x >= cols || y < 0 || y >= rows) break;
-        const std::size_t idx =
-            (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
-            static_cast<std::size_t>(seg.type);
-        if (scratch.delta_[idx] == 0) scratch.touched_.push_back(idx);
-        ++scratch.delta_[idx];
-        (seg.horizontal ? x : y) += seg.step;
-    }
+    each_tile(seg, [&](std::size_t idx) {
+        if (scratch.delta_[idx]++ == 0) scratch.touched_.push_back(idx);
+        return true;
+    });
 }
 
 void RoutedDesign::commit_scratch(RouteScratch& scratch) {
@@ -116,17 +106,11 @@ void RoutedDesign::commit_scratch(RouteScratch& scratch) {
     scratch.clear();
 }
 
-void RoutedDesign::occupy_live(const RouteSegment& seg, int delta) {
-    const auto& params = wire_params(seg.type);
-    int x = seg.x;
-    int y = seg.y;
-    for (int i = 0; i < params.span; ++i) {
-        if (x < 0 || x >= placement_->device().cols() || y < 0 ||
-            y >= placement_->device().rows())
-            break;
-        usage_[usage_index(x, y, seg.type)] += delta;
-        (seg.horizontal ? x : y) += seg.step;
-    }
+void RoutedDesign::release(const RouteSegment& seg) {
+    each_tile(seg, [&](std::size_t idx) {
+        --usage_[idx];
+        return true;
+    });
 }
 
 template <typename EmitSegment>
@@ -176,61 +160,10 @@ void RoutedDesign::route_axis(int fixed, int begin, int end, bool horizontal,
     }
 }
 
-SinkRoute RoutedDesign::route_connection(const SliceCoord& from, const SliceCoord& to,
-                                         PinRef sink, RouteMode mode,
-                                         RouteScratch& scratch) const {
-    SinkRoute route;
-    route.sink = sink;
-    const auto collect = [&](const RouteSegment& seg) { route.segments.push_back(seg); };
-    // L-shaped: horizontal first, then vertical.
-    route_axis(from.y, from.x, to.x, true, mode, scratch, collect);
-    route_axis(to.x, from.y, to.y, false, mode, scratch, collect);
-
-    route.delay_ps = kPinDelayPs;
-    route.capacitance_pf = kPinCapacitancePf;
-    for (const auto& seg : route.segments) {
-        const auto& params = wire_params(seg.type);
-        route.capacitance_pf += params.capacitance_pf;
-        route.delay_ps += params.delay_ps;
-    }
-    return route;
-}
-
-double RoutedDesign::route_connection_cost(const SliceCoord& from,
-                                           const SliceCoord& to, RouteMode mode,
-                                           RouteScratch& scratch) const {
-    double capacitance_pf = kPinCapacitancePf;
-    const auto cost = [&](const RouteSegment& seg) {
-        capacitance_pf += wire_params(seg.type).capacitance_pf;
-    };
-    route_axis(from.y, from.x, to.x, true, mode, scratch, cost);
-    route_axis(to.x, from.y, to.y, false, mode, scratch, cost);
-    return capacitance_pf;
-}
-
 SliceCoord RoutedDesign::pos_of(netlist::CellId cell, SliceId moved,
-                                const SliceCoord* moved_pos) const {
-    if (moved_pos != nullptr) {
-        const SliceId s = placement_->design().slice_of(cell);
-        if (s.valid() && s == moved) return *moved_pos;
-    }
-    return placement_->cell_pos(cell);
-}
-
-void RoutedDesign::route_net_into(NetId net, RouteMode mode, SliceId moved,
-                                  const SliceCoord* moved_pos, NetRoute& out,
-                                  RouteScratch& scratch) const {
-    scratch.ensure_size(usage_.size());
-    const auto& nl = placement_->nl();
-    const auto& n = nl.net(net);
-    out.sinks.clear();
-    out.routed = true;
-    if (placement_->dedicated_net(net) || !n.driven()) return;
-    const SliceCoord from = pos_of(n.driver.cell, moved, moved_pos);
-    for (const PinRef& sink : n.sinks) {
-        const SliceCoord to = pos_of(sink.cell, moved, moved_pos);
-        out.sinks.push_back(route_connection(from, to, sink, mode, scratch));
-    }
+                                const SliceCoord& moved_pos) const {
+    const SliceId s = placement_->design().slice_of(cell);
+    return s.valid() && s == moved ? moved_pos : placement_->cell_pos(cell);
 }
 
 double RoutedDesign::trial_route_capacitance_pf(NetId net, SliceId moved,
@@ -239,43 +172,86 @@ double RoutedDesign::trial_route_capacitance_pf(NetId net, SliceId moved,
                                                 RouteScratch& scratch) const {
     REFPGA_EXPECTS(net.value() < routes_.size());
     scratch.ensure_size(usage_.size());
-    const auto& n = placement_->nl().net(net);
+    const auto& nl = placement_->nl();
+    const auto& n = nl.net(net);
     if (placement_->dedicated_net(net) || !n.driven()) return 0.0;
-    const SliceCoord from = pos_of(n.driver.cell, moved, &moved_pos);
+    const SliceCoord from = pos_of(n.driver.cell, moved, moved_pos);
     double capacitance_pf = 0.0;
-    for (const PinRef& sink : n.sinks) {
-        const SliceCoord to = pos_of(sink.cell, moved, &moved_pos);
-        capacitance_pf += route_connection_cost(from, to, mode, scratch);
+    for (const PinRef& sink : nl.sinks(net)) {
+        double connection_pf = kPinCapacitancePf;
+        route_connection(from, pos_of(sink.cell, moved, moved_pos), mode, scratch,
+                         [&](const RouteSegment& seg) {
+                             connection_pf += wire_params(seg.type).capacitance_pf;
+                         });
+        capacitance_pf += connection_pf;
     }
     return capacitance_pf;
 }
 
 void RoutedDesign::rip_up(NetId net) {
-    NetRoute& r = routes_[net.value()];
-    for (const auto& sink : r.sinks)
-        for (const auto& seg : sink.segments) occupy_live(seg, -1);
-    r.sinks.clear();
-    r.routed = false;
+    for (const SinkRoute& sink : route(net).sinks)
+        for (const auto& seg : segments(sink)) release(seg);
+    routes_[net.value()] = NetRange{};
 }
 
 void RoutedDesign::route_net(NetId net, RouteMode mode) {
     live_scratch_.ensure_size(usage_.size());
     live_scratch_.clear();
-    route_net_into(net, mode, SliceId{}, nullptr, routes_[net.value()], live_scratch_);
+    NetRange& r = routes_[net.value()];
+    r.first = static_cast<std::uint32_t>(sinks_.size());
+    r.routed = true;
+    const auto& nl = placement_->nl();
+    const auto& n = nl.net(net);
+    if (!placement_->dedicated_net(net) && n.driven()) {
+        const SliceCoord from = placement_->cell_pos(n.driver.cell);
+        for (const PinRef& sink : nl.sinks(net)) {
+            SinkRoute route{sink, static_cast<std::uint32_t>(segments_.size()), 0,
+                            kPinCapacitancePf, kPinDelayPs};
+            route_connection(from, placement_->cell_pos(sink.cell), mode, live_scratch_,
+                             [&](const RouteSegment& seg) {
+                                 const auto& wire = wire_params(seg.type);
+                                 segments_.push_back(seg);
+                                 route.capacitance_pf += wire.capacitance_pf;
+                                 route.delay_ps += wire.delay_ps;
+                             });
+            route.segment_count =
+                static_cast<std::uint32_t>(segments_.size()) - route.first_segment;
+            sinks_.push_back(route);
+        }
+    }
+    r.count = static_cast<std::uint32_t>(sinks_.size()) - r.first;
     commit_scratch(live_scratch_);
 }
 
 void RoutedDesign::route_all(RouteMode mode) {
-    for (std::uint32_t i = 0; i < routes_.size(); ++i)
-        if (routes_[i].routed) rip_up(NetId{i});
+    // Every wire in use belongs to a route, so starting the arenas fresh
+    // releases every channel too.
+    std::fill(routes_.begin(), routes_.end(), NetRange{});
+    std::fill(usage_.begin(), usage_.end(), 0);
+    sinks_.clear();
+    segments_.clear();
     // Route short nets first so they keep the cheap wires; long nets can
     // better amortize hex/long segments.
     std::vector<std::uint32_t> order(routes_.size());
     std::vector<int> hpwl(routes_.size());
+    // Every segment advances at least one tile, so a connection takes at
+    // most its Manhattan length in segments: reserving that much means the
+    // arenas never move while routing. Pages no segment reaches are never
+    // touched.
+    const auto& nl = placement_->nl();
+    std::size_t connections = 0;
+    std::size_t tiles = 0;
     for (std::uint32_t i = 0; i < routes_.size(); ++i) {
         order[i] = i;
         hpwl[i] = placement_->net_hpwl(NetId{i});
+        if (placement_->dedicated_net(NetId{i})) continue;
+        const SliceCoord from = placement_->cell_pos(nl.net(NetId{i}).driver.cell);
+        for (const PinRef& sink : nl.sinks(NetId{i}))
+            tiles += fabric::Device::distance(from, placement_->cell_pos(sink.cell));
+        connections += nl.net(NetId{i}).fanout();
     }
+    sinks_.reserve(connections);
+    segments_.reserve(tiles);
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) { return hpwl[a] < hpwl[b]; });
     for (const std::uint32_t i : order) route_net(NetId{i}, mode);
@@ -296,7 +272,7 @@ std::string render_route(const RoutedDesign& design, NetId net) {
     const auto& placement = design.placement();
     const auto& nl = placement.nl();
     const auto& n = nl.net(net);
-    const auto& route = design.route(net);
+    const NetRoute route = design.route(net);
 
     // Bounding box with one tile of margin.
     int min_x = placement.device().cols() - 1;
@@ -312,7 +288,7 @@ std::string render_route(const RoutedDesign& design, NetId net) {
     const SliceCoord from = placement.cell_pos(n.driver.cell);
     extend(from.x, from.y);
     for (const auto& sink : route.sinks) {
-        for (const auto& seg : sink.segments) {
+        for (const auto& seg : design.segments(sink)) {
             const int span = fabric::wire_params(seg.type).span;
             extend(seg.x, seg.y);
             extend(seg.horizontal ? seg.x + seg.step * span : seg.x,
@@ -336,18 +312,12 @@ std::string render_route(const RoutedDesign& design, NetId net) {
     };
 
     for (const auto& sink : route.sinks) {
-        for (const auto& seg : sink.segments) {
-            const auto& params = fabric::wire_params(seg.type);
-            char mark = '?';
-            switch (seg.type) {
-                case WireType::Direct: mark = '-'; break;
-                case WireType::Double: mark = '='; break;
-                case WireType::Hex: mark = 'h'; break;
-                case WireType::Long: mark = 'L'; break;
-            }
+        for (const auto& seg : design.segments(sink)) {
+            const char mark = "-=hL"[static_cast<int>(seg.type)];  // by WireType
+            const int span = fabric::wire_params(seg.type).span;
             int x = seg.x;
             int y = seg.y;
-            for (int i = 0; i < params.span; ++i) {
+            for (int i = 0; i < span; ++i) {
                 put(x, y, mark);
                 (seg.horizontal ? x : y) += seg.step;
             }
@@ -358,7 +328,7 @@ std::string render_route(const RoutedDesign& design, NetId net) {
     put(from.x, from.y, 'D');
 
     std::ostringstream os;
-    os << "net " << n.name << " (D=driver, S=sink, -=direct, ==double, h=hex, L=long)\n";
+    os << "net " << nl.name(net) << " (D=driver, S=sink, -=direct, ==double, h=hex, L=long)\n";
     for (auto it = grid.rbegin(); it != grid.rend(); ++it) os << *it << '\n';
     return os.str();
 }

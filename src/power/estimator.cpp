@@ -37,7 +37,7 @@ PowerReport estimate_power(const par::RoutedDesign& routed,
         const double p_uw = par::switch_power_uw(c_pf, rate, options.vdd);
         report.logic_mw += p_uw * 1e-3;
         if (p_uw > 0.0)
-            entries.push_back({net, nl.net(net).name, p_uw, c_pf, rate});
+            entries.push_back({net, std::string(nl.name(net)), p_uw, c_pf, rate});
     }
 
     // Tie-break equal powers on net id so the top-N cut is deterministic

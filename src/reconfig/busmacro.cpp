@@ -42,15 +42,15 @@ std::vector<BoundaryViolation> check_boundaries(const netlist::Netlist& nl) {
         if (driver.kind == CellKind::Gnd || driver.kind == CellKind::Vcc) continue;
 
         const bool is_macro_net =
-            driver.name.find(kBusMacroTag) != std::string::npos;
+            nl.name(net.driver.cell).find(kBusMacroTag) != std::string::npos;
 
-        for (const auto& sink : net.sinks) {
+        for (const auto& sink : nl.sinks(id)) {
             const auto& sc = nl.cell(sink.cell);
             if (sc.partition == driver.partition) continue;
-            if (is_macro_net || sc.name.find(kBusMacroTag) != std::string::npos)
+            if (is_macro_net || nl.name(sink.cell).find(kBusMacroTag) != std::string::npos)
                 continue;
             violations.push_back(
-                {id, net.name, nl.partitions()[driver.partition.value()],
+                {id, std::string(nl.name(id)), nl.partitions()[driver.partition.value()],
                  nl.partitions()[sc.partition.value()]});
             break;  // one report per net is enough
         }

@@ -35,8 +35,7 @@ ActivityMap activity_from_vcd(const netlist::Netlist& nl, const VcdActivity& vcd
     ActivityMap map(nl.net_count());
     if (vcd.duration_ps <= 0) return map;
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
-        const auto& net = nl.net(netlist::NetId{i});
-        const auto it = vcd.toggles.find(net.name);
+        const auto it = vcd.toggles.find(nl.name(netlist::NetId{i}));
         if (it != vcd.toggles.end())
             map.set_rate(netlist::NetId{i},
                          static_cast<double>(it->second) /

@@ -42,16 +42,16 @@ struct SweepWrite {
 
 }  // namespace
 
-EventSimulator::EventSimulator(const netlist::Netlist& nl) : nl_(nl), graph_(nl) {
+EventSimulator::EventSimulator(const netlist::Netlist& nl)
+    : nl_(nl), graph_(nl.sim_graph()) {
+    // A DRC-clean netlist has every input pin wired, so the records read the
+    // pin arena as it is.
     netlist::require_clean(nl_);
     // Net index net_count() always reads 0, net_count() + 1 always reads 1.
     const auto zero = static_cast<std::uint32_t>(nl_.net_count());
     const std::uint32_t one = zero + 1;
     values_.assign(nl_.net_count() + 2, 0);
     values_[one] = 1;
-    auto net_or = [](NetId n, std::uint32_t absent) {
-        return n.valid() ? n.value() : absent;
-    };
 
     position_.assign(nl_.cell_count(), 0);
     comb_.reserve(graph_.comb_order().size());
@@ -60,10 +60,10 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl) : nl_(nl), graph_(nl)
         position_[i] = static_cast<std::uint32_t>(comb_.size());
         CombRecord r{{zero, zero, zero, zero}, i, 0, false};
         if (c.kind == CellKind::Lut) {
-            REFPGA_EXPECTS(c.inputs.size() <= 4);
-            for (std::size_t pin = 0; pin < c.inputs.size(); ++pin)
-                r.in[pin] = net_or(c.inputs[pin], zero);
-            r.out = c.outputs[0].value();
+            const std::span<const NetId> in = nl_.inputs(CellId{i});
+            REFPGA_EXPECTS(in.size() <= 4);
+            for (std::size_t pin = 0; pin < in.size(); ++pin) r.in[pin] = in[pin].value();
+            r.out = nl_.outputs(CellId{i})[0].value();
             r.mask = c.lut_mask;
             r.lut = true;
         } else {
@@ -75,26 +75,21 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl) : nl_(nl), graph_(nl)
     std::size_t output_bits = 0;  // FF and BRAM outputs: the edge's writes
     for (const std::uint32_t i : graph_.seq_cells()) {
         const Cell& c = nl_.cell(CellId{i});
+        const std::span<const NetId> in = nl_.inputs(CellId{i});
         if (c.kind == CellKind::Ff) {
             ++output_bits;
-            const NetId ce = c.inputs.size() > 1 ? c.inputs[1] : NetId{};
-            ffs_.push_back({net_or(c.inputs[0], zero), net_or(ce, one),
-                            c.outputs[0].value(), i, c.clock});
+            ffs_.push_back({in[0].value(), in.size() > 1 ? in[1].value() : one,
+                            nl_.outputs(CellId{i})[0].value(), i, c.clock});
             continue;
         }
         const auto& cfg = nl_.bram_config(c);
         BramRecord b{i,
-                     static_cast<std::uint32_t>(bram_nets_.size()),
-                     static_cast<std::uint32_t>(c.inputs.size()),
                      c.bram_index,
                      static_cast<std::uint16_t>(cfg.addr_bits),
                      static_cast<std::uint16_t>(cfg.data_bits),
                      cfg.writable,
                      c.clock};
-        REFPGA_EXPECTS(c.outputs.size() == static_cast<std::size_t>(cfg.data_bits));
-        for (const NetId n : c.inputs) bram_nets_.push_back(net_or(n, zero));
-        for (const NetId n : c.outputs) bram_nets_.push_back(n.value());
-        output_bits += c.outputs.size();
+        output_bits += b.data_bits;
         if (bram_state_.size() <= b.state) bram_state_.resize(b.state + 1);
         bram_state_[b.state] = cfg.init;
         brams_.push_back(b);
@@ -113,31 +108,27 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl) : nl_(nl), graph_(nl)
     // Reset settle: constants, then one sweep. Its transitions are the
     // power-up settle and are not part of the toggle specification
     // (engine.hpp).
-    for (std::uint32_t i = 0; i < nl_.cell_count(); ++i) {
-        const Cell& c = nl_.cell(CellId{i});
-        if (c.kind == CellKind::Vcc) values_[c.outputs[0].value()] = 1;
-    }
+    for (std::uint32_t i = 0; i < nl_.cell_count(); ++i)
+        if (nl_.cell(CellId{i}).kind == CellKind::Vcc)
+            values_[nl_.outputs(CellId{i})[0].value()] = 1;
     (void)sweep_levels({});
     std::fill(toggles_.begin(), toggles_.end(), 0);
     changed_.clear();
 }
 
-std::uint64_t EventSimulator::bus(const std::uint32_t* nets, std::size_t count) const {
+std::uint64_t EventSimulator::bus(std::span<const NetId> nets) const {
     std::uint64_t v = 0;
-    for (std::size_t i = 0; i < count; ++i)
-        v |= std::uint64_t{values_[nets[i]]} << i;
+    for (std::size_t i = 0; i < nets.size(); ++i)
+        v |= std::uint64_t{values_[nets[i].value()]} << i;
     return v;
 }
 
-std::int64_t EventSimulator::mult_product(const Cell& c) const {
-    const std::size_t a_bits = c.lut_mask;  // operand split marker
-    const std::size_t b_bits = c.inputs.size() - a_bits;
+std::int64_t EventSimulator::mult_product(CellId cell) const {
+    const std::span<const NetId> in = nl_.inputs(cell);
+    const std::size_t a_bits = nl_.cell(cell).lut_mask;  // operand split marker
+    const std::size_t b_bits = in.size() - a_bits;
     auto operand = [&](std::size_t first, std::size_t bits) {
-        std::uint64_t raw = 0;
-        for (std::size_t i = 0; i < bits; ++i) {
-            const NetId n = c.inputs[first + i];
-            if (n.valid() && values_[n.value()] != 0) raw |= std::uint64_t{1} << i;
-        }
+        const std::uint64_t raw = bus(in.subspan(first, bits));
         const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
         return static_cast<std::int64_t>(raw ^ sign) - static_cast<std::int64_t>(sign);
     };
@@ -147,10 +138,10 @@ std::int64_t EventSimulator::mult_product(const Cell& c) const {
 template <typename Write>
 void EventSimulator::eval(const CombRecord& r, Write& write) {
     if (!r.lut) {
-        const Cell& c = nl_.cell(CellId{r.out});
-        const std::int64_t p = mult_product(c);
-        for (std::size_t i = 0; i < c.outputs.size(); ++i)
-            write(c.outputs[i].value(), static_cast<std::uint8_t>((p >> i) & 1));
+        const std::int64_t p = mult_product(CellId{r.out});
+        const std::span<const NetId> out = nl_.outputs(CellId{r.out});
+        for (std::size_t i = 0; i < out.size(); ++i)
+            write(out[i].value(), static_cast<std::uint8_t>((p >> i) & 1));
         return;
     }
     // Input pin i is bit i of the truth-table index; the sentinel reads 0,
@@ -193,15 +184,15 @@ std::span<const EventSimulator::NetWrite> EventSimulator::evaluate_sequential(
             if (!seq_armed_[b.cell]) continue;
             seq_armed_[b.cell] = 0;
         }
-        const std::uint32_t* nets = bram_nets_.data() + b.first;
-        const auto addr = static_cast<std::size_t>(bus(nets, b.addr_bits));
+        const std::span<const NetId> in = nl_.inputs(CellId{b.cell});
+        const auto addr = static_cast<std::size_t>(bus(in.first(b.addr_bits)));
         auto& mem = bram_state_[b.state];
-        if (b.writable && v[nets[b.addr_bits]] != 0)
-            mem[addr] = static_cast<std::uint32_t>(bus(nets + b.addr_bits + 1, b.data_bits));
+        if (b.writable && v[in[b.addr_bits].value()] != 0)
+            mem[addr] = static_cast<std::uint32_t>(bus(in.subspan(b.addr_bits + 1u)));
         const std::uint32_t word = mem[addr];
-        const std::uint32_t* q = nets + b.inputs;
+        const std::span<const NetId> q = nl_.outputs(CellId{b.cell});
         for (std::uint32_t i = 0; i < b.data_bits; ++i)
-            out[n++] = {q[i], static_cast<std::uint8_t>((word >> i) & 1)};
+            out[n++] = {q[i].value(), static_cast<std::uint8_t>((word >> i) & 1)};
     }
     return {out, n};
 }

@@ -34,10 +34,11 @@
 //
 // Net values are one byte per net. Both paths read one array of
 // combinational records in level order (truth table, four input nets and
-// the output net of a LUT; a MULT18 is evaluated through its Cell), flat FF
-// and BRAM records, and one commit helper. An unused or unconnected pin
-// reads a sentinel net past the last one that always reads 0; an FF without
-// a clock enable reads a second sentinel that always reads 1.
+// the output net of a LUT; a MULT18 is evaluated through the netlist's pin
+// arena), flat FF and BRAM records, and one commit helper; the levelization
+// is the netlist's shared SimGraph (Netlist::sim_graph). An unused LUT pin
+// reads a sentinel net past the last one that always reads 0; an FF
+// without a clock enable reads a second sentinel that always reads 1.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,8 @@ public:
     explicit EventSimulator(const netlist::Netlist& nl);
 
     [[nodiscard]] const netlist::Netlist& netlist() const override { return nl_; }
+    /// The levelization the engine reads: its netlist's shared SimGraph.
+    [[nodiscard]] const netlist::SimGraph& graph() const { return graph_; }
 
     void set_input(const std::string& port, std::uint64_t value) override;
 
@@ -110,13 +113,10 @@ private:
         std::uint32_t cell;
         netlist::NetId clock;
     };
-    /// A BRAM port; its nets sit at bram_nets_[first...]: the inputs
-    /// (address, then write enable and write data when writable), then the
-    /// data_bits read-data outputs.
+    /// A BRAM port; its nets are the netlist's inputs (address, then write
+    /// enable and write data when writable) and outputs of `cell`.
     struct BramRecord {
         std::uint32_t cell;
-        std::uint32_t first;
-        std::uint32_t inputs;
         std::uint32_t state;  ///< index into bram_state_ (the cell's bram_index)
         std::uint16_t addr_bits;
         std::uint16_t data_bits;
@@ -134,8 +134,8 @@ private:
     template <typename Write>
     void commit(std::span<const NetWrite> writes, Write& write);
     std::span<const NetWrite> evaluate_sequential(netlist::NetId clock, bool every);
-    [[nodiscard]] std::uint64_t bus(const std::uint32_t* nets, std::size_t count) const;
-    [[nodiscard]] std::int64_t mult_product(const netlist::Cell& c) const;
+    [[nodiscard]] std::uint64_t bus(std::span<const netlist::NetId> nets) const;
+    [[nodiscard]] std::int64_t mult_product(netlist::CellId cell) const;
     void set_net(std::uint32_t net, std::uint8_t value);
     void schedule(std::uint32_t cell);
     std::size_t drain_levels();
@@ -143,12 +143,11 @@ private:
     void record(bool tick, bool dense, std::size_t evaluations);
 
     const netlist::Netlist& nl_;
-    netlist::SimGraph graph_;
+    const netlist::SimGraph& graph_;
     std::vector<CombRecord> comb_;             ///< by position in level order
     std::vector<std::uint32_t> position_;      ///< per cell: its comb_ position
     std::vector<FfRecord> ffs_;
     std::vector<BramRecord> brams_;
-    std::vector<std::uint32_t> bram_nets_;
     std::vector<std::uint8_t> values_;         ///< per net, then the 0 and 1 sentinels
     std::vector<std::vector<std::uint32_t>> level_queue_;  ///< pending positions
     std::vector<std::uint8_t> queued_;         ///< per position: already scheduled

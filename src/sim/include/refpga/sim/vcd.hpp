@@ -51,7 +51,7 @@ private:
 /// Per-signal toggle statistics recovered from a VCD file.
 struct VcdActivity {
     std::int64_t duration_ps = 0;
-    std::map<std::string, std::int64_t> toggles;  ///< signal name -> transitions
+    std::map<std::string, std::int64_t, std::less<>> toggles;  ///< signal name -> transitions
 };
 
 /// Malformed VCD input. The §4.3 flow feeds externally produced dumps into

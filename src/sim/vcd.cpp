@@ -17,10 +17,10 @@ VcdWriter::VcdWriter(std::ostream& os, const SimEngine& sim,
     os_ << "$scope module top $end\n";
     for (std::size_t i = 0; i < nets_.size(); ++i) {
         codes_.push_back(code_for(i));
-        const auto& net = sim_.netlist().net(nets_[i]);
         // VCD identifiers must not contain whitespace; net names are safe
         // (builder uses [a-zA-Z0-9_/.\[\]]).
-        os_ << "$var wire 1 " << codes_[i] << ' ' << net.name << " $end\n";
+        os_ << "$var wire 1 " << codes_[i] << ' ' << sim_.netlist().name(nets_[i])
+            << " $end\n";
     }
     os_ << "$upscope $end\n$enddefinitions $end\n";
 }

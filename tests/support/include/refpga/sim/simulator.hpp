@@ -62,8 +62,8 @@ private:
     void levelize();
     void eval_cell(std::uint32_t cell_index);
     void set_net(netlist::NetId net, bool value);
-    [[nodiscard]] bool in_value(const netlist::Cell& c, std::size_t pin) const;
-    [[nodiscard]] std::uint64_t bus_in(const netlist::Cell& c, std::size_t first,
+    [[nodiscard]] bool in_value(netlist::CellId cell, std::size_t pin) const;
+    [[nodiscard]] std::uint64_t bus_in(netlist::CellId cell, std::size_t first,
                                        std::size_t count) const;
 
     const netlist::Netlist& nl_;

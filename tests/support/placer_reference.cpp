@@ -35,7 +35,7 @@ std::vector<std::vector<NetId>> nets_per_slice(const Placement& placement) {
             if (list.empty() || list.back() != net) list.push_back(net);
         };
         touch(n.driver.cell);
-        for (const auto& sink : n.sinks) touch(sink.cell);
+        for (const auto& sink : nl.sinks(net)) touch(sink.cell);
     }
     return result;
 }

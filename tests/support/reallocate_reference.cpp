@@ -22,7 +22,7 @@ double total_power_uw(const RoutedDesign& routed, const sim::ActivityMap& activi
 }
 
 /// Slices holding the net's driver or sinks, sorted, unique.
-std::vector<SliceId> net_slices(const Placement& placement, NetId net) {
+std::vector<SliceId> naive_net_slices(const Placement& placement, NetId net) {
     const auto& n = placement.nl().net(net);
     std::set<SliceId> slices;
     auto add = [&](CellId cell) {
@@ -30,7 +30,7 @@ std::vector<SliceId> net_slices(const Placement& placement, NetId net) {
         if (s.valid()) slices.insert(s);
     };
     if (n.driven()) add(n.driver.cell);
-    for (const auto& sink : n.sinks) add(sink.cell);
+    for (const auto& sink : placement.nl().sinks(net)) add(sink.cell);
     return {slices.begin(), slices.end()};
 }
 
@@ -40,10 +40,9 @@ std::vector<NetId> incident_nets(const Placement& placement, SliceId slice) {
     const auto& packed = placement.design().slices()[slice.value()];
     std::set<NetId> nets;
     auto add_cell = [&](CellId cell) {
-        const auto& c = nl.cell(cell);
-        for (const NetId in : c.inputs)
+        for (const NetId in : nl.inputs(cell))
             if (in.valid() && !placement.dedicated_net(in)) nets.insert(in);
-        for (const NetId out : c.outputs)
+        for (const NetId out : nl.outputs(cell))
             if (out.valid() && !placement.dedicated_net(out)) nets.insert(out);
     };
     for (const CellId cell : packed.luts) add_cell(cell);
@@ -63,7 +62,7 @@ SliceCoord net_centroid(const Placement& placement, NetId net) {
         ++count;
     };
     if (n.driven()) add(n.driver.cell);
-    for (const auto& sink : n.sinks) add(sink.cell);
+    for (const auto& sink : placement.nl().sinks(net)) add(sink.cell);
     if (count == 0) return SliceCoord{0, 0, 0};
     return SliceCoord{static_cast<int>(sx / count), static_cast<int>(sy / count), 0};
 }
@@ -79,7 +78,7 @@ std::vector<NetId> rank_hot_nets(const RoutedDesign& routed,
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
         const NetId net{i};
         if (nl.net(net).fanout() > kReallocMaxFanout) continue;
-        const NetRoute& r = routed.route(net);
+        const NetRoute r = routed.route(net);
         const double pin_c =
             RoutedDesign::kPinCapacitancePf * static_cast<double>(r.sinks.size());
         const double wire_c = std::max(r.capacitance_pf() - pin_c, 0.0);
@@ -112,12 +111,12 @@ public:
         for (const NetId net : rank_hot_nets(routed_, activity_, options_)) {
             NetPowerChange change;
             change.net = net;
-            change.name = placement_.nl().net(net).name;
+            change.name = placement_.nl().name(net);
             change.before_uw = net_power_uw(routed_, net, activity_, options_.vdd);
             if (options_.capture_routes) change.route_before = render_route(routed_, net);
             routed_.reroute_net(net, RouteMode::LowPower);
             const SliceCoord centroid = net_centroid(placement_, net);
-            for (const SliceId slice : net_slices(placement_, net))
+            for (const SliceId slice : naive_net_slices(placement_, net))
                 optimize_slice(slice, centroid, incident_nets(placement_, slice), change);
             change.after_uw = net_power_uw(routed_, net, activity_, options_.vdd);
             if (options_.capture_routes) change.route_after = render_route(routed_, net);

@@ -37,7 +37,7 @@ Simulator::Simulator(const netlist::Netlist& nl) : nl_(nl) {
     // Constants must be reflected before the first settle.
     for (std::uint32_t i = 0; i < nl_.cell_count(); ++i) {
         const Cell& c = nl_.cell(CellId{i});
-        if (c.kind == CellKind::Vcc) values_[c.outputs[0].value()] = 1;
+        if (c.kind == CellKind::Vcc) values_[nl_.outputs(CellId{i})[0].value()] = 1;
     }
     settle();
     // The settle above only establishes the reset steady state; activity
@@ -62,7 +62,7 @@ void Simulator::levelize() {
     for (std::uint32_t i = 0; i < nl_.cell_count(); ++i) {
         const Cell& c = nl_.cell(CellId{i});
         if (!is_comb(c)) continue;
-        for (const NetId in : c.inputs) {
+        for (const NetId in : nl_.inputs(CellId{i})) {
             if (!in.valid()) continue;
             const Net& n = nl_.net(in);
             if (!n.driven()) continue;
@@ -88,15 +88,15 @@ void Simulator::levelize() {
     }
 }
 
-bool Simulator::in_value(const Cell& c, std::size_t pin) const {
-    const NetId n = c.inputs[pin];
+bool Simulator::in_value(CellId cell, std::size_t pin) const {
+    const NetId n = nl_.inputs(cell)[pin];
     return n.valid() && values_[n.value()] != 0;
 }
 
-std::uint64_t Simulator::bus_in(const Cell& c, std::size_t first, std::size_t count) const {
+std::uint64_t Simulator::bus_in(CellId cell, std::size_t first, std::size_t count) const {
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < count; ++i)
-        if (in_value(c, first + i)) v |= std::uint64_t{1} << i;
+        if (in_value(cell, first + i)) v |= std::uint64_t{1} << i;
     return v;
 }
 
@@ -111,28 +111,29 @@ void Simulator::set_net(NetId net, bool value) {
 }
 
 void Simulator::eval_cell(std::uint32_t cell_index) {
-    const Cell& c = nl_.cell(CellId{cell_index});
+    const CellId id{cell_index};
+    const Cell& c = nl_.cell(id);
     switch (c.kind) {
         case CellKind::Lut: {
             std::uint32_t index = 0;
-            for (std::size_t i = 0; i < c.inputs.size(); ++i)
-                if (in_value(c, i)) index |= 1u << i;
-            set_net(c.outputs[0], ((c.lut_mask >> index) & 1) != 0);
+            for (std::size_t i = 0; i < nl_.inputs(id).size(); ++i)
+                if (in_value(id, i)) index |= 1u << i;
+            set_net(nl_.outputs(id)[0], ((c.lut_mask >> index) & 1) != 0);
             break;
         }
         case CellKind::Mult18: {
             const std::size_t a_bits = c.lut_mask;  // operand split marker
-            const std::size_t b_bits = c.inputs.size() - a_bits;
+            const std::size_t b_bits = nl_.inputs(id).size() - a_bits;
             auto sext = [](std::uint64_t raw, std::size_t bits) {
                 const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
                 return static_cast<std::int64_t>((raw ^ sign)) -
                        static_cast<std::int64_t>(sign);
             };
-            const std::int64_t a = sext(bus_in(c, 0, a_bits), a_bits);
-            const std::int64_t b = sext(bus_in(c, a_bits, b_bits), b_bits);
+            const std::int64_t a = sext(bus_in(id, 0, a_bits), a_bits);
+            const std::int64_t b = sext(bus_in(id, a_bits, b_bits), b_bits);
             const std::int64_t p = a * b;
-            for (std::size_t i = 0; i < c.outputs.size(); ++i)
-                set_net(c.outputs[i], ((p >> i) & 1) != 0);
+            for (std::size_t i = 0; i < nl_.outputs(id).size(); ++i)
+                set_net(nl_.outputs(id)[i], ((p >> i) & 1) != 0);
             break;
         }
         case CellKind::Outpad:
@@ -187,23 +188,24 @@ void Simulator::tick(NetId clock) {
     std::vector<BramUpdate> bram_updates;
 
     for (const std::uint32_t i : seq_cells_) {
-        const Cell& c = nl_.cell(CellId{i});
+        const CellId id{i};
+        const Cell& c = nl_.cell(id);
         if (c.clock != clock) continue;
         if (c.kind == CellKind::Ff) {
-            const bool enabled = c.inputs.size() < 2 || !c.inputs[1].valid() ||
-                                 values_[c.inputs[1].value()] != 0;
+            const auto in = nl_.inputs(id);
+            const bool enabled = in.size() < 2 || !in[1].valid() || values_[in[1].value()] != 0;
             if (enabled)
-                ff_updates.push_back({i, in_value(c, 0)});
+                ff_updates.push_back({i, in_value(id, 0)});
         } else {  // BRAM
             const auto& cfg = nl_.bram_config(c);
             const auto addr =
-                static_cast<std::size_t>(bus_in(c, 0, static_cast<std::size_t>(cfg.addr_bits)));
+                static_cast<std::size_t>(bus_in(id, 0, static_cast<std::size_t>(cfg.addr_bits)));
             auto& mem = bram_state_[i];
             if (cfg.writable) {
                 const std::size_t we_pin = static_cast<std::size_t>(cfg.addr_bits);
-                if (in_value(c, we_pin)) {
+                if (in_value(id, we_pin)) {
                     const std::uint64_t w =
-                        bus_in(c, we_pin + 1, static_cast<std::size_t>(cfg.data_bits));
+                        bus_in(id, we_pin + 1, static_cast<std::size_t>(cfg.data_bits));
                     mem[addr] = static_cast<std::uint32_t>(w);
                 }
             }
@@ -213,11 +215,11 @@ void Simulator::tick(NetId clock) {
 
     // Phase 2: commit outputs, then settle the combinational fabric.
     for (const FfUpdate& u : ff_updates)
-        set_net(nl_.cell(CellId{u.cell}).outputs[0], u.q);
+        set_net(nl_.outputs(CellId{u.cell})[0], u.q);
     for (const BramUpdate& u : bram_updates) {
-        const Cell& c = nl_.cell(CellId{u.cell});
-        for (std::size_t bit = 0; bit < c.outputs.size(); ++bit)
-            set_net(c.outputs[bit], ((u.read_word >> bit) & 1) != 0);
+        const auto outs = nl_.outputs(CellId{u.cell});
+        for (std::size_t bit = 0; bit < outs.size(); ++bit)
+            set_net(outs[bit], ((u.read_word >> bit) & 1) != 0);
     }
     settle();
     ++cycles_;

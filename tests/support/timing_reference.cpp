@@ -37,7 +37,7 @@ TimingReport analyze_timing_reference(const RoutedDesign& routed,
     // fallback for partially re-routed nets.
     auto net_sink_delay = [&](NetId net, const netlist::PinRef& sink,
                               std::size_t sink_idx) {
-        const NetRoute& r = routed.route(net);
+        const NetRoute r = routed.route(net);
         if (sink_idx < r.sinks.size() && r.sinks[sink_idx].sink == sink)
             return r.sinks[sink_idx].delay_ps;
         for (const auto& s : r.sinks)
@@ -63,13 +63,11 @@ TimingReport analyze_timing_reference(const RoutedDesign& routed,
     while (!worklist.empty()) {
         const std::uint32_t ci = worklist.back();
         worklist.pop_back();
-        const Cell& c = nl.cell(CellId{ci});
-        for (const NetId out : c.outputs) {
-            if (!out.valid()) continue;
-            const auto& n = nl.net(out);
-            if (n.is_clock) continue;
-            for (std::size_t si = 0; si < n.sinks.size(); ++si) {
-                const auto& sink = n.sinks[si];
+        for (const NetId out : nl.outputs(CellId{ci})) {
+            if (nl.net(out).is_clock) continue;
+            const auto sinks = nl.sinks(out);
+            for (std::size_t si = 0; si < sinks.size(); ++si) {
+                const auto& sink = sinks[si];
                 const Cell& sc = nl.cell(sink.cell);
                 const double wire = net_sink_delay(out, sink, si);
                 double t = arrival[ci] + wire;

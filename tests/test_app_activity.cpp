@@ -52,7 +52,7 @@ std::vector<std::string> differing_nets(const netlist::Netlist& nl,
     std::vector<std::string> names;
     for (std::uint32_t i = 0; i < nl.net_count(); ++i)
         if (a.rate_hz(NetId{i}) != b.rate_hz(NetId{i}))
-            names.push_back(nl.net(NetId{i}).name);
+            names.emplace_back(nl.name(NetId{i}));
     return names;
 }
 
@@ -80,7 +80,7 @@ TEST(SystemActivity, RatesAreWindowedTogglesOverCycles) {
     for (std::uint32_t i = 0; i < core.nl.net_count(); ++i)
         EXPECT_EQ(activity.rate_hz(NetId{i}),
                   static_cast<double>(sim.toggle_counts()[i] - before[i]) / seconds)
-            << core.nl.net(NetId{i}).name;
+            << core.nl.name(NetId{i});
     EXPECT_DOUBLE_EQ(activity.rate_hz(core.count[0]), kClockHz);
 }
 

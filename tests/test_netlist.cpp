@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "refpga/netlist/builder.hpp"
 #include "refpga/netlist/drc.hpp"
 #include "refpga/netlist/netlist.hpp"
+#include "refpga/netlist/simgraph.hpp"
 #include "refpga/netlist/stats.hpp"
 
 namespace refpga::netlist {
 namespace {
+
+std::size_t count_kind(const Netlist& nl, CellKind kind) {
+    return static_cast<std::size_t>(std::count_if(
+        nl.cells().begin(), nl.cells().end(), [&](const Cell& c) { return c.kind == kind; }));
+}
 
 Netlist make_with_clock(NetId& clk) {
     Netlist nl;
@@ -21,7 +31,7 @@ TEST(Netlist, LutCreatesDrivenOutput) {
     const NetId a = nl.add_net("a");
     const NetId o = nl.add_lut(0x1, std::vector<NetId>{a}, "inv");
     EXPECT_TRUE(nl.net(o).driven());
-    EXPECT_EQ(nl.net(a).sinks.size(), 1u);
+    EXPECT_EQ(nl.sinks(a).size(), 1u);
 }
 
 TEST(Netlist, FfMarksClock) {
@@ -125,7 +135,7 @@ TEST_F(BuilderTest, ScopedNames) {
     const NetId o = b_.not_(nl_.add_input_port("a", 1)[0]);
     b_.pop_scope();
     b_.pop_scope();
-    EXPECT_EQ(nl_.cell(nl_.net(o).driver.cell).name.rfind("top/sub/", 0), 0u);
+    EXPECT_EQ(nl_.name(nl_.net(o).driver.cell).rfind("top/sub/", 0), 0u);
 }
 
 TEST_F(BuilderTest, SliceAndConcat) {
@@ -149,6 +159,46 @@ TEST_F(BuilderTest, CounterPassesDrc) {
     EXPECT_TRUE(run_drc(nl_).empty());
 }
 
+// A feedback splice appends the FF's D pin after the next-state net's
+// earlier sinks, which were created after the FF and so have higher cell
+// indices: the sink list keeps connection order, not cell-index order. That
+// order sets route order, timing's sink index and every report digest.
+TEST_F(BuilderTest, FeedbackSpliceKeepsConnectionOrder) {
+    const NetId en = nl_.add_input_port("en", 1)[0];
+    NetId next;
+    const Bus q = b_.feedback_reg(
+        1,
+        [&](const Bus& state) {
+            next = b_.not_(state[0]);
+            (void)b_.and_(next, en);  // sinks `next` before the splice
+            return Bus{next};
+        },
+        NetId{}, "t");
+    (void)b_.or_(next, en);  // sinks `next` after the splice
+
+    const CellId ff = nl_.net(q[0]).driver.cell;
+    EXPECT_EQ(nl_.name(ff), "t0_0");
+    EXPECT_EQ(nl_.name(q[0]), "t0_0.q");
+    EXPECT_EQ(nl_.name(next), "not_1.o");
+    EXPECT_EQ(nl_.inputs(ff)[0], next);
+
+    const auto sinks = nl_.sinks(next);
+    ASSERT_EQ(sinks.size(), 3u);
+    EXPECT_EQ(nl_.name(sinks[0].cell), "and_2");
+    EXPECT_EQ(sinks[1], (PinRef{ff, 0}));
+    EXPECT_EQ(nl_.name(sinks[2].cell), "or_3");
+    EXPECT_LT(ff.value(), sinks[0].cell.value());
+
+    // The placeholder D net keeps its name and loses its one sink.
+    NetId placeholder;
+    for (std::uint32_t i = 0; i < nl_.net_count(); ++i)
+        if (nl_.name(NetId{i}) == "t_d0") placeholder = NetId{i};
+    ASSERT_TRUE(placeholder.valid());
+    EXPECT_EQ(nl_.net(placeholder).fanout(), 0u);
+    EXPECT_TRUE(nl_.sinks(placeholder).empty());
+    EXPECT_TRUE(run_drc(nl_).empty());
+}
+
 TEST_F(BuilderTest, FeedbackRegWidthMismatchRejected) {
     EXPECT_THROW(b_.feedback_reg(4, [&](const Bus&) { return b_.constant(0, 3); }),
                  ContractViolation);
@@ -166,6 +216,28 @@ TEST_F(BuilderTest, MulUsesOneMult18) {
     const Bus x = nl_.add_input_port("x", 10);
     (void)b_.mul_mult18(a, x, 22, 0);
     EXPECT_EQ(count_kind(nl_, CellKind::Mult18), 1u);
+}
+
+// Readers of a const netlist may race to its first sink list and SimGraph:
+// each is built once and every reader gets the same one.
+TEST_F(BuilderTest, ConcurrentFirstReadersShareOneDerivedState) {
+    const Bus q = b_.counter(12);
+    const Netlist& nl = nl_;
+    std::vector<const SimGraph*> graphs(4);
+    std::vector<const PinRef*> sinks(4);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < graphs.size(); ++t)
+        readers.emplace_back([&, t] {
+            sinks[t] = nl.sinks(q[0]).data();
+            graphs[t] = &nl.sim_graph();
+        });
+    for (std::thread& r : readers) r.join();
+    for (std::size_t t = 1; t < graphs.size(); ++t) {
+        EXPECT_EQ(graphs[t], graphs[0]);
+        EXPECT_EQ(sinks[t], sinks[0]);
+    }
+    EXPECT_EQ(graphs[0], &nl.sim_graph());
+    EXPECT_FALSE(nl.sinks(q[0]).empty());
 }
 
 // ---------------------------------------------------------------- drc
@@ -194,11 +266,9 @@ TEST(Drc, DetectsCombinationalLoop) {
     Netlist nl;
     const NetId seed = nl.add_input_port("a", 1)[0];
     const NetId o1 = nl.add_lut(0x1, std::vector<NetId>{seed}, "l1");
-    // Manually wire l1's input to its own output to create a loop.
-    Cell& c = nl.cell(nl.net(o1).driver.cell);
-    nl.net(seed).sinks.clear();
-    c.inputs[0] = o1;
-    nl.net(o1).sinks.push_back(PinRef{nl.net(o1).driver.cell, 0});
+    // Rewire l1's input to its own output to create a loop.
+    nl.rewire(PinRef{nl.net(o1).driver.cell, 0}, o1);
+    EXPECT_EQ(nl.net(seed).fanout(), 0u);
     const auto issues = run_drc(nl);
     bool found = false;
     for (const auto& i : issues)

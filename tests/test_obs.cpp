@@ -65,7 +65,7 @@ TEST(MetricRegistry, KindClashThrows) {
 TEST(MetricRegistry, FullRegistryThrows) {
     MetricRegistry reg;
     for (std::size_t i = 0; i < MetricRegistry::kMaxMetrics; ++i)
-        (void)reg.counter("m" + std::to_string(i));
+        (void)reg.counter(std::string("m").append(std::to_string(i)));
     EXPECT_THROW((void)reg.counter("one-too-many"), ContractViolation);
 }
 

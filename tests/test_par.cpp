@@ -9,6 +9,7 @@
 
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/builder.hpp"
+#include "refpga/netlist/simgraph.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
 #include "refpga/par/placer.hpp"
@@ -16,6 +17,7 @@
 #include "refpga/par/router.hpp"
 #include "refpga/par/timing.hpp"
 #include "refpga/sim/activity.hpp"
+#include "refpga/sim/event_sim.hpp"
 #include "refpga/sim/simulator.hpp"
 
 namespace refpga::par {
@@ -76,7 +78,8 @@ TEST(Pack, PartitionsNeverShareSlices) {
         for (const auto cell : s.ffs)
             EXPECT_EQ(d.nl.cell(cell).partition, s.partition);
     }
-    const auto counts = packed.slices_per_partition(d.nl);
+    std::vector<std::size_t> counts(d.nl.partitions().size(), 0);
+    for (const PackedSlice& s : packed.slices()) ++counts[s.partition.value()];
     EXPECT_EQ(counts[0], 2u);
     EXPECT_EQ(counts[1], 2u);
 }
@@ -225,9 +228,9 @@ TEST(Router, RoutesAllNets) {
     for (std::uint32_t i = 0; i < r.p.d.nl.net_count(); ++i) {
         const NetId net{i};
         if (r.placement.dedicated_net(net)) continue;
-        const auto& nr = routed.route(net);
+        const auto nr = routed.route(net);
         EXPECT_TRUE(nr.routed);
-        EXPECT_EQ(nr.sinks.size(), r.p.d.nl.net(net).sinks.size());
+        EXPECT_EQ(nr.sinks.size(), r.p.d.nl.sinks(net).size());
     }
 }
 
@@ -263,7 +266,12 @@ TEST(Router, PerformanceModeIsFasterOnLongNets) {
     perf.route_all(RouteMode::Performance);
     RoutedDesign low(placement, {});
     low.route_all(RouteMode::LowPower);
-    EXPECT_LT(perf.route(n1).max_delay_ps(), low.route(n1).max_delay_ps());
+    const auto max_delay_ps = [](const NetRoute& r) {
+        double d = 0.0;
+        for (const SinkRoute& s : r.sinks) d = std::max(d, s.delay_ps);
+        return d;
+    };
+    EXPECT_LT(max_delay_ps(perf.route(n1)), max_delay_ps(low.route(n1)));
     EXPECT_LT(low.route(n1).capacitance_pf(), perf.route(n1).capacitance_pf());
 }
 
@@ -289,7 +297,7 @@ long recount_overflow(const RoutedDesign& routed, const ChannelCapacity& capacit
                            0);
     for (std::uint32_t ni = 0; ni < routed.placement().nl().net_count(); ++ni)
         for (const SinkRoute& sink : routed.route(NetId{ni}).sinks)
-            for (const RouteSegment& seg : sink.segments) {
+            for (const RouteSegment& seg : routed.segments(sink)) {
                 int x = seg.x;
                 int y = seg.y;
                 for (int i = 0; i < fabric::wire_params(seg.type).span; ++i) {
@@ -327,13 +335,79 @@ TEST(Router, OverflowCountIsLiveAcrossReroutes) {
     EXPECT_EQ(routed.overflow_count(), 0);
 }
 
+/// Every route equal, connection for connection and segment for segment,
+/// and the design totals with them.
+void expect_same_routes(const RoutedDesign& a, const RoutedDesign& b) {
+    for (std::uint32_t i = 0; i < a.placement().nl().net_count(); ++i) {
+        const NetRoute ra = a.route(NetId{i});
+        const NetRoute rb = b.route(NetId{i});
+        ASSERT_EQ(ra.routed, rb.routed) << "net " << i;
+        ASSERT_EQ(ra.sinks.size(), rb.sinks.size()) << "net " << i;
+        for (std::size_t k = 0; k < ra.sinks.size(); ++k) {
+            EXPECT_EQ(ra.sinks[k].sink, rb.sinks[k].sink);
+            EXPECT_EQ(ra.sinks[k].capacitance_pf, rb.sinks[k].capacitance_pf);
+            EXPECT_EQ(ra.sinks[k].delay_ps, rb.sinks[k].delay_ps);
+            const auto sa = a.segments(ra.sinks[k]);
+            const auto sb = b.segments(rb.sinks[k]);
+            ASSERT_EQ(sa.size(), sb.size()) << "net " << i << " sink " << k;
+            for (std::size_t g = 0; g < sa.size(); ++g)
+                EXPECT_TRUE(std::tie(sa[g].type, sa[g].x, sa[g].y, sa[g].horizontal,
+                                     sa[g].step) == std::tie(sb[g].type, sb[g].x, sb[g].y,
+                                                             sb[g].horizontal, sb[g].step));
+        }
+    }
+    EXPECT_EQ(a.total_capacitance_pf(), b.total_capacitance_pf());
+    EXPECT_EQ(a.overflow_count(), b.overflow_count());
+}
+
+TEST(Router, RepeatedReroutesMatchAFreshlyRoutedDesign) {
+    Routed r(16);
+    const auto nets = static_cast<std::uint32_t>(r.p.d.nl.net_count());
+    // Thousands of rip-ups and re-routes in both modes, so the arenas hold
+    // far more dead ranges than live ones.
+    const auto churn = [&](RoutedDesign& routed) {
+        Rng rng(31);
+        for (int k = 0; k < 3000; ++k) {
+            const NetId net{rng.next_below(nets)};
+            if (rng.next_below(3) == 0)
+                routed.unroute_net(net);
+            else
+                routed.reroute_net(net, rng.next_below(2) == 0 ? RouteMode::LowPower
+                                                                : RouteMode::Performance);
+        }
+    };
+
+    // Ample channels: a route depends only on its endpoints and mode, so
+    // re-routing every net in Performance mode gives the fresh design back.
+    const ChannelCapacity ample{1000, 1000, 1000, 1000};
+    RoutedDesign fresh(r.placement, ample);
+    fresh.route_all(RouteMode::Performance);
+    RoutedDesign churned(r.placement, ample);
+    churned.route_all(RouteMode::Performance);
+    churn(churned);
+    for (std::uint32_t i = 0; i < nets; ++i) churned.reroute_net(NetId{i}, RouteMode::Performance);
+    expect_same_routes(churned, fresh);
+
+    // Saturated channels: routes depend on what is already routed, and
+    // route_all starts from nothing whatever came before.
+    const ChannelCapacity saturated{1, 1, 1, 1};
+    RoutedDesign tight_fresh(r.placement, saturated);
+    tight_fresh.route_all(RouteMode::Performance);
+    EXPECT_GT(tight_fresh.overflow_count(), 0);
+    RoutedDesign tight(r.placement, saturated);
+    tight.route_all(RouteMode::LowPower);
+    churn(tight);
+    tight.route_all(RouteMode::Performance);
+    expect_same_routes(tight, tight_fresh);
+}
+
 TEST(Router, RenderRouteShowsDriver) {
     Routed r;
     RoutedDesign routed(r.placement, {});
     routed.route_all(RouteMode::Performance);
     for (std::uint32_t i = 0; i < r.p.d.nl.net_count(); ++i) {
         const NetId net{i};
-        if (r.placement.dedicated_net(net) || r.p.d.nl.net(net).sinks.empty())
+        if (r.placement.dedicated_net(net) || r.p.d.nl.sinks(net).empty())
             continue;
         const std::string view = render_route(routed, net);
         EXPECT_NE(view.find('D'), std::string::npos);
@@ -353,7 +427,7 @@ long manhattan_tiles(const Placement& placement, NetId net, SliceId moved,
     const netlist::Net& n = placement.nl().net(net);
     const SliceCoord from = pos(n.driver.cell);
     long tiles = 0;
-    for (const netlist::PinRef& sink : n.sinks) {
+    for (const netlist::PinRef& sink : placement.nl().sinks(net)) {
         const SliceCoord to = pos(sink.cell);
         tiles += std::abs(to.x - from.x) + std::abs(to.y - from.y);
     }
@@ -381,7 +455,7 @@ TEST(Router, CapacitanceLowerBoundIsAdmissible) {
                 inputs.push_back(in);
         }
         pool.push_back(d.nl.add_lut(static_cast<std::uint16_t>(rng.next_u64()), inputs,
-                                    "l" + std::to_string(i)));
+                                    std::string("l").append(std::to_string(i))));
     }
     d.nl.add_output_port("o", Bus(pool.end() - 8, pool.end()));
     const PackedDesign packed = pack(d.nl);
@@ -425,7 +499,7 @@ TEST(Router, CapacitanceLowerBoundIsAdmissible) {
                     const SliceCoord to = placement.cell_pos(s.sink.cell);
                     const double bound = RoutedDesign::capacitance_lower_bound_pf(
                         1, std::abs(to.x - from.x) + std::abs(to.y - from.y));
-                    EXPECT_GE(s.capacitance_pf, bound) << n.name;
+                    EXPECT_GE(s.capacitance_pf, bound) << d.nl.name(net);
                     if (s.capacitance_pf - bound < 1e-6) ++attained;
                     ++connections;
                 }
@@ -445,15 +519,15 @@ TEST(Router, CapacitanceLowerBoundIsAdmissible) {
                     SliceId moved{below(packed.slice_count())};
                     if (t == 0)
                         moved = packed.slice_of(n.driver.cell);
-                    else if (t == 1 && !n.sinks.empty())
-                        moved = packed.slice_of(n.sinks[below(n.sinks.size())].cell);
+                    else if (t == 1 && n.fanout() > 0)
+                        moved = packed.slice_of(d.nl.sinks(net)[below(n.fanout())].cell);
                     const SliceCoord target = t == 0 ? edges[below(edges.size())] : random_site();
                     const double trial = routed.trial_route_capacitance_pf(
                         net, moved, target, mode, scratch);
                     EXPECT_GE(trial, RoutedDesign::capacitance_lower_bound_pf(
-                                         n.sinks.size(),
+                                         n.fanout(),
                                          manhattan_tiles(placement, net, moved, target)))
-                        << n.name;
+                        << d.nl.name(net);
                     ++trials;
                 }
                 if (below(4) == 0) scratch.clear();
@@ -473,6 +547,28 @@ TEST(Router, SwitchPowerFormula) {
 }
 
 // ---------------------------------------------------------------- timing
+
+TEST(Timing, SharesTheNetlistsLevelizationWithTheSimulator) {
+    Routed r(8);
+    Netlist& nl = r.p.d.nl;
+    const netlist::SimGraph& graph = nl.sim_graph();
+    EXPECT_EQ(&nl.sim_graph(), &graph);
+    const sim::EventSimulator simulator(nl);
+    EXPECT_EQ(&simulator.graph(), &graph);
+
+    RoutedDesign routed(r.placement, {});
+    routed.route_all(RouteMode::Performance);
+    EXPECT_GT(analyze_timing(routed).critical_path_ps, 0.0);
+    const sim::ActivityMap activity(nl.net_count());
+    (void)optimize_net_power(r.placement, routed, activity, {});
+    // Timing and the reallocator read it and built no other.
+    EXPECT_EQ(&nl.sim_graph(), &graph);
+
+    // A structural change drops it; the next reader levelizes afresh.
+    const std::size_t comb = graph.comb_order().size();
+    (void)nl.add_lut(0x1, std::vector<NetId>{nl.add_input_port("x", 1)[0]}, "extra");
+    EXPECT_EQ(nl.sim_graph().comb_order().size(), comb + 1);
+}
 
 TEST(Timing, DeeperLogicHasLongerCriticalPath) {
     auto critical_for = [](int depth) {

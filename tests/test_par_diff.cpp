@@ -266,7 +266,7 @@ TEST(AnnealDiff, MatchesReferenceOnSingleSliceAndSharedNets) {
     ASSERT_NE(x, y);
     for (const NetId q : regs) {
         const CellId ff = nl.net(q).driver.cell;
-        const NetId d = nl.cell(ff).inputs[0];
+        const NetId d = nl.inputs(ff)[0];
         ASSERT_EQ(nl.net(d).fanout(), 1u);
         ASSERT_EQ(packed.slice_of(nl.net(d).driver.cell), packed.slice_of(ff));
     }
@@ -316,9 +316,9 @@ bool is_endpoint(CellKind k) {
 double wire_ps(const RoutedDesign& routed, CellId from, CellId to) {
     const Netlist& nl = routed.placement().nl();
     double worst = -1.0;
-    for (const NetId out : nl.cell(from).outputs) {
-        if (!out.valid() || nl.net(out).is_clock) continue;
-        const auto& sinks = nl.net(out).sinks;
+    for (const NetId out : nl.outputs(from)) {
+        if (nl.net(out).is_clock) continue;
+        const auto sinks = nl.sinks(out);
         for (std::size_t si = 0; si < sinks.size(); ++si) {
             if (sinks[si].cell != to) continue;
             double d = RoutedDesign::kPinDelayPs;
@@ -444,11 +444,7 @@ TEST(TimingDiff, CombinationalLoopThrows) {
     nl.add_output_port("o", Bus{o});
     // Rewire the LUT's second input to its own output.
     const CellId lut = nl.net(o).driver.cell;
-    auto& q_sinks = nl.net(q).sinks;
-    q_sinks.erase(std::remove(q_sinks.begin(), q_sinks.end(), PinRef{lut, 1}),
-                  q_sinks.end());
-    nl.cell(lut).inputs[1] = o;
-    nl.net(o).sinks.push_back(PinRef{lut, 1});
+    nl.rewire(PinRef{lut, 1}, o);
 
     const Placed p(nl, PartName::XC3S200);
     RoutedDesign routed(p.placement, {});

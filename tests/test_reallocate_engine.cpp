@@ -161,11 +161,10 @@ TEST(ReallocateEngine, PruningKeepsReportsBitwiseAndCountsEveryCandidate) {
     }
 }
 
-// ------------------------------------------------- adjacency index
+// ------------------------------------------------- adjacency
 
-TEST(ReallocateEngine, IndexMatchesNaiveSetBuilders) {
+TEST(ReallocateEngine, AdjacencyMatchesNaiveSetBuilders) {
     Scenario s;
-    const ReallocIndex index(s.placement);
     const PackedDesign& packed = s.placement.design();
 
     for (std::uint32_t si = 0; si < packed.slice_count(); ++si) {
@@ -173,17 +172,18 @@ TEST(ReallocateEngine, IndexMatchesNaiveSetBuilders) {
         std::set<NetId> expected;
         const PackedSlice& ps = packed.slices()[si];
         auto add_cell = [&](CellId cell) {
-            const netlist::Cell& c = s.d.nl.cell(cell);
-            std::vector<NetId> pins(c.inputs.begin(), c.inputs.end());
-            pins.insert(pins.end(), c.outputs.begin(), c.outputs.end());
-            pins.push_back(c.clock);
+            const auto inputs = s.d.nl.inputs(cell);
+            const auto outputs = s.d.nl.outputs(cell);
+            std::vector<NetId> pins(inputs.begin(), inputs.end());
+            pins.insert(pins.end(), outputs.begin(), outputs.end());
+            pins.push_back(s.d.nl.cell(cell).clock);
             for (const NetId net : pins)
                 if (net.valid() && !s.placement.dedicated_net(net)) expected.insert(net);
         };
         for (const CellId cell : ps.luts) add_cell(cell);
         for (const CellId cell : ps.ffs) add_cell(cell);
 
-        const auto got = index.nets_of(slice);
+        const auto got = slice_nets(s.placement, slice);
         ASSERT_EQ(got.size(), expected.size()) << "slice " << si;
         EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()));
     }
@@ -194,12 +194,12 @@ TEST(ReallocateEngine, IndexMatchesNaiveSetBuilders) {
         const netlist::Net& n = s.d.nl.net(net);
         std::vector<CellId> cells;
         if (n.driven()) cells.push_back(n.driver.cell);
-        for (const netlist::PinRef& sink : n.sinks) cells.push_back(sink.cell);
+        for (const netlist::PinRef& sink : s.d.nl.sinks(net)) cells.push_back(sink.cell);
         for (const CellId cell : cells) {
             const SliceId slice = cell.valid() ? packed.slice_of(cell) : SliceId{};
             if (slice.valid()) expected.insert(slice);
         }
-        const auto got = index.slices_of(net);
+        const auto got = net_slices(s.placement, net);
         ASSERT_EQ(got.size(), expected.size()) << "net " << ni;
         EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()));
     }

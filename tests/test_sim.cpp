@@ -279,8 +279,8 @@ TEST(Vcd, WriteParseRoundTrip) {
     const VcdActivity activity = parse_vcd(is);
     EXPECT_EQ(activity.duration_ps, 8000);
     // q0 toggles every cycle: 8 transitions over 8 samples.
-    const auto& q0_name = d.nl.net(q[0]).name;
-    const auto& q1_name = d.nl.net(q[1]).name;
+    const std::string q0_name(d.nl.name(q[0]));
+    const std::string q1_name(d.nl.name(q[1]));
     EXPECT_EQ(activity.toggles.at(q0_name), 8);
     EXPECT_EQ(activity.toggles.at(q1_name), 4);
 }

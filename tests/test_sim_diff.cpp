@@ -63,10 +63,10 @@ void expect_equivalent(const netlist::Netlist& nl, const Simulator& ref,
     ASSERT_EQ(ref.toggle_counts().size(), fast.toggle_counts().size());
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
         EXPECT_EQ(ref.toggle_counts()[i], fast.toggle_counts()[i])
-            << "toggle mismatch on net '" << nl.net(NetId{i}).name << "' (seed "
+            << "toggle mismatch on net '" << nl.name(NetId{i}) << "' (seed "
             << seed << ")";
         EXPECT_EQ(ref.net_value(NetId{i}), fast.net_value(NetId{i}))
-            << "value mismatch on net '" << nl.net(NetId{i}).name << "' (seed "
+            << "value mismatch on net '" << nl.name(NetId{i}) << "' (seed "
             << seed << ")";
     }
     for (const CellId bram : writable_brams(nl)) {

@@ -68,7 +68,7 @@ constexpr int kScratchA = 18;
 constexpr int kScratchB = 19;
 constexpr int kScratchC = 21;
 
-std::string r(int index) { return "r" + std::to_string(index); }
+std::string r(int index) { return std::string("r").append(std::to_string(index)); }
 
 /// Seeded random program in assembler syntax, plus the opcodes it uses.
 class ProgramGenerator {
@@ -144,7 +144,7 @@ private:
         op_line(Opcode::Lui, "lui  " + r(reg) + ", hi(" + label + ")");
         op_line(Opcode::Ori, "ori  " + r(reg) + ", " + r(reg) + ", lo(" + label + ")");
     }
-    std::string fresh_label() { return "L" + std::to_string(labels_++); }
+    std::string fresh_label() { return std::string("L").append(std::to_string(labels_++)); }
 
     void alu_r() {
         static const Opcode ops[] = {Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Mulh,
@@ -792,7 +792,7 @@ TEST(SocTranslation, MoreBlockEntriesThanTheTableHolds) {
     const int blocks = static_cast<int>(Cpu::kBlockSlots) + 200;
     std::string source = "    addi r9, r0, 3\nstart:\n";
     for (int i = 0; i < blocks; ++i)
-        source += "b" + std::to_string(i) + ":\n    addi r1, r1, " +
+        source += std::string("b").append(std::to_string(i)) + ":\n    addi r1, r1, " +
                   std::to_string(i % 7) + "\n    br   b" + std::to_string(i + 1) + "\n";
     source += "b" + std::to_string(blocks) +
               ":\n    addi r9, r9, -1\n    bne  r9, r0, start\n    halt\n";
