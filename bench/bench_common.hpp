@@ -1,18 +1,9 @@
-// Shared plumbing for the reproduction benches: runs the physical flow
-// (pack/place/route) and prints consistent headers.
+// Shared plumbing for the benches: consistent headers and the --smoke flag.
 #pragma once
 
 #include <iostream>
 #include <string>
 #include <string_view>
-
-#include "refpga/app/activity.hpp"
-#include "refpga/app/system.hpp"
-#include "refpga/netlist/stats.hpp"
-#include "refpga/par/pack.hpp"
-#include "refpga/par/placer.hpp"
-#include "refpga/par/router.hpp"
-#include "refpga/sim/activity.hpp"
 
 namespace refpga::benchkit {
 
@@ -28,29 +19,5 @@ inline bool smoke_mode(int argc, char** argv) {
         if (std::string_view(argv[i]) == "--smoke") return true;
     return false;
 }
-
-/// Physical implementation of a netlist on a device: pack + regioned
-/// placement + annealing + routing.
-struct Implementation {
-    par::PackedDesign packed;
-    fabric::Device device;
-    par::Placement placement;
-    par::RoutedDesign routed;
-
-    Implementation(const netlist::Netlist& nl, fabric::PartName part,
-                   double effort = 0.15, double activity_beta = 0.0,
-                   const sim::ActivityMap* activity = nullptr)
-        : packed(par::pack(nl)),
-          device(part),
-          placement(device, nl, packed),
-          routed(placement, par::ChannelCapacity{}) {
-        placement.place_initial();
-        par::PlacerOptions options;
-        options.effort = effort;
-        options.activity_beta = activity_beta;
-        (void)par::anneal(placement, options, activity);
-        routed.route_all(par::RouteMode::Performance);
-    }
-};
 
 }  // namespace refpga::benchkit

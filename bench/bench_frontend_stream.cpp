@@ -49,6 +49,7 @@
 #include "refpga/analog/frontend.hpp"
 #include "refpga/analog/frontend_reference.hpp"
 #include "refpga/analog/sample_block.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/common/table.hpp"
 

@@ -33,6 +33,7 @@
 #include "bench_common.hpp"
 #include "refpga/analog/frontend.hpp"
 #include "refpga/analog/sample_block.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/table.hpp"
 #include "refpga/obs/obs.hpp"
 

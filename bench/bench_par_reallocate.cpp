@@ -35,7 +35,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "refpga/app/activity.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/table.hpp"
+#include "refpga/par/implementation.hpp"
 #include "refpga/par/placer_reference.hpp"
 #include "refpga/par/reallocate.hpp"
 #include "refpga/par/reallocate_reference.hpp"
@@ -76,7 +79,7 @@ struct AnnealRun {
     double wall_ms = 0.0;
 };
 
-/// Anneals a copy of `initial` the way benchkit::Implementation does and
+/// Anneals a copy of `initial` the way par::Implementation does and
 /// times only the annealer (the oracle ignores the recorder).
 AnnealRun run_annealer(Annealer annealer, const par::Placement& initial,
                        obs::Recorder* recorder = nullptr) {
@@ -130,7 +133,7 @@ struct RunResult {
 RunResult run_engine(Optimizer optimize, const netlist::Netlist& nl,
                      fabric::PartName part, const sim::ActivityMap& activity,
                      const par::ReallocateOptions& options) {
-    benchkit::Implementation impl(nl, part, kAnnealEffort);
+    par::Implementation impl(nl, part, {.effort = kAnnealEffort});
     const auto t0 = std::chrono::steady_clock::now();
     RunResult r;
     r.report = optimize(impl.placement, impl.routed, activity, options);

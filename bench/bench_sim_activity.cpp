@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/common/table.hpp"
 #include "refpga/obs/obs.hpp"

@@ -7,10 +7,8 @@
 
 #include "refpga/common/table.hpp"
 #include "refpga/netlist/builder.hpp"
-#include "refpga/par/pack.hpp"
-#include "refpga/par/placer.hpp"
+#include "refpga/par/implementation.hpp"
 #include "refpga/par/reallocate.hpp"
-#include "refpga/par/router.hpp"
 #include "refpga/sim/activity.hpp"
 #include "refpga/sim/event_sim.hpp"
 
@@ -37,17 +35,10 @@ int main(int argc, char** /*argv*/) {
 
     // Implement on an XC3S400 with a deliberately light annealing pass
     // (mirrors a quick ISE run that leaves power on the table).
-    const par::PackedDesign packed = par::pack(nl);
-    const fabric::Device device(fabric::PartName::XC3S400);
-    par::Placement placement(device, nl, packed);
-    placement.place_initial();
-    par::PlacerOptions placer_options;
-    placer_options.effort = 0.05;
-    (void)par::anneal(placement, placer_options);
-    par::RoutedDesign routed(placement, par::ChannelCapacity{});
-    routed.route_all(par::RouteMode::Performance);
+    par::Implementation impl(nl, fabric::PartName::XC3S400, {.effort = 0.05});
 
-    // Activity from simulation (the VCD route is shown in bench_table2).
+    // Activity from the simulation's toggle counters (app::system_activity
+    // can also write them out as the paper's VCD).
     sim::EventSimulator simulator(nl);
     simulator.run(2048);
     const sim::ActivityMap activity = sim::activity_from_simulation(simulator, 50e6);
@@ -56,7 +47,7 @@ int main(int argc, char** /*argv*/) {
     options.net_count = 6;
     options.capture_routes = true;
     const par::ReallocateReport report =
-        par::optimize_net_power(placement, routed, activity, options);
+        par::optimize_net_power(impl.placement, impl.routed, activity, options);
 
     Table table({"net", "before (uW)", "after (uW)", "reduction"});
     for (const auto& change : report.nets)

@@ -7,9 +7,7 @@
 
 #include "refpga/netlist/builder.hpp"
 #include "refpga/netlist/drc.hpp"
-#include "refpga/par/pack.hpp"
-#include "refpga/par/placer.hpp"
-#include "refpga/par/router.hpp"
+#include "refpga/par/implementation.hpp"
 #include "refpga/par/timing.hpp"
 #include "refpga/power/estimator.hpp"
 #include "refpga/sim/activity.hpp"
@@ -42,25 +40,17 @@ int main(int argc, char** /*argv*/) {
               << " (expect 11^2 + pipeline = 121)\n";
 
     // 3. Pack, place (simulated annealing) and route on an XC3S200.
-    const par::PackedDesign packed = par::pack(nl);
-    const fabric::Device device(fabric::PartName::XC3S200);
-    par::Placement placement(device, nl, packed);
-    placement.place_initial();
-    par::PlacerOptions placer_options;
-    placer_options.effort = 0.5;
-    const par::PlacerResult anneal_result = par::anneal(placement, placer_options);
-    std::cout << "placement cost: " << anneal_result.initial_cost << " -> "
-              << anneal_result.final_cost << " (HPWL)\n";
+    const par::Implementation impl(nl, fabric::PartName::XC3S200, {.effort = 0.5});
+    std::cout << "placement cost: " << impl.anneal_result.initial_cost << " -> "
+              << impl.anneal_result.final_cost << " (HPWL)\n";
 
-    par::RoutedDesign routed(placement, par::ChannelCapacity{});
-    routed.route_all(par::RouteMode::Performance);
-    const par::TimingReport timing = par::analyze_timing(routed);
-    std::cout << "routed: " << routed.total_capacitance_pf() << " pF total, Fmax "
+    const par::TimingReport timing = par::analyze_timing(impl.routed);
+    std::cout << "routed: " << impl.routed.total_capacitance_pf() << " pF total, Fmax "
               << timing.fmax_mhz() << " MHz\n";
 
     // 4. Activity-based power estimate at 50 MHz from the simulation's
     //    toggle counters.
-    const power::PowerReport report = power::estimate_power(routed, simulator, 50e6);
+    const power::PowerReport report = power::estimate_power(impl.routed, simulator, 50e6);
     std::cout << report.render();
     return 0;
 }

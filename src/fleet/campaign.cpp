@@ -17,10 +17,6 @@ namespace refpga::fleet {
 
 namespace {
 
-// PAR closes slice-dominated Spartan-3 designs at ~93% utilization; same
-// margin as bench_device_fit.
-constexpr double kParHeadroom = 1.07;
-
 VariantFit fit_from_stats(const std::vector<netlist::PartitionStats>& stats,
                           bool all_resident) {
     // Partition order of build_system_netlist: static, amp, capacity, filter.

@@ -117,11 +117,15 @@ struct CampaignOptions {
     CampaignOptions(int threads_) : threads(threads_) {}  // NOLINT: {N} spells a thread count
 };
 
+/// Place-and-route margin on a slice count before it is fitted to a part:
+/// PAR closes slice-dominated Spartan-3 designs at ~93% utilization.
+inline constexpr double kParHeadroom = 1.07;
+
 /// Per-variant resident-logic demand, shared read-only by all scenarios of a
 /// campaign (computed once, before workers start).
 struct VariantFit {
     std::size_t resident_slices = 0;
-    std::size_t with_headroom = 0;  ///< +7% PAR margin, as in bench_device_fit
+    std::size_t with_headroom = 0;  ///< resident_slices x kParHeadroom
     std::size_t resident_ffs = 0;   ///< clock loads for the dynamic-power model
     std::optional<fabric::PartName> fitted;
 };

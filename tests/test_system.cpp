@@ -4,12 +4,10 @@
 #include "refpga/app/system.hpp"
 #include "refpga/common/contracts.hpp"
 #include "refpga/netlist/drc.hpp"
-#include "refpga/netlist/stats.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
 #include "refpga/par/router.hpp"
 #include "refpga/power/estimator.hpp"
-#include "refpga/reconfig/busmacro.hpp"
 #include "refpga/sim/simulator.hpp"
 
 namespace refpga::app {
@@ -85,18 +83,6 @@ TEST(System, HwAndReconfigVariantsAgreeExactly) {
     }
 }
 
-TEST(System, SoftwareProcessingIsOrdersOfMagnitudeSlower) {
-    MeasurementSystem sw(options_for(SystemVariant::Software));
-    MeasurementSystem hw(options_for(SystemVariant::MonolithicHw));
-    sw.set_true_level(0.5);
-    hw.set_true_level(0.5);
-    const CycleReport sw_report = sw.run_cycle();
-    const CycleReport hw_report = hw.run_cycle();
-    // §4.2: ~7 ms vs ~7 us, "approximately a factor 1000".
-    EXPECT_GT(sw_report.processing_s / hw_report.processing_s, 200.0);
-    EXPECT_LT(sw_report.processing_s / hw_report.processing_s, 5000.0);
-}
-
 TEST(System, ReconfigOverheadAccountedPerCycle) {
     MeasurementSystem system(options_for(SystemVariant::ReconfiguredHw));
     system.set_true_level(0.5);
@@ -147,32 +133,10 @@ TEST(System, TracksLevelChangesOverTime) {
 
 // ---------------------------------------------------------------- netlist-level
 
-TEST(SystemNetlist, CleanDrcAndBoundaries) {
+// Boundary nets through bus macros (Fig. 2) are the claims suite's F2 check.
+TEST(SystemNetlist, CleanDrc) {
     const SystemNetlist sys = build_system_netlist({});
     EXPECT_TRUE(netlist::run_drc(sys.nl).empty());
-    EXPECT_TRUE(reconfig::check_boundaries(sys.nl).empty());
-}
-
-TEST(SystemNetlist, PartitionShapeMatchesTableOne) {
-    const SystemNetlist sys = build_system_netlist({});
-    const auto stats = netlist::partition_stats(sys.nl);
-    const auto slices = [&](netlist::PartitionId p) {
-        return stats[p.value()].slices();
-    };
-    // Static area is the largest partition (MicroBlaze et al.); amp/phase is
-    // the largest reconfigurable module; filter the smallest.
-    EXPECT_GT(slices(sys.static_part), slices(sys.amp_part));
-    EXPECT_GT(slices(sys.amp_part), slices(sys.cap_part));
-    EXPECT_GT(slices(sys.cap_part), slices(sys.filt_part));
-}
-
-TEST(SystemNetlist, StaticPlusLargestModuleFitsXc3s400) {
-    // The paper's device-fit claim for the reconfigured system.
-    const SystemNetlist sys = build_system_netlist({});
-    const auto stats = netlist::partition_stats(sys.nl);
-    const auto resident = stats[sys.static_part.value()].slices() +
-                          stats[sys.amp_part.value()].slices();
-    EXPECT_LE(resident, 3584u);
 }
 
 TEST(SystemNetlist, SimulatesWithoutX) {
