@@ -2,8 +2,9 @@
 // loaded once, CPU running from translated basic blocks) against the oracle
 // path it replaced (assemble, fresh memory and `CpuReference` per window),
 // in microseconds per window and nanoseconds per retired instruction, with
-// the number of blocks each resident core translated, for the legacy port
-// and the two intermediate software configurations. The modelled §4.2
+// the number of blocks each resident core translated and the shift-add
+// multiply loops it ran as one op per window, for the legacy port and the
+// two intermediate software configurations. The modelled §4.2
 // SW/HW table itself is the claims suite's H1 check (tests/test_claims.cpp).
 // Every window's SoftwareRun must be identical on both paths; the exit
 // status is non-zero otherwise, so CI runs `--smoke` as a check. In full
@@ -12,7 +13,8 @@
 //
 // --json writes BENCH_headline_speedup.json (host facts, and per
 // configuration the build time, both paths' time per window and per
-// instruction, the speedup and the translations) to the working directory.
+// instruction, the speedup, the translations and the fused loops per
+// window) to the working directory.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -51,6 +53,7 @@ struct HostTime {
     double core_ns_per_insn = 0.0;
     double oracle_ns_per_insn = 0.0;
     std::int64_t translations = 0;  ///< blocks the resident core translated
+    double fused_per_window = 0.0;  ///< shift-add loops run as one op
     [[nodiscard]] double speedup() const { return oracle_us / core_us; }
 };
 
@@ -83,7 +86,7 @@ std::vector<HostTime> print_host_time(int windows, bool& identical) {
     std::vector<HostTime> rows;
     Table table({"configuration", "firmware build (us)", "SoftCore (us/window)",
                  "oracle (us/window)", "SoftCore (ns/insn)", "oracle (ns/insn)",
-                 "speedup", "blocks"});
+                 "speedup", "blocks", "fused loops/window"});
     for (const Config& c : configs) {
         HostTime row;
         row.name = c.name;
@@ -128,11 +131,13 @@ std::vector<HostTime> print_host_time(int windows, bool& identical) {
         row.core_ns_per_insn = core_us * 1e3 / static_cast<double>(core_insns);
         row.oracle_ns_per_insn = oracle_us * 1e3 / static_cast<double>(oracle_insns);
         row.translations = core.cpu().translations();
+        row.fused_per_window = static_cast<double>(core.cpu().fused_loops()) / windows;
         table.add_row({row.name, Table::num(row.build_us, 0), Table::num(row.core_us, 1),
                        Table::num(row.oracle_us, 1), Table::num(row.core_ns_per_insn, 2),
                        Table::num(row.oracle_ns_per_insn, 2),
                        Table::num(row.speedup(), 1) + "x",
-                       std::to_string(row.translations)});
+                       std::to_string(row.translations),
+                       Table::num(row.fused_per_window, 1)});
         rows.push_back(row);
     }
     std::cout << table.render();
@@ -159,7 +164,8 @@ std::string render_json(bool smoke, int windows, const std::vector<HostTime>& ro
            << ", \"softcore_ns_per_insn\": " << r.core_ns_per_insn
            << ", \"oracle_ns_per_insn\": " << r.oracle_ns_per_insn
            << ", \"speedup\": " << r.speedup()
-           << ", \"translations\": " << r.translations << "}"
+           << ", \"translations\": " << r.translations
+           << ", \"fused_loops_per_window\": " << r.fused_per_window << "}"
            << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     js << "  ],\n  \"legacy_speedup_gate\": " << kLegacySpeedupGate << ",\n"

@@ -6,8 +6,10 @@
 // floorplan unit: the static area or one reconfigurable module).
 #pragma once
 
+#include <array>
 #include <vector>
 
+#include "refpga/common/contracts.hpp"
 #include "refpga/netlist/netlist.hpp"
 
 namespace refpga::par {
@@ -15,9 +17,25 @@ namespace refpga::par {
 struct SliceIdTag {};
 using SliceId = StrongId<SliceIdTag>;
 
+/// The LUTs or the FFs of one slice, at most two, held inline.
+class SliceCells {
+public:
+    [[nodiscard]] const netlist::CellId* begin() const { return cells_.data(); }
+    [[nodiscard]] const netlist::CellId* end() const { return cells_.data() + size_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    void push_back(netlist::CellId cell) {
+        REFPGA_EXPECTS(size_ < cells_.size());
+        cells_[size_++] = cell;
+    }
+
+private:
+    std::array<netlist::CellId, 2> cells_{};
+    std::uint32_t size_ = 0;
+};
+
 struct PackedSlice {
-    std::vector<netlist::CellId> luts;  ///< up to 2
-    std::vector<netlist::CellId> ffs;   ///< up to 2
+    SliceCells luts;
+    SliceCells ffs;
     netlist::PartitionId partition;
 };
 

@@ -1,5 +1,7 @@
 #include "refpga/soc/cpu.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <iterator>
 
 #include "refpga/common/contracts.hpp"
@@ -118,6 +120,33 @@ Cpu::Op Cpu::lower(const Instruction& insn, std::uint32_t pc) const {
     return op;
 }
 
+bool Cpu::is_shift_add_loop(const Op* o, std::size_t count) {
+    if (count != 6) return false;
+    // andi t, b, 1 | beq t, r0 over add acc, acc, a | slli a, a, 1 |
+    // srli b, b, 1 | bne b, r0 back to the andi.
+    const std::uint8_t t = o[0].rd;
+    const std::uint8_t b = o[0].ra;
+    const std::uint8_t acc = o[2].rd;
+    const std::uint8_t a = o[2].rb;
+    const auto general = [](std::uint8_t reg) { return reg != 0 && reg != kSink; };
+    const auto handler = [](Opcode op) { return static_cast<std::uint8_t>(op); };
+    const bool shape =
+        o[0].handler == handler(Opcode::Andi) && o[0].imm == 1 &&
+        o[1].handler == kSkipOne && o[1].ra == t && o[1].rb == 0 &&
+        o[2].handler == kOpcodeCount + handler(Opcode::Add) && o[2].ra == acc &&
+        o[3].handler == handler(Opcode::Slli) && o[3].rd == a && o[3].ra == a &&
+        o[3].imm == 1 && o[4].handler == handler(Opcode::Srli) && o[4].rd == b &&
+        o[4].ra == b && o[4].imm == 1 && o[5].handler == handler(Opcode::Bne) &&
+        o[5].ra == b && o[5].rb == 0 && o[5].target == o[0].pc;
+    const bool registers = general(t) && general(b) && general(acc) && general(a) &&
+                           t != b && t != acc && t != a && b != acc && b != a && acc != a;
+    // With no negative cost, no partial sum reaches the limit before the
+    // whole loop's cost does.
+    bool costs = o[1].taken_cost >= 0 && o[5].taken_cost >= 0;
+    for (std::size_t i = 0; i < count; ++i) costs = costs && o[i].cost >= 0;
+    return shape && registers && costs;
+}
+
 void Cpu::flush() {
     for (Slot& slot : table_) slot.first = kNoBlock;
     arena_.clear();
@@ -176,6 +205,8 @@ const Cpu::Op* Cpu::translate(std::uint32_t pc) {
         }
         insn = decode(*next);
     }
+    if (is_shift_add_loop(arena_.data() + first, arena_.size() - first))
+        arena_[first].handler = kShiftAddLoop;
     if (kept) table_[(pc >> 2) & (kBlockSlots - 1)] = Slot{pc, first};
     return arena_.data() + first;
 }
@@ -247,8 +278,8 @@ CpuState Cpu::execute(std::int64_t limit) {
         &&op_br, &&op_brl, &&op_jr, &&op_get, &&op_put, &&op_halt,
         REFPGA_ALU_OPS(REFPGA_SKIPPED_LABEL)
         REFPGA_CONDITIONAL_OPS(REFPGA_SKIP_ONE_LABEL)
-        &&fall_through};
-    static_assert(std::size(kHandlers) == kFallThrough + 1);
+        &&fall_through, &&shift_add_loop};
+    static_assert(std::size(kHandlers) == kShiftAddLoop + 1);
 
     state_ = CpuState::Running;
     // pc is written only where it is read: at every way out, a contract
@@ -397,6 +428,35 @@ CpuState Cpu::execute(std::int64_t limit) {
     fall_through:
         REFPGA_FOLLOW(0, o->pc);
         REFPGA_DISPATCH();
+    shift_add_loop: {
+        // o[0..5]: andi t, b, 1 | beq t, r0 | add acc, acc, a | slli a, a, 1 |
+        // srli b, b, 1 | bne b, r0. The loop runs once per bit of b up to
+        // its highest set one (once for b = 0); the beq falls through to
+        // the add on the set bits, and the bne is taken on all runs but the
+        // last.
+        const std::uint32_t b = r[o[0].ra];
+        const int k = std::max(1, static_cast<int>(std::bit_width(b)));
+        const int p = std::popcount(b);
+        const std::int64_t loop_cost =
+            std::int64_t{k} * (o[0].cost + o[3].cost + o[4].cost) +
+            std::int64_t{p} * (o[1].cost + o[2].cost) +
+            std::int64_t{k - p} * o[1].taken_cost +
+            std::int64_t{k - 1} * o[5].taken_cost + o[5].cost;
+        if (budget > loop_cost) {
+            r[o[2].rd] += r[o[2].rb] * b;
+            r[o[3].rd] = static_cast<std::uint32_t>(std::uint64_t{r[o[3].rd]} << k);
+            r[o[4].rd] = 0;
+            r[o[0].rd] = b != 0 ? 1 : 0;
+            budget -= loop_cost;
+            retired += 5 * k + p;
+            ++fused_loops_;
+            o += 5;
+            REFPGA_FOLLOW(0, o->pc + 4);
+            REFPGA_DISPATCH();
+        }
+    }
+        // A limit inside the loop: run its ops one by one.
+        goto op_andi;
     op_halt:
         budget -= o->cost;
         ++retired;

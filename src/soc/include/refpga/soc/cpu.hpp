@@ -21,6 +21,13 @@
 // self-modifying stores behave exactly as with a decode per step, which the
 // per-step reference interpreter (tests/support, `CpuReference`) pins bit
 // for bit.
+//
+// One loop shape runs as a single op: the shift-add multiply of a core
+// without MULT18 (andi t, b, 1; beq t, r0 over add acc, acc, a; slli a, a,
+// 1; srli b, b, 1; bne b, r0 back to its own entry). When the cycles left
+// exceed the whole loop's, its first op adds a * b to acc in closed form and
+// charges and retires what the loop would; otherwise it runs the ops one
+// by one, so a limit inside the loop stops where the reference stops.
 #pragma once
 
 #include <array>
@@ -83,6 +90,8 @@ public:
 
     /// Blocks translated since construction (reset() keeps the blocks).
     [[nodiscard]] std::int64_t translations() const { return translations_; }
+    /// Shift-add loops run as one op since construction.
+    [[nodiscard]] std::int64_t fused_loops() const { return fused_loops_; }
     /// Ops held in the translation arena, at most kArenaOps.
     [[nodiscard]] std::size_t cached_ops() const { return arena_.size(); }
 
@@ -111,6 +120,9 @@ private:
     /// nothing and follows its link to the next word's block.
     static constexpr std::uint8_t kFallThrough =
         kSkipOne + static_cast<int>(Opcode::Bgeu) - static_cast<int>(Opcode::Beq) + 1;
+    /// Handler of the first op of a shift-add multiply loop: the whole loop
+    /// in closed form when the cycles left exceed its cost, else its andi.
+    static constexpr std::uint8_t kShiftAddLoop = kFallThrough + 1;
 
     /// One pre-decoded instruction of a block.
     struct Op {
@@ -118,7 +130,7 @@ private:
         /// the ALU op of a skip-one branch, which runs either way and,
         /// when the branch was taken, writes the sink and retires nothing;
         /// kSkipOne + (opcode - Beq) for the skip-one branch itself, whose
-        /// block goes on; or kFallThrough.
+        /// block goes on; kFallThrough; or kShiftAddLoop.
         std::uint8_t handler = 0;
         std::uint8_t rd = 0;  ///< written register; kSink stands in for r0
         std::uint8_t ra = 0;
@@ -154,6 +166,10 @@ private:
     const Op* link(std::uint32_t from, int edge, std::uint32_t pc);
     /// Translates the block entered at `pc` into the arena.
     const Op* translate(std::uint32_t pc);
+    /// True when the `count` ops at `ops` are a shift-add multiply loop
+    /// whose bne returns to `ops`, with four distinct registers other than
+    /// r0 and no op of negative cost.
+    [[nodiscard]] static bool is_shift_add_loop(const Op* ops, std::size_t count);
     /// `insn`, fetched at `pc`, as an op run by its opcode's handler.
     [[nodiscard]] Op lower(const Instruction& insn, std::uint32_t pc) const;
     /// Drops every block and takes the memory's current code-write epoch.
@@ -174,6 +190,7 @@ private:
     std::uint64_t epoch_ = 0;         ///< mem_.code_epoch() the blocks were made at
     std::uint64_t flushes_ = 0;       ///< arena flushes so far
     std::int64_t translations_ = 0;
+    std::int64_t fused_loops_ = 0;
 };
 
 }  // namespace refpga::soc

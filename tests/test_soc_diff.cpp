@@ -25,11 +25,18 @@
 //      table slot a colliding entry pc took, a store into a linked
 //      successor, and the firmware's mul returning through jr to several
 //      call sites.
-//   4. The measurement firmware over seeded windows x {soft, hw multiplier}
+//   4. The shift-add multiply loop the core runs as one op, in lockstep at
+//      every budget and by single steps: multipliers 0 (the loop entered
+//      directly), 1, 2^31, 0xFFFFFFFF and a random one with code in LMB and
+//      in SRAM; five loops one change away from the shape, which must run
+//      op by op; and a poke into the loop's slli between runs.
+//   5. The measurement firmware over seeded windows x {soft, hw multiplier}
 //      x {SRAM, LMB code}: one resident core run back to back, a fresh core
-//      per window and the oracle path agree on every SoftwareRun field, and
-//      a second pass over the windows translates no block.
-//   5. After those runs the resident core's memory equals a freshly loaded
+//      per window and the oracle path agree on every SoftwareRun field, the
+//      soft multiplier's windows each run at least 900 loops as one op (the
+//      hw multiplier's none), and a second pass over the windows translates
+//      no block.
+//   6. After those runs the resident core's memory equals a freshly loaded
 //      image everywhere but the two sample buffers and the result words.
 #include <gtest/gtest.h>
 
@@ -979,6 +986,156 @@ TEST(SocLinks, JrReturnsToEveryCallSite) {
     EXPECT_EQ(cpu.reg(22), static_cast<std::uint32_t>(2 * -99 * 45));
 }
 
+// ------------------------------------------------------ shift-add loop
+
+/// The soft multiply's loop as a subroutine: r12 += r10 * r11, leaving r10
+/// shifted left once per iteration, r11 zero and r13 the last low bit.
+const std::string kShiftAdd = R"(
+    shift_add:
+        andi r13, r11, 1
+        beq  r13, r0, shift_add_skip
+        add  r12, r12, r10
+    shift_add_skip:
+        slli r10, r10, 1
+        srli r11, r11, 1
+        bne  r11, r0, shift_add
+        jr   r15
+)";
+
+/// `lui` + `ori` of a 32-bit constant.
+std::string load_const(int reg, std::uint32_t value) {
+    return "        lui  " + r(reg) + ", " + std::to_string(value >> 16) + "\n        ori  " +
+           r(reg) + ", " + r(reg) + ", " + std::to_string(value & 0xFFFF) + "\n";
+}
+
+/// A program that adds `a` x each of `bs` into r12 (from 1000) through
+/// `subroutine`, entered at `shift_add`, and copies each sum to r20, r21...
+std::string shift_add_program(std::uint32_t a, const std::vector<std::uint32_t>& bs,
+                              const std::string& subroutine) {
+    std::string source = "        addi r12, r0, 1000\n";
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+        source += load_const(10, a) + load_const(11, bs[i]);
+        source += "        brl  shift_add\n        add  " +
+                  r(20 + static_cast<int>(i)) + ", r12, r0\n";
+    }
+    return source + "        halt\n" + subroutine;
+}
+
+/// Shift-add loops the core ran as one op over a whole run of `c`.
+std::int64_t fused_in_a_whole_run(const LockstepCase& c) {
+    MemorySystem mem(c.config);
+    mem.load(assemble(c.source));
+    Cpu cpu(mem, c.costs);
+    cpu.reset(c.entry);
+    EXPECT_EQ(cpu.run(1'000'000), CpuState::Halted);
+    return cpu.fused_loops();
+}
+
+TEST(SocTranslation, ShiftAddLoopAgreesAtEveryLimit) {
+    // b = 0 runs the loop once (it is entered directly, with no guard),
+    // 2^31 and 0xFFFFFFFF 32 times; a is negative and r12 starts at 1000.
+    Rng rng(0x5A1F'7ADD);
+    const std::uint32_t a = static_cast<std::uint32_t>(-12345);
+    const std::vector<std::uint32_t> bs = {0, 1, 0x8000'0000u, 0xFFFF'FFFFu,
+                                           static_cast<std::uint32_t>(rng.next_u64())};
+    const std::string body = shift_add_program(a, bs, kShiftAdd);
+
+    LockstepCase lmb;
+    lmb.source = body;
+    lockstep_every_budget(lmb);
+    EXPECT_EQ(fused_in_a_whole_run(lmb), static_cast<std::int64_t>(bs.size()));
+
+    // SRAM fetch latency, and taken branches and ALU ops dearer than the
+    // default, move every limit the loop can cross.
+    LockstepCase sram;
+    sram.source = "    .org " + std::to_string(kSramBase) + "\n" + body;
+    sram.entry = kSramBase;
+    sram.costs.branch_taken = 4;
+    sram.costs.alu = 2;
+    lockstep_every_budget(sram);
+    EXPECT_EQ(fused_in_a_whole_run(sram), static_cast<std::int64_t>(bs.size()));
+
+    // The products, modulo 2^32.
+    MemorySystem mem;
+    mem.load(assemble(body));
+    Cpu cpu(mem);
+    ASSERT_EQ(cpu.run(1'000'000), CpuState::Halted);
+    std::uint32_t sum = 1000;
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+        sum += a * bs[i];
+        EXPECT_EQ(cpu.reg(20 + static_cast<int>(i)), sum) << "b = " << bs[i];
+    }
+}
+
+TEST(SocTranslation, ShiftAddNearMissesRunOpByOp) {
+    // Each loop differs from the shape in one place and runs op by op.
+    struct NearMiss {
+        const char* what;
+        std::string from;
+        std::string to;
+    };
+    const std::vector<NearMiss> misses = {
+        {"t aliases a", "andi r13, r11, 1\n        beq  r13",
+         "andi r10, r11, 1\n        beq  r10"},
+        {"acc == a", "add  r12, r12, r10", "add  r10, r10, r10"},
+        {"srli b, b, 2", "srli r11, r11, 1", "srli r11, r11, 2"},
+        {"srai for srli", "srli r11, r11, 1", "srai r11, r11, 1"},
+        {"bne to another label", "bne  r11, r0, shift_add\n        jr   r15",
+         "bne  r11, r0, shift_add_again\n        jr   r15\n    shift_add_again:\n"
+         "        br   shift_add"},
+    };
+    for (const NearMiss& miss : misses) {
+        SCOPED_TRACE(miss.what);
+        std::string subroutine = kShiftAdd;
+        const std::size_t at = subroutine.find(miss.from);
+        ASSERT_NE(at, std::string::npos);
+        subroutine.replace(at, miss.from.size(), miss.to);
+        LockstepCase c;
+        // Positive multipliers, so that srai ends the loop too.
+        c.source = shift_add_program(static_cast<std::uint32_t>(-77), {0x2D5, 6, 1},
+                                     subroutine);
+        lockstep_every_budget(c);
+        EXPECT_EQ(fused_in_a_whole_run(c), 0);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(SocTranslation, PokeIntoTheShiftAddLoopRetranslatesIt) {
+    // The loop's slli becomes slli r10, r10, 2 after the first call, which
+    // breaks the shape, and slli r10, r10, 1 again at the next halt.
+    const std::string source =
+        shift_add_program(static_cast<std::uint32_t>(-31), {0x1234, 0xF00D}, kShiftAdd);
+    const std::uint32_t slli = assemble(source).labels.at("shift_add") + 12;
+    LockstepCase c;
+    c.source = source;
+    c.poke = [&](MemorySystem& mem, int pass) {
+        mem.poke(slli, word_of(Opcode::Slli, 10, 10, pass == 0 ? 2 : 1));
+    };
+    lockstep_every_budget(c);
+
+    MemorySystem mem;
+    MemorySystem ref_mem;
+    mem.load(assemble(source));
+    ref_mem.load(assemble(source));
+    Cpu cpu(mem);
+    CpuReference ref(ref_mem);
+    ASSERT_EQ(cpu.run(1'000'000), CpuState::Halted);
+    EXPECT_EQ(cpu.fused_loops(), 2);
+    const std::int64_t translated = cpu.translations();
+    for (const int shift : {2, 1}) {
+        mem.poke(slli, word_of(Opcode::Slli, 10, 10, shift));
+        ref_mem.poke(slli, word_of(Opcode::Slli, 10, 10, shift));
+        cpu.reset();
+        ref.reset();
+        ASSERT_EQ(cpu.run(1'000'000), CpuState::Halted);
+        ASSERT_EQ(ref.run(1'000'000), CpuState::Halted);
+        expect_same_cpu(cpu, ref, "slli by " + std::to_string(shift));
+    }
+    // Each poke dropped the blocks; the loop fused again once restored.
+    EXPECT_GT(cpu.translations(), translated);
+    EXPECT_EQ(cpu.fused_loops(), 4);
+}
+
 }  // namespace
 }  // namespace refpga::soc
 
@@ -1055,12 +1212,21 @@ TEST_P(FirmwareDiff, ResidentFreshAndOraclePathsAgree) {
     std::vector<std::int32_t> meas;
     std::vector<std::int32_t> ref;
     std::vector<SoftwareRun> runs;
+    std::int64_t fused = 0;
     for (int w = 0; w < kWindows; ++w) {
         make_window(rng, p, w, meas, ref);
         const std::string where = "window " + std::to_string(w);
         const SoftwareRun oracle = run_software_cycle_reference(meas, ref, p, config);
         runs.push_back(resident.run(meas, ref));
         expect_same_run(runs.back(), oracle, where + " (resident)");
+        // Without MULT18 every product runs the shift-add loop, which the
+        // core runs as one op (965 times in a tone window).
+        const std::int64_t window_fused = resident.cpu().fused_loops() - fused;
+        fused = resident.cpu().fused_loops();
+        if (config.hw_multiplier)
+            EXPECT_EQ(window_fused, 0) << where;
+        else
+            EXPECT_GE(window_fused, 900) << where;
         expect_same_run(SoftCore(p, config).run(meas, ref), oracle, where + " (fresh)");
         if (HasFailure()) return;
     }
