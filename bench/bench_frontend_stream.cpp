@@ -31,10 +31,10 @@
 // noise-cost gate). The orbit replay leaves the Gaussians about half of a
 // noisy tick, which moves that ratio toward its bound.
 //
-// Emits BENCH_frontend_stream.json next to the binary; --json mirrors it to
-// stdout. Exit status is non-zero on a parity violation or, in full mode, on
-// a noise-off speedup below 3x or a noisy/noise-off wall-time ratio above
-// 2.5x, so CI can run it as a check.
+// Writes BENCH_frontend_stream.json, with host facts, to the working
+// directory; --json mirrors it to stdout. Exit status is non-zero on a
+// parity violation or, in full mode, on a noise-off speedup below 3x or a
+// noisy/noise-off wall-time ratio above 2.5x, so CI can run it as a check.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -372,6 +372,7 @@ int main(int argc, char** argv) {
     js << "{\n"
        << "  \"bench\": \"frontend_stream\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+       << benchkit::host_facts_json()
        << "  \"modulator_ticks\": " << ticks << ",\n"
        << "  \"pcm_pairs\": " << pcm_pairs << ",\n"
        << "  \"noise_off\": ";

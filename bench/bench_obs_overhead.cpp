@@ -19,8 +19,8 @@
 // enabled recorder and prints the harvest — the cycle/reconfig/frontend
 // metric taxonomy documented in DESIGN.md.
 //
-// Emits BENCH_obs_overhead.json next to the binary; --json mirrors it to
-// stdout.
+// Writes BENCH_obs_overhead.json, with host facts, to the working directory;
+// --json mirrors it to stdout.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -175,6 +175,7 @@ int main(int argc, char** argv) {
     js << "{\n"
        << "  \"bench\": \"obs_overhead\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+       << benchkit::host_facts_json()
        << "  \"modulator_ticks\": " << ticks << ",\n"
        << "  \"pcm_pairs\": " << pcm_pairs << ",\n"
        << "  \"rounds\": " << rounds << ",\n"

@@ -31,7 +31,6 @@
 #include <new>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -345,9 +344,7 @@ int main(int argc, char** argv) {
     json << "{\n"
          << "  \"bench\": \"par_reallocate\",\n"
          << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-         << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
-         << "  \"compiler\": \"" << REFPGA_COMPILER << "\",\n"
-         << "  \"build_type\": \"" << REFPGA_BUILD_TYPE << "\",\n"
+         << benchkit::host_facts_json()
          << "  \"scenario\": \""
          << (smoke ? "xc3s400_core_only" : "table2_xc3s1000_full_system") << "\",\n"
          << "  \"anneal\": {\"reference_ms\": " << anneal_ref.wall_ms

@@ -29,7 +29,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -284,9 +283,7 @@ int main(int argc, char** argv) {
     js << "{\n"
        << "  \"bench\": \"sim_activity\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"compiler\": \"" << REFPGA_COMPILER << "\",\n"
-       << "  \"build_type\": \"" << REFPGA_BUILD_TYPE << "\",\n"
+       << benchkit::host_facts_json()
        << "  \"configs\": [";
     for (std::size_t i = 0; i < configs.size(); ++i)
         js << (i > 0 ? ", " : "") << "{\"channels\": " << configs[i].channels

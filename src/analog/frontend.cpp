@@ -4,19 +4,19 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "refpga/common/contracts.hpp"
 
-// The fused block kernel processes the measurement and reference channels as
-// the two lanes of a 128-bit vector on SSE2 targets (always present on
-// x86-64). Packed IEEE-754 ops are lane-wise identical to their scalar
-// counterparts, so the vector loop produces bit-identical PCM to the scalar
-// fallback below and to the per-sample oracle (analog::FrontEndReference in
-// the test-support library); the parity tests pin whichever variant the
-// build selects.
-#if defined(__SSE2__) || defined(_M_AMD64)
-#define REFPGA_FRONTEND_SSE2 1
+// The fused block kernel carries the measurement and reference channels as
+// the two lanes of one 128-bit vector (GCC/Clang vector extensions): lane 0
+// is the measurement channel, lane 1 the reference channel. Vector IEEE-754
+// ops are lane-wise identical to their scalar counterparts, so the kernel
+// produces bit-identical PCM to the per-sample oracle
+// (analog::FrontEndReference in the test-support library). The one
+// target-specific piece is the input clamp's lane-wise max/min.
+#if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
@@ -58,17 +58,28 @@ constexpr std::array<double, 256> kBitVolts = [] {
     return volts;
 }();
 
-#if REFPGA_FRONTEND_SSE2
-/// Both TIA voltages of one tick. Vector lane convention: low lane =
-/// measurement channel, high lane = reference channel.
-using Tia = __m128d;
+/// One value per channel: [0] measurement, [1] reference.
+typedef double F64x2 __attribute__((vector_size(16)));
+typedef std::int64_t I64x2 __attribute__((vector_size(16)));
+typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
+
+// Lane-wise max(a, b) and min(a, b) as maxpd and minpd define them: a when
+// the compare holds, else b. GCC 12 turns a vector `?:` into compare and
+// mask ops rather than maxpd/minpd, so SSE2 targets take the intrinsics.
+#if defined(__SSE2__)
+F64x2 lane_max(F64x2 a, F64x2 b) { return _mm_max_pd(a, b); }
+F64x2 lane_min(F64x2 a, F64x2 b) { return _mm_min_pd(a, b); }
 #else
-/// Both TIA voltages of one tick.
-struct Tia {
-    double meas;
-    double ref;
-};
+F64x2 lane_max(F64x2 a, F64x2 b) { return a > b ? a : b; }
+F64x2 lane_min(F64x2 a, F64x2 b) { return a < b ? a : b; }
 #endif
+
+/// Writes a two-lane value back to the channels' own copies.
+template <typename V, typename T>
+void unpack(V v, T& meas, T& ref) {
+    meas = v[0];
+    ref = v[1];
+}
 
 /// The PCM code of CIC output v, from a table centred on v = 0. The index
 /// check stays on in release builds: one compare, off the critical path.
@@ -107,33 +118,22 @@ struct ReconTank {
     double ra, rb;      // their states
     double prev;        // the differentiator's last input
     double inv_dt;
-#if REFPGA_FRONTEND_SSE2
-    __m128d branch_c;  // {c_probe, c_ref}
-    // High lane has no leak path; `+ drive_v * 0.0` contributes a signed
-    // zero, the additive identity for every double, so the lane stays equal
-    // to the scalar `c_ref * dv_dt`.
-    __m128d branch_g;  // {g_leak, 0}
-    __m128d tia_gain;
-#else
-    double c_probe, c_ref, g_leak, tia_gain;
-#endif
+    F64x2 branch_c;  // {c_probe, c_ref}
+    // The reference lane has no leak path; `+ drive_v * 0.0` contributes a
+    // signed zero, the additive identity for every double, so the lane stays
+    // equal to the scalar `c_ref * dv_dt`.
+    F64x2 branch_g;  // {g_leak, 0}
+    double tia_gain;
 
-    Tia next() {
+    /// Both TIA voltages of the next tick.
+    F64x2 next() {
         const double raw = drive.next();
         ra += ra_k * (raw - ra);
         rb += rb_k * (ra - rb);
         const double drive_v = rb;
         const double dv_dt = (drive_v - prev) * inv_dt;
         prev = drive_v;
-#if REFPGA_FRONTEND_SSE2
-        return _mm_mul_pd(_mm_add_pd(_mm_mul_pd(branch_c, _mm_set1_pd(dv_dt)),
-                                     _mm_mul_pd(branch_g, _mm_set1_pd(drive_v))),
-                          tia_gain);
-#else
-        const double i_meas = c_probe * dv_dt + drive_v * g_leak;
-        const double i_ref = c_ref * dv_dt;
-        return {i_meas * tia_gain, i_ref * tia_gain};
-#endif
+        return (branch_c * dv_dt + branch_g * drive_v) * tia_gain;
     }
 };
 
@@ -143,12 +143,9 @@ struct OrbitTank {
     std::size_t period;
     std::size_t k = 0;  ///< entry of the next tick
 
-    Tia next() {
-#if REFPGA_FRONTEND_SSE2
-        const Tia v = _mm_loadu_pd(tia + 2 * k);
-#else
-        const Tia v{tia[2 * k], tia[2 * k + 1]};
-#endif
+    F64x2 next() {
+        F64x2 v;
+        std::memcpy(&v, tia + 2 * k, sizeof v);
         if (++k == period) k = 0;
         return v;
     }
@@ -165,13 +162,8 @@ bool tabulate_orbit(ReconTank tank, std::size_t period, double* tia, double* sta
         state[3 * k] = tank.ra;
         state[3 * k + 1] = tank.rb;
         state[3 * k + 2] = tank.prev;
-        const Tia v = tank.next();
-#if REFPGA_FRONTEND_SSE2
-        _mm_storeu_pd(tia + 2 * k, v);
-#else
-        tia[2 * k] = v.meas;
-        tia[2 * k + 1] = v.ref;
-#endif
+        const F64x2 v = tank.next();
+        std::memcpy(tia + 2 * k, &v, sizeof v);
     }
     return same_bits(tank.ra, start.ra) && same_bits(tank.rb, start.rb) &&
            same_bits(tank.prev, start.prev);
@@ -242,231 +234,87 @@ std::size_t FrontEnd::run_block_impl(std::size_t n, SampleBlock& out, Tank& sour
 
     Tank tank = source;
     // Anti-alias low-passes, one per channel.
-    const double ma_k = alias_meas_.a_.alpha_;
-    const double mb_k = alias_meas_.b_.alpha_;
-    double ma_s = alias_meas_.a_.state_;
-    double mb_s = alias_meas_.b_.state_;
-    const double fa_k = alias_ref_.a_.alpha_;
-    const double fb_k = alias_ref_.b_.alpha_;
-    double fa_s = alias_ref_.a_.state_;
-    double fb_s = alias_ref_.b_.state_;
+    const F64x2 alias_a_k{alias_meas_.a_.alpha_, alias_ref_.a_.alpha_};
+    const F64x2 alias_b_k{alias_meas_.b_.alpha_, alias_ref_.b_.alpha_};
+    F64x2 alias_a{alias_meas_.a_.state_, alias_ref_.a_.state_};
+    F64x2 alias_b{alias_meas_.b_.state_, alias_ref_.b_.state_};
     // Tank noise. Draw order (meas, then ref, per tick) matches
     // TankCircuit::step exactly.
     const double noise_rms = tank_.params_.noise_rms_v;
     Rng rng = tank_.rng_;  // keeps the xoshiro state in registers
     // Delta-sigma modulators + CIC integrators/combs.
-    double m_s1 = adc_meas_.s1_, m_s2 = adc_meas_.s2_;
-    double r_s1 = adc_ref_.s1_, r_s2 = adc_ref_.s2_;
-    std::int64_t m_i0 = adc_meas_.integ_[0], m_i1 = adc_meas_.integ_[1],
-                 m_i2 = adc_meas_.integ_[2];
-    std::int64_t r_i0 = adc_ref_.integ_[0], r_i1 = adc_ref_.integ_[1],
-                 r_i2 = adc_ref_.integ_[2];
-    std::int64_t m_c0 = adc_meas_.comb_[0], m_c1 = adc_meas_.comb_[1],
-                 m_c2 = adc_meas_.comb_[2];
-    std::int64_t r_c0 = adc_ref_.comb_[0], r_c1 = adc_ref_.comb_[1],
-                 r_c2 = adc_ref_.comb_[2];
+    F64x2 mod_s1{adc_meas_.s1_, adc_ref_.s1_};
+    F64x2 mod_s2{adc_meas_.s2_, adc_ref_.s2_};
+    I64x2 cic_i0{adc_meas_.integ_[0], adc_ref_.integ_[0]};
+    I64x2 cic_i1{adc_meas_.integ_[1], adc_ref_.integ_[1]};
+    I64x2 cic_i2{adc_meas_.integ_[2], adc_ref_.integ_[2]};
+    I64x2 cic_c0{adc_meas_.comb_[0], adc_ref_.comb_[0]};
+    I64x2 cic_c1{adc_meas_.comb_[1], adc_ref_.comb_[1]};
+    I64x2 cic_c2{adc_meas_.comb_[2], adc_ref_.comb_[2]};
     int phase = adc_meas_.phase_;
-
-#if REFPGA_FRONTEND_SSE2
-    // Every packed op below performs the same IEEE-754 operation per lane
-    // as the scalar fallback, in the same order, so the PCM stream is
-    // bit-identical between the two loop bodies.
-    const __m128d sign_mask = _mm_set1_pd(-0.0);
-    const __m128d one = _mm_set1_pd(1.0);
-    const __m128d neg_one = _mm_set1_pd(-1.0);
-    const __m128i one_i = _mm_set1_epi64x(1);
-    const __m128d alias_a_k = _mm_set_pd(fa_k, ma_k);
-    const __m128d alias_b_k = _mm_set_pd(fb_k, mb_k);
-    __m128d alias_a_s = _mm_set_pd(fa_s, ma_s);
-    __m128d alias_b_s = _mm_set_pd(fb_s, mb_s);
-    __m128d mod_s1 = _mm_set_pd(r_s1, m_s1);
-    __m128d mod_s2 = _mm_set_pd(r_s2, m_s2);
-    __m128i cic_i0 = _mm_set_epi64x(r_i0, m_i0);
-    __m128i cic_i1 = _mm_set_epi64x(r_i1, m_i1);
-    __m128i cic_i2 = _mm_set_epi64x(r_i2, m_i2);
+    const F64x2 one{1.0, 1.0};
+    const U64x2 sign_bit = std::bit_cast<U64x2>(F64x2{-0.0, -0.0});
+    const U64x2 one_bits = std::bit_cast<U64x2>(one);
+    // One comb stage: its output is the input less the stage's last input.
+    const auto comb = [](I64x2& last, I64x2 v) {
+        const I64x2 d = v - last;
+        last = v;
+        return d;
+    };
 
     for (std::size_t i = 0; i < n; ++i) {
-        __m128d tia_v = tank.next();
+        F64x2 tia = tank.next();
         if constexpr (kNoisy) {
             const double g_meas = rng.next_gaussian();
             const double g_ref = rng.next_gaussian();
-            tia_v = _mm_add_pd(tia_v,
-                               _mm_mul_pd(_mm_set1_pd(noise_rms),
-                                          _mm_set_pd(g_ref, g_meas)));
+            tia += noise_rms * F64x2{g_meas, g_ref};
         }
 
-        // Anti-alias filters, both channels per op.
-        alias_a_s = _mm_add_pd(
-            alias_a_s, _mm_mul_pd(alias_a_k, _mm_sub_pd(tia_v, alias_a_s)));
-        alias_b_s = _mm_add_pd(
-            alias_b_s, _mm_mul_pd(alias_b_k, _mm_sub_pd(alias_a_s, alias_b_s)));
+        // Anti-alias filters.
+        alias_a += alias_a_k * (tia - alias_a);
+        alias_b += alias_b_k * (alias_a - alias_b);
 
         // Delta-sigma modulators + CIC integrators (DeltaSigmaAdc::step).
         // min(max(x, -1), 1) matches std::clamp for every finite input
-        // including signed zeros; or(and(s2, signbit), 1.0) is copysign,
-        // value-identical to `s2 >= 0.0 ? 1.0 : -1.0` because s2 only ever
-        // accumulates round-to-nearest sums of finite values — it can never
-        // become -0.0 or NaN.
-        const __m128d clipped =
-            _mm_min_pd(_mm_max_pd(alias_b_s, neg_one), one);
-        const __m128d y = _mm_or_pd(_mm_and_pd(mod_s2, sign_mask), one);
-        mod_s1 = _mm_add_pd(mod_s1, _mm_sub_pd(clipped, y));
-        mod_s2 = _mm_add_pd(mod_s2, _mm_sub_pd(mod_s1, y));
+        // including signed zeros. The feedback sign is selected branchlessly:
+        // the data-dependent `s2 >= 0.0 ? 1.0 : -1.0` compiles to an
+        // unpredictable branch (the bitstream is pseudo-random by design),
+        // and or(and(s2, sign bit), 1.0) is copysign(1.0, s2), value-identical
+        // because s2 only ever accumulates round-to-nearest sums of finite
+        // values — it can never become -0.0 or NaN.
+        const F64x2 clipped = lane_min(lane_max(alias_b, -one), one);
+        const U64x2 y_bits = (std::bit_cast<U64x2>(mod_s2) & sign_bit) | one_bits;
+        const F64x2 y = std::bit_cast<F64x2>(y_bits);
+        mod_s1 += clipped - y;
+        mod_s2 += mod_s1 - y;
         // y is exactly ±1.0: its top two bits are 00 (+1.0) or 10 (-1.0), so
         // (bits >> 62) is 0 or 2 and 1 - (bits >> 62) is the ±1 feedback.
-        const __m128i y_int =
-            _mm_sub_epi64(one_i, _mm_srli_epi64(_mm_castpd_si128(y), 62));
-        cic_i0 = _mm_add_epi64(cic_i0, y_int);
-        cic_i1 = _mm_add_epi64(cic_i1, cic_i0);
-        cic_i2 = _mm_add_epi64(cic_i2, cic_i1);
+        cic_i0 += 1 - std::bit_cast<I64x2>(y_bits >> 62);
+        cic_i1 += cic_i0;
+        cic_i2 += cic_i1;
 
         if (++phase != decimation) continue;
         phase = 0;
         // CIC combs at the decimated rate, then the PCM code table.
-        alignas(16) std::int64_t i2_lanes[2];
-        _mm_store_si128(reinterpret_cast<__m128i*>(i2_lanes), cic_i2);
-        std::int64_t vm = i2_lanes[0];
-        std::int64_t prev = m_c0;
-        m_c0 = vm;
-        vm -= prev;
-        prev = m_c1;
-        m_c1 = vm;
-        vm -= prev;
-        prev = m_c2;
-        m_c2 = vm;
-        vm -= prev;
-        std::int64_t vr = i2_lanes[1];
-        prev = r_c0;
-        r_c0 = vr;
-        vr -= prev;
-        prev = r_c1;
-        r_c1 = vr;
-        vr -= prev;
-        prev = r_c2;
-        r_c2 = vr;
-        vr -= prev;
-        *pcm_meas++ = pcm_lookup(codes, cic_range, vm);
-        *pcm_ref++ = pcm_lookup(codes, cic_range, vr);
+        const I64x2 v = comb(cic_c2, comb(cic_c1, comb(cic_c0, cic_i2)));
+        *pcm_meas++ = pcm_lookup(codes, cic_range, v[0]);
+        *pcm_ref++ = pcm_lookup(codes, cic_range, v[1]);
     }
-
-    // Unpack the vector state into the scalar locals for the shared
-    // write-back below.
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, alias_a_s);
-    ma_s = lanes[0];
-    fa_s = lanes[1];
-    _mm_store_pd(lanes, alias_b_s);
-    mb_s = lanes[0];
-    fb_s = lanes[1];
-    _mm_store_pd(lanes, mod_s1);
-    m_s1 = lanes[0];
-    r_s1 = lanes[1];
-    _mm_store_pd(lanes, mod_s2);
-    m_s2 = lanes[0];
-    r_s2 = lanes[1];
-    alignas(16) std::int64_t ilanes[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ilanes), cic_i0);
-    m_i0 = ilanes[0];
-    r_i0 = ilanes[1];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ilanes), cic_i1);
-    m_i1 = ilanes[0];
-    r_i1 = ilanes[1];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ilanes), cic_i2);
-    m_i2 = ilanes[0];
-    r_i2 = ilanes[1];
-#else
-    for (std::size_t i = 0; i < n; ++i) {
-        const Tia tia = tank.next();
-        double meas_v = tia.meas;
-        double ref_v = tia.ref;
-        if constexpr (kNoisy) {
-            meas_v += noise_rms * rng.next_gaussian();
-            ref_v += noise_rms * rng.next_gaussian();
-        }
-
-        // Anti-alias filters.
-        ma_s += ma_k * (meas_v - ma_s);
-        mb_s += mb_k * (ma_s - mb_s);
-        fa_s += fa_k * (ref_v - fa_s);
-        fb_s += fb_k * (fa_s - fb_s);
-
-        // Delta-sigma modulators + CIC integrators (DeltaSigmaAdc::step).
-        // The feedback sign is selected branchlessly: the data-dependent
-        // `s2 >= 0.0 ? 1.0 : -1.0` compiles to an unpredictable branch (the
-        // bitstream is pseudo-random by design), and copysign(1.0, s2) is
-        // value-identical because s2 only ever accumulates round-to-nearest
-        // sums of finite values — it can never become -0.0 or NaN.
-        {
-            const double clipped = std::clamp(mb_s, -1.0, 1.0);
-            const double y = std::copysign(1.0, m_s2);
-            m_s1 += clipped - y;
-            m_s2 += m_s1 - y;
-            m_i0 += static_cast<std::int64_t>(y);
-            m_i1 += m_i0;
-            m_i2 += m_i1;
-        }
-        {
-            const double clipped = std::clamp(fb_s, -1.0, 1.0);
-            const double y = std::copysign(1.0, r_s2);
-            r_s1 += clipped - y;
-            r_s2 += r_s1 - y;
-            r_i0 += static_cast<std::int64_t>(y);
-            r_i1 += r_i0;
-            r_i2 += r_i1;
-        }
-
-        if (++phase < decimation) continue;
-        phase = 0;
-        // CIC combs at the decimated rate, then the PCM code table.
-        std::int64_t vm = m_i2;
-        std::int64_t prev = m_c0;
-        m_c0 = vm;
-        vm -= prev;
-        prev = m_c1;
-        m_c1 = vm;
-        vm -= prev;
-        prev = m_c2;
-        m_c2 = vm;
-        vm -= prev;
-        std::int64_t vr = r_i2;
-        prev = r_c0;
-        r_c0 = vr;
-        vr -= prev;
-        prev = r_c1;
-        r_c1 = vr;
-        vr -= prev;
-        prev = r_c2;
-        r_c2 = vr;
-        vr -= prev;
-        *pcm_meas++ = pcm_lookup(codes, cic_range, vm);
-        *pcm_ref++ = pcm_lookup(codes, cic_range, vr);
-    }
-#endif
 
     // Write the downstream state back to the components so resets and
     // further blocks continue seamlessly; the caller writes back the tank's.
     source = tank;
-    alias_meas_.a_.state_ = ma_s;
-    alias_meas_.b_.state_ = mb_s;
-    alias_ref_.a_.state_ = fa_s;
-    alias_ref_.b_.state_ = fb_s;
+    unpack(alias_a, alias_meas_.a_.state_, alias_ref_.a_.state_);
+    unpack(alias_b, alias_meas_.b_.state_, alias_ref_.b_.state_);
     tank_.rng_ = rng;
-    adc_meas_.s1_ = m_s1;
-    adc_meas_.s2_ = m_s2;
-    adc_ref_.s1_ = r_s1;
-    adc_ref_.s2_ = r_s2;
-    adc_meas_.integ_[0] = m_i0;
-    adc_meas_.integ_[1] = m_i1;
-    adc_meas_.integ_[2] = m_i2;
-    adc_ref_.integ_[0] = r_i0;
-    adc_ref_.integ_[1] = r_i1;
-    adc_ref_.integ_[2] = r_i2;
-    adc_meas_.comb_[0] = m_c0;
-    adc_meas_.comb_[1] = m_c1;
-    adc_meas_.comb_[2] = m_c2;
-    adc_ref_.comb_[0] = r_c0;
-    adc_ref_.comb_[1] = r_c1;
-    adc_ref_.comb_[2] = r_c2;
+    unpack(mod_s1, adc_meas_.s1_, adc_ref_.s1_);
+    unpack(mod_s2, adc_meas_.s2_, adc_ref_.s2_);
+    unpack(cic_i0, adc_meas_.integ_[0], adc_ref_.integ_[0]);
+    unpack(cic_i1, adc_meas_.integ_[1], adc_ref_.integ_[1]);
+    unpack(cic_i2, adc_meas_.integ_[2], adc_ref_.integ_[2]);
+    unpack(cic_c0, adc_meas_.comb_[0], adc_ref_.comb_[0]);
+    unpack(cic_c1, adc_meas_.comb_[1], adc_ref_.comb_[1]);
+    unpack(cic_c2, adc_meas_.comb_[2], adc_ref_.comb_[2]);
     adc_meas_.phase_ = phase;
     adc_ref_.phase_ = phase;
     return pairs;
@@ -516,16 +364,9 @@ std::size_t FrontEnd::run_drive(std::span<const std::uint8_t> bits, std::size_t 
                     recon_.b_.state_,
                     tank_.prev_drive_,
                     tank_.inv_dt_,
-#if REFPGA_FRONTEND_SSE2
-                    _mm_set_pd(c_ref, c_probe),
-                    _mm_set_pd(0.0, tank_.g_leak_),
-                    _mm_set1_pd(tank_.params_.tia_gain_v_per_a)};
-#else
-                    c_probe,
-                    c_ref,
-                    tank_.g_leak_,
+                    F64x2{c_probe, c_ref},
+                    F64x2{tank_.g_leak_, 0.0},
                     tank_.params_.tia_gain_v_per_a};
-#endif
 
     bool orbit = false;
     if (periodic && tank_.primed_ && n >= drive.period) {

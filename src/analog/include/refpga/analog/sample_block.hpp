@@ -3,9 +3,8 @@
 // The 16 MHz measurement loop advances millions of modulator ticks per
 // simulated second; a SampleBlock lets the FrontEnd block entries write whole
 // batches of PCM pairs into preallocated storage instead of returning one
-// std::optional per tick, and one block can be reused across windows, cycles
-// and scenarios without reallocating (refpga::fleet keeps one per worker
-// thread).
+// std::optional per tick, and one block can be reused across windows and
+// cycles without reallocating (app::MeasurementSystem keeps one).
 #pragma once
 
 #include <cstddef>

@@ -122,15 +122,10 @@ public:
     [[nodiscard]] double true_level() const;
 
     /// Runs one full measurement cycle (sampling -> processing [-> reconfig
-    /// between stages]) and returns the report. Uses an internal sample
-    /// block, grown once and reused across cycles.
+    /// between stages]) and returns the report. The sample window streams
+    /// through the system's own sample block, grown in the first cycle and
+    /// reused by every later one.
     CycleReport run_cycle();
-
-    /// Same, streaming the sample window through a caller-owned block —
-    /// refpga::fleet passes one per worker thread so campaign scenarios
-    /// share buffers instead of reallocating. The block is scratch: its
-    /// contents are overwritten and carry no state between calls.
-    CycleReport run_cycle(analog::SampleBlock& block);
 
     [[nodiscard]] const reconfig::ReconfigController& controller() const {
         return controller_;
@@ -139,8 +134,7 @@ public:
     [[nodiscard]] long cycles_run() const { return cycles_run_; }
 
 private:
-    void collect_window(analog::SampleBlock& block, std::vector<std::int32_t>& meas,
-                        std::vector<std::int32_t>& ref);
+    void collect_window(std::vector<std::int32_t>& meas, std::vector<std::int32_t>& ref);
     void inject_upsets_until(double t_s);
     void apply_glitch(const fault::Glitch& glitch, std::vector<std::int32_t>& meas,
                       std::vector<std::int32_t>& ref);
@@ -163,7 +157,7 @@ private:
     reconfig::Scrubber scrubber_;        // references config_mem_
     fault::FaultPlan plan_;
     fault::FaultStats stats_;
-    analog::SampleBlock block_;  ///< default streaming buffers for run_cycle()
+    analog::SampleBlock block_;  ///< run_cycle()'s streaming buffers, no state
     long cycles_run_ = 0;
 
     // Self-healing state.

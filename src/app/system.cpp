@@ -152,8 +152,7 @@ void MeasurementSystem::set_true_level(double level) {
 
 double MeasurementSystem::true_level() const { return frontend_.tank().level(); }
 
-void MeasurementSystem::collect_window(analog::SampleBlock& block,
-                                       std::vector<std::int32_t>& meas,
+void MeasurementSystem::collect_window(std::vector<std::int32_t>& meas,
                                        std::vector<std::int32_t>& ref) {
     const AppParams& p = options_.params;
     meas.clear();
@@ -165,21 +164,21 @@ void MeasurementSystem::collect_window(analog::SampleBlock& block,
     // for the ADC decimation phase carried over from the previous cycle, so
     // the settle-plus-measurement window always lands exactly `needed` PCM
     // pairs.
-    block.clear_pcm();
-    block.reserve_pcm(static_cast<std::size_t>(needed));
+    block_.clear_pcm();
+    block_.reserve_pcm(static_cast<std::size_t>(needed));
     long remaining = frontend_.ticks_for_pcm(needed);
     while (remaining > 0) {
         const auto n =
             static_cast<std::size_t>(std::min<long>(options_.stream_block_ticks, remaining));
-        frontend_.run_periodic_ds(sinusgen_.period_bits(), sinusgen_.phase(), n, block);
+        frontend_.run_periodic_ds(sinusgen_.period_bits(), sinusgen_.phase(), n, block_);
         sinusgen_.advance(n);
         remaining -= static_cast<long>(n);
     }
-    REFPGA_ENSURES(block.pcm_size() == static_cast<std::size_t>(needed));
+    REFPGA_ENSURES(block_.pcm_size() == static_cast<std::size_t>(needed));
 
     const auto skip = static_cast<std::ptrdiff_t>(kSettleWindows) * p.window;
-    meas.assign(block.meas.begin() + skip, block.meas.end());
-    ref.assign(block.ref.begin() + skip, block.ref.end());
+    meas.assign(block_.meas.begin() + skip, block_.meas.end());
+    ref.assign(block_.ref.begin() + skip, block_.ref.end());
 }
 
 void MeasurementSystem::inject_upsets_until(double t_s) {
@@ -293,9 +292,7 @@ void MeasurementSystem::run_scrub_phase(CycleReport& report, double cycle_start_
     });
 }
 
-CycleReport MeasurementSystem::run_cycle() { return run_cycle(block_); }
-
-CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
+CycleReport MeasurementSystem::run_cycle() {
     const AppParams& p = options_.params;
     CycleReport report;
     double t = 0.0;
@@ -310,7 +307,7 @@ CycleReport MeasurementSystem::run_cycle(analog::SampleBlock& block) {
     {
         obs::ScopedSpan sample_span(options_.recorder, obs_ids_.span_sample,
                                     obs_ids_.sample_wall);
-        collect_window(block, meas, ref);
+        collect_window(meas, ref);
     }
     apply_glitch(plan_.next_glitch(), meas, ref);
     report.sampling_s = static_cast<double>(p.window * (1 + kSettleWindows)) /

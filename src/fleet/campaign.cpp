@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "refpga/analog/sample_block.hpp"
 #include "refpga/analog/tank.hpp"
 #include "refpga/common/contracts.hpp"
 #include "refpga/netlist/stats.hpp"
@@ -139,12 +138,6 @@ ScenarioOutcome run_one(const Scenario& s, const std::array<VariantFit, 3>& fits
         options.recorder = campaign.recorder;
         app::MeasurementSystem system(options, s.seed);
 
-        // One streaming buffer per worker thread, shared by every scenario
-        // that worker runs: the sample window streams through warm storage
-        // instead of reallocating per scenario. Scratch only — outcomes stay
-        // independent of which worker (and hence which buffer) ran them.
-        thread_local analog::SampleBlock stream_block;
-
         // Accuracy uses the per-cycle capacitance estimate inverted to a
         // level, not the filtered output: the EMA deliberately trails fill
         // ramps (it averages out sloshing), which would swamp short
@@ -159,7 +152,7 @@ ScenarioOutcome run_one(const Scenario& s, const std::array<VariantFit, 3>& fits
         for (int c = 0; c < s.cycles; ++c) {
             const double level = s.fill.level_at(c, s.cycles);
             system.set_true_level(level);
-            const app::CycleReport report = system.run_cycle(stream_block);
+            const app::CycleReport report = system.run_cycle();
             const double measured =
                 analog::level_from_capacitance(tank, report.capacitance_pf);
             const double err = std::abs(measured - level);
@@ -252,7 +245,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios) const
             result.outcomes[i] = run_one(scenarios[i], fits, options_, cobs);
     };
     if (options_.threads <= 1) {
-        work();  // on the calling thread, with its thread_local sample block
+        work();  // on the calling thread
         return result;
     }
     {  // the jthreads join at the end of this scope

@@ -89,10 +89,9 @@ struct CampaignOptions {
     int threads = 1;
     /// Front-end streaming block size (modulator ticks) applied to every
     /// scenario's system; must be positive (the runner's constructor throws
-    /// ContractViolation otherwise). Each worker thread keeps one reusable
-    /// analog::SampleBlock, so the sampling hot path never reallocates
-    /// between scenarios. Outcomes are bit-identical for every value (see
-    /// app::SystemOptions).
+    /// ContractViolation otherwise). Each scenario's system streams through
+    /// its own analog::SampleBlock (about 6 KB), grown in its first cycle.
+    /// Outcomes are bit-identical for every value (see app::SystemOptions).
     int stream_block_ticks = 4096;
     /// Test instrumentation: invoked inside each scenario's try-block before
     /// its system is built, so tests can exercise failure isolation

@@ -1,8 +1,8 @@
 // Parity suite for the block-streaming front end: the fused kernel behind
 // run_block_ds and run_periodic_ds must stay bit-identical to the per-sample
 // oracle (analog::FrontEndReference, test-support library) for every block
-// partitioning, including blocks of one tick, the tank-noise RNG draw order
-// and level changes between blocks; the system
+// partitioning, including blocks of one tick, the tank-noise RNG draw order,
+// level changes between blocks and inputs the modulators clamp; the system
 // sample window, fault bookkeeping and whole campaign reports must be
 // identical for every stream_block_ticks. Any divergence here means the
 // streaming kernel changed the signal, not just its batching. The sinus
@@ -11,16 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "refpga/analog/delta_sigma.hpp"
 #include "refpga/analog/frontend.hpp"
 #include "refpga/analog/frontend_reference.hpp"
 #include "refpga/analog/sample_block.hpp"
+#include "refpga/analog/tank.hpp"
 #include "refpga/app/hw_modules.hpp"
 #include "refpga/app/system.hpp"
 #include "refpga/app/tables.hpp"
@@ -123,9 +126,9 @@ analog::FrontEndConfig make_config(double noise_rms) {
 }
 
 PcmStream reference_stream(const analog::FrontEndConfig& config,
-                           const std::vector<std::uint8_t>& drive) {
+                           const std::vector<std::uint8_t>& drive, double level) {
     analog::FrontEndReference frontend(config, 42);
-    frontend.tank().set_level(0.6);
+    frontend.tank().set_level(level);
     PcmStream stream;
     for (std::uint8_t d : drive) {
         if (const auto pcm = frontend.step_ds_bit(d != 0)) {
@@ -136,23 +139,28 @@ PcmStream reference_stream(const analog::FrontEndConfig& config,
     return stream;
 }
 
-void expect_block_parity(double noise_rms) {
-    // Deliberately not a multiple of any tested block size, so every
-    // partitioning ends on a ragged tail and mid-decimation ADC phase.
-    const std::size_t ticks = 12347;
-    const std::vector<std::uint8_t> drive = make_drive(ticks);
-    const analog::FrontEndConfig config = make_config(noise_rms);
-    const PcmStream want = reference_stream(config, drive);
-    ASSERT_EQ(want.meas.size(), ticks / static_cast<std::size_t>(config.adc_decimation));
+// Deliberately not a multiple of any tested block size, so every
+// partitioning ends on a ragged tail and mid-decimation ADC phase.
+constexpr std::size_t kRaggedTicks = 12347;
 
+// `drive` through run(frontend, at, n, out) in blocks of each size, each on
+// a fresh front end at `level`, against the oracle on the same drive.
+template <typename Run>
+void expect_block_parity(const analog::FrontEndConfig& config, double level,
+                         const std::vector<std::uint8_t>& drive, Run run,
+                         obs::Recorder* recorder = nullptr) {
+    const PcmStream want = reference_stream(config, drive, level);
+    ASSERT_EQ(want.meas.size(),
+              drive.size() / static_cast<std::size_t>(config.adc_decimation));
     for (int block_size : kBlockSizes) {
         analog::FrontEnd frontend(config, 42);
-        frontend.tank().set_level(0.6);
+        frontend.set_recorder(recorder);
+        frontend.tank().set_level(level);
         analog::SampleBlock block;
-        for (std::size_t at = 0; at < ticks;) {
-            const std::size_t n =
-                std::min<std::size_t>(static_cast<std::size_t>(block_size), ticks - at);
-            frontend.run_block_ds({drive.data() + at, n}, block);
+        for (std::size_t at = 0; at < drive.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                static_cast<std::size_t>(block_size), drive.size() - at);
+            run(frontend, at, n, block);
             at += n;
         }
         EXPECT_EQ(block.meas, want.meas) << "block size " << block_size;
@@ -160,12 +168,87 @@ void expect_block_parity(double noise_rms) {
     }
 }
 
+void expect_ds_block_parity(double noise_rms) {
+    const std::vector<std::uint8_t> drive = make_drive(kRaggedTicks);
+    expect_block_parity(
+        make_config(noise_rms), 0.6, drive,
+        [&](analog::FrontEnd& fe, std::size_t at, std::size_t n, analog::SampleBlock& out) {
+            fe.run_block_ds({drive.data() + at, n}, out);
+        });
+}
+
 TEST(FrontEndStream, DsDriveMatchesReferenceAcrossBlockSizes) {
-    expect_block_parity(1e-3);
+    expect_ds_block_parity(1e-3);
 }
 
 TEST(FrontEndStream, DsDriveNoiselessMatchesReference) {
-    expect_block_parity(0.0);
+    expect_ds_block_parity(0.0);
+}
+
+// Largest |anti-alias output| per channel over a noise-free `drive`, from
+// the components the oracle steps.
+std::pair<double, double> antialias_peaks(const analog::FrontEndConfig& config,
+                                          const std::vector<std::uint8_t>& drive,
+                                          double level) {
+    analog::RcFilter2 recon(config.recon_cutoff_hz, config.modulator_hz);
+    analog::TankParams params = config.tank;
+    params.noise_rms_v = 0.0;
+    analog::TankCircuit tank(params, config.modulator_hz, 42);
+    tank.set_level(level);
+    analog::RcFilter2 alias_meas(config.antialias_cutoff_hz, config.modulator_hz);
+    analog::RcFilter2 alias_ref(config.antialias_cutoff_hz, config.modulator_hz);
+    std::pair<double, double> peaks{0.0, 0.0};
+    for (const std::uint8_t d : drive) {
+        const analog::TankCircuit::Currents v = tank.step(recon.step(d != 0 ? 1.0 : -1.0));
+        peaks.first = std::max(peaks.first, std::abs(alias_meas.step(v.meas_v)));
+        peaks.second = std::max(peaks.second, std::abs(alias_ref.step(v.ref_v)));
+    }
+    return peaks;
+}
+
+TEST(FrontEndStream, ClippedDriveMatchesReference) {
+    // At 3000 V/A and a full tank the anti-alias outputs peak near 2.85 V
+    // (measurement) and 1.31 V (reference) on the generator's drive, so the
+    // modulators' input clamp to [-1, 1] acts on both channels. At the
+    // default 600 V/A they peak near 0.57 V and 0.26 V, and no other case
+    // reaches the clamp.
+    constexpr double kLevel = 1.0;
+    const app::SinusGenModel gen;
+    const std::span<const std::uint8_t> period = gen.period_bits();
+    const std::vector<std::uint8_t> periodic = make_drive(kRaggedTicks);
+    const std::vector<std::uint8_t> aperiodic = [] {
+        std::vector<std::uint8_t> bits(kRaggedTicks);
+        Rng rng(2008);
+        for (std::uint8_t& d : bits) d = static_cast<std::uint8_t>(rng.next_below(2));
+        return bits;
+    }();
+
+    for (const double noise_rms : {0.0, 1e-3}) {
+        SCOPED_TRACE(noise_rms > 0.0 ? "noise on" : "noise off");
+        analog::FrontEndConfig config = make_config(noise_rms);
+        config.tank.tia_gain_v_per_a = 3000.0;
+        for (const auto* drive : {&periodic, &aperiodic}) {
+            const auto [meas_peak, ref_peak] = antialias_peaks(config, *drive, kLevel);
+            ASSERT_GT(meas_peak, 1.0);
+            ASSERT_GT(ref_peak, 1.0);
+        }
+        obs::Recorder recorder;
+        expect_block_parity(
+            config, kLevel, periodic,
+            [&](analog::FrontEnd& fe, std::size_t at, std::size_t n,
+                analog::SampleBlock& out) {
+                fe.run_periodic_ds(period, at % period.size(), n, out);
+            },
+            &recorder);
+        // The orbit replay must see the clipped signal too.
+        EXPECT_GE(recorder.metrics().value("frontend.orbit_blocks_total"), 10.0);
+        expect_block_parity(
+            config, kLevel, aperiodic,
+            [&](analog::FrontEnd& fe, std::size_t at, std::size_t n,
+                analog::SampleBlock& out) {
+                fe.run_block_ds({aperiodic.data() + at, n}, out);
+            });
+    }
 }
 
 // Block lengths, cycled: most are not a multiple of the generator's 64-tick
@@ -498,8 +581,8 @@ TEST(CampaignStream, ReportJsonByteIdenticalAcrossBlockSizes) {
                                  fleet::CampaignRunner(baseline).run(scenarios))
                                  .render_json();
 
-    // Campaigns on worker threads (thread_local block reuse in play) must
-    // render the very same bytes at every block size.
+    // Campaigns on worker threads must render the very same bytes at every
+    // block size.
     for (int block_size : kBlockSizes) {
         fleet::CampaignOptions options(2);
         options.stream_block_ticks = block_size;
